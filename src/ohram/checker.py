@@ -5,12 +5,16 @@ Two independent verdict procedures over the same history type:
 check_witness inspects tags. It needs every completed operation to carry
 a tag and applies the order conditions a tag-based atomic register must
 satisfy: sequential writes carry strictly increasing tags and no two
-writes share one; sequential reads never go backwards; a read never
-returns a tag below a write that finished before the read started; and
-every returned (tag, value) pair is either the initial state or the exact
-pair of a write that was invoked before the read returned. The checks run
-in that order, so when several conditions are broken at once the reported
-witness pair is the earliest rule's.
+writes share one (A2); sequential reads never go backwards (A3); a read
+never returns a tag below a write that finished before the read started
+(A1); and every returned (tag, value) pair is either the initial state or
+the exact pair of a write that was invoked before the read returned (P3).
+Each rule is decided in O(n log n): a set and a sweep over response times
+with a running maximum tag for the order rules, dictionaries for P3. Only
+when a rule fails does its pairwise loop run, to name the first failing
+pair in invocation order. The rules are checked in the order above, so
+when several are broken at once the reported witness pair is the earliest
+rule's.
 
 check_bruteforce ignores tags entirely and searches for a linearization:
 a total order of the operations, consistent with real time, under which
@@ -33,7 +37,9 @@ ids.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -72,83 +78,154 @@ class Verdict:
 def _key(tag: Tag):
     # every ts==0 tag denotes the unwritten register, whoever minted it
     if tag.ts == 0:
-        return (0, (0, 0))
+        return _INITIAL_KEY
     return (tag.ts, tag.wid.sort_key())
 
 
 _INITIAL_KEY = (0, (0, 0))
+_BELOW_EVERY_KEY = (float("-inf"),)
 
 
 def check_witness(history: list[OpRecord]) -> Verdict:
+    writes, reads, pending_writes = _split(history)
+    write_max_before = _max_key_before(writes)
+    read_max_before = _max_key_before(reads)
+    # Each detector fires whenever its rule's pairwise loop would report a
+    # pair, so the verdict is the loops' verdict. A2 and A3 may also fire
+    # with nothing to report, on records that respond before they are
+    # invoked; the loop then comes back empty and checking goes on.
+    rules = (
+        (len({k for k, _ in writes}) < len(writes)
+         or any(write_max_before(w.invoked) >= k for k, w in writes),
+         _a2_pair, (writes,)),
+        (any(read_max_before(r.invoked) > k for k, r in reads),
+         _a3_pair, (reads,)),
+        (any(write_max_before(r.invoked) > k for k, r in reads),
+         _a1_pair, (writes, reads)),
+        (not _p3_holds(writes, reads, pending_writes),
+         _p3_pair, (writes, reads, pending_writes)),
+    )
+    for fires, diagnose, args in rules:
+        verdict = diagnose(*args) if fires else None
+        if verdict is not None:
+            return verdict
+    return Verdict(True, "witness")
+
+
+def _split(history: list[OpRecord]):
+    """Completed writes and reads as (key, record) pairs in invocation
+    order, plus the pending writes."""
     completed = [r for r in history if r.responded is not None]
     for r in completed:
         if r.tag is None:
             raise UntaggedHistory(f"{r.op} completed without a tag")
     pending_writes = [r for r in history
                       if r.responded is None and r.kind == "write"]
-    writes = sorted((r for r in completed if r.kind == "write"),
-                    key=lambda r: r.invoked)
-    reads = sorted((r for r in completed if r.kind == "read"),
-                   key=lambda r: r.invoked)
+    keyed = sorted(((_key(r.tag), r) for r in completed),
+                   key=lambda kr: kr[1].invoked)
+    writes = [kr for kr in keyed if kr[1].kind == "write"]
+    reads = [kr for kr in keyed if kr[1].kind == "read"]
+    return writes, reads, pending_writes
 
-    def fail(prop, reason, *ops):
-        return Verdict(False, "witness", reason, tuple(ops), prop)
 
-    # writes are totally ordered, consistently with real time
-    for i, u in enumerate(writes):
-        for v in writes[i + 1:]:
-            if _key(u.tag) == _key(v.tag):
-                return fail("A2",
-                            f"writes {u.op} and {v.op} share tag {u.tag}",
-                            u.op, v.op)
-            if u.responded < v.invoked and not _key(u.tag) < _key(v.tag):
-                return fail(
+def _max_key_before(ops):
+    """f(t): the largest key among ops that responded before time t."""
+    ordered = sorted(ops, key=lambda kr: kr[1].responded)
+    times = [r.responded for _, r in ordered]
+    maxes = list(accumulate((k for k, _ in ordered), max,
+                            initial=_BELOW_EVERY_KEY))
+    return lambda t: maxes[bisect_left(times, t)]
+
+
+def _p3_holds(writes, reads, pending_writes) -> bool:
+    """Whether every read passes P3: _p3_pair's test by dictionary lookup."""
+    first_invoked = {}
+    for k, w in writes:  # invocation order: the first is the earliest
+        first_invoked.setdefault((k, w.value), w.invoked)
+    ghost_invoked = {}
+    for w in pending_writes:
+        ghost_invoked[w.value] = min(w.invoked,
+                                     ghost_invoked.get(w.value, w.invoked))
+    for k, r in reads:
+        if k == _INITIAL_KEY:
+            if r.value is not None:
+                return False
+            continue
+        invoked = first_invoked.get((k, r.value))
+        if invoked is None:
+            invoked = ghost_invoked.get(r.value)
+        if invoked is None or not invoked < r.responded:
+            return False
+    return True
+
+
+def _fail(prop, reason, *ops) -> Verdict:
+    return Verdict(False, "witness", reason, tuple(ops), prop)
+
+
+def _a2_pair(writes) -> Optional[Verdict]:
+    """Writes are totally ordered, consistently with real time."""
+    for i, (ku, u) in enumerate(writes):
+        for kv, v in writes[i + 1:]:
+            if ku == kv:
+                return _fail("A2",
+                             f"writes {u.op} and {v.op} share tag {u.tag}",
+                             u.op, v.op)
+            if u.responded < v.invoked and not ku < kv:
+                return _fail(
                     "A2",
                     f"write {v.op} finished after {u.op} but its tag "
                     f"{v.tag} does not exceed {u.tag}", u.op, v.op)
-            if v.responded < u.invoked and not _key(v.tag) < _key(u.tag):
-                return fail(
+            if v.responded < u.invoked and not kv < ku:
+                return _fail(
                     "A2",
                     f"write {u.op} finished after {v.op} but its tag "
                     f"{u.tag} does not exceed {v.tag}", v.op, u.op)
+    return None
 
-    # sequential reads never observe an older tag
-    for i, u in enumerate(reads):
-        for v in reads[i + 1:]:
-            first, second = (u, v) if u.invoked <= v.invoked else (v, u)
-            if (first.responded < second.invoked
-                    and _key(second.tag) < _key(first.tag)):
-                return fail(
+
+def _a3_pair(reads) -> Optional[Verdict]:
+    """Sequential reads never observe an older tag."""
+    for i, (kf, first) in enumerate(reads):
+        for ks, second in reads[i + 1:]:
+            if first.responded < second.invoked and ks < kf:
+                return _fail(
                     "A3",
                     f"read {second.op} returned {second.value!r} (tag "
                     f"{second.tag}) after read {first.op} had already "
                     f"returned {first.value!r} (tag {first.tag})",
                     first.op, second.op)
+    return None
 
-    # a read sees every write that finished before it started
-    for w in writes:
-        for r in reads:
-            if w.responded < r.invoked and _key(r.tag) < _key(w.tag):
-                return fail(
+
+def _a1_pair(writes, reads) -> Optional[Verdict]:
+    """A read sees every write that finished before it started."""
+    for kw, w in writes:
+        for kr, r in reads:
+            if w.responded < r.invoked and kr < kw:
+                return _fail(
                     "A1",
                     f"read {r.op} returned tag {r.tag} although write "
                     f"{w.op} with tag {w.tag} finished first", w.op, r.op)
+    return None
 
-    # returned pairs come from real writes that had already been invoked
-    for r in reads:
-        if _key(r.tag) == _INITIAL_KEY:
+
+def _p3_pair(writes, reads, pending_writes) -> Optional[Verdict]:
+    """Returned pairs come from real writes that had already been
+    invoked."""
+    for kr, r in reads:
+        if kr == _INITIAL_KEY:
             if r.value is not None:
-                return fail(
+                return _fail(
                     "P3",
                     f"read {r.op} paired value {r.value!r} with an "
                     f"initial tag", r.op)
             continue
-        sources = [w for w in writes
-                   if _key(w.tag) == _key(r.tag) and w.value == r.value]
+        sources = [w for kw, w in writes if kw == kr and w.value == r.value]
         if sources:
             if not any(w.invoked < r.responded for w in sources):
                 w = sources[0]
-                return fail(
+                return _fail(
                     "P3",
                     f"read {r.op} returned the pair of write {w.op}, "
                     f"which was invoked only later", r.op, w.op)
@@ -159,17 +236,16 @@ def check_witness(history: list[OpRecord]) -> Verdict:
             # value but still require the write to have started in time
             if not any(w.invoked < r.responded for w in ghosts):
                 w = ghosts[0]
-                return fail(
+                return _fail(
                     "P3",
                     f"read {r.op} returned the value of write {w.op}, "
                     f"which was invoked only later", r.op, w.op)
             continue
-        return fail(
+        return _fail(
             "P3",
             f"read {r.op} returned pair ({r.tag}, {r.value!r}) that no "
             f"write produced", r.op)
-
-    return Verdict(True, "witness")
+    return None
 
 
 def check_bruteforce(history: list[OpRecord]) -> Verdict:

@@ -23,7 +23,7 @@ import threading
 from typing import Optional
 
 from . import __version__
-from .checker import BRUTE_MAX_OPS, Verdict, check_bruteforce, check_witness
+from .checker import Verdict, check_history
 from .core import (
     Config,
     FaultBudgetExceeded,
@@ -31,7 +31,6 @@ from .core import (
     InvalidFaultBound,
     ModeMismatch,
     NotWellFormed,
-    OpRecord,
     QuorumUnreachable,
     ScheduleUnresolvable,
     StuckExecution,
@@ -79,19 +78,6 @@ def _print_metrics(result: RunResult) -> None:
               f"exchanges={m.exchanges} ({', '.join(sorted(m.exchange_kinds))})")
 
 
-def _verdicts(history: list[OpRecord]) -> tuple[Verdict, Optional[Verdict]]:
-    """Primary verdict plus the witness one when both apply.
-
-    Small histories get the exhaustive verdict, which is meaningful for
-    every protocol; larger ones fall back to the tag conditions.
-    """
-    countable = sum(1 for r in history
-                    if r.responded is not None or r.kind == "write")
-    if countable <= BRUTE_MAX_OPS:
-        return check_bruteforce(history), None
-    return check_witness(history), None
-
-
 def _report(result: RunResult, dump_path: Optional[str]) -> int:
     print("history:")
     _print_history(result)
@@ -107,8 +93,7 @@ def _report(result: RunResult, dump_path: Optional[str]) -> int:
         for line in result.invariant_failures:
             print("INVARIANT FAILURE:", line)
         return EXIT_NON_ATOMIC
-    verdict, _ = _verdicts(result.history)
-    return _verdict_exit(verdict)
+    return _verdict_exit(check_history(result.history))
 
 
 def _verdict_exit(verdict: Verdict) -> int:
@@ -184,8 +169,7 @@ def cmd_replay(args) -> int:
 def cmd_check(args) -> int:
     with open(args.history, "r", encoding="utf-8") as fh:
         history = history_from_json(json.load(fh))
-    verdict, _ = _verdicts(history)
-    return _verdict_exit(verdict)
+    return _verdict_exit(check_history(history))
 
 
 # -- bench --

@@ -9,7 +9,9 @@ different versions can coexist:
   {"type": "msg",  "msg": {...}}   carries one protocol message
 
 Topology: clients dial every server and keep the connection; a server's
-replies to a client travel back over the client's own connection.
+replies to a client travel back over the client's own connection. A
+reply produced before the client's hello arrives is held, for the
+client's newest op only, and sent once the hello comes in.
 Servers dial each other for relay traffic (each direction has its own
 connection). Every dialed link has an outbox: messages queue while the
 peer is unreachable and flush in order on (re)connect, which yields
@@ -96,6 +98,19 @@ def read_frames(sock: socket.socket):
             return
 
 
+def _close(sock: socket.socket) -> None:
+    # shut down first: on Linux, close() alone does not wake a thread
+    # blocked in accept() or recv() on the same socket
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 def listen_host(explicit: Optional[str] = None) -> str:
     # OHRAM_LISTEN overrides everything, for multi-homed test hosts
     return os.environ.get("OHRAM_LISTEN") or explicit or "127.0.0.1"
@@ -132,10 +147,7 @@ class Outbox:
             self.sock = None
             self.wake.notify()
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close(sock)
 
     def _run(self) -> None:
         while True:
@@ -151,10 +163,7 @@ class Outbox:
                     target=self._read_loop, args=(sock,), daemon=True)
                 reader.start()
             self._flush_loop(sock)
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close(sock)
             if reader is not None:
                 reader.join(timeout=1.0)
 
@@ -231,6 +240,11 @@ class ServerDaemon:
         # pid -> (socket, send lock); replies to one client may be
         # triggered from several handler threads at once
         self.client_conns: dict[ProcessId, tuple[socket.socket, threading.Lock]] = {}
+        # replies to a client that has not said hello yet, for its newest
+        # op only; a server answers some requests once (ohsam acks each
+        # read once), so a dropped reply would never come back
+        self.held_replies: dict[ProcessId, list[Message]] = {}
+        self.accepted: set[socket.socket] = set()
         self.conn_lock = threading.Lock()
         self.stopped = False
         self._accept_thread: Optional[threading.Thread] = None
@@ -247,20 +261,14 @@ class ServerDaemon:
 
     def stop(self) -> None:
         self.stopped = True
-        try:
-            self.listener.close()
-        except OSError:
-            pass
+        _close(self.listener)
         for box in self.outboxes.values():
             box.close()
         with self.conn_lock:
-            conns = [c for c, _ in self.client_conns.values()]
+            conns = list(self.accepted)
             self.client_conns.clear()
         for c in conns:
-            try:
-                c.close()
-            except OSError:
-                pass
+            _close(c)
 
     # kill == stop; the machine state is simply abandoned
     kill = stop
@@ -271,6 +279,11 @@ class ServerDaemon:
                 conn, _ = self.listener.accept()
             except OSError:
                 return
+            with self.conn_lock:
+                if self.stopped:
+                    _close(conn)
+                    return
+                self.accepted.add(conn)
             threading.Thread(target=self._serve_conn, args=(conn,),
                              daemon=True).start()
 
@@ -283,8 +296,13 @@ class ServerDaemon:
                     peer = parse_pid(frame["pid"])
                 except (KeyError, ValueError):
                     break
-                with self.conn_lock:
-                    self.client_conns[peer] = (conn, threading.Lock())
+                send_lock = threading.Lock()
+                with send_lock:  # held replies go out before new ones
+                    with self.conn_lock:
+                        self.client_conns[peer] = (conn, send_lock)
+                        backlog = self.held_replies.pop(peer, [])
+                    for msg in backlog:
+                        self._send(conn, msg)
             elif ftype == "msg":
                 try:
                     msg = message_from_json(frame["msg"])
@@ -295,10 +313,8 @@ class ServerDaemon:
             held = self.client_conns.get(peer) if peer is not None else None
             if held is not None and held[0] is conn:
                 del self.client_conns[peer]
-        try:
-            conn.close()
-        except OSError:
-            pass
+            self.accepted.discard(conn)
+        _close(conn)
 
     def _handle(self, msg: Message) -> None:
         if self.stopped:
@@ -322,12 +338,26 @@ class ServerDaemon:
             return
         with self.conn_lock:
             held = self.client_conns.get(dest)
-        if held is None:
-            return  # client not connected; it will retry
+            if held is None:
+                self._hold(msg)
+                return
         conn, send_lock = held
+        with send_lock:
+            self._send(conn, msg)
+
+    def _hold(self, msg: Message) -> None:
+        # caller holds conn_lock; clients are well-formed, so a newer op
+        # retires the replies held for the older one
+        held = self.held_replies.setdefault(msg.destination, [])
+        if held and held[0].op.seq < msg.op.seq:
+            held.clear()
+        if not held or held[0].op.seq == msg.op.seq:
+            held.append(msg)
+
+    @staticmethod
+    def _send(conn: socket.socket, msg: Message) -> None:
         try:
-            with send_lock:
-                conn.sendall(_pack({"type": "msg", "msg": message_to_json(msg)}))
+            conn.sendall(_pack({"type": "msg", "msg": message_to_json(msg)}))
         except OSError:
             pass
 

@@ -505,12 +505,16 @@ def history_from_json(obj) -> list[OpRecord]:
     records = []
     for r in obj:
         op = opid_from_json(r["op"])
+        value = r.get("value")
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{op}: value must be a string or null, "
+                             f"got {value!r}")
         records.append(OpRecord(
             op=op, kind=r["kind"],
             invoker=r.get("invoker") and parse_pid(r["invoker"]) or op.invoker,
             invoked=int(r["invoked"]),
             responded=None if r.get("responded") is None else int(r["responded"]),
             tag=tag_from_json(r.get("tag")),
-            value=r.get("value"),
+            value=value,
         ))
     return records

@@ -8,22 +8,31 @@ linearize, are deliberately not here; those appear in the agreement tests
 as the known asymmetry between the two procedures.
 """
 
+import dataclasses
+import random
+
 import pytest
 
+from ohram import checker
 from ohram.checker import (
     BRUTE_MAX_OPS,
+    Verdict,
     check_bruteforce,
     check_history,
     check_witness,
 )
 from ohram.core import (
+    Config,
     HistoryTooLarge,
     OpId,
     OpRecord,
+    StuckExecution,
     Tag,
     UntaggedHistory,
     parse_pid,
 )
+from ohram.protocols import get_protocol
+from ohram.simnet import SimNet
 from violations import VIOLATIONS
 
 
@@ -159,3 +168,104 @@ def test_fixture_property_labels():
     assert witness.prop == "P3"
     witness, _ = both_reject(VIOLATIONS["concurrent_writes_inverted_by_two_readers"])
     assert witness.prop == "A3"
+
+
+# -- the sweeps against the pairwise loops --
+
+
+def pairwise_reference(history):
+    """The witness verdict with every rule decided by its pairwise loop."""
+    writes, reads, pending = checker._split(history)
+    for verdict in (checker._a2_pair(writes), checker._a3_pair(reads),
+                    checker._a1_pair(writes, reads),
+                    checker._p3_pair(writes, reads, pending)):
+        if verdict is not None:
+            return verdict
+    return Verdict(True, "witness")
+
+
+def sim_history(rng):
+    name = rng.choice(["ohsam", "ohmam", "abd-swmr", "abd-mwmr", "naive3x"])
+    mode = get_protocol(name).mode
+    n = rng.choice([3, 5])
+    config = Config(n_servers=n, n_readers=rng.randint(1, 4),
+                    n_writers=1 if mode == "swmr" else rng.randint(2, 3),
+                    f=(n - 1) // 2, mode=mode)
+    net = SimNet(name, config, seed=rng.randrange(1 << 30))
+    ops = rng.randint(2, 6)
+    for pid in config.writers():
+        net.load_program(pid, [("write", f"v{i}") for i in range(ops)])
+    for pid in config.readers():
+        net.load_program(pid, [("read", None)] * ops)
+    try:
+        net.run_seeded()
+    except StuckExecution:
+        pass
+    return net.result().history
+
+
+def mutate(history, rng):
+    """Copy the history and corrupt one to three completed records."""
+    history = [dataclasses.replace(r) for r in history]
+    for _ in range(rng.randint(1, 3)):
+        r = rng.choice(history)
+        if r.responded is None:
+            continue
+        how = rng.choice(["tag", "value", "time", "touch", "swap",
+                          "pending", "backwards"])
+        if how == "tag":
+            r.tag = Tag(max(0, r.tag.ts + rng.choice([-2, -1, 1, 2])),
+                        r.tag.wid)
+        elif how == "value":
+            r.value = rng.choice([rng.choice(history).value, "Z#w9.9"])
+        elif how == "time":
+            shift = rng.randint(-50, 50)
+            r.invoked += shift
+            r.responded = max(r.invoked, r.responded + shift)
+        elif how == "touch":  # respond at the instant another op starts
+            r.responded = max(r.invoked, rng.choice(history).invoked)
+        elif how == "swap":
+            other = rng.choice(history)
+            if other.responded is not None:
+                r.tag, other.tag = other.tag, r.tag
+                r.value, other.value = other.value, r.value
+        elif how == "pending":
+            r.responded = None
+        else:  # only a hand-written history file can hold this
+            r.responded = r.invoked - rng.randint(1, 30)
+    return history
+
+
+def test_witness_verdict_equals_the_pairwise_loops():
+    rng = random.Random("witness-sweeps")
+    seen = {"atomic": 0}
+    for _ in range(150):
+        base = sim_history(rng)
+        for history in [base] + [mutate(base, rng) for _ in range(4)]:
+            verdict = check_witness(history)
+            assert verdict == pairwise_reference(history)
+            key = verdict.prop or "atomic"
+            seen[key] = seen.get(key, 0) + 1
+    for name, history in VIOLATIONS.items():
+        assert check_witness(history) == pairwise_reference(history), name
+    assert {"atomic", "A2", "A3", "A1", "P3"} <= set(seen), seen
+
+
+def test_atomic_history_never_enters_the_pairwise_loops(monkeypatch):
+    config = Config(n_servers=3, n_readers=9, n_writers=1, f=1, mode="swmr")
+    net = SimNet("ohsam", config, seed=5)
+    net.load_program(config.writers()[0],
+                     [("write", f"v{i}") for i in range(500)])
+    for pid in config.readers():
+        net.load_program(pid, [("read", None)] * 500)
+    net.run_seeded()
+    history = net.result().history
+    assert len(history) >= 5000
+
+    def quadratic(*args):
+        raise AssertionError("pairwise loop entered on an atomic history")
+
+    for name in ("_a2_pair", "_a3_pair", "_a1_pair", "_p3_pair"):
+        monkeypatch.setattr(checker, name, quadratic)
+    verdict = check_history(history)
+    assert verdict.atomic and verdict.method == "witness"

@@ -85,6 +85,35 @@ def test_check_flags_a_corrupted_dump(tmp_path, capsys):
     assert main(["check", str(dump)]) == 2
 
 
+def test_check_judges_a_long_dump_by_the_witness_rules(tmp_path, capsys):
+    dump = tmp_path / "run.json"
+    assert main(["simulate", "--protocol", "ohsam",
+                 "--ops", ",".join(["w1", "r1"] * 6), "--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["check", str(dump)]) == 0
+    assert "ATOMIC (witness)" in capsys.readouterr().out
+    obj = json.loads(dump.read_text())
+    reads = [r for r in obj["history"] if r["kind"] == "read"]
+    reads[-1]["tag"], reads[-1]["value"] = reads[0]["tag"], reads[0]["value"]
+    dump.write_text(json.dumps(obj))
+    assert main(["check", str(dump)]) == 2
+    out = capsys.readouterr().out
+    assert "NON-ATOMIC (witness)" in out
+    assert "pair: r1#2 -> r1#6" in out
+
+
+def test_check_refuses_a_value_that_is_not_a_string(tmp_path, capsys):
+    dump = tmp_path / "run.json"
+    main(["simulate", "--protocol", "ohsam",
+          "--ops", ",".join(["w1", "r1"] * 6), "--out", str(dump)])
+    capsys.readouterr()
+    obj = json.loads(dump.read_text())
+    obj["history"][-1]["value"] = ["A"]
+    dump.write_text(json.dumps(obj))
+    assert main(["check", str(dump)]) == 4
+    assert "value" in capsys.readouterr().err
+
+
 def test_bench_grid_passes(capsys):
     assert main(["bench", "--servers", "3", "--protocols",
                  "ohsam,ohmam,abd-swmr,abd-mwmr,naive3x"]) == 0

@@ -2,14 +2,21 @@
 
 import socket
 import threading
+import time
 
 import pytest
 
 from ohram.checker import check_bruteforce, check_witness
 from ohram.core import (
+    KIND_READ_ACK,
+    KIND_READ_RELAY,
     Config,
+    Message,
     ModeMismatch,
+    OpId,
     QuorumUnreachable,
+    Tag,
+    message_from_json,
     parse_pid,
 )
 from ohram.runner import (
@@ -174,3 +181,60 @@ def test_merge_histories_orders_by_invocation():
         assert len(merged) == 3
     finally:
         stop_all(daemons, [writer, reader])
+
+
+def test_reply_to_a_client_not_yet_connected_is_held_until_hello():
+    s1, s2, s3, r1 = (parse_pid(p) for p in ("s1", "s2", "s3", "r1"))
+    daemon = ServerDaemon(s1, SWMR, "ohsam")
+    daemon.start({s1: daemon.address})
+    sock = None
+    try:
+        read = OpId(r1, 1)
+        for origin in (s2, s3):
+            daemon._handle(Message(KIND_READ_RELAY, read, origin, s1,
+                                   tag=Tag(0, origin), relay_origin=origin))
+        # the majority of relays is in: the one ack for r1#1 is produced
+        # now, while r1 has no connection to s1 yet
+        assert [m.kind for m in daemon.held_replies[r1]] == [KIND_READ_ACK]
+        sock = socket.create_connection(daemon.address, timeout=5.0)
+        sock.sendall(_pack({"type": "hello", "pid": "r1"}))
+        frame = next(read_frames(sock))
+        msg = message_from_json(frame["msg"])
+        assert (msg.kind, msg.op, msg.sender) == (KIND_READ_ACK, read, s1)
+        assert r1 not in daemon.held_replies
+    finally:
+        if sock is not None:
+            sock.close()
+        daemon.stop()
+
+
+def test_held_replies_keep_only_the_newest_op():
+    r1 = parse_pid("r1")
+    daemon = ServerDaemon(parse_pid("s1"), SWMR, "ohsam")
+    try:
+        def ack(seq):
+            return Message(KIND_READ_ACK, OpId(r1, seq), daemon.pid, r1)
+
+        for seq in (1, 2, 2, 1):
+            daemon._route(ack(seq))
+        assert daemon.held_replies[r1] == [ack(2), ack(2)]
+    finally:
+        daemon.stop()
+
+
+def test_teardown_leaves_no_threads_behind():
+    before = set(threading.enumerate())
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    reader = Client(parse_pid("r1"), SWMR, "ohsam", membership)
+    try:
+        writer.write("A")
+        reader.read()
+    finally:
+        stop_all(daemons, [writer, reader])
+    deadline = time.monotonic() + 10.0
+    extra = [t for t in threading.enumerate() if t not in before]
+    while extra and time.monotonic() < deadline:
+        extra[0].join(timeout=0.5)
+        extra = [t for t in threading.enumerate() if t not in before]
+    assert extra == []
