@@ -91,12 +91,12 @@ class Naive3xWriter:
     config: Config
     write_op: int = 0
     pending_tag: Optional[Tag] = None
-    pending_value: Optional[str] = None
+    value: Optional[str] = None
     acks: set[ProcessId] = field(default_factory=set)
 
     @property
     def busy(self) -> bool:
-        return self.pending_value is not None
+        return self.pending_tag is not None
 
     def invoke_write(self, label: str) -> list[Message]:
         if self.busy:
@@ -104,11 +104,11 @@ class Naive3xWriter:
         self.write_op += 1
         op = OpId(self.pid, self.write_op)
         self.pending_tag = Tag(self.write_op, self.pid)
-        self.pending_value = make_value(label, op)
+        self.value = make_value(label, op)
         self.acks = set()
         return [
             Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                    tag=self.pending_tag, value=self.pending_value)
+                    tag=self.pending_tag, value=self.value)
             for s in self.config.servers()
         ]
 
@@ -120,9 +120,8 @@ class Naive3xWriter:
         self.acks.add(msg.sender)
         if len(self.acks) >= quorum_size(self.config.n_servers):
             done = Completion(OpId(self.pid, self.write_op), "write",
-                              self.pending_tag, self.pending_value)
+                              self.pending_tag, self.value)
             self.pending_tag = None
-            self.pending_value = None
             return [], done
         return [], None
 

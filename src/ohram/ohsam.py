@@ -52,19 +52,23 @@ from .core import (
 
 @dataclass
 class WriterStateS:
-    """Single writer: one timestamp, one pending write at a time."""
+    """Single writer: one timestamp, one pending write at a time.
+
+    value holds the value of the write in flight (of the last write once
+    it completes), under the same name as in every other writer machine.
+    """
 
     pid: ProcessId
     config: Config
     ts: int = 0
     write_op: int = 0
     pending_tag: Optional[Tag] = None
-    pending_value: Optional[str] = None
+    value: Optional[str] = None
     acks: set[ProcessId] = field(default_factory=set)
 
     @property
     def busy(self) -> bool:
-        return self.pending_value is not None
+        return self.pending_tag is not None
 
     def invoke_write(self, label: str) -> list[Message]:
         if self.busy:
@@ -73,11 +77,11 @@ class WriterStateS:
         self.ts += 1
         op = OpId(self.pid, self.write_op)
         self.pending_tag = Tag(self.ts, self.pid)
-        self.pending_value = make_value(label, op)
+        self.value = make_value(label, op)
         self.acks = set()
         return [
             Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                    tag=self.pending_tag, value=self.pending_value)
+                    tag=self.pending_tag, value=self.value)
             for s in self.config.servers()
         ]
 
@@ -90,9 +94,8 @@ class WriterStateS:
         self.acks.add(msg.sender)
         if len(self.acks) >= quorum_size(self.config.n_servers):
             done = Completion(OpId(self.pid, self.write_op), "write",
-                              self.pending_tag, self.pending_value)
+                              self.pending_tag, self.value)
             self.pending_tag = None
-            self.pending_value = None
             return [], done
         return [], None
 
@@ -149,19 +152,21 @@ class ServerStateS:
 
     relays[op] records which servers' relays for a pending read have
     arrived; entries are never discarded before the op is answered, and
-    by default an answered op's entry is retained until a later operation
-    from the same invoker is seen (set gc_relays=False to retain forever).
-    acked_reads makes the one-answer-per-read rule explicit.
+    an answered op's entry, with its relayed mark, is retained until a
+    later read message from the same invoker arrives. relay_ops groups
+    the keys of relays by invoker, so that retirement looks at one
+    client's entries only. acked_reads makes the one-answer-per-read
+    rule explicit.
     """
 
     pid: ProcessId
     config: Config
-    gc_relays: bool = True
     tag: Tag = None
     value: Optional[str] = BOTTOM
     relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
     relayed: set[OpId] = field(default_factory=set)
     acked_reads: set[OpId] = field(default_factory=set)
+    relay_ops: dict[ProcessId, set[OpId]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tag is None:
@@ -193,7 +198,10 @@ class ServerStateS:
     def on_read_relay(self, msg: Message) -> list[Message]:
         self._gc(msg.op)
         self._adopt(msg.tag, msg.value)
-        origins = self.relays.setdefault(msg.op, set())
+        origins = self.relays.get(msg.op)
+        if origins is None:
+            origins = self.relays[msg.op] = set()
+            self.relay_ops.setdefault(msg.op.invoker, set()).add(msg.op)
         origins.add(msg.relay_origin)
         if (len(origins) >= quorum_size(self.config.n_servers)
                 and msg.op not in self.acked_reads):
@@ -218,10 +226,11 @@ class ServerStateS:
     def _gc(self, op: OpId) -> None:
         # Horizon rule: seeing a later operation from the same invoker
         # retires answered entries for that invoker's earlier operations.
-        if not self.gc_relays:
+        ops = self.relay_ops.get(op.invoker)
+        if not ops:
             return
-        stale = [o for o in self.relays
-                 if o.invoker == op.invoker and o.seq < op.seq and o in self.acked_reads]
+        stale = [o for o in ops if o.seq < op.seq and o in self.acked_reads]
         for o in stale:
+            ops.remove(o)
             del self.relays[o]
             self.relayed.discard(o)

@@ -64,15 +64,13 @@ def _halved(seq: int) -> int:
     return (seq + 1) // 2
 
 
-def get_protocol(name: str, *, x: Optional[int] = None,
-                 gc_relays: bool = True) -> ProtocolBundle:
+def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
     if name == "ohsam":
         return ProtocolBundle(
             name=name, mode=MODE_SWMR,
             make_writer=ohsam.WriterStateS,
             make_reader=ohsam.ReaderStateS,
-            make_server=lambda pid, config: ohsam.ServerStateS(
-                pid, config, gc_relays=gc_relays),
+            make_server=ohsam.ServerStateS,
             writer_group=_identity,
             checked_invariants=True, runner_ok=True,
             write_exchanges=2, read_exchanges=3,
@@ -84,8 +82,7 @@ def get_protocol(name: str, *, x: Optional[int] = None,
             name=name, mode=MODE_MWMR,
             make_writer=ohmam.WriterStateM,
             make_reader=ohmam.ReaderStateM,
-            make_server=lambda pid, config: ohmam.ServerStateM(
-                pid, config, gc_relays=gc_relays),
+            make_server=ohmam.ServerStateM,
             writer_group=_halved,
             checked_invariants=True, runner_ok=True,
             write_exchanges=4, read_exchanges=3,

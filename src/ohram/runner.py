@@ -415,10 +415,7 @@ class Client:
         with self.done:
             t0 = time.monotonic_ns()
             msgs = invoke()
-            value = None
-            if kind == "write":
-                value = (getattr(self.machine, "pending_value", None)
-                         or getattr(self.machine, "value", None))
+            value = self.machine.value if kind == "write" else None
             self._completion = None
             self._current = msgs
         self._broadcast(msgs)

@@ -7,6 +7,15 @@ uniformly among the currently enabled events with a private RNG, so a
 (protocol, config, seed) triple fully determines the execution. Scripted
 runs replay a schedule file instead; see parse_schedule for the format.
 
+A seeded step costs one draw k = randrange(M + I + C) over three bands
+that are never built as a list: M in-flight messages, I idle clients (a
+program is loaded and the machine is not busy) and C pending crashes.
+k < M delivers inflight[k]; the next I values name the idle clients in
+the order of self.clients; the last C values index pending_crashes. The
+idle clients are kept as a set, updated where idleness can change (a
+program is loaded, an operation is invoked, a message reaches a client)
+and sorted only when a step falls in their band.
+
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
 message and exchange tallies match the protocol's complexity exactly on
@@ -123,10 +132,9 @@ class RunResult:
 class SimNet:
     def __init__(self, protocol: str, config: Config, *,
                  seed: Optional[int] = None, x: Optional[int] = None,
-                 gc_relays: bool = True,
                  check_invariants: Optional[bool] = None):
         validate_config(config)
-        bundle = get_protocol(protocol, x=x, gc_relays=gc_relays)
+        bundle = get_protocol(protocol, x=x)
         if config.mode != bundle.mode:
             raise ModeMismatch(
                 f"protocol {protocol} needs mode {bundle.mode!r}, "
@@ -148,6 +156,10 @@ class SimNet:
                         for pid in config.servers()}
 
         self.programs: dict[ProcessId, list] = {p: [] for p in self.clients}
+        # clients with a loaded program and no operation in flight, and
+        # each client's rank in self.clients to list them in that order
+        self.idle: set[ProcessId] = set()
+        self._rank = {p: i for i, p in enumerate(self.clients)}
         self.inflight: list[Message] = []
         self.crashed: set[ProcessId] = set()
         self.pending_crashes: list[ProcessId] = []
@@ -189,9 +201,8 @@ class SimNet:
         group = self.bundle.op_group(msgs[0].op)
         # a write's value is fixed at invocation; recording it now keeps
         # histories with a pending write (client never finished) checkable
-        value = None
-        if kind == "write":
-            value = getattr(machine, "pending_value", None) or machine.value
+        value = machine.value if kind == "write" else None
+        self._note_idle(pid)
         rec = OpRecord(op=group, kind=kind, invoker=pid,
                        invoked=self.events, responded=None,
                        tag=None, value=value)
@@ -219,6 +230,7 @@ class SimNet:
             self._send(outs)
             if completion is not None:
                 self._record_completion(completion)
+            self._note_idle(dest)
 
     def _deliver_server(self, dest: ProcessId, msg: Message) -> None:
         server = self.servers[dest]
@@ -285,33 +297,38 @@ class SimNet:
 
     def load_program(self, pid: ProcessId, ops: list) -> None:
         self.programs[pid].extend(ops)
+        self._note_idle(pid)
 
-    def _enabled(self) -> list:
-        choices = [("deliver", i) for i in range(len(self.inflight))]
-        for pid, machine in self.clients.items():
-            if self.programs[pid] and not machine.busy:
-                choices.append(("invoke", pid))
-        choices.extend(("crash", pid) for pid in self.pending_crashes)
-        return choices
+    def _note_idle(self, pid: ProcessId) -> None:
+        if self.programs[pid] and not self.clients[pid].busy:
+            self.idle.add(pid)
+        else:
+            self.idle.discard(pid)
 
     def run_seeded(self) -> None:
         if self.rng is None:
             raise ModeMismatch("run_seeded needs a seed")
+        randrange = self.rng.randrange
+        idle = self.idle
         while True:
             if self.events > STEP_BUDGET:
                 raise StuckExecution(
                     f"step budget {STEP_BUDGET} exceeded")
-            choices = self._enabled()
-            if not choices:
+            delivers = len(self.inflight)
+            invokes = len(idle)
+            total = delivers + invokes + len(self.pending_crashes)
+            if not total:
                 break
-            action, arg = choices[self.rng.randrange(len(choices))]
-            if action == "deliver":
-                self.deliver(arg)
-            elif action == "invoke":
-                self.invoke_next(arg)
+            k = randrange(total)
+            if k < delivers:
+                self.deliver(k)
+            elif k < delivers + invokes:
+                self.invoke_next(
+                    sorted(idle, key=self._rank.__getitem__)[k - delivers])
             else:
-                self.pending_crashes.remove(arg)
-                self.crash(arg)
+                victim = self.pending_crashes[k - delivers - invokes]
+                self.pending_crashes.remove(victim)
+                self.crash(victim)
         self._finish()
 
     def _finish(self) -> None:

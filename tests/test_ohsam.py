@@ -1,5 +1,7 @@
 """Single-writer emulation: writer, reader, and server state machines."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from ohram.core import (
     server_id,
     writer_id,
 )
+from ohram.ohmam import ServerStateM
 from ohram.ohsam import ReaderStateS, ServerStateS, WriterStateS
 
 CFG = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
@@ -198,3 +201,81 @@ def test_server_tag_never_decreases(updates):
             s.on_message(relay(OpId(R1, i + 1), S2, S1, S2, t, f"v{i}"))
         assert not tag_less(s.tag, seen)
         seen = s.tag
+
+
+def _full_scan_gc(server, op):
+    """The horizon rule as first written: a scan over every relay entry."""
+    stale = [o for o in server.relays
+             if o.invoker == op.invoker and o.seq < op.seq
+             and o in server.acked_reads]
+    for o in stale:
+        del server.relays[o]
+        server.relayed.discard(o)
+
+
+class FullScanS(ServerStateS):
+    _gc = _full_scan_gc
+
+
+class FullScanM(ServerStateM):
+    _gc = _full_scan_gc
+
+
+def _random_traffic(rng, steps):
+    """Read traffic from three readers, late and duplicate copies included.
+
+    Each reader's current op advances now and then; a message names the
+    current op or one of the two before it, so relays race ahead of their
+    request, requests arrive after their op was answered and retired, and
+    relays repeat an origin already counted.
+    """
+    readers = [reader_id(i) for i in (1, 2, 3)]
+    current = {r: 1 for r in readers}
+    writes = 0
+    for _ in range(steps):
+        r = rng.choice(readers)
+        if rng.random() < 0.15:
+            current[r] += 1
+        op = OpId(r, max(1, current[r] - rng.choice((0, 0, 0, 1, 2))))
+        roll = rng.random()
+        if roll < 0.25:
+            yield Message("readRequest", op, r, S1)
+        elif roll < 0.9:
+            origin = rng.choice((S1, S2, S3))
+            yield relay(op, origin, S1, origin, Tag(rng.randint(0, 4), W1),
+                        f"v{rng.randint(0, 4)}")
+        else:
+            writes += 1
+            yield Message("writeRequest", OpId(W1, writes), W1, S1,
+                          tag=Tag(writes, W1), value=f"w{writes}")
+
+
+@pytest.mark.parametrize("indexed, reference",
+                         [(ServerStateS, FullScanS), (ServerStateM, FullScanM)])
+def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
+    seen = {"early relay": 0, "late request": 0, "duplicate relay": 0,
+            "retired": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        new, old = indexed(S1, CFG), reference(S1, CFG)
+        for msg in _random_traffic(rng, 150):
+            kind = msg.kind
+            if kind == "readRelay" and msg.op not in old.relayed:
+                seen["early relay"] += 1
+            if kind == "readRelay" and msg.relay_origin in old.relays.get(
+                    msg.op, ()):
+                seen["duplicate relay"] += 1
+            if (kind == "readRequest" and msg.op in old.acked_reads
+                    and msg.op not in old.relays):
+                seen["late request"] += 1
+            before = len(old.relays)
+            assert new.on_message(msg) == old.on_message(msg)
+            assert new.relays == old.relays
+            assert new.relayed == old.relayed
+            assert new.acked_reads == old.acked_reads
+            assert (new.tag, new.value) == (old.tag, old.value)
+            if len(old.relays) < before:
+                seen["retired"] += 1
+        for invoker, ops in new.relay_ops.items():
+            assert ops == {o for o in new.relays if o.invoker == invoker}
+    assert all(seen.values()), seen

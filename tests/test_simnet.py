@@ -1,6 +1,8 @@
 """Simulator: determinism, crash semantics, metrics, scripted schedules."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -13,6 +15,7 @@ from ohram.core import (
     parse_pid,
     server_id,
 )
+from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import SimNet, history_from_json, run_script, simulate
 
 SWMR3 = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
@@ -217,3 +220,101 @@ def test_scripted_and_seeded_runs_share_the_metrics_shape():
     assert m.kind == "read"
     assert m.messages == 15
     assert m.exchanges == 3
+
+
+# sha256 over the dumps below, recorded before the seeded scheduler was
+# rewritten; a change here means the seed -> schedule mapping moved
+GOLDEN_CORPUS_SHA256 = (
+    "fe1e22f84f9219cd076a84abe9c4fc633329a0351c5a59db56e9b374d64aa9c3")
+GOLDEN_SLICED_SHA256 = (
+    "9cb9d833104366d98d07291c1414cba8b6fbdad3c756cf47f343d2788d0b149b")
+
+
+def _golden_corpus():
+    for name in PROTOCOL_NAMES:
+        mode = get_protocol(name).mode
+        for n in (3, 5, 7):
+            config = Config(n_servers=n, n_readers=3,
+                            n_writers=1 if mode == "swmr" else 3,
+                            f=(n - 1) // 2, mode=mode)
+            for seed in range(8):
+                yield simulate(name, config, seed, max_ops=12)
+
+
+def _golden_sliced():
+    """Long-run style: crashes assigned directly, programs fed in slices."""
+    for name in ("ohsam", "ohmam", "abd-swmr", "abd-mwmr"):
+        mode = get_protocol(name).mode
+        config = Config(n_servers=5, n_readers=5,
+                        n_writers=1 if mode == "swmr" else 3, f=2, mode=mode)
+        net = SimNet(name, config, seed=11)
+        net.pending_crashes = [server_id(4), server_id(2)]
+        for lo in range(0, 12, 4):
+            for pid in config.writers():
+                net.load_program(pid, [("write", f"{pid}-{i}")
+                                       for i in range(lo, lo + 4)])
+            for pid in config.readers():
+                net.load_program(pid, [("read", None)] * 4)
+            net.run_seeded()
+            # result() shares the history list: dump it before the next slice
+            yield net.result().dumps()
+
+
+def _sha256(dumps) -> str:
+    digest = hashlib.sha256()
+    for text in dumps:
+        digest.update(text.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def test_seeded_dumps_match_golden_hashes():
+    corpus = list(_golden_corpus())
+    assert sum(1 for r in corpus if r.crashed) > len(corpus) // 4
+    assert _sha256(r.dumps() for r in corpus) == GOLDEN_CORPUS_SHA256
+    sliced = list(_golden_sliced())
+    assert all('"crashed":["s2","s4"]' in text for text in sliced)
+    assert _sha256(sliced) == GOLDEN_SLICED_SHA256
+
+
+def _recount_idle(net):
+    return {pid for pid, machine in net.clients.items()
+            if net.programs[pid] and not machine.busy}
+
+
+def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
+    """The seeded scheduler's idle set, checked after every event.
+
+    Seeded runs get extra operations loaded while they run, at random
+    steps and for random clients, busy or not; scripted runs replay the
+    shipped schedules.
+    """
+    steps = 0
+    loads = random.Random(5)
+
+    def checked(method, top_up=False):
+        def step(net, *args, **kwargs):
+            nonlocal steps
+            out = method(net, *args, **kwargs)
+            if top_up and net.rng is not None and loads.random() < 0.02:
+                pid = loads.choice(list(net.clients))
+                kind = "write" if pid.role == "writer" else "read"
+                net.load_program(pid, [(kind, "L")])
+            assert net.idle == _recount_idle(net)
+            steps += 1
+            return out
+        return step
+
+    monkeypatch.setattr(SimNet, "deliver", checked(SimNet.deliver, True))
+    monkeypatch.setattr(SimNet, "invoke_next", checked(SimNet.invoke_next))
+    monkeypatch.setattr(SimNet, "crash", checked(SimNet.crash))
+    monkeypatch.setattr(SimNet, "load_program", checked(SimNet.load_program))
+    for name in PROTOCOL_NAMES:
+        mode = get_protocol(name).mode
+        config = Config(n_servers=5, n_readers=3,
+                        n_writers=1 if mode == "swmr" else 2, f=2, mode=mode)
+        for seed in range(6):
+            simulate(name, config, seed, max_ops=10)
+    for script in ("xi1p", "xi2p", "xi3pp", "xi4"):
+        simnet.replay_file(f"schedules/{script}.json")
+    assert steps > 5000
