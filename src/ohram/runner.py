@@ -13,9 +13,15 @@ replies to a client travel back over the client's own connection. A
 reply produced before the client's hello arrives is held, for the
 client's newest op only, and sent once the hello comes in.
 Servers dial each other for relay traffic (each direction has its own
-connection). Every dialed link has an outbox: messages queue while the
-peer is unreachable and flush in order on (re)connect, which yields
-at-least-once delivery. The protocol machines are idempotent against the
+connection); nothing travels back on a server's dialed link, so only
+client links run a reader. Every dialed link has an outbox. A send
+writes its frame to the socket at once, on the caller's thread and
+without blocking, when the link is up and nothing is queued. Otherwise
+the frame queues, and so does the rest of a frame the kernel took only
+in part. The link's own thread flushes the queue in order, and on each
+(re)connect starts again from the head frame's first byte, which yields
+at-least-once delivery. Links set TCP_NODELAY, because frames are small
+and go out one at a time. The protocol machines are idempotent against the
 resulting duplicates: a repeated writeRequest is re-acknowledged, a
 repeated readRequest does not relay twice, and relay bookkeeping is
 set-based, so retries are safe.
@@ -117,7 +123,7 @@ def listen_host(explicit: Optional[str] = None) -> str:
 
 
 class Outbox:
-    """A dialed link: queue, dial loop, in-order flush on (re)connect."""
+    """A dialed link: write-through sends, queue, dial loop, in-order flush."""
 
     def __init__(self, own_pid: ProcessId, address: tuple[str, int],
                  on_frame=None):
@@ -125,6 +131,7 @@ class Outbox:
         self.address = address
         self.on_frame = on_frame  # receive path for client links
         self.queue: deque[bytes] = deque()
+        self.head_sent = 0  # bytes of queue[0] already on self.sock
         self.lock = threading.Lock()
         self.wake = threading.Condition(self.lock)
         self.sock: Optional[socket.socket] = None
@@ -133,10 +140,23 @@ class Outbox:
         self.thread.start()
 
     def send(self, msg: Message) -> None:
+        """Write the frame now if the link is idle, else queue it.
+
+        Never blocks on the network: callers send while holding their
+        own locks.
+        """
         frame = _pack({"type": "msg", "msg": message_to_json(msg)})
         with self.wake:
             if self.closed:
                 return
+            if self.sock is not None and not self.queue:
+                try:
+                    sent = self.sock.send(frame, socket.MSG_DONTWAIT)
+                except OSError:  # full buffer or broken link: flush decides
+                    sent = 0
+                if sent == len(frame):
+                    return
+                self.head_sent = sent
             self.queue.append(frame)
             self.wake.notify()
 
@@ -171,6 +191,7 @@ class Outbox:
         try:
             sock = socket.create_connection(self.address, timeout=1.0)
             sock.settimeout(None)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.sendall(_pack({"type": "hello", "pid": str(self.own_pid)}))
         except OSError:
             with self.wake:
@@ -183,25 +204,28 @@ class Outbox:
                 sock.close()
                 return None
             self.sock = sock
+            self.head_sent = 0  # a new connection gets the head frame whole
         return sock
 
     def _flush_loop(self, sock: socket.socket) -> None:
+        # while the queue is non-empty, sends only append to it, so this
+        # thread is the link's only writer
         while True:
             with self.wake:
                 while not self.queue and not self.closed and self.sock is sock:
                     self.wake.wait(timeout=0.5)
                 if self.closed or self.sock is not sock:
                     return
-                frame = self.queue[0]
+                frame, start = self.queue[0], self.head_sent
             try:
-                sock.sendall(frame)
+                sock.sendall(memoryview(frame)[start:])
             except OSError:
                 with self.wake:
                     self.sock = None
                 return  # frame stays queued for the next connection
             with self.wake:
-                if self.queue and self.queue[0] is frame:
-                    self.queue.popleft()
+                self.queue.popleft()
+                self.head_sent = 0
 
     def _read_loop(self, sock: socket.socket) -> None:
         for frame in read_frames(sock):
@@ -253,8 +277,7 @@ class ServerDaemon:
         """membership maps every server pid to its (host, port)."""
         for peer, addr in membership.items():
             if peer != self.pid:
-                self.outboxes[peer] = Outbox(self.pid, addr,
-                                             on_frame=self._handle)
+                self.outboxes[peer] = Outbox(self.pid, addr)
         self._accept_thread = threading.Thread(target=self._accept_loop,
                                                daemon=True)
         self._accept_thread.start()
@@ -279,6 +302,7 @@ class ServerDaemon:
                 conn, _ = self.listener.accept()
             except OSError:
                 return
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self.conn_lock:
                 if self.stopped:
                     _close(conn)
@@ -428,8 +452,9 @@ class Client:
                         raise QuorumUnreachable(
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
-                    # outbox sends only queue, they never block on I/O,
-                    # so rebroadcasting under the lock is fine
+                    # an outbox send writes without blocking (or queues
+                    # for its link's thread), so rebroadcasting under the
+                    # lock is fine
                     self._broadcast(list(self._current))
             completion = self._completion
             t1 = time.monotonic_ns()

@@ -10,6 +10,7 @@ from ohram.checker import check_bruteforce, check_witness
 from ohram.core import (
     KIND_READ_ACK,
     KIND_READ_RELAY,
+    KIND_WRITE_REQUEST,
     Config,
     Message,
     ModeMismatch,
@@ -22,6 +23,7 @@ from ohram.core import (
 from ohram.runner import (
     MAX_FRAME,
     Client,
+    Outbox,
     ServerDaemon,
     _pack,
     listen_host,
@@ -238,3 +240,155 @@ def test_teardown_leaves_no_threads_behind():
         extra[0].join(timeout=0.5)
         extra = [t for t in threading.enumerate() if t not in before]
     assert extra == []
+
+
+def test_server_links_run_no_reader_thread():
+    before = set(threading.enumerate())
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    reader = Client(parse_pid("r1"), SWMR, "ohsam", membership)
+    try:
+        reader.read()
+        boxes = [b for d in daemons for b in d.outboxes.values()]
+        boxes += reader.links.values()
+
+        def read_loops():
+            return [t for t in threading.enumerate()
+                    if t not in before and t.name.endswith("(_read_loop)")]
+
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and (
+                any(b.sock is None for b in boxes) or len(read_loops()) < 3):
+            time.sleep(0.01)
+        assert all(b.sock is not None for b in boxes)
+        # one reader per client link; none for the six server links
+        assert len(read_loops()) == len(reader.links) == 3
+    finally:
+        stop_all(daemons, [reader])
+
+
+W1, S1 = parse_pid("w1"), parse_pid("s1")
+
+
+def write_request(seq, size=1000):
+    return Message(KIND_WRITE_REQUEST, OpId(W1, seq), W1, S1,
+                   tag=Tag(seq, W1), value="x" * size)
+
+
+def peer_listener():
+    """A listening socket whose accepted connections have a small buffer."""
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    srv.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    srv.bind(("127.0.0.1", 0))
+    srv.settimeout(10.0)
+    return srv
+
+
+def wait_for(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+def received_seqs(conn, count):
+    """Read a hello plus `count` message frames; return their op seqs."""
+    conn.settimeout(10.0)
+    frames = read_frames(conn)
+    assert next(frames) == {"type": "hello", "pid": "w1"}
+    return [message_from_json(next(frames)["msg"]).op.seq
+            for _ in range(count)]
+
+
+def fill_until_queued(box, seq=0):
+    """Send until a frame queues because the kernel took none or only part
+    of it; return the last seq and the slowest send in seconds."""
+    slowest = 0.0
+    while not box.queue:
+        seq += 1
+        t0 = time.perf_counter()
+        box.send(write_request(seq))
+        slowest = max(slowest, time.perf_counter() - t0)
+        assert seq < 100_000, "the kernel never refused a frame"
+    return seq, slowest
+
+
+def test_sends_to_a_peer_that_never_reads_never_block():
+    srv = peer_listener()
+    srv.listen(1)
+    box = Outbox(W1, srv.getsockname())
+    conn, _ = srv.accept()
+    sent = {}
+
+    def sender():
+        last, slowest = fill_until_queued(box)
+        # the peer's buffers are full: every further send queues
+        for _ in range(2000):
+            last += 1
+            t0 = time.perf_counter()
+            box.send(write_request(last))
+            slowest = max(slowest, time.perf_counter() - t0)
+        sent.update(last=last, slowest=slowest)
+
+    try:
+        assert wait_for(lambda: box.sock is not None)
+        thread = threading.Thread(target=sender, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "a send blocked"
+        assert box.queue
+        assert sent["slowest"] < 0.1
+        last = sent["last"]
+        assert received_seqs(conn, last) == list(range(1, last + 1))
+        assert wait_for(lambda: not box.queue)
+    finally:
+        conn.close()  # first: resets the link, so even a blocked send returns
+        box.close()
+        srv.close()
+
+
+def test_frames_queued_while_the_peer_is_down_go_first():
+    srv = peer_listener()  # bound, not listening: dials are refused
+    box = Outbox(W1, srv.getsockname())
+    conn = None
+    try:
+        for seq in range(1, 6):
+            box.send(write_request(seq, size=10))
+        assert box.sock is None and len(box.queue) == 5
+        srv.listen(1)
+        conn, _ = srv.accept()
+        assert wait_for(lambda: box.sock is not None and not box.queue)
+        for seq in range(6, 11):
+            box.send(write_request(seq, size=10))
+            assert not box.queue  # written through
+        assert received_seqs(conn, 10) == list(range(1, 11))
+    finally:
+        box.close()
+        if conn is not None:
+            conn.close()
+        srv.close()
+
+
+def test_a_head_frame_cut_short_is_resent_whole_on_reconnect():
+    srv = peer_listener()
+    srv.listen(2)
+    box = Outbox(W1, srv.getsockname())
+    first, _ = srv.accept()
+    second = None
+    try:
+        assert wait_for(lambda: box.sock is not None)
+        last, _ = fill_until_queued(box)
+        assert 0 < box.head_sent < len(box.queue[0])  # a partial write
+        for _ in range(3):
+            last += 1
+            box.send(write_request(last))
+        head = last - 3
+        first.close()  # unread data: the peer resets the connection
+        second, _ = srv.accept()
+        assert received_seqs(second, 4) == list(range(head, last + 1))
+        assert wait_for(lambda: not box.queue)
+    finally:
+        box.close()
+        first.close()
+        if second is not None:
+            second.close()
+        srv.close()
