@@ -39,6 +39,7 @@ from .simnet import (
     RunResult,
     SimNet,
     history_from_json,
+    history_to_json,
     replay_file,
     run_script,
     simulate,

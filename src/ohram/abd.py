@@ -6,13 +6,17 @@ writeAck), because the reader propagates the maximum tag it collected
 before returning. The write-back is always performed, never skipped, so
 exchange counts match the comparison table exactly.
 
+The reader is a two-phase QuorumClient: a readRequest phase, then a
+writeRequest phase that carries the maximum pair it collected.
+
 Single-writer mode: writes are one round (writeRequest, writeAck) with the
 writer's own incrementing timestamp; this is the same two-exchange write
 the three-exchange-read algorithm uses, so the writer machine is reused.
 Multi-writer mode: writes are two rounds, a discover round to learn the
 maximum timestamp and a propagate round with tag (maxTS + 1, own id).
-Both phases of one operation share one operation counter value; the
-message kind tells them apart.
+That is the multi-writer three-exchange-read writer with ticks = 1: both
+phases of one operation share one counter value, and the message kind
+tells them apart.
 
 Servers hold (tag, value) with the usual adopt-if-greater rule, answer
 readRequests directly with their current pair (no server-to-server
@@ -21,12 +25,11 @@ relays), and acknowledge every writeRequest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
     BOTTOM,
-    Completion,
     Config,
     KIND_DISCOVER,
     KIND_DISCOVER_ACK,
@@ -35,135 +38,39 @@ from .core import (
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
-    NotWellFormed,
-    OpId,
     ProcessId,
     Tag,
-    make_value,
-    quorum_size,
     tag_less,
 )
-from .ohsam import WriterStateS as AbdWriterSwmr  # one-round write, unchanged
-
-IDLE = "idle"
-QUERY = "query"
-WRITEBACK = "writeback"
-DISCOVERING = "discovering"
-PROPAGATING = "propagating"
-
+from .ohmam import WriterStateM
+from .ohsam import QuorumClient, WriterStateS as AbdWriterSwmr  # one-round write
 
 @dataclass
-class AbdReaderState:
+class AbdReaderState(QuorumClient):
     """Two-round reader: query a majority, write back the maximum tag."""
 
-    pid: ProcessId
-    config: Config
-    read_op: int = 0
-    phase: str = IDLE
-    collected: dict[ProcessId, tuple[Tag, Optional[str]]] = field(default_factory=dict)
-    wb_acks: set[ProcessId] = field(default_factory=set)
-    result: Optional[tuple[Tag, Optional[str]]] = None
-
-    @property
-    def busy(self) -> bool:
-        return self.phase != IDLE
+    result: Optional[Message] = None
 
     def invoke_read(self) -> list[Message]:
-        if self.phase != IDLE:
-            raise NotWellFormed(f"{self.pid} already has a read in flight")
-        self.read_op += 1
-        self.phase = QUERY
-        self.collected = {}
-        op = OpId(self.pid, self.read_op)
-        return [Message(KIND_READ_REQUEST, op, self.pid, s)
-                for s in self.config.servers()]
+        self._begin()
+        return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)
 
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        if msg.op.invoker != self.pid or msg.op.seq != self.read_op:
-            return [], None
-        if msg.kind == KIND_READ_ACK and self.phase == QUERY:
-            self.collected[msg.sender] = (msg.tag, msg.value)
-            if len(self.collected) >= quorum_size(self.config.n_servers):
-                best = None
-                for pair in self.collected.values():
-                    if best is None or tag_less(best[0], pair[0]):
-                        best = pair
-                self.result = best
-                self.phase = WRITEBACK
-                self.wb_acks = set()
-                op = OpId(self.pid, self.read_op)
-                return [
-                    Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                            tag=best[0], value=best[1])
-                    for s in self.config.servers()
-                ], None
-            return [], None
-        if msg.kind == KIND_WRITE_ACK and self.phase == WRITEBACK:
-            self.wb_acks.add(msg.sender)
-            if len(self.wb_acks) >= quorum_size(self.config.n_servers):
-                tag, value = self.result
-                self.phase = IDLE
-                return [], Completion(OpId(self.pid, self.read_op), "read", tag, value)
-        return [], None
+    def _on_quorum(self):
+        if self.awaiting == KIND_WRITE_ACK:
+            return self._done("read", self.seq, self.result.tag, self.result.value)
+        best = None
+        for m in self.replies.values():
+            if best is None or tag_less(best.tag, m.tag):
+                best = m
+        self.result = best
+        return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
+                               best.tag, best.value), None
 
 
-@dataclass
-class AbdWriterMwmr:
-    """Two-round writer: discover the maximum timestamp, then propagate."""
+class AbdWriterMwmr(WriterStateM):
+    """Two-round writer: both rounds of a write share one counter value."""
 
-    pid: ProcessId
-    config: Config
-    write_op: int = 0
-    phase: str = IDLE
-    tag: Tag = None
-    value: Optional[str] = None
-    q: dict[ProcessId, Message] = field(default_factory=dict)
-    acks: set[ProcessId] = field(default_factory=set)
-
-    def __post_init__(self):
-        if self.tag is None:
-            self.tag = Tag(0, self.pid)
-
-    @property
-    def busy(self) -> bool:
-        return self.phase != IDLE
-
-    def invoke_write(self, label: str) -> list[Message]:
-        if self.phase != IDLE:
-            raise NotWellFormed(f"{self.pid} already has a write in flight")
-        self.write_op += 1
-        self.phase = DISCOVERING
-        self.q = {}
-        op = OpId(self.pid, self.write_op)
-        self.value = make_value(label, op)
-        return [Message(KIND_DISCOVER, op, self.pid, s)
-                for s in self.config.servers()]
-
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-            return [], None
-        if msg.kind == KIND_DISCOVER_ACK and self.phase == DISCOVERING:
-            self.q[msg.sender] = msg
-            if len(self.q) >= quorum_size(self.config.n_servers):
-                max_ts = max(m.tag.ts for m in self.q.values())
-                self.tag = Tag(max_ts + 1, self.pid)
-                self.phase = PROPAGATING
-                self.acks = set()
-                op = OpId(self.pid, self.write_op)
-                return [
-                    Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                            tag=self.tag, value=self.value)
-                    for s in self.config.servers()
-                ], None
-            return [], None
-        if msg.kind == KIND_WRITE_ACK and self.phase == PROPAGATING:
-            self.acks.add(msg.sender)
-            if len(self.acks) >= quorum_size(self.config.n_servers):
-                done = Completion(OpId(self.pid, self.write_op), "write",
-                                  self.tag, self.value)
-                self.phase = IDLE
-                return [], done
-        return [], None
+    ticks = 1
 
 
 @dataclass

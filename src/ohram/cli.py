@@ -45,6 +45,7 @@ from .simnet import (
     RunResult,
     SimNet,
     history_from_json,
+    history_to_json,
     replay_file,
     simulate,
 )
@@ -259,12 +260,17 @@ def cmd_client(args) -> int:
     pid = parse_pid(args.pid)
     if pid.role not in (ROLE_READER, ROLE_WRITER):
         raise ModeMismatch(f"{pid} is not a client")
+    ops = _parse_client_ops(args.ops)
+    # a writer machine only writes and a reader machine only reads
+    can = "write" if pid.role == ROLE_WRITER else "read"
+    if any(kind != can for kind, _ in ops):
+        raise ModeMismatch(f"{pid} can only {can}, got --ops {args.ops!r}")
     client = Client(pid, config, args.protocol,
                     _load_membership(args.membership),
                     retry_interval=args.retry_interval,
                     retry_budget=args.retry_budget)
     try:
-        for kind, label in _parse_client_ops(args.ops):
+        for kind, label in ops:
             if kind == "write":
                 rec = client.write(label)
             else:
@@ -273,15 +279,8 @@ def cmd_client(args) -> int:
     finally:
         client.close()
     if args.out:
-        dump = [{
-            "op": {"invoker": str(r.op.invoker), "seq": r.op.seq},
-            "kind": r.kind, "invoked": r.invoked, "responded": r.responded,
-            "tag": None if r.tag is None else {"ts": r.tag.ts,
-                                               "wid": str(r.tag.wid)},
-            "value": r.value,
-        } for r in client.history]
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"history": dump}, fh)
+            json.dump({"history": history_to_json(client.history)}, fh)
         print(f"wrote {args.out}")
     return EXIT_OK
 

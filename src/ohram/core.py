@@ -182,10 +182,10 @@ class OpId:
     """Identifies one client operation: (invoker, per-invoker counter).
 
     The seq is the invoker's operation counter and strictly increases, so
-    (invoker, seq) is globally unique. Wire messages of the four-exchange
-    write protocol carry the raw write_op counter, which ticks twice per
-    write; history events always use the per-operation id (one per
-    invocation).
+    (invoker, seq) is globally unique. Wire messages carry the client
+    machine's wire counter (QuorumClient.seq); the four-exchange
+    multi-writer writer ticks it twice per write (WriterStateM.ticks), so
+    history events always use the per-operation id (one per invocation).
     """
 
     invoker: ProcessId

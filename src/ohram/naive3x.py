@@ -14,8 +14,10 @@ Writes follow the three-phase scheme the impossibility argument analyzes:
   (3) once a server holds a majority of relays for the write it replies
       writeAck to the writer, which completes on a majority of acks.
 
-A writer picks its tag locally, (own operation counter, own id). There is
-no discover round; that is precisely the shortcut that breaks atomicity.
+A writer picks its tag locally, (own operation counter, own id), which
+makes it the single-writer machine WriterStateS run by several writers.
+There is no discover round; that is precisely the shortcut that breaks
+atomicity.
 
 Reads use the three-exchange path (readRequest, readRelay with the
 relayer's observations attached, readAck at a majority of relays). The
@@ -42,7 +44,6 @@ from typing import Optional
 
 from .core import (
     BOTTOM,
-    Completion,
     Config,
     KIND_READ_ACK,
     KIND_READ_RELAY,
@@ -51,16 +52,14 @@ from .core import (
     KIND_WRITE_RELAY,
     KIND_WRITE_REQUEST,
     Message,
-    NotWellFormed,
     OpId,
     ProcessId,
     Tag,
     WriteRecord,
-    make_value,
     quorum_size,
     tag_less,
 )
-from .ohsam import ReaderStateS
+from .ohsam import ReaderStateS, WriterStateS
 
 
 def default_x(n_servers: int) -> int:
@@ -83,47 +82,9 @@ def order_writes(c_first: int, c_second: int, x: int) -> bool:
     return c_first < x
 
 
-@dataclass
-class Naive3xWriter:
-    """Three-exchange writer: local tag, no discovery."""
-
-    pid: ProcessId
-    config: Config
-    write_op: int = 0
-    pending_tag: Optional[Tag] = None
-    value: Optional[str] = None
-    acks: set[ProcessId] = field(default_factory=set)
-
-    @property
-    def busy(self) -> bool:
-        return self.pending_tag is not None
-
-    def invoke_write(self, label: str) -> list[Message]:
-        if self.busy:
-            raise NotWellFormed(f"{self.pid} already has a write in flight")
-        self.write_op += 1
-        op = OpId(self.pid, self.write_op)
-        self.pending_tag = Tag(self.write_op, self.pid)
-        self.value = make_value(label, op)
-        self.acks = set()
-        return [
-            Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                    tag=self.pending_tag, value=self.value)
-            for s in self.config.servers()
-        ]
-
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        if msg.kind != KIND_WRITE_ACK or not self.busy:
-            return [], None
-        if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-            return [], None
-        self.acks.add(msg.sender)
-        if len(self.acks) >= quorum_size(self.config.n_servers):
-            done = Completion(OpId(self.pid, self.write_op), "write",
-                              self.pending_tag, self.value)
-            self.pending_tag = None
-            return [], done
-        return [], None
+# The writer is the single-writer one: its tag (own counter, own id) is
+# picked locally, with no discovery.
+Naive3xWriter = WriterStateS
 
 
 class Naive3xReader(ReaderStateS):
@@ -131,17 +92,13 @@ class Naive3xReader(ReaderStateS):
 
     def _decide(self):
         counts: dict[object, int] = {}
-        for _, value in self.acks.values():
-            counts[value] = counts.get(value, 0) + 1
-        best_value = None
-        best = -1
-        for tag, value in self.acks.values():  # arrival order breaks ties
-            if counts[value] > best:
-                best = counts[value]
-                best_value = value
-        for tag, value in self.acks.values():
-            if value == best_value:
-                return tag, value
+        for m in self.replies.values():
+            counts[m.value] = counts.get(m.value, 0) + 1
+        # the most frequent value, the first to arrive among equals
+        best = max(counts.values())
+        for m in self.replies.values():
+            if counts[m.value] == best:
+                return m.tag, m.value
         raise AssertionError("unreachable")
 
 

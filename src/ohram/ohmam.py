@@ -6,8 +6,9 @@ the three-exchange read module wholesale. Writes generalize timestamps to
 
   discover -> discoverAck -> writeRequest -> writeAck
 
-The writer's write_op counter is incremented twice per write, once before
-the discover broadcast and once before the writeRequest broadcast, so
+The writer is a two-phase QuorumClient whose wire counter (seq, also
+read as write_op) ticks `ticks` = 2 times per write, once before the
+discover broadcast and once before the writeRequest broadcast, so
 discover messages carry odd counters and writeRequests even ones.
 discoverAck matching uses the first counter and writeAck matching the
 second. The counter parity is observable on the wire; history events use
@@ -29,98 +30,63 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    Completion,
-    Config,
     KIND_DISCOVER,
     KIND_DISCOVER_ACK,
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
-    NotWellFormed,
     OpId,
     ProcessId,
     Tag,
     make_value,
-    quorum_size,
     tag_less,
 )
-from .ohsam import ReaderStateS, ServerStateS
+from .ohsam import QuorumClient, ReaderStateS, ServerStateS
 
 # The reader is literally the single-writer one: broadcast, collect a
 # majority of readAcks, return the minimum tag's value.
 ReaderStateM = ReaderStateS
 
-IDLE = "idle"
-DISCOVERING = "discovering"
-WRITING = "writing"
-
 
 @dataclass
-class WriterStateM:
-    """Multi-writer: discover the maximum timestamp, then write above it."""
+class WriterStateM(QuorumClient):
+    """Multi-writer: discover the maximum timestamp, then write above it.
 
-    pid: ProcessId
-    config: Config
+    The wire counter ticks `ticks` times per write: once before the
+    discover broadcast and, with ticks == 2, once more before the
+    writeRequest broadcast.
+    """
+
     tag: Tag = None
     value: Optional[str] = None
-    write_op: int = 0
-    max_ts: int = 0
-    q: dict[ProcessId, Message] = field(default_factory=dict)
-    acks: set[ProcessId] = field(default_factory=set)
-    phase: str = IDLE
+    ticks = 2
 
     def __post_init__(self):
         if self.tag is None:
             self.tag = Tag(0, self.pid)
 
     @property
-    def busy(self) -> bool:
-        return self.phase != IDLE
+    def write_op(self) -> int:
+        return self.seq
 
     @property
     def op_ordinal(self) -> int:
-        # write k uses counters 2k-1 and 2k
-        return (self.write_op + 1) // 2
+        # write k uses counters ticks*(k-1)+1 .. ticks*k
+        return (self.seq + self.ticks - 1) // self.ticks
 
     def invoke_write(self, label: str) -> list[Message]:
-        if self.phase != IDLE:
-            raise NotWellFormed(f"{self.pid} already has a write in flight")
-        self.write_op += 1
-        self.phase = DISCOVERING
-        self.q = {}
+        self._begin()
         self.value = make_value(label, OpId(self.pid, self.op_ordinal))
-        op = OpId(self.pid, self.write_op)
-        return [Message(KIND_DISCOVER, op, self.pid, s)
-                for s in self.config.servers()]
+        return self._broadcast(KIND_DISCOVER, KIND_DISCOVER_ACK)
 
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        if msg.kind == KIND_DISCOVER_ACK and self.phase == DISCOVERING:
-            if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-                return [], None
-            self.q[msg.sender] = msg
-            if len(self.q) >= quorum_size(self.config.n_servers):
-                self.max_ts = max(m.tag.ts for m in self.q.values())
-                self.tag = Tag(self.max_ts + 1, self.pid)
-                self.write_op += 1
-                self.phase = WRITING
-                self.acks = set()
-                op = OpId(self.pid, self.write_op)
-                return [
-                    Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                            tag=self.tag, value=self.value)
-                    for s in self.config.servers()
-                ], None
-            return [], None
-        if msg.kind == KIND_WRITE_ACK and self.phase == WRITING:
-            if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-                return [], None
-            self.acks.add(msg.sender)
-            if len(self.acks) >= quorum_size(self.config.n_servers):
-                done = Completion(OpId(self.pid, self.op_ordinal), "write",
-                                  self.tag, self.value)
-                self.phase = IDLE
-                return [], done
-        return [], None
+    def _on_quorum(self):
+        if self.awaiting == KIND_WRITE_ACK:
+            return self._done("write", self.op_ordinal, self.tag, self.value)
+        max_ts = max(m.tag.ts for m in self.replies.values())
+        self.tag = Tag(max_ts + 1, self.pid)
+        self.seq += self.ticks - 1
+        return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
+                               self.tag, self.value), None
 
 
 @dataclass

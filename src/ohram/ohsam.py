@@ -5,9 +5,17 @@ one event at a time (an invocation or a delivered message) and returns the
 messages to send plus, for clients, an optional operation completion. The
 harness owns all I/O and serializes event application per instance.
 
-Write protocol (two exchanges): the writer increments its timestamp,
-broadcasts a writeRequest to every server, and finishes on a majority of
-writeAcks. Servers adopt a higher timestamp and always acknowledge.
+Every client machine of the package is a QuorumClient: an operation is
+a sequence of quorum phases, each of which broadcasts one request kind
+to every server and ends on a majority of replies of one kind. The
+protocols differ only in their phases and in what a complete phase
+leads to. Here a write is one phase and a read is one phase (the relays
+run among the servers, out of the reader's sight).
+
+Write protocol (two exchanges): the writer's timestamp is its write
+counter. It ticks the counter, broadcasts a writeRequest to every
+server, and finishes on a majority of writeAcks. Servers adopt a higher
+timestamp and always acknowledge.
 
 Read protocol (three exchanges): the reader broadcasts a readRequest, and
 every server that receives it broadcasts a readRelay, carrying its current
@@ -51,99 +59,106 @@ from .core import (
 
 
 @dataclass
-class WriterStateS:
-    """Single writer: one timestamp, one pending write at a time.
+class QuorumClient:
+    """One client operation as a sequence of quorum phases.
+
+    A phase broadcasts one request kind to every server and waits for a
+    majority of replies of one kind. seq is the wire counter that every
+    message of the open phase carries; awaiting names the reply kind the
+    phase waits for and is None when the client is idle. replies maps
+    each sender to its latest reply in first-arrival order. Replies of
+    another kind, another counter or another invoker are dropped, and a
+    sender counts once. Subclasses open phases with _broadcast and say
+    in _on_quorum what a complete phase leads to: the next phase, or
+    the completion built by _done.
+    """
+
+    pid: ProcessId
+    config: Config
+    seq: int = 0
+    awaiting: Optional[str] = None
+    replies: dict[ProcessId, Message] = field(default_factory=dict)
+
+    @property
+    def busy(self) -> bool:
+        return self.awaiting is not None
+
+    def _begin(self) -> None:
+        if self.awaiting is not None:
+            raise NotWellFormed(f"{self.pid} already has an operation in flight")
+        self.seq += 1
+
+    def _broadcast(self, kind: str, awaiting: str, tag: Optional[Tag] = None,
+                   value: Optional[str] = None) -> list[Message]:
+        self.awaiting = awaiting
+        self.replies = {}
+        op = OpId(self.pid, self.seq)
+        return [Message(kind, op, self.pid, s, tag=tag, value=value)
+                for s in self.config.servers()]
+
+    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
+        # Stale, foreign and unexpected replies are dropped silently.
+        if (msg.kind != self.awaiting or msg.op.seq != self.seq
+                or msg.op.invoker != self.pid):
+            return [], None
+        self.replies[msg.sender] = msg
+        if len(self.replies) >= quorum_size(self.config.n_servers):
+            return self._on_quorum()
+        return [], None
+
+    def _on_quorum(self) -> tuple[list[Message], Optional[Completion]]:
+        raise NotImplementedError
+
+    def _done(self, kind: str, seq: int, tag: Tag,
+              value: Optional[str]) -> tuple[list[Message], Completion]:
+        self.awaiting = None
+        return [], Completion(OpId(self.pid, seq), kind, tag, value)
+
+
+@dataclass
+class WriterStateS(QuorumClient):
+    """Single writer: timestamp k for write k, one write at a time.
 
     value holds the value of the write in flight (of the last write once
     it completes), under the same name as in every other writer machine.
     """
 
-    pid: ProcessId
-    config: Config
-    ts: int = 0
-    write_op: int = 0
-    pending_tag: Optional[Tag] = None
     value: Optional[str] = None
-    acks: set[ProcessId] = field(default_factory=set)
-
-    @property
-    def busy(self) -> bool:
-        return self.pending_tag is not None
 
     def invoke_write(self, label: str) -> list[Message]:
-        if self.busy:
-            raise NotWellFormed(f"{self.pid} already has a write in flight")
-        self.write_op += 1
-        self.ts += 1
-        op = OpId(self.pid, self.write_op)
-        self.pending_tag = Tag(self.ts, self.pid)
-        self.value = make_value(label, op)
-        self.acks = set()
-        return [
-            Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                    tag=self.pending_tag, value=self.value)
-            for s in self.config.servers()
-        ]
+        self._begin()
+        self.value = make_value(label, OpId(self.pid, self.seq))
+        return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
+                               Tag(self.seq, self.pid), self.value)
 
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        # Stale or foreign acks are dropped silently.
-        if msg.kind != KIND_WRITE_ACK or not self.busy:
-            return [], None
-        if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-            return [], None
-        self.acks.add(msg.sender)
-        if len(self.acks) >= quorum_size(self.config.n_servers):
-            done = Completion(OpId(self.pid, self.write_op), "write",
-                              self.pending_tag, self.value)
-            self.pending_tag = None
-            return [], done
-        return [], None
+    def _on_quorum(self):
+        return self._done("write", self.seq, Tag(self.seq, self.pid), self.value)
 
 
 @dataclass
-class ReaderStateS:
+class ReaderStateS(QuorumClient):
     """Reader for the three-exchange read, shared by both register modes."""
 
-    pid: ProcessId
-    config: Config
-    read_op: int = 0
-    reading: bool = False
-    acks: dict[ProcessId, tuple[Tag, Optional[str]]] = field(default_factory=dict)
-
     @property
-    def busy(self) -> bool:
-        return self.reading
+    def acks(self) -> dict[ProcessId, tuple[Tag, Optional[str]]]:
+        """sender -> (tag, value) of the current (or last) read's acks."""
+        return {s: (m.tag, m.value) for s, m in self.replies.items()}
 
     def invoke_read(self) -> list[Message]:
-        if self.reading:
-            raise NotWellFormed(f"{self.pid} already has a read in flight")
-        self.read_op += 1
-        self.reading = True
-        self.acks = {}
-        op = OpId(self.pid, self.read_op)
-        return [Message(KIND_READ_REQUEST, op, self.pid, s)
-                for s in self.config.servers()]
+        self._begin()
+        return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)
 
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        if msg.kind != KIND_READ_ACK or not self.reading:
-            return [], None
-        if msg.op.invoker != self.pid or msg.op.seq != self.read_op:
-            return [], None
-        self.acks[msg.sender] = (msg.tag, msg.value)
-        if len(self.acks) >= quorum_size(self.config.n_servers):
-            tag, value = self._decide()
-            self.reading = False
-            return [], Completion(OpId(self.pid, self.read_op), "read", tag, value)
-        return [], None
+    def _on_quorum(self):
+        return self._done("read", self.seq, *self._decide())
 
     def _decide(self) -> tuple[Tag, Optional[str]]:
         # Minimum timestamp among the collected acks. Iteration follows
         # arrival order, so the result is deterministic.
-        best: Optional[tuple[Tag, Optional[str]]] = None
-        for pair in self.acks.values():
-            if best is None or tag_less(pair[0], best[0]):
-                best = pair
-        return best
+        best: Optional[Message] = None
+        for m in self.replies.values():
+            if best is None or tag_less(m.tag, best.tag):
+                best = m
+        return best.tag, best.value
 
 
 @dataclass

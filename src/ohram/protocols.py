@@ -16,11 +16,11 @@ Names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .core import (
-    Config,
     MODE_MWMR,
     MODE_SWMR,
     ModeMismatch,
@@ -64,69 +64,49 @@ def _halved(seq: int) -> int:
     return (seq + 1) // 2
 
 
+def _relayed(n: int) -> int:
+    # a request to each server, n relays from each, one answer from each
+    return n * n + 2 * n
+
+
+PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
+    ProtocolBundle("ohsam", MODE_SWMR, ohsam.WriterStateS, ohsam.ReaderStateS,
+                   ohsam.ServerStateS, _identity,
+                   checked_invariants=True, runner_ok=True,
+                   write_exchanges=2, read_exchanges=3,
+                   write_messages=lambda n: 2 * n, read_messages=_relayed),
+    ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohmam.ReaderStateM,
+                   ohmam.ServerStateM, _halved,
+                   checked_invariants=True, runner_ok=True,
+                   write_exchanges=4, read_exchanges=3,
+                   write_messages=lambda n: 4 * n, read_messages=_relayed),
+    ProtocolBundle("abd-swmr", MODE_SWMR, abd.AbdWriterSwmr, abd.AbdReaderState,
+                   abd.AbdServerState, _identity,
+                   checked_invariants=True, runner_ok=True,
+                   write_exchanges=2, read_exchanges=4,
+                   write_messages=lambda n: 2 * n,
+                   read_messages=lambda n: 4 * n),
+    ProtocolBundle("abd-mwmr", MODE_MWMR, abd.AbdWriterMwmr, abd.AbdReaderState,
+                   abd.AbdServerState, _identity,
+                   checked_invariants=True, runner_ok=True,
+                   write_exchanges=4, read_exchanges=4,
+                   write_messages=lambda n: 4 * n,
+                   read_messages=lambda n: 4 * n),
+    ProtocolBundle("naive3x", MODE_MWMR, naive3x.Naive3xWriter,
+                   naive3x.Naive3xReader, naive3x.Naive3xServer, _identity,
+                   checked_invariants=False, runner_ok=False,
+                   write_exchanges=3, read_exchanges=3,
+                   write_messages=_relayed, read_messages=_relayed),
+)}
+
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+
+
 def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
-    if name == "ohsam":
-        return ProtocolBundle(
-            name=name, mode=MODE_SWMR,
-            make_writer=ohsam.WriterStateS,
-            make_reader=ohsam.ReaderStateS,
-            make_server=ohsam.ServerStateS,
-            writer_group=_identity,
-            checked_invariants=True, runner_ok=True,
-            write_exchanges=2, read_exchanges=3,
-            write_messages=lambda n: 2 * n,
-            read_messages=lambda n: n * n + 2 * n,
-        )
-    if name == "ohmam":
-        return ProtocolBundle(
-            name=name, mode=MODE_MWMR,
-            make_writer=ohmam.WriterStateM,
-            make_reader=ohmam.ReaderStateM,
-            make_server=ohmam.ServerStateM,
-            writer_group=_halved,
-            checked_invariants=True, runner_ok=True,
-            write_exchanges=4, read_exchanges=3,
-            write_messages=lambda n: 4 * n,
-            read_messages=lambda n: n * n + 2 * n,
-        )
-    if name == "abd-swmr":
-        return ProtocolBundle(
-            name=name, mode=MODE_SWMR,
-            make_writer=abd.AbdWriterSwmr,
-            make_reader=abd.AbdReaderState,
-            make_server=lambda pid, config: abd.AbdServerState(pid, config),
-            writer_group=_identity,
-            checked_invariants=True, runner_ok=True,
-            write_exchanges=2, read_exchanges=4,
-            write_messages=lambda n: 2 * n,
-            read_messages=lambda n: 4 * n,
-        )
-    if name == "abd-mwmr":
-        return ProtocolBundle(
-            name=name, mode=MODE_MWMR,
-            make_writer=abd.AbdWriterMwmr,
-            make_reader=abd.AbdReaderState,
-            make_server=lambda pid, config: abd.AbdServerState(pid, config),
-            writer_group=_identity,
-            checked_invariants=True, runner_ok=True,
-            write_exchanges=4, read_exchanges=4,
-            write_messages=lambda n: 4 * n,
-            read_messages=lambda n: 4 * n,
-        )
-    if name == "naive3x":
-        return ProtocolBundle(
-            name=name, mode=MODE_MWMR,
-            make_writer=naive3x.Naive3xWriter,
-            make_reader=naive3x.Naive3xReader,
-            make_server=lambda pid, config: naive3x.Naive3xServer(
-                pid, config, x=(x or 0)),
-            writer_group=_identity,
-            checked_invariants=False, runner_ok=False,
-            write_exchanges=3, read_exchanges=3,
-            write_messages=lambda n: n * n + 2 * n,
-            read_messages=lambda n: n * n + 2 * n,
-        )
-    raise ModeMismatch(f"unknown protocol {name!r}")
-
-
-PROTOCOL_NAMES = ("ohsam", "ohmam", "abd-swmr", "abd-mwmr", "naive3x")
+    """The bundle named name; x is the naive3x servers' decision threshold."""
+    bundle = PROTOCOLS.get(name)
+    if bundle is None:
+        raise ModeMismatch(f"unknown protocol {name!r}")
+    if x and name == "naive3x":
+        return replace(bundle, make_server=partial(naive3x.Naive3xServer, x=x))
+    return bundle

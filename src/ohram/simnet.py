@@ -52,7 +52,6 @@ from .core import (
     OpId,
     OpRecord,
     ProcessId,
-    ROLE_READER,
     ROLE_WRITER,
     ScheduleUnresolvable,
     StuckExecution,
@@ -101,17 +100,7 @@ class RunResult:
             "seed": self.seed,
             "events": self.events,
             "crashed": [str(p) for p in self.crashed],
-            "history": [
-                {
-                    "op": opid_to_json(r.op),
-                    "kind": r.kind,
-                    "invoked": r.invoked,
-                    "responded": r.responded,
-                    "tag": tag_to_json(r.tag) if r.tag is not None else None,
-                    "value": r.value,
-                }
-                for r in self.history
-            ],
+            "history": history_to_json(self.history),
             "metrics": {
                 str(op): {
                     "kind": m.kind,
@@ -131,8 +120,7 @@ class RunResult:
 
 class SimNet:
     def __init__(self, protocol: str, config: Config, *,
-                 seed: Optional[int] = None, x: Optional[int] = None,
-                 check_invariants: Optional[bool] = None):
+                 seed: Optional[int] = None, x: Optional[int] = None):
         validate_config(config)
         bundle = get_protocol(protocol, x=x)
         if config.mode != bundle.mode:
@@ -143,9 +131,7 @@ class SimNet:
         self.config = config
         self.seed = seed
         self.rng = random.Random(seed) if seed is not None else None
-        self.check_invariants = (bundle.checked_invariants
-                                 if check_invariants is None
-                                 else check_invariants)
+        self.check_invariants = bundle.checked_invariants
 
         self.clients = {}
         for pid in config.writers():
@@ -359,8 +345,7 @@ _LABELS = "ABCDEFGHJKLMNPQRSTUVXYZ"
 def simulate(protocol: str, config: Config, seed: int, *,
              max_ops: int = 10, max_crashes: Optional[int] = None,
              victims: Optional[list[ProcessId]] = None,
-             x: Optional[int] = None,
-             check_invariants: Optional[bool] = None) -> RunResult:
+             x: Optional[int] = None) -> RunResult:
     """One seeded run: random small workload, random interleaving.
 
     The same arguments always produce the same result, bit for bit.
@@ -390,8 +375,7 @@ def simulate(protocol: str, config: Config, seed: int, *,
     # a string seed is hashed with a process-independent function, unlike
     # tuple seeds, so plans stay identical across interpreter runs
     plan_rng = random.Random(f"plan:{seed}")
-    net = SimNet(protocol, config, seed=seed, x=x,
-                 check_invariants=check_invariants)
+    net = SimNet(protocol, config, seed=seed, x=x)
 
     clients = list(net.clients)
     total_ops = plan_rng.randint(1, max_ops)
@@ -472,12 +456,10 @@ def _matches(msg: Message, sel: dict) -> bool:
     return True
 
 
-def run_script(text: str, *,
-               check_invariants: Optional[bool] = None) -> RunResult:
+def run_script(text: str) -> RunResult:
     header, directives = parse_schedule(text)
     config = config_from_json(header["config"])
-    net = SimNet(header["protocol"], config, x=header.get("x"),
-                 check_invariants=check_invariants)
+    net = SimNet(header["protocol"], config, x=header.get("x"))
     for i, d in enumerate(directives, 1):
         if "invoke" in d:
             spec = d["invoke"]
@@ -506,14 +488,21 @@ def run_script(text: str, *,
     return net.result()
 
 
-def replay_file(path: str, *,
-                check_invariants: Optional[bool] = None) -> RunResult:
+def replay_file(path: str) -> RunResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return run_script(fh.read(), check_invariants=check_invariants)
+        return run_script(fh.read())
+
+
+def history_to_json(records: list[OpRecord]) -> list[dict]:
+    """The history part of a run dump, and the body of a client dump."""
+    return [{"op": opid_to_json(r.op), "kind": r.kind, "invoked": r.invoked,
+             "responded": r.responded, "tag": tag_to_json(r.tag),
+             "value": r.value}
+            for r in records]
 
 
 def history_from_json(obj) -> list[OpRecord]:
-    """Inverse of RunResult.to_json for the history part.
+    """Inverse of history_to_json (and of RunResult.to_json).
 
     Accepts either a full run dump or a bare list of record objects.
     """

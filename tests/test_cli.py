@@ -6,6 +6,9 @@ import pathlib
 import pytest
 
 from ohram.cli import main
+from ohram.core import Config, Tag, writer_id
+from ohram.runner import ServerDaemon
+from ohram.simnet import history_from_json
 
 SCHEDULES = pathlib.Path(__file__).resolve().parent.parent / "schedules"
 
@@ -131,6 +134,45 @@ def test_serve_refuses_the_unsound_protocol(tmp_path, capsys):
     membership.write_text('{"s1": "127.0.0.1:1"}')
     assert main(["serve", "--protocol", "naive3x", "--writers", "2",
                  "--pid", "s1", "--membership", str(membership)]) == 4
+
+
+def test_client_dump_round_trips_through_check(tmp_path, capsys):
+    config = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
+    daemons = [ServerDaemon(s, config, "ohsam") for s in config.servers()]
+    membership = {d.pid: d.address for d in daemons}
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps(
+        {str(pid): f"{host}:{port}" for pid, (host, port) in membership.items()}))
+    dump = tmp_path / "w1.json"
+    try:
+        for d in daemons:
+            d.start(membership)
+        assert main(["client", "--protocol", "ohsam", "--pid", "w1",
+                     "--membership", str(members), "--ops", "w:A,w:B",
+                     "--out", str(dump)]) == 0
+    finally:
+        for d in daemons:
+            d.stop()
+    capsys.readouterr()
+    assert main(["check", str(dump)]) == 0
+    assert "ATOMIC" in capsys.readouterr().out
+    records = history_from_json(json.loads(dump.read_text()))
+    assert [(str(r.op), r.kind, r.tag, r.value) for r in records] == [
+        ("w1#1", "write", Tag(1, writer_id(1)), "A#w1.1"),
+        ("w1#2", "write", Tag(2, writer_id(1)), "B#w1.2"),
+    ]
+    assert all(r.invoked <= r.responded for r in records)
+
+
+def test_client_refuses_an_op_its_role_cannot_run(tmp_path, capsys):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1", '
+                          '"s3": "127.0.0.1:1"}')
+    assert main(["client", "--pid", "w1", "--membership", str(membership),
+                 "--ops", "w:A,r"]) == 4
+    assert main(["client", "--pid", "r1", "--membership", str(membership),
+                 "--ops", "w:A"]) == 4
+    assert "can only read" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
