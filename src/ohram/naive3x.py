@@ -82,8 +82,6 @@ def order_writes(c_first: int, c_second: int, x: int) -> bool:
     return c_first < x
 
 
-# The writer is the single-writer one: its tag (own counter, own id) is
-# picked locally, with no discovery.
 Naive3xWriter = WriterStateS
 
 
