@@ -2,8 +2,10 @@
 
 Identifiers, tags, operation ids, protocol messages, configuration, and
 quorum arithmetic. Every protocol module, the simulator, the checker, and
-the TCP runner build on these types. All of them are plain values: nothing
-here mutates after construction, so instances are safe to share freely.
+the TCP runner build on these types. All of them are plain values, safe to
+share freely: process ids are interned (one object per id, so equality is
+identity), tags and operation ids are tuples whose order is the tag order,
+and a message is not mutated once it has been sent.
 
 The canonical JSON encoding of each type lives next to the type (the
 ``*_to_json`` / ``*_from_json`` pairs). Wire frames, schedule scripts,
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +82,57 @@ _ROLE_PREFIX = {ROLE_WRITER: "w", ROLE_READER: "r", ROLE_SERVER: "s"}
 _PREFIX_ROLE = {v: k for k, v in _ROLE_PREFIX.items()}
 
 
-@dataclass(frozen=True, slots=True)
+# (role, index) -> the one ProcessId object for that id
+_PIDS: dict[tuple[str, int], "ProcessId"] = {}
+
+
 class ProcessId:
     """A process identity: role plus 1-based index within the role.
 
-    The order over all ids is total and stable: role-major (writers,
-    then readers, then servers), index-minor.
+    Interned: there is one object per (role, index), so ``==`` and
+    ``hash`` are the identity defaults, and copies and unpickled ids are
+    that same object. Immutable. The order over all ids is total and
+    stable: role-major (writers, then readers, then servers), index-minor.
     """
+
+    __slots__ = ("role", "index", "_key", "_text")
 
     role: str
     index: int
 
+    def __new__(cls, role: str, index: int) -> "ProcessId":
+        pid = _PIDS.get((role, index))
+        if pid is None:
+            pid = object.__new__(cls)
+            object.__setattr__(pid, "role", role)
+            object.__setattr__(pid, "index", index)
+            object.__setattr__(pid, "_key", (_ROLE_RANK[role], index))
+            object.__setattr__(pid, "_text", f"{_ROLE_PREFIX[role]}{index}")
+            # reader threads parse ids concurrently; setdefault publishes
+            # atomically, so every racer gets the first object stored
+            pid = _PIDS.setdefault((role, index), pid)
+        return pid
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"ProcessId is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ProcessId is immutable: cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple[str, int]]:
+        return (ProcessId, (self.role, self.index))
+
     def sort_key(self) -> tuple[int, int]:
-        return (_ROLE_RANK[self.role], self.index)
+        return self._key
 
     def __lt__(self, other: "ProcessId") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key < other._key
 
     def __str__(self) -> str:
-        return f"{_ROLE_PREFIX[self.role]}{self.index}"
+        return self._text
+
+    def __repr__(self) -> str:
+        return f"ProcessId(role={self.role!r}, index={self.index!r})"
 
 
 @lru_cache(maxsize=4096)
@@ -135,11 +169,11 @@ def _server_ids(n_servers: int) -> tuple[ProcessId, ...]:
 # Tags
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Tag:
+class Tag(NamedTuple):
     """Version number of a written value: (timestamp, writer id).
 
-    Strict lexicographic order. In the single-writer setting the wid is
+    A tuple, so its order is the strict lexicographic tag order: ts
+    first, writer id as tiebreak. In the single-writer setting the wid is
     pinned to the sole writer, so the tag degenerates to a bare timestamp.
     A tag with ts == 0 is an initial tag; its wid is the owning process
     (servers start at (0, own id)) and it is always associated with the
@@ -149,25 +183,17 @@ class Tag:
     ts: int
     wid: ProcessId
 
-    def __lt__(self, other: "Tag") -> bool:
-        return tag_less(self, other)
-
     def __str__(self) -> str:
         return f"({self.ts},{self.wid})"
 
 
 def tag_less(a: Tag, b: Tag) -> bool:
     """Strict lexicographic tag order: ts first, writer id as tiebreak."""
-    if a.ts != b.ts:
-        return a.ts < b.ts
-    return a.wid.sort_key() < b.wid.sort_key()
+    return a < b
 
 
 def tag_max(tags: Iterable[Tag]) -> Tag:
-    best: Optional[Tag] = None
-    for t in tags:
-        if best is None or tag_less(best, t):
-            best = t
+    best = max(tags, default=None)
     if best is None:
         raise ValueError("tag_max of empty iterable")
     return best
@@ -177,8 +203,7 @@ def tag_max(tags: Iterable[Tag]) -> Tag:
 # Operation identifiers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class OpId:
+class OpId(NamedTuple):
     """Identifies one client operation: (invoker, per-invoker counter).
 
     The seq is the invoker's operation counter and strictly increases, so
@@ -186,6 +211,8 @@ class OpId:
     machine's wire counter (QuorumClient.seq); the four-exchange
     multi-writer writer ticks it twice per write (WriterStateM.ticks), so
     history events always use the per-operation id (one per invocation).
+    A tuple of an interned id and an int, so hashing and equality never
+    enter Python code.
     """
 
     invoker: ProcessId
@@ -236,7 +263,7 @@ MESSAGE_KINDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """Typed protocol envelope.
 
@@ -251,6 +278,10 @@ class Message:
     observations is used by the unsound three-exchange write protocol
     only: the relaying server's record of the writes it has seen, in
     first-contact order. Each entry is an (op, tag, value) triple.
+
+    Not frozen, because building a frozen instance costs a call per
+    field; equality is field-wise. A message is not mutated once sent,
+    and nothing hashes one.
     """
 
     kind: str

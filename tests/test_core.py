@@ -1,6 +1,13 @@
 """Identifier, tag, and configuration plumbing."""
 
+import copy
+import dataclasses
+import functools
+import itertools
 import json
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +15,7 @@ from hypothesis import given, strategies as st
 from ohram.core import (
     Config,
     InvalidFaultBound,
+    KIND_READ_ACK,
     Message,
     ModeMismatch,
     OpId,
@@ -138,3 +146,121 @@ def test_message_json_keeps_observations():
                   destination=server_id(2), tag=Tag(1, writer_id(1)), value="A#w1.1",
                   relay_origin=server_id(1), observations=obs)
     assert message_from_json(message_to_json(msg)).observations == obs
+
+
+def test_pids_built_at_once_by_many_threads_are_one_object():
+    """Interning publishes atomically: racing builders of a new id agree.
+
+    A get-then-set table can hand two racers two objects, and then a
+    reply whose invoker is the other object is silently dropped.
+    """
+    threads_n, rounds = 8, 1000
+    barrier = threading.Barrier(threads_n)
+    results = [[None] * threads_n for _ in range(rounds)]
+    first_index = 1_000_000   # far above any id another test builds
+
+    def build(slot):
+        for r in range(rounds):
+            barrier.wait(timeout=10)
+            index = first_index + r
+            # half the racers parse text, half build from the index
+            results[r][slot] = (parse_pid(f"r{index}") if slot % 2
+                                else reader_id(index))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    for r, built in enumerate(results):
+        assert all(pid is built[0] for pid in built), f"round {r}: {built}"
+        assert built[0] is reader_id(first_index + r)
+
+
+def test_pid_is_interned_across_constructors_copies_and_pickles():
+    pid = server_id(3)
+    assert parse_pid("s3") is pid
+    assert ProcessId("server", 3) is pid
+    assert copy.copy(pid) is pid
+    assert copy.deepcopy(pid) is pid
+    assert pickle.loads(pickle.dumps(pid)) is pid
+    tag = copy.deepcopy(Tag(2, pid))
+    assert tag == Tag(2, pid) and tag.wid is pid
+    op = pickle.loads(pickle.dumps(OpId(reader_id(1), 4)))
+    assert op == OpId(reader_id(1), 4) and op.invoker is reader_id(1)
+
+
+def test_pid_is_immutable():
+    pid = writer_id(1)
+    with pytest.raises(AttributeError):
+        pid.index = 2
+    with pytest.raises(AttributeError):
+        pid.role = "reader"
+    with pytest.raises(AttributeError):
+        del pid.index
+    assert (pid.role, pid.index, str(pid)) == ("writer", 1, "w1")
+
+
+# every tag of ts 0..3 by writers w1..w3, plus the servers' initial tags
+TAG_GRID = ([Tag(ts, writer_id(w)) for ts in range(4) for w in range(1, 4)]
+            + [Tag(0, server_id(k)) for k in range(1, 4)])
+
+
+def _reference_less(a, b):
+    # the tag order as the protocol defines it, independent of Tag
+    return (a.ts, a.wid.sort_key()) < (b.ts, b.wid.sort_key())
+
+
+def test_tuple_order_is_the_tag_order():
+    for a, b in itertools.product(TAG_GRID, repeat=2):
+        assert (a < b) == tag_less(a, b) == _reference_less(a, b), (a, b)
+        assert (a > b) == _reference_less(b, a), (a, b)
+        assert (a == b) == (not _reference_less(a, b)
+                            and not _reference_less(b, a)), (a, b)
+
+    def compare(a, b):
+        return -1 if tag_less(a, b) else (1 if tag_less(b, a) else 0)
+
+    for shuffle in range(5):
+        tags = TAG_GRID[shuffle:] + TAG_GRID[:shuffle]
+        by_tuple = sorted(reversed(tags))
+        assert by_tuple == sorted(tags, key=functools.cmp_to_key(compare))
+        assert tag_max(tags) == by_tuple[-1] == Tag(3, writer_id(3))
+
+
+def test_value_types_print_as_before():
+    assert str(writer_id(1)) == "w1"
+    assert repr(writer_id(1)) == "ProcessId(role='writer', index=1)"
+    assert str(server_id(12)) == "s12"
+    assert repr(server_id(12)) == "ProcessId(role='server', index=12)"
+    assert str(OpId(reader_id(2), 7)) == "r2#7"
+    assert repr(OpId(reader_id(2), 7)) == (
+        "OpId(invoker=ProcessId(role='reader', index=2), seq=7)")
+    assert str(Tag(3, server_id(4))) == "(3,s4)"
+    assert repr(Tag(3, server_id(4))) == (
+        "Tag(ts=3, wid=ProcessId(role='server', index=4))")
+
+
+def test_message_equality_is_field_wise():
+    fields = dict(kind=KIND_READ_ACK, op=OpId(reader_id(1), 2), sender=server_id(1),
+                  destination=reader_id(1), tag=Tag(1, writer_id(1)), value="A#w1.1")
+    msg = Message(**fields)
+    assert Message(**fields) == msg
+    assert repr(msg) == (
+        "Message(kind='readAck', op=OpId(invoker=ProcessId(role='reader', index=1), "
+        "seq=2), sender=ProcessId(role='server', index=1), "
+        "destination=ProcessId(role='reader', index=1), "
+        "tag=Tag(ts=1, wid=ProcessId(role='writer', index=1)), value='A#w1.1', "
+        "relay_origin=None, observations=None)")
+    changes = dict(kind="writeAck", op=OpId(reader_id(1), 3), sender=server_id(2),
+                   destination=reader_id(2), tag=Tag(1, writer_id(2)), value="B#w1.2",
+                   relay_origin=server_id(1), observations=())
+    assert set(changes) == {f.name for f in dataclasses.fields(Message)}
+    for name, other in changes.items():
+        assert Message(**{**fields, name: other}) != msg, name
