@@ -8,23 +8,26 @@ different versions can coexist:
   {"type": "hello", "pid": "r1"}   identifies the dialing process
   {"type": "msg",  "msg": {...}}   carries one protocol message
 
-Topology: clients dial every server and keep the connection; a server's
-replies to a client travel back over the client's own connection. A
-reply produced before the client's hello arrives is held, for the
-client's newest op only, and sent once the hello comes in.
-Servers dial each other for relay traffic (each direction has its own
-connection); nothing travels back on a server's dialed link, so only
-client links run a reader. Every dialed link has an outbox. A send
-writes its frame to the socket at once, on the caller's thread and
-without blocking, when the link is up and nothing is queued. Otherwise
-the frame queues, and so does the rest of a frame the kernel took only
-in part. The link's own thread flushes the queue in order, and on each
-(re)connect starts again from the head frame's first byte, which yields
-at-least-once delivery. Links set TCP_NODELAY, because frames are small
-and go out one at a time. The protocol machines are idempotent against the
-resulting duplicates: a repeated writeRequest is re-acknowledged, a
-repeated readRequest does not relay twice, and relay bookkeeping is
-set-based, so retries are safe.
+Topology: clients dial every server and keep the connection, and a
+server replies over the client's own connection. Servers dial each
+other for relays (one connection per direction); nothing travels back
+on a dialed link, so only client links run a reader.
+A server daemon is one selector loop, the only thread that accepts,
+reads, runs the machine and replies. Replies go out by non-blocking
+send; what the kernel does not take waits in the connection's buffer
+until the socket is writable, and a client whose buffer passes
+MAX_BACKLOG is cut off and redials. A reply for a client with no
+connection (before its hello, or after a cut-off) is held, for its
+newest op only, and sent once a hello comes in.
+
+Every dialed link has an outbox: a send writes through, without
+blocking, when the link is up and idle, else queues (with the rest of
+a frame the kernel took in part); the link's thread flushes the queue
+in order and resends the head frame whole after a reconnect
+(at-least-once delivery). Links set TCP_NODELAY, as frames are small
+and go out one at a time. The machines are idempotent against
+duplicates: a repeated writeRequest is re-acknowledged, a repeated
+readRequest does not relay twice, and relay bookkeeping is set-based.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
@@ -45,6 +48,7 @@ import struct
 import threading
 import time
 from collections import deque
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Optional
 
 from .core import (
@@ -63,6 +67,8 @@ from .core import (
 from .protocols import get_protocol
 
 MAX_FRAME = 1 << 20
+MAX_BACKLOG = 8 * MAX_FRAME  # unsent reply bytes that cut a client off
+RECV_SIZE = 1 << 16
 _LEN = struct.Struct(">I")
 
 
@@ -105,8 +111,7 @@ def read_frames(sock: socket.socket):
 
 
 def _close(sock: socket.socket) -> None:
-    # shut down first: on Linux, close() alone does not wake a thread
-    # blocked in accept() or recv() on the same socket
+    # shut down first: on Linux, close() alone does not wake a recv()
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -237,8 +242,18 @@ class Outbox:
                 self.on_frame(msg)
 
 
+class _Conn:
+    """An accepted connection: bytes not yet framed, replies not yet sent."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.peer: Optional[ProcessId] = None  # set by its hello
+
+
 class ServerDaemon:
-    """One protocol server behind a listening TCP socket."""
+    """One protocol server behind a listening TCP socket, on one loop."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
                  host: Optional[str] = None, port: int = 0):
@@ -250,140 +265,170 @@ class ServerDaemon:
         self.pid = pid
         self.config = config
         self.machine = bundle.make_server(pid, config)
-        self.machine_lock = threading.Lock()
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        host = listen_host(host)
         try:
-            self.listener.bind((listen_host(host), port))
+            self.listener.bind((host, port))
         except OSError as e:
+            self.listener.close()
             raise BindFailure(f"{pid}: cannot bind {host}:{port}: {e}")
         self.listener.listen(64)
+        self.listener.setblocking(False)
         self.address = self.listener.getsockname()
         self.port = self.address[1]
         self.outboxes: dict[ProcessId, Outbox] = {}
-        # pid -> (socket, send lock); replies to one client may be
-        # triggered from several handler threads at once
-        self.client_conns: dict[ProcessId, tuple[socket.socket, threading.Lock]] = {}
-        # replies to a client that has not said hello yet, for its newest
-        # op only; a server answers some requests once (ohsam acks each
-        # read once), so a dropped reply would never come back
+        self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
+        # replies to a client with no connection (no hello yet, or cut
+        # off), for its newest op only; a server answers some requests
+        # once (ohsam acks each read once), so a lost reply never returns
         self.held_replies: dict[ProcessId, list[Message]] = {}
-        self.accepted: set[socket.socket] = set()
-        self.conn_lock = threading.Lock()
+        # stop() ends select() through the waker; closing sockets does not
+        wake, self._waker = socket.socketpair()
+        self.selector = DefaultSelector()
+        self.selector.register(self.listener, EVENT_READ)
+        self.selector.register(wake, EVENT_READ)
         self.stopped = False
-        self._accept_thread: Optional[threading.Thread] = None
+        self._thread: Optional[threading.Thread] = None
 
     def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
         """membership maps every server pid to its (host, port)."""
         for peer, addr in membership.items():
             if peer != self.pid:
                 self.outboxes[peer] = Outbox(self.pid, addr)
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               daemon=True)
-        self._accept_thread.start()
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
+        if self.stopped:
+            return
         self.stopped = True
-        _close(self.listener)
+        self._waker.send(b"\0")
+        if self._thread is not None:
+            self._thread.join()
         for box in self.outboxes.values():
             box.close()
-        with self.conn_lock:
-            conns = list(self.accepted)
-            self.client_conns.clear()
-        for c in conns:
-            _close(c)
+        for key in list(self.selector.get_map().values()):
+            _close(key.fileobj)
+        self.selector.close()
+        _close(self._waker)
 
     # kill == stop; the machine state is simply abandoned
     kill = stop
 
-    def _accept_loop(self) -> None:
+    def _loop(self) -> None:
         while not self.stopped:
-            try:
-                conn, _ = self.listener.accept()
-            except OSError:
-                return
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self.conn_lock:
-                if self.stopped:
-                    _close(conn)
-                    return
-                self.accepted.add(conn)
-            threading.Thread(target=self._serve_conn, args=(conn,),
-                             daemon=True).start()
+            for key, events in self.selector.select():
+                if key.data is not None:
+                    if events & EVENT_READ:
+                        self._read(key.data)
+                    if events & EVENT_WRITE:
+                        self._flush(key.data)
+                elif key.fileobj is self.listener:
+                    try:
+                        sock, _ = self.listener.accept()
+                    except OSError:  # the dialer is gone already
+                        continue
+                    sock.setblocking(False)
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    self.selector.register(sock, EVENT_READ, _Conn(sock))
 
-    def _serve_conn(self, conn: socket.socket) -> None:
-        peer: Optional[ProcessId] = None
-        for frame in read_frames(conn):
-            ftype = frame.get("type")
+    def _read(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(RECV_SIZE)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            return self._drop(conn)
+        buf = conn.inbuf
+        buf += data
+        start = 0  # a frame may span reads: decode whole ones, keep the rest
+        while len(buf) - start >= _LEN.size and conn.sock.fileno() >= 0:
+            (length,) = _LEN.unpack_from(buf, start)
+            end = start + _LEN.size + length
+            if length > MAX_FRAME:
+                return self._drop(conn)
+            if len(buf) < end:
+                break
+            try:
+                frame = json.loads(buf[start + _LEN.size:end].decode("utf-8"))
+            except ValueError:  # bad UTF-8 or bad JSON
+                return self._drop(conn)
+            start = end
+            ftype = frame.get("type") if isinstance(frame, dict) else None
             if ftype == "hello":
                 try:
-                    peer = parse_pid(frame["pid"])
-                except (KeyError, ValueError):
-                    break
-                send_lock = threading.Lock()
-                with send_lock:  # held replies go out before new ones
-                    with self.conn_lock:
-                        self.client_conns[peer] = (conn, send_lock)
-                        backlog = self.held_replies.pop(peer, [])
-                    for msg in backlog:
-                        self._send(conn, msg)
+                    conn.peer = parse_pid(frame["pid"])
+                except (KeyError, TypeError, ValueError):
+                    return self._drop(conn)
+                self.client_conns[conn.peer] = conn
+                for msg in self.held_replies.pop(conn.peer, []):
+                    self._reply(conn, msg)
             elif ftype == "msg":
                 try:
                     msg = message_from_json(frame["msg"])
-                except (KeyError, ValueError):
+                except (AttributeError, LookupError, TypeError, ValueError):
                     continue
                 self._handle(msg)
-        with self.conn_lock:
-            held = self.client_conns.get(peer) if peer is not None else None
-            if held is not None and held[0] is conn:
-                del self.client_conns[peer]
-            self.accepted.discard(conn)
-        _close(conn)
+        del buf[:start]
+
+    def _drop(self, conn: _Conn) -> None:
+        if conn.sock.fileno() < 0:
+            return  # dropped already
+        if self.client_conns.get(conn.peer) is conn:
+            del self.client_conns[conn.peer]
+        self.selector.unregister(conn.sock)
+        _close(conn.sock)
 
     def _handle(self, msg: Message) -> None:
         if self.stopped:
             return
-        with self.machine_lock:
-            outs = self.machine.on_message(msg)
-        for out in outs:
+        for out in self.machine.on_message(msg):
             self._route(out)
 
     def _route(self, msg: Message) -> None:
         dest = msg.destination
         if dest == self.pid:
             # loop a self-addressed relay straight back into the machine
-            # (the caller routes outside the machine lock, so this does
-            # not re-enter it)
             self._handle(msg)
             return
         box = self.outboxes.get(dest)
         if box is not None:
             box.send(msg)
-            return
-        with self.conn_lock:
-            held = self.client_conns.get(dest)
-            if held is None:
-                self._hold(msg)
-                return
-        conn, send_lock = held
-        with send_lock:
-            self._send(conn, msg)
+        elif dest in self.client_conns:
+            self._reply(self.client_conns[dest], msg)
+        else:
+            self._hold(msg)
 
     def _hold(self, msg: Message) -> None:
-        # caller holds conn_lock; clients are well-formed, so a newer op
-        # retires the replies held for the older one
+        # clients are well-formed, so a newer op retires the replies held
+        # for the older one
         held = self.held_replies.setdefault(msg.destination, [])
         if held and held[0].op.seq < msg.op.seq:
             held.clear()
         if not held or held[0].op.seq == msg.op.seq:
             held.append(msg)
 
-    @staticmethod
-    def _send(conn: socket.socket, msg: Message) -> None:
+    def _reply(self, conn: _Conn, msg: Message) -> None:
+        # a client past MAX_BACKLOG is cut off; its replies are then held
+        conn.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
+        self._flush(conn)
+        if len(conn.outbuf) > MAX_BACKLOG:
+            self._drop(conn)
+
+    def _flush(self, conn: _Conn) -> None:
+        """Send what the kernel takes; ask for EVENT_WRITE while bytes wait."""
         try:
-            conn.sendall(_pack({"type": "msg", "msg": message_to_json(msg)}))
-        except OSError:
+            del conn.outbuf[:conn.sock.send(conn.outbuf)]
+        except BlockingIOError:
             pass
+        except OSError:
+            return self._drop(conn)
+        events = EVENT_READ | (EVENT_WRITE if conn.outbuf else 0)
+        if events != self.selector.get_key(conn.sock).events:
+            self.selector.modify(conn.sock, events, conn)
 
 
 class Client:

@@ -1,8 +1,10 @@
 """Live TCP cluster: framing, full runs, crash tolerance."""
 
+import gc
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -10,7 +12,9 @@ from ohram.checker import check_bruteforce, check_witness
 from ohram.core import (
     KIND_READ_ACK,
     KIND_READ_RELAY,
+    KIND_READ_REQUEST,
     KIND_WRITE_REQUEST,
+    BindFailure,
     Config,
     Message,
     ModeMismatch,
@@ -18,6 +22,7 @@ from ohram.core import (
     QuorumUnreachable,
     Tag,
     message_from_json,
+    message_to_json,
     parse_pid,
 )
 from ohram.runner import (
@@ -392,3 +397,109 @@ def test_a_head_frame_cut_short_is_resent_whole_on_reconnect():
         if second is not None:
             second.close()
         srv.close()
+
+
+def msg_frame(msg):
+    return _pack({"type": "msg", "msg": message_to_json(msg)})
+
+
+def peer_closed(sock):
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:  # the peer closed with our bytes unread
+        return True
+
+
+def test_a_client_that_stops_reading_is_cut_off_and_relays_keep_flowing():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    s1 = daemons[0]
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    r1 = Client(parse_pid("r1"), SWMR, "ohsam", membership)
+    r2 = parse_pid("r2")
+    stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    others = []
+    try:
+        writer.write("x" * 200_000)
+        # r2 says hello to s1 only and never reads: s1 owes it one 200 KB
+        # ack per read below, built when the relays of s2 and s3 arrive
+        stalled.connect(s1.address)
+        stalled.sendall(_pack({"type": "hello", "pid": "r2"}))
+        assert wait_for(lambda: r2 in s1.client_conns)
+        others = [socket.create_connection(d.address, timeout=10.0)
+                  for d in daemons[1:]]
+        last = OpId(r2, 80)
+        for seq in range(1, last.seq + 1):
+            for sock, d in zip(others, daemons[1:]):
+                sock.sendall(msg_frame(Message(
+                    KIND_READ_REQUEST, OpId(r2, seq), r2, d.pid)))
+        assert wait_for(lambda: last in s1.machine.relays, seconds=30.0)
+        for _ in range(3):
+            rec = r1.read()
+        assert rec.value == writer.history[-1].value
+        assert wait_for(lambda: s1.machine.relays.get(rec.op) == set(
+            SWMR.servers())), s1.machine.relays.get(rec.op)
+        assert wait_for(lambda: r2 not in s1.client_conns)
+    finally:
+        for sock in [stalled] + others:
+            sock.close()
+        stop_all(daemons, [writer, r1])
+
+
+def test_a_frame_longer_than_one_read_goes_through_the_cluster():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    reader = Client(parse_pid("r1"), SWMR, "ohsam", membership)
+    try:
+        wrec = writer.write("y" * 600_000)
+        rrec = reader.read()
+        assert len(rrec.value) > 600_000
+        assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+    finally:
+        stop_all(daemons, [writer, reader])
+
+
+@pytest.mark.parametrize("garbage", [
+    (MAX_FRAME + 1).to_bytes(4, "big") + b"xx",
+    (4).to_bytes(4, "big") + b"{no}",
+])
+def test_a_bad_frame_closes_only_its_own_connection(garbage):
+    one = Config(n_servers=1, n_readers=1, n_writers=1, f=0, mode="swmr")
+    daemons, membership = start_cluster(one, "ohsam")
+    bad = socket.create_connection(daemons[0].address, timeout=10.0)
+    good = socket.create_connection(daemons[0].address, timeout=10.0)
+    writer = Client(parse_pid("w1"), one, "ohsam", membership)
+    try:
+        good.sendall(_pack({"type": "hello", "pid": "r1"}))
+        bad.sendall(_pack({"type": "hello", "pid": "r2"}) + garbage)
+        assert peer_closed(bad)
+        writer.write("A")
+        good.sendall(msg_frame(Message(
+            KIND_READ_REQUEST, OpId(parse_pid("r1"), 1), parse_pid("r1"),
+            daemons[0].pid)))
+        msg = message_from_json(next(read_frames(good))["msg"])
+        assert (msg.kind, msg.value) == (KIND_READ_ACK,
+                                         writer.history[-1].value)
+    finally:
+        bad.close()
+        good.close()
+        stop_all(daemons, [writer])
+
+
+def test_bind_failure_names_the_address_and_closes_the_socket(monkeypatch):
+    monkeypatch.delenv("OHRAM_LISTEN", raising=False)
+    busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    busy.bind(("127.0.0.1", 0))
+    busy.listen(1)
+    port = busy.getsockname()[1]
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BindFailure,
+                               match=f"cannot bind 127.0.0.1:{port}:"):
+                ServerDaemon(parse_pid("s1"), SWMR, "ohsam", port=port)
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+    finally:
+        busy.close()
