@@ -8,26 +8,26 @@ different versions can coexist:
   {"type": "hello", "pid": "r1"}   identifies the dialing process
   {"type": "msg",  "msg": {...}}   carries one protocol message
 
-Topology: clients dial every server and keep the connection, and a
-server replies over the client's own connection. Servers dial each
-other for relays (one connection per direction); nothing travels back
-on a dialed link, so only client links run a reader.
-A server daemon is one selector loop, the only thread that accepts,
-reads, runs the machine and replies. Replies go out by non-blocking
-send; what the kernel does not take waits in the connection's buffer
-until the socket is writable, and a client whose buffer passes
-MAX_BACKLOG is cut off and redials. A reply for a client with no
-connection (before its hello, or after a cut-off) is held, for its
-newest op only, and sent once a hello comes in.
-
-Every dialed link has an outbox: a send writes through, without
-blocking, when the link is up and idle, else queues (with the rest of
-a frame the kernel took in part); the link's thread flushes the queue
-in order and resends the head frame whole after a reconnect
-(at-least-once delivery). Links set TCP_NODELAY, as frames are small
-and go out one at a time. The machines are idempotent against
-duplicates: a repeated writeRequest is re-acknowledged, a repeated
-readRequest does not relay twice, and relay bookkeeping is set-based.
+Topology: clients dial every server and keep the connection; a server's
+replies to a client travel back over the client's own connection. A
+server daemon is one selector loop that accepts, reads, runs the
+machine and replies by non-blocking send; a client whose unsent replies
+pass MAX_BACKLOG is cut off and redials. A reply for a client with no
+connection (no hello yet, or dropped with the reply unsent) is held,
+for the client's newest op only, and sent once the hello comes in.
+Servers dial each other for relay traffic (each direction has its own
+connection); nothing travels back on a server's dialed link, so only
+client links run a reader. Every dialed link has an outbox. A send
+writes its frame to the socket at once, on the caller's thread and
+without blocking, when the link is up and nothing is queued. Otherwise
+the frame queues, and so does the rest of a frame the kernel took only
+in part. The link's own thread flushes the queue in order, and on each
+(re)connect starts again from the head frame's first byte, which yields
+at-least-once delivery. Links set TCP_NODELAY, because frames are small
+and go out one at a time. The protocol machines are idempotent against the
+resulting duplicates: a repeated writeRequest is re-acknowledged, a
+repeated readRequest does not relay twice, and relay bookkeeping is
+set-based, so retries are safe.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
@@ -249,6 +249,7 @@ class _Conn:
         self.sock = sock
         self.inbuf = bytearray()
         self.outbuf = bytearray()
+        self.unsent: list[Message] = []  # the replies behind outbuf
         self.peer: Optional[ProcessId] = None  # set by its hello
 
 
@@ -279,9 +280,8 @@ class ServerDaemon:
         self.port = self.address[1]
         self.outboxes: dict[ProcessId, Outbox] = {}
         self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
-        # replies to a client with no connection (no hello yet, or cut
-        # off), for its newest op only; a server answers some requests
-        # once (ohsam acks each read once), so a lost reply never returns
+        # replies to a client with no connection, for its newest op only;
+        # ohsam acks each read once, so a lost reply would never return
         self.held_replies: dict[ProcessId, list[Message]] = {}
         # stop() ends select() through the waker; closing sockets does not
         wake, self._waker = socket.socketpair()
@@ -352,27 +352,27 @@ class ServerDaemon:
                 return self._drop(conn)
             if len(buf) < end:
                 break
-            try:
-                frame = json.loads(buf[start + _LEN.size:end].decode("utf-8"))
-            except ValueError:  # bad UTF-8 or bad JSON
+            try:  # a frame this server cannot take closes its connection
+                body = buf[start + _LEN.size:end].decode("utf-8")
+                self._frame(conn, json.loads(body))
+            except Exception:
                 return self._drop(conn)
             start = end
-            ftype = frame.get("type") if isinstance(frame, dict) else None
-            if ftype == "hello":
-                try:
-                    conn.peer = parse_pid(frame["pid"])
-                except (KeyError, TypeError, ValueError):
-                    return self._drop(conn)
-                self.client_conns[conn.peer] = conn
-                for msg in self.held_replies.pop(conn.peer, []):
-                    self._reply(conn, msg)
-            elif ftype == "msg":
-                try:
-                    msg = message_from_json(frame["msg"])
-                except (AttributeError, LookupError, TypeError, ValueError):
-                    continue
-                self._handle(msg)
         del buf[:start]
+
+    def _frame(self, conn: _Conn, frame) -> None:
+        ftype = frame.get("type") if isinstance(frame, dict) else None
+        if ftype == "hello":
+            conn.peer = parse_pid(frame["pid"])
+            self.client_conns[conn.peer] = conn
+            for msg in self.held_replies.pop(conn.peer, []):
+                self._reply(conn, msg)
+        elif ftype == "msg":
+            try:
+                msg = message_from_json(frame["msg"])
+            except (AttributeError, LookupError, TypeError, ValueError):
+                return  # an unreadable message is skipped
+            self._handle(msg)
 
     def _drop(self, conn: _Conn) -> None:
         if conn.sock.fileno() < 0:
@@ -381,6 +381,8 @@ class ServerDaemon:
             del self.client_conns[conn.peer]
         self.selector.unregister(conn.sock)
         _close(conn.sock)
+        for msg in conn.unsent:  # to the client's newer connection, or held
+            self._route(msg)
 
     def _handle(self, msg: Message) -> None:
         if self.stopped:
@@ -390,21 +392,17 @@ class ServerDaemon:
 
     def _route(self, msg: Message) -> None:
         dest = msg.destination
-        if dest == self.pid:
-            # loop a self-addressed relay straight back into the machine
+        if dest == self.pid:  # a self-addressed relay goes straight back in
             self._handle(msg)
-            return
-        box = self.outboxes.get(dest)
-        if box is not None:
-            box.send(msg)
+        elif dest in self.outboxes:
+            self.outboxes[dest].send(msg)
         elif dest in self.client_conns:
             self._reply(self.client_conns[dest], msg)
         else:
             self._hold(msg)
 
     def _hold(self, msg: Message) -> None:
-        # clients are well-formed, so a newer op retires the replies held
-        # for the older one
+        # a newer op of a well-formed client retires the older op's replies
         held = self.held_replies.setdefault(msg.destination, [])
         if held and held[0].op.seq < msg.op.seq:
             held.clear()
@@ -412,8 +410,8 @@ class ServerDaemon:
             held.append(msg)
 
     def _reply(self, conn: _Conn, msg: Message) -> None:
-        # a client past MAX_BACKLOG is cut off; its replies are then held
         conn.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
+        conn.unsent.append(msg)
         self._flush(conn)
         if len(conn.outbuf) > MAX_BACKLOG:
             self._drop(conn)
@@ -426,6 +424,8 @@ class ServerDaemon:
             pass
         except OSError:
             return self._drop(conn)
+        if not conn.outbuf:
+            conn.unsent.clear()
         events = EVENT_READ | (EVENT_WRITE if conn.outbuf else 0)
         if events != self.selector.get_key(conn.sock).events:
             self.selector.modify(conn.sock, events, conn)

@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 import warnings
+from selectors import EVENT_READ
 
 import pytest
 
@@ -30,6 +31,7 @@ from ohram.runner import (
     Client,
     Outbox,
     ServerDaemon,
+    _Conn,
     _pack,
     listen_host,
     merge_histories,
@@ -462,7 +464,10 @@ def test_a_frame_longer_than_one_read_goes_through_the_cluster():
 @pytest.mark.parametrize("garbage", [
     (MAX_FRAME + 1).to_bytes(4, "big") + b"xx",
     (4).to_bytes(4, "big") + b"{no}",
-])
+    # well-formed, but a writeRequest without a tag breaks the machine
+    msg_frame(Message(KIND_WRITE_REQUEST, OpId(parse_pid("w1"), 1),
+                      parse_pid("w1"), parse_pid("s1"))),
+], ids=["oversized-header", "not-json", "tagless-write"])
 def test_a_bad_frame_closes_only_its_own_connection(garbage):
     one = Config(n_servers=1, n_readers=1, n_writers=1, f=0, mode="swmr")
     daemons, membership = start_cluster(one, "ohsam")
@@ -503,3 +508,37 @@ def test_bind_failure_names_the_address_and_closes_the_socket(monkeypatch):
                     if issubclass(w.category, ResourceWarning)]
     finally:
         busy.close()
+
+
+def test_replies_unsent_at_a_cut_off_are_held_for_the_next_hello():
+    r1 = parse_pid("r1")
+    daemon = ServerDaemon(parse_pid("s1"), SWMR, "ohsam")  # no loop: the
+    stalled, never_read = socket.socketpair()  # test drives it by hand
+    fresh, client = socket.socketpair()
+
+    def ack(seq):
+        return Message(KIND_READ_ACK, OpId(r1, seq), daemon.pid, r1,
+                       tag=Tag(1, parse_pid("w1")), value="v" * 100_000)
+
+    def hello(sock):
+        sock.setblocking(False)
+        conn = _Conn(sock)
+        daemon.selector.register(sock, EVENT_READ, conn)
+        daemon._frame(conn, {"type": "hello", "pid": "r1"})
+
+    try:
+        hello(stalled)
+        seq = 0
+        while r1 in daemon.client_conns:
+            seq += 1
+            daemon._route(ack(seq))
+        # the ack that passed MAX_BACKLOG never left: it waits for a hello
+        assert daemon.held_replies[r1] == [ack(seq)]
+        hello(fresh)
+        client.settimeout(5.0)
+        assert message_from_json(next(read_frames(client))["msg"]) == ack(seq)
+        assert r1 not in daemon.held_replies
+    finally:
+        for sock in (stalled, never_read, fresh, client):
+            sock.close()
+        daemon.stop()
