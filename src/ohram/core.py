@@ -418,16 +418,19 @@ def opid_from_json(obj: dict[str, Any]) -> OpId:
 
 
 def message_to_json(m: Message) -> dict[str, Any]:
+    # every live frame passes here: the op and tag dicts are the ones
+    # opid_to_json and tag_to_json build, written out to save the calls
+    op, tag, origin = m.op, m.tag, m.relay_origin
     obj: dict[str, Any] = {
         "kind": m.kind,
-        "op": opid_to_json(m.op),
-        "sender": str(m.sender),
-        "destination": str(m.destination),
-        "tag": tag_to_json(m.tag),
+        "op": {"invoker": op.invoker._text, "seq": op.seq},
+        "sender": m.sender._text,
+        "destination": m.destination._text,
+        "tag": None if tag is None else {"ts": tag.ts, "wid": tag.wid._text},
         "value": m.value,
-        "relay_origin": str(m.relay_origin) if m.relay_origin else None,
+        "relay_origin": None if origin is None else origin._text,
     }
-    if m.observations is not None:
+    if m.observations is not None:  # the simulated unsound protocol only
         obj["observations"] = [
             {"op": opid_to_json(w.op), "tag": tag_to_json(w.tag), "value": w.value}
             for w in m.observations
@@ -445,15 +448,17 @@ def message_from_json(obj: dict[str, Any]) -> Message:
             WriteRecord(opid_from_json(w["op"]), tag_from_json(w["tag"]), w["value"])
             for w in obj["observations"]
         )
+    # inline opid_from_json and tag_from_json, as in message_to_json
+    op, tag, origin = obj["op"], obj.get("tag"), obj.get("relay_origin")
     return Message(
-        kind=kind,
-        op=opid_from_json(obj["op"]),
-        sender=parse_pid(obj["sender"]),
-        destination=parse_pid(obj["destination"]),
-        tag=tag_from_json(obj.get("tag")),
-        value=obj.get("value"),
-        relay_origin=parse_pid(obj["relay_origin"]) if obj.get("relay_origin") else None,
-        observations=obs,
+        kind,
+        OpId(parse_pid(op["invoker"]), int(op["seq"])),
+        parse_pid(obj["sender"]),
+        parse_pid(obj["destination"]),
+        None if tag is None else Tag(int(tag["ts"]), parse_pid(tag["wid"])),
+        obj.get("value"),
+        parse_pid(origin) if origin else None,
+        obs,
     )
 
 

@@ -8,6 +8,14 @@ different versions can coexist:
   {"type": "hello", "pid": "r1"}   identifies the dialing process
   {"type": "msg",  "msg": {...}}   carries one protocol message
 
+The JSON is what json.dumps(obj, separators=(",", ":")) writes, from one
+shared encoder, and a body is accepted exactly when json.loads accepts
+it, through one shared decoder. One framer cuts every incoming stream
+into frames, whatever the reads' sizes: a daemon's connections, where a
+read takes up to 64 KiB, and a client's links, which read with recv_into
+a fixed 4 KiB buffer, one system call per wake-up however many frames
+arrived.
+
 Topology: clients dial every server and keep the connection; a server's
 replies to a client travel back over the client's own connection. A
 server daemon is one selector loop that accepts, reads, runs the
@@ -17,13 +25,14 @@ connection (no hello yet, or dropped with the reply unsent) is held,
 for the client's newest op only, and sent once the hello comes in.
 Servers dial each other for relay traffic (each direction has its own
 connection); nothing travels back on a server's dialed link, so only
-client links run a reader. Every dialed link has an outbox. A send
-writes its frame to the socket at once, on the caller's thread and
-without blocking, when the link is up and nothing is queued. Otherwise
-the frame queues, and so does the rest of a frame the kernel took only
-in part. The link's own thread flushes the queue in order, and on each
-(re)connect starts again from the head frame's first byte, which yields
-at-least-once delivery. Links set TCP_NODELAY, because frames are small
+client links run a reader, and a client link whose stream ends, closed
+or not made of frames, redials at once. Every dialed link has an
+outbox. A send writes its frame to the socket at once, on the caller's
+thread and without blocking, when the link is up and nothing is queued.
+Otherwise the frame queues, and so does the rest of a frame the kernel
+took only in part. The link's own thread flushes the queue in order, and
+on each (re)connect starts again from the head frame's first byte, which
+yields at-least-once delivery. Links set TCP_NODELAY, because frames are small
 and go out one at a time. The protocol machines are idempotent against the
 resulting duplicates: a repeated writeRequest is re-acknowledged, a
 repeated readRequest does not relay twice, and relay bookkeeping is
@@ -49,7 +58,7 @@ import threading
 import time
 from collections import deque
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
-from typing import Optional
+from typing import Any, Optional
 
 from .core import (
     BindFailure,
@@ -68,45 +77,87 @@ from .protocols import get_protocol
 
 MAX_FRAME = 1 << 20
 MAX_BACKLOG = 8 * MAX_FRAME  # unsent reply bytes that cut a client off
-RECV_SIZE = 1 << 16
+RECV_SIZE = 1 << 16  # a daemon's read: every frame a wake-up finds
+LINK_RECV_SIZE = 1 << 12  # a client link's fixed read buffer
 _LEN = struct.Struct(">I")
+# one of each for every frame: json.dumps(obj, separators=...) builds a
+# new encoder per call, and json.loads checks and strips its argument
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder()
 
 
 def _pack(obj: dict) -> bytes:
-    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    data = _ENCODER.encode(obj).encode("utf-8")
     if len(data) > MAX_FRAME:
         raise ValueError(f"frame of {len(data)} bytes exceeds {MAX_FRAME}")
     return _LEN.pack(len(data)) + data
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    buf = b""
-    while len(buf) < n:
-        try:
-            chunk = sock.recv(n - len(buf))
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
+def _unpack(body) -> Any:
+    """Parse a frame body: json.loads of its UTF-8 text, only cheaper.
+
+    A body with whitespace around its JSON value, or with anything that is
+    not a lone JSON value, goes to json.loads, so exactly the same bodies
+    are accepted and refused (ValueError).
+    """
+    text = body.decode("utf-8")
+    try:
+        obj, end = _DECODER.raw_decode(text)
+    except ValueError:
+        end = -1
+    if end != len(text):
+        return json.loads(text)
+    return obj
+
+
+class _Framer:
+    """Cuts a byte stream into frame bodies, however the reads split it."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self):
+        self.buf = bytearray()  # the start of a frame not yet whole
+
+    def feed(self, data):
+        """Yield each frame body that data completes; keep the rest.
+
+        Raises ValueError at a header that claims more than MAX_FRAME.
+        """
+        buf = self.buf
+        buf += data
+        while len(buf) >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf)
+            if length > MAX_FRAME:
+                raise ValueError(f"frame of {length} bytes exceeds {MAX_FRAME}")
+            end = _LEN.size + length
+            if len(buf) < end:
+                return
+            body = buf[_LEN.size:end]
+            del buf[:end]
+            yield body
 
 
 def read_frames(sock: socket.socket):
-    """Yield decoded frames until the peer closes or sends garbage."""
+    """Yield decoded frames until the peer closes or sends garbage.
+
+    Each wake-up is one recv_into a fixed buffer, whatever number of
+    frames it holds. Bytes past the last frame taken go with the
+    generator, so a socket is read through one generator only.
+    """
+    chunk = bytearray(LINK_RECV_SIZE)
+    view = memoryview(chunk)
+    framer = _Framer()
     while True:
-        head = _recv_exact(sock, _LEN.size)
-        if head is None:
+        try:
+            size = sock.recv_into(chunk)
+        except OSError:
             return
-        (length,) = _LEN.unpack(head)
-        if length > MAX_FRAME:
-            return
-        body = _recv_exact(sock, length)
-        if body is None:
+        if not size:
             return
         try:
-            yield json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            for body in framer.feed(view[:size]):
+                yield _unpack(body)
+        except ValueError:  # an oversized header, bad UTF-8 or bad JSON
             return
 
 
@@ -234,12 +285,16 @@ class Outbox:
 
     def _read_loop(self, sock: socket.socket) -> None:
         for frame in read_frames(sock):
-            if frame.get("type") == "msg":
+            if isinstance(frame, dict) and frame.get("type") == "msg":
                 try:
                     msg = message_from_json(frame["msg"])
-                except (KeyError, ValueError):
-                    continue
+                except (AttributeError, LookupError, TypeError, ValueError):
+                    continue  # skipped, as a daemon skips it
                 self.on_frame(msg)
+        with self.wake:  # closed or garbled: take the link down to redial
+            if self.sock is sock:
+                self.sock = None
+                self.wake.notify()
 
 
 class _Conn:
@@ -247,10 +302,11 @@ class _Conn:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.inbuf = bytearray()
+        self.framer = _Framer()
         self.outbuf = bytearray()
         self.unsent: list[Message] = []  # the replies behind outbuf
         self.peer: Optional[ProcessId] = None  # set by its hello
+        self.events = EVENT_READ  # what the selector watches it for
 
 
 class ServerDaemon:
@@ -342,23 +398,13 @@ class ServerDaemon:
             data = b""
         if not data:
             return self._drop(conn)
-        buf = conn.inbuf
-        buf += data
-        start = 0  # a frame may span reads: decode whole ones, keep the rest
-        while len(buf) - start >= _LEN.size and conn.sock.fileno() >= 0:
-            (length,) = _LEN.unpack_from(buf, start)
-            end = start + _LEN.size + length
-            if length > MAX_FRAME:
-                return self._drop(conn)
-            if len(buf) < end:
-                break
-            try:  # a frame this server cannot take closes its connection
-                body = buf[start + _LEN.size:end].decode("utf-8")
-                self._frame(conn, json.loads(body))
-            except Exception:
-                return self._drop(conn)
-            start = end
-        del buf[:start]
+        try:  # a frame this server cannot take closes its connection
+            for body in conn.framer.feed(data):
+                self._frame(conn, _unpack(body))
+                if conn.sock.fileno() < 0:
+                    return  # the frame's replies cut the connection off
+        except Exception:
+            self._drop(conn)
 
     def _frame(self, conn: _Conn, frame) -> None:
         ftype = frame.get("type") if isinstance(frame, dict) else None
@@ -427,8 +473,9 @@ class ServerDaemon:
         if not conn.outbuf:
             conn.unsent.clear()
         events = EVENT_READ | (EVENT_WRITE if conn.outbuf else 0)
-        if events != self.selector.get_key(conn.sock).events:
+        if events != conn.events:
             self.selector.modify(conn.sock, events, conn)
+            conn.events = events
 
 
 class Client:

@@ -1,6 +1,7 @@
 """Live TCP cluster: framing, full runs, crash tolerance."""
 
 import gc
+import json
 import socket
 import threading
 import time
@@ -8,6 +9,7 @@ import warnings
 from selectors import EVENT_READ
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ohram.checker import check_bruteforce, check_witness
 from ohram.core import (
@@ -15,6 +17,7 @@ from ohram.core import (
     KIND_READ_RELAY,
     KIND_READ_REQUEST,
     KIND_WRITE_REQUEST,
+    MESSAGE_KINDS,
     BindFailure,
     Config,
     Message,
@@ -22,9 +25,12 @@ from ohram.core import (
     OpId,
     QuorumUnreachable,
     Tag,
+    WriteRecord,
     message_from_json,
     message_to_json,
+    opid_to_json,
     parse_pid,
+    tag_to_json,
 )
 from ohram.runner import (
     MAX_FRAME,
@@ -33,6 +39,7 @@ from ohram.runner import (
     ServerDaemon,
     _Conn,
     _pack,
+    _unpack,
     listen_host,
     merge_histories,
     read_frames,
@@ -542,3 +549,169 @@ def test_replies_unsent_at_a_cut_off_are_held_for_the_next_hello():
         for sock in (stalled, never_read, fresh, client):
             sock.close()
         daemon.stop()
+
+
+def reference_frame(msg):
+    """A msg frame as json.dumps writes it, with the dicts built by the
+    per-type helpers: the bytes the runner has always sent."""
+    obj = {
+        "kind": msg.kind,
+        "op": opid_to_json(msg.op),
+        "sender": str(msg.sender),
+        "destination": str(msg.destination),
+        "tag": tag_to_json(msg.tag),
+        "value": msg.value,
+        "relay_origin": str(msg.relay_origin) if msg.relay_origin else None,
+    }
+    if msg.observations is not None:
+        obj["observations"] = [
+            {"op": opid_to_json(w.op), "tag": tag_to_json(w.tag),
+             "value": w.value}
+            for w in msg.observations
+        ]
+    data = json.dumps({"type": "msg", "msg": obj},
+                      separators=(",", ":")).encode("utf-8")
+    return len(data).to_bytes(4, "big") + data
+
+
+pids = st.builds(parse_pid, st.builds(
+    "{}{}".format, st.sampled_from("wrs"), st.integers(1, 99)))
+op_ids = st.builds(OpId, pids, st.integers(0, 2**53))
+tags = st.builds(Tag, st.integers(0, 2**53), pids)
+values = st.none() | st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f') |
+                             st.characters())
+messages = st.builds(
+    Message, st.sampled_from(MESSAGE_KINDS), op_ids, pids, pids,
+    tag=st.none() | tags, value=values, relay_origin=st.none() | pids,
+    observations=st.none() | st.lists(
+        st.builds(WriteRecord, op_ids, tags, values), max_size=3).map(tuple))
+
+
+@settings(max_examples=300)
+@given(messages, st.text(" \t\n\r", max_size=3),
+       st.text(" \t\n\r", max_size=3))
+def test_msg_frames_keep_their_bytes_and_decode_back(msg, left, right):
+    frame = _pack({"type": "msg", "msg": message_to_json(msg)})
+    assert frame == reference_frame(msg)
+    body = frame[4:]
+    assert message_from_json(_unpack(body)["msg"]) == msg
+    padded = left.encode() + body + right.encode()
+    assert _unpack(padded) == json.loads(padded.decode())
+    with pytest.raises(ValueError):
+        _unpack(body + b"x")
+
+
+@pytest.mark.parametrize("body", [
+    b'{"a":1}', b' {"a":1}', b'{"a":1}\r\n', b'\t[1] ', b'7', b'"\\ud800"',
+    b'{"a":1}x', b'{"a":1}{"a":2}', b'x{"a":1}', b'1 2', b'', b'  ',
+    b'\xef\xbb\xbf{"a":1}', b'{"a":\xff}', b'{"a":1'])
+def test_unpack_takes_and_refuses_what_json_loads_does(body):
+    try:
+        expected = json.loads(body.decode("utf-8"))
+    except ValueError:
+        with pytest.raises(ValueError):
+            _unpack(body)
+    else:
+        assert _unpack(body) == expected
+
+
+R1 = parse_pid("r1")
+
+
+def read_ack(seq, value="v"):
+    return Message(KIND_READ_ACK, OpId(R1, seq), S1, R1,
+                   tag=Tag(seq, W1), value=value)
+
+
+def client_link(got):
+    """A listener standing in for s1, and a client link to it that
+    appends every message it receives to got."""
+    srv = peer_listener()
+    srv.listen(1)
+    box = Outbox(R1, srv.getsockname(), on_frame=got.append)
+    conn, _ = srv.accept()
+    conn.settimeout(10.0)
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    assert next(read_frames(conn)) == {"type": "hello", "pid": "r1"}
+    return srv, box, conn
+
+
+def test_a_client_link_frames_a_byte_stream_however_it_is_cut():
+    got = []
+    srv, box, conn = client_link(got)
+    try:
+        batch = [read_ack(seq, "x" * (seq % 50)) for seq in range(1, 201)]
+        conn.sendall(b"".join(msg_frame(m) for m in batch))
+        assert wait_for(lambda: len(got) >= 200)
+        dribbled = [read_ack(seq, "é\"\\") for seq in range(201, 204)]
+        for byte in b"".join(msg_frame(m) for m in dribbled):
+            conn.send(bytes([byte]))
+            time.sleep(0.0005)
+        assert wait_for(lambda: len(got) >= 203)
+        assert got == batch + dribbled
+    finally:
+        box.close()
+        conn.close()
+        srv.close()
+
+
+def reading_client():
+    """A listener standing in for the one server s1, and a thread whose
+    reader client reads once through it; the thread fills done["rec"]."""
+    one = Config(n_servers=1, n_readers=1, n_writers=1, f=0, mode="swmr")
+    srv = peer_listener()
+    srv.listen(2)
+    reader = Client(R1, one, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=0.05, retry_budget=100)
+    done = {}
+    thread = threading.Thread(
+        target=lambda: done.update(rec=reader.read()), daemon=True)
+    thread.start()
+    return srv, reader, thread, done
+
+
+def accept_read_request(srv):
+    conn, _ = srv.accept()
+    conn.settimeout(10.0)
+    frames = read_frames(conn)
+    assert next(frames) == {"type": "hello", "pid": "r1"}
+    request = message_from_json(next(frames)["msg"])
+    assert request.kind == KIND_READ_REQUEST
+    return conn, request
+
+
+def test_a_client_link_reads_on_past_a_frame_it_cannot_take():
+    srv, reader, thread, done = reading_client()
+    conn = None
+    try:
+        conn, request = accept_read_request(srv)
+        # a frame that is not an object, then a msg body that is not one
+        conn.sendall(_pack([1]) + _pack({"type": "msg", "msg": [1]})
+                     + msg_frame(read_ack(request.op.seq)))
+        thread.join(timeout=10.0)
+        assert (done["rec"].op, done["rec"].value) == (request.op, "v")
+    finally:
+        reader.close()
+        if conn is not None:
+            conn.close()
+        srv.close()
+
+
+def test_a_client_link_redials_when_its_stream_is_garbled():
+    srv, reader, thread, done = reading_client()
+    conns = []
+    try:
+        conn, request = accept_read_request(srv)
+        conns.append(conn)
+        conn.sendall((4).to_bytes(4, "big") + b"{no}")
+        # the link comes back, and the read's next rebroadcast with it
+        conn, request = accept_read_request(srv)
+        conns.append(conn)
+        conn.sendall(msg_frame(read_ack(request.op.seq)))
+        thread.join(timeout=10.0)
+        assert (done["rec"].op, done["rec"].value) == (request.op, "v")
+    finally:
+        reader.close()
+        for conn in conns:
+            conn.close()
+        srv.close()
