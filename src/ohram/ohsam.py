@@ -67,10 +67,11 @@ class QuorumClient:
     message of the open phase carries; awaiting names the reply kind the
     phase waits for and is None when the client is idle. replies maps
     each sender to its latest reply in first-arrival order. Replies of
-    another kind, another counter or another invoker are dropped, and a
-    sender counts once. Subclasses open phases with _broadcast and say
-    in _on_quorum what a complete phase leads to: the next phase, or
-    the completion built by _done.
+    another kind, another counter or another invoker, and replies
+    without a tag, are dropped, and a sender counts once. Subclasses
+    open phases with _broadcast and say in _on_quorum what a complete
+    phase leads to: the next phase, or the completion built by _done.
+    ticks is how many counter values one operation uses.
     """
 
     pid: ProcessId
@@ -78,6 +79,7 @@ class QuorumClient:
     seq: int = 0
     awaiting: Optional[str] = None
     replies: dict[ProcessId, Message] = field(default_factory=dict)
+    ticks = 1  # a class attribute, not a field
 
     @property
     def busy(self) -> bool:
@@ -97,9 +99,9 @@ class QuorumClient:
                 for s in self.config.servers()]
 
     def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        # Stale, foreign and unexpected replies are dropped silently.
+        # Stale, foreign, unexpected and tagless replies are dropped silently.
         if (msg.kind != self.awaiting or msg.op.seq != self.seq
-                or msg.op.invoker != self.pid):
+                or msg.op.invoker != self.pid or msg.tag is None):
             return [], None
         self.replies[msg.sender] = msg
         if len(self.replies) >= quorum_size(self.config.n_servers):

@@ -37,8 +37,6 @@ class ProtocolBundle:
     make_writer: Callable
     make_reader: Callable
     make_server: Callable
-    # canonical operation ordinal for a writer's wire sequence number
-    writer_group: Callable[[int], int]
     # False for the unsound demo protocol: its servers do not promise
     # monotone tags, so the per-step invariant checks would misfire
     checked_invariants: bool
@@ -50,18 +48,12 @@ class ProtocolBundle:
     read_messages: Callable[[int], int]
 
     def op_group(self, op: OpId) -> OpId:
+        """The client operation a wire sequence number belongs to: a
+        writer's counter ticks make_writer.ticks times per write."""
         if op.invoker.role == ROLE_WRITER:
-            return OpId(op.invoker, self.writer_group(op.seq))
+            ticks = self.make_writer.ticks
+            return OpId(op.invoker, (op.seq + ticks - 1) // ticks)
         return op
-
-
-def _identity(seq: int) -> int:
-    return seq
-
-
-def _halved(seq: int) -> int:
-    # two wire sequence numbers (discover, write) per client write
-    return (seq + 1) // 2
 
 
 def _relayed(n: int) -> int:
@@ -71,29 +63,29 @@ def _relayed(n: int) -> int:
 
 PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
     ProtocolBundle("ohsam", MODE_SWMR, ohsam.WriterStateS, ohsam.ReaderStateS,
-                   ohsam.ServerStateS, _identity,
+                   ohsam.ServerStateS,
                    checked_invariants=True, runner_ok=True,
                    write_exchanges=2, read_exchanges=3,
                    write_messages=lambda n: 2 * n, read_messages=_relayed),
     ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohmam.ReaderStateM,
-                   ohmam.ServerStateM, _halved,
+                   ohmam.ServerStateM,
                    checked_invariants=True, runner_ok=True,
                    write_exchanges=4, read_exchanges=3,
                    write_messages=lambda n: 4 * n, read_messages=_relayed),
     ProtocolBundle("abd-swmr", MODE_SWMR, abd.AbdWriterSwmr, abd.AbdReaderState,
-                   abd.AbdServerState, _identity,
+                   abd.AbdServerState,
                    checked_invariants=True, runner_ok=True,
                    write_exchanges=2, read_exchanges=4,
                    write_messages=lambda n: 2 * n,
                    read_messages=lambda n: 4 * n),
     ProtocolBundle("abd-mwmr", MODE_MWMR, abd.AbdWriterMwmr, abd.AbdReaderState,
-                   abd.AbdServerState, _identity,
+                   abd.AbdServerState,
                    checked_invariants=True, runner_ok=True,
                    write_exchanges=4, read_exchanges=4,
                    write_messages=lambda n: 4 * n,
                    read_messages=lambda n: 4 * n),
     ProtocolBundle("naive3x", MODE_MWMR, naive3x.Naive3xWriter,
-                   naive3x.Naive3xReader, naive3x.Naive3xServer, _identity,
+                   naive3x.Naive3xReader, naive3x.Naive3xServer,
                    checked_invariants=False, runner_ok=False,
                    write_exchanges=3, read_exchanges=3,
                    write_messages=_relayed, read_messages=_relayed),

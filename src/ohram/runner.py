@@ -11,32 +11,36 @@ different versions can coexist:
 The JSON is what json.dumps(obj, separators=(",", ":")) writes, from one
 shared encoder, and a body is accepted exactly when json.loads accepts
 it, through one shared decoder. One framer cuts every incoming stream
-into frames, whatever the reads' sizes: a daemon's connections, where a
-read takes up to 64 KiB, and a client's links, which read with recv_into
-a fixed 4 KiB buffer, one system call per wake-up however many frames
-arrived.
+into frames, whatever the reads' sizes.
 
 Topology: clients dial every server and keep the connection; a server's
-replies to a client travel back over the client's own connection. A
-server daemon is one selector loop that accepts, reads, runs the
-machine and replies by non-blocking send; a client whose unsent replies
-pass MAX_BACKLOG is cut off and redials. A reply for a client with no
-connection (no hello yet, or dropped with the reply unsent) is held,
-for the client's newest op only, and sent once the hello comes in.
+replies to a client travel back over the client's own connection.
 Servers dial each other for relay traffic (each direction has its own
-connection); nothing travels back on a server's dialed link, so only
-client links run a reader, and a client link whose stream ends, closed
-or not made of frames, redials at once. Every dialed link has an
-outbox. A send writes its frame to the socket at once, on the caller's
-thread and without blocking, when the link is up and nothing is queued.
-Otherwise the frame queues, and so does the rest of a frame the kernel
-took only in part. The link's own thread flushes the queue in order, and
-on each (re)connect starts again from the head frame's first byte, which
-yields at-least-once delivery. Links set TCP_NODELAY, because frames are small
-and go out one at a time. The protocol machines are idempotent against the
-resulting duplicates: a repeated writeRequest is re-acknowledged, a
+connection). Every endpoint, server daemon or client, is one selector
+loop that owns all of its sockets, accepted and dialed, and handles
+each batch of events under the endpoint's lock: it accepts, reads, runs
+the machine and sends. A client's operation thread invokes and
+(re)broadcasts under the same lock. Links set TCP_NODELAY, because
+frames are small and go out one at a time.
+
+Sends never block. A message is framed onto its connection's outbuf and
+written at once as far as the kernel takes it; the loop writes the rest
+when the socket is writable. unsent lists the messages behind outbuf
+until outbuf empties. A client whose unsent replies pass MAX_BACKLOG is
+cut off and redials. A reply for a client with no connection (no hello
+yet, or dropped with the reply unsent) is held, for the client's newest
+op only, and sent once the hello comes in. A dialed link's unsent is
+unbounded while its server is down.
+
+Redial and at-least-once delivery: a dialed link connects without
+blocking. A refused connection, or a link whose stream ends, breaks or
+stops being frames, redials REDIAL_DELAY seconds later, and the new
+connection's outbuf is the hello followed by every message in unsent,
+each from its first byte. The protocol machines are idempotent against
+the resulting duplicates: a repeated writeRequest is re-acknowledged, a
 repeated readRequest does not relay twice, and relay bookkeeping is
-set-based, so retries are safe.
+set-based, so retries are safe. A frame that breaks the machine closes
+only its own connection.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
@@ -50,13 +54,13 @@ exists for scripted simulation only.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import socket
 import struct
 import threading
 import time
-from collections import deque
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Any, Optional
 
@@ -77,8 +81,8 @@ from .protocols import get_protocol
 
 MAX_FRAME = 1 << 20
 MAX_BACKLOG = 8 * MAX_FRAME  # unsent reply bytes that cut a client off
-RECV_SIZE = 1 << 16  # a daemon's read: every frame a wake-up finds
-LINK_RECV_SIZE = 1 << 12  # a client link's fixed read buffer
+RECV_SIZE = 1 << 16  # one read: every frame a wake-up finds
+REDIAL_DELAY = 0.02  # seconds from a refused or dropped link to its redial
 _LEN = struct.Struct(">I")
 # one of each for every frame: json.dumps(obj, separators=...) builds a
 # new encoder per call, and json.loads checks and strips its argument
@@ -138,24 +142,22 @@ class _Framer:
 
 
 def read_frames(sock: socket.socket):
-    """Yield decoded frames until the peer closes or sends garbage.
+    """Yield decoded frames from a blocking socket until the peer closes
+    or sends garbage.
 
-    Each wake-up is one recv_into a fixed buffer, whatever number of
-    frames it holds. Bytes past the last frame taken go with the
-    generator, so a socket is read through one generator only.
+    Bytes past the last frame taken go with the generator, so a socket
+    is read through one generator only.
     """
-    chunk = bytearray(LINK_RECV_SIZE)
-    view = memoryview(chunk)
     framer = _Framer()
     while True:
         try:
-            size = sock.recv_into(chunk)
+            data = sock.recv(RECV_SIZE)
         except OSError:
             return
-        if not size:
+        if not data:
             return
         try:
-            for body in framer.feed(view[:size]):
+            for body in framer.feed(data):
                 yield _unpack(body)
         except ValueError:  # an oversized header, bad UTF-8 or bad JSON
             return
@@ -178,241 +180,136 @@ def listen_host(explicit: Optional[str] = None) -> str:
     return os.environ.get("OHRAM_LISTEN") or explicit or "127.0.0.1"
 
 
-class Outbox:
-    """A dialed link: write-through sends, queue, dial loop, in-order flush."""
-
-    def __init__(self, own_pid: ProcessId, address: tuple[str, int],
-                 on_frame=None):
-        self.own_pid = own_pid
-        self.address = address
-        self.on_frame = on_frame  # receive path for client links
-        self.queue: deque[bytes] = deque()
-        self.head_sent = 0  # bytes of queue[0] already on self.sock
-        self.lock = threading.Lock()
-        self.wake = threading.Condition(self.lock)
-        self.sock: Optional[socket.socket] = None
-        self.closed = False
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-
-    def send(self, msg: Message) -> None:
-        """Write the frame now if the link is idle, else queue it.
-
-        Never blocks on the network: callers send while holding their
-        own locks.
-        """
-        frame = _pack({"type": "msg", "msg": message_to_json(msg)})
-        with self.wake:
-            if self.closed:
-                return
-            if self.sock is not None and not self.queue:
-                try:
-                    sent = self.sock.send(frame, socket.MSG_DONTWAIT)
-                except OSError:  # full buffer or broken link: flush decides
-                    sent = 0
-                if sent == len(frame):
-                    return
-                self.head_sent = sent
-            self.queue.append(frame)
-            self.wake.notify()
-
-    def close(self) -> None:
-        with self.wake:
-            self.closed = True
-            sock = self.sock
-            self.sock = None
-            self.wake.notify()
-        if sock is not None:
-            _close(sock)
-
-    def _run(self) -> None:
-        while True:
-            with self.wake:
-                if self.closed:
-                    return
-            sock = self._dial()
-            if sock is None:
-                continue
-            reader = None
-            if self.on_frame is not None:
-                reader = threading.Thread(
-                    target=self._read_loop, args=(sock,), daemon=True)
-                reader.start()
-            self._flush_loop(sock)
-            _close(sock)
-            if reader is not None:
-                reader.join(timeout=1.0)
-
-    def _dial(self) -> Optional[socket.socket]:
-        try:
-            sock = socket.create_connection(self.address, timeout=1.0)
-            sock.settimeout(None)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.sendall(_pack({"type": "hello", "pid": str(self.own_pid)}))
-        except OSError:
-            with self.wake:
-                if self.closed:
-                    return None
-            time.sleep(0.02)
-            return None
-        with self.wake:
-            if self.closed:
-                sock.close()
-                return None
-            self.sock = sock
-            self.head_sent = 0  # a new connection gets the head frame whole
-        return sock
-
-    def _flush_loop(self, sock: socket.socket) -> None:
-        # while the queue is non-empty, sends only append to it, so this
-        # thread is the link's only writer
-        while True:
-            with self.wake:
-                while not self.queue and not self.closed and self.sock is sock:
-                    self.wake.wait(timeout=0.5)
-                if self.closed or self.sock is not sock:
-                    return
-                frame, start = self.queue[0], self.head_sent
-            try:
-                sock.sendall(memoryview(frame)[start:])
-            except OSError:
-                with self.wake:
-                    self.sock = None
-                return  # frame stays queued for the next connection
-            with self.wake:
-                self.queue.popleft()
-                self.head_sent = 0
-
-    def _read_loop(self, sock: socket.socket) -> None:
-        for frame in read_frames(sock):
-            if isinstance(frame, dict) and frame.get("type") == "msg":
-                try:
-                    msg = message_from_json(frame["msg"])
-                except (AttributeError, LookupError, TypeError, ValueError):
-                    continue  # skipped, as a daemon skips it
-                self.on_frame(msg)
-        with self.wake:  # closed or garbled: take the link down to redial
-            if self.sock is sock:
-                self.sock = None
-                self.wake.notify()
-
-
 class _Conn:
-    """An accepted connection: bytes not yet framed, replies not yet sent."""
+    """A connection, accepted or dialed: bytes not yet framed, messages
+    not yet sent."""
 
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
+    def __init__(self, sock: Optional[socket.socket],
+                 address: Optional[tuple[str, int]] = None):
+        self.sock = sock  # None once dropped, and while a link waits to dial
         self.framer = _Framer()
         self.outbuf = bytearray()
-        self.unsent: list[Message] = []  # the replies behind outbuf
-        self.peer: Optional[ProcessId] = None  # set by its hello
+        self.unsent: list[Message] = []  # the messages behind outbuf
+        self.peer: Optional[ProcessId] = None  # set by an accepted one's hello
+        self.address = address  # where a dialed link (re)connects
+        self.redial_at = 0.0  # monotonic time of a waiting link's next dial
         self.events = EVENT_READ  # what the selector watches it for
 
 
-class ServerDaemon:
-    """One protocol server behind a listening TCP socket, on one loop."""
+class _Endpoint:
+    """One selector loop that owns every socket of a live endpoint.
 
-    def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
-                 host: Optional[str] = None, port: int = 0):
-        validate_config(config)
-        bundle = get_protocol(protocol)
-        if not bundle.runner_ok:
-            raise ModeMismatch(
-                f"protocol {protocol} is not allowed in the live runner")
+    The loop handles each batch of events under self.lock; any other
+    thread that sends holds the same lock. A subclass says what a
+    message does (_handle) and, for servers, how a connection is
+    accepted (_accept) and what a hello does (_hello).
+    """
+
+    def __init__(self, pid: ProcessId):
         self.pid = pid
-        self.config = config
-        self.machine = bundle.make_server(pid, config)
-        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        host = listen_host(host)
-        try:
-            self.listener.bind((host, port))
-        except OSError as e:
-            self.listener.close()
-            raise BindFailure(f"{pid}: cannot bind {host}:{port}: {e}")
-        self.listener.listen(64)
-        self.listener.setblocking(False)
-        self.address = self.listener.getsockname()
-        self.port = self.address[1]
-        self.outboxes: dict[ProcessId, Outbox] = {}
-        self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
-        # replies to a client with no connection, for its newest op only;
-        # ohsam acks each read once, so a lost reply would never return
-        self.held_replies: dict[ProcessId, list[Message]] = {}
-        # stop() ends select() through the waker; closing sockets does not
-        wake, self._waker = socket.socketpair()
+        self.lock = threading.Lock()
+        self.links: dict[ProcessId, _Conn] = {}  # dialed, by server
         self.selector = DefaultSelector()
-        self.selector.register(self.listener, EVENT_READ)
-        self.selector.register(wake, EVENT_READ)
+        # stop() and a drop off the loop thread end select() through the
+        # waker; closing sockets does not
+        self._wake, self._waker = socket.socketpair()
+        self.selector.register(self._wake, EVENT_READ)
         self.stopped = False
         self._thread: Optional[threading.Thread] = None
 
-    def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
-        """membership maps every server pid to its (host, port)."""
-        for peer, addr in membership.items():
-            if peer != self.pid:
-                self.outboxes[peer] = Outbox(self.pid, addr)
+    def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
+        for server, addr in servers.items():
+            self.links[server] = _Conn(None, addr)
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
-        if self.stopped:
-            return
-        self.stopped = True
-        self._waker.send(b"\0")
+        with self.lock:
+            if self.stopped:
+                return
+            self.stopped = True
+            self._waker.send(b"\0")
         if self._thread is not None:
             self._thread.join()
-        for box in self.outboxes.values():
-            box.close()
         for key in list(self.selector.get_map().values()):
             _close(key.fileobj)
         self.selector.close()
         _close(self._waker)
 
-    # kill == stop; the machine state is simply abandoned
-    kill = stop
-
     def _loop(self) -> None:
+        timeout = 0.0  # the links dial at once
         while not self.stopped:
-            for key, events in self.selector.select():
-                if key.data is not None:
-                    if events & EVENT_READ:
-                        self._read(key.data)
-                    if events & EVENT_WRITE:
-                        self._flush(key.data)
-                elif key.fileobj is self.listener:
-                    try:
-                        sock, _ = self.listener.accept()
-                    except OSError:  # the dialer is gone already
+            ready = self.selector.select(timeout)
+            with self.lock:
+                for key, events in ready:
+                    conn = key.data
+                    if conn is None:
+                        if key.fileobj is self._wake:
+                            self._wake.recv(64)
+                        else:
+                            self._accept()
                         continue
-                    sock.setblocking(False)
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    self.selector.register(sock, EVENT_READ, _Conn(sock))
+                    # a connection dropped earlier in this batch is skipped
+                    if events & EVENT_READ and conn.sock is key.fileobj:
+                        self._read(conn)
+                    if events & EVENT_WRITE and conn.sock is key.fileobj:
+                        self._flush(conn)
+                timeout = self._redial()
+
+    def _redial(self) -> Optional[float]:
+        """Dial every waiting link that is due; return the seconds until
+        the next one is, or None if no link waits."""
+        now = time.monotonic()
+        wait = None
+        for link in self.links.values():
+            if link.sock is None and link.redial_at <= now:
+                self._dial(link)
+            if link.sock is None:
+                left = max(0.0, link.redial_at - now)
+                wait = left if wait is None else min(wait, left)
+        return wait
+
+    def _dial(self, link: _Conn) -> None:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if sock.connect_ex(link.address) not in (0, errno.EINPROGRESS):
+                raise ConnectionRefusedError
+        except OSError:  # refused at once, or a host that does not resolve
+            sock.close()
+            link.redial_at = time.monotonic() + REDIAL_DELAY
+            return
+        link.sock = sock
+        link.framer = _Framer()
+        link.outbuf = bytearray(_pack({"type": "hello", "pid": str(self.pid)}))
+        for msg in link.unsent:  # at-least-once: each from its first byte
+            link.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
+        link.events = EVENT_READ | EVENT_WRITE
+        self.selector.register(sock, link.events, link)
 
     def _read(self, conn: _Conn) -> None:
+        sock = conn.sock
         try:
-            data = conn.sock.recv(RECV_SIZE)
+            data = sock.recv(RECV_SIZE)
         except BlockingIOError:
             return
         except OSError:
             data = b""
         if not data:
             return self._drop(conn)
-        try:  # a frame this server cannot take closes its connection
+        try:  # a frame this endpoint cannot take closes its connection
             for body in conn.framer.feed(data):
                 self._frame(conn, _unpack(body))
-                if conn.sock.fileno() < 0:
-                    return  # the frame's replies cut the connection off
+                if conn.sock is not sock:
+                    return  # the frame's sends cut the connection off
         except Exception:
             self._drop(conn)
 
     def _frame(self, conn: _Conn, frame) -> None:
         ftype = frame.get("type") if isinstance(frame, dict) else None
         if ftype == "hello":
-            conn.peer = parse_pid(frame["pid"])
-            self.client_conns[conn.peer] = conn
-            for msg in self.held_replies.pop(conn.peer, []):
-                self._reply(conn, msg)
+            self._hello(conn, parse_pid(frame["pid"]))
         elif ftype == "msg":
             try:
                 msg = message_from_json(frame["msg"])
@@ -420,47 +317,17 @@ class ServerDaemon:
                 return  # an unreadable message is skipped
             self._handle(msg)
 
-    def _drop(self, conn: _Conn) -> None:
-        if conn.sock.fileno() < 0:
-            return  # dropped already
-        if self.client_conns.get(conn.peer) is conn:
-            del self.client_conns[conn.peer]
-        self.selector.unregister(conn.sock)
-        _close(conn.sock)
-        for msg in conn.unsent:  # to the client's newer connection, or held
-            self._route(msg)
+    def _hello(self, conn: _Conn, peer: ProcessId) -> None:
+        pass  # only servers are dialed
 
-    def _handle(self, msg: Message) -> None:
+    def _send(self, conn: _Conn, msg: Message) -> None:
+        """Frame msg onto conn and write what the kernel takes now."""
         if self.stopped:
             return
-        for out in self.machine.on_message(msg):
-            self._route(out)
-
-    def _route(self, msg: Message) -> None:
-        dest = msg.destination
-        if dest == self.pid:  # a self-addressed relay goes straight back in
-            self._handle(msg)
-        elif dest in self.outboxes:
-            self.outboxes[dest].send(msg)
-        elif dest in self.client_conns:
-            self._reply(self.client_conns[dest], msg)
-        else:
-            self._hold(msg)
-
-    def _hold(self, msg: Message) -> None:
-        # a newer op of a well-formed client retires the older op's replies
-        held = self.held_replies.setdefault(msg.destination, [])
-        if held and held[0].op.seq < msg.op.seq:
-            held.clear()
-        if not held or held[0].op.seq == msg.op.seq:
-            held.append(msg)
-
-    def _reply(self, conn: _Conn, msg: Message) -> None:
-        conn.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
         conn.unsent.append(msg)
-        self._flush(conn)
-        if len(conn.outbuf) > MAX_BACKLOG:
-            self._drop(conn)
+        if conn.sock is not None:  # else the link's next dial frames it
+            conn.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
+            self._flush(conn)
 
     def _flush(self, conn: _Conn) -> None:
         """Send what the kernel takes; ask for EVENT_WRITE while bytes wait."""
@@ -477,8 +344,115 @@ class ServerDaemon:
             self.selector.modify(conn.sock, events, conn)
             conn.events = events
 
+    def _drop(self, conn: _Conn) -> None:
+        sock, conn.sock = conn.sock, None
+        if sock is None:
+            return  # dropped already
+        self.selector.unregister(sock)
+        _close(sock)
+        if conn.address is not None:  # a link keeps unsent for its redial
+            conn.outbuf.clear()
+            conn.redial_at = time.monotonic() + REDIAL_DELAY
+            self._waker.send(b"\0")  # the loop's select() timeout is stale
 
-class Client:
+
+class ServerDaemon(_Endpoint):
+    """One protocol server behind a listening TCP socket, on one loop."""
+
+    def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
+                 host: Optional[str] = None, port: int = 0):
+        validate_config(config)
+        bundle = get_protocol(protocol)
+        if not bundle.runner_ok:
+            raise ModeMismatch(
+                f"protocol {protocol} is not allowed in the live runner")
+        self.config = config
+        self.machine = bundle.make_server(pid, config)
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        host = listen_host(host)
+        try:
+            self.listener.bind((host, port))
+        except OSError as e:
+            self.listener.close()
+            raise BindFailure(f"{pid}: cannot bind {host}:{port}: {e}")
+        self.listener.listen(64)
+        self.listener.setblocking(False)
+        self.address = self.listener.getsockname()
+        self.port = self.address[1]
+        super().__init__(pid)
+        self.selector.register(self.listener, EVENT_READ)
+        self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
+        # replies to a client with no connection, for its newest op only;
+        # ohsam acks each read once, so a lost reply would never return
+        self.held_replies: dict[ProcessId, list[Message]] = {}
+
+    def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
+        """membership maps every server pid to its (host, port)."""
+        self._start({peer: addr for peer, addr in membership.items()
+                     if peer != self.pid})
+
+    # kill == stop; the machine state is simply abandoned
+    kill = _Endpoint.stop
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self.listener.accept()
+        except OSError:  # the dialer is gone already
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.selector.register(sock, EVENT_READ, _Conn(sock))
+
+    def _hello(self, conn: _Conn, peer: ProcessId) -> None:
+        conn.peer = peer
+        self.client_conns[peer] = conn
+        for msg in self.held_replies.pop(peer, []):
+            self._reply(conn, msg)
+
+    def _drop(self, conn: _Conn) -> None:
+        if conn.sock is None:
+            return  # dropped already
+        super()._drop(conn)
+        if conn.address is None:
+            if self.client_conns.get(conn.peer) is conn:
+                del self.client_conns[conn.peer]
+            # to the client's newer connection, or held
+            for msg in conn.unsent:
+                self._route(msg)
+
+    def _handle(self, msg: Message) -> None:
+        if self.stopped:
+            return
+        for out in self.machine.on_message(msg):
+            self._route(out)
+
+    def _route(self, msg: Message) -> None:
+        dest = msg.destination
+        if dest == self.pid:  # a self-addressed relay goes straight back in
+            self._handle(msg)
+        elif dest in self.links:
+            self._send(self.links[dest], msg)
+        elif dest in self.client_conns:
+            self._reply(self.client_conns[dest], msg)
+        else:
+            self._hold(msg)
+
+    def _hold(self, msg: Message) -> None:
+        # a newer op of a well-formed client retires the older op's replies
+        held = self.held_replies.setdefault(msg.destination, [])
+        if held and held[0].op.seq < msg.op.seq:
+            held.clear()
+        if not held or held[0].op.seq == msg.op.seq:
+            held.append(msg)
+
+    def _reply(self, conn: _Conn, msg: Message) -> None:
+        self._send(conn, msg)
+        if len(conn.outbuf) > MAX_BACKLOG:
+            self._drop(conn)
+
+
+class Client(_Endpoint):
     """Synchronous reader/writer endpoint over the live network."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str,
@@ -489,7 +463,7 @@ class Client:
         if not bundle.runner_ok:
             raise ModeMismatch(
                 f"protocol {protocol} is not allowed in the live runner")
-        self.pid = pid
+        super().__init__(pid)
         self.config = config
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget
@@ -498,34 +472,28 @@ class Client:
         else:
             self.machine = bundle.make_reader(pid, config)
         self.bundle = bundle
-        self.lock = threading.Lock()
         self.done = threading.Condition(self.lock)
         self._completion = None
         self._current: list[Message] = []
         self.history: list[OpRecord] = []
-        self.links = {s: Outbox(pid, membership[s], on_frame=self._on_msg)
-                      for s in config.servers()}
+        self._start({s: membership[s] for s in config.servers()})
 
-    def close(self) -> None:
-        for box in self.links.values():
-            box.close()
+    close = _Endpoint.stop
 
     def _broadcast(self, msgs: list[Message]) -> None:
         for m in msgs:
-            box = self.links.get(m.destination)
-            if box is not None:
-                box.send(m)
+            link = self.links.get(m.destination)
+            if link is not None:
+                self._send(link, m)
 
-    def _on_msg(self, msg: Message) -> None:
-        with self.done:
-            outs, completion = self.machine.on_message(msg)
-            if outs:
-                self._current = outs
-            if completion is not None:
-                self._completion = completion
-                self.done.notify_all()
+    def _handle(self, msg: Message) -> None:
+        outs, completion = self.machine.on_message(msg)
         if outs:
+            self._current = outs
             self._broadcast(outs)
+        if completion is not None:
+            self._completion = completion
+            self.done.notify_all()
 
     def _run_op(self, kind: str, invoke) -> OpRecord:
         with self.done:
@@ -534,9 +502,8 @@ class Client:
             value = self.machine.value if kind == "write" else None
             self._completion = None
             self._current = msgs
-        self._broadcast(msgs)
-        retries = 0
-        with self.done:
+            self._broadcast(msgs)
+            retries = 0
             while self._completion is None:
                 if not self.done.wait(timeout=self.retry_interval):
                     retries += 1
@@ -544,10 +511,7 @@ class Client:
                         raise QuorumUnreachable(
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
-                    # an outbox send writes without blocking (or queues
-                    # for its link's thread), so rebroadcasting under the
-                    # lock is fine
-                    self._broadcast(list(self._current))
+                    self._broadcast(self._current)
             completion = self._completion
             t1 = time.monotonic_ns()
             rec = OpRecord(op=completion.op, kind=kind, invoker=self.pid,

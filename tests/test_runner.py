@@ -35,7 +35,6 @@ from ohram.core import (
 from ohram.runner import (
     MAX_FRAME,
     Client,
-    Outbox,
     ServerDaemon,
     _Conn,
     _pack,
@@ -262,20 +261,14 @@ def test_server_links_run_no_reader_thread():
     reader = Client(parse_pid("r1"), SWMR, "ohsam", membership)
     try:
         reader.read()
-        boxes = [b for d in daemons for b in d.outboxes.values()]
-        boxes += reader.links.values()
-
-        def read_loops():
-            return [t for t in threading.enumerate()
-                    if t not in before and t.name.endswith("(_read_loop)")]
-
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and (
-                any(b.sock is None for b in boxes) or len(read_loops()) < 3):
-            time.sleep(0.01)
-        assert all(b.sock is not None for b in boxes)
-        # one reader per client link; none for the six server links
-        assert len(read_loops()) == len(reader.links) == 3
+        links = [link for e in daemons + [reader] for link in e.links.values()]
+        # every link is connected and has its hello on the wire
+        assert wait_for(lambda: all(
+            link.sock is not None and not link.outbuf for link in links))
+        extra = [t for t in threading.enumerate() if t not in before]
+        # one loop per endpoint; nothing per link or per connection
+        assert len(extra) == len(daemons) + 1 == 4
+        assert all(t.name.endswith("(_loop)") for t in extra)
     finally:
         stop_all(daemons, [reader])
 
@@ -313,14 +306,37 @@ def received_seqs(conn, count):
             for _ in range(count)]
 
 
-def fill_until_queued(box, seq=0):
-    """Send until a frame queues because the kernel took none or only part
+ONE = Config(n_servers=1, n_readers=1, n_writers=1, f=0, mode="swmr")
+
+
+def writer_link(srv):
+    """A writer client whose one link dials srv, standing in for s1."""
+    writer = Client(W1, ONE, "ohsam", {S1: srv.getsockname()})
+    return writer, writer.links[S1]
+
+
+def send(client, msg):
+    """Send msg on the client's link, as a broadcast does; True if part
+    of its frame is left waiting for the socket to drain."""
+    with client.lock:
+        link = client.links[msg.destination]
+        client._send(link, msg)
+        return bool(link.outbuf)
+
+
+def hello_sent(link):
+    return wait_for(lambda: link.sock is not None and not link.outbuf)
+
+
+def fill_until_queued(client, seq=0):
+    """Send until a frame waits because the kernel took none or only part
     of it; return the last seq and the slowest send in seconds."""
     slowest = 0.0
-    while not box.queue:
+    queued = False
+    while not queued:
         seq += 1
         t0 = time.perf_counter()
-        box.send(write_request(seq))
+        queued = send(client, write_request(seq))
         slowest = max(slowest, time.perf_counter() - t0)
         assert seq < 100_000, "the kernel never refused a frame"
     return seq, slowest
@@ -329,54 +345,54 @@ def fill_until_queued(box, seq=0):
 def test_sends_to_a_peer_that_never_reads_never_block():
     srv = peer_listener()
     srv.listen(1)
-    box = Outbox(W1, srv.getsockname())
+    writer, link = writer_link(srv)
     conn, _ = srv.accept()
     sent = {}
 
     def sender():
-        last, slowest = fill_until_queued(box)
-        # the peer's buffers are full: every further send queues
+        last, slowest = fill_until_queued(writer)
+        # the peer's buffers are full: every further send waits in outbuf
         for _ in range(2000):
             last += 1
             t0 = time.perf_counter()
-            box.send(write_request(last))
+            send(writer, write_request(last))
             slowest = max(slowest, time.perf_counter() - t0)
         sent.update(last=last, slowest=slowest)
 
     try:
-        assert wait_for(lambda: box.sock is not None)
+        assert hello_sent(link)
         thread = threading.Thread(target=sender, daemon=True)
         thread.start()
         thread.join(timeout=60.0)
         assert not thread.is_alive(), "a send blocked"
-        assert box.queue
+        assert link.outbuf
         assert sent["slowest"] < 0.1
         last = sent["last"]
         assert received_seqs(conn, last) == list(range(1, last + 1))
-        assert wait_for(lambda: not box.queue)
+        assert wait_for(lambda: not link.outbuf)
     finally:
         conn.close()  # first: resets the link, so even a blocked send returns
-        box.close()
+        writer.close()
         srv.close()
 
 
 def test_frames_queued_while_the_peer_is_down_go_first():
     srv = peer_listener()  # bound, not listening: dials are refused
-    box = Outbox(W1, srv.getsockname())
+    writer, link = writer_link(srv)
     conn = None
     try:
         for seq in range(1, 6):
-            box.send(write_request(seq, size=10))
-        assert box.sock is None and len(box.queue) == 5
+            send(writer, write_request(seq, size=10))
+        with writer.lock:
+            assert [m.op.seq for m in link.unsent] == [1, 2, 3, 4, 5]
         srv.listen(1)
         conn, _ = srv.accept()
-        assert wait_for(lambda: box.sock is not None and not box.queue)
-        for seq in range(6, 11):
-            box.send(write_request(seq, size=10))
-            assert not box.queue  # written through
+        assert hello_sent(link)
+        for seq in range(6, 11):  # each written through
+            assert not send(writer, write_request(seq, size=10))
         assert received_seqs(conn, 10) == list(range(1, 11))
     finally:
-        box.close()
+        writer.close()
         if conn is not None:
             conn.close()
         srv.close()
@@ -385,23 +401,24 @@ def test_frames_queued_while_the_peer_is_down_go_first():
 def test_a_head_frame_cut_short_is_resent_whole_on_reconnect():
     srv = peer_listener()
     srv.listen(2)
-    box = Outbox(W1, srv.getsockname())
+    writer, link = writer_link(srv)
     first, _ = srv.accept()
     second = None
     try:
-        assert wait_for(lambda: box.sock is not None)
-        last, _ = fill_until_queued(box)
-        assert 0 < box.head_sent < len(box.queue[0])  # a partial write
+        assert hello_sent(link)
+        last, _ = fill_until_queued(writer)
+        with writer.lock:  # a partial write: the head frame's tail waits
+            assert 0 < len(link.outbuf) < len(msg_frame(write_request(last)))
         for _ in range(3):
             last += 1
-            box.send(write_request(last))
+            send(writer, write_request(last))
         head = last - 3
         first.close()  # unread data: the peer resets the connection
         second, _ = srv.accept()
         assert received_seqs(second, 4) == list(range(head, last + 1))
-        assert wait_for(lambda: not box.queue)
+        assert wait_for(lambda: not link.outbuf)
     finally:
-        box.close()
+        writer.close()
         first.close()
         if second is not None:
             second.close()
@@ -624,21 +641,22 @@ def read_ack(seq, value="v"):
 
 
 def client_link(got):
-    """A listener standing in for s1, and a client link to it that
-    appends every message it receives to got."""
+    """A listener standing in for s1, and a reader client whose one link
+    dials it and appends every message it receives to got."""
     srv = peer_listener()
     srv.listen(1)
-    box = Outbox(R1, srv.getsockname(), on_frame=got.append)
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()})
+    reader._handle = got.append
     conn, _ = srv.accept()
     conn.settimeout(10.0)
     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     assert next(read_frames(conn)) == {"type": "hello", "pid": "r1"}
-    return srv, box, conn
+    return srv, reader, conn
 
 
 def test_a_client_link_frames_a_byte_stream_however_it_is_cut():
     got = []
-    srv, box, conn = client_link(got)
+    srv, reader, conn = client_link(got)
     try:
         batch = [read_ack(seq, "x" * (seq % 50)) for seq in range(1, 201)]
         conn.sendall(b"".join(msg_frame(m) for m in batch))
@@ -650,7 +668,7 @@ def test_a_client_link_frames_a_byte_stream_however_it_is_cut():
         assert wait_for(lambda: len(got) >= 203)
         assert got == batch + dribbled
     finally:
-        box.close()
+        reader.close()
         conn.close()
         srv.close()
 
@@ -715,3 +733,59 @@ def test_a_client_link_redials_when_its_stream_is_garbled():
         for conn in conns:
             conn.close()
         srv.close()
+
+
+def test_a_read_completes_past_an_ack_without_a_tag():
+    three = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
+    servers = {s: peer_listener() for s in three.servers()}
+    for srv in servers.values():
+        srv.listen(1)
+    reader = Client(R1, three, "ohsam",
+                    {s: srv.getsockname() for s, srv in servers.items()},
+                    retry_interval=0.05, retry_budget=40)
+    done = {}
+    thread = threading.Thread(
+        target=lambda: done.update(rec=reader.read()), daemon=True)
+    thread.start()
+    conns = {}
+    try:
+        for s, srv in servers.items():
+            conns[s], request = accept_read_request(srv)
+        s1, s2, s3 = three.servers()
+        tagged = Message(KIND_READ_ACK, request.op, s1, R1,
+                         tag=Tag(1, W1), value="v")
+        conns[s1].sendall(msg_frame(tagged))
+        conns[s2].sendall(msg_frame(Message(KIND_READ_ACK, request.op, s2, R1,
+                                            value="none")))
+        time.sleep(0.2)  # the tagless ack goes in before the quorum can
+        tagged.sender = s3
+        conns[s3].sendall(msg_frame(tagged))
+        thread.join(timeout=10.0)
+        assert (done["rec"].op, done["rec"].value) == (request.op, "v")
+    finally:
+        reader.close()
+        for sock in list(conns.values()) + list(servers.values()):
+            sock.close()
+
+
+def test_links_redial_a_server_restarted_on_its_port():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    reader = Client(parse_pid("r1"), SWMR, "ohsam", membership)
+    try:
+        writer.write("A")
+        reader.read()
+        old = daemons[2]
+        old.stop()
+        daemons[2] = ServerDaemon(old.pid, SWMR, "ohsam", port=old.port)
+        daemons[2].start(membership)
+        # s2 and s3 are the only majority left: the clients' links and
+        # s2's relay link to s3 must all have redialed the new s3
+        daemons[0].kill()
+        wrec = writer.write("B")
+        rrec = reader.read()
+        assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+        history = merge_histories(writer.history, reader.history)
+        assert check_bruteforce(history).atomic
+    finally:
+        stop_all(daemons, [writer, reader])
