@@ -24,9 +24,10 @@ relays, adopting any higher timestamp it sees, and once relays for the
 operation have arrived from a majority of servers it answers the reader
 once with its current timestamp and value. The reader completes on a
 majority of readAcks and returns the value with the MINIMUM timestamp
-among them. Relays are never discarded: relays that arrive before the
-direct readRequest count toward the majority all the same, and a server
-broadcasts its own relay only upon receiving the actual readRequest.
+among them. Relays are kept until the read is answered: relays that
+arrive before the direct readRequest count toward the majority all the
+same, and a server broadcasts its own relay only upon receiving the
+actual readRequest.
 
 Timestamps are carried as tags with the writer id pinned, which makes the
 single-writer timestamp a plain natural number while letting the
@@ -165,15 +166,19 @@ class ReaderStateS(QuorumClient):
 
 @dataclass
 class ServerStateS:
-    """Server: register replica plus read-relay bookkeeping.
+    """Server: register replica plus read bookkeeping per invoker.
 
-    relays[op] records which servers' relays for a pending read have
-    arrived; entries are never discarded before the op is answered, and
-    an answered op's entry, with its relayed mark, is retained until a
-    later read message from the same invoker arrives. relay_ops groups
-    the keys of relays by invoker, so that retirement looks at one
-    client's entries only. acked_reads makes the one-answer-per-read
-    rule explicit.
+    relays[op] holds the origins whose relays for a read have arrived and
+    relayed the reads this server has relayed. horizon[invoker] is the
+    seq at or below which the invoker's reads are retired: a read message
+    for (invoker, seq) moves it past read h+1 while h+1 < seq and h+1 has
+    relays from a majority, dropping h+1's entries. A retired read keeps
+    no state: its readRequest still relays and its relays still pass on
+    their tag, but never bring another readAck. An open read relays once
+    and is answered when a new origin brings its relays to a majority.
+    An older read that never gathers a majority here (live, a relay lost
+    at a dropped link) blocks its invoker's horizon, and the invoker's
+    later reads keep their entries.
     """
 
     pid: ProcessId
@@ -182,8 +187,7 @@ class ServerStateS:
     value: Optional[str] = BOTTOM
     relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
     relayed: set[OpId] = field(default_factory=set)
-    acked_reads: set[OpId] = field(default_factory=set)
-    relay_ops: dict[ProcessId, set[OpId]] = field(default_factory=dict)
+    horizon: dict[ProcessId, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tag is None:
@@ -201,31 +205,47 @@ class ServerStateS:
     # -- read path (shared verbatim with the multi-writer algorithm) --
 
     def on_read_request(self, msg: Message) -> list[Message]:
-        # Attach the current timestamp without update; relay once per op.
-        self._gc(msg.op)
-        if msg.op in self.relayed:
-            return []
-        self.relayed.add(msg.op)
+        # Attach the current timestamp without update; relay once per
+        # open read, and statelessly for a retired one.
+        op = msg.op
+        if op.seq > self._advance(op):
+            if op in self.relayed:
+                return []
+            self.relayed.add(op)
         return [
-            Message(KIND_READ_RELAY, msg.op, self.pid, s,
+            Message(KIND_READ_RELAY, op, self.pid, s,
                     tag=self.tag, value=self.value, relay_origin=self.pid)
             for s in self.config.servers()
         ]
 
     def on_read_relay(self, msg: Message) -> list[Message]:
-        self._gc(msg.op)
+        op = msg.op
         self._adopt(msg.tag, msg.value)
-        origins = self.relays.get(msg.op)
+        if op.seq <= self._advance(op):
+            return []
+        origins = self.relays.get(op)
         if origins is None:
-            origins = self.relays[msg.op] = set()
-            self.relay_ops.setdefault(msg.op.invoker, set()).add(msg.op)
+            origins = self.relays[op] = set()
+        if msg.relay_origin in origins:
+            return []
         origins.add(msg.relay_origin)
-        if (len(origins) >= quorum_size(self.config.n_servers)
-                and msg.op not in self.acked_reads):
-            self.acked_reads.add(msg.op)
-            return [Message(KIND_READ_ACK, msg.op, self.pid, msg.op.invoker,
+        if len(origins) == quorum_size(self.config.n_servers):
+            return [Message(KIND_READ_ACK, op, self.pid, op.invoker,
                             tag=self.tag, value=self.value)]
         return []
+
+    def _advance(self, op: OpId) -> int:
+        # Retire the invoker's answered reads below op, oldest first.
+        invoker, h = op.invoker, self.horizon.get(op.invoker, 0)
+        while h + 1 < op.seq:
+            old = OpId(invoker, h + 1)
+            if (len(self.relays.get(old, ()))
+                    < quorum_size(self.config.n_servers)):
+                break
+            del self.relays[old]
+            self.relayed.discard(old)
+            h = self.horizon[invoker] = h + 1
+        return h
 
     # -- write path --
 
@@ -239,15 +259,3 @@ class ServerStateS:
         if tag_less(self.tag, tag):
             self.tag = tag
             self.value = value
-
-    def _gc(self, op: OpId) -> None:
-        # Horizon rule: seeing a later operation from the same invoker
-        # retires answered entries for that invoker's earlier operations.
-        ops = self.relay_ops.get(op.invoker)
-        if not ops:
-            return
-        stale = [o for o in ops if o.seq < op.seq and o in self.acked_reads]
-        for o in stale:
-            ops.remove(o)
-            del self.relays[o]
-            self.relayed.discard(o)

@@ -37,10 +37,11 @@ blocking. A refused connection, or a link whose stream ends, breaks or
 stops being frames, redials REDIAL_DELAY seconds later, and the new
 connection's outbuf is the hello followed by every message in unsent,
 each from its first byte. The protocol machines are idempotent against
-the resulting duplicates: a repeated writeRequest is re-acknowledged, a
-repeated readRequest does not relay twice, and relay bookkeeping is
-set-based, so retries are safe. A frame that breaks the machine closes
-only its own connection.
+the resulting duplicates: a repeated writeRequest is re-acknowledged,
+a repeated readRequest relays once while the read is open; a request
+for a retired read relays again, and relay bookkeeping is set-based, so
+no read is answered twice. A frame that breaks the machine closes only
+its own connection.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
@@ -139,28 +140,6 @@ class _Framer:
             body = buf[_LEN.size:end]
             del buf[:end]
             yield body
-
-
-def read_frames(sock: socket.socket):
-    """Yield decoded frames from a blocking socket until the peer closes
-    or sends garbage.
-
-    Bytes past the last frame taken go with the generator, so a socket
-    is read through one generator only.
-    """
-    framer = _Framer()
-    while True:
-        try:
-            data = sock.recv(RECV_SIZE)
-        except OSError:
-            return
-        if not data:
-            return
-        try:
-            for body in framer.feed(data):
-                yield _unpack(body)
-        except ValueError:  # an oversized header, bad UTF-8 or bad JSON
-            return
 
 
 def _close(sock: socket.socket) -> None:

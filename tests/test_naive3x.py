@@ -2,6 +2,7 @@
 
 import pytest
 
+from ohram.checker import check_history
 from ohram.core import (
     Config,
     Message,
@@ -13,6 +14,7 @@ from ohram.core import (
 )
 from ohram.naive3x import Naive3xServer, Naive3xWriter, default_x, order_writes
 from ohram.protocols import get_protocol
+from ohram.simnet import simulate
 
 CFG = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
 W1, W2 = writer_id(1), writer_id(2)
@@ -138,3 +140,17 @@ def test_protocol_registry_rejects_unknown_names():
     from ohram.core import ModeMismatch
     with pytest.raises(ModeMismatch):
         get_protocol("paxos")
+
+
+def test_seed_1059_is_a_non_atomic_run():
+    """The one uniform seed in 10,000 (n=3, x=2, six ops, no crashes)
+    whose run breaks atomicity: a yardstick for schedule search."""
+    result = simulate("naive3x", CFG, 1059, max_ops=6, max_crashes=0, x=2)
+    assert result.events == 96 and not result.crashed
+    verdict = check_history(result.history)
+    assert verdict.to_json() == {"atomic": False, "method": "bruteforce",
+                                 "violation": {
+                                     "property": "P3",
+                                     "pair": ["w2#1", "r1#2"],
+                                     "explanation": "no linearization can "
+                                     "place r1#2 (returned 'C#w1.2')"}}

@@ -11,6 +11,7 @@ from ohram.core import (
     NotWellFormed,
     OpId,
     Tag,
+    quorum_size,
     tag_less,
     reader_id,
     server_id,
@@ -18,6 +19,7 @@ from ohram.core import (
 )
 from ohram.ohmam import ServerStateM
 from ohram.ohsam import ReaderStateS, ServerStateS, WriterStateS
+from ohram.simnet import SimNet
 
 CFG = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
 W1 = writer_id(1)
@@ -117,12 +119,13 @@ def test_relays_arriving_before_the_request_still_count():
     s = ServerStateS(S3, CFG)
     op = OpId(R1, 1)
     t = Tag(2, W1)
-    s.on_message(relay(op, S1, S3, S1, t, "B#w1.2"))
-    s.on_message(relay(op, S2, S3, S2, t, "B#w1.2"))
+    assert s.on_message(relay(op, S1, S3, S1, t, "B#w1.2")) == []
+    outs = s.on_message(relay(op, S2, S3, S2, t, "B#w1.2"))
+    assert [m.kind for m in outs] == ["readAck"]
+    assert (outs[0].tag, outs[0].value) == (t, "B#w1.2")
     outs = s.on_message(Message("readRequest", op, R1, S3))
     # the late request triggers this server's own relay round only
     assert [m.kind for m in outs] == ["readRelay"] * 3
-    assert op in s.acked_reads
 
 
 def test_server_adopts_larger_relay_tag():
@@ -203,22 +206,113 @@ def test_server_tag_never_decreases(updates):
         seen = s.tag
 
 
-def _full_scan_gc(server, op):
-    """The horizon rule as first written: a scan over every relay entry."""
-    stale = [o for o in server.relays
-             if o.invoker == op.invoker and o.seq < op.seq
-             and o in server.acked_reads]
-    for o in stale:
-        del server.relays[o]
-        server.relayed.discard(o)
+def test_a_retired_read_relays_again_and_keeps_no_state():
+    s = ServerStateS(S1, CFG)
+    old, new = OpId(R1, 1), OpId(R1, 2)
+    s.on_message(Message("readRequest", old, R1, S1))
+    s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
+    s.on_message(relay(old, S3, S1, S3, Tag(1, W1), "A#w1.1"))
+    s.on_message(Message("readRequest", new, R1, S1))
+    relays, relayed = dict(s.relays), set(s.relayed)
+    assert old not in relays and old not in relayed
+    outs = s.on_message(Message("readRequest", old, R1, S1))
+    assert [m.kind for m in outs] == ["readRelay"] * 3
+    assert (s.relays, s.relayed) == (relays, relayed)
 
 
-class FullScanS(ServerStateS):
-    _gc = _full_scan_gc
+def test_a_retired_read_is_never_answered_again():
+    s = ServerStateS(S1, CFG)
+    old, new = OpId(R1, 1), OpId(R1, 2)
+    s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
+    assert [m.kind for m in s.on_message(
+        relay(old, S3, S1, S3, Tag(1, W1), "A#w1.1"))] == ["readAck"]
+    s.on_message(Message("readRequest", new, R1, S1))
+    for origin in (S1, S2, S3):  # every origin is new to the retired read
+        assert s.on_message(relay(old, origin, S1, origin, Tag(2, W1),
+                                  "B#w1.2")) == []
+    assert (s.tag, s.value) == (Tag(2, W1), "B#w1.2")  # the tag still counts
+    assert old not in s.relays
 
 
-class FullScanM(ServerStateM):
-    _gc = _full_scan_gc
+def test_sequential_reads_leave_one_entry_per_reader():
+    s = ServerStateS(S1, CFG)
+    acks = 0
+    for seq in range(1, 1001):
+        op = OpId(R1, seq)
+        s.on_message(Message("readRequest", op, R1, S1))
+        for origin in (S1, S2, S3):
+            acks += len(s.on_message(relay(op, origin, S1, origin,
+                                           Tag(0, S1), None)))
+        assert len(s.relays) <= 1 and len(s.relayed) <= 1
+    assert acks == 1000
+    assert s.horizon == {R1: 999}
+
+
+@pytest.mark.parametrize("protocol, mode", [("ohsam", "swmr"),
+                                            ("ohmam", "mwmr")])
+def test_servers_hold_one_read_per_reader_after_a_long_run(protocol, mode):
+    cfg = Config(n_servers=5, n_readers=5, n_writers=1, f=2, mode=mode)
+    net = SimNet(protocol, cfg, seed=7)
+    for pid in cfg.readers():
+        net.load_program(pid, [("read", None)] * 200)
+    net.load_program(writer_id(1), [("write", "A")] * 20)
+    net.pending_crashes = [server_id(2), server_id(5)]
+    net.run_seeded()
+    assert len(net.history) == 1020 and not net.invariant_failures
+    live = [s for pid, s in net.servers.items() if pid not in net.crashed]
+    assert len(live) == 3
+    for s in live:
+        assert len(s.relays) <= 5 and len(s.relayed) <= 5
+
+
+class _AckedReads:
+    """The read bookkeeping the horizon replaced, kept as a reference.
+
+    relays and relayed as in the server; acked_reads grows with every
+    read answered, and a read message retires every answered entry of
+    its invoker's earlier reads, by a scan over all entries.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.acked_reads = set()
+
+    def on_read_request(self, msg):
+        self._gc(msg.op)
+        if msg.op in self.relayed:
+            return []
+        self.relayed.add(msg.op)
+        return [Message("readRelay", msg.op, self.pid, s, tag=self.tag,
+                        value=self.value, relay_origin=self.pid)
+                for s in self.config.servers()]
+
+    def on_read_relay(self, msg):
+        self._gc(msg.op)
+        self._adopt(msg.tag, msg.value)
+        origins = self.relays.setdefault(msg.op, set())
+        origins.add(msg.relay_origin)
+        if (len(origins) >= quorum_size(self.config.n_servers)
+                and msg.op not in self.acked_reads):
+            self.acked_reads.add(msg.op)
+            return [Message("readAck", msg.op, self.pid, msg.op.invoker,
+                            tag=self.tag, value=self.value)]
+        return []
+
+    def _gc(self, op):
+        stale = [o for o in self.relays
+                 if o.invoker == op.invoker and o.seq < op.seq
+                 and o in self.acked_reads]
+        for o in stale:
+            del self.relays[o]
+            self.relayed.discard(o)
+
+
+class FullScanS(_AckedReads, ServerStateS):
+    pass
+
+
+class FullScanM(_AckedReads, ServerStateM):
+    pass
 
 
 def _random_traffic(rng, steps):
@@ -250,15 +344,33 @@ def _random_traffic(rng, steps):
                           tag=Tag(writes, W1), value=f"w{writes}")
 
 
+def _once(traffic):
+    """The simulator's delivery model: each request and each (op, origin)
+    relay arrives once."""
+    seen = set()
+    for msg in traffic:
+        key = (msg.kind, msg.op, msg.relay_origin)
+        if msg.kind == "writeRequest" or key not in seen:
+            seen.add(key)
+            yield msg
+
+
 @pytest.mark.parametrize("indexed, reference",
                          [(ServerStateS, FullScanS), (ServerStateM, FullScanM)])
 def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
+    """The horizon answers exactly as the old bookkeeping under the
+    simulator's delivery model. With duplicates, the two differ only on
+    whether a repeated readRequest relays again, and neither acks twice."""
     seen = {"early relay": 0, "late request": 0, "duplicate relay": 0,
             "retired": 0}
     for seed in range(40):
-        rng = random.Random(seed)
         new, old = indexed(S1, CFG), reference(S1, CFG)
-        for msg in _random_traffic(rng, 150):
+        for msg in _once(_random_traffic(random.Random(seed), 300)):
+            assert new.on_message(msg) == old.on_message(msg)
+            assert (new.tag, new.value) == (old.tag, old.value)
+        new, old = indexed(S1, CFG), reference(S1, CFG)
+        acked = set()
+        for msg in _random_traffic(random.Random(seed), 150):
             kind = msg.kind
             if kind == "readRelay" and msg.op not in old.relayed:
                 seen["early relay"] += 1
@@ -269,13 +381,14 @@ def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
                     and msg.op not in old.relays):
                 seen["late request"] += 1
             before = len(old.relays)
-            assert new.on_message(msg) == old.on_message(msg)
-            assert new.relays == old.relays
-            assert new.relayed == old.relayed
-            assert new.acked_reads == old.acked_reads
+            outs, expected = new.on_message(msg), old.on_message(msg)
+            if kind != "readRequest":
+                assert outs == expected
             assert (new.tag, new.value) == (old.tag, old.value)
+            for m in outs:
+                if m.kind == "readAck":
+                    assert m.op not in acked
+                    acked.add(m.op)
             if len(old.relays) < before:
                 seen["retired"] += 1
-        for invoker, ops in new.relay_ops.items():
-            assert ops == {o for o in new.relays if o.invoker == invoker}
     assert all(seen.values()), seen

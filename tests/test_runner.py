@@ -34,18 +34,41 @@ from ohram.core import (
 )
 from ohram.runner import (
     MAX_FRAME,
+    RECV_SIZE,
     Client,
     ServerDaemon,
     _Conn,
+    _Framer,
     _pack,
     _unpack,
     listen_host,
     merge_histories,
-    read_frames,
 )
 
 MWMR = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
 SWMR = Config(n_servers=3, n_readers=2, n_writers=1, f=1, mode="swmr")
+
+
+def read_frames(sock: socket.socket):
+    """Yield decoded frames from a blocking socket until the peer closes
+    or sends garbage.
+
+    Bytes past the last frame taken go with the generator, so a socket
+    is read through one generator only.
+    """
+    framer = _Framer()
+    while True:
+        try:
+            data = sock.recv(RECV_SIZE)
+        except OSError:
+            return
+        if not data:
+            return
+        try:
+            for body in framer.feed(data):
+                yield _unpack(body)
+        except ValueError:  # an oversized header, bad UTF-8 or bad JSON
+            return
 
 
 def test_frame_round_trip():
