@@ -44,6 +44,7 @@ from .runner import Client, ServerDaemon, membership_from_json
 from .simnet import (
     RunResult,
     SimNet,
+    _scripted,
     history_from_json,
     history_to_json,
     replay_file,
@@ -144,12 +145,10 @@ def cmd_simulate(args) -> int:
             raise ScheduleUnresolvable(
                 "--crash-plan applies to seeded runs, not --ops")
         net = SimNet(args.protocol, config, seed=args.seed, x=args.x)
-        for pid, kind, label in _parse_ops(args.ops):
-            if pid not in net.clients:
-                raise ModeMismatch(f"{pid} is outside the configuration")
-            net.load_program(pid, [(kind, label)])
-            net.invoke_next(pid)
-            net.drain()
+        net.run(_scripted(net, [
+            d for pid, kind, label in _parse_ops(args.ops)
+            for d in ({"invoke": {"client": str(pid), "kind": kind,
+                                  "label": label}}, {"drain": True})]))
         net._finish()
         result = net.result()
     else:

@@ -2,19 +2,12 @@
 
 The network is a bag of in-flight messages. One run interleaves three
 kinds of events: delivering an in-flight message, invoking the next
-operation of an idle client, and crashing a server. Seeded runs pick
-uniformly among the currently enabled events with a private RNG, so a
-(protocol, config, seed) triple fully determines the execution. Scripted
-runs replay a schedule file instead; see parse_schedule for the format.
-
-A seeded step costs one draw k = randrange(M + I + C) over three bands
-that are never built as a list: M in-flight messages, I idle clients (a
-program is loaded and the machine is not busy) and C pending crashes.
-k < M delivers inflight[k]; the next I values name the idle clients in
-the order of self.clients; the last C values index pending_crashes. The
-idle clients are kept as a set, updated where idleness can change (a
-program is loaded, an operation is invoked, a message reaches a client)
-and sorted only when a step falls in their band.
+operation of an idle client, and crashing a server. SimNet.run carries
+out the events an event source picks: _uniform (run_seeded) picks
+uniformly with a private RNG, so a (protocol, config, seed) triple fully
+determines the execution; _fifo (drain) delivers in send order, and
+_scripted (run_script, `ohram simulate --ops`) follows a schedule; see
+parse_schedule for the format.
 
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
@@ -197,13 +190,7 @@ class SimNet:
         self._send(msgs)
         return group
 
-    def deliver(self, index: int, *, fifo: bool = False) -> None:
-        if fifo:
-            msg = self.inflight.pop(index)
-        else:
-            msg = self.inflight[index]
-            self.inflight[index] = self.inflight[-1]
-            self.inflight.pop()
+    def deliver(self, msg: Message) -> None:
         self.events += 1
         dest = msg.destination
         if dest in self.crashed:
@@ -237,7 +224,7 @@ class SimNet:
                 f"crashing {pid} would exceed the fault bound f={self.config.f}")
         self.events += 1
         self.crashed.add(pid)
-        self.inflight = [m for m in self.inflight if m.destination != pid]
+        self.inflight[:] = [m for m in self.inflight if m.destination != pid]
 
     # -- bookkeeping --
 
@@ -279,7 +266,17 @@ class SimNet:
                     f"{pid}: writeAck tag {out.tag} below request tag "
                     f"{msg.tag} for {out.op}")
 
-    # -- seeded execution --
+    # -- driving a run --
+
+    def run(self, events) -> None:
+        """Call step(arg) for each pair that an event source, a generator
+        over the net's state, yields: (deliver, message) with the message
+        taken out of inflight, (invoke_next, client) or (crash, server).
+        """
+        for step, arg in events:
+            step(arg)
+            if self.events > STEP_BUDGET:
+                raise StuckExecution(f"step budget {STEP_BUDGET} exceeded")
 
     def load_program(self, pid: ProcessId, ops: list) -> None:
         self.programs[pid].extend(ops)
@@ -294,27 +291,7 @@ class SimNet:
     def run_seeded(self) -> None:
         if self.rng is None:
             raise ModeMismatch("run_seeded needs a seed")
-        randrange = self.rng.randrange
-        idle = self.idle
-        while True:
-            if self.events > STEP_BUDGET:
-                raise StuckExecution(
-                    f"step budget {STEP_BUDGET} exceeded")
-            delivers = len(self.inflight)
-            invokes = len(idle)
-            total = delivers + invokes + len(self.pending_crashes)
-            if not total:
-                break
-            k = randrange(total)
-            if k < delivers:
-                self.deliver(k)
-            elif k < delivers + invokes:
-                self.invoke_next(
-                    sorted(idle, key=self._rank.__getitem__)[k - delivers])
-            else:
-                victim = self.pending_crashes[k - delivers - invokes]
-                self.pending_crashes.remove(victim)
-                self.crash(victim)
+        self.run(_uniform(self))
         self._finish()
 
     def _finish(self) -> None:
@@ -323,10 +300,7 @@ class SimNet:
             raise StuckExecution(f"no event enabled, operations pending: {pending}")
 
     def drain(self) -> None:
-        while self.inflight:
-            if self.events > STEP_BUDGET:
-                raise StuckExecution(f"step budget {STEP_BUDGET} exceeded")
-            self.deliver(0, fifo=True)
+        self.run(_fifo(self))
 
     def result(self) -> RunResult:
         return RunResult(
@@ -335,6 +309,40 @@ class SimNet:
             crashed=sorted(self.crashed, key=lambda p: p.sort_key()),
             invariant_failures=self.invariant_failures,
         )
+
+
+# -- event sources --
+
+def _uniform(net: SimNet):
+    """One draw k = randrange(M + I + C) a step, over three bands never
+    built as a list: M in-flight messages, I idle clients (a program is
+    loaded and the machine is not busy) and C pending crashes. k < M
+    swap-removes inflight[k] and delivers it; the next I values name the
+    idle clients in the order of net.clients; the last C values pop
+    pending_crashes by index. SimNet keeps the idle set up to date; it is
+    sorted only when a step falls in its band.
+    """
+    randrange = net.rng.randrange
+    inflight, idle, crashes = net.inflight, net.idle, net.pending_crashes
+    rank = net._rank.__getitem__
+    while True:
+        delivers, invokes = len(inflight), len(idle)
+        total = delivers + invokes + len(crashes)
+        if not total:
+            return
+        k = randrange(total)
+        if k < delivers:
+            inflight[k], inflight[-1] = inflight[-1], inflight[k]
+            yield net.deliver, inflight.pop()
+        elif k < delivers + invokes:
+            yield net.invoke_next, sorted(idle, key=rank)[k - delivers]
+        else:
+            yield net.crash, crashes.pop(k - delivers - invokes)
+
+
+def _fifo(net: SimNet):
+    while net.inflight:
+        yield net.deliver, net.inflight.pop(0)
 
 
 # -- seeded workload construction --
@@ -414,6 +422,8 @@ def parse_schedule(text: str) -> tuple[dict, list[dict]]:
       {"crash": {"server": "s3"}}
       {"drain": true}
 
+    An invoke names a client: a writer invokes "write" with a string
+    label, a reader invokes "read" without one.
     A deliver selector may constrain kind, to, from, origin, invoker and
     seq; it must match exactly one in-flight message. Remaining traffic
     is drained in send order after the last directive.
@@ -456,34 +466,40 @@ def _matches(msg: Message, sel: dict) -> bool:
     return True
 
 
+def _scripted(net: SimNet, directives: list[dict]):
+    """The events a schedule's directives name, then a drain."""
+    may_invoke = {str(p): ("write", str) if p.role == ROLE_WRITER
+                  else ("read", type(None)) for p in net.clients}
+    servers = {str(p): p for p in net.servers}
+    for i, d in enumerate(directives, 1):
+        match d:
+            case {"invoke": {"client": str(client), "kind": kind} as spec} if (
+                    may_invoke.get(client) == (kind, type(spec.get("label")))):
+                pid = parse_pid(client)
+                net.load_program(pid, [(kind, spec.get("label"))])
+                yield net.invoke_next, pid
+            case {"deliver": dict(sel)}:
+                hits = [j for j, m in enumerate(net.inflight)
+                        if _matches(m, sel)]
+                if len(hits) != 1:
+                    raise ScheduleUnresolvable(
+                        f"directive {i}: selector {sel} matches "
+                        f"{len(hits)} in-flight messages, need exactly 1")
+                yield net.deliver, net.inflight.pop(hits[0])
+            case {"crash": {"server": str(server)}} if server in servers:
+                yield net.crash, servers[server]
+            case {"drain": _}:
+                yield from _fifo(net)
+            case _:
+                raise ScheduleUnresolvable(f"directive {i}: cannot run {d}")
+    yield from _fifo(net)
+
+
 def run_script(text: str) -> RunResult:
     header, directives = parse_schedule(text)
     config = config_from_json(header["config"])
     net = SimNet(header["protocol"], config, x=header.get("x"))
-    for i, d in enumerate(directives, 1):
-        if "invoke" in d:
-            spec = d["invoke"]
-            pid = parse_pid(spec["client"])
-            if pid not in net.clients:
-                raise ScheduleUnresolvable(
-                    f"directive {i}: {spec['client']} is not a client")
-            net.load_program(pid, [(spec["kind"], spec.get("label"))])
-            net.invoke_next(pid)
-        elif "deliver" in d:
-            sel = d["deliver"]
-            hits = [j for j, m in enumerate(net.inflight) if _matches(m, sel)]
-            if len(hits) != 1:
-                raise ScheduleUnresolvable(
-                    f"directive {i}: selector {sel} matches "
-                    f"{len(hits)} in-flight messages, need exactly 1")
-            net.deliver(hits[0], fifo=True)
-        elif "crash" in d:
-            net.crash(parse_pid(d["crash"]["server"]))
-        elif "drain" in d:
-            net.drain()
-        else:
-            raise ScheduleUnresolvable(f"directive {i}: unknown form {d}")
-    net.drain()
+    net.run(_scripted(net, directives))
     net._finish()
     return net.result()
 

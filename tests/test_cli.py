@@ -28,6 +28,11 @@ def test_simulate_sequential_ops_table_counts(capsys):
     assert "messages=10" in out
 
 
+def test_simulate_ops_reject_clients_outside_the_configuration(capsys):
+    assert main(["simulate", "--readers", "1", "--ops", "w1,r2"]) == 4
+    assert "r2" in capsys.readouterr().err
+
+
 def test_invalid_fault_bound_is_a_config_error(capsys):
     assert main(["simulate", "--servers", "4", "--f", "2"]) == 4
     assert "f=2" in capsys.readouterr().err

@@ -209,6 +209,45 @@ def test_script_crash_directive_applies_budget():
         run_script("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("directive", [
+    {"invoke": {"client": "w1", "kind": "read"}},
+    {"invoke": {"client": "r1", "kind": "write", "label": "A"}},
+    {"invoke": {"client": "r1", "kind": "bogus"}},
+    {"invoke": {"client": "r1", "kind": "read", "label": "A"}},
+    {"invoke": {"client": "w1", "kind": "write"}},
+    {"invoke": {"client": "w1", "kind": "write", "label": 7}},
+    {"invoke": {"client": "w1"}},
+    {"invoke": {"kind": "read"}},
+    {"invoke": {"client": "w2", "kind": "write", "label": "A"}},
+    {"invoke": {"client": "x1", "kind": "read"}},
+    {"invoke": "w1"},
+    {"crash": {}},
+    {"crash": {"server": "s4"}},
+    {"crash": {"server": "r1"}},
+    {"deliver": "writeRequest"},
+    ["invoke"],
+])
+def test_script_rejects_malformed_directives_by_number(directive):
+    lines = [HEADER, json.dumps({"drain": True}), json.dumps(directive)]
+    with pytest.raises(ScheduleUnresolvable, match="directive 2"):
+        run_script("\n".join(lines) + "\n")
+
+
+def test_script_that_delivers_everything_is_held_to_the_step_budget(
+        monkeypatch):
+    lines = [HEADER, json.dumps({"invoke": {"client": "w1", "kind": "write",
+                                            "label": "A"}})]
+    for kind in ("writeRequest", "writeAck"):
+        for s in ("s1", "s2", "s3"):
+            end = "to" if kind == "writeRequest" else "from"
+            lines.append(json.dumps({"deliver": {"kind": kind, end: s}}))
+    script = "\n".join(lines) + "\n"
+    assert run_script(script).events == 7
+    monkeypatch.setattr(simnet, "STEP_BUDGET", 5)
+    with pytest.raises(StuckExecution):
+        run_script(script)
+
+
 def test_scripted_and_seeded_runs_share_the_metrics_shape():
     lines = [
         HEADER,
