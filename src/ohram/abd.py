@@ -18,9 +18,9 @@ That is the multi-writer three-exchange-read writer with ticks = 1: both
 phases of one operation share one counter value, and the message kind
 tells them apart.
 
-Servers hold (tag, value) with the usual adopt-if-greater rule, answer
-readRequests directly with their current pair (no server-to-server
-relays), and acknowledge every writeRequest.
+The server is a bare Replica (adopt-if-greater, acknowledge every
+writeRequest, answer discovers) that answers readRequests directly
+with its current pair: no server-to-server relays.
 """
 
 from __future__ import annotations
@@ -29,21 +29,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    BOTTOM,
-    Config,
     KIND_DISCOVER,
-    KIND_DISCOVER_ACK,
     KIND_READ_ACK,
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
-    ProcessId,
-    Tag,
     tag_less,
 )
 from .ohmam import WriterStateM
-from .ohsam import QuorumClient, WriterStateS as AbdWriterSwmr  # one-round write
+from .ohsam import QuorumClient, Replica, WriterStateS as AbdWriterSwmr  # one-round write
 
 @dataclass
 class AbdReaderState(QuorumClient):
@@ -73,30 +68,14 @@ class AbdWriterMwmr(WriterStateM):
     ticks = 1
 
 
-@dataclass
-class AbdServerState:
-    """Replica with max-adopt; replies directly, no server gossip."""
-
-    pid: ProcessId
-    config: Config
-    tag: Tag = None
-    value: Optional[str] = BOTTOM
-
-    def __post_init__(self):
-        if self.tag is None:
-            self.tag = Tag(0, self.pid)
+class AbdServerState(Replica):
+    """Replica that answers reads directly, no server gossip."""
 
     def on_message(self, msg: Message) -> list[Message]:
         if msg.kind == KIND_READ_REQUEST:
-            return [Message(KIND_READ_ACK, msg.op, self.pid, msg.op.invoker,
-                            tag=self.tag, value=self.value)]
+            return self._reply(KIND_READ_ACK, msg)
         if msg.kind == KIND_DISCOVER:
-            return [Message(KIND_DISCOVER_ACK, msg.op, self.pid, msg.op.invoker,
-                            tag=self.tag, value=self.value)]
+            return self.on_discover(msg)
         if msg.kind == KIND_WRITE_REQUEST:
-            if tag_less(self.tag, msg.tag):
-                self.tag = msg.tag
-                self.value = msg.value
-            return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
-                            tag=self.tag, value=self.value)]
+            return self.on_write_request(msg)
         return []

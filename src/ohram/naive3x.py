@@ -12,7 +12,8 @@ Writes follow the three-phase scheme the impossibility argument analyzes:
       server, carrying its local observations: the writes it has seen,
       in first-contact order;
   (3) once a server holds a majority of relays for the write it replies
-      writeAck to the writer, which completes on a majority of acks.
+      writeAck to the writer, which completes on a majority of acks;
+      the server counts relays with the three-exchange-read rule.
 
 A writer picks its tag locally, (own operation counter, own id), which
 makes it the single-writer machine WriterStateS run by several writers.
@@ -21,9 +22,10 @@ atomicity.
 
 Reads use the three-exchange path (readRequest, readRelay with the
 relayer's observations attached, readAck at a majority of relays). The
-value a server serves is recomputed from the relay evidence it holds at
-answer time by the threshold rule order_writes below. The reader returns
-the most frequent value among a majority of readAcks.
+value a server serves is not a replica's (tag, value) pair: it is
+recomputed from the relay evidence it holds at answer time by the
+threshold rule order_writes below. The reader returns the most frequent
+value among a majority of readAcks.
 
 The ordering rule, for a pair of writes (a, b) labeled so that a carries
 the smaller tag: every origin whose observations mention a or b casts one
@@ -56,10 +58,9 @@ from .core import (
     ProcessId,
     Tag,
     WriteRecord,
-    quorum_size,
     tag_less,
 )
-from .ohsam import ReaderStateS, WriterStateS
+from .ohsam import ReaderStateS, WriterStateS, count_relay
 
 
 def default_x(n_servers: int) -> int:
@@ -107,7 +108,8 @@ class Naive3xServer:
     observations is this server's own first-contact record of writes.
     origin_obs holds, per relay origin, the longest observations list
     received from it; observation lists only grow, so the longest list
-    subsumes every earlier snapshot.
+    subsumes every earlier snapshot. write_relays and read_relays hold
+    relay origins per operation, counted by count_relay.
     """
 
     pid: ProcessId
@@ -117,11 +119,9 @@ class Naive3xServer:
     known: set[OpId] = field(default_factory=set)
     origin_obs: dict[ProcessId, tuple[WriteRecord, ...]] = field(default_factory=dict)
     write_relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-    write_acked: set[OpId] = field(default_factory=set)
     relayed_writes: set[OpId] = field(default_factory=set)
     read_relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
     relayed_reads: set[OpId] = field(default_factory=set)
-    acked_reads: set[OpId] = field(default_factory=set)
 
     def __post_init__(self):
         if self.x <= 0:
@@ -188,27 +188,27 @@ class Naive3xServer:
             return self.on_read_relay(msg)
         return []
 
+    def _relay(self, kind: str, op: OpId, tag: Tag,
+               value: Optional[str]) -> list[Message]:
+        # Every relay carries a snapshot of this server's observations.
+        snapshot = tuple(self.observations)
+        return [
+            Message(kind, op, self.pid, s, tag=tag, value=value,
+                    relay_origin=self.pid, observations=snapshot)
+            for s in self.config.servers()
+        ]
+
     def on_write_request(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         if msg.op in self.relayed_writes:
             return []
         self.relayed_writes.add(msg.op)
-        snapshot = tuple(self.observations)
-        return [
-            Message(KIND_WRITE_RELAY, msg.op, self.pid, s,
-                    tag=msg.tag, value=msg.value, relay_origin=self.pid,
-                    observations=snapshot)
-            for s in self.config.servers()
-        ]
+        return self._relay(KIND_WRITE_RELAY, msg.op, msg.tag, msg.value)
 
     def on_write_relay(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         self._merge_origin(msg.relay_origin, msg.observations)
-        origins = self.write_relays.setdefault(msg.op, set())
-        origins.add(msg.relay_origin)
-        if (len(origins) >= quorum_size(self.config.n_servers)
-                and msg.op not in self.write_acked):
-            self.write_acked.add(msg.op)
+        if count_relay(self.write_relays, msg, self.config.n_servers):
             return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
                             tag=msg.tag, value=msg.value)]
         return []
@@ -217,22 +217,11 @@ class Naive3xServer:
         if msg.op in self.relayed_reads:
             return []
         self.relayed_reads.add(msg.op)
-        tag, value = self.adopted()
-        snapshot = tuple(self.observations)
-        return [
-            Message(KIND_READ_RELAY, msg.op, self.pid, s,
-                    tag=tag, value=value, relay_origin=self.pid,
-                    observations=snapshot)
-            for s in self.config.servers()
-        ]
+        return self._relay(KIND_READ_RELAY, msg.op, *self.adopted())
 
     def on_read_relay(self, msg: Message) -> list[Message]:
         self._merge_origin(msg.relay_origin, msg.observations)
-        origins = self.read_relays.setdefault(msg.op, set())
-        origins.add(msg.relay_origin)
-        if (len(origins) >= quorum_size(self.config.n_servers)
-                and msg.op not in self.acked_reads):
-            self.acked_reads.add(msg.op)
+        if count_relay(self.read_relays, msg, self.config.n_servers):
             tag, value = self.adopted()
             return [Message(KIND_READ_ACK, msg.op, self.pid, msg.op.invoker,
                             tag=tag, value=value)]

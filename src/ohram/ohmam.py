@@ -91,21 +91,14 @@ class WriterStateM(QuorumClient):
 
 @dataclass
 class ServerStateM(ServerStateS):
-    """Server with the stale-write guard; read handlers are inherited."""
+    """Server with the stale-write guard; everything else is inherited."""
 
     write_operations: dict[ProcessId, int] = field(default_factory=dict)
 
     def on_message(self, msg: Message) -> list[Message]:
         if msg.kind == KIND_DISCOVER:
             return self.on_discover(msg)
-        if msg.kind == KIND_WRITE_REQUEST:
-            return self.on_write_request(msg)
         return super().on_message(msg)
-
-    def on_discover(self, msg: Message) -> list[Message]:
-        # Echo the current tag and value; receipt never updates the tag.
-        return [Message(KIND_DISCOVER_ACK, msg.op, self.pid, msg.op.invoker,
-                        tag=self.tag, value=self.value)]
 
     def on_write_request(self, msg: Message) -> list[Message]:
         wid = msg.op.invoker
@@ -113,5 +106,4 @@ class ServerStateM(ServerStateS):
             self.tag = msg.tag
             self.value = msg.value
             self.write_operations[wid] = msg.op.seq
-        return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
-                        tag=self.tag, value=self.value)]
+        return self._reply(KIND_WRITE_ACK, msg)

@@ -12,6 +12,11 @@ protocols differ only in their phases and in what a complete phase
 leads to. Here a write is one phase and a read is one phase (the relays
 run among the servers, out of the reader's sight).
 
+Every sound server machine of the package is a Replica: it adopts a
+larger tag, answers the invoker with its current pair, and acknowledges
+every writeRequest. Servers that relay count relay origins with
+count_relay, the one majority-of-relays rule.
+
 Write protocol (two exchanges): the writer's timestamp is its write
 counter. It ticks the counter, broadcasts a writeRequest to every
 server, and finishes on a majority of writeAcks. Servers adopt a higher
@@ -43,6 +48,7 @@ from .core import (
     BOTTOM,
     Completion,
     Config,
+    KIND_DISCOVER_ACK,
     KIND_READ_ACK,
     KIND_READ_RELAY,
     KIND_READ_REQUEST,
@@ -164,8 +170,52 @@ class ReaderStateS(QuorumClient):
         return best.tag, best.value
 
 
+def count_relay(relays: dict[OpId, set[ProcessId]], msg: Message,
+                n_servers: int) -> bool:
+    """Record msg's relay origin under its operation. True exactly when a
+    new origin brings the operation to a majority, which happens once."""
+    origins = relays.get(msg.op)
+    if origins is None:
+        origins = relays[msg.op] = set()
+    if msg.relay_origin in origins:
+        return False
+    origins.add(msg.relay_origin)
+    return len(origins) == quorum_size(n_servers)
+
+
 @dataclass
-class ServerStateS:
+class Replica:
+    """A (tag, value) pair that only grows. The writeAck is unconditional
+    and duplicate-safe; on_message is the subclass's, per kind it serves."""
+
+    pid: ProcessId
+    config: Config
+    tag: Tag = None
+    value: Optional[str] = BOTTOM
+
+    def __post_init__(self):
+        if self.tag is None:
+            self.tag = Tag(0, self.pid)
+
+    def _reply(self, kind: str, msg: Message) -> list[Message]:
+        return [Message(kind, msg.op, self.pid, msg.op.invoker,
+                        tag=self.tag, value=self.value)]
+
+    def _adopt(self, tag: Tag, value: Optional[str]) -> None:
+        if tag_less(self.tag, tag):
+            self.tag = tag
+            self.value = value
+
+    def on_write_request(self, msg: Message) -> list[Message]:
+        self._adopt(msg.tag, msg.value)
+        return self._reply(KIND_WRITE_ACK, msg)
+
+    def on_discover(self, msg: Message) -> list[Message]:
+        return self._reply(KIND_DISCOVER_ACK, msg)
+
+
+@dataclass
+class ServerStateS(Replica):
     """Server: register replica plus read bookkeeping per invoker.
 
     relays[op] holds the origins whose relays for a read have arrived and
@@ -181,17 +231,9 @@ class ServerStateS:
     later reads keep their entries.
     """
 
-    pid: ProcessId
-    config: Config
-    tag: Tag = None
-    value: Optional[str] = BOTTOM
     relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
     relayed: set[OpId] = field(default_factory=set)
     horizon: dict[ProcessId, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.tag is None:
-            self.tag = Tag(0, self.pid)
 
     def on_message(self, msg: Message) -> list[Message]:
         if msg.kind == KIND_READ_REQUEST:
@@ -223,15 +265,8 @@ class ServerStateS:
         self._adopt(msg.tag, msg.value)
         if op.seq <= self._advance(op):
             return []
-        origins = self.relays.get(op)
-        if origins is None:
-            origins = self.relays[op] = set()
-        if msg.relay_origin in origins:
-            return []
-        origins.add(msg.relay_origin)
-        if len(origins) == quorum_size(self.config.n_servers):
-            return [Message(KIND_READ_ACK, op, self.pid, op.invoker,
-                            tag=self.tag, value=self.value)]
+        if count_relay(self.relays, msg, self.config.n_servers):
+            return self._reply(KIND_READ_ACK, msg)
         return []
 
     def _advance(self, op: OpId) -> int:
@@ -246,16 +281,3 @@ class ServerStateS:
             self.relayed.discard(old)
             h = self.horizon[invoker] = h + 1
         return h
-
-    # -- write path --
-
-    def on_write_request(self, msg: Message) -> list[Message]:
-        self._adopt(msg.tag, msg.value)
-        # The ack is unconditional and duplicate-safe.
-        return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
-                        tag=self.tag, value=self.value)]
-
-    def _adopt(self, tag: Tag, value: Optional[str]) -> None:
-        if tag_less(self.tag, tag):
-            self.tag = tag
-            self.value = value

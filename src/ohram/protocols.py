@@ -23,9 +23,11 @@ from typing import Callable, Optional
 from .core import (
     MODE_MWMR,
     MODE_SWMR,
+    Config,
     ModeMismatch,
     OpId,
     ROLE_WRITER,
+    validate_config,
 )
 from . import abd, naive3x, ohmam, ohsam
 
@@ -101,4 +103,21 @@ def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
         raise ModeMismatch(f"unknown protocol {name!r}")
     if x and name == "naive3x":
         return replace(bundle, make_server=partial(naive3x.Naive3xServer, x=x))
+    return bundle
+
+
+def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
+                   live: bool = False) -> ProtocolBundle:
+    """The bundle to run config with: the config is valid, its mode is
+    the protocol's and, for the live runner, the protocol is allowed
+    there. Every simulator and live endpoint is built through this."""
+    validate_config(config)
+    bundle = get_protocol(protocol, x=x)
+    if live and not bundle.runner_ok:
+        raise ModeMismatch(
+            f"protocol {protocol} is not allowed in the live runner")
+    if config.mode != bundle.mode:
+        raise ModeMismatch(
+            f"protocol {protocol} needs mode {bundle.mode!r}, "
+            f"config says {config.mode!r}")
     return bundle

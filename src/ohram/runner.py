@@ -69,16 +69,14 @@ from .core import (
     BindFailure,
     Config,
     Message,
-    ModeMismatch,
     OpRecord,
     ProcessId,
     QuorumUnreachable,
     message_from_json,
     message_to_json,
     parse_pid,
-    validate_config,
 )
-from .protocols import get_protocol
+from .protocols import checked_bundle
 
 MAX_FRAME = 1 << 20
 MAX_BACKLOG = 8 * MAX_FRAME  # unsent reply bytes that cut a client off
@@ -340,11 +338,7 @@ class ServerDaemon(_Endpoint):
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
                  host: Optional[str] = None, port: int = 0):
-        validate_config(config)
-        bundle = get_protocol(protocol)
-        if not bundle.runner_ok:
-            raise ModeMismatch(
-                f"protocol {protocol} is not allowed in the live runner")
+        bundle = checked_bundle(protocol, config, live=True)
         self.config = config
         self.machine = bundle.make_server(pid, config)
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -437,11 +431,7 @@ class Client(_Endpoint):
     def __init__(self, pid: ProcessId, config: Config, protocol: str,
                  membership: dict[ProcessId, tuple[str, int]], *,
                  retry_interval: float = 0.05, retry_budget: int = 100):
-        validate_config(config)
-        bundle = get_protocol(protocol)
-        if not bundle.runner_ok:
-            raise ModeMismatch(
-                f"protocol {protocol} is not allowed in the live runner")
+        bundle = checked_bundle(protocol, config, live=True)
         super().__init__(pid)
         self.config = config
         self.retry_interval = retry_interval

@@ -59,7 +59,7 @@ from .core import (
     tag_to_json,
     validate_config,
 )
-from .protocols import ProtocolBundle, get_protocol
+from .protocols import ProtocolBundle, checked_bundle
 
 STEP_BUDGET = 10 ** 6
 
@@ -114,12 +114,7 @@ class RunResult:
 class SimNet:
     def __init__(self, protocol: str, config: Config, *,
                  seed: Optional[int] = None, x: Optional[int] = None):
-        validate_config(config)
-        bundle = get_protocol(protocol, x=x)
-        if config.mode != bundle.mode:
-            raise ModeMismatch(
-                f"protocol {protocol} needs mode {bundle.mode!r}, "
-                f"config says {config.mode!r}")
+        bundle = checked_bundle(protocol, config, x=x)
         self.bundle: ProtocolBundle = bundle
         self.config = config
         self.seed = seed
@@ -156,12 +151,7 @@ class SimNet:
 
     def _send(self, msgs: list[Message]) -> None:
         for m in msgs:
-            group = self.bundle.op_group(m.op)
-            om = self.metrics.get(group)
-            if om is None:
-                rec = self._open.get(group)
-                om = OpMetrics(kind=rec.kind if rec else "?")
-                self.metrics[group] = om
+            om = self.metrics[self.bundle.op_group(m.op)]
             om.messages += 1
             om.exchange_kinds.add(m.kind)
             if m.destination not in self.crashed:
@@ -187,6 +177,7 @@ class SimNet:
                        tag=None, value=value)
         self.history.append(rec)
         self._open[group] = rec
+        self.metrics[group] = OpMetrics(kind=kind)
         self._send(msgs)
         return group
 
@@ -215,16 +206,23 @@ class SimNet:
         self._send(outs)
 
     def crash(self, pid: ProcessId) -> None:
-        if pid not in self.servers:
-            raise ScheduleUnresolvable(f"{pid} is not a server")
-        if pid in self.crashed:
-            raise ScheduleUnresolvable(f"{pid} already crashed")
-        if len(self.crashed) + 1 > self.config.f:
-            raise FaultBudgetExceeded(
-                f"crashing {pid} would exceed the fault bound f={self.config.f}")
+        refusal = self._crash_refusal(pid)
+        if refusal is not None:
+            raise refusal
         self.events += 1
         self.crashed.add(pid)
         self.inflight[:] = [m for m in self.inflight if m.destination != pid]
+
+    def _crash_refusal(self, pid: ProcessId) -> Optional[Exception]:
+        """The error crashing pid now would raise, or None if it may."""
+        if pid not in self.servers:
+            return ScheduleUnresolvable(f"{pid} is not a server")
+        if pid in self.crashed:
+            return ScheduleUnresolvable(f"{pid} already crashed")
+        if len(self.crashed) + 1 > self.config.f:
+            return FaultBudgetExceeded(
+                f"crashing {pid} would exceed the fault bound f={self.config.f}")
+        return None
 
     # -- bookkeeping --
 
@@ -442,9 +440,14 @@ def parse_schedule(text: str) -> tuple[dict, list[dict]]:
             header = obj
         else:
             directives.append(obj)
-    if header is None or "protocol" not in header or "config" not in header:
+    if (not isinstance(header, dict)
+            or not isinstance(header.get("protocol"), str)
+            or not isinstance(header.get("config"), dict)):
         raise ScheduleUnresolvable(
             "schedule header must name a protocol and a config")
+    if header.get("x") is not None and type(header["x"]) is not int:
+        raise ScheduleUnresolvable(
+            f"schedule header x must be an integer, got {header['x']!r}")
     return header, directives
 
 
@@ -487,6 +490,9 @@ def _scripted(net: SimNet, directives: list[dict]):
                         f"{len(hits)} in-flight messages, need exactly 1")
                 yield net.deliver, net.inflight.pop(hits[0])
             case {"crash": {"server": str(server)}} if server in servers:
+                refusal = net._crash_refusal(servers[server])
+                if refusal is not None:
+                    raise type(refusal)(f"directive {i}: {refusal}")
                 yield net.crash, servers[server]
             case {"drain": _}:
                 yield from _fifo(net)
@@ -497,7 +503,11 @@ def _scripted(net: SimNet, directives: list[dict]):
 
 def run_script(text: str) -> RunResult:
     header, directives = parse_schedule(text)
-    config = config_from_json(header["config"])
+    try:
+        config = config_from_json(header["config"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ScheduleUnresolvable(
+            f"schedule config {header['config']} is unusable: {e!r}")
     net = SimNet(header["protocol"], config, x=header.get("x"))
     net.run(_scripted(net, directives))
     net._finish()

@@ -1,5 +1,7 @@
 """Unsound three-exchange-write protocol: the decision rule in isolation."""
 
+import random
+
 import pytest
 
 from ohram.checker import check_history
@@ -9,6 +11,8 @@ from ohram.core import (
     OpId,
     Tag,
     WriteRecord,
+    quorum_size,
+    reader_id,
     writer_id,
     server_id,
 )
@@ -154,3 +158,127 @@ def test_seed_1059_is_a_non_atomic_run():
                                      "pair": ["w2#1", "r1#2"],
                                      "explanation": "no linearization can "
                                      "place r1#2 (returned 'C#w1.2')"}}
+
+
+class AckedSets(Naive3xServer):
+    """The relay bookkeeping count_relay replaced, kept as a reference.
+
+    write_acked and acked_reads grow with every operation answered; an
+    operation is answered when its origin set first holds a majority
+    and it is not in the set yet.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.write_acked = set()
+        self.acked_reads = set()
+
+    def on_write_request(self, msg):
+        self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
+        if msg.op in self.relayed_writes:
+            return []
+        self.relayed_writes.add(msg.op)
+        snapshot = tuple(self.observations)
+        return [Message("writeRelay", msg.op, self.pid, s, tag=msg.tag,
+                        value=msg.value, relay_origin=self.pid,
+                        observations=snapshot)
+                for s in self.config.servers()]
+
+    def on_write_relay(self, msg):
+        self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
+        self._merge_origin(msg.relay_origin, msg.observations)
+        origins = self.write_relays.setdefault(msg.op, set())
+        origins.add(msg.relay_origin)
+        if (len(origins) >= quorum_size(self.config.n_servers)
+                and msg.op not in self.write_acked):
+            self.write_acked.add(msg.op)
+            return [Message("writeAck", msg.op, self.pid, msg.op.invoker,
+                            tag=msg.tag, value=msg.value)]
+        return []
+
+    def on_read_request(self, msg):
+        if msg.op in self.relayed_reads:
+            return []
+        self.relayed_reads.add(msg.op)
+        tag, value = self.adopted()
+        snapshot = tuple(self.observations)
+        return [Message("readRelay", msg.op, self.pid, s, tag=tag,
+                        value=value, relay_origin=self.pid,
+                        observations=snapshot)
+                for s in self.config.servers()]
+
+    def on_read_relay(self, msg):
+        self._merge_origin(msg.relay_origin, msg.observations)
+        origins = self.read_relays.setdefault(msg.op, set())
+        origins.add(msg.relay_origin)
+        if (len(origins) >= quorum_size(self.config.n_servers)
+                and msg.op not in self.acked_reads):
+            self.acked_reads.add(msg.op)
+            tag, value = self.adopted()
+            return [Message("readAck", msg.op, self.pid, msg.op.invoker,
+                            tag=tag, value=value)]
+        return []
+
+
+def _naive_traffic(rng, steps):
+    """Requests and relays of two writers' and one reader's operations.
+
+    A message names an operation that is current or one or two behind,
+    so relays arrive before their request and after their operation was
+    answered; a quarter of the steps repeat an earlier message.
+    """
+    R1 = reader_id(1)
+    current = {W1: 1, W2: 1, R1: 1}
+    sent = []
+    for _ in range(steps):
+        if sent and rng.random() < 0.25:
+            yield rng.choice(sent)
+            continue
+        client = rng.choice((W1, W2, R1))
+        if rng.random() < 0.15:
+            current[client] += 1
+        op = OpId(client, max(1, current[client] - rng.choice((0, 0, 1, 2))))
+        rec = WriteRecord(op, Tag(op.seq, client), f"v#{op}")
+        kind = "read" if client == R1 else "write"
+        if rng.random() < 0.3:
+            msg = Message(f"{kind}Request", op, client, S1,
+                          tag=None if kind == "read" else rec.tag,
+                          value=None if kind == "read" else rec.value)
+        else:
+            origin = rng.choice((S1, S2, S3))
+            writes = [REC_A, REC_B, rec] if kind == "write" else [REC_A, REC_B]
+            obs = tuple(rng.sample(writes, rng.randint(0, len(writes))))
+            msg = Message(f"{kind}Relay", op, origin, S1,
+                          tag=None if kind == "read" else rec.tag,
+                          value=None if kind == "read" else rec.value,
+                          relay_origin=origin, observations=obs)
+        sent.append(msg)
+        yield msg
+
+
+def test_count_relay_answers_what_the_acked_sets_answered():
+    """Same outputs and state after every message, duplicate and early
+    relays included: no simulated run delivers a duplicate."""
+    seen = {"duplicate relay": 0, "early relay": 0, "writeAck": 0,
+            "readAck": 0}
+    for seed in range(40):
+        new, old = Naive3xServer(S1, CFG), AckedSets(S1, CFG)
+        for msg in _naive_traffic(random.Random(seed), 200):
+            if msg.relay_origin is not None:
+                relays = old.write_relays if msg.kind == "writeRelay" \
+                    else old.read_relays
+                relayed = old.relayed_writes if msg.kind == "writeRelay" \
+                    else old.relayed_reads
+                if msg.relay_origin in relays.get(msg.op, ()):
+                    seen["duplicate relay"] += 1
+                if msg.op not in relayed:
+                    seen["early relay"] += 1
+            outs = new.on_message(msg)
+            assert outs == old.on_message(msg)
+            for m in outs:
+                if m.kind in seen:
+                    seen[m.kind] += 1
+            state = dict(vars(old))
+            del state["write_acked"], state["acked_reads"]
+            assert vars(new) == state
+    assert all(seen.values()), seen

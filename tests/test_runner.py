@@ -119,6 +119,18 @@ def test_unsound_protocol_is_refused():
         ServerDaemon(parse_pid("s1"), MWMR, "naive3x")
 
 
+@pytest.mark.parametrize("config, protocol", [(MWMR, "ohsam"),
+                                              (MWMR, "abd-swmr"),
+                                              (SWMR, "ohmam"),
+                                              (SWMR, "abd-mwmr")])
+def test_a_config_of_the_other_mode_is_refused(config, protocol):
+    """The live endpoints refuse what SimNet refuses, before any socket."""
+    with pytest.raises(ModeMismatch, match="needs mode"):
+        ServerDaemon(parse_pid("s1"), config, protocol)
+    with pytest.raises(ModeMismatch, match="needs mode"):
+        Client(config.readers()[0], config, protocol, {})
+
+
 def start_cluster(config, protocol):
     daemons = [ServerDaemon(s, config, protocol) for s in config.servers()]
     membership = {d.pid: d.address for d in daemons}

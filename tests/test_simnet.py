@@ -233,6 +233,33 @@ def test_script_rejects_malformed_directives_by_number(directive):
         run_script("\n".join(lines) + "\n")
 
 
+_NAIVE3X_CONFIG = {"n_servers": 3, "n_readers": 1, "n_writers": 2, "f": 1,
+                   "mode": "mwmr"}
+
+
+@pytest.mark.parametrize("lines, error, match", [
+    ([["protocol", "config"]], ScheduleUnresolvable, "header"),
+    ([{"protocol": ["ohsam"], "config": json.loads(HEADER)["config"]}],
+     ScheduleUnresolvable, "header"),
+    ([{"protocol": "ohsam", "config": "abc"}], ScheduleUnresolvable, "header"),
+    ([{"protocol": "ohsam", "config": {"n_servers": 3, "n_writers": 1,
+                                       "f": 1, "mode": "swmr"}}],
+     ScheduleUnresolvable, "n_readers"),
+    ([{"protocol": "naive3x", "config": _NAIVE3X_CONFIG, "x": "2"}],
+     ScheduleUnresolvable, "x must be an integer"),
+    ([json.loads(HEADER), {"drain": True}, {"crash": {"server": "s1"}},
+      {"crash": {"server": "s1"}}], ScheduleUnresolvable, "directive 3"),
+    ([json.loads(HEADER), {"crash": {"server": "s1"}}, {"drain": True},
+      {"crash": {"server": "s2"}}], FaultBudgetExceeded, "directive 3"),
+], ids=["list header", "protocol list", "config string", "no n_readers",
+        "string x", "repeated crash", "crash past f"])
+def test_script_rejects_a_bad_header_or_crash_with_its_own_error(
+        lines, error, match):
+    text = "\n".join(json.dumps(line) for line in lines) + "\n"
+    with pytest.raises(error, match=match):
+        run_script(text)
+
+
 def test_script_that_delivers_everything_is_held_to_the_step_budget(
         monkeypatch):
     lines = [HEADER, json.dumps({"invoke": {"client": "w1", "kind": "write",
