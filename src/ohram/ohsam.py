@@ -186,7 +186,7 @@ def count_relay(relays: dict[OpId, set[ProcessId]], msg: Message,
 @dataclass
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
-    and duplicate-safe; on_message is the subclass's, per kind it serves."""
+    and duplicate-safe. Subclasses dispatch the kinds they serve."""
 
     pid: ProcessId
     config: Config
