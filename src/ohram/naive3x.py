@@ -58,6 +58,7 @@ from .core import (
     ProcessId,
     Tag,
     WriteRecord,
+    _server_ids,
     tag_less,
 )
 from .ohsam import ReaderStateS, WriterStateS, count_relay
@@ -195,7 +196,7 @@ class Naive3xServer:
         return [
             Message(kind, op, self.pid, s, tag=tag, value=value,
                     relay_origin=self.pid, observations=snapshot)
-            for s in self.config.servers()
+            for s in _server_ids(self.config.n_servers)
         ]
 
     def on_write_request(self, msg: Message) -> list[Message]:

@@ -59,6 +59,7 @@ from .core import (
     OpId,
     ProcessId,
     Tag,
+    _server_ids,
     make_value,
     quorum_size,
     tag_less,
@@ -78,7 +79,8 @@ class QuorumClient:
     without a tag, are dropped, and a sender counts once. Subclasses
     open phases with _broadcast and say in _on_quorum what a complete
     phase leads to: the next phase, or the completion built by _done.
-    ticks is how many counter values one operation uses.
+    ticks is how many counter values one operation uses. A step sends
+    one broadcast or nothing: one op and one kind (see SimNet._send).
     """
 
     pid: ProcessId
@@ -103,7 +105,7 @@ class QuorumClient:
         self.replies = {}
         op = OpId(self.pid, self.seq)
         return [Message(kind, op, self.pid, s, tag=tag, value=value)
-                for s in self.config.servers()]
+                for s in _server_ids(self.config.n_servers)]
 
     def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
         # Stale, foreign, unexpected and tagless replies are dropped silently.
@@ -186,7 +188,8 @@ def count_relay(relays: dict[OpId, set[ProcessId]], msg: Message,
 @dataclass
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
-    and duplicate-safe. Subclasses dispatch the kinds they serve."""
+    and duplicate-safe. Subclasses dispatch the kinds they serve. A step
+    sends one reply, one broadcast or nothing (see SimNet._send)."""
 
     pid: ProcessId
     config: Config
@@ -257,7 +260,7 @@ class ServerStateS(Replica):
         return [
             Message(KIND_READ_RELAY, op, self.pid, s,
                     tag=self.tag, value=self.value, relay_origin=self.pid)
-            for s in self.config.servers()
+            for s in _server_ids(self.config.n_servers)
         ]
 
     def on_read_relay(self, msg: Message) -> list[Message]:

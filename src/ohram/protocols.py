@@ -109,9 +109,12 @@ def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
 def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
                    live: bool = False) -> ProtocolBundle:
     """The bundle to run config with: the config is valid, its mode is
-    the protocol's and, for the live runner, the protocol is allowed
-    there. Every simulator and live endpoint is built through this."""
+    the protocol's, naive3x's x is None or in 1..n, and a live runner's
+    protocol is runner_ok. Every simulator and live endpoint is built here."""
     validate_config(config)
+    if (protocol == "naive3x" and x is not None
+            and not 1 <= x <= config.n_servers):
+        raise ModeMismatch(f"naive3x threshold {x} not in 1..{config.n_servers}")
     bundle = get_protocol(protocol, x=x)
     if live and not bundle.runner_ok:
         raise ModeMismatch(

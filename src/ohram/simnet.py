@@ -55,7 +55,6 @@ from .core import (
     opid_to_json,
     parse_pid,
     tag_from_json,
-    tag_less,
     tag_to_json,
     validate_config,
 )
@@ -150,12 +149,14 @@ class SimNet:
     # -- send side --
 
     def _send(self, msgs: list[Message]) -> None:
-        for m in msgs:
-            om = self.metrics[self.bundle.op_group(m.op)]
-            om.messages += 1
-            om.exchange_kinds.add(m.kind)
-            if m.destination not in self.crashed:
-                self.inflight.append(m)
+        """Tally and put in flight one step's non-empty output. Its messages
+        share one op and one kind: a step sends one broadcast or one reply."""
+        om = self.metrics[self.bundle.op_group(msgs[0].op)]
+        om.messages += len(msgs)
+        om.exchange_kinds.add(msgs[0].kind)
+        if self.crashed:
+            msgs = [m for m in msgs if m.destination not in self.crashed]
+        self.inflight.extend(msgs)
 
     # -- the three event kinds --
 
@@ -186,24 +187,21 @@ class SimNet:
         dest = msg.destination
         if dest in self.crashed:
             return
-        if dest in self.servers:
-            self._deliver_server(dest, msg)
-        else:
-            machine = self.clients[dest]
-            outs, completion = machine.on_message(msg)
-            self._send(outs)
+        server = self.servers.get(dest)
+        if server is None:
+            outs, completion = self.clients[dest].on_message(msg)
             if completion is not None:
+                # only a completion makes a client idle
                 self._record_completion(completion)
-            self._note_idle(dest)
-
-    def _deliver_server(self, dest: ProcessId, msg: Message) -> None:
-        server = self.servers[dest]
-        check = self.check_invariants
-        before = server.tag if check else None
-        outs = server.on_message(msg)
-        if check:
+                self._note_idle(dest)
+        elif self.check_invariants:
+            before = server.tag
+            outs = server.on_message(msg)
             self._check_server_step(dest, server, msg, before, outs)
-        self._send(outs)
+        else:
+            outs = server.on_message(msg)
+        if outs:
+            self._send(outs)
 
     def crash(self, pid: ProcessId) -> None:
         refusal = self._crash_refusal(pid)
@@ -237,32 +235,35 @@ class SimNet:
 
     def _check_server_step(self, pid, server, msg, before, outs) -> None:
         after = server.tag
-        if tag_less(after, before):
+        if after < before:
             self.invariant_failures.append(
                 f"{pid}: tag moved backwards {before} -> {after}")
         if msg.kind == KIND_READ_RELAY and msg.tag is not None:
             key = (pid, msg.op)
             high = self._relay_high.get(key)
-            if high is None or tag_less(high, msg.tag):
+            if high is None or high < msg.tag:
                 self._relay_high[key] = msg.tag
-        for out in outs:
-            if out.kind == KIND_READ_ACK:
+        # one step's outputs share one kind (see _send)
+        kind = outs[0].kind if outs else None
+        if kind == KIND_READ_ACK:
+            for out in outs:
                 key = (pid, out.op)
                 self._read_acks_sent[key] = self._read_acks_sent.get(key, 0) + 1
                 if self._read_acks_sent[key] > 1:
                     self.invariant_failures.append(
                         f"{pid}: second readAck for {out.op}")
                 high = self._relay_high.get(key)
-                if high is not None and tag_less(out.tag, high):
+                if high is not None and out.tag < high:
                     self.invariant_failures.append(
                         f"{pid}: readAck tag {out.tag} below received "
                         f"relay tag {high} for {out.op}")
-            if (out.kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST
-                    and out.op == msg.op and msg.tag is not None
-                    and tag_less(out.tag, msg.tag)):
-                self.invariant_failures.append(
-                    f"{pid}: writeAck tag {out.tag} below request tag "
-                    f"{msg.tag} for {out.op}")
+        elif (kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST
+                and msg.tag is not None):
+            for out in outs:
+                if out.op == msg.op and out.tag < msg.tag:
+                    self.invariant_failures.append(
+                        f"{pid}: writeAck tag {out.tag} below request tag "
+                        f"{msg.tag} for {out.op}")
 
     # -- driving a run --
 
@@ -320,7 +321,7 @@ def _uniform(net: SimNet):
     pending_crashes by index. SimNet keeps the idle set up to date; it is
     sorted only when a step falls in its band.
     """
-    randrange = net.rng.randrange
+    getrandbits, deliver = net.rng.getrandbits, net.deliver
     inflight, idle, crashes = net.inflight, net.idle, net.pending_crashes
     rank = net._rank.__getitem__
     while True:
@@ -328,10 +329,14 @@ def _uniform(net: SimNet):
         total = delivers + invokes + len(crashes)
         if not total:
             return
-        k = randrange(total)
+        # randrange(total) inline: the same rejection loop, draw for draw
+        bits = total.bit_length()
+        k = getrandbits(bits)
+        while k >= total:
+            k = getrandbits(bits)
         if k < delivers:
             inflight[k], inflight[-1] = inflight[-1], inflight[k]
-            yield net.deliver, inflight.pop()
+            yield deliver, inflight.pop()
         elif k < delivers + invokes:
             yield net.invoke_next, sorted(idle, key=rank)[k - delivers]
         else:

@@ -70,6 +70,21 @@ def test_replay_malformed_schedule_is_a_config_error(tmp_path, capsys):
     assert main(["replay", str(bad)]) == 4
 
 
+def test_naive3x_threshold_outside_one_to_n_is_a_config_error(tmp_path,
+                                                             capsys):
+    assert main(["simulate", "--protocol", "naive3x", "--writers", "2",
+                 "--x", "-3"]) == 4
+    assert "threshold" in capsys.readouterr().err
+    config = {"n_servers": 3, "n_readers": 1, "n_writers": 2, "f": 1,
+              "mode": "mwmr"}
+    for x in (0, 4):
+        script = tmp_path / f"x{x}.json"
+        script.write_text(json.dumps({"protocol": "naive3x",
+                                      "config": config, "x": x}) + "\n")
+        assert main(["replay", str(script)]) == 4
+        assert "threshold" in capsys.readouterr().err
+
+
 def test_check_round_trip_through_a_dump(tmp_path, capsys):
     dump = tmp_path / "run.json"
     assert main(["simulate", "--protocol", "ohmam", "--writers", "2",

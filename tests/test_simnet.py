@@ -3,18 +3,26 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import ohram.simnet as simnet
 from ohram.core import (
+    BOTTOM,
+    KIND_READ_ACK,
     Config,
     FaultBudgetExceeded,
+    Message,
+    OhramError,
     ScheduleUnresolvable,
     StuckExecution,
+    Tag,
     parse_pid,
     server_id,
+    writer_id,
 )
+from ohram.ohsam import ServerStateS
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import SimNet, history_from_json, run_script, simulate
 
@@ -384,3 +392,138 @@ def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
     for script in ("xi1p", "xi2p", "xi3pp", "xi4"):
         simnet.replay_file(f"schedules/{script}.json")
     assert steps > 5000
+
+
+def test_every_step_sends_one_op_and_one_kind(monkeypatch):
+    """SimNet._send tallies per output list: each list a machine returns
+    from invoke_* or on_message is one broadcast or one reply."""
+    lists = 0
+    send = SimNet._send
+
+    def checked(net, msgs):
+        nonlocal lists
+        assert len({(m.op, m.kind) for m in msgs}) <= 1, msgs
+        lists += bool(msgs)
+        return send(net, msgs)
+
+    monkeypatch.setattr(SimNet, "_send", checked)
+    corpus = list(_golden_corpus())
+    assert {r.protocol for r in corpus} == set(PROTOCOL_NAMES)
+    list(_golden_sliced())
+    assert lists > 8000
+
+
+def test_uniform_draws_what_randrange_draws():
+    """_uniform's inline draw takes the same k from the RNG as
+    randrange(total), so the seed -> schedule mapping is the library's."""
+    for seed in (0, 1, 11, 1059, 2 ** 40 + 3):
+        reference = random.Random(seed)
+        net = SimpleNamespace(rng=random.Random(seed), inflight=[], idle=set(),
+                              pending_crashes=[], _rank={}, deliver="deliver")
+        draws = simnet._uniform(net)
+        for total in range(1, 2049):
+            # message k sits at index k, so the delivered message is k
+            net.inflight[:] = range(total)
+            assert next(draws) == ("deliver", reference.randrange(total))
+
+
+# -- per-step invariants, each fired by a deliberately faulty server --
+
+S1 = server_id(1)
+
+
+class _Overwrites(ServerStateS):
+    """Takes every tag it is sent, larger or not."""
+
+    def _adopt(self, tag, value):
+        self.tag, self.value = tag, value
+
+
+class _AcksEveryRelay(ServerStateS):
+    """Answers the reader on every relay, not once at a majority."""
+
+    def on_read_relay(self, msg):
+        self._adopt(msg.tag, msg.value)
+        return self._reply(KIND_READ_ACK, msg)
+
+
+class _AnswersInitial(ServerStateS):
+    """Answers every request with its initial pair."""
+
+    def _reply(self, kind, msg):
+        return [Message(kind, msg.op, self.pid, msg.op.invoker,
+                        tag=Tag(0, self.pid), value=BOTTOM)]
+
+
+def _faulty_net(server_class, **fields):
+    net = SimNet("ohsam", SWMR3, seed=0)
+    net.servers[S1] = server_class(S1, SWMR3, **fields)
+    net.load_program(parse_pid("w1"), [("write", "A")])
+    net.load_program(parse_pid("r1"), [("read", None)])
+    return net
+
+
+def _deliver(net, kind, to, sender=None):
+    (msg,) = [m for m in net.inflight if m.kind == kind
+              and str(m.destination) == to
+              and (sender is None or str(m.sender) == sender)]
+    net.inflight.remove(msg)
+    net.deliver(msg)
+    return msg
+
+
+def test_invariant_tag_moved_backwards():
+    net = _faulty_net(_Overwrites, tag=Tag(5, writer_id(1)))
+    net.invoke_next(parse_pid("w1"))
+    _deliver(net, "writeRequest", "s1")
+    assert net.invariant_failures == [
+        "s1: tag moved backwards (5,w1) -> (1,w1)"]
+
+
+def test_invariant_second_read_ack():
+    net = _faulty_net(_AcksEveryRelay)
+    net.invoke_next(parse_pid("r1"))
+    _deliver(net, "readRequest", "s1")
+    relay = _deliver(net, "readRelay", "s1", "s1")
+    assert net.invariant_failures == []
+    net.deliver(relay)  # the same relay again
+    assert net.invariant_failures == ["s1: second readAck for r1#1"]
+
+
+def test_invariant_read_ack_below_a_received_relay_tag():
+    net = _faulty_net(_AnswersInitial)
+    net.invoke_next(parse_pid("w1"))
+    _deliver(net, "writeRequest", "s2")
+    net.invoke_next(parse_pid("r1"))
+    _deliver(net, "readRequest", "s2")
+    _deliver(net, "readRequest", "s1")
+    _deliver(net, "readRelay", "s1", "s2")
+    assert net.invariant_failures == []
+    _deliver(net, "readRelay", "s1", "s1")
+    assert net.invariant_failures == [
+        "s1: readAck tag (0,s1) below received relay tag (1,w1) for r1#1"]
+
+
+def test_invariant_write_ack_below_the_request_tag():
+    net = _faulty_net(_AnswersInitial)
+    net.invoke_next(parse_pid("w1"))
+    _deliver(net, "writeRequest", "s1")
+    assert net.invariant_failures == [
+        "s1: writeAck tag (0,s1) below request tag (1,w1) for w1#1"]
+
+
+# -- the naive3x threshold --
+
+@pytest.mark.parametrize("x", [-3, 0, 4])
+def test_naive3x_threshold_outside_one_to_n_is_refused(x):
+    with pytest.raises(OhramError, match="threshold"):
+        SimNet("naive3x", MWMR3, seed=0, x=x)
+    header = {"protocol": "naive3x", "config": _NAIVE3X_CONFIG, "x": x}
+    with pytest.raises(OhramError, match="threshold"):
+        run_script(json.dumps(header) + "\n")
+
+
+def test_naive3x_threshold_none_is_the_default_and_one_to_n_is_kept():
+    assert SimNet("naive3x", MWMR3, seed=0).servers[S1].x == 2
+    for x in (1, 3):
+        assert SimNet("naive3x", MWMR3, seed=0, x=x).servers[S1].x == x
