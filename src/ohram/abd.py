@@ -35,7 +35,6 @@ from .core import (
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
-    tag_less,
 )
 from .ohmam import WriterStateM
 from .ohsam import QuorumClient, Replica, WriterStateS as AbdWriterSwmr  # one-round write
@@ -55,7 +54,7 @@ class AbdReaderState(QuorumClient):
             return self._done("read", self.seq, self.result.tag, self.result.value)
         best = None
         for m in self.replies.values():
-            if best is None or tag_less(best.tag, m.tag):
+            if best is None or best.tag < m.tag:
                 best = m
         self.result = best
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,

@@ -308,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='crash count ("2") or victims ("s2,s3") '
                         "for seeded runs")
     p.add_argument("--x", type=int, default=None,
-                   help="decision threshold of the unsound protocol, 1..n")
+                   help="decision threshold of the unsound naive3x "
+                        "protocol, 1..n; refused for every other protocol")
     p.add_argument("--out", help="dump the full run result to this file")
     p.set_defaults(func=cmd_simulate)
 

@@ -59,7 +59,7 @@ from .core import (
     Tag,
     WriteRecord,
     _server_ids,
-    tag_less,
+    quorum_size,
 )
 from .ohsam import ReaderStateS, WriterStateS, count_relay
 
@@ -127,6 +127,7 @@ class Naive3xServer:
     def __post_init__(self):
         if self.x <= 0:
             self.x = default_x(self.config.n_servers)
+        self.quorum = quorum_size(self.config.n_servers)
 
     # -- evidence bookkeeping --
 
@@ -153,7 +154,7 @@ class Naive3xServer:
             return rec.tag, rec.value
         if len(self.observations) == 2:
             a, b = self.observations
-            if tag_less(b.tag, a.tag):
+            if b.tag < a.tag:
                 a, b = b, a
             c_first = c_second = 0
             decls = dict(self.origin_obs)
@@ -172,7 +173,7 @@ class Naive3xServer:
         # shape; with more writes in view fall back to the largest tag.
         best = self.observations[0]
         for rec in self.observations[1:]:
-            if tag_less(best.tag, rec.tag):
+            if best.tag < rec.tag:
                 best = rec
         return best.tag, best.value
 
@@ -192,12 +193,9 @@ class Naive3xServer:
     def _relay(self, kind: str, op: OpId, tag: Tag,
                value: Optional[str]) -> list[Message]:
         # Every relay carries a snapshot of this server's observations.
-        snapshot = tuple(self.observations)
-        return [
-            Message(kind, op, self.pid, s, tag=tag, value=value,
-                    relay_origin=self.pid, observations=snapshot)
-            for s in _server_ids(self.config.n_servers)
-        ]
+        pid, snapshot = self.pid, tuple(self.observations)
+        return [Message(kind, op, pid, s, tag, value, pid, snapshot)
+                for s in _server_ids(self.config.n_servers)]
 
     def on_write_request(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
@@ -209,9 +207,9 @@ class Naive3xServer:
     def on_write_relay(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         self._merge_origin(msg.relay_origin, msg.observations)
-        if count_relay(self.write_relays, msg, self.config.n_servers):
+        if count_relay(self.write_relays, msg, self.quorum):
             return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
-                            tag=msg.tag, value=msg.value)]
+                            msg.tag, msg.value)]
         return []
 
     def on_read_request(self, msg: Message) -> list[Message]:
@@ -222,8 +220,8 @@ class Naive3xServer:
 
     def on_read_relay(self, msg: Message) -> list[Message]:
         self._merge_origin(msg.relay_origin, msg.observations)
-        if count_relay(self.read_relays, msg, self.config.n_servers):
+        if count_relay(self.read_relays, msg, self.quorum):
             tag, value = self.adopted()
             return [Message(KIND_READ_ACK, msg.op, self.pid, msg.op.invoker,
-                            tag=tag, value=value)]
+                            tag, value)]
         return []

@@ -39,7 +39,6 @@ from .core import (
     ProcessId,
     Tag,
     make_value,
-    tag_less,
 )
 from .ohsam import QuorumClient, ReaderStateS, ServerStateS
 
@@ -62,6 +61,7 @@ class WriterStateM(QuorumClient):
     ticks = 2
 
     def __post_init__(self):
+        super().__post_init__()
         if self.tag is None:
             self.tag = Tag(0, self.pid)
 
@@ -102,7 +102,7 @@ class ServerStateM(ServerStateS):
 
     def on_write_request(self, msg: Message) -> list[Message]:
         wid = msg.op.invoker
-        if tag_less(self.tag, msg.tag) and self.write_operations.get(wid, 0) < msg.op.seq:
+        if self.tag < msg.tag and self.write_operations.get(wid, 0) < msg.op.seq:
             self.tag = msg.tag
             self.value = msg.value
             self.write_operations[wid] = msg.op.seq

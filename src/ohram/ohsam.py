@@ -62,7 +62,6 @@ from .core import (
     _server_ids,
     make_value,
     quorum_size,
-    tag_less,
 )
 
 
@@ -81,6 +80,7 @@ class QuorumClient:
     phase leads to: the next phase, or the completion built by _done.
     ticks is how many counter values one operation uses. A step sends
     one broadcast or nothing: one op and one kind (see SimNet._send).
+    quorum and server_ids are derived from config once.
     """
 
     pid: ProcessId
@@ -89,6 +89,10 @@ class QuorumClient:
     awaiting: Optional[str] = None
     replies: dict[ProcessId, Message] = field(default_factory=dict)
     ticks = 1  # a class attribute, not a field
+
+    def __post_init__(self):
+        self.quorum = quorum_size(self.config.n_servers)
+        self.server_ids = _server_ids(self.config.n_servers)
 
     @property
     def busy(self) -> bool:
@@ -103,9 +107,9 @@ class QuorumClient:
                    value: Optional[str] = None) -> list[Message]:
         self.awaiting = awaiting
         self.replies = {}
-        op = OpId(self.pid, self.seq)
-        return [Message(kind, op, self.pid, s, tag=tag, value=value)
-                for s in _server_ids(self.config.n_servers)]
+        pid = self.pid
+        op = OpId(pid, self.seq)
+        return [Message(kind, op, pid, s, tag, value) for s in self.server_ids]
 
     def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
         # Stale, foreign, unexpected and tagless replies are dropped silently.
@@ -113,7 +117,7 @@ class QuorumClient:
                 or msg.op.invoker != self.pid or msg.tag is None):
             return [], None
         self.replies[msg.sender] = msg
-        if len(self.replies) >= quorum_size(self.config.n_servers):
+        if len(self.replies) >= self.quorum:
             return self._on_quorum()
         return [], None
 
@@ -167,29 +171,31 @@ class ReaderStateS(QuorumClient):
         # arrival order, so the result is deterministic.
         best: Optional[Message] = None
         for m in self.replies.values():
-            if best is None or tag_less(m.tag, best.tag):
+            if best is None or m.tag < best.tag:
                 best = m
         return best.tag, best.value
 
 
 def count_relay(relays: dict[OpId, set[ProcessId]], msg: Message,
-                n_servers: int) -> bool:
+                quorum: int) -> bool:
     """Record msg's relay origin under its operation. True exactly when a
-    new origin brings the operation to a majority, which happens once."""
+    new origin brings the operation to quorum origins (a majority of the
+    servers), which happens once."""
     origins = relays.get(msg.op)
     if origins is None:
         origins = relays[msg.op] = set()
     if msg.relay_origin in origins:
         return False
     origins.add(msg.relay_origin)
-    return len(origins) == quorum_size(n_servers)
+    return len(origins) == quorum
 
 
 @dataclass
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
     and duplicate-safe. Subclasses dispatch the kinds they serve. A step
-    sends one reply, one broadcast or nothing (see SimNet._send)."""
+    sends one reply, one broadcast or nothing (see SimNet._send). quorum
+    is derived from config once."""
 
     pid: ProcessId
     config: Config
@@ -199,13 +205,14 @@ class Replica:
     def __post_init__(self):
         if self.tag is None:
             self.tag = Tag(0, self.pid)
+        self.quorum = quorum_size(self.config.n_servers)
 
     def _reply(self, kind: str, msg: Message) -> list[Message]:
-        return [Message(kind, msg.op, self.pid, msg.op.invoker,
-                        tag=self.tag, value=self.value)]
+        op = msg.op
+        return [Message(kind, op, self.pid, op.invoker, self.tag, self.value)]
 
     def _adopt(self, tag: Tag, value: Optional[str]) -> None:
-        if tag_less(self.tag, tag):
+        if self.tag < tag:
             self.tag = tag
             self.value = value
 
@@ -239,10 +246,11 @@ class ServerStateS(Replica):
     horizon: dict[ProcessId, int] = field(default_factory=dict)
 
     def on_message(self, msg: Message) -> list[Message]:
-        if msg.kind == KIND_READ_REQUEST:
-            return self.on_read_request(msg)
+        # a read brings each server n readRelays to one readRequest
         if msg.kind == KIND_READ_RELAY:
             return self.on_read_relay(msg)
+        if msg.kind == KIND_READ_REQUEST:
+            return self.on_read_request(msg)
         if msg.kind == KIND_WRITE_REQUEST:
             return self.on_write_request(msg)
         return []
@@ -257,18 +265,16 @@ class ServerStateS(Replica):
             if op in self.relayed:
                 return []
             self.relayed.add(op)
-        return [
-            Message(KIND_READ_RELAY, op, self.pid, s,
-                    tag=self.tag, value=self.value, relay_origin=self.pid)
-            for s in _server_ids(self.config.n_servers)
-        ]
+        pid, tag, value = self.pid, self.tag, self.value
+        return [Message(KIND_READ_RELAY, op, pid, s, tag, value, pid)
+                for s in _server_ids(self.config.n_servers)]
 
     def on_read_relay(self, msg: Message) -> list[Message]:
         op = msg.op
         self._adopt(msg.tag, msg.value)
         if op.seq <= self._advance(op):
             return []
-        if count_relay(self.relays, msg, self.config.n_servers):
+        if count_relay(self.relays, msg, self.quorum):
             return self._reply(KIND_READ_ACK, msg)
         return []
 
@@ -277,8 +283,7 @@ class ServerStateS(Replica):
         invoker, h = op.invoker, self.horizon.get(op.invoker, 0)
         while h + 1 < op.seq:
             old = OpId(invoker, h + 1)
-            if (len(self.relays.get(old, ()))
-                    < quorum_size(self.config.n_servers)):
+            if len(self.relays.get(old, ())) < self.quorum:
                 break
             del self.relays[old]
             self.relayed.discard(old)

@@ -97,25 +97,29 @@ PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
 def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
-    """The bundle named name; x is the naive3x servers' decision threshold."""
+    """The bundle named name; x is the naive3x servers' decision threshold,
+    refused for every other protocol."""
     bundle = PROTOCOLS.get(name)
     if bundle is None:
         raise ModeMismatch(f"unknown protocol {name!r}")
-    if x and name == "naive3x":
-        return replace(bundle, make_server=partial(naive3x.Naive3xServer, x=x))
-    return bundle
+    if x is None:
+        return bundle
+    if name != "naive3x":
+        raise ModeMismatch(
+            f"protocol {name} takes no threshold x (only naive3x does)")
+    return replace(bundle, make_server=partial(naive3x.Naive3xServer, x=x))
 
 
 def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
                    live: bool = False) -> ProtocolBundle:
     """The bundle to run config with: the config is valid, its mode is
-    the protocol's, naive3x's x is None or in 1..n, and a live runner's
-    protocol is runner_ok. Every simulator and live endpoint is built here."""
+    the protocol's, x is None or, for naive3x only, in 1..n, and a live
+    runner's protocol is runner_ok. Every simulator and live endpoint is
+    built here."""
     validate_config(config)
-    if (protocol == "naive3x" and x is not None
-            and not 1 <= x <= config.n_servers):
-        raise ModeMismatch(f"naive3x threshold {x} not in 1..{config.n_servers}")
     bundle = get_protocol(protocol, x=x)
+    if x is not None and not 1 <= x <= config.n_servers:
+        raise ModeMismatch(f"naive3x threshold {x} not in 1..{config.n_servers}")
     if live and not bundle.runner_ok:
         raise ModeMismatch(
             f"protocol {protocol} is not allowed in the live runner")

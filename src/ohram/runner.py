@@ -483,10 +483,9 @@ class Client(_Endpoint):
                     self._broadcast(self._current)
             completion = self._completion
             t1 = time.monotonic_ns()
-            rec = OpRecord(op=completion.op, kind=kind, invoker=self.pid,
-                           invoked=t0, responded=t1,
-                           tag=completion.tag,
-                           value=completion.value if kind == "read" else value)
+            rec = OpRecord(completion.op, kind, self.pid, t0, t1,
+                           completion.tag,
+                           completion.value if kind == "read" else value)
             self.history.append(rec)
             return rec
 

@@ -85,6 +85,19 @@ def test_naive3x_threshold_outside_one_to_n_is_a_config_error(tmp_path,
         assert "threshold" in capsys.readouterr().err
 
 
+def test_threshold_x_for_a_protocol_without_one_is_a_config_error(
+        tmp_path, capsys):
+    assert main(["simulate", "--protocol", "ohsam", "--x", "7"]) == 4
+    assert "takes no threshold" in capsys.readouterr().err
+    script = tmp_path / "ohsam_x.json"
+    script.write_text(json.dumps({
+        "protocol": "ohsam", "x": 2,
+        "config": {"n_servers": 3, "n_readers": 1, "n_writers": 1, "f": 1,
+                   "mode": "swmr"}}) + "\n")
+    assert main(["replay", str(script)]) == 4
+    assert "takes no threshold" in capsys.readouterr().err
+
+
 def test_check_round_trip_through_a_dump(tmp_path, capsys):
     dump = tmp_path / "run.json"
     assert main(["simulate", "--protocol", "ohmam", "--writers", "2",

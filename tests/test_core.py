@@ -35,6 +35,7 @@ from ohram.core import (
     validate_config,
     writer_id,
 )
+from ohram.protocols import PROTOCOL_NAMES, get_protocol
 
 
 def test_pid_text_round_trip():
@@ -98,6 +99,24 @@ def test_quorums_intersect(n):
 
 def test_quorum_size_values():
     assert [quorum_size(n) for n in (3, 4, 5, 7)] == [2, 3, 3, 4]
+
+
+def test_every_machine_caches_its_quorum_size():
+    """Each machine derives quorum (and a client server_ids) from config
+    once, in __post_init__; a subclass that skips super() has neither."""
+    for name in PROTOCOL_NAMES:
+        bundle = get_protocol(name)
+        for n in range(1, 8):
+            config = Config(n_servers=n, n_readers=1,
+                            n_writers=1 if bundle.mode == "swmr" else 2,
+                            f=(n - 1) // 2, mode=bundle.mode)
+            clients = [bundle.make_writer(writer_id(1), config),
+                       bundle.make_reader(reader_id(1), config)]
+            server = bundle.make_server(server_id(1), config)
+            for machine in clients + [server]:
+                assert machine.quorum == quorum_size(n), (name, n, machine)
+            for machine in clients:
+                assert machine.server_ids == tuple(config.servers())
 
 
 def test_config_accessors():

@@ -10,14 +10,23 @@ import pytest
 import ohram.simnet as simnet
 from ohram.core import (
     BOTTOM,
+    KIND_DISCOVER,
+    KIND_DISCOVER_ACK,
     KIND_READ_ACK,
+    KIND_READ_RELAY,
+    KIND_READ_REQUEST,
+    KIND_WRITE_ACK,
+    KIND_WRITE_RELAY,
+    MESSAGE_KINDS,
     Config,
     FaultBudgetExceeded,
     Message,
+    ModeMismatch,
     OhramError,
     ScheduleUnresolvable,
     StuckExecution,
     Tag,
+    config_to_json,
     parse_pid,
     server_id,
     writer_id,
@@ -413,6 +422,36 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     assert lists > 8000
 
 
+def test_message_shapes_over_the_golden_corpus(monkeypatch):
+    """Machines build messages positionally, so pin each field's place:
+    a relay names its sender as relay_origin and nothing else names one,
+    every ack goes to the operation's invoker, tags are Tags where a kind
+    carries one, and only naive3x relays carry observations."""
+    kinds = set()
+    send = SimNet._send
+
+    def checked(net, msgs):
+        for m in msgs:
+            kinds.add(m.kind)
+            relay = m.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY)
+            assert m.relay_origin is (m.sender if relay else None), m
+            if m.kind in (KIND_READ_ACK, KIND_WRITE_ACK, KIND_DISCOVER_ACK):
+                assert m.destination is m.op.invoker, m
+            if m.kind in (KIND_READ_REQUEST, KIND_DISCOVER):
+                assert m.tag is None and m.value is None, m
+            else:
+                assert type(m.tag) is Tag, m
+            assert m.value is None or type(m.value) is str, m
+            assert (m.observations is not None) == (
+                relay and net.bundle.name == "naive3x"), m
+        return send(net, msgs)
+
+    monkeypatch.setattr(SimNet, "_send", checked)
+    list(_golden_corpus())
+    list(_golden_sliced())
+    assert kinds == set(MESSAGE_KINDS)
+
+
 def test_uniform_draws_what_randrange_draws():
     """_uniform's inline draw takes the same k from the RNG as
     randrange(total), so the seed -> schedule mapping is the library's."""
@@ -520,6 +559,19 @@ def test_naive3x_threshold_outside_one_to_n_is_refused(x):
         SimNet("naive3x", MWMR3, seed=0, x=x)
     header = {"protocol": "naive3x", "config": _NAIVE3X_CONFIG, "x": x}
     with pytest.raises(OhramError, match="threshold"):
+        run_script(json.dumps(header) + "\n")
+
+
+@pytest.mark.parametrize(
+    "protocol", [p for p in PROTOCOL_NAMES if p != "naive3x"])
+def test_threshold_x_is_refused_for_every_protocol_but_naive3x(protocol):
+    config = SWMR3 if get_protocol(protocol).mode == "swmr" else MWMR3
+    with pytest.raises(ModeMismatch, match="takes no threshold"):
+        get_protocol(protocol, x=2)
+    with pytest.raises(ModeMismatch, match="takes no threshold"):
+        SimNet(protocol, config, seed=0, x=2)
+    header = {"protocol": protocol, "config": config_to_json(config), "x": 2}
+    with pytest.raises(ModeMismatch, match="takes no threshold"):
         run_script(json.dumps(header) + "\n")
 
 
