@@ -8,19 +8,21 @@ different versions can coexist:
   {"type": "hello", "pid": "r1"}   identifies the dialing process
   {"type": "msg",  "msg": {...}}   carries one protocol message
 
-The JSON is what json.dumps(obj, separators=(",", ":")) writes, from one
-shared encoder, and a body is accepted exactly when json.loads accepts
-it, through one shared decoder. One framer cuts every incoming stream
-into frames, whatever the reads' sizes.
+The JSON is what json.dumps(obj, separators=(",", ":")) writes: a msg
+frame of exactly message_to_json's shape is formatted directly, any
+other frame comes from one shared encoder. A body is accepted exactly
+when json.loads accepts it, through one shared decoder. One framer cuts
+every incoming stream into frames, whatever the reads' sizes.
 
 Topology: clients dial every server and keep the connection; a server's
 replies to a client travel back over the client's own connection.
 Servers dial each other for relay traffic (each direction has its own
-connection). Every endpoint, server daemon or client, is one selector
-loop that owns all of its sockets, accepted and dialed, and handles
-each batch of events under the endpoint's lock: it accepts, reads, runs
-the machine and sends. A client's operation thread invokes and
-(re)broadcasts under the same lock. Links set TCP_NODELAY, because
+connection). The process has one selector loop, made by the first
+endpoint and run while any endpoint is started. It owns every socket of
+every server daemon and client, accepted and dialed, and handles each
+batch of events under the one lock all endpoints share: it accepts,
+reads, runs the machines and sends. A client's operation thread invokes
+and (re)broadcasts under the same lock. Links set TCP_NODELAY, because
 frames are small and go out one at a time.
 
 Sends never block. A message is framed onto its connection's outbuf and
@@ -47,7 +49,8 @@ Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
 merged for checking with merge_histories. A client that cannot assemble
 a quorum re-broadcasts its current phase every retry_interval seconds
-and gives up with QuorumUnreachable after retry_budget rebroadcasts.
+and gives up with QuorumUnreachable after retry_budget rebroadcasts, or
+at once when the client is closed.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -87,10 +90,43 @@ _LEN = struct.Struct(">I")
 # new encoder per call, and json.loads checks and strips its argument
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder()
+_quote = json.encoder.encode_basestring_ascii  # _ENCODER's string writer
+_MSG_KEYS = ["kind", "op", "sender", "destination", "tag", "value",
+             "relay_origin"]
+_MSG_FRAME = ('{"type":"msg","msg":{"kind":%s,"op":{"invoker":%s,"seq":%d},'
+              '"sender":%s,"destination":%s,"tag":%s,"value":%s,'
+              '"relay_origin":%s}}')
+
+
+def _msg_json(obj) -> Optional[str]:
+    """What _ENCODER writes for a msg frame of exactly message_to_json's
+    shape (keys in its order, no observations, str texts, int numbers,
+    str or null value), in one format; None for any other object."""
+    try:  # every key list is checked before its keys are looked up
+        if list(obj) != ["type", "msg"] or obj["type"] != "msg":
+            return None
+        m = obj["msg"]
+        if list(m) != _MSG_KEYS:
+            return None
+        op, tag, value, origin = m["op"], m["tag"], m["value"], m["relay_origin"]
+        if list(op) != ["invoker", "seq"] or type(op["seq"]) is not int:
+            return None
+        if tag is not None:
+            if list(tag) != ["ts", "wid"] or type(tag["ts"]) is not int:
+                return None
+            tag = '{"ts":%d,"wid":%s}' % (tag["ts"], _quote(tag["wid"]))
+        return _MSG_FRAME % (
+            _quote(m["kind"]), _quote(op["invoker"]), op["seq"],
+            _quote(m["sender"]), _quote(m["destination"]),
+            "null" if tag is None else tag,
+            "null" if value is None else _quote(value),
+            "null" if origin is None else _quote(origin))
+    except TypeError:  # not a dict, or a text that is no str
+        return None
 
 
 def _pack(obj: dict) -> bytes:
-    data = _ENCODER.encode(obj).encode("utf-8")
+    data = (_msg_json(obj) or _ENCODER.encode(obj)).encode("utf-8")
     if len(data) > MAX_FRAME:
         raise ValueError(f"frame of {len(data)} bytes exceeds {MAX_FRAME}")
     return _LEN.pack(len(data)) + data
@@ -173,64 +209,73 @@ class _Conn:
         self.events = EVENT_READ  # what the selector watches it for
 
 
-class _Endpoint:
-    """One selector loop that owns every socket of a live endpoint.
+class _Loop:
+    """The process's one selector loop, over every started endpoint.
 
-    The loop handles each batch of events under self.lock; any other
-    thread that sends holds the same lock. A subclass says what a
-    message does (_handle) and, for servers, how a connection is
-    accepted (_accept) and what a hello does (_hello).
+    A key's data is (endpoint, conn), conn None for a listener, or None
+    for the waker. Batches of events run under lock, which all endpoints
+    share, and the thread runs while some endpoint is started.
     """
 
-    def __init__(self, pid: ProcessId):
-        self.pid = pid
+    def __init__(self):
         self.lock = threading.Lock()
-        self.links: dict[ProcessId, _Conn] = {}  # dialed, by server
         self.selector = DefaultSelector()
-        # stop() and a drop off the loop thread end select() through the
-        # waker; closing sockets does not
-        self._wake, self._waker = socket.socketpair()
-        self.selector.register(self._wake, EVENT_READ)
-        self.stopped = False
-        self._thread: Optional[threading.Thread] = None
+        self.endpoints: set[_Endpoint] = set()  # started, not stopped
+        self.thread: Optional[threading.Thread] = None
 
-    def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
-        for server, addr in servers.items():
-            self.links[server] = _Conn(None, addr)
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        with self.lock:
-            if self.stopped:
-                return
-            self.stopped = True
+    def wake(self) -> None:
+        if self.thread is not None:
             self._waker.send(b"\0")
-        if self._thread is not None:
-            self._thread.join()
-        for key in list(self.selector.get_map().values()):
-            _close(key.fileobj)
-        self.selector.close()
-        _close(self._waker)
 
-    def _loop(self) -> None:
-        timeout = 0.0  # the links dial at once
-        while not self.stopped:
+    def add(self, endpoint: _Endpoint) -> None:
+        """Serve endpoint; its links dial at once. Call under lock."""
+        self.endpoints.add(endpoint)
+        if self.thread is None:
+            # a stop, a start and a drop off the loop thread end select()
+            # through the waker; closing sockets does not
+            self._wake, self._waker = socket.socketpair()
+            self.selector.register(self._wake, EVENT_READ)
+            self.thread = threading.Thread(target=self._run, daemon=True,
+                                           name="ohram-loop")
+            self.thread.start()
+        self.wake()
+
+    def remove(self, endpoint: _Endpoint) -> None:
+        """Unregister and close every socket of endpoint. Call under lock."""
+        for key in list(self.selector.get_map().values()):
+            if key.data is not None and key.data[0] is endpoint:
+                self.selector.unregister(key.fileobj)
+                _close(key.fileobj)
+        self.endpoints.discard(endpoint)
+        if not self.endpoints:
+            self.wake()  # the thread exits
+
+    def _run(self) -> None:
+        timeout = None
+        while True:
             ready = self.selector.select(timeout)
             with self.lock:
                 for key, events in ready:
-                    conn = key.data
+                    if key.data is None:
+                        self._wake.recv(64)
+                        continue
+                    endpoint, conn = key.data
+                    if endpoint.stopped:  # since select() returned
+                        continue
                     if conn is None:
-                        if key.fileobj is self._wake:
-                            self._wake.recv(64)
-                        else:
-                            self._accept()
+                        endpoint._accept()
                         continue
                     # a connection dropped earlier in this batch is skipped
                     if events & EVENT_READ and conn.sock is key.fileobj:
-                        self._read(conn)
+                        endpoint._read(conn)
                     if events & EVENT_WRITE and conn.sock is key.fileobj:
-                        self._flush(conn)
+                        endpoint._flush(conn)
+                if not self.endpoints:
+                    self.thread = None
+                    self.selector.unregister(self._wake)
+                    _close(self._wake)
+                    _close(self._waker)
+                    return
                 timeout = self._redial()
 
     def _redial(self) -> Optional[float]:
@@ -238,13 +283,55 @@ class _Endpoint:
         the next one is, or None if no link waits."""
         now = time.monotonic()
         wait = None
-        for link in self.links.values():
-            if link.sock is None and link.redial_at <= now:
-                self._dial(link)
-            if link.sock is None:
-                left = max(0.0, link.redial_at - now)
-                wait = left if wait is None else min(wait, left)
+        for endpoint in self.endpoints:
+            for link in endpoint.links.values():
+                if link.sock is None and link.redial_at <= now:
+                    endpoint._dial(link)
+                if link.sock is None:
+                    left = max(0.0, link.redial_at - now)
+                    wait = left if wait is None else min(wait, left)
         return wait
+
+
+_LOOPS: list[_Loop] = []  # the process's loop, once an endpoint is made
+_LOOPS_LOCK = threading.Lock()
+
+
+def _shared_loop() -> _Loop:
+    with _LOOPS_LOCK:
+        if not _LOOPS:
+            _LOOPS.append(_Loop())
+        return _LOOPS[0]
+
+
+class _Endpoint:
+    """A live endpoint, whose sockets the shared loop serves.
+
+    A subclass says what a message does (_handle) and, for servers, how
+    a connection is accepted (_accept) and what a hello does (_hello).
+    """
+
+    def __init__(self, pid: ProcessId):
+        self.pid = pid
+        self.loop = _shared_loop()
+        self.lock = self.loop.lock
+        self.links: dict[ProcessId, _Conn] = {}  # dialed, by server
+        self.stopped = False
+
+    def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
+        """Dial every server in servers and keep the links. Call under lock."""
+        for server, addr in servers.items():
+            self.links[server] = _Conn(None, addr)
+        self.loop.add(self)
+
+    def stop(self) -> None:
+        with self.lock:
+            if not self.stopped:
+                self.stopped = True
+                self.loop.remove(self)
+
+    def _watch(self, conn: _Conn) -> None:
+        self.loop.selector.register(conn.sock, conn.events, (self, conn))
 
     def _dial(self, link: _Conn) -> None:
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -263,7 +350,7 @@ class _Endpoint:
         for msg in link.unsent:  # at-least-once: each from its first byte
             link.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
         link.events = EVENT_READ | EVENT_WRITE
-        self.selector.register(sock, link.events, link)
+        self._watch(link)
 
     def _read(self, conn: _Conn) -> None:
         sock = conn.sock
@@ -318,23 +405,23 @@ class _Endpoint:
             conn.unsent.clear()
         events = EVENT_READ | (EVENT_WRITE if conn.outbuf else 0)
         if events != conn.events:
-            self.selector.modify(conn.sock, events, conn)
+            self.loop.selector.modify(conn.sock, events, (self, conn))
             conn.events = events
 
     def _drop(self, conn: _Conn) -> None:
         sock, conn.sock = conn.sock, None
         if sock is None:
             return  # dropped already
-        self.selector.unregister(sock)
+        self.loop.selector.unregister(sock)
         _close(sock)
         if conn.address is not None:  # a link keeps unsent for its redial
             conn.outbuf.clear()
             conn.redial_at = time.monotonic() + REDIAL_DELAY
-            self._waker.send(b"\0")  # the loop's select() timeout is stale
+            self.loop.wake()  # the loop's select() timeout is stale
 
 
 class ServerDaemon(_Endpoint):
-    """One protocol server behind a listening TCP socket, on one loop."""
+    """One protocol server behind a listening TCP socket."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
                  host: Optional[str] = None, port: int = 0):
@@ -354,7 +441,6 @@ class ServerDaemon(_Endpoint):
         self.address = self.listener.getsockname()
         self.port = self.address[1]
         super().__init__(pid)
-        self.selector.register(self.listener, EVENT_READ)
         self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
         # replies to a client with no connection, for its newest op only;
         # ohsam acks each read once, so a lost reply would never return
@@ -362,11 +448,17 @@ class ServerDaemon(_Endpoint):
 
     def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
         """membership maps every server pid to its (host, port)."""
-        self._start({peer: addr for peer, addr in membership.items()
-                     if peer != self.pid})
+        with self.lock:
+            self.loop.selector.register(self.listener, EVENT_READ, (self, None))
+            self._start({peer: addr for peer, addr in membership.items()
+                         if peer != self.pid})
+
+    def stop(self) -> None:
+        super().stop()
+        self.listener.close()  # closed already, unless never started
 
     # kill == stop; the machine state is simply abandoned
-    kill = _Endpoint.stop
+    kill = stop
 
     def _accept(self) -> None:
         try:
@@ -375,7 +467,7 @@ class ServerDaemon(_Endpoint):
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.selector.register(sock, EVENT_READ, _Conn(sock))
+        self._watch(_Conn(sock))
 
     def _hello(self, conn: _Conn, peer: ProcessId) -> None:
         conn.peer = peer
@@ -445,9 +537,14 @@ class Client(_Endpoint):
         self._completion = None
         self._current: list[Message] = []
         self.history: list[OpRecord] = []
-        self._start({s: membership[s] for s in config.servers()})
+        with self.lock:
+            self._start({s: membership[s] for s in config.servers()})
 
-    close = _Endpoint.stop
+    def close(self) -> None:
+        """Stop; an op waiting for its quorum raises QuorumUnreachable."""
+        self.stop()
+        with self.done:
+            self.done.notify_all()
 
     def _broadcast(self, msgs: list[Message]) -> None:
         for m in msgs:
@@ -474,6 +571,9 @@ class Client(_Endpoint):
             self._broadcast(msgs)
             retries = 0
             while self._completion is None:
+                if self.stopped:
+                    raise QuorumUnreachable(
+                        f"{self.pid}: closed with its {kind} open")
                 if not self.done.wait(timeout=self.retry_interval):
                     retries += 1
                     if retries > self.retry_budget:

@@ -6,12 +6,11 @@ import socket
 import threading
 import time
 import warnings
-from selectors import EVENT_READ
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ohram.checker import check_bruteforce, check_witness
+from ohram.checker import check_bruteforce, check_history, check_witness
 from ohram.core import (
     KIND_READ_ACK,
     KIND_READ_RELAY,
@@ -38,6 +37,7 @@ from ohram.runner import (
     Client,
     ServerDaemon,
     _Conn,
+    _ENCODER,
     _Framer,
     _pack,
     _unpack,
@@ -300,10 +300,10 @@ def test_server_links_run_no_reader_thread():
         # every link is connected and has its hello on the wire
         assert wait_for(lambda: all(
             link.sock is not None and not link.outbuf for link in links))
-        extra = [t for t in threading.enumerate() if t not in before]
-        # one loop per endpoint; nothing per link or per connection
-        assert len(extra) == len(daemons) + 1 == 4
-        assert all(t.name.endswith("(_loop)") for t in extra)
+        # one loop for the process; nothing per endpoint, link or connection
+        loops = [t for t in threading.enumerate() if t.name == "ohram-loop"]
+        assert loops == [reader.loop.thread]
+        assert all(t in before or t in loops for t in threading.enumerate())
     finally:
         stop_all(daemons, [reader])
 
@@ -550,6 +550,45 @@ def test_a_bad_frame_closes_only_its_own_connection(garbage):
         stop_all(daemons, [writer])
 
 
+def test_a_fault_at_one_daemon_leaves_the_loop_serving_the_rest():
+    three = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
+    daemons, membership = start_cluster(three, "ohsam")
+    writer = Client(W1, three, "ohsam", membership)
+    reader = Client(R1, three, "ohsam", membership)
+    s1, s2, _ = daemons
+    bad = []
+
+    def ops(count):
+        for i in range(count):
+            wrec = writer.write(f"{len(writer.history)}")
+            rrec = reader.read()
+            assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+
+    try:
+        ops(1)
+        links = {c: c.links[s1.pid].sock for c in (writer, reader)}
+        for garbage in [(4).to_bytes(4, "big") + b"{no}", msg_frame(Message(
+                KIND_WRITE_REQUEST, OpId(W1, 99), W1, s1.pid))]:
+            bad.append(socket.create_connection(s1.address, timeout=10.0))
+            bad[-1].sendall(_pack({"type": "hello", "pid": "r2"}) + garbage)
+            assert peer_closed(bad[-1])
+            ops(2)
+        assert all(c.links[s1.pid].sock is sock for c, sock in links.items())
+        killer = threading.Thread(target=s2.kill)
+        killer.start()
+        killer.join(timeout=10.0)
+        assert not killer.is_alive()
+        ops(2)  # s1 and s3, one loop between them, are the only majority
+        assert reader.loop.thread.is_alive()
+        history = merge_histories(writer.history, reader.history)
+        assert len(history) == 14
+        assert check_history(history).atomic
+    finally:
+        for sock in bad:
+            sock.close()
+        stop_all(daemons, [writer, reader])
+
+
 def test_bind_failure_names_the_address_and_closes_the_socket(monkeypatch):
     monkeypatch.delenv("OHRAM_LISTEN", raising=False)
     busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -582,7 +621,7 @@ def test_replies_unsent_at_a_cut_off_are_held_for_the_next_hello():
     def hello(sock):
         sock.setblocking(False)
         conn = _Conn(sock)
-        daemon.selector.register(sock, EVENT_READ, conn)
+        daemon._watch(conn)
         daemon._frame(conn, {"type": "hello", "pid": "r1"})
 
     try:
@@ -651,6 +690,48 @@ def test_msg_frames_keep_their_bytes_and_decode_back(msg, left, right):
     assert _unpack(padded) == json.loads(padded.decode())
     with pytest.raises(ValueError):
         _unpack(body + b"x")
+
+
+def msg_frame_obj(**fields):
+    """A msg frame of message_to_json's shape, with fields replaced."""
+    obj = message_to_json(Message(KIND_READ_ACK, OpId(W1, 3), S1, W1,
+                                  tag=Tag(2, W1), value="v"))
+    obj.update(fields)
+    return {"type": "msg", "msg": obj}
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "hello", "pid": "r1"},
+    {"type": "msg", "n": 2},
+    {"msg": msg_frame_obj()["msg"], "type": "msg"},
+    {**msg_frame_obj(), "n": 2},
+    {"type": "msg", "msg": dict(reversed(msg_frame_obj()["msg"].items()))},
+    msg_frame_obj(n=2),
+    msg_frame_obj(op={"seq": 3, "invoker": "w1"}),
+    msg_frame_obj(op={"invoker": "w1", "seq": 3, "n": 2}),
+    msg_frame_obj(tag={"wid": "w1", "ts": 2}),
+    msg_frame_obj(op={"invoker": "w1", "seq": True}),
+    msg_frame_obj(op={"invoker": "w1", "seq": 3.0}),
+    msg_frame_obj(tag={"ts": False, "wid": "w1"}),
+    msg_frame_obj(tag={"ts": 2.5, "wid": "w1"}),
+    msg_frame_obj(value=7),
+    msg_frame_obj(value=["v"]),
+    msg_frame_obj(value=True),
+    msg_frame_obj(kind=1),
+    msg_frame_obj(relay_origin=2),
+    msg_frame_obj(tag={"ts": 2, "wid": None}),
+    msg_frame_obj(tag=[2, "w1"]),
+    msg_frame_obj(op=["invoker", "seq"]),
+    {"type": "msg", "msg": list(msg_frame_obj()["msg"])},
+    {"type": "msg", "msg": message_to_json(Message(
+        KIND_READ_RELAY, OpId(W1, 3), S1, S1, relay_origin=S1,
+        observations=(WriteRecord(OpId(W1, 1), Tag(1, W1), "v"),)))},
+    [1],
+])
+def test_frames_of_any_other_shape_get_the_generic_bytes(obj):
+    data = _ENCODER.encode(obj).encode("utf-8")
+    assert data == json.dumps(obj, separators=(",", ":")).encode("utf-8")
+    assert _pack(obj) == len(data).to_bytes(4, "big") + data
 
 
 @pytest.mark.parametrize("body", [
@@ -801,6 +882,38 @@ def test_a_read_completes_past_an_ack_without_a_tag():
         reader.close()
         for sock in list(conns.values()) + list(servers.values()):
             sock.close()
+
+
+def test_close_ends_a_waiting_op_at_once():
+    srv = peer_listener()  # stands in for s1, and never answers
+    srv.listen(1)
+    # a rebroadcast a second apart: only close() can end the op in time
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=1.0, retry_budget=100)
+    done = {}
+
+    def read():
+        try:
+            reader.read()
+        except QuorumUnreachable as e:
+            done["error"] = e
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    conn = None
+    try:
+        conn, _ = accept_read_request(srv)
+        t0 = time.monotonic()
+        reader.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - t0 < 0.5
+        assert "closed" in str(done["error"])
+    finally:
+        reader.close()
+        if conn is not None:
+            conn.close()
+        srv.close()
 
 
 def test_links_redial_a_server_restarted_on_its_port():
