@@ -48,9 +48,10 @@ its own connection.
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
 merged for checking with merge_histories. A client that cannot assemble
-a quorum re-broadcasts its current phase every retry_interval seconds
-and gives up with QuorumUnreachable after retry_budget rebroadcasts, or
-at once when the client is closed.
+a quorum re-broadcasts its current phase every retry_interval seconds,
+skipping a message still waiting in its link's unsent, and gives up with
+QuorumUnreachable after retry_budget rebroadcasts, or at once when the
+client is closed; an op on a closed client raises it before it starts.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -546,10 +547,11 @@ class Client(_Endpoint):
         with self.done:
             self.done.notify_all()
 
-    def _broadcast(self, msgs: list[Message]) -> None:
+    def _broadcast(self, msgs: list[Message], again: bool = False) -> None:
         for m in msgs:
             link = self.links.get(m.destination)
-            if link is not None:
+            # a rebroadcast skips what the link still holds in unsent
+            if link is not None and not (again and m in link.unsent):
                 self._send(link, m)
 
     def _handle(self, msg: Message) -> None:
@@ -563,6 +565,8 @@ class Client(_Endpoint):
 
     def _run_op(self, kind: str, invoke) -> OpRecord:
         with self.done:
+            if self.stopped:  # before invoke: a closed op may still be open
+                raise QuorumUnreachable(f"{self.pid}: closed")
             t0 = time.monotonic_ns()
             msgs = invoke()
             value = self.machine.value if kind == "write" else None
@@ -580,7 +584,7 @@ class Client(_Endpoint):
                         raise QuorumUnreachable(
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
-                    self._broadcast(self._current)
+                    self._broadcast(self._current, again=True)
             completion = self._completion
             t1 = time.monotonic_ns()
             rec = OpRecord(completion.op, kind, self.pid, t0, t1,

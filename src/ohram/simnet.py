@@ -7,7 +7,9 @@ out the events an event source picks: _uniform (run_seeded) picks
 uniformly with a private RNG, so a (protocol, config, seed) triple fully
 determines the execution; _fifo (drain) delivers in send order, and
 _scripted (run_script, `ohram simulate --ops`) follows a schedule; see
-parse_schedule for the format.
+parse_schedule for the format. record wraps any source and writes the
+steps it takes as schedule directives, so a run, say seeded_net's, can be
+replayed; shrink cuts a failing directive list down by delta debugging.
 
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
@@ -347,18 +349,54 @@ def _fifo(net: SimNet):
         yield net.deliver, net.inflight.pop(0)
 
 
+def record(net: SimNet, events, out: list[dict]):
+    """Pass on the steps of an event source and append to out the
+    directive that names each one, so the run's schedule file (its
+    header, then out) replays it. A deliver names the message by its
+    full selector, which no message left in flight matches.
+    """
+    for step, arg in events:
+        if step == net.invoke_next:
+            kind, label = net.programs[arg][0]
+            spec = {"client": str(arg), "kind": kind}
+            if label is not None:
+                spec["label"] = label
+            out.append({"invoke": spec})
+        elif step == net.crash:
+            out.append({"crash": {"server": str(arg)}})
+        else:
+            origin = arg.relay_origin
+            sel = {"kind": arg.kind, "to": str(arg.destination),
+                   "from": str(arg.sender),
+                   "origin": None if origin is None else str(origin),
+                   "invoker": str(arg.op.invoker), "seq": arg.op.seq}
+            assert not any(_matches(m, sel) for m in net.inflight), sel
+            out.append({"deliver": sel})
+        yield step, arg
+
+
 # -- seeded workload construction --
 
 _LABELS = "ABCDEFGHJKLMNPQRSTUVXYZ"
 
 
-def simulate(protocol: str, config: Config, seed: int, *,
-             max_ops: int = 10, max_crashes: Optional[int] = None,
-             victims: Optional[list[ProcessId]] = None,
-             x: Optional[int] = None) -> RunResult:
+def simulate(protocol: str, config: Config, seed: int, **plan) -> RunResult:
     """One seeded run: random small workload, random interleaving.
 
-    The same arguments always produce the same result, bit for bit.
+    plan is seeded_net's keywords. The same arguments always produce the
+    same result, bit for bit.
+    """
+    net = seeded_net(protocol, config, seed, **plan)
+    net.run_seeded()
+    return net.result()
+
+
+def seeded_net(protocol: str, config: Config, seed: int, *,
+               max_ops: int = 10, max_crashes: Optional[int] = None,
+               victims: Optional[list[ProcessId]] = None,
+               x: Optional[int] = None) -> SimNet:
+    """The net simulate runs, its programs and crash plan loaded.
+
     Crash count is drawn from 0..max_crashes, which defaults to the
     largest count that keeps every operation live,
     min(f, floor((n-1)/2)). Passing victims pins the crash set instead;
@@ -404,9 +442,7 @@ def simulate(protocol: str, config: Config, seed: int, *,
         n_crashes = plan_rng.randint(0, max_crashes) if max_crashes > 0 else 0
         if n_crashes:
             net.pending_crashes = plan_rng.sample(list(net.servers), n_crashes)
-
-    net.run_seeded()
-    return net.result()
+    return net
 
 
 # -- scripted execution --
@@ -521,6 +557,28 @@ def run_script(text: str) -> RunResult:
 def replay_file(path: str) -> RunResult:
     with open(path, "r", encoding="utf-8") as fh:
         return run_script(fh.read())
+
+
+def shrink(directives: list, fails) -> list:
+    """Delta debugging (ddmin; Zeller & Hildebrandt, TSE 2002): a sublist
+    of directives, in order, for which fails is true and turns false when
+    any one directive is dropped. fails(directives) must be true.
+    """
+    n = 2
+    while len(directives) >= 2:
+        cuts = [len(directives) * i // n for i in range(n + 1)]
+        spans = list(zip(cuts, cuts[1:]))
+        candidates = [directives[a:b] for a, b in spans]
+        if n > 2:  # with two parts each complement is the other part
+            candidates += [directives[:a] + directives[b:] for a, b in spans]
+        hit = next((i for i, c in enumerate(candidates) if fails(c)), None)
+        if hit is not None:  # a part restarts at 2, a complement keeps n-1
+            directives, n = candidates[hit], 2 if hit < n else n - 1
+        elif n < len(directives):
+            n = min(2 * n, len(directives))
+        else:
+            break
+    return directives
 
 
 def history_to_json(records: list[OpRecord]) -> list[dict]:

@@ -916,6 +916,40 @@ def test_close_ends_a_waiting_op_at_once():
         srv.close()
 
 
+def test_an_op_on_a_closed_client_raises_quorum_unreachable():
+    srv = peer_listener()  # stands in for s1: never listens, so refuses
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=0.01, retry_budget=0)
+    try:
+        with pytest.raises(QuorumUnreachable, match="no quorum"):
+            reader.read()
+        reader.close()
+        # the read that gave up is still open in the machine: a closed
+        # client must refuse before it invokes another
+        with pytest.raises(QuorumUnreachable, match="closed"):
+            reader.read()
+    finally:
+        reader.close()
+        srv.close()
+
+
+def test_rebroadcasts_queue_each_message_once_on_a_down_link():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership,
+                    retry_interval=0.01, retry_budget=20)
+    try:
+        daemons[1].kill()
+        daemons[2].kill()
+        with pytest.raises(QuorumUnreachable):
+            writer.write("A")
+        with writer.lock:
+            # 20 rebroadcasts of one writeRequest: the redial sends one
+            assert [len(writer.links[d.pid].unsent)
+                    for d in daemons[1:]] == [1, 1]
+    finally:
+        stop_all(daemons, [writer])
+
+
 def test_links_redial_a_server_restarted_on_its_port():
     daemons, membership = start_cluster(SWMR, "ohsam")
     writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
