@@ -39,8 +39,13 @@ from .core import (
     ROLE_READER,
     ROLE_WRITER,
 )
-from .protocols import PROTOCOL_NAMES, get_protocol
-from .runner import Client, ServerDaemon, membership_from_json
+from .protocols import PROTOCOL_NAMES, checked_bundle, get_protocol
+from .runner import (
+    Client,
+    ServerDaemon,
+    check_membership,
+    membership_from_json,
+)
 from .simnet import (
     RunResult,
     SimNet,
@@ -225,8 +230,10 @@ def cmd_serve(args) -> int:
         host, _, port_text = args.listen.rpartition(":")
         port = int(port_text)
         host = host or None
-    daemon = ServerDaemon(pid, config, args.protocol, host=host, port=port)
+    checked_bundle(args.protocol, config, live=True)  # refused before the file
     membership = _load_membership(args.membership)
+    check_membership(pid, config, membership)
+    daemon = ServerDaemon(pid, config, args.protocol, host=host, port=port)
     membership[pid] = daemon.address
     daemon.start(membership)
     print(f"{pid} listening on {daemon.address[0]}:{daemon.port}",

@@ -228,21 +228,21 @@ class Replica:
 class ServerStateS(Replica):
     """Server: register replica plus read bookkeeping per invoker.
 
-    relays[op] holds the origins whose relays for a read have arrived and
-    relayed the reads this server has relayed. horizon[invoker] is the
-    seq at or below which the invoker's reads are retired: a read message
-    for (invoker, seq) moves it past read h+1 while h+1 < seq and h+1 has
-    relays from a majority, dropping h+1's entries. A retired read keeps
-    no state: its readRequest still relays and its relays still pass on
-    their tag, but never bring another readAck. An open read relays once
-    and is answered when a new origin brings its relays to a majority.
+    relays[op] holds the origins whose relays for a read have arrived.
+    horizon[invoker] is the seq at or below which the invoker's reads are
+    retired: a read message for (invoker, seq) moves it past read h+1
+    while h+1 < seq and h+1 has relays from a majority, dropping h+1's
+    entry. Every copy of a readRequest relays, for an open read or a
+    retired one, so a client's rebroadcast also retries a lost relay.
+    The readAck is the one reply sent once: when a new origin brings an
+    open read's relays to a majority. A retired read keeps no state: its
+    relays still pass on their tag, but never bring another readAck.
     An older read that never gathers a majority here (live, a relay lost
-    at a dropped link) blocks its invoker's horizon, and the invoker's
-    later reads keep their entries.
+    after the read completed through other servers) blocks its invoker's
+    horizon, and the invoker's later reads keep their entries.
     """
 
     relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-    relayed: set[OpId] = field(default_factory=set)
     horizon: dict[ProcessId, int] = field(default_factory=dict)
 
     def on_message(self, msg: Message) -> list[Message]:
@@ -258,13 +258,9 @@ class ServerStateS(Replica):
     # -- read path (shared verbatim with the multi-writer algorithm) --
 
     def on_read_request(self, msg: Message) -> list[Message]:
-        # Attach the current timestamp without update; relay once per
-        # open read, and statelessly for a retired one.
+        # Attach the current timestamp without update; relay on every copy.
         op = msg.op
-        if op.seq > self._advance(op):
-            if op in self.relayed:
-                return []
-            self.relayed.add(op)
+        self._advance(op)
         pid, tag, value = self.pid, self.tag, self.value
         return [Message(KIND_READ_RELAY, op, pid, s, tag, value, pid)
                 for s in _server_ids(self.config.n_servers)]
@@ -286,6 +282,5 @@ class ServerStateS(Replica):
             if len(self.relays.get(old, ())) < self.quorum:
                 break
             del self.relays[old]
-            self.relayed.discard(old)
             h = self.horizon[invoker] = h + 1
         return h

@@ -39,11 +39,12 @@ blocking. A refused connection, or a link whose stream ends, breaks or
 stops being frames, redials REDIAL_DELAY seconds later, and the new
 connection's outbuf is the hello followed by every message in unsent,
 each from its first byte. The protocol machines are idempotent against
-the resulting duplicates: a repeated writeRequest is re-acknowledged,
-a repeated readRequest relays once while the read is open; a request
-for a retired read relays again, and relay bookkeeping is set-based, so
-no read is answered twice. A frame that breaks the machine closes only
-its own connection.
+the resulting duplicates: every sound server answers every copy of a
+request, so a repeated writeRequest is re-acknowledged and a repeated
+readRequest relays again, which also retries a relay lost on a link.
+The three-exchange readAck is the one reply sent once: relay bookkeeping
+is set-based, so no read is answered twice. A frame that breaks the
+machine closes only its own connection.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
@@ -427,7 +428,6 @@ class ServerDaemon(_Endpoint):
     def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
                  host: Optional[str] = None, port: int = 0):
         bundle = checked_bundle(protocol, config, live=True)
-        self.config = config
         self.machine = bundle.make_server(pid, config)
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -525,15 +525,14 @@ class Client(_Endpoint):
                  membership: dict[ProcessId, tuple[str, int]], *,
                  retry_interval: float = 0.05, retry_budget: int = 100):
         bundle = checked_bundle(protocol, config, live=True)
+        check_membership(pid, config, membership)
         super().__init__(pid)
-        self.config = config
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget
         if pid in config.writers():
             self.machine = bundle.make_writer(pid, config)
         else:
             self.machine = bundle.make_reader(pid, config)
-        self.bundle = bundle
         self.done = threading.Condition(self.lock)
         self._completion = None
         self._current: list[Message] = []
@@ -605,6 +604,16 @@ def merge_histories(*histories: list[OpRecord]) -> list[OpRecord]:
     merged = [r for h in histories for r in h]
     merged.sort(key=lambda r: r.invoked)
     return merged
+
+
+def check_membership(pid: ProcessId, config: Config,
+                     membership: dict[ProcessId, tuple[str, int]]) -> None:
+    """Raise ValueError unless membership names every server but pid."""
+    missing = [str(s) for s in config.servers()
+               if s != pid and s not in membership]
+    if missing:
+        raise ValueError(f"{pid}: the membership names no address for "
+                         f"{', '.join(missing)}")
 
 
 def membership_from_json(obj: dict) -> dict[ProcessId, tuple[str, int]]:

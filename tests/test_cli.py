@@ -1,10 +1,16 @@
 """Command-line surface: exit codes and output plumbing."""
 
 import json
+import os
 import pathlib
+import select
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import ohram
 from ohram.cli import main
 from ohram.core import Config, Tag, writer_id
 from ohram.runner import ServerDaemon
@@ -46,6 +52,39 @@ def test_mode_mismatch_is_a_config_error(capsys):
 def test_crash_plan_beyond_fault_bound(capsys):
     assert main(["simulate", "--protocol", "ohmam", "--writers", "2",
                  "--crash-plan", "s1,s2"]) == 4
+
+
+def _crashed(out):
+    lines = [line for line in out.splitlines() if line.startswith("crashed:")]
+    return lines[0].split(": ", 1)[1].split(", ") if lines else []
+
+
+MWMR5 = ["simulate", "--protocol", "abd-mwmr", "--servers", "5", "--f", "2",
+         "--writers", "2"]
+
+
+def test_crash_plan_victims_are_the_servers_crashed(capsys):
+    assert main(MWMR5 + ["--crash-plan", "s2,s3"]) == 0
+    assert _crashed(capsys.readouterr().out) == ["s2", "s3"]
+
+
+def test_crash_plan_count_is_an_upper_bound(capsys):
+    counts = []
+    for seed in range(20):
+        assert main(MWMR5 + ["--seed", str(seed), "--crash-plan", "2"]) == 0
+        counts.append(len(_crashed(capsys.readouterr().out)))
+    assert max(counts) == 2
+
+
+@pytest.mark.parametrize("plan", ["s2,s2", "s9", "3"])
+def test_crash_plan_of_repeated_unknown_or_too_many_servers(plan, capsys):
+    assert main(MWMR5 + ["--crash-plan", plan]) == 4
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_crash_plan_is_refused_for_sequential_ops(capsys):
+    assert main(MWMR5 + ["--ops", "w1,r1", "--crash-plan", "1"]) == 4
+    assert "--ops" in capsys.readouterr().err
 
 
 def test_replay_atomic_schedule_exits_zero(capsys):
@@ -206,6 +245,60 @@ def test_client_refuses_an_op_its_role_cannot_run(tmp_path, capsys):
     assert main(["client", "--pid", "r1", "--membership", str(membership),
                  "--ops", "w:A"]) == 4
     assert "can only read" in capsys.readouterr().err
+
+
+def test_client_refuses_a_membership_missing_a_server(tmp_path, capsys):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1"}')
+    assert main(["client", "--servers", "3", "--pid", "r1",
+                 "--membership", str(membership), "--ops", "r"]) == 4
+    assert "no address for s3" in capsys.readouterr().err
+
+
+SRC = str(pathlib.Path(ohram.__file__).resolve().parent.parent)
+
+
+def serve(*args):
+    """Start `ohram serve` in a subprocess, its stdout a pipe."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-m", "ohram.cli", "serve", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+
+
+def test_serve_refuses_a_membership_missing_a_peer(tmp_path):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1"}')
+    with serve("--servers", "3", "--pid", "s1",
+               "--membership", str(membership)) as proc:
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 4
+    assert "no address for s3" in err
+
+
+def test_serve_answers_a_client_and_stops_on_sigint(tmp_path, capsys):
+    members = tmp_path / "members.json"
+    members.write_text('{"s1": "127.0.0.1:0"}')  # its own port: --listen
+    one = ["--servers", "1", "--f", "0"]
+    with serve(*one, "--pid", "s1", "--listen", "127.0.0.1:0",
+               "--membership", str(members)) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0]
+            line = proc.stdout.readline()
+            assert line.startswith("s1 listening on 127.0.0.1:"), line
+            members.write_text(json.dumps({"s1": line.split()[-1]}))
+            for pid, ops in (("w1", "w:A"), ("r1", "r")):
+                assert main(["client", *one, "--pid", pid,
+                             "--membership", str(members),
+                             "--ops", ops]) == 0
+            assert "value='A#w1.1'" in capsys.readouterr().out.splitlines()[-1]
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
 
 
 def test_version_flag(capsys):

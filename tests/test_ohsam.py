@@ -82,7 +82,7 @@ def test_server_ignores_smaller_writer_id_at_same_timestamp():
     assert s.value == "held"
 
 
-def test_server_relays_once_to_everyone_including_itself():
+def test_server_relays_every_copy_to_everyone_including_itself():
     s = ServerStateS(S1, CFG)
     op = OpId(R1, 1)
     req = Message("readRequest", op, R1, S1)
@@ -90,7 +90,7 @@ def test_server_relays_once_to_everyone_including_itself():
     assert [m.kind for m in outs] == ["readRelay"] * 3
     assert {str(m.destination) for m in outs} == {"s1", "s2", "s3"}
     assert all(m.relay_origin == S1 for m in outs)
-    assert s.on_message(req) == []  # second copy of the request: silent
+    assert s.on_message(req) == outs  # a second copy relays again
 
 
 def test_relay_carries_state_without_updating_it():
@@ -144,7 +144,6 @@ def test_gc_retires_only_answered_earlier_ops_of_same_invoker():
     assert old in s.relays
     s.on_message(Message("readRequest", new, R1, S1))
     assert old not in s.relays
-    assert new in s.relayed
 
 
 def test_gc_keeps_unanswered_entries():
@@ -213,11 +212,11 @@ def test_a_retired_read_relays_again_and_keeps_no_state():
     s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
     s.on_message(relay(old, S3, S1, S3, Tag(1, W1), "A#w1.1"))
     s.on_message(Message("readRequest", new, R1, S1))
-    relays, relayed = dict(s.relays), set(s.relayed)
-    assert old not in relays and old not in relayed
+    relays = dict(s.relays)
+    assert old not in relays
     outs = s.on_message(Message("readRequest", old, R1, S1))
     assert [m.kind for m in outs] == ["readRelay"] * 3
-    assert (s.relays, s.relayed) == (relays, relayed)
+    assert s.relays == relays
 
 
 def test_a_retired_read_is_never_answered_again():
@@ -243,7 +242,7 @@ def test_sequential_reads_leave_one_entry_per_reader():
         for origin in (S1, S2, S3):
             acks += len(s.on_message(relay(op, origin, S1, origin,
                                            Tag(0, S1), None)))
-        assert len(s.relays) <= 1 and len(s.relayed) <= 1
+        assert len(s.relays) <= 1
     assert acks == 1000
     assert s.horizon == {R1: 999}
 
@@ -262,19 +261,22 @@ def test_servers_hold_one_read_per_reader_after_a_long_run(protocol, mode):
     live = [s for pid, s in net.servers.items() if pid not in net.crashed]
     assert len(live) == 3
     for s in live:
-        assert len(s.relays) <= 5 and len(s.relayed) <= 5
+        assert len(s.relays) <= 5
 
 
 class _AckedReads:
     """The read bookkeeping the horizon replaced, kept as a reference.
 
-    relays and relayed as in the server; acked_reads grows with every
-    read answered, and a read message retires every answered entry of
-    its invoker's earlier reads, by a scan over all entries.
+    relays as in the server; relayed holds the reads relayed so far,
+    and a repeated readRequest for one of them relays nothing (the old
+    relay-once rule); acked_reads grows with every read answered, and a
+    read message retires every answered entry of its invoker's earlier
+    reads, by a scan over all entries.
     """
 
     def __post_init__(self):
         super().__post_init__()
+        self.relayed = set()
         self.acked_reads = set()
 
     def on_read_request(self, msg):

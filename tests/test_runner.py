@@ -971,3 +971,31 @@ def test_links_redial_a_server_restarted_on_its_port():
         assert check_bruteforce(history).atomic
     finally:
         stop_all(daemons, [writer, reader])
+
+
+def test_a_lost_relay_is_retried_by_the_readers_rebroadcast():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    reader = Client(R1, SWMR, "ohsam", membership,
+                    retry_interval=0.01, retry_budget=20)
+    s2, s3 = daemons[1], daemons[2]
+    send, lost = s2._send, []
+
+    def lossy_send(conn, msg):
+        # the link loses s2's first relay to s3
+        if msg.kind == KIND_READ_RELAY and msg.destination == s3.pid \
+                and not lost:
+            lost.append(msg)
+            return
+        send(conn, msg)
+
+    try:
+        wrec = writer.write("A")
+        daemons[0].kill()
+        s2._send = lossy_send
+        # s3 hears only itself until s2 relays the rebroadcast request
+        rrec = reader.read()
+        assert len(lost) == 1
+        assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+    finally:
+        stop_all(daemons, [writer, reader])
