@@ -442,6 +442,9 @@ def message_to_json(m: Message) -> dict[str, Any]:
     return obj
 
 
+_new_tuple = tuple.__new__
+
+
 def message_from_json(obj: dict[str, Any]) -> Message:
     kind = obj["kind"]
     if kind not in MESSAGE_KINDS:
@@ -452,14 +455,16 @@ def message_from_json(obj: dict[str, Any]) -> Message:
             WriteRecord(opid_from_json(w["op"]), tag_from_json(w["tag"]), w["value"])
             for w in obj["observations"]
         )
-    # inline opid_from_json and tag_from_json, as in message_to_json
+    # inline opid_from_json and tag_from_json, as in message_to_json, and
+    # build both tuples without the Python __new__ a NamedTuple adds
     op, tag, origin = obj["op"], obj.get("tag"), obj.get("relay_origin")
     return Message(
         kind,
-        OpId(parse_pid(op["invoker"]), int(op["seq"])),
+        _new_tuple(OpId, (parse_pid(op["invoker"]), int(op["seq"]))),
         parse_pid(obj["sender"]),
         parse_pid(obj["destination"]),
-        None if tag is None else Tag(int(tag["ts"]), parse_pid(tag["wid"])),
+        None if tag is None else _new_tuple(
+            Tag, (int(tag["ts"]), parse_pid(tag["wid"]))),
         obj.get("value"),
         parse_pid(origin) if origin else None,
         obs,

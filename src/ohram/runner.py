@@ -11,33 +11,48 @@ different versions can coexist:
 The JSON is what json.dumps(obj, separators=(",", ":")) writes: a msg
 frame of exactly message_to_json's shape is formatted directly, any
 other frame comes from one shared encoder. A body is accepted exactly
-when json.loads accepts it, through one shared decoder. One framer cuts
-every incoming stream into frames, whatever the reads' sizes.
+when json.loads accepts it, through one shared decoder. Each read is cut
+into frames where it is taken, whatever the reads' sizes, and a msg
+frame goes straight to message_from_json and the endpoint's machine.
 
 Topology: clients dial every server and keep the connection; a server's
-replies to a client travel back over the client's own connection.
-Servers dial each other for relay traffic (each direction has its own
-connection). The process has one selector loop, made by the first
-endpoint and run while any endpoint is started. It owns every socket of
-every server daemon and client, accepted and dialed, and handles each
-batch of events under the one lock all endpoints share: it accepts,
-reads, runs the machines and sends. A client's operation thread invokes
-and (re)broadcasts under the same lock. Links set TCP_NODELAY, because
+replies to a client travel back over the client's own connection. Each
+pair of servers shares one connection, so relays in both directions
+travel on it and each side's frames carry the other's TCP ACKs. A server
+dials the peers that precede it; a later peer's link has no address and
+takes the connection that peer dials, when the peer's hello arrives. A
+hello from a server this daemon dials itself, or from one outside its
+membership, leaves that connection inbound only, as a client's is; so a
+daemon that dials every peer still works with one that does not. Only a
+connection's first hello counts.
+
+The process has one selector loop, made by the first endpoint and run
+while any endpoint is started. It owns every socket of every server
+daemon and client, accepted and dialed, and handles each batch of events
+under the one lock all endpoints share: it accepts, reads, runs the
+machines and sends. A client's operation thread invokes and
+(re)broadcasts under the same lock. Links set TCP_NODELAY, because
 frames are small and go out one at a time.
 
-Sends never block. A message is framed onto its connection's outbuf and
-written at once as far as the kernel takes it; the loop writes the rest
-when the socket is writable. unsent lists the messages behind outbuf
-until outbuf empties. A client whose unsent replies pass MAX_BACKLOG is
-cut off and redials. A reply for a client with no connection (no hello
-yet, or dropped with the reply unsent) is held, for the client's newest
-op only, and sent once the hello comes in. A dialed link's unsent is
-unbounded while its server is down.
+Sends never block. A message is framed and written at once as far as
+the kernel takes it; only a rest the kernel refuses goes to the
+connection's outbuf, and any later frame queues behind it, until the
+loop has written it when the socket is writable. unsent lists the
+messages behind outbuf until outbuf empties. A client whose unsent
+replies pass MAX_BACKLOG is cut off and redials. A reply for a client
+with no connection (no hello yet, or dropped with the reply unsent) is
+held, for the client's newest op only, and sent once the hello comes in.
+A link's unsent, dialed or taken at a hello, is unbounded while its
+server is down.
 
 Redial and at-least-once delivery: a dialed link connects without
 blocking. A refused connection, or a link whose stream ends, breaks or
 stops being frames, redials REDIAL_DELAY seconds later, and the new
 connection's outbuf is the hello followed by every message in unsent,
+each from its first byte. The loop looks for links to redial only while
+some dialed link waits. A link with no address is never redialed: it
+keeps unsent while it has no connection, and the outbuf of the next
+connection its peer's hello brings starts with every message in unsent,
 each from its first byte. The protocol machines are idempotent against
 the resulting duplicates: every sound server answers every copy of a
 request, so a repeated writeRequest is re-acknowledged and a repeated
@@ -74,6 +89,7 @@ from .core import (
     BindFailure,
     Config,
     Message,
+    ModeMismatch,
     OpRecord,
     ProcessId,
     QuorumUnreachable,
@@ -92,6 +108,7 @@ _LEN = struct.Struct(">I")
 # new encoder per call, and json.loads checks and strips its argument
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder()
+_SCAN = _DECODER.scan_once
 _quote = json.encoder.encode_basestring_ascii  # _ENCODER's string writer
 _MSG_KEYS = ["kind", "op", "sender", "destination", "tag", "value",
              "relay_origin"]
@@ -142,9 +159,9 @@ def _unpack(body) -> Any:
     are accepted and refused (ValueError).
     """
     text = body.decode("utf-8")
-    try:
-        obj, end = _DECODER.raw_decode(text)
-    except ValueError:
+    try:  # what _DECODER.raw_decode calls, without its Python frame
+        obj, end = _SCAN(text, 0)
+    except (StopIteration, ValueError):
         end = -1
     if end != len(text):
         return json.loads(text)
@@ -152,7 +169,8 @@ def _unpack(body) -> Any:
 
 
 class _Framer:
-    """Cuts a byte stream into frame bodies, however the reads split it."""
+    """Cuts a byte stream into frame bodies, however the reads split it,
+    for a blocking reader; the loop's _read applies the same rule inline."""
 
     __slots__ = ("buf",)
 
@@ -200,12 +218,15 @@ class _Conn:
     not yet sent."""
 
     def __init__(self, sock: Optional[socket.socket],
-                 address: Optional[tuple[str, int]] = None):
-        self.sock = sock  # None once dropped, and while a link waits to dial
-        self.framer = _Framer()
+                 address: Optional[tuple[str, int]] = None,
+                 peer: Optional[ProcessId] = None):
+        # None once dropped, while a link waits to dial, and while a link
+        # its peer dials waits for that peer's hello
+        self.sock = sock
+        self.buf = b""  # the start of a frame not yet whole
         self.outbuf = bytearray()
         self.unsent: list[Message] = []  # the messages behind outbuf
-        self.peer: Optional[ProcessId] = None  # set by an accepted one's hello
+        self.peer = peer  # a link's server, or an accepted one's hello
         self.address = address  # where a dialed link (re)connects
         self.redial_at = 0.0  # monotonic time of a waiting link's next dial
         self.events = EVENT_READ  # what the selector watches it for
@@ -223,6 +244,8 @@ class _Loop:
         self.lock = threading.Lock()
         self.selector = DefaultSelector()
         self.endpoints: set[_Endpoint] = set()  # started, not stopped
+        # dialed links with no socket, and their endpoints
+        self.waiting: dict[_Conn, _Endpoint] = {}
         self.thread: Optional[threading.Thread] = None
 
     def wake(self) -> None:
@@ -248,6 +271,8 @@ class _Loop:
             if key.data is not None and key.data[0] is endpoint:
                 self.selector.unregister(key.fileobj)
                 _close(key.fileobj)
+        for link in endpoint.links.values():
+            self.waiting.pop(link, None)
         self.endpoints.discard(endpoint)
         if not self.endpoints:
             self.wake()  # the thread exits
@@ -278,20 +303,19 @@ class _Loop:
                     _close(self._wake)
                     _close(self._waker)
                     return
-                timeout = self._redial()
+                timeout = self._redial() if self.waiting else None
 
     def _redial(self) -> Optional[float]:
         """Dial every waiting link that is due; return the seconds until
         the next one is, or None if no link waits."""
         now = time.monotonic()
         wait = None
-        for endpoint in self.endpoints:
-            for link in endpoint.links.values():
-                if link.sock is None and link.redial_at <= now:
-                    endpoint._dial(link)
-                if link.sock is None:
-                    left = max(0.0, link.redial_at - now)
-                    wait = left if wait is None else min(wait, left)
+        for link, endpoint in list(self.waiting.items()):
+            if link.redial_at <= now:
+                endpoint._dial(link)
+            if link.sock is None:
+                left = max(0.0, link.redial_at - now)
+                wait = left if wait is None else min(wait, left)
         return wait
 
 
@@ -317,13 +341,14 @@ class _Endpoint:
         self.pid = pid
         self.loop = _shared_loop()
         self.lock = self.loop.lock
-        self.links: dict[ProcessId, _Conn] = {}  # dialed, by server
+        self.links: dict[ProcessId, _Conn] = {}  # by server
         self.stopped = False
 
     def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
         """Dial every server in servers and keep the links. Call under lock."""
         for server, addr in servers.items():
-            self.links[server] = _Conn(None, addr)
+            link = self.links[server] = _Conn(None, addr, server)
+            self.loop.waiting[link] = self
         self.loop.add(self)
 
     def stop(self) -> None:
@@ -346,15 +371,23 @@ class _Endpoint:
             sock.close()
             link.redial_at = time.monotonic() + REDIAL_DELAY
             return
+        del self.loop.waiting[link]
         link.sock = sock
-        link.framer = _Framer()
+        link.buf = b""
         link.outbuf = bytearray(_pack({"type": "hello", "pid": str(self.pid)}))
-        for msg in link.unsent:  # at-least-once: each from its first byte
-            link.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
+        self._resend(link)
         link.events = EVENT_READ | EVENT_WRITE
         self._watch(link)
 
+    @staticmethod
+    def _resend(link: _Conn) -> None:
+        """At-least-once: frame every unsent message onto a new connection's
+        outbuf, each from its first byte."""
+        for msg in link.unsent:
+            link.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
+
     def _read(self, conn: _Conn) -> None:
+        """Take what the socket has; handle every frame it completes."""
         sock = conn.sock
         try:
             data = sock.recv(RECV_SIZE)
@@ -364,39 +397,73 @@ class _Endpoint:
             data = b""
         if not data:
             return self._drop(conn)
+        if conn.buf:
+            data = conn.buf + data
+        size = len(data)
+        start = 0
         try:  # a frame this endpoint cannot take closes its connection
-            for body in conn.framer.feed(data):
-                self._frame(conn, _unpack(body))
+            while size - start >= 4:
+                (length,) = _LEN.unpack_from(data, start)
+                if length > MAX_FRAME:
+                    raise ValueError(f"frame of {length} bytes exceeds "
+                                     f"{MAX_FRAME}")
+                end = start + 4 + length
+                if end > size:
+                    break
+                frame = _unpack(data[start + 4:end])
+                start = end
+                if type(frame) is dict and frame.get("type") == "msg":
+                    try:
+                        msg = message_from_json(frame["msg"])
+                    except (AttributeError, LookupError, TypeError,
+                            ValueError):
+                        continue  # an unreadable message is skipped
+                    self._handle(msg)
+                else:
+                    conn = self._frame(conn, frame)
                 if conn.sock is not sock:
                     return  # the frame's sends cut the connection off
         except Exception:
-            self._drop(conn)
+            return self._drop(conn)
+        conn.buf = data[start:] if start < size else b""
 
-    def _frame(self, conn: _Conn, frame) -> None:
-        ftype = frame.get("type") if isinstance(frame, dict) else None
-        if ftype == "hello":
-            self._hello(conn, parse_pid(frame["pid"]))
-        elif ftype == "msg":
-            try:
-                msg = message_from_json(frame["msg"])
-            except (AttributeError, LookupError, TypeError, ValueError):
-                return  # an unreadable message is skipped
-            self._handle(msg)
+    def _frame(self, conn: _Conn, frame) -> _Conn:
+        """Take a frame that is no msg; return the conn that owns conn's
+        socket after it (a server's hello may hand it to a link)."""
+        if type(frame) is dict and frame.get("type") == "hello":
+            return self._hello(conn, parse_pid(frame["pid"]))
+        return conn
 
-    def _hello(self, conn: _Conn, peer: ProcessId) -> None:
-        pass  # only servers are dialed
+    def _hello(self, conn: _Conn, peer: ProcessId) -> _Conn:
+        return conn  # only servers are dialed
 
     def _send(self, conn: _Conn, msg: Message) -> None:
         """Frame msg onto conn and write what the kernel takes now."""
         if self.stopped:
             return
-        conn.unsent.append(msg)
-        if conn.sock is not None:  # else the link's next dial frames it
-            conn.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
-            self._flush(conn)
+        sock = conn.sock
+        if sock is None:  # the link's next dial or hello frames it
+            conn.unsent.append(msg)
+            return
+        frame = _pack({"type": "msg", "msg": message_to_json(msg)})
+        if conn.outbuf:  # behind bytes that wait for the socket to drain
+            conn.unsent.append(msg)
+            conn.outbuf += frame
+            return
+        try:
+            sent = sock.send(frame)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            conn.unsent.append(msg)
+            return self._drop(conn)
+        if sent < len(frame):  # the rest waits for the socket to drain
+            conn.unsent.append(msg)
+            conn.outbuf += frame[sent:]
+            self._want(conn)
 
     def _flush(self, conn: _Conn) -> None:
-        """Send what the kernel takes; ask for EVENT_WRITE while bytes wait."""
+        """Send what the kernel takes of outbuf."""
         try:
             del conn.outbuf[:conn.sock.send(conn.outbuf)]
         except BlockingIOError:
@@ -405,6 +472,10 @@ class _Endpoint:
             return self._drop(conn)
         if not conn.outbuf:
             conn.unsent.clear()
+        self._want(conn)
+
+    def _want(self, conn: _Conn) -> None:
+        """Have the selector watch for EVENT_WRITE while bytes wait."""
         events = EVENT_READ | (EVENT_WRITE if conn.outbuf else 0)
         if events != conn.events:
             self.loop.selector.modify(conn.sock, events, (self, conn))
@@ -416,9 +487,10 @@ class _Endpoint:
             return  # dropped already
         self.loop.selector.unregister(sock)
         _close(sock)
-        if conn.address is not None:  # a link keeps unsent for its redial
-            conn.outbuf.clear()
+        conn.outbuf.clear()  # a link keeps unsent for its next connection
+        if conn.address is not None:
             conn.redial_at = time.monotonic() + REDIAL_DELAY
+            self.loop.waiting[conn] = self
             self.loop.wake()  # the loop's select() timeout is stale
 
 
@@ -428,6 +500,8 @@ class ServerDaemon(_Endpoint):
     def __init__(self, pid: ProcessId, config: Config, protocol: str, *,
                  host: Optional[str] = None, port: int = 0):
         bundle = checked_bundle(protocol, config, live=True)
+        if pid not in config.servers():
+            raise ModeMismatch(f"{pid} is not a server of {config.n_servers}")
         self.machine = bundle.make_server(pid, config)
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -448,11 +522,19 @@ class ServerDaemon(_Endpoint):
         self.held_replies: dict[ProcessId, list[Message]] = {}
 
     def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
-        """membership maps every server pid to its (host, port)."""
+        """membership maps every server pid to its (host, port).
+
+        One connection per server pair: this daemon dials the peers that
+        precede it, and a later peer's link takes that peer's connection
+        when its hello comes in.
+        """
         with self.lock:
             self.loop.selector.register(self.listener, EVENT_READ, (self, None))
+            for peer in membership:
+                if self.pid < peer:
+                    self.links[peer] = _Conn(None, None, peer)
             self._start({peer: addr for peer, addr in membership.items()
-                         if peer != self.pid})
+                         if peer < self.pid})
 
     def stop(self) -> None:
         super().stop()
@@ -470,17 +552,37 @@ class ServerDaemon(_Endpoint):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._watch(_Conn(sock))
 
-    def _hello(self, conn: _Conn, peer: ProcessId) -> None:
+    def _hello(self, conn: _Conn, peer: ProcessId) -> _Conn:
+        if conn.peer is not None:
+            return conn  # a connection names its peer once
+        link = self.links.get(peer)
+        if link is not None and link.address is None:
+            return self._adopt(conn, link)
+        # a client, a server this daemon dials, or one outside its
+        # membership: inbound only
         conn.peer = peer
         self.client_conns[peer] = conn
         for msg in self.held_replies.pop(peer, []):
             self._reply(conn, msg)
+        return conn
+
+    def _adopt(self, conn: _Conn, link: _Conn) -> _Conn:
+        """Make conn's socket link's; what link holds in unsent goes first."""
+        self._drop(link)  # the peer's older connection, if any
+        link.sock, conn.sock = conn.sock, None
+        link.buf = b""
+        self.loop.selector.modify(link.sock, EVENT_READ, (self, link))
+        link.events = EVENT_READ
+        self._resend(link)
+        if link.outbuf:
+            self._flush(link)
+        return link
 
     def _drop(self, conn: _Conn) -> None:
         if conn.sock is None:
             return  # dropped already
         super()._drop(conn)
-        if conn.address is None:
+        if self.links.get(conn.peer) is not conn:  # an inbound connection
             if self.client_conns.get(conn.peer) is conn:
                 del self.client_conns[conn.peer]
             # to the client's newer connection, or held

@@ -1,10 +1,12 @@
 """Command-line surface: exit codes and output plumbing."""
 
+import contextlib
 import json
 import os
 import pathlib
 import select
 import signal
+import socket
 import subprocess
 import sys
 
@@ -279,6 +281,21 @@ def test_serve_refuses_a_membership_missing_a_peer(tmp_path):
     assert "no address for s3" in err
 
 
+@pytest.mark.parametrize("pid", ["s9", "r1"])
+def test_serve_refuses_a_pid_that_is_no_server(tmp_path, pid):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1", '
+                          '"s3": "127.0.0.1:1"}')
+    with serve("--servers", "3", "--pid", pid,
+               "--membership", str(membership)) as proc:
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 4
+    assert f"{pid} is not a server of 3" in err
+
+
 def test_serve_answers_a_client_and_stops_on_sigint(tmp_path, capsys):
     members = tmp_path / "members.json"
     members.write_text('{"s1": "127.0.0.1:0"}')  # its own port: --listen
@@ -299,6 +316,45 @@ def test_serve_answers_a_client_and_stops_on_sigint(tmp_path, capsys):
             assert proc.wait(timeout=30) == 0
         finally:
             proc.kill()
+
+
+def free_ports(count):
+    socks = [socket.socket() for _ in range(count)]
+    try:
+        for sock in socks:
+            sock.bind(("127.0.0.1", 0))
+        return [sock.getsockname()[1] for sock in socks]
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+def test_three_serve_processes_started_in_reverse_order_serve_a_client(
+        tmp_path, capsys):
+    """A read takes relays from two servers, so they cross processes."""
+    ports = free_ports(3)
+    members = tmp_path / "members.json"
+    members.write_text(json.dumps(
+        {f"s{i}": f"127.0.0.1:{port}" for i, port in enumerate(ports, 1)}))
+    three = ["--servers", "3", "--f", "1"]
+    with contextlib.ExitStack() as stack:
+        procs = []
+        for i in (3, 2, 1):  # each dials the ones before it, not yet up
+            proc = stack.enter_context(serve(
+                *three, "--pid", f"s{i}", "--listen",
+                f"127.0.0.1:{ports[i - 1]}", "--membership", str(members)))
+            stack.callback(proc.kill)
+            procs.append(proc)
+            assert select.select([proc.stdout], [], [], 30)[0]
+            line = proc.stdout.readline()
+            assert line.startswith(f"s{i} listening on "), line
+        for pid, ops in (("w1", "w:A"), ("r1", "r")):
+            assert main(["client", *three, "--pid", pid,
+                         "--membership", str(members), "--ops", ops]) == 0
+        assert "value='A#w1.1'" in capsys.readouterr().out.splitlines()[-1]
+        for proc in procs:
+            proc.send_signal(signal.SIGINT)
+        assert [proc.wait(timeout=30) for proc in procs] == [0, 0, 0]
 
 
 def test_version_flag(capsys):

@@ -999,3 +999,103 @@ def test_a_lost_relay_is_retried_by_the_readers_rebroadcast():
         assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
     finally:
         stop_all(daemons, [writer, reader])
+
+
+FIVE = Config(n_servers=5, n_readers=1, n_writers=1, f=2, mode="swmr")
+
+
+def test_each_server_pair_shares_one_connection():
+    daemons, _ = start_cluster(FIVE, "ohsam")
+    loop = daemons[0].loop
+    try:
+        for d in daemons:
+            assert set(d.links) == set(FIVE.servers()) - {d.pid}
+        links = [link for d in daemons for link in d.links.values()]
+        # a dialed link has its hello on the wire; a later peer's link has
+        # taken that peer's connection at its hello
+        assert wait_for(lambda: all(
+            link.sock is not None and not link.outbuf for link in links))
+        with loop.lock:
+            ends = [key.fileobj for key in loop.selector.get_map().values()
+                    if key.data is not None and key.data[0] in daemons
+                    and key.data[1] is not None]
+            pairs = {frozenset((s.getsockname(), s.getpeername()))
+                     for s in ends}
+            assert all(not d.client_conns for d in daemons)
+        assert len(ends) == 20
+        assert len(pairs) == 10
+    finally:
+        stop_all(daemons)
+
+
+def test_only_a_later_members_hello_takes_a_link():
+    s1, s2, s3, s9 = (parse_pid(p) for p in ("s1", "s2", "s3", "s9"))
+    daemon = ServerDaemon(s2, SWMR, "ohsam")
+    srv = peer_listener()  # s1 and s3: bound, never listening
+    daemon.start({s1: srv.getsockname(), s2: daemon.address,
+                  s3: srv.getsockname()})
+    socks = []
+    try:
+        # s2 dials s1 itself, and s9 is no member: inbound only, as a
+        # client's connection, whose second hello is ignored; s3's
+        # connection becomes s2's link to s3
+        for hellos in (["s1"], ["s9", "s3"], ["s3"]):
+            socks.append(socket.create_connection(daemon.address,
+                                                  timeout=10.0))
+            socks[-1].sendall(b"".join(
+                _pack({"type": "hello", "pid": pid}) for pid in hellos))
+        assert wait_for(lambda: daemon.links[s3].sock is not None
+                        and len(daemon.client_conns) == 2)
+        with daemon.lock:
+            assert set(daemon.links) == {s1, s3}
+            assert set(daemon.client_conns) == {s1, s9}
+            assert daemon.client_conns[s9].sock is not None
+            assert daemon.links[s1].address == srv.getsockname()
+            assert daemon.links[s3].address is None
+            assert (daemon.links[s3].sock.getpeername()
+                    == socks[2].getsockname())
+    finally:
+        for sock in socks:
+            sock.close()
+        daemon.stop()
+        srv.close()
+
+
+def test_relays_queued_while_a_later_peer_is_down_go_first():
+    s1, s2, s3 = SWMR.servers()
+    daemon = ServerDaemon(s1, SWMR, "ohsam")
+    srv = peer_listener()  # s1 never dials a later peer: any address will do
+    daemon.start({s1: daemon.address, s2: srv.getsockname(),
+                  s3: srv.getsockname()})
+    link = daemon.links[s2]
+    socks = []
+
+    def hello_from_s2():
+        socks.append(socket.create_connection(daemon.address, timeout=10.0))
+        socks[-1].sendall(_pack({"type": "hello", "pid": "s2"}))
+        assert wait_for(lambda: link.sock is not None and not link.outbuf)
+        return socks[-1]
+
+    def read_request(seq):  # s1 relays it to every server
+        with daemon.lock:
+            daemon._handle(Message(KIND_READ_REQUEST, OpId(R1, seq), R1, s1))
+
+    try:
+        hello_from_s2().close()  # s2 goes down
+        assert wait_for(lambda: link.sock is None)
+        for seq in range(1, 6):
+            read_request(seq)
+        with daemon.lock:
+            assert [m.op.seq for m in link.unsent] == [1, 2, 3, 4, 5]
+        conn = hello_from_s2()  # s2 is back, and says hello
+        for seq in range(6, 11):
+            read_request(seq)
+        frames = read_frames(conn)
+        got = [message_from_json(next(frames)["msg"]) for _ in range(10)]
+        assert [(m.kind, m.op.seq) for m in got] == [
+            (KIND_READ_RELAY, seq) for seq in range(1, 11)]
+    finally:
+        for sock in socks:
+            sock.close()
+        daemon.stop()
+        srv.close()
