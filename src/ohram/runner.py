@@ -627,14 +627,18 @@ class Client(_Endpoint):
                  membership: dict[ProcessId, tuple[str, int]], *,
                  retry_interval: float = 0.05, retry_budget: int = 100):
         bundle = checked_bundle(protocol, config, live=True)
+        if pid in config.writers():
+            self.machine = bundle.make_writer(pid, config)
+        elif pid in config.readers():
+            self.machine = bundle.make_reader(pid, config)
+        else:
+            clients = ", ".join(map(str, config.writers() + config.readers()))
+            raise ModeMismatch(
+                f"{pid} is not a client of the configuration: {clients}")
         check_membership(pid, config, membership)
         super().__init__(pid)
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget
-        if pid in config.writers():
-            self.machine = bundle.make_writer(pid, config)
-        else:
-            self.machine = bundle.make_reader(pid, config)
         self.done = threading.Condition(self.lock)
         self._completion = None
         self._current: list[Message] = []

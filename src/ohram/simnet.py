@@ -88,28 +88,50 @@ class RunResult:
     invariant_failures: list[str]
 
     def to_json(self) -> dict:
+        return self._fields(history_to_json(self.history),
+                            dict(self._metrics_json()))
+
+    def dumps(self) -> str:
+        """json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")),
+        byte for byte, built one history record and one metrics entry at a
+        time. So neither the to_json() tree nor, on Python 3.10 and 3.11,
+        the C encoder's accumulator (every small output piece, kept until
+        its one call returns) is ever held whole: the peak is about twice
+        the output, where the one-shot call reached about twelve times on
+        Python 3.11.
+        """
+        enc = _ENCODE
+        text = {k: enc(v) for k, v in self._fields([], {}).items()}
+        text["history"] = "[" + ",".join(
+            [enc(record_to_json(r)) for r in self.history]) + "]"
+        text["metrics"] = "{" + ",".join(
+            [enc(op) + ":" + enc(m) for op, m in self._metrics_json()]) + "}"
+        pieces = [p for k in sorted(text) for p in (",", enc(k), ":", text[k])]
+        pieces[0] = "{"
+        return "".join(pieces + ["}"])
+
+    def _fields(self, history: list, metrics: dict) -> dict:
         return {
             "protocol": self.protocol,
             "config": config_to_json(self.config),
             "seed": self.seed,
             "events": self.events,
             "crashed": [str(p) for p in self.crashed],
-            "history": history_to_json(self.history),
-            "metrics": {
-                str(op): {
-                    "kind": m.kind,
-                    "messages": m.messages,
-                    "exchanges": m.exchanges,
-                    "exchange_kinds": sorted(m.exchange_kinds),
-                }
-                for op, m in sorted(self.metrics.items(),
-                                    key=lambda kv: str(kv[0]))
-            },
+            "history": history,
+            "metrics": metrics,
             "invariant_failures": list(self.invariant_failures),
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+    def _metrics_json(self):
+        """(op text, entry) pairs of the dump's metrics, in key order."""
+        for op, m in sorted(self.metrics.items(), key=lambda kv: str(kv[0])):
+            yield str(op), {"kind": m.kind, "messages": m.messages,
+                            "exchanges": m.exchanges,
+                            "exchange_kinds": sorted(m.exchange_kinds)}
+
+
+# one encoder, built once, for every entry RunResult.dumps writes
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 class SimNet:
@@ -581,12 +603,16 @@ def shrink(directives: list, fails) -> list:
     return directives
 
 
+def record_to_json(r: OpRecord) -> dict:
+    """One entry of a run or client dump's history."""
+    return {"op": opid_to_json(r.op), "kind": r.kind, "invoked": r.invoked,
+            "responded": r.responded, "tag": tag_to_json(r.tag),
+            "value": r.value}
+
+
 def history_to_json(records: list[OpRecord]) -> list[dict]:
     """The history part of a run dump, and the body of a client dump."""
-    return [{"op": opid_to_json(r.op), "kind": r.kind, "invoked": r.invoked,
-             "responded": r.responded, "tag": tag_to_json(r.tag),
-             "value": r.value}
-            for r in records]
+    return [record_to_json(r) for r in records]
 
 
 def history_from_json(obj) -> list[OpRecord]:

@@ -296,6 +296,17 @@ def test_serve_refuses_a_pid_that_is_no_server(tmp_path, pid):
     assert f"{pid} is not a server of 3" in err
 
 
+@pytest.mark.parametrize("pid", ["r9", "w3"])
+def test_client_refuses_a_pid_that_is_no_client(tmp_path, capsys, pid):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1"}')
+    ops = "r" if pid.startswith("r") else "w:A"
+    assert main(["client", "--servers", "1", "--f", "0", "--pid", pid,
+                 "--membership", str(membership), "--ops", ops]) == 4
+    assert f"{pid} is not a client of the configuration: w1, r1" \
+        in capsys.readouterr().err
+
+
 def test_serve_answers_a_client_and_stops_on_sigint(tmp_path, capsys):
     members = tmp_path / "members.json"
     members.write_text('{"s1": "127.0.0.1:0"}')  # its own port: --listen

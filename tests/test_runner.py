@@ -1001,6 +1001,36 @@ def test_a_lost_relay_is_retried_by_the_readers_rebroadcast():
         stop_all(daemons, [writer, reader])
 
 
+@pytest.mark.xfail(strict=True, raises=QuorumUnreachable,
+                   reason="ROADMAP item 6: a lost readAck is never sent again")
+def test_a_lost_read_ack_is_retried_by_the_readers_rebroadcast():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    reader = Client(R1, SWMR, "ohsam", membership,
+                    retry_interval=0.01, retry_budget=20)
+    s1 = daemons[0]
+    send, lost = s1._send, []
+
+    def lossy_send(conn, msg):
+        # the link loses s1's first readAck to r1
+        if msg.kind == KIND_READ_ACK and msg.destination == R1 and not lost:
+            lost.append(msg)
+            return
+        send(conn, msg)
+
+    try:
+        wrec = writer.write("A")
+        daemons[2].kill()
+        s1._send = lossy_send
+        # s1 and s2 each ack once, when the second relay origin arrives; a
+        # rebroadcast brings them no new origin, so s1 never acks again
+        rrec = reader.read()
+        assert len(lost) == 1
+        assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+    finally:
+        stop_all(daemons, [writer, reader])
+
+
 FIVE = Config(n_servers=5, n_readers=1, n_writers=1, f=2, mode="swmr")
 
 

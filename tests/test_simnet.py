@@ -1,8 +1,10 @@
 """Simulator: determinism, crash semantics, metrics, scripted schedules."""
 
+import dataclasses
 import hashlib
 import json
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -358,6 +360,73 @@ def test_seeded_dumps_match_golden_hashes():
     sliced = list(_golden_sliced())
     assert all('"crashed":["s2","s4"]' in text for text in sliced)
     assert _sha256(sliced) == GOLDEN_SLICED_SHA256
+
+
+SOUND = ("ohsam", "ohmam", "abd-swmr", "abd-mwmr")
+
+
+def _long_run(name):
+    """Shaped like the benchmark's sim-long: n=5, 20 readers, 80 ops per
+    client loaded in slices of 10, two victims."""
+    mode = get_protocol(name).mode
+    config = Config(n_servers=5, n_readers=20,
+                    n_writers=1 if mode == "swmr" else 3, f=2, mode=mode)
+    net = SimNet(name, config, seed=11)
+    net.pending_crashes = [server_id(2), server_id(5)]
+    for lo in range(0, 80, 10):
+        for pid in config.writers():
+            net.load_program(pid, [("write", f"{pid}-{i}")
+                                   for i in range(lo, lo + 10)])
+        for pid in config.readers():
+            net.load_program(pid, [("read", None)] * 10)
+        net.run_seeded()
+    return net.result()
+
+
+def _one_shot(result):
+    return json.dumps(result.to_json(), sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", SOUND)
+def test_dumps_of_a_long_run_are_the_one_shot_bytes(name):
+    result = _long_run(name)
+    assert len(result.history) >= 1680 and len(result.crashed) == 2
+    assert result.dumps() == _one_shot(result)
+
+
+def test_dumps_of_edge_runs_are_the_one_shot_bytes():
+    """A scripted run (seed null, a value to escape), crashes with
+    invariant failures, and a run with no history."""
+    script = run_script(HEADER + "\n" + json.dumps(
+        {"invoke": {"client": "w1", "kind": "write", "label": "é\"\\"}}))
+    assert script.seed is None
+    failed = dataclasses.replace(
+        simulate("abd-mwmr", MWMR3, 7, max_ops=6, victims=[server_id(2)]),
+        invariant_failures=["s1: tag went back", "r1: \u2192 twice"])
+    assert failed.crashed and failed.invariant_failures
+    empty = SimNet("ohmam", MWMR3, seed=3).result()
+    assert empty.history == [] and empty.metrics == {}
+    for result in (script, failed, empty):
+        assert result.dumps() == _one_shot(result)
+
+
+def test_dumps_peak_memory_stays_a_small_multiple_of_its_output():
+    """dumps() holds about twice its output at its peak.
+
+    tracemalloc peak over len(output) on the four sound protocols' long
+    runs: 2.0 on Python 3.11 and 3.13. The one-shot
+    json.dumps(to_json()) it replaced reached 11.6-13.1 on 3.11, where
+    the C encoder keeps every output piece until its call returns, and
+    5.2-5.4 on 3.13, where the to_json() tree alone is most of it.
+    """
+    result = _long_run("ohsam")
+    tracemalloc.start()
+    try:
+        text = result.dumps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * len(text)
 
 
 def _recount_idle(net):
