@@ -236,9 +236,10 @@ def cmd_serve(args) -> int:
     daemon = ServerDaemon(pid, config, args.protocol, host=host, port=port)
     membership[pid] = daemon.address
     daemon.start(membership)
-    print(f"{pid} listening on {daemon.address[0]}:{daemon.port}",
-          flush=True)
     try:
+        # a SIGINT sent once this line is read must land inside the try
+        print(f"{pid} listening on {daemon.address[0]}:{daemon.port}",
+              flush=True)
         threading.Event().wait()
     except KeyboardInterrupt:
         pass

@@ -31,7 +31,8 @@ while any endpoint is started. It owns every socket of every server
 daemon and client, accepted and dialed, and handles each batch of events
 under the one lock all endpoints share: it accepts, reads, runs the
 machines and sends. A client's operation thread invokes and
-(re)broadcasts under the same lock. Links set TCP_NODELAY, because
+(re)broadcasts under the same lock, and the loop wakes it once, at the
+end of the batch in which its op completed. Links set TCP_NODELAY, because
 frames are small and go out one at a time.
 
 Sends never block. A message is framed and written at once as far as
@@ -246,6 +247,8 @@ class _Loop:
         self.endpoints: set[_Endpoint] = set()  # started, not stopped
         # dialed links with no socket, and their endpoints
         self.waiting: dict[_Conn, _Endpoint] = {}
+        # clients whose op completed in the batch being handled
+        self.completed: list[Client] = []
         self.thread: Optional[threading.Thread] = None
 
     def wake(self) -> None:
@@ -297,6 +300,11 @@ class _Loop:
                         endpoint._read(conn)
                     if events & EVENT_WRITE and conn.sock is key.fileobj:
                         endpoint._flush(conn)
+                # wake each finished op once, as the batch ends: its
+                # thread could not take the lock before that anyway
+                for client in self.completed:
+                    client.done.notify_all()
+                self.completed.clear()
                 if not self.endpoints:
                     self.thread = None
                     self.selector.unregister(self._wake)
@@ -666,7 +674,7 @@ class Client(_Endpoint):
             self._broadcast(outs)
         if completion is not None:
             self._completion = completion
-            self.done.notify_all()
+            self.loop.completed.append(self)
 
     def _run_op(self, kind: str, invoke) -> OpRecord:
         with self.done:

@@ -165,21 +165,34 @@ class SimNet:
         self._open: dict[OpId, OpRecord] = {}
         self.metrics: dict[OpId, OpMetrics] = {}
         self.invariant_failures: list[str] = []
-        # emitted-vs-received check state: largest relay tag delivered
-        # to a server for a given read operation
-        self._relay_high: dict[tuple[ProcessId, OpId], Tag] = {}
-        self._read_acks_sent: dict[tuple[ProcessId, OpId], int] = {}
+        # emitted-vs-received check state, by server, then by read
+        # operation: the largest relay tag delivered, and the readAcks sent
+        self._relay_high: dict[ProcessId, dict[OpId, Tag]] = {
+            pid: {} for pid in self.servers}
+        self._read_acks_sent: dict[ProcessId, set[OpId]] = {
+            pid: set() for pid in self.servers}
+        # _send's map from a wire seq to its op: none when a writer ticks
+        # once per write, as bundle.op_group is then the identity
+        self._op_group = (bundle.op_group if bundle.make_writer.ticks > 1
+                          else None)
 
     # -- send side --
 
     def _send(self, msgs: list[Message]) -> None:
         """Tally and put in flight one step's non-empty output. Its messages
-        share one op and one kind: a step sends one broadcast or one reply."""
-        om = self.metrics[self.bundle.op_group(msgs[0].op)]
+        share one op and one kind: a step sends one broadcast to the servers
+        or one reply to the op's invoker. Only a broadcast can name a crashed
+        server, since the invoker is a client and clients never crash."""
+        first = msgs[0]
+        op = first.op
+        if self._op_group is not None:
+            op = self._op_group(op)
+        om = self.metrics[op]
         om.messages += len(msgs)
-        om.exchange_kinds.add(msgs[0].kind)
-        if self.crashed:
-            msgs = [m for m in msgs if m.destination not in self.crashed]
+        om.exchange_kinds.add(first.kind)
+        crashed = self.crashed
+        if crashed and first.destination in self.servers:
+            msgs = [m for m in msgs if m.destination not in crashed]
         self.inflight.extend(msgs)
 
     # -- the three event kinds --
@@ -262,20 +275,21 @@ class SimNet:
             self.invariant_failures.append(
                 f"{pid}: tag moved backwards {before} -> {after}")
         if msg.kind == KIND_READ_RELAY and msg.tag is not None:
-            key = (pid, msg.op)
-            high = self._relay_high.get(key)
+            highs = self._relay_high[pid]
+            high = highs.get(msg.op)
             if high is None or high < msg.tag:
-                self._relay_high[key] = msg.tag
+                highs[msg.op] = msg.tag
         # one step's outputs share one kind (see _send)
         kind = outs[0].kind if outs else None
         if kind == KIND_READ_ACK:
+            highs = self._relay_high[pid]
+            sent = self._read_acks_sent[pid]
             for out in outs:
-                key = (pid, out.op)
-                self._read_acks_sent[key] = self._read_acks_sent.get(key, 0) + 1
-                if self._read_acks_sent[key] > 1:
+                if out.op in sent:
                     self.invariant_failures.append(
                         f"{pid}: second readAck for {out.op}")
-                high = self._relay_high.get(key)
+                sent.add(out.op)
+                high = highs.get(out.op)
                 if high is not None and out.tag < high:
                     self.invariant_failures.append(
                         f"{pid}: readAck tag {out.tag} below received "

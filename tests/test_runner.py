@@ -1002,7 +1002,7 @@ def test_a_lost_relay_is_retried_by_the_readers_rebroadcast():
 
 
 @pytest.mark.xfail(strict=True, raises=QuorumUnreachable,
-                   reason="ROADMAP item 6: a lost readAck is never sent again")
+                   reason="ROADMAP item 5: a lost readAck is never sent again")
 def test_a_lost_read_ack_is_retried_by_the_readers_rebroadcast():
     daemons, membership = start_cluster(SWMR, "ohsam")
     writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)

@@ -453,6 +453,9 @@ def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
                 kind = "write" if pid.role == "writer" else "read"
                 net.load_program(pid, [(kind, "L")])
             assert net.idle == _recount_idle(net)
+            # _send filters a broadcast, crash drops what was in flight
+            assert not any(m.destination in net.crashed
+                           for m in net.inflight)
             steps += 1
             return out
         return step
@@ -474,14 +477,22 @@ def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
 
 def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     """SimNet._send tallies per output list: each list a machine returns
-    from invoke_* or on_message is one broadcast or one reply."""
+    from invoke_* or on_message is one broadcast or one reply. Each op's
+    tally equals a recount of the messages sent under it, every message
+    grouped on its own by bundle.op_group (ohmam's writes send two wire
+    seqs)."""
     lists = 0
+    sent = {}  # net -> {op: messages}
     send = SimNet._send
 
     def checked(net, msgs):
         nonlocal lists
         assert len({(m.op, m.kind) for m in msgs}) <= 1, msgs
         lists += bool(msgs)
+        counts = sent.setdefault(net, {})
+        for m in msgs:
+            op = net.bundle.op_group(m.op)
+            counts[op] = counts.get(op, 0) + 1
         return send(net, msgs)
 
     monkeypatch.setattr(SimNet, "_send", checked)
@@ -489,6 +500,9 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     assert {r.protocol for r in corpus} == set(PROTOCOL_NAMES)
     list(_golden_sliced())
     assert lists > 8000
+    assert len(sent) == len(corpus) + 4
+    for net, counts in sent.items():
+        assert counts == {op: m.messages for op, m in net.metrics.items()}
 
 
 def test_message_shapes_over_the_golden_corpus(monkeypatch):
