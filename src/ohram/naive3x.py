@@ -110,7 +110,8 @@ class Naive3xServer:
     origin_obs holds, per relay origin, the longest observations list
     received from it; observation lists only grow, so the longest list
     subsumes every earlier snapshot. write_relays and read_relays hold
-    relay origins per operation, counted by count_relay.
+    relay origins per operation, counted by count_relay. Every copy of a
+    request relays, as on the sound servers.
     """
 
     pid: ProcessId
@@ -120,9 +121,7 @@ class Naive3xServer:
     known: set[OpId] = field(default_factory=set)
     origin_obs: dict[ProcessId, tuple[WriteRecord, ...]] = field(default_factory=dict)
     write_relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-    relayed_writes: set[OpId] = field(default_factory=set)
     read_relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-    relayed_reads: set[OpId] = field(default_factory=set)
 
     def __post_init__(self):
         if self.x <= 0:
@@ -199,9 +198,6 @@ class Naive3xServer:
 
     def on_write_request(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
-        if msg.op in self.relayed_writes:
-            return []
-        self.relayed_writes.add(msg.op)
         return self._relay(KIND_WRITE_RELAY, msg.op, msg.tag, msg.value)
 
     def on_write_relay(self, msg: Message) -> list[Message]:
@@ -213,9 +209,6 @@ class Naive3xServer:
         return []
 
     def on_read_request(self, msg: Message) -> list[Message]:
-        if msg.op in self.relayed_reads:
-            return []
-        self.relayed_reads.add(msg.op)
         return self._relay(KIND_READ_RELAY, msg.op, *self.adopted())
 
     def on_read_relay(self, msg: Message) -> list[Message]:

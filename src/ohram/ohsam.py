@@ -13,9 +13,10 @@ leads to. Here a write is one phase and a read is one phase (the relays
 run among the servers, out of the reader's sight).
 
 Every sound server machine of the package is a Replica: it adopts a
-larger tag, answers the invoker with its current pair, and acknowledges
-every writeRequest. Servers that relay count relay origins with
-count_relay, the one majority-of-relays rule.
+larger tag, answers the invoker with its current pair, and answers
+every copy of a request, so a client's rebroadcast retries any message
+of its phase that a link lost. Servers that relay count relay origins
+with count_relay, the one majority-of-relays rule.
 
 Write protocol (two exchanges): the writer's timestamp is its write
 counter. It ticks the counter, broadcasts a writeRequest to every
@@ -27,12 +28,12 @@ every server that receives it broadcasts a readRelay, carrying its current
 timestamp and value, to all servers including itself. A server collects
 relays, adopting any higher timestamp it sees, and once relays for the
 operation have arrived from a majority of servers it answers the reader
-once with its current timestamp and value. The reader completes on a
-majority of readAcks and returns the value with the MINIMUM timestamp
-among them. Relays are kept until the read is answered: relays that
-arrive before the direct readRequest count toward the majority all the
-same, and a server broadcasts its own relay only upon receiving the
-actual readRequest.
+with its current timestamp and value, and again on every later copy of
+the readRequest. The reader completes on a majority of readAcks and
+returns the value with the MINIMUM timestamp among them. Relays are kept
+until the read is answered: relays that arrive before the direct
+readRequest count toward the majority all the same, and a server
+broadcasts its own relay only upon receiving the actual readRequest.
 
 Timestamps are carried as tags with the writer id pinned, which makes the
 single-writer timestamp a plain natural number while letting the
@@ -75,7 +76,8 @@ class QuorumClient:
     phase waits for and is None when the client is idle. replies maps
     each sender to its latest reply in first-arrival order. Replies of
     another kind, another counter or another invoker, and replies
-    without a tag, are dropped, and a sender counts once. Subclasses
+    without a tag, are dropped, and a sender counts once, however often
+    its reply comes again in answer to a rebroadcast. Subclasses
     open phases with _broadcast and say in _on_quorum what a complete
     phase leads to: the next phase, or the completion built by _done.
     ticks is how many counter values one operation uses. A step sends
@@ -194,8 +196,10 @@ def count_relay(relays: dict[OpId, set[ProcessId]], msg: Message,
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
     and duplicate-safe. Subclasses dispatch the kinds they serve. A step
-    sends one reply, one broadcast or nothing (see SimNet._send). quorum
-    is derived from config once."""
+    sends one reply, one broadcast or nothing (see SimNet._send), except
+    on a repeated readRequest for a read the server has answered, which
+    brings both its relays and its readAck; the simulator delivers no
+    repeated request. quorum is derived from config once."""
 
     pid: ProcessId
     config: Config
@@ -234,9 +238,13 @@ class ServerStateS(Replica):
     while h+1 < seq and h+1 has relays from a majority, dropping h+1's
     entry. Every copy of a readRequest relays, for an open read or a
     retired one, so a client's rebroadcast also retries a lost relay.
-    The readAck is the one reply sent once: when a new origin brings an
-    open read's relays to a majority. A retired read keeps no state: its
-    relays still pass on their tag, but never bring another readAck.
+    The readAck goes out when a new origin brings an open read's relays
+    to a majority, and again, with the current pair, on every copy of
+    the readRequest that finds this server's own origin among that
+    majority, so the rebroadcast also retries a lost readAck. The
+    re-sent tag is at least the first ack's, since tags only grow. A
+    retired read keeps no state: its relays still pass on their tag,
+    but never bring another readAck.
     An older read that never gathers a majority here (live, a relay lost
     after the read completed through other servers) blocks its invoker's
     horizon, and the invoker's later reads keep their entries.
@@ -258,12 +266,17 @@ class ServerStateS(Replica):
     # -- read path (shared verbatim with the multi-writer algorithm) --
 
     def on_read_request(self, msg: Message) -> list[Message]:
-        # Attach the current timestamp without update; relay on every copy.
+        # Attach the current timestamp without update; relay on every copy,
+        # and ack again on a copy of a read this server has answered.
         op = msg.op
         self._advance(op)
         pid, tag, value = self.pid, self.tag, self.value
-        return [Message(KIND_READ_RELAY, op, pid, s, tag, value, pid)
-                for s in _server_ids(self.config.n_servers)]
+        out = [Message(KIND_READ_RELAY, op, pid, s, tag, value, pid)
+               for s in _server_ids(self.config.n_servers)]
+        origins = self.relays.get(op, ())
+        if pid in origins and len(origins) >= self.quorum:
+            out += self._reply(KIND_READ_ACK, msg)
+        return out
 
     def on_read_relay(self, msg: Message) -> list[Message]:
         op = msg.op

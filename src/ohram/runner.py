@@ -38,35 +38,29 @@ frames are small and go out one at a time.
 Sends never block. A message is framed and written at once as far as
 the kernel takes it; only a rest the kernel refuses goes to the
 connection's outbuf, and any later frame queues behind it, until the
-loop has written it when the socket is writable. unsent lists the
-messages behind outbuf until outbuf empties. A client whose unsent
-replies pass MAX_BACKLOG is cut off and redials. A reply for a client
-with no connection (no hello yet, or dropped with the reply unsent) is
-held, for the client's newest op only, and sent once the hello comes in.
-A link's unsent, dialed or taken at a hello, is unbounded while its
-server is down.
+loop has written it when the socket is writable. A client whose replies
+waiting in outbuf pass MAX_BACKLOG is cut off and redials.
 
-Redial and at-least-once delivery: a dialed link connects without
-blocking. A refused connection, or a link whose stream ends, breaks or
-stops being frames, redials REDIAL_DELAY seconds later, and the new
-connection's outbuf is the hello followed by every message in unsent,
-each from its first byte. The loop looks for links to redial only while
-some dialed link waits. A link with no address is never redialed: it
-keeps unsent while it has no connection, and the outbuf of the next
-connection its peer's hello brings starts with every message in unsent,
-each from its first byte. The protocol machines are idempotent against
-the resulting duplicates: every sound server answers every copy of a
-request, so a repeated writeRequest is re-acknowledged and a repeated
-readRequest relays again, which also retries a relay lost on a link.
-The three-exchange readAck is the one reply sent once: relay bookkeeping
-is set-based, so no read is answered twice. A frame that breaks the
-machine closes only its own connection.
+Links lose messages, and the client's rebroadcast retries every loss.
+A message sent on a link or to a client with no connection is lost, and
+so is every frame still in outbuf when its connection drops. A dialed
+link dials as it is made, its hello first in outbuf, so the first
+messages queue behind the hello. A refused connection, or a link whose
+stream ends, breaks or stops being frames, redials REDIAL_DELAY seconds
+later; the loop looks for links to redial only while some dialed link
+waits. A link with no address is never redialed: it takes the next
+connection its peer's hello brings. No reply is sent only once: every
+sound server answers every copy of a request, so a repeated
+writeRequest or discover is acknowledged again, a repeated readRequest
+relays again, and a copy of a readRequest for a read the server has
+answered brings its readAck again. A frame that breaks the machine
+closes only its own connection.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
 merged for checking with merge_histories. A client that cannot assemble
 a quorum re-broadcasts its current phase every retry_interval seconds,
-skipping a message still waiting in its link's unsent, and gives up with
+which retries whatever the phase lost on the way, and gives up with
 QuorumUnreachable after retry_budget rebroadcasts, or at once when the
 client is closed; an op on a closed client raises it before it starts.
 
@@ -101,7 +95,7 @@ from .core import (
 from .protocols import checked_bundle
 
 MAX_FRAME = 1 << 20
-MAX_BACKLOG = 8 * MAX_FRAME  # unsent reply bytes that cut a client off
+MAX_BACKLOG = 8 * MAX_FRAME  # reply bytes in outbuf that cut a client off
 RECV_SIZE = 1 << 16  # one read: every frame a wake-up finds
 REDIAL_DELAY = 0.02  # seconds from a refused or dropped link to its redial
 _LEN = struct.Struct(">I")
@@ -215,8 +209,8 @@ def listen_host(explicit: Optional[str] = None) -> str:
 
 
 class _Conn:
-    """A connection, accepted or dialed: bytes not yet framed, messages
-    not yet sent."""
+    """A connection, accepted or dialed: bytes not yet framed, bytes not
+    yet sent."""
 
     def __init__(self, sock: Optional[socket.socket],
                  address: Optional[tuple[str, int]] = None,
@@ -226,7 +220,6 @@ class _Conn:
         self.sock = sock
         self.buf = b""  # the start of a frame not yet whole
         self.outbuf = bytearray()
-        self.unsent: list[Message] = []  # the messages behind outbuf
         self.peer = peer  # a link's server, or an accepted one's hello
         self.address = address  # where a dialed link (re)connects
         self.redial_at = 0.0  # monotonic time of a waiting link's next dial
@@ -256,7 +249,7 @@ class _Loop:
             self._waker.send(b"\0")
 
     def add(self, endpoint: _Endpoint) -> None:
-        """Serve endpoint; its links dial at once. Call under lock."""
+        """Serve endpoint. Call under lock."""
         self.endpoints.add(endpoint)
         if self.thread is None:
             # a stop, a start and a drop off the loop thread end select()
@@ -356,8 +349,8 @@ class _Endpoint:
         """Dial every server in servers and keep the links. Call under lock."""
         for server, addr in servers.items():
             link = self.links[server] = _Conn(None, addr, server)
-            self.loop.waiting[link] = self
-        self.loop.add(self)
+            self._dial(link)
+        self.loop.add(self)  # its wake-up sets the redial timeout
 
     def stop(self) -> None:
         with self.lock:
@@ -369,6 +362,8 @@ class _Endpoint:
         self.loop.selector.register(conn.sock, conn.events, (self, conn))
 
     def _dial(self, link: _Conn) -> None:
+        """Connect link without blocking, its hello first in outbuf; a
+        refused dial waits REDIAL_DELAY for the next."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             sock.setblocking(False)
@@ -378,21 +373,14 @@ class _Endpoint:
         except OSError:  # refused at once, or a host that does not resolve
             sock.close()
             link.redial_at = time.monotonic() + REDIAL_DELAY
+            self.loop.waiting[link] = self
             return
-        del self.loop.waiting[link]
+        self.loop.waiting.pop(link, None)
         link.sock = sock
         link.buf = b""
         link.outbuf = bytearray(_pack({"type": "hello", "pid": str(self.pid)}))
-        self._resend(link)
         link.events = EVENT_READ | EVENT_WRITE
         self._watch(link)
-
-    @staticmethod
-    def _resend(link: _Conn) -> None:
-        """At-least-once: frame every unsent message onto a new connection's
-        outbuf, each from its first byte."""
-        for msg in link.unsent:
-            link.outbuf += _pack({"type": "msg", "msg": message_to_json(msg)})
 
     def _read(self, conn: _Conn) -> None:
         """Take what the socket has; handle every frame it completes."""
@@ -446,16 +434,13 @@ class _Endpoint:
         return conn  # only servers are dialed
 
     def _send(self, conn: _Conn, msg: Message) -> None:
-        """Frame msg onto conn and write what the kernel takes now."""
-        if self.stopped:
-            return
+        """Frame msg onto conn and write what the kernel takes now; with
+        no connection, msg is lost."""
         sock = conn.sock
-        if sock is None:  # the link's next dial or hello frames it
-            conn.unsent.append(msg)
+        if sock is None or self.stopped:
             return
         frame = _pack({"type": "msg", "msg": message_to_json(msg)})
         if conn.outbuf:  # behind bytes that wait for the socket to drain
-            conn.unsent.append(msg)
             conn.outbuf += frame
             return
         try:
@@ -463,10 +448,8 @@ class _Endpoint:
         except BlockingIOError:
             sent = 0
         except OSError:
-            conn.unsent.append(msg)
             return self._drop(conn)
         if sent < len(frame):  # the rest waits for the socket to drain
-            conn.unsent.append(msg)
             conn.outbuf += frame[sent:]
             self._want(conn)
 
@@ -478,8 +461,6 @@ class _Endpoint:
             pass
         except OSError:
             return self._drop(conn)
-        if not conn.outbuf:
-            conn.unsent.clear()
         self._want(conn)
 
     def _want(self, conn: _Conn) -> None:
@@ -495,7 +476,7 @@ class _Endpoint:
             return  # dropped already
         self.loop.selector.unregister(sock)
         _close(sock)
-        conn.outbuf.clear()  # a link keeps unsent for its next connection
+        conn.outbuf.clear()  # lost with the connection
         if conn.address is not None:
             conn.redial_at = time.monotonic() + REDIAL_DELAY
             self.loop.waiting[conn] = self
@@ -525,9 +506,6 @@ class ServerDaemon(_Endpoint):
         self.port = self.address[1]
         super().__init__(pid)
         self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
-        # replies to a client with no connection, for its newest op only;
-        # ohsam acks each read once, so a lost reply would never return
-        self.held_replies: dict[ProcessId, list[Message]] = {}
 
     def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
         """membership maps every server pid to its (host, port).
@@ -570,32 +548,21 @@ class ServerDaemon(_Endpoint):
         # membership: inbound only
         conn.peer = peer
         self.client_conns[peer] = conn
-        for msg in self.held_replies.pop(peer, []):
-            self._reply(conn, msg)
         return conn
 
     def _adopt(self, conn: _Conn, link: _Conn) -> _Conn:
-        """Make conn's socket link's; what link holds in unsent goes first."""
+        """Make conn's socket link's."""
         self._drop(link)  # the peer's older connection, if any
         link.sock, conn.sock = conn.sock, None
         link.buf = b""
         self.loop.selector.modify(link.sock, EVENT_READ, (self, link))
         link.events = EVENT_READ
-        self._resend(link)
-        if link.outbuf:
-            self._flush(link)
         return link
 
     def _drop(self, conn: _Conn) -> None:
-        if conn.sock is None:
-            return  # dropped already
         super()._drop(conn)
-        if self.links.get(conn.peer) is not conn:  # an inbound connection
-            if self.client_conns.get(conn.peer) is conn:
-                del self.client_conns[conn.peer]
-            # to the client's newer connection, or held
-            for msg in conn.unsent:
-                self._route(msg)
+        if self.client_conns.get(conn.peer) is conn:
+            del self.client_conns[conn.peer]
 
     def _handle(self, msg: Message) -> None:
         if self.stopped:
@@ -611,16 +578,7 @@ class ServerDaemon(_Endpoint):
             self._send(self.links[dest], msg)
         elif dest in self.client_conns:
             self._reply(self.client_conns[dest], msg)
-        else:
-            self._hold(msg)
-
-    def _hold(self, msg: Message) -> None:
-        # a newer op of a well-formed client retires the older op's replies
-        held = self.held_replies.setdefault(msg.destination, [])
-        if held and held[0].op.seq < msg.op.seq:
-            held.clear()
-        if not held or held[0].op.seq == msg.op.seq:
-            held.append(msg)
+        # else lost: the client has no connection to this daemon
 
     def _reply(self, conn: _Conn, msg: Message) -> None:
         self._send(conn, msg)
@@ -660,12 +618,10 @@ class Client(_Endpoint):
         with self.done:
             self.done.notify_all()
 
-    def _broadcast(self, msgs: list[Message], again: bool = False) -> None:
+    def _broadcast(self, msgs: list[Message]) -> None:
+        links = self.links
         for m in msgs:
-            link = self.links.get(m.destination)
-            # a rebroadcast skips what the link still holds in unsent
-            if link is not None and not (again and m in link.unsent):
-                self._send(link, m)
+            self._send(links[m.destination], m)
 
     def _handle(self, msg: Message) -> None:
         outs, completion = self.machine.on_message(msg)
@@ -697,7 +653,7 @@ class Client(_Endpoint):
                         raise QuorumUnreachable(
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
-                    self._broadcast(self._current, again=True)
+                    self._broadcast(self._current)
             completion = self._completion
             t1 = time.monotonic_ns()
             rec = OpRecord(completion.op, kind, self.pid, t0, t1,

@@ -219,10 +219,10 @@ class SimNet:
         return group
 
     def deliver(self, msg: Message) -> None:
+        # nothing in flight names a crashed server: crash sweeps them out
+        # and _send keeps them out
         self.events += 1
         dest = msg.destination
-        if dest in self.crashed:
-            return
         server = self.servers.get(dest)
         if server is None:
             outs, completion = self.clients[dest].on_message(msg)

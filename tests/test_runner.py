@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import socket
 import threading
 import time
@@ -31,12 +32,13 @@ from ohram.core import (
     parse_pid,
     tag_to_json,
 )
+from ohram.protocols import get_protocol
 from ohram.runner import (
     MAX_FRAME,
     RECV_SIZE,
     Client,
     ServerDaemon,
-    _Conn,
+    _Endpoint,
     _ENCODER,
     _Framer,
     _pack,
@@ -233,42 +235,32 @@ def test_merge_histories_orders_by_invocation():
         stop_all(daemons, [writer, reader])
 
 
-def test_reply_to_a_client_not_yet_connected_is_held_until_hello():
-    s1, s2, s3, r1 = (parse_pid(p) for p in ("s1", "s2", "s3", "r1"))
+def test_a_reply_to_a_client_with_no_connection_is_lost_and_a_copy_acks_again():
+    s1, s2, r1 = (parse_pid(p) for p in ("s1", "s2", "r1"))
     daemon = ServerDaemon(s1, SWMR, "ohsam")
     daemon.start({s1: daemon.address})
     sock = None
+    read = OpId(r1, 1)
+    request = Message(KIND_READ_REQUEST, read, r1, s1)
     try:
-        read = OpId(r1, 1)
-        for origin in (s2, s3):
-            daemon._handle(Message(KIND_READ_RELAY, read, origin, s1,
-                                   tag=Tag(0, origin), relay_origin=origin))
-        # the majority of relays is in: the one ack for r1#1 is produced
-        # now, while r1 has no connection to s1 yet
-        assert [m.kind for m in daemon.held_replies[r1]] == [KIND_READ_ACK]
+        with daemon.lock:
+            daemon._handle(request)  # s1's own relay goes straight back in
+            daemon._handle(Message(KIND_READ_RELAY, read, s2, s1,
+                                   tag=Tag(0, s2), relay_origin=s2))
+            # the majority of relays is in: the ack for r1#1, tagged (0,s1),
+            # is produced now, while r1 has no connection to s1, and lost
+            assert daemon.machine.relays[read] == {s1, s2}
+            daemon._handle(Message(KIND_WRITE_REQUEST, OpId(W1, 1), W1, s1,
+                                   tag=Tag(1, W1), value="A"))
         sock = socket.create_connection(daemon.address, timeout=5.0)
-        sock.sendall(_pack({"type": "hello", "pid": "r1"}))
-        frame = next(read_frames(sock))
-        msg = message_from_json(frame["msg"])
+        sock.sendall(_pack({"type": "hello", "pid": "r1"}) + msg_frame(request))
+        # the copy brings the ack again, with s1's current pair
+        msg = message_from_json(next(read_frames(sock))["msg"])
         assert (msg.kind, msg.op, msg.sender) == (KIND_READ_ACK, read, s1)
-        assert r1 not in daemon.held_replies
+        assert (msg.tag, msg.value) == (Tag(1, W1), "A")
     finally:
         if sock is not None:
             sock.close()
-        daemon.stop()
-
-
-def test_held_replies_keep_only_the_newest_op():
-    r1 = parse_pid("r1")
-    daemon = ServerDaemon(parse_pid("s1"), SWMR, "ohsam")
-    try:
-        def ack(seq):
-            return Message(KIND_READ_ACK, OpId(r1, seq), daemon.pid, r1)
-
-        for seq in (1, 2, 2, 1):
-            daemon._route(ack(seq))
-        assert daemon.held_replies[r1] == [ack(2), ack(2)]
-    finally:
         daemon.stop()
 
 
@@ -411,29 +403,7 @@ def test_sends_to_a_peer_that_never_reads_never_block():
         srv.close()
 
 
-def test_frames_queued_while_the_peer_is_down_go_first():
-    srv = peer_listener()  # bound, not listening: dials are refused
-    writer, link = writer_link(srv)
-    conn = None
-    try:
-        for seq in range(1, 6):
-            send(writer, write_request(seq, size=10))
-        with writer.lock:
-            assert [m.op.seq for m in link.unsent] == [1, 2, 3, 4, 5]
-        srv.listen(1)
-        conn, _ = srv.accept()
-        assert hello_sent(link)
-        for seq in range(6, 11):  # each written through
-            assert not send(writer, write_request(seq, size=10))
-        assert received_seqs(conn, 10) == list(range(1, 11))
-    finally:
-        writer.close()
-        if conn is not None:
-            conn.close()
-        srv.close()
-
-
-def test_a_head_frame_cut_short_is_resent_whole_on_reconnect():
+def test_a_reconnect_carries_the_hello_then_whole_frames_sent_after_it():
     srv = peer_listener()
     srv.listen(2)
     writer, link = writer_link(srv)
@@ -441,17 +411,22 @@ def test_a_head_frame_cut_short_is_resent_whole_on_reconnect():
     second = None
     try:
         assert hello_sent(link)
+        old = link.sock
         last, _ = fill_until_queued(writer)
         with writer.lock:  # a partial write: the head frame's tail waits
             assert 0 < len(link.outbuf) < len(msg_frame(write_request(last)))
         for _ in range(3):
             last += 1
             send(writer, write_request(last))
-        head = last - 3
         first.close()  # unread data: the peer resets the connection
         second, _ = srv.accept()
-        assert received_seqs(second, 4) == list(range(head, last + 1))
-        assert wait_for(lambda: not link.outbuf)
+        # the cut frame and the three behind it are lost with the old
+        # connection; the new one starts with the hello
+        assert wait_for(lambda: link.sock not in (None, old)
+                        and not link.outbuf)
+        for seq in range(last + 1, last + 4):
+            send(writer, write_request(seq))
+        assert received_seqs(second, 3) == list(range(last + 1, last + 4))
     finally:
         writer.close()
         first.close()
@@ -608,38 +583,54 @@ def test_bind_failure_names_the_address_and_closes_the_socket(monkeypatch):
         busy.close()
 
 
-def test_replies_unsent_at_a_cut_off_are_held_for_the_next_hello():
-    r1 = parse_pid("r1")
-    daemon = ServerDaemon(parse_pid("s1"), SWMR, "ohsam")  # no loop: the
-    stalled, never_read = socket.socketpair()  # test drives it by hand
-    fresh, client = socket.socketpair()
+def test_a_client_cut_off_at_the_backlog_completes_on_a_rebroadcast():
+    daemons, membership = start_cluster(ONE, "ohsam")
+    s1 = daemons[0]
+    writer = Client(W1, ONE, "ohsam", membership)
+    # a rebroadcast half a second apart: the test restores r1's reads
+    # before a second one can find the connection cut
+    reader = Client(R1, ONE, "ohsam", membership, retry_interval=0.5)
+    link = reader.links[S1]
+    inject = socket.create_connection(s1.address, timeout=10.0)
+    done = {}
+    thread = threading.Thread(target=lambda: done.update(rec=reader.read()),
+                              daemon=True)
 
-    def ack(seq):
-        return Message(KIND_READ_ACK, OpId(r1, seq), daemon.pid, r1,
-                       tag=Tag(1, parse_pid("w1")), value="v" * 100_000)
+    def copies_until(predicate, seq):
+        # each copy of a read s1 has answered brings a 500 KB ack to r1
+        copy = msg_frame(Message(KIND_READ_REQUEST, OpId(R1, seq), R1, S1))
+        for _ in range(200):
+            if wait_for(predicate, seconds=0.05):
+                return True
+            inject.sendall(copy)
+        return False
 
-    def hello(sock):
-        sock.setblocking(False)
-        conn = _Conn(sock)
-        daemon._watch(conn)
-        daemon._frame(conn, {"type": "hello", "pid": "r1"})
+    def backlog():
+        with s1.lock:
+            conn = s1.client_conns.get(R1)
+            return conn is not None and len(conn.outbuf) > 0
 
     try:
-        hello(stalled)
-        seq = 0
-        while r1 in daemon.client_conns:
-            seq += 1
-            daemon._route(ack(seq))
-        # the ack that passed MAX_BACKLOG never left: it waits for a hello
-        assert daemon.held_replies[r1] == [ack(seq)]
-        hello(fresh)
-        client.settimeout(5.0)
-        assert message_from_json(next(read_frames(client))["msg"]) == ack(seq)
-        assert r1 not in daemon.held_replies
+        wrec = writer.write("x" * 500_000)
+        reader.read()
+        with reader.lock:  # r1 stops reading
+            reader.loop.selector.unregister(link.sock)
+        old = link.sock
+        # stale acks fill the kernel's buffers, so every ack of the next
+        # read waits in s1's outbuf
+        assert copies_until(backlog, seq=1)
+        thread.start()
+        assert wait_for(lambda: reader.machine.busy)
+        assert copies_until(lambda: R1 not in s1.client_conns, seq=2)
+        with reader.lock:  # r1 reads again, the stale acks and then the end
+            reader._watch(link)
+        thread.join(timeout=10.0)
+        assert link.sock not in (None, old)  # redialed
+        rec = done["rec"]
+        assert (rec.op, rec.value) == (OpId(R1, 2), wrec.value)
     finally:
-        for sock in (stalled, never_read, fresh, client):
-            sock.close()
-        daemon.stop()
+        inject.close()
+        stop_all(daemons, [writer, reader])
 
 
 def reference_frame(msg):
@@ -933,7 +924,7 @@ def test_an_op_on_a_closed_client_raises_quorum_unreachable():
         srv.close()
 
 
-def test_rebroadcasts_queue_each_message_once_on_a_down_link():
+def test_rebroadcasts_to_a_down_link_queue_nothing():
     daemons, membership = start_cluster(SWMR, "ohsam")
     writer = Client(parse_pid("w1"), SWMR, "ohsam", membership,
                     retry_interval=0.01, retry_budget=20)
@@ -943,9 +934,22 @@ def test_rebroadcasts_queue_each_message_once_on_a_down_link():
         with pytest.raises(QuorumUnreachable):
             writer.write("A")
         with writer.lock:
-            # 20 rebroadcasts of one writeRequest: the redial sends one
-            assert [len(writer.links[d.pid].unsent)
-                    for d in daemons[1:]] == [1, 1]
+            # 20 rebroadcasts of one writeRequest, each lost
+            assert [(writer.links[d.pid].sock, writer.links[d.pid].outbuf)
+                    for d in daemons[1:]] == [(None, b"")] * 2
+    finally:
+        stop_all(daemons, [writer])
+
+
+def test_a_first_broadcast_queues_behind_the_hello():
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    # no rebroadcast: the first broadcast alone must reach a quorum
+    writer = Client(W1, SWMR, "ohsam", membership, retry_interval=2.0,
+                    retry_budget=0)
+    try:
+        with writer.lock:  # each link dialed as it was made
+            assert all(link.sock is not None for link in writer.links.values())
+        writer.write("A")
     finally:
         stop_all(daemons, [writer])
 
@@ -1001,8 +1005,6 @@ def test_a_lost_relay_is_retried_by_the_readers_rebroadcast():
         stop_all(daemons, [writer, reader])
 
 
-@pytest.mark.xfail(strict=True, raises=QuorumUnreachable,
-                   reason="ROADMAP item 5: a lost readAck is never sent again")
 def test_a_lost_read_ack_is_retried_by_the_readers_rebroadcast():
     daemons, membership = start_cluster(SWMR, "ohsam")
     writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
@@ -1022,8 +1024,8 @@ def test_a_lost_read_ack_is_retried_by_the_readers_rebroadcast():
         wrec = writer.write("A")
         daemons[2].kill()
         s1._send = lossy_send
-        # s1 and s2 each ack once, when the second relay origin arrives; a
-        # rebroadcast brings them no new origin, so s1 never acks again
+        # s1 and s2 each ack when the second relay origin arrives; the
+        # reader's rebroadcast brings s1's ack again
         rrec = reader.read()
         assert len(lost) == 1
         assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
@@ -1091,7 +1093,7 @@ def test_only_a_later_members_hello_takes_a_link():
         srv.close()
 
 
-def test_relays_queued_while_a_later_peer_is_down_go_first():
+def test_relays_to_a_later_peer_that_is_down_are_lost():
     s1, s2, s3 = SWMR.servers()
     daemon = ServerDaemon(s1, SWMR, "ohsam")
     srv = peer_listener()  # s1 never dials a later peer: any address will do
@@ -1116,16 +1118,64 @@ def test_relays_queued_while_a_later_peer_is_down_go_first():
         for seq in range(1, 6):
             read_request(seq)
         with daemon.lock:
-            assert [m.op.seq for m in link.unsent] == [1, 2, 3, 4, 5]
+            assert (link.sock, link.outbuf) == (None, b"")
         conn = hello_from_s2()  # s2 is back, and says hello
         for seq in range(6, 11):
             read_request(seq)
         frames = read_frames(conn)
-        got = [message_from_json(next(frames)["msg"]) for _ in range(10)]
+        got = [message_from_json(next(frames)["msg"]) for _ in range(5)]
         assert [(m.kind, m.op.seq) for m in got] == [
-            (KIND_READ_RELAY, seq) for seq in range(1, 11)]
+            (KIND_READ_RELAY, seq) for seq in range(6, 11)]
     finally:
         for sock in socks:
             sock.close()
         daemon.stop()
         srv.close()
+
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("protocol", ["ohsam", "ohmam", "abd-swmr", "abd-mwmr"])
+def test_every_message_a_lossy_link_loses_is_retried(monkeypatch, protocol, n):
+    """Fair loss: each send loses its message with probability 0.05, on
+    every link. The clients' rebroadcasts alone complete 2,000 ops."""
+    mode = get_protocol(protocol).mode
+    config = Config(n_servers=n, n_readers=3, n_writers=1 if mode == "swmr"
+                    else 2, f=(n - 1) // 2, mode=mode)
+    rng = random.Random(f"lossy {protocol} {n}")  # drawn under the lock
+    send = _Endpoint._send
+
+    def lossy_send(self, conn, msg):
+        if rng.random() >= 0.05:
+            send(self, conn, msg)
+
+    monkeypatch.setattr(_Endpoint, "_send", lossy_send)
+    daemons, membership = start_cluster(config, protocol)
+    writers = config.writers()
+    clients = [Client(pid, config, protocol, membership, retry_interval=0.005)
+               for pid in writers + config.readers()]
+    errors = []
+
+    def run(client):
+        try:
+            for i in range(2000 // len(clients)):
+                if client.pid in writers:
+                    client.write(str(i))
+                else:
+                    client.read()
+        except QuorumUnreachable as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in clients]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        stop_all(daemons, clients)
+    assert errors == []
+    history = merge_histories(*(c.history for c in clients))
+    assert len(history) == 2000
+    assert check_history(history).atomic
