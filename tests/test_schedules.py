@@ -37,12 +37,14 @@ on its own: the first non-atomic uniform run is recorded as a script and
 shrunk by delta debugging to fewer directives than xi4 has.
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from ohram.checker import check_bruteforce, check_witness
+from ohram.cli import main
 from ohram.core import Config, OhramError, OpId, config_to_json, parse_pid
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import (
@@ -141,6 +143,28 @@ def test_every_script_runs_to_completion(name):
     result = replay(name)
     assert all(r.responded is not None for r in result.history)
     assert result.crashed == []
+
+
+# sha256 of the file `ohram replay schedules/<name>.json --out` writes
+REPLAY_DUMP_SHA256 = {
+    "xi1p": "8fe477c0a6f846cbc0d214ee54a99fea45976c6ffcef19b3acb268dca84d11e0",
+    "xi2p": "66ebf22084cba793bb9745425ad59f64ed002d528e03fb202d1608334770f567",
+    "xi3pp":
+        "38bcc74f51a88a0a1c358f4638c7876c4fd219603233251d4f1fcbcba7b1cf2c",
+    "xi4": "60f9056726628b76054f6398bb580197e09a22f045443e0f272fc6113658966d",
+}
+
+
+def test_replay_dumps_match_golden_hashes(tmp_path, capsys):
+    """The replay dumps stay byte-identical: xi4 exits 2, the rest 0."""
+    digests = {}
+    for name in SHIPPED:
+        out = tmp_path / f"{name}.json"
+        code = main(["replay", str(SCHEDULES / f"{name}.json"),
+                     "--out", str(out)])
+        assert code == (2 if name == "xi4" else 0), name
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == REPLAY_DUMP_SHA256
 
 
 # -- recorded runs --

@@ -307,12 +307,31 @@ def test_scripted_and_seeded_runs_share_the_metrics_shape():
     assert m.exchanges == 3
 
 
-# sha256 over the dumps below, recorded before the seeded scheduler was
-# rewritten; a change here means the seed -> schedule mapping moved
-GOLDEN_CORPUS_SHA256 = (
-    "fe1e22f84f9219cd076a84abe9c4fc633329a0351c5a59db56e9b374d64aa9c3")
-GOLDEN_SLICED_SHA256 = (
-    "9cb9d833104366d98d07291c1414cba8b6fbdad3c756cf47f343d2788d0b149b")
+# sha256 per protocol over the dumps below, recorded before the seeded
+# scheduler was rewritten; a change here means the seed -> schedule
+# mapping moved, or that protocol's machines answer differently
+GOLDEN_CORPUS_SHA256 = {
+    "ohsam":
+        "1f2d765fed4aa4638e4116917fd4abe1942edf3b4d9fe94085c17a9581bdab37",
+    "ohmam":
+        "73aba2f01d9d2317d216f66e97d064b6fed81d5eb257652b6f7c286810a28676",
+    "abd-swmr":
+        "be1faa569b8e89245b2317bd17a825e279b19c38f0ba5e0382ce27f626b4bd62",
+    "abd-mwmr":
+        "8695ee0f0e6a58f0ec02aa1b5a0e30ff39315b042f2fc818ba890268f6fe4810",
+    "naive3x":
+        "7ccc3946a9846e8b6f6a97494c141db9f23a3810003b3225dfa90c2907cfa366",
+}
+GOLDEN_SLICED_SHA256 = {
+    "ohsam":
+        "225b5ef0dd2c58a5363018cb7462bd0b57e6c3dd98cdd0e301c0b3d4337bee58",
+    "ohmam":
+        "6816dd8339fe20f0b48a2dfea5bc38e7454628f313a1120f1aa666b8e76fe32e",
+    "abd-swmr":
+        "eeb2f6e78a4b4a3b238ea62182d3d1c39a1ff570c2b1bfe9a75700e6ecd0ca91",
+    "abd-mwmr":
+        "d952e18f7db2428889f49fab369a8a9ba8bde30821f22650d21f50d131faf6e5",
+}
 
 
 def _golden_corpus():
@@ -327,7 +346,8 @@ def _golden_corpus():
 
 
 def _golden_sliced():
-    """Long-run style: crashes assigned directly, programs fed in slices."""
+    """Long-run style: crashes assigned directly, programs fed in slices.
+    Yields (protocol, dump) per slice."""
     for name in ("ohsam", "ohmam", "abd-swmr", "abd-mwmr"):
         mode = get_protocol(name).mode
         config = Config(n_servers=5, n_readers=5,
@@ -342,24 +362,27 @@ def _golden_sliced():
                 net.load_program(pid, [("read", None)] * 4)
             net.run_seeded()
             # result() shares the history list: dump it before the next slice
-            yield net.result().dumps()
+            yield name, net.result().dumps()
 
 
-def _sha256(dumps) -> str:
-    digest = hashlib.sha256()
-    for text in dumps:
+def _sha256_by_protocol(dumps) -> dict[str, str]:
+    """sha256 over each protocol's dumps, from (protocol, dump) pairs."""
+    digests = {}
+    for name, text in dumps:
+        digest = digests.setdefault(name, hashlib.sha256())
         digest.update(text.encode())
         digest.update(b"\n")
-    return digest.hexdigest()
+    return {name: digest.hexdigest() for name, digest in digests.items()}
 
 
 def test_seeded_dumps_match_golden_hashes():
     corpus = list(_golden_corpus())
     assert sum(1 for r in corpus if r.crashed) > len(corpus) // 4
-    assert _sha256(r.dumps() for r in corpus) == GOLDEN_CORPUS_SHA256
+    assert _sha256_by_protocol(
+        (r.protocol, r.dumps()) for r in corpus) == GOLDEN_CORPUS_SHA256
     sliced = list(_golden_sliced())
-    assert all('"crashed":["s2","s4"]' in text for text in sliced)
-    assert _sha256(sliced) == GOLDEN_SLICED_SHA256
+    assert all('"crashed":["s2","s4"]' in text for _, text in sliced)
+    assert _sha256_by_protocol(sliced) == GOLDEN_SLICED_SHA256
 
 
 SOUND = ("ohsam", "ohmam", "abd-swmr", "abd-mwmr")
