@@ -203,7 +203,8 @@ class Naive3xServer:
     def on_write_relay(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         self._merge_origin(msg.relay_origin, msg.observations)
-        if count_relay(self.write_relays, msg, self.quorum):
+        origins = self.write_relays.setdefault(msg.op, set())
+        if count_relay(origins, msg, self.quorum):
             return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
                             msg.tag, msg.value)]
         return []
@@ -213,7 +214,8 @@ class Naive3xServer:
 
     def on_read_relay(self, msg: Message) -> list[Message]:
         self._merge_origin(msg.relay_origin, msg.observations)
-        if count_relay(self.read_relays, msg, self.quorum):
+        origins = self.read_relays.setdefault(msg.op, set())
+        if count_relay(origins, msg, self.quorum):
             tag, value = self.adopted()
             return [Message(KIND_READ_ACK, msg.op, self.pid, msg.op.invoker,
                             tag, value)]

@@ -14,9 +14,10 @@ run among the servers, out of the reader's sight).
 
 Every sound server machine of the package is a Replica: it adopts a
 larger tag, answers the invoker with its current pair, and answers
-every copy of a request, so a client's rebroadcast retries any message
-of its phase that a link lost. Servers that relay count relay origins
-with count_relay, the one majority-of-relays rule.
+every copy of a request of the client's current operation, so a
+client's rebroadcast retries any message of its phase that a link
+lost. Servers that relay count relay origins with count_relay, the one
+majority-of-relays rule.
 
 Write protocol (two exchanges): the writer's timestamp is its write
 counter. It ticks the counter, broadcasts a writeRequest to every
@@ -30,10 +31,11 @@ relays, adopting any higher timestamp it sees, and once relays for the
 operation have arrived from a majority of servers it answers the reader
 with its current timestamp and value, and again on every later copy of
 the readRequest. The reader completes on a majority of readAcks and
-returns the value with the MINIMUM timestamp among them. Relays are kept
-until the read is answered: relays that arrive before the direct
-readRequest count toward the majority all the same, and a server
-broadcasts its own relay only upon receiving the actual readRequest.
+returns the value with the MINIMUM timestamp among them. A server keeps
+one read per reader, the newest it has heard of: relays that arrive
+before the direct readRequest count toward the majority all the same, a
+server broadcasts its own relay only upon receiving the actual
+readRequest, and a message of a newer read retires the older one.
 
 Timestamps are carried as tags with the writer id pinned, which makes the
 single-writer timestamp a plain natural number while letting the
@@ -178,14 +180,10 @@ class ReaderStateS(QuorumClient):
         return best.tag, best.value
 
 
-def count_relay(relays: dict[OpId, set[ProcessId]], msg: Message,
-                quorum: int) -> bool:
-    """Record msg's relay origin under its operation. True exactly when a
-    new origin brings the operation to quorum origins (a majority of the
-    servers), which happens once."""
-    origins = relays.get(msg.op)
-    if origins is None:
-        origins = relays[msg.op] = set()
+def count_relay(origins: set[ProcessId], msg: Message, quorum: int) -> bool:
+    """Record msg's relay origin in origins, the origins counted so far for
+    msg's operation. True exactly when a new origin brings the operation
+    to quorum origins (a majority of the servers), which happens once."""
     if msg.relay_origin in origins:
         return False
     origins.add(msg.relay_origin)
@@ -197,9 +195,10 @@ class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
     and duplicate-safe. Subclasses dispatch the kinds they serve. A step
     sends one reply, one broadcast or nothing (see SimNet._send), except
-    on a repeated readRequest for a read the server has answered, which
-    brings both its relays and its readAck; the simulator delivers no
-    repeated request. quorum is derived from config once."""
+    on a repeated readRequest for the newest read of its invoker, once
+    the server has answered it, which brings both its relays and its
+    readAck; the simulator delivers no repeated request. quorum is
+    derived from config once."""
 
     pid: ProcessId
     config: Config
@@ -230,28 +229,26 @@ class Replica:
 
 @dataclass
 class ServerStateS(Replica):
-    """Server: register replica plus read bookkeeping per invoker.
+    """Server: register replica plus one open read per invoker.
 
-    relays[op] holds the origins whose relays for a read have arrived.
-    horizon[invoker] is the seq at or below which the invoker's reads are
-    retired: a read message for (invoker, seq) moves it past read h+1
-    while h+1 < seq and h+1 has relays from a majority, dropping h+1's
-    entry. Every copy of a readRequest relays, for an open read or a
-    retired one, so a client's rebroadcast also retries a lost relay.
-    The readAck goes out when a new origin brings an open read's relays
-    to a majority, and again, with the current pair, on every copy of
-    the readRequest that finds this server's own origin among that
-    majority, so the rebroadcast also retries a lost readAck. The
-    re-sent tag is at least the first ack's, since tags only grow. A
-    retired read keeps no state: its relays still pass on their tag,
-    but never bring another readAck.
-    An older read that never gathers a majority here (live, a relay lost
-    after the read completed through other servers) blocks its invoker's
-    horizon, and the invoker's later reads keep their entries.
+    reads[invoker] = (seq, origins) is the invoker's newest read this
+    server has heard of, with the relay origins counted for it; a read
+    message with a higher seq replaces it. Every copy of its readRequest
+    relays, so a client's rebroadcast also retries a lost relay. The
+    readAck goes out when a new origin brings the relays to a majority,
+    and again, with the current pair, on every copy of the readRequest
+    that finds this server's own origin among that majority, so the
+    rebroadcast also retries a lost readAck. The re-sent tag is at least
+    the first ack's, since tags only grow. A message of an older read
+    sends nothing, though a late relay still passes on its tag. This is
+    safe because clients are well formed: a message of read (r, s)
+    proves that r's reads below s have completed, so none of them waits
+    for an ack, and tags are adopted as before, so what a later read can
+    see is unchanged.
     """
 
-    relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-    horizon: dict[ProcessId, int] = field(default_factory=dict)
+    reads: dict[ProcessId, tuple[int, set[ProcessId]]] = field(
+        default_factory=dict)
 
     def on_message(self, msg: Message) -> list[Message]:
         # a read brings each server n readRelays to one readRequest
@@ -266,34 +263,32 @@ class ServerStateS(Replica):
     # -- read path (shared verbatim with the multi-writer algorithm) --
 
     def on_read_request(self, msg: Message) -> list[Message]:
-        # Attach the current timestamp without update; relay on every copy,
-        # and ack again on a copy of a read this server has answered.
+        # Attach the current timestamp without update; relay on every copy
+        # of the newest read, and ack again once this server answered it.
         op = msg.op
-        self._advance(op)
+        origins = self._origins(op)
+        if origins is None:
+            return []
         pid, tag, value = self.pid, self.tag, self.value
         out = [Message(KIND_READ_RELAY, op, pid, s, tag, value, pid)
                for s in _server_ids(self.config.n_servers)]
-        origins = self.relays.get(op, ())
         if pid in origins and len(origins) >= self.quorum:
             out += self._reply(KIND_READ_ACK, msg)
         return out
 
     def on_read_relay(self, msg: Message) -> list[Message]:
-        op = msg.op
         self._adopt(msg.tag, msg.value)
-        if op.seq <= self._advance(op):
-            return []
-        if count_relay(self.relays, msg, self.quorum):
+        origins = self._origins(msg.op)
+        if origins is not None and count_relay(origins, msg, self.quorum):
             return self._reply(KIND_READ_ACK, msg)
         return []
 
-    def _advance(self, op: OpId) -> int:
-        # Retire the invoker's answered reads below op, oldest first.
-        invoker, h = op.invoker, self.horizon.get(op.invoker, 0)
-        while h + 1 < op.seq:
-            old = OpId(invoker, h + 1)
-            if len(self.relays.get(old, ())) < self.quorum:
-                break
-            del self.relays[old]
-            h = self.horizon[invoker] = h + 1
-        return h
+    def _origins(self, op: OpId) -> Optional[set[ProcessId]]:
+        # The origins counted for op, a fresh set when op is newer than
+        # its invoker's entry, None when op is older.
+        entry = self.reads.get(op.invoker)
+        if entry is None or entry[0] < op.seq:
+            origins = set()
+            self.reads[op.invoker] = (op.seq, origins)
+            return origins
+        return entry[1] if entry[0] == op.seq else None

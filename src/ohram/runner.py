@@ -51,10 +51,10 @@ later; the loop looks for links to redial only while some dialed link
 waits. A link with no address is never redialed: it takes the next
 connection its peer's hello brings. No reply is sent only once: every
 sound server answers every copy of a request, so a repeated
-writeRequest or discover is acknowledged again, a repeated readRequest
-relays again, and a copy of a readRequest for a read the server has
-answered brings its readAck again. A frame that breaks the machine
-closes only its own connection.
+writeRequest or discover is acknowledged again, and a repeated
+readRequest for the reader's newest read relays again and, once the
+server has answered that read, brings its readAck again. A frame that
+breaks the machine closes only its own connection.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be

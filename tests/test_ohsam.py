@@ -141,17 +141,21 @@ def test_gc_retires_only_answered_earlier_ops_of_same_invoker():
     t = Tag(1, W1)
     s.on_message(relay(old, S2, S1, S2, t, "A#w1.1"))
     s.on_message(relay(old, S3, S1, S3, t, "A#w1.1"))  # answered now
-    assert old in s.relays
+    assert s.reads == {R1: (1, {S2, S3})}
     s.on_message(Message("readRequest", new, R1, S1))
-    assert old not in s.relays
+    assert s.reads == {R1: (2, set())}
 
 
-def test_gc_keeps_unanswered_entries():
+def test_a_newer_read_retires_an_unanswered_older_one():
     s = ServerStateS(S1, CFG)
     old, new = OpId(R1, 1), OpId(R1, 2)
     s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
     s.on_message(Message("readRequest", new, R1, S1))
-    assert old in s.relays  # only one origin so far, never acked
+    assert s.reads == {R1: (2, set())}  # old had one origin, never acked
+    # the relay that would have brought old to a majority sends nothing
+    assert s.on_message(relay(old, S3, S1, S3, Tag(2, W1), "B#w1.2")) == []
+    assert (s.tag, s.value) == (Tag(2, W1), "B#w1.2")  # the tag still counts
+    assert s.reads == {R1: (2, set())}
 
 
 def test_reader_returns_minimum_tag_among_acks():
@@ -205,18 +209,17 @@ def test_server_tag_never_decreases(updates):
         seen = s.tag
 
 
-def test_a_retired_read_relays_again_and_keeps_no_state():
+def test_a_retired_reads_request_sends_nothing_and_keeps_no_state():
     s = ServerStateS(S1, CFG)
     old, new = OpId(R1, 1), OpId(R1, 2)
     s.on_message(Message("readRequest", old, R1, S1))
     s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
     s.on_message(relay(old, S3, S1, S3, Tag(1, W1), "A#w1.1"))
     s.on_message(Message("readRequest", new, R1, S1))
-    relays = dict(s.relays)
-    assert old not in relays
-    outs = s.on_message(Message("readRequest", old, R1, S1))
-    assert [m.kind for m in outs] == ["readRelay"] * 3
-    assert s.relays == relays
+    s.on_message(relay(new, S2, S1, S2, Tag(1, W1), "A#w1.1"))
+    assert s.reads == {R1: (2, {S2})}
+    assert s.on_message(Message("readRequest", old, R1, S1)) == []
+    assert s.reads == {R1: (2, {S2})}
 
 
 def test_a_retired_read_is_never_answered_again():
@@ -230,7 +233,7 @@ def test_a_retired_read_is_never_answered_again():
         assert s.on_message(relay(old, origin, S1, origin, Tag(2, W1),
                                   "B#w1.2")) == []
     assert (s.tag, s.value) == (Tag(2, W1), "B#w1.2")  # the tag still counts
-    assert old not in s.relays
+    assert s.reads == {R1: (2, set())}
 
 
 def test_sequential_reads_leave_one_entry_per_reader():
@@ -242,14 +245,31 @@ def test_sequential_reads_leave_one_entry_per_reader():
         for origin in (S1, S2, S3):
             acks += len(s.on_message(relay(op, origin, S1, origin,
                                            Tag(0, S1), None)))
-        assert len(s.relays) <= 1
+        assert len(s.reads) <= 1
     assert acks == 1000
-    assert s.horizon == {R1: 999}
+    assert s.reads == {R1: (1000, {S1, S2, S3})}
 
 
 @pytest.mark.parametrize("protocol, mode", [("ohsam", "swmr"),
                                             ("ohmam", "mwmr")])
-def test_servers_hold_one_read_per_reader_after_a_long_run(protocol, mode):
+def test_servers_hold_one_read_per_reader_after_a_long_run(
+        monkeypatch, protocol, mode):
+    """After every delivery, a server's entry for a reader is the largest
+    seq of that reader's read messages delivered to it so far."""
+    newest = {}  # server -> reader -> largest seq delivered
+    deliver = SimNet.deliver
+
+    def checked(net, msg):
+        deliver(net, msg)
+        seen = newest.setdefault(msg.destination, {})
+        if msg.kind in ("readRequest", "readRelay"):
+            r = msg.op.invoker
+            seen[r] = max(seen.get(r, 0), msg.op.seq)
+        s = net.servers.get(msg.destination)
+        if s is not None:
+            assert {r: seq for r, (seq, _) in s.reads.items()} == seen
+
+    monkeypatch.setattr(SimNet, "deliver", checked)
     cfg = Config(n_servers=5, n_readers=5, n_writers=1, f=2, mode=mode)
     net = SimNet(protocol, cfg, seed=7)
     for pid in cfg.readers():
@@ -261,23 +281,25 @@ def test_servers_hold_one_read_per_reader_after_a_long_run(protocol, mode):
     live = [s for pid, s in net.servers.items() if pid not in net.crashed]
     assert len(live) == 3
     for s in live:
-        assert len(s.relays) <= 5
+        assert len(s.reads) == 5
 
 
 class _AckedReads:
-    """The read bookkeeping the horizon replaced, kept as a reference.
+    """Read bookkeeping per operation, kept as a reference for the one
+    read per invoker that replaced it.
 
-    relays as in the server; relayed holds the reads relayed so far,
-    and a repeated readRequest for one of them relays nothing (the old
-    relay-once rule); acked_reads grows with every read answered, and a
-    read message retires every answered entry of its invoker's earlier
-    reads, by a scan over all entries. A readRequest for a read whose
-    relays hold this server's own origin and a majority acks again, as
-    in the server.
+    relays[op] holds the origins counted for each read; relayed holds
+    the reads relayed so far, and a repeated readRequest for one of them
+    relays nothing (the old relay-once rule); acked_reads grows with
+    every read answered, and a read message retires every answered
+    entry of its invoker's earlier reads, by a scan over all entries. A
+    readRequest for a read whose relays hold this server's own origin
+    and a majority acks again, as in the server.
     """
 
     def __post_init__(self):
         super().__post_init__()
+        self.relays = {}
         self.relayed = set()
         self.acked_reads = set()
 
@@ -368,22 +390,46 @@ def _once(traffic):
             yield msg
 
 
+def _not_older(newest, msg):
+    """True for a write, and for a read message no older than its
+    invoker's newest read message delivered so far, which it becomes."""
+    if msg.kind == "writeRequest":
+        return True
+    r = msg.op.invoker
+    if msg.op.seq < newest.get(r, 0):
+        return False
+    newest[r] = msg.op.seq
+    return True
+
+
 @pytest.mark.parametrize("indexed, reference",
                          [(ServerStateS, FullScanS), (ServerStateM, FullScanM)])
 def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
-    """The horizon answers exactly as the old bookkeeping under the
-    simulator's delivery model. With duplicates, the two differ only on
-    whether a repeated readRequest relays again, and a second readAck
-    for a read answers only a copy of its request that arrives after
-    the server's own relay."""
+    """One read per invoker answers exactly as the old bookkeeping on
+    every message of an invoker's newest read, under the simulator's
+    delivery model, and sends nothing for an older one. With duplicates,
+    the two differ also on whether a repeated readRequest relays again,
+    and a second readAck for a read answers only a copy of its request
+    that arrives after the server's own relay. Tags agree throughout."""
     seen = {"early relay": 0, "late request": 0, "duplicate relay": 0,
-            "retired": 0, "second ack": 0}
+            "retired": 0, "second ack": 0, "answered when retired": 0}
+
+    def compare(new, old, msg, newest):
+        outs, expected = new.on_message(msg), old.on_message(msg)
+        if not _not_older(newest, msg):
+            assert outs == []
+            seen["answered when retired"] += any(
+                m.kind == "readAck" for m in expected)
+            expected = []
+        assert (new.tag, new.value) == (old.tag, old.value)
+        return outs, expected
+
     for seed in range(40):
-        new, old = indexed(S1, CFG), reference(S1, CFG)
+        new, old, newest = indexed(S1, CFG), reference(S1, CFG), {}
         for msg in _once(_random_traffic(random.Random(seed), 300)):
-            assert new.on_message(msg) == old.on_message(msg)
-            assert (new.tag, new.value) == (old.tag, old.value)
-        new, old = indexed(S1, CFG), reference(S1, CFG)
+            outs, expected = compare(new, old, msg, newest)
+            assert outs == expected
+        new, old, newest = indexed(S1, CFG), reference(S1, CFG), {}
         acked = set()
         for msg in _random_traffic(random.Random(seed), 150):
             kind = msg.kind
@@ -396,11 +442,12 @@ def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
                     and msg.op not in old.relays):
                 seen["late request"] += 1
             before = len(old.relays)
-            own = S1 in new.relays.get(msg.op, ())
-            outs, expected = new.on_message(msg), old.on_message(msg)
+            entry = new.reads.get(msg.op.invoker)
+            own = entry is not None and entry[0] == msg.op.seq \
+                and S1 in entry[1]
+            outs, expected = compare(new, old, msg, newest)
             if kind != "readRequest":
                 assert outs == expected
-            assert (new.tag, new.value) == (old.tag, old.value)
             for m in outs:
                 if m.kind == "readAck":
                     if m.op in acked:

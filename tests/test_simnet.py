@@ -312,7 +312,7 @@ def test_scripted_and_seeded_runs_share_the_metrics_shape():
 # mapping moved, or that protocol's machines answer differently
 GOLDEN_CORPUS_SHA256 = {
     "ohsam":
-        "1f2d765fed4aa4638e4116917fd4abe1942edf3b4d9fe94085c17a9581bdab37",
+        "3629b5b233d2173c9181e16c34e2874f28602f4e10abf78c0e43cd22817c3266",
     "ohmam":
         "73aba2f01d9d2317d216f66e97d064b6fed81d5eb257652b6f7c286810a28676",
     "abd-swmr":
