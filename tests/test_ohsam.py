@@ -442,9 +442,8 @@ def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
                     and msg.op not in old.relays):
                 seen["late request"] += 1
             before = len(old.relays)
-            entry = new.reads.get(msg.op.invoker)
-            own = entry is not None and entry[0] == msg.op.seq \
-                and S1 in entry[1]
+            seq, origins = new.reads.get(msg.op.invoker, (0, ()))
+            own = seq == msg.op.seq and S1 in origins
             outs, expected = compare(new, old, msg, newest)
             if kind != "readRequest":
                 assert outs == expected

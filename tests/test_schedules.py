@@ -155,7 +155,7 @@ REPLAY_DUMP_SHA256 = {
 }
 
 
-def test_replay_dumps_match_golden_hashes(tmp_path, capsys):
+def test_replay_dumps_match_golden_hashes(tmp_path):
     """The replay dumps stay byte-identical: xi4 exits 2, the rest 0."""
     digests = {}
     for name in SHIPPED:
