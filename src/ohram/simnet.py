@@ -20,6 +20,11 @@ Crashing a server removes its undelivered inbound messages and silences
 it from then on; messages it already sent stay deliverable. Crashes are
 refused beyond the configured fault bound f.
 
+Where the protocol has checked_invariants, deliver records in
+invariant_failures each server step that moves the server's tag back,
+sends a second readAck for a read, a readAck below any relay tag the
+server received, or a writeAck below its writeRequest's tag.
+
 A run that exhausts its event budget, or that still has a pending client
 operation when no event is enabled, raises StuckExecution. With crash
 counts at most floor((n-1)/2) that cannot happen for the protocols here:
@@ -165,10 +170,9 @@ class SimNet:
         self._open: dict[OpId, OpRecord] = {}
         self.metrics: dict[OpId, OpMetrics] = {}
         self.invariant_failures: list[str] = []
-        # emitted-vs-received check state, by server, then by read
-        # operation: the largest relay tag delivered, and the readAcks sent
-        self._relay_high: dict[ProcessId, dict[OpId, Tag]] = {
-            pid: {} for pid in self.servers}
+        # by server: the largest relay tag received, the reads acked
+        self._relay_high: dict[ProcessId, Tag] = {
+            pid: Tag(0, pid) for pid in self.servers}
         self._read_acks_sent: dict[ProcessId, set[OpId]] = {
             pid: set() for pid in self.servers}
         # _send's map from a wire seq to its op: none when a writer ticks
@@ -233,7 +237,14 @@ class SimNet:
         elif self.check_invariants:
             before = server.tag
             outs = server.on_message(msg)
-            self._check_server_step(dest, server, msg, before, outs)
+            after = server.tag
+            if after < before:
+                self.invariant_failures.append(
+                    f"{dest}: tag moved backwards {before} -> {after}")
+            if msg.kind == KIND_READ_RELAY and self._relay_high[dest] < msg.tag:
+                self._relay_high[dest] = msg.tag
+            if outs:
+                self._check_replies(dest, msg, outs)
         else:
             outs = server.on_message(msg)
         if outs:
@@ -269,33 +280,22 @@ class SimNet:
         rec.value = completion.value
         del self._open[completion.op]
 
-    def _check_server_step(self, pid, server, msg, before, outs) -> None:
-        after = server.tag
-        if after < before:
-            self.invariant_failures.append(
-                f"{pid}: tag moved backwards {before} -> {after}")
-        if msg.kind == KIND_READ_RELAY and msg.tag is not None:
-            highs = self._relay_high[pid]
-            high = highs.get(msg.op)
-            if high is None or high < msg.tag:
-                highs[msg.op] = msg.tag
+    def _check_replies(self, pid, msg, outs) -> None:
         # one step's outputs share one kind (see _send)
-        kind = outs[0].kind if outs else None
+        kind = outs[0].kind
         if kind == KIND_READ_ACK:
-            highs = self._relay_high[pid]
+            high = self._relay_high[pid]
             sent = self._read_acks_sent[pid]
             for out in outs:
                 if out.op in sent:
                     self.invariant_failures.append(
                         f"{pid}: second readAck for {out.op}")
                 sent.add(out.op)
-                high = highs.get(out.op)
-                if high is not None and out.tag < high:
+                if out.tag < high:
                     self.invariant_failures.append(
                         f"{pid}: readAck tag {out.tag} below received "
                         f"relay tag {high} for {out.op}")
-        elif (kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST
-                and msg.tag is not None):
+        elif kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST:
             for out in outs:
                 if out.op == msg.op and out.tag < msg.tag:
                     self.invariant_failures.append(

@@ -7,6 +7,8 @@ import socket
 import threading
 import time
 import warnings
+from selectors import EVENT_READ, EVENT_WRITE
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,9 +40,11 @@ from ohram.runner import (
     RECV_SIZE,
     Client,
     ServerDaemon,
+    _Conn,
     _Endpoint,
     _ENCODER,
     _Framer,
+    _Loop,
     _pack,
     _unpack,
     listen_host,
@@ -564,6 +568,44 @@ def test_a_fault_at_one_daemon_leaves_the_loop_serving_the_rest():
         for sock in bad:
             sock.close()
         stop_all(daemons, [writer, reader])
+
+
+class _Untouchable:
+    """A socket stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a dropped connection's socket was used: {name}")
+
+
+def test_the_loop_skips_a_key_whose_connection_its_batch_dropped():
+    """One select() batch of two keys, where handling the first drops the
+    second's connection: the second key is skipped, its socket untouched."""
+    first, second = _Conn(object()), _Conn(_Untouchable())
+    handled = []
+
+    class Endpoint:
+        stopped = False
+
+        def _read(self, conn):
+            handled.append(("read", conn))
+            second.sock = None  # dropped, as _Endpoint._drop leaves it
+            loop.endpoints.clear()  # so the loop returns after this batch
+
+        def _flush(self, conn):
+            handled.append(("flush", conn))
+
+    endpoint = Endpoint()
+    batch = [(SimpleNamespace(fileobj=conn.sock, data=(endpoint, conn)),
+              EVENT_READ | EVENT_WRITE) for conn in (first, second)]
+    loop = _Loop()
+    loop.selector.close()
+    loop.selector = SimpleNamespace(select=lambda timeout: batch,
+                                    unregister=lambda fileobj: None)
+    loop._wake = loop._waker = SimpleNamespace(shutdown=lambda how: None,
+                                               close=lambda: None)
+    loop.endpoints.add(endpoint)
+    loop._run()
+    assert handled == [("read", first), ("flush", first)]
 
 
 def test_bind_failure_names_the_address_and_closes_the_socket(monkeypatch):

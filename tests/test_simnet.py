@@ -388,9 +388,9 @@ def test_seeded_dumps_match_golden_hashes():
 SOUND = ("ohsam", "ohmam", "abd-swmr", "abd-mwmr")
 
 
-def _long_run(name):
-    """Shaped like the benchmark's sim-long: n=5, 20 readers, 80 ops per
-    client loaded in slices of 10, two victims."""
+def _long_net(name):
+    """A net run like the benchmark's sim-long: n=5, 20 readers, 80 ops
+    per client loaded in slices of 10, two victims."""
     mode = get_protocol(name).mode
     config = Config(n_servers=5, n_readers=20,
                     n_writers=1 if mode == "swmr" else 3, f=2, mode=mode)
@@ -403,7 +403,20 @@ def _long_run(name):
         for pid in config.readers():
             net.load_program(pid, [("read", None)] * 10)
         net.run_seeded()
-    return net.result()
+    return net
+
+
+def test_the_relay_monitor_keeps_one_tag_per_server_through_a_long_run():
+    """The monitor's relay state does not grow with the run, and a sound
+    server's tag is never below the largest relay tag it received."""
+    net = _long_net("ohsam")
+    assert len(net.history) >= 1680 and len(net.crashed) == 2
+    assert not net.invariant_failures
+    assert set(net._relay_high) == set(net.servers)
+    for pid, server in net.servers.items():
+        high = net._relay_high[pid]
+        assert type(high) is Tag and server.tag >= high
+        assert pid in net.crashed or high.ts > 0
 
 
 def _one_shot(result):
@@ -412,7 +425,7 @@ def _one_shot(result):
 
 @pytest.mark.parametrize("name", SOUND)
 def test_dumps_of_a_long_run_are_the_one_shot_bytes(name):
-    result = _long_run(name)
+    result = _long_net(name).result()
     assert len(result.history) >= 1680 and len(result.crashed) == 2
     assert result.dumps() == _one_shot(result)
 
@@ -442,7 +455,7 @@ def test_dumps_peak_memory_stays_a_small_multiple_of_its_output():
     the C encoder keeps every output piece until its call returns, and
     5.2-5.4 on 3.13, where the to_json() tree alone is most of it.
     """
-    result = _long_run("ohsam")
+    result = _long_net("ohsam").result()
     tracemalloc.start()
     try:
         text = result.dumps()
@@ -647,6 +660,32 @@ def test_invariant_read_ack_below_a_received_relay_tag():
     _deliver(net, "readRelay", "s1", "s1")
     assert net.invariant_failures == [
         "s1: readAck tag (0,s1) below received relay tag (1,w1) for r1#1"]
+
+
+def test_invariant_read_ack_below_a_relay_tag_of_another_read():
+    """A readAck is held against every relay tag its server received, not
+    only the relay tags of the read it answers."""
+    config = dataclasses.replace(SWMR3, n_readers=2)
+    net = SimNet("ohsam", config, seed=0)
+    s3 = server_id(3)
+    net.servers[s3] = _AnswersInitial(s3, config)
+    net.load_program(parse_pid("w1"), [("write", "A")])
+    net.invoke_next(parse_pid("w1"))
+    _deliver(net, "writeRequest", "s1")
+    for reader in ("r2", "r1"):
+        net.load_program(parse_pid(reader), [("read", None)])
+        net.invoke_next(parse_pid(reader))
+    # read r2#1 relays the initial tags of s2 and s3, read r1#1 relays
+    # s1's (1,w1), and s3 adopts it
+    _deliver(net, "readRequest", "s3", "r2")
+    _deliver(net, "readRequest", "s2", "r2")
+    _deliver(net, "readRequest", "s1", "r1")
+    _deliver(net, "readRelay", "s3", "s1")
+    _deliver(net, "readRelay", "s3", "s3")
+    assert net.invariant_failures == []
+    _deliver(net, "readRelay", "s3", "s2")
+    assert net.invariant_failures == [
+        "s3: readAck tag (0,s3) below received relay tag (1,w1) for r2#1"]
 
 
 def test_invariant_write_ack_below_the_request_tag():
