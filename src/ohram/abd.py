@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    KIND_DISCOVER,
     KIND_READ_ACK,
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
@@ -73,8 +72,4 @@ class AbdServerState(Replica):
     def on_message(self, msg: Message) -> list[Message]:
         if msg.kind == KIND_READ_REQUEST:
             return self._reply(KIND_READ_ACK, msg)
-        if msg.kind == KIND_DISCOVER:
-            return self.on_discover(msg)
-        if msg.kind == KIND_WRITE_REQUEST:
-            return self.on_write_request(msg)
-        return []
+        return super().on_message(msg)

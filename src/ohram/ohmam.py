@@ -95,11 +95,6 @@ class ServerStateM(ServerStateS):
 
     write_operations: dict[ProcessId, int] = field(default_factory=dict)
 
-    def on_message(self, msg: Message) -> list[Message]:
-        if msg.kind == KIND_DISCOVER:
-            return self.on_discover(msg)
-        return super().on_message(msg)
-
     def on_write_request(self, msg: Message) -> list[Message]:
         wid = msg.op.invoker
         if self.tag < msg.tag and self.write_operations.get(wid, 0) < msg.op.seq:

@@ -51,6 +51,7 @@ from .core import (
     BOTTOM,
     Completion,
     Config,
+    KIND_DISCOVER,
     KIND_DISCOVER_ACK,
     KIND_READ_ACK,
     KIND_READ_RELAY,
@@ -193,7 +194,8 @@ def count_relay(origins: set[ProcessId], msg: Message, quorum: int) -> bool:
 @dataclass
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
-    and duplicate-safe. Subclasses dispatch the kinds they serve. A step
+    and duplicate-safe. on_message answers the writeRequest and the
+    discover; subclasses dispatch their read kinds first. A step
     sends one reply, one broadcast or nothing (see SimNet._send), except
     on a repeated readRequest for the newest read of its invoker, once
     the server has answered it, which brings both its relays and its
@@ -218,6 +220,13 @@ class Replica:
         if self.tag < tag:
             self.tag = tag
             self.value = value
+
+    def on_message(self, msg: Message) -> list[Message]:
+        if msg.kind == KIND_WRITE_REQUEST:
+            return self.on_write_request(msg)
+        if msg.kind == KIND_DISCOVER:
+            return self.on_discover(msg)
+        return []
 
     def on_write_request(self, msg: Message) -> list[Message]:
         self._adopt(msg.tag, msg.value)
@@ -256,9 +265,7 @@ class ServerStateS(Replica):
             return self.on_read_relay(msg)
         if msg.kind == KIND_READ_REQUEST:
             return self.on_read_request(msg)
-        if msg.kind == KIND_WRITE_REQUEST:
-            return self.on_write_request(msg)
-        return []
+        return super().on_message(msg)
 
     # -- read path (shared verbatim with the multi-writer algorithm) --
 

@@ -2,8 +2,9 @@
 
 Every protocol is exposed as a bundle of constructors plus the metadata
 the simulator and the benchmark harness need: how wire sequence numbers
-map onto client operations, which per-step invariants are meaningful,
-and the failure-free exchange and message counts per operation.
+map onto client operations, whether the protocol is sound (the simulator
+checks its per-step invariants and the live runner takes it), and the
+failure-free exchange and message counts per operation.
 
 Names:
 
@@ -40,10 +41,9 @@ class ProtocolBundle:
     make_reader: Callable
     make_server: Callable
     # False for the unsound demo protocol: its servers do not promise
-    # monotone tags, so the per-step invariant checks would misfire
-    checked_invariants: bool
-    # the live network runner refuses protocols with this False
-    runner_ok: bool
+    # monotone tags, so the simulator checks no per-step invariants, and
+    # the live runner refuses it
+    sound: bool
     write_exchanges: int
     read_exchanges: int
     write_messages: Callable[[int], int]
@@ -66,30 +66,25 @@ def _relayed(n: int) -> int:
 PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
     ProtocolBundle("ohsam", MODE_SWMR, ohsam.WriterStateS, ohsam.ReaderStateS,
                    ohsam.ServerStateS,
-                   checked_invariants=True, runner_ok=True,
-                   write_exchanges=2, read_exchanges=3,
+                   sound=True, write_exchanges=2, read_exchanges=3,
                    write_messages=lambda n: 2 * n, read_messages=_relayed),
     ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohmam.ReaderStateM,
                    ohmam.ServerStateM,
-                   checked_invariants=True, runner_ok=True,
-                   write_exchanges=4, read_exchanges=3,
+                   sound=True, write_exchanges=4, read_exchanges=3,
                    write_messages=lambda n: 4 * n, read_messages=_relayed),
     ProtocolBundle("abd-swmr", MODE_SWMR, abd.AbdWriterSwmr, abd.AbdReaderState,
                    abd.AbdServerState,
-                   checked_invariants=True, runner_ok=True,
-                   write_exchanges=2, read_exchanges=4,
+                   sound=True, write_exchanges=2, read_exchanges=4,
                    write_messages=lambda n: 2 * n,
                    read_messages=lambda n: 4 * n),
     ProtocolBundle("abd-mwmr", MODE_MWMR, abd.AbdWriterMwmr, abd.AbdReaderState,
                    abd.AbdServerState,
-                   checked_invariants=True, runner_ok=True,
-                   write_exchanges=4, read_exchanges=4,
+                   sound=True, write_exchanges=4, read_exchanges=4,
                    write_messages=lambda n: 4 * n,
                    read_messages=lambda n: 4 * n),
     ProtocolBundle("naive3x", MODE_MWMR, naive3x.Naive3xWriter,
                    naive3x.Naive3xReader, naive3x.Naive3xServer,
-                   checked_invariants=False, runner_ok=False,
-                   write_exchanges=3, read_exchanges=3,
+                   sound=False, write_exchanges=3, read_exchanges=3,
                    write_messages=_relayed, read_messages=_relayed),
 )}
 
@@ -114,13 +109,13 @@ def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
                    live: bool = False) -> ProtocolBundle:
     """The bundle to run config with: the config is valid, its mode is
     the protocol's, x is None or, for naive3x only, in 1..n, and a live
-    runner's protocol is runner_ok. Every simulator and live endpoint is
+    runner's protocol is sound. Every simulator and live endpoint is
     built here."""
     validate_config(config)
     bundle = get_protocol(protocol, x=x)
     if x is not None and not 1 <= x <= config.n_servers:
         raise ModeMismatch(f"naive3x threshold {x} not in 1..{config.n_servers}")
-    if live and not bundle.runner_ok:
+    if live and not bundle.sound:
         raise ModeMismatch(
             f"protocol {protocol} is not allowed in the live runner")
     if config.mode != bundle.mode:

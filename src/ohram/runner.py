@@ -38,8 +38,10 @@ frames are small and go out one at a time.
 Sends never block. A message is framed and written at once as far as
 the kernel takes it; only a rest the kernel refuses goes to the
 connection's outbuf, and any later frame queues behind it, until the
-loop has written it when the socket is writable. A client whose replies
-waiting in outbuf pass MAX_BACKLOG is cut off and redials.
+loop has written it when the socket is writable. Any connection whose
+outbuf passes MAX_BACKLOG bytes is dropped, since its peer stopped
+reading: a dialed link redials, and a connection the peer dialed waits
+for the peer to redial.
 
 Links lose messages, and the client's rebroadcast retries every loss.
 A message sent on a link or to a client with no connection is lost, and
@@ -95,7 +97,7 @@ from .core import (
 from .protocols import checked_bundle
 
 MAX_FRAME = 1 << 20
-MAX_BACKLOG = 8 * MAX_FRAME  # reply bytes in outbuf that cut a client off
+MAX_BACKLOG = 8 * MAX_FRAME  # bytes in a connection's outbuf that drop it
 RECV_SIZE = 1 << 16  # one read: every frame a wake-up finds
 REDIAL_DELAY = 0.02  # seconds from a refused or dropped link to its redial
 _LEN = struct.Struct(">I")
@@ -161,34 +163,6 @@ def _unpack(body) -> Any:
     if end != len(text):
         return json.loads(text)
     return obj
-
-
-class _Framer:
-    """Cuts a byte stream into frame bodies, however the reads split it,
-    for a blocking reader; the loop's _read applies the same rule inline."""
-
-    __slots__ = ("buf",)
-
-    def __init__(self):
-        self.buf = bytearray()  # the start of a frame not yet whole
-
-    def feed(self, data):
-        """Yield each frame body that data completes; keep the rest.
-
-        Raises ValueError at a header that claims more than MAX_FRAME.
-        """
-        buf = self.buf
-        buf += data
-        while len(buf) >= _LEN.size:
-            (length,) = _LEN.unpack_from(buf)
-            if length > MAX_FRAME:
-                raise ValueError(f"frame of {length} bytes exceeds {MAX_FRAME}")
-            end = _LEN.size + length
-            if len(buf) < end:
-                return
-            body = buf[_LEN.size:end]
-            del buf[:end]
-            yield body
 
 
 def _close(sock: socket.socket) -> None:
@@ -435,23 +409,26 @@ class _Endpoint:
 
     def _send(self, conn: _Conn, msg: Message) -> None:
         """Frame msg onto conn and write what the kernel takes now; with
-        no connection, msg is lost."""
+        no connection, msg is lost, and a rest that takes outbuf past
+        MAX_BACKLOG drops conn."""
         sock = conn.sock
         if sock is None or self.stopped:
             return
         frame = _pack({"type": "msg", "msg": message_to_json(msg)})
-        if conn.outbuf:  # behind bytes that wait for the socket to drain
-            conn.outbuf += frame
-            return
-        try:
-            sent = sock.send(frame)
-        except BlockingIOError:
-            sent = 0
-        except OSError:
+        if not conn.outbuf:  # else it queues behind the bytes that wait
+            try:
+                sent = sock.send(frame)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                return self._drop(conn)
+            if sent == len(frame):
+                return
+            frame = frame[sent:]
+        conn.outbuf += frame  # waits for the socket to drain
+        if len(conn.outbuf) > MAX_BACKLOG:  # the peer stopped reading
             return self._drop(conn)
-        if sent < len(frame):  # the rest waits for the socket to drain
-            conn.outbuf += frame[sent:]
-            self._want(conn)
+        self._want(conn)
 
     def _flush(self, conn: _Conn) -> None:
         """Send what the kernel takes of outbuf."""
@@ -577,13 +554,8 @@ class ServerDaemon(_Endpoint):
         elif dest in self.links:
             self._send(self.links[dest], msg)
         elif dest in self.client_conns:
-            self._reply(self.client_conns[dest], msg)
+            self._send(self.client_conns[dest], msg)
         # else lost: the client has no connection to this daemon
-
-    def _reply(self, conn: _Conn, msg: Message) -> None:
-        self._send(conn, msg)
-        if len(conn.outbuf) > MAX_BACKLOG:
-            self._drop(conn)
 
 
 class Client(_Endpoint):

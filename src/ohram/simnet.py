@@ -20,10 +20,10 @@ Crashing a server removes its undelivered inbound messages and silences
 it from then on; messages it already sent stay deliverable. Crashes are
 refused beyond the configured fault bound f.
 
-Where the protocol has checked_invariants, deliver records in
-invariant_failures each server step that moves the server's tag back,
-sends a second readAck for a read, a readAck below any relay tag the
-server received, or a writeAck below its writeRequest's tag.
+Where the protocol is sound, deliver records in invariant_failures
+each server step that moves the server's tag back, sends a second
+readAck for a read, a readAck below any relay tag the server received,
+or a writeAck below its writeRequest's tag.
 
 A run that exhausts its event budget, or that still has a pending client
 operation when no event is enabled, raises StuckExecution. With crash
@@ -147,7 +147,7 @@ class SimNet:
         self.config = config
         self.seed = seed
         self.rng = random.Random(seed) if seed is not None else None
-        self.check_invariants = bundle.checked_invariants
+        self.check_invariants = bundle.sound
 
         self.clients = {}
         for pid in config.writers():

@@ -136,8 +136,7 @@ def test_read_relays_carry_observation_snapshots():
 
 def test_live_runner_refuses_this_protocol():
     bundle = get_protocol("naive3x")
-    assert bundle.runner_ok is False
-    assert bundle.checked_invariants is False
+    assert bundle.sound is False
 
 
 def test_protocol_registry_rejects_unknown_names():

@@ -36,6 +36,7 @@ from ohram.core import (
 )
 from ohram.protocols import get_protocol
 from ohram.runner import (
+    MAX_BACKLOG,
     MAX_FRAME,
     RECV_SIZE,
     Client,
@@ -43,7 +44,6 @@ from ohram.runner import (
     _Conn,
     _Endpoint,
     _ENCODER,
-    _Framer,
     _Loop,
     _pack,
     _unpack,
@@ -55,6 +55,32 @@ MWMR = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
 SWMR = Config(n_servers=3, n_readers=2, n_writers=1, f=1, mode="swmr")
 
 
+class Framer:
+    """Cuts a byte stream into frame bodies, however the reads split it,
+    for a blocking reader; the loop's _read applies the same rule inline."""
+
+    def __init__(self):
+        self.buf = bytearray()  # the start of a frame not yet whole
+
+    def feed(self, data):
+        """Yield each frame body that data completes; keep the rest.
+
+        Raises ValueError at a header that claims more than MAX_FRAME.
+        """
+        buf = self.buf
+        buf += data
+        while len(buf) >= 4:
+            length = int.from_bytes(buf[:4], "big")
+            if length > MAX_FRAME:
+                raise ValueError(f"frame of {length} bytes exceeds {MAX_FRAME}")
+            end = 4 + length
+            if len(buf) < end:
+                return
+            body = buf[4:end]
+            del buf[:end]
+            yield body
+
+
 def read_frames(sock: socket.socket):
     """Yield decoded frames from a blocking socket until the peer closes
     or sends garbage.
@@ -62,7 +88,7 @@ def read_frames(sock: socket.socket):
     Bytes past the last frame taken go with the generator, so a socket
     is read through one generator only.
     """
-    framer = _Framer()
+    framer = Framer()
     while True:
         try:
             data = sock.recv(RECV_SIZE)
@@ -431,6 +457,35 @@ def test_a_reconnect_carries_the_hello_then_whole_frames_sent_after_it():
         for seq in range(last + 1, last + 4):
             send(writer, write_request(seq))
         assert received_seqs(second, 3) == list(range(last + 1, last + 4))
+    finally:
+        writer.close()
+        first.close()
+        if second is not None:
+            second.close()
+        srv.close()
+
+
+def test_a_link_whose_peer_never_reads_is_dropped_at_the_backlog_and_redials():
+    srv = peer_listener()
+    srv.listen(2)
+    writer, link = writer_link(srv)
+    first, _ = srv.accept()
+    second = None
+    try:
+        assert hello_sent(link)
+        old = link.sock
+        last, _ = fill_until_queued(writer)
+        # the peer's buffers are full: each half-MiB frame waits in
+        # outbuf, and the one that takes it past MAX_BACKLOG drops the link
+        size = MAX_FRAME // 2
+        for _ in range(MAX_BACKLOG // size + 1):
+            last += 1
+            send(writer, write_request(last, size=size))
+        with writer.lock:
+            assert link.sock is not old
+        second, _ = srv.accept()  # the redial, REDIAL_DELAY later
+        second.settimeout(10.0)
+        assert next(read_frames(second)) == {"type": "hello", "pid": "w1"}
     finally:
         writer.close()
         first.close()
