@@ -31,7 +31,6 @@ from .core import (
     UntaggedHistory,
     parse_pid,
     quorum_size,
-    tag_less,
     validate_config,
 )
 from .protocols import PROTOCOL_NAMES, get_protocol

@@ -9,12 +9,12 @@ writes share one (A2); sequential reads never go backwards (A3); a read
 never returns a tag below a write that finished before the read started
 (A1); and every returned (tag, value) pair is either the initial state or
 the exact pair of a write that was invoked before the read returned (P3).
-Each rule is decided in O(n log n): a set and a sweep over response times
-with a running maximum tag for the order rules, dictionaries for P3. Only
-when a rule fails does its pairwise loop run, to name the first failing
-pair in invocation order. The rules are checked in the order above, so
-when several are broken at once the reported witness pair is the earliest
-rule's.
+The order rules are decided in O(n log n), by a set and a sweep over
+response times with a running maximum tag; only when one fails does its
+pairwise loop run, to name the first failing pair in invocation order.
+P3 is decided and named in one O(n) pass over dictionaries. The rules are
+checked in the order above, so when several are broken at once the
+reported witness pair is the earliest rule's.
 
 check_bruteforce ignores tags entirely and searches for a linearization:
 a total order of the operations, consistent with real time, under which
@@ -102,14 +102,13 @@ def check_witness(history: list[OpRecord]) -> Verdict:
          _a3_pair, (reads,)),
         (any(write_max_before(r.invoked) > k for k, r in reads),
          _a1_pair, (writes, reads)),
-        (not _p3_holds(writes, reads, pending_writes),
-         _p3_pair, (writes, reads, pending_writes)),
     )
     for fires, diagnose, args in rules:
         verdict = diagnose(*args) if fires else None
         if verdict is not None:
             return verdict
-    return Verdict(True, "witness")
+    verdict = _p3_pair(writes, reads, pending_writes)
+    return Verdict(True, "witness") if verdict is None else verdict
 
 
 def _split(history: list[OpRecord]):
@@ -135,28 +134,6 @@ def _max_key_before(ops):
     maxes = list(accumulate((k for k, _ in ordered), max,
                             initial=_BELOW_EVERY_KEY))
     return lambda t: maxes[bisect_left(times, t)]
-
-
-def _p3_holds(writes, reads, pending_writes) -> bool:
-    """Whether every read passes P3: _p3_pair's test by dictionary lookup."""
-    first_invoked = {}
-    for k, w in writes:  # invocation order: the first is the earliest
-        first_invoked.setdefault((k, w.value), w.invoked)
-    ghost_invoked = {}
-    for w in pending_writes:
-        ghost_invoked[w.value] = min(w.invoked,
-                                     ghost_invoked.get(w.value, w.invoked))
-    for k, r in reads:
-        if k == _INITIAL_KEY:
-            if r.value is not None:
-                return False
-            continue
-        invoked = first_invoked.get((k, r.value))
-        if invoked is None:
-            invoked = ghost_invoked.get(r.value)
-        if invoked is None or not invoked < r.responded:
-            return False
-    return True
 
 
 def _fail(prop, reason, *ops) -> Verdict:
@@ -212,7 +189,16 @@ def _a1_pair(writes, reads) -> Optional[Verdict]:
 
 def _p3_pair(writes, reads, pending_writes) -> Optional[Verdict]:
     """Returned pairs come from real writes that had already been
-    invoked."""
+    invoked. A pair's writes are looked up by (key, value), a pending
+    write's by value; the write named is the first in invocation order
+    (history order for pending writes)."""
+    sources = {}
+    for k, w in writes:  # invocation order: the first is the earliest
+        sources.setdefault((k, w.value), w)
+    ghosts = {}  # value -> (first pending write, earliest invocation)
+    for w in pending_writes:
+        first, invoked = ghosts.get(w.value, (w, w.invoked))
+        ghosts[w.value] = first, min(invoked, w.invoked)
     for kr, r in reads:
         if kr == _INITIAL_KEY:
             if r.value is not None:
@@ -221,21 +207,19 @@ def _p3_pair(writes, reads, pending_writes) -> Optional[Verdict]:
                     f"read {r.op} paired value {r.value!r} with an "
                     f"initial tag", r.op)
             continue
-        sources = [w for kw, w in writes if kw == kr and w.value == r.value]
-        if sources:
-            if not any(w.invoked < r.responded for w in sources):
-                w = sources[0]
+        w = sources.get((kr, r.value))
+        if w is not None:
+            if not w.invoked < r.responded:
                 return _fail(
                     "P3",
                     f"read {r.op} returned the pair of write {w.op}, "
                     f"which was invoked only later", r.op, w.op)
             continue
-        ghosts = [w for w in pending_writes if w.value == r.value]
-        if ghosts:
+        if r.value in ghosts:
             # the write never finished, so its tag is unknown; accept the
             # value but still require the write to have started in time
-            if not any(w.invoked < r.responded for w in ghosts):
-                w = ghosts[0]
+            w, invoked = ghosts[r.value]
+            if not invoked < r.responded:
                 return _fail(
                     "P3",
                     f"read {r.op} returned the value of write {w.op}, "

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterable, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +187,6 @@ class Tag(NamedTuple):
         return f"({self.ts},{self.wid})"
 
 
-def tag_less(a: Tag, b: Tag) -> bool:
-    """Strict lexicographic tag order: ts first, writer id as tiebreak."""
-    return a < b
-
-
-def tag_max(tags: Iterable[Tag]) -> Tag:
-    best = max(tags, default=None)
-    if best is None:
-        raise ValueError("tag_max of empty iterable")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Operation identifiers
 # ---------------------------------------------------------------------------
@@ -275,10 +263,6 @@ class Message:
     A relay carries the target client's OpId, which lets a server answer
     a reader it never heard from directly.
 
-    observations is used by the unsound three-exchange write protocol
-    only: the relaying server's record of the writes it has seen, in
-    first-contact order. Each entry is an (op, tag, value) triple.
-
     Not frozen, because building a frozen instance costs a call per
     field; equality is field-wise. A message is not mutated once sent,
     and nothing hashes one. Build it positionally on hot paths: a call
@@ -292,16 +276,6 @@ class Message:
     tag: Optional[Tag] = None
     value: Optional[str] = None
     relay_origin: Optional[ProcessId] = None
-    observations: Optional[tuple["WriteRecord", ...]] = None
-
-
-@dataclass(frozen=True, slots=True)
-class WriteRecord:
-    """One write as known to a server: identity, tag, and value."""
-
-    op: OpId
-    tag: Tag
-    value: Optional[str]
 
 
 @dataclass(slots=True)
@@ -425,7 +399,7 @@ def message_to_json(m: Message) -> dict[str, Any]:
     # every live frame passes here: the op and tag dicts are the ones
     # opid_to_json and tag_to_json build, written out to save the calls
     op, tag, origin = m.op, m.tag, m.relay_origin
-    obj: dict[str, Any] = {
+    return {
         "kind": m.kind,
         "op": {"invoker": op.invoker._text, "seq": op.seq},
         "sender": m.sender._text,
@@ -434,12 +408,6 @@ def message_to_json(m: Message) -> dict[str, Any]:
         "value": m.value,
         "relay_origin": None if origin is None else origin._text,
     }
-    if m.observations is not None:  # the simulated unsound protocol only
-        obj["observations"] = [
-            {"op": opid_to_json(w.op), "tag": tag_to_json(w.tag), "value": w.value}
-            for w in m.observations
-        ]
-    return obj
 
 
 _new_tuple = tuple.__new__
@@ -449,12 +417,6 @@ def message_from_json(obj: dict[str, Any]) -> Message:
     kind = obj["kind"]
     if kind not in MESSAGE_KINDS:
         raise ValueError(f"unknown message kind {kind!r}")
-    obs = None
-    if obj.get("observations") is not None:
-        obs = tuple(
-            WriteRecord(opid_from_json(w["op"]), tag_from_json(w["tag"]), w["value"])
-            for w in obj["observations"]
-        )
     # inline opid_from_json and tag_from_json, as in message_to_json, and
     # build both tuples without the Python __new__ a NamedTuple adds
     op, tag, origin = obj["op"], obj.get("tag"), obj.get("relay_origin")
@@ -467,7 +429,6 @@ def message_from_json(obj: dict[str, Any]) -> Message:
             Tag, (int(tag["ts"]), parse_pid(tag["wid"]))),
         obj.get("value"),
         parse_pid(origin) if origin else None,
-        obs,
     )
 
 

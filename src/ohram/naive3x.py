@@ -57,11 +57,28 @@ from .core import (
     OpId,
     ProcessId,
     Tag,
-    WriteRecord,
     _server_ids,
     quorum_size,
 )
 from .ohsam import ReaderStateS, WriterStateS, count_relay
+
+
+@dataclass(frozen=True, slots=True)
+class WriteRecord:
+    """One write as known to a server: identity, tag, and value."""
+
+    op: OpId
+    tag: Tag
+    value: Optional[str]
+
+
+@dataclass(slots=True)
+class Relay(Message):
+    """A relay with the relaying server's observations attached: its
+    record of the writes it has seen, in first-contact order. Simulated
+    only, so the wire codec never meets one."""
+
+    observations: tuple[WriteRecord, ...] = ()
 
 
 def default_x(n_servers: int) -> int:
@@ -136,8 +153,6 @@ class Naive3xServer:
             self.observations.append(rec)
 
     def _merge_origin(self, origin: ProcessId, obs) -> None:
-        if obs is None:
-            return
         for rec in obs:
             self._note_write(rec)
         held = self.origin_obs.get(origin)
@@ -193,7 +208,7 @@ class Naive3xServer:
                value: Optional[str]) -> list[Message]:
         # Every relay carries a snapshot of this server's observations.
         pid, snapshot = self.pid, tuple(self.observations)
-        return [Message(kind, op, pid, s, tag, value, pid, snapshot)
+        return [Relay(kind, op, pid, s, tag, value, pid, snapshot)
                 for s in _server_ids(self.config.n_servers)]
 
     def on_write_request(self, msg: Message) -> list[Message]:

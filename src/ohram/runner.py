@@ -116,8 +116,8 @@ _MSG_FRAME = ('{"type":"msg","msg":{"kind":%s,"op":{"invoker":%s,"seq":%d},'
 
 def _msg_json(obj) -> Optional[str]:
     """What _ENCODER writes for a msg frame of exactly message_to_json's
-    shape (keys in its order, no observations, str texts, int numbers,
-    str or null value), in one format; None for any other object."""
+    shape (keys in its order, str texts, int numbers, str or null
+    value), in one format; None for any other object."""
     try:  # every key list is checked before its keys are looked up
         if list(obj) != ["type", "msg"] or obj["type"] != "msg":
             return None

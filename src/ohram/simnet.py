@@ -644,8 +644,7 @@ def history_from_json(obj) -> list[OpRecord]:
             raise ValueError(f"{op}: value must be a string or null, "
                              f"got {value!r}")
         records.append(OpRecord(
-            op=op, kind=r["kind"],
-            invoker=r.get("invoker") and parse_pid(r["invoker"]) or op.invoker,
+            op=op, kind=r["kind"], invoker=op.invoker,
             invoked=int(r["invoked"]),
             responded=None if r.get("responded") is None else int(r["responded"]),
             tag=tag_from_json(r.get("tag")),

@@ -40,7 +40,6 @@ from ohram.core import (
     make_value,
     quorum_size,
     reader_id,
-    tag_less,
     writer_id,
 )
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
@@ -139,7 +138,7 @@ class ReaderStateS:
         # arrival order, so the result is deterministic.
         best: Optional[tuple[Tag, Optional[str]]] = None
         for pair in self.acks.values():
-            if best is None or tag_less(pair[0], best[0]):
+            if best is None or pair[0] < best[0]:
                 best = pair
         return best
 
@@ -185,7 +184,7 @@ class AbdReaderState:
             if len(self.collected) >= quorum_size(self.config.n_servers):
                 best = None
                 for pair in self.collected.values():
-                    if best is None or tag_less(best[0], pair[0]):
+                    if best is None or best[0] < pair[0]:
                         best = pair
                 self.result = best
                 self.phase = WRITEBACK

@@ -21,7 +21,6 @@ from ohram.core import (
     OpId,
     ProcessId,
     Tag,
-    WriteRecord,
     config_from_json,
     config_to_json,
     message_from_json,
@@ -30,8 +29,6 @@ from ohram.core import (
     quorum_size,
     reader_id,
     server_id,
-    tag_less,
-    tag_max,
     validate_config,
     writer_id,
 )
@@ -56,18 +53,18 @@ def test_parse_pid_rejects_garbage():
 
 
 def test_tag_orders_by_timestamp_then_writer():
-    assert tag_less(Tag(2, writer_id(1)), Tag(2, writer_id(2)))
-    assert tag_less(Tag(1, writer_id(2)), Tag(2, writer_id(1)))
-    assert not tag_less(Tag(2, writer_id(2)), Tag(2, writer_id(1)))
-    assert not tag_less(Tag(2, writer_id(1)), Tag(2, writer_id(1)))
+    assert Tag(2, writer_id(1)) < Tag(2, writer_id(2))
+    assert Tag(1, writer_id(2)) < Tag(2, writer_id(1))
+    assert not Tag(2, writer_id(2)) < Tag(2, writer_id(1))
+    assert not Tag(2, writer_id(1)) < Tag(2, writer_id(1))
 
 
 def test_tag_max_picks_larger():
     a, b = Tag(3, writer_id(1)), Tag(3, writer_id(2))
-    assert tag_max([a, b]) == b
-    assert tag_max([b, a]) == b
+    assert max([a, b]) == b
+    assert max([b, a]) == b
     with pytest.raises(ValueError):
-        tag_max([])
+        max([])
 
 
 tags = st.builds(Tag,
@@ -78,13 +75,13 @@ tags = st.builds(Tag,
 @given(tags, tags)
 def test_tag_order_total(a, b):
     # exactly one of <, >, == holds
-    assert (tag_less(a, b), tag_less(b, a), a == b).count(True) == 1
+    assert (a < b, b < a, a == b).count(True) == 1
 
 
 @given(tags, tags, tags)
 def test_tag_order_transitive(a, b, c):
-    if tag_less(a, b) and tag_less(b, c):
-        assert tag_less(a, c)
+    if a < b and b < c:
+        assert a < c
 
 
 @given(st.integers(min_value=1, max_value=25))
@@ -159,14 +156,6 @@ def test_message_json_round_trip():
     assert again == msg
 
 
-def test_message_json_keeps_observations():
-    obs = (WriteRecord(OpId(writer_id(1), 1), Tag(1, writer_id(1)), "A#w1.1"),)
-    msg = Message(kind="writeRelay", op=OpId(writer_id(1), 1), sender=server_id(1),
-                  destination=server_id(2), tag=Tag(1, writer_id(1)), value="A#w1.1",
-                  relay_origin=server_id(1), observations=obs)
-    assert message_from_json(message_to_json(msg)).observations == obs
-
-
 def test_pids_built_at_once_by_many_threads_are_one_object():
     """Interning publishes atomically: racing builders of a new id agree.
 
@@ -238,19 +227,19 @@ def _reference_less(a, b):
 
 def test_tuple_order_is_the_tag_order():
     for a, b in itertools.product(TAG_GRID, repeat=2):
-        assert (a < b) == tag_less(a, b) == _reference_less(a, b), (a, b)
+        assert (a < b) == _reference_less(a, b), (a, b)
         assert (a > b) == _reference_less(b, a), (a, b)
         assert (a == b) == (not _reference_less(a, b)
                             and not _reference_less(b, a)), (a, b)
 
     def compare(a, b):
-        return -1 if tag_less(a, b) else (1 if tag_less(b, a) else 0)
+        return _reference_less(b, a) - _reference_less(a, b)
 
     for shuffle in range(5):
         tags = TAG_GRID[shuffle:] + TAG_GRID[:shuffle]
         by_tuple = sorted(reversed(tags))
         assert by_tuple == sorted(tags, key=functools.cmp_to_key(compare))
-        assert tag_max(tags) == by_tuple[-1] == Tag(3, writer_id(3))
+        assert max(tags) == by_tuple[-1] == Tag(3, writer_id(3))
 
 
 def test_value_types_print_as_before():
@@ -276,10 +265,10 @@ def test_message_equality_is_field_wise():
         "seq=2), sender=ProcessId(role='server', index=1), "
         "destination=ProcessId(role='reader', index=1), "
         "tag=Tag(ts=1, wid=ProcessId(role='writer', index=1)), value='A#w1.1', "
-        "relay_origin=None, observations=None)")
+        "relay_origin=None)")
     changes = dict(kind="writeAck", op=OpId(reader_id(1), 3), sender=server_id(2),
                    destination=reader_id(2), tag=Tag(1, writer_id(2)), value="B#w1.2",
-                   relay_origin=server_id(1), observations=())
+                   relay_origin=server_id(1))
     assert set(changes) == {f.name for f in dataclasses.fields(Message)}
     for name, other in changes.items():
         assert Message(**{**fields, name: other}) != msg, name

@@ -5,18 +5,25 @@ import random
 import pytest
 
 from ohram.checker import check_history
+from ohram.cli import main
 from ohram.core import (
     Config,
     Message,
     OpId,
     Tag,
-    WriteRecord,
     quorum_size,
     reader_id,
     writer_id,
     server_id,
 )
-from ohram.naive3x import Naive3xServer, Naive3xWriter, default_x, order_writes
+from ohram.naive3x import (
+    Naive3xServer,
+    Naive3xWriter,
+    Relay,
+    WriteRecord,
+    default_x,
+    order_writes,
+)
 from ohram.protocols import get_protocol
 from ohram.simnet import simulate
 
@@ -114,9 +121,9 @@ def test_write_relay_round_acks_at_quorum_origins():
     outs = s.on_message(req)
     assert [m.kind for m in outs] == ["writeRelay"] * 3
     assert s.on_message(req) == outs  # every copy relays
-    rel = lambda origin: Message("writeRelay", op, origin, S1, tag=Tag(1, W1),
-                                 value="A#w1.1", relay_origin=origin,
-                                 observations=(REC_A,))
+    rel = lambda origin: Relay("writeRelay", op, origin, S1, tag=Tag(1, W1),
+                               value="A#w1.1", relay_origin=origin,
+                               observations=(REC_A,))
     assert s.on_message(rel(S2)) == []
     outs = s.on_message(rel(S3))
     assert [m.kind for m in outs] == ["writeAck"]
@@ -129,6 +136,7 @@ def test_read_relays_carry_observation_snapshots():
     s._note_write(REC_B)
     outs = s.on_message(Message("readRequest", OpId(reader_id(1), 1),
                                 reader_id(1), S2))
+    assert [type(m) for m in outs] == [Relay] * 3
     assert [m.kind for m in outs] == ["readRelay"] * 3
     assert outs[0].observations == (REC_B,)
     assert outs[0].tag == REC_B.tag
@@ -159,6 +167,19 @@ def test_seed_1059_is_a_non_atomic_run():
                                      "place r1#2 (returned 'C#w1.2')"}}
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: with three writes in view naive3x "
+                          "serves the largest tag, so w1's later write, "
+                          "whose tag is smaller, is never read")
+@pytest.mark.parametrize("x", [1, 2, 3])
+def test_a_sequential_fifo_drained_history_is_atomic_at_every_x(x, capsys):
+    """One op at a time, each drained in send order: no two writes are
+    concurrent, so the impossibility does not apply."""
+    code = main(["simulate", "--protocol", "naive3x", "--servers", "3",
+                 "--writers", "2", "--ops", "w2,w2,w1,r1", "--x", str(x)])
+    assert code == 0, capsys.readouterr().out
+
+
 class AckedSets(Naive3xServer):
     """The relay bookkeeping count_relay replaced, kept as a reference.
 
@@ -175,9 +196,9 @@ class AckedSets(Naive3xServer):
     def on_write_request(self, msg):
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         snapshot = tuple(self.observations)
-        return [Message("writeRelay", msg.op, self.pid, s, tag=msg.tag,
-                        value=msg.value, relay_origin=self.pid,
-                        observations=snapshot)
+        return [Relay("writeRelay", msg.op, self.pid, s, tag=msg.tag,
+                      value=msg.value, relay_origin=self.pid,
+                      observations=snapshot)
                 for s in self.config.servers()]
 
     def on_write_relay(self, msg):
@@ -195,9 +216,9 @@ class AckedSets(Naive3xServer):
     def on_read_request(self, msg):
         tag, value = self.adopted()
         snapshot = tuple(self.observations)
-        return [Message("readRelay", msg.op, self.pid, s, tag=tag,
-                        value=value, relay_origin=self.pid,
-                        observations=snapshot)
+        return [Relay("readRelay", msg.op, self.pid, s, tag=tag,
+                      value=value, relay_origin=self.pid,
+                      observations=snapshot)
                 for s in self.config.servers()]
 
     def on_read_relay(self, msg):
@@ -241,10 +262,10 @@ def _naive_traffic(rng, steps):
             origin = rng.choice((S1, S2, S3))
             writes = [REC_A, REC_B, rec] if kind == "write" else [REC_A, REC_B]
             obs = tuple(rng.sample(writes, rng.randint(0, len(writes))))
-            msg = Message(f"{kind}Relay", op, origin, S1,
-                          tag=None if kind == "read" else rec.tag,
-                          value=None if kind == "read" else rec.value,
-                          relay_origin=origin, observations=obs)
+            msg = Relay(f"{kind}Relay", op, origin, S1,
+                        tag=None if kind == "read" else rec.tag,
+                        value=None if kind == "read" else rec.value,
+                        relay_origin=origin, observations=obs)
         sent.append(msg)
         yield msg
 

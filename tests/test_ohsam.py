@@ -12,7 +12,6 @@ from ohram.core import (
     OpId,
     Tag,
     quorum_size,
-    tag_less,
     reader_id,
     server_id,
     writer_id,
@@ -205,7 +204,7 @@ def test_server_tag_never_decreases(updates):
                                  writer_id(wid), S1, tag=t, value=f"v{i}"))
         else:
             s.on_message(relay(OpId(R1, i + 1), S2, S1, S2, t, f"v{i}"))
-        assert not tag_less(s.tag, seen)
+        assert not s.tag < seen
         seen = s.tag
 
 

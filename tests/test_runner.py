@@ -27,7 +27,6 @@ from ohram.core import (
     OpId,
     QuorumUnreachable,
     Tag,
-    WriteRecord,
     message_from_json,
     message_to_json,
     opid_to_json,
@@ -744,12 +743,6 @@ def reference_frame(msg):
         "value": msg.value,
         "relay_origin": str(msg.relay_origin) if msg.relay_origin else None,
     }
-    if msg.observations is not None:
-        obj["observations"] = [
-            {"op": opid_to_json(w.op), "tag": tag_to_json(w.tag),
-             "value": w.value}
-            for w in msg.observations
-        ]
     data = json.dumps({"type": "msg", "msg": obj},
                       separators=(",", ":")).encode("utf-8")
     return len(data).to_bytes(4, "big") + data
@@ -763,9 +756,7 @@ values = st.none() | st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f') |
                              st.characters())
 messages = st.builds(
     Message, st.sampled_from(MESSAGE_KINDS), op_ids, pids, pids,
-    tag=st.none() | tags, value=values, relay_origin=st.none() | pids,
-    observations=st.none() | st.lists(
-        st.builds(WriteRecord, op_ids, tags, values), max_size=3).map(tuple))
+    tag=st.none() | tags, value=values, relay_origin=st.none() | pids)
 
 
 @settings(max_examples=300)
@@ -813,9 +804,6 @@ def msg_frame_obj(**fields):
     msg_frame_obj(tag=[2, "w1"]),
     msg_frame_obj(op=["invoker", "seq"]),
     {"type": "msg", "msg": list(msg_frame_obj()["msg"])},
-    {"type": "msg", "msg": message_to_json(Message(
-        KIND_READ_RELAY, OpId(W1, 3), S1, S1, relay_origin=S1,
-        observations=(WriteRecord(OpId(W1, 1), Tag(1, W1), "v"),)))},
     [1],
 ])
 def test_frames_of_any_other_shape_get_the_generic_bytes(obj):

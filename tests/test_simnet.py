@@ -33,6 +33,7 @@ from ohram.core import (
     server_id,
     writer_id,
 )
+from ohram.naive3x import Relay
 from ohram.ohsam import ServerStateS
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import SimNet, history_from_json, run_script, simulate
@@ -545,7 +546,7 @@ def test_message_shapes_over_the_golden_corpus(monkeypatch):
     """Machines build messages positionally, so pin each field's place:
     a relay names its sender as relay_origin and nothing else names one,
     every ack goes to the operation's invoker, tags are Tags where a kind
-    carries one, and only naive3x relays carry observations."""
+    carries one, and only naive3x relays are Relays, with observations."""
     kinds = set()
     send = SimNet._send
 
@@ -561,7 +562,7 @@ def test_message_shapes_over_the_golden_corpus(monkeypatch):
             else:
                 assert type(m.tag) is Tag, m
             assert m.value is None or type(m.value) is str, m
-            assert (m.observations is not None) == (
+            assert isinstance(m, Relay) == (
                 relay and net.bundle.name == "naive3x"), m
         return send(net, msgs)
 
