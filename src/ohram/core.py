@@ -8,10 +8,11 @@ identity), tags and operation ids are tuples whose order is the tag order,
 and a message is not mutated once it has been sent.
 
 The canonical JSON encoding of each type lives next to the type (the
-``*_to_json`` / ``*_from_json`` pairs). Wire frames, schedule scripts,
-history files, and metrics reports all use exactly these encodings; field
-names are part of the contract. Unknown fields are ignored on decode for
-forward compatibility.
+``*_to_json`` / ``*_from_json`` pairs). Schedule scripts, history files,
+and metrics reports use exactly these encodings; field names are part of
+the contract, and unknown fields are ignored on decode. A wire msg frame
+is the 9-item array that message_from_json reads; message_to_json's dict
+is what the runner's _pack lays out as that array.
 """
 
 from __future__ import annotations
@@ -144,7 +145,10 @@ def parse_pid(text: str) -> ProcessId:
     index = int(text[1:])
     if index < 1:
         raise ValueError(f"process index must be >= 1: {text!r}")
-    return ProcessId(role, index)
+    pid = ProcessId(role, index)
+    if pid._text != text:  # "w01" or "r007" would alias another process
+        raise ValueError(f"not the canonical spelling of {pid}: {text!r}")
+    return pid
 
 
 def writer_id(i: int) -> ProcessId:
@@ -413,22 +417,28 @@ def message_to_json(m: Message) -> dict[str, Any]:
 _new_tuple = tuple.__new__
 
 
-def message_from_json(obj: dict[str, Any]) -> Message:
-    kind = obj["kind"]
-    if kind not in MESSAGE_KINDS:
-        raise ValueError(f"unknown message kind {kind!r}")
-    # inline opid_from_json and tag_from_json, as in message_to_json, and
+def message_from_json(obj: list) -> Message:
+    """Read a wire msg: [kind, invoker, seq, sender, destination, ts, wid,
+    value, relay_origin], with ts and wid both null for no tag.
+
+    Raises ValueError or TypeError on any other length, an unknown kind,
+    a seq or ts that is no int (a bool is none), a value that is neither
+    str nor null, or a pid that parse_pid refuses.
+    """
+    kind, invoker, seq, sender, destination, ts, wid, value, origin = obj
+    if (kind not in MESSAGE_KINDS or type(seq) is not int
+            or (wid is not None if ts is None else type(ts) is not int)
+            or (value is not None and type(value) is not str)):
+        raise ValueError(f"malformed message {obj!r:.200}")
     # build both tuples without the Python __new__ a NamedTuple adds
-    op, tag, origin = obj["op"], obj.get("tag"), obj.get("relay_origin")
     return Message(
         kind,
-        _new_tuple(OpId, (parse_pid(op["invoker"]), int(op["seq"]))),
-        parse_pid(obj["sender"]),
-        parse_pid(obj["destination"]),
-        None if tag is None else _new_tuple(
-            Tag, (int(tag["ts"]), parse_pid(tag["wid"]))),
-        obj.get("value"),
-        parse_pid(origin) if origin else None,
+        _new_tuple(OpId, (parse_pid(invoker), seq)),
+        parse_pid(sender),
+        parse_pid(destination),
+        None if ts is None else _new_tuple(Tag, (ts, parse_pid(wid))),
+        value,
+        None if origin is None else parse_pid(origin),
     )
 
 

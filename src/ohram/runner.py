@@ -1,19 +1,25 @@
 """Live TCP runner: the same state machines over real sockets.
 
 Framing: every frame is a 4-byte big-endian length prefix followed by
-that many bytes of UTF-8 JSON, at most 1 MiB. Two frame types are
-understood; unknown types and unknown fields are ignored so endpoints of
-different versions can coexist:
+that many bytes of UTF-8 JSON, at most 1 MiB. A JSON object is a hello,
+which identifies the dialing process, and a JSON array is a msg, which
+carries one protocol message by position:
 
-  {"type": "hello", "pid": "r1"}   identifies the dialing process
-  {"type": "msg",  "msg": {...}}   carries one protocol message
+  {"type":"hello","pid":"r1"}
+  [kind, invoker, seq, sender, destination, ts, wid, value, relay_origin]
 
-The JSON is what json.dumps(obj, separators=(",", ":")) writes: a msg
-frame of exactly message_to_json's shape is formatted directly, any
-other frame comes from one shared encoder. A body is accepted exactly
-when json.loads accepts it, through one shared decoder. Each read is cut
-into frames where it is taken, whatever the reads' sizes, and a msg
-frame goes straight to message_from_json and the endpoint's machine.
+ts and wid are both null for a message with no tag; value and
+relay_origin are null when the message has none. A msg array that
+message_from_json refuses is skipped, and so is an object of any other
+type and a frame that is neither.
+
+_send hands _pack the frame {"type": "msg", "msg": message_to_json(msg)},
+the dict perfbench's tracer reads; _pack lays it out as the array in one
+format, and writes any other frame as json.dumps(obj, separators=(",",
+":")) does, through one shared encoder. A body is accepted exactly when
+json.loads accepts it, through one shared decoder. Each read is cut into
+frames where it is taken, whatever the reads' sizes, and a msg goes
+straight to message_from_json and the endpoint's machine.
 
 Topology: clients dial every server and keep the connection; a server's
 replies to a client travel back over the client's own connection. Each
@@ -107,42 +113,26 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder()
 _SCAN = _DECODER.scan_once
 _quote = json.encoder.encode_basestring_ascii  # _ENCODER's string writer
-_MSG_KEYS = ["kind", "op", "sender", "destination", "tag", "value",
-             "relay_origin"]
-_MSG_FRAME = ('{"type":"msg","msg":{"kind":%s,"op":{"invoker":%s,"seq":%d},'
-              '"sender":%s,"destination":%s,"tag":%s,"value":%s,'
-              '"relay_origin":%s}}')
+_MSG_FRAME = "[%s,%s,%d,%s,%s,%s,%s,%s,%s]"
 
 
-def _msg_json(obj) -> Optional[str]:
-    """What _ENCODER writes for a msg frame of exactly message_to_json's
-    shape (keys in its order, str texts, int numbers, str or null
-    value), in one format; None for any other object."""
-    try:  # every key list is checked before its keys are looked up
-        if list(obj) != ["type", "msg"] or obj["type"] != "msg":
-            return None
+def _pack(obj) -> bytes:
+    """Frame obj: a msg frame, whose "msg" is message_to_json's dict, as
+    the array message_from_json reads; any other object as _ENCODER
+    writes it."""
+    if type(obj) is dict and "msg" in obj:
         m = obj["msg"]
-        if list(m) != _MSG_KEYS:
-            return None
         op, tag, value, origin = m["op"], m["tag"], m["value"], m["relay_origin"]
-        if list(op) != ["invoker", "seq"] or type(op["seq"]) is not int:
-            return None
-        if tag is not None:
-            if list(tag) != ["ts", "wid"] or type(tag["ts"]) is not int:
-                return None
-            tag = '{"ts":%d,"wid":%s}' % (tag["ts"], _quote(tag["wid"]))
-        return _MSG_FRAME % (
+        text = _MSG_FRAME % (
             _quote(m["kind"]), _quote(op["invoker"]), op["seq"],
             _quote(m["sender"]), _quote(m["destination"]),
-            "null" if tag is None else tag,
+            "null" if tag is None else tag["ts"],
+            "null" if tag is None else _quote(tag["wid"]),
             "null" if value is None else _quote(value),
             "null" if origin is None else _quote(origin))
-    except TypeError:  # not a dict, or a text that is no str
-        return None
-
-
-def _pack(obj: dict) -> bytes:
-    data = (_msg_json(obj) or _ENCODER.encode(obj)).encode("utf-8")
+    else:
+        text = _ENCODER.encode(obj)
+    data = text.encode("utf-8")
     if len(data) > MAX_FRAME:
         raise ValueError(f"frame of {len(data)} bytes exceeds {MAX_FRAME}")
     return _LEN.pack(len(data)) + data
@@ -382,14 +372,13 @@ class _Endpoint:
                     break
                 frame = _unpack(data[start + 4:end])
                 start = end
-                if type(frame) is dict and frame.get("type") == "msg":
+                if type(frame) is list:
                     try:
-                        msg = message_from_json(frame["msg"])
-                    except (AttributeError, LookupError, TypeError,
-                            ValueError):
+                        msg = message_from_json(frame)
+                    except (TypeError, ValueError):
                         continue  # an unreadable message is skipped
                     self._handle(msg)
-                else:
+                elif type(frame) is dict:
                     conn = self._frame(conn, frame)
                 if conn.sock is not sock:
                     return  # the frame's sends cut the connection off
@@ -397,10 +386,10 @@ class _Endpoint:
             return self._drop(conn)
         conn.buf = data[start:] if start < size else b""
 
-    def _frame(self, conn: _Conn, frame) -> _Conn:
-        """Take a frame that is no msg; return the conn that owns conn's
-        socket after it (a server's hello may hand it to a link)."""
-        if type(frame) is dict and frame.get("type") == "hello":
+    def _frame(self, conn: _Conn, frame: dict) -> _Conn:
+        """Take an object frame; return the conn that owns conn's socket
+        after it (a server's hello may hand it to a link)."""
+        if frame.get("type") == "hello":
             return self._hello(conn, parse_pid(frame["pid"]))
         return conn
 

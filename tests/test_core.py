@@ -4,7 +4,6 @@ import copy
 import dataclasses
 import functools
 import itertools
-import json
 import pickle
 import sys
 import threading
@@ -33,6 +32,7 @@ from ohram.core import (
     writer_id,
 )
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
+from ohram.runner import _pack, _unpack
 
 
 def test_pid_text_round_trip():
@@ -48,6 +48,13 @@ def test_pid_sort_groups_writers_readers_servers():
 
 def test_parse_pid_rejects_garbage():
     for bad in ("x1", "w", "w0", "", "s-1", "1w"):
+        with pytest.raises(ValueError):
+            parse_pid(bad)
+
+
+def test_parse_pid_refuses_every_other_spelling_of_an_id():
+    # else a hello, a membership key or --pid could alias another process
+    for bad in ("w01", "r007", "s\u0663", "w0"):  # \u0663: Arabic-Indic 3
         with pytest.raises(ValueError):
             parse_pid(bad)
 
@@ -152,8 +159,8 @@ def test_message_json_round_trip():
     msg = Message(kind="readRelay", op=OpId(reader_id(1), 2), sender=server_id(2),
                   destination=server_id(3), tag=Tag(4, writer_id(1)), value="A#w1.4",
                   relay_origin=server_id(1))
-    again = message_from_json(json.loads(json.dumps(message_to_json(msg))))
-    assert again == msg
+    frame = _pack({"type": "msg", "msg": message_to_json(msg)})
+    assert message_from_json(_unpack(frame[4:])) == msg
 
 
 def test_pids_built_at_once_by_many_threads_are_one_object():

@@ -29,9 +29,7 @@ from ohram.core import (
     Tag,
     message_from_json,
     message_to_json,
-    opid_to_json,
     parse_pid,
-    tag_to_json,
 )
 from ohram.protocols import get_protocol
 from ohram.runner import (
@@ -284,7 +282,7 @@ def test_a_reply_to_a_client_with_no_connection_is_lost_and_a_copy_acks_again():
         sock = socket.create_connection(daemon.address, timeout=5.0)
         sock.sendall(_pack({"type": "hello", "pid": "r1"}) + msg_frame(request))
         # the copy brings the ack again, with s1's current pair
-        msg = message_from_json(next(read_frames(sock))["msg"])
+        msg = message_from_json(next(read_frames(sock)))
         assert (msg.kind, msg.op, msg.sender) == (KIND_READ_ACK, read, s1)
         assert (msg.tag, msg.value) == (Tag(1, W1), "A")
     finally:
@@ -358,7 +356,7 @@ def received_seqs(conn, count):
     conn.settimeout(10.0)
     frames = read_frames(conn)
     assert next(frames) == {"type": "hello", "pid": "w1"}
-    return [message_from_json(next(frames)["msg"]).op.seq
+    return [message_from_json(next(frames)).op.seq
             for _ in range(count)]
 
 
@@ -576,7 +574,7 @@ def test_a_bad_frame_closes_only_its_own_connection(garbage):
         good.sendall(msg_frame(Message(
             KIND_READ_REQUEST, OpId(parse_pid("r1"), 1), parse_pid("r1"),
             daemons[0].pid)))
-        msg = message_from_json(next(read_frames(good))["msg"])
+        msg = message_from_json(next(read_frames(good)))
         assert (msg.kind, msg.value) == (KIND_READ_ACK,
                                          writer.history[-1].value)
     finally:
@@ -731,21 +729,22 @@ def test_a_client_cut_off_at_the_backlog_completes_on_a_rebroadcast():
         stop_all(daemons, [writer, reader])
 
 
-def reference_frame(msg):
-    """A msg frame as json.dumps writes it, with the dicts built by the
-    per-type helpers: the bytes the runner has always sent."""
-    obj = {
-        "kind": msg.kind,
-        "op": opid_to_json(msg.op),
-        "sender": str(msg.sender),
-        "destination": str(msg.destination),
-        "tag": tag_to_json(msg.tag),
-        "value": msg.value,
-        "relay_origin": str(msg.relay_origin) if msg.relay_origin else None,
-    }
-    data = json.dumps({"type": "msg", "msg": obj},
-                      separators=(",", ":")).encode("utf-8")
+def raw_frame(obj):
+    """obj framed as json.dumps writes it."""
+    data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     return len(data).to_bytes(4, "big") + data
+
+
+def reference_frame(msg):
+    """A msg frame as json.dumps writes its positional array, with the
+    pid texts str gives: the bytes the runner sends."""
+    tag = msg.tag
+    return raw_frame([
+        msg.kind, str(msg.op.invoker), msg.op.seq, str(msg.sender),
+        str(msg.destination), None if tag is None else tag.ts,
+        None if tag is None else str(tag.wid), msg.value,
+        str(msg.relay_origin) if msg.relay_origin else None,
+    ])
 
 
 pids = st.builds(parse_pid, st.builds(
@@ -766,45 +765,37 @@ def test_msg_frames_keep_their_bytes_and_decode_back(msg, left, right):
     frame = _pack({"type": "msg", "msg": message_to_json(msg)})
     assert frame == reference_frame(msg)
     body = frame[4:]
-    assert message_from_json(_unpack(body)["msg"]) == msg
+    assert message_from_json(_unpack(body)) == msg
     padded = left.encode() + body + right.encode()
     assert _unpack(padded) == json.loads(padded.decode())
     with pytest.raises(ValueError):
         _unpack(body + b"x")
 
 
-def msg_frame_obj(**fields):
-    """A msg frame of message_to_json's shape, with fields replaced."""
-    obj = message_to_json(Message(KIND_READ_ACK, OpId(W1, 3), S1, W1,
-                                  tag=Tag(2, W1), value="v"))
-    obj.update(fields)
-    return {"type": "msg", "msg": obj}
-
-
 @pytest.mark.parametrize("obj", [
     {"type": "hello", "pid": "r1"},
+    {"pid": "r1", "type": "hello"},
+    {"type": "hello", "pid": "r1", "n": 2},
     {"type": "msg", "n": 2},
-    {"msg": msg_frame_obj()["msg"], "type": "msg"},
-    {**msg_frame_obj(), "n": 2},
-    {"type": "msg", "msg": dict(reversed(msg_frame_obj()["msg"].items()))},
-    msg_frame_obj(n=2),
-    msg_frame_obj(op={"seq": 3, "invoker": "w1"}),
-    msg_frame_obj(op={"invoker": "w1", "seq": 3, "n": 2}),
-    msg_frame_obj(tag={"wid": "w1", "ts": 2}),
-    msg_frame_obj(op={"invoker": "w1", "seq": True}),
-    msg_frame_obj(op={"invoker": "w1", "seq": 3.0}),
-    msg_frame_obj(tag={"ts": False, "wid": "w1"}),
-    msg_frame_obj(tag={"ts": 2.5, "wid": "w1"}),
-    msg_frame_obj(value=7),
-    msg_frame_obj(value=["v"]),
-    msg_frame_obj(value=True),
-    msg_frame_obj(kind=1),
-    msg_frame_obj(relay_origin=2),
-    msg_frame_obj(tag={"ts": 2, "wid": None}),
-    msg_frame_obj(tag=[2, "w1"]),
-    msg_frame_obj(op=["invoker", "seq"]),
-    {"type": "msg", "msg": list(msg_frame_obj()["msg"])},
+    {"type": "msg"},
+    {},
+    [],
     [1],
+    [None, True, False],
+    [2.5, -0.0, 1e300],
+    [2**64, -1],
+    ["readAck", "w1", 3, "s1", "w1", 2, "w1", "v", None],
+    ["readAck", "w1", 3, "s1", "w1", None, None, None, None],
+    {"type": "hello", "pid": "\u00e9\"\\/\x00\x1f\x7f"},
+    {"type": "hello", "pid": "\U0001f600"},
+    {"type": "hello", "pid": ["r1"]},
+    {"type": "hello", "pid": {"role": "reader", "index": 1}},
+    {"type": 1},
+    {"type": None, "message": {}},
+    {"Msg": {}},
+    [{"type": "hello", "pid": "r1"}],
+    [[1, [2, [3]]]],
+    {"type": "hello", "pid": "r1", "n": {"a": [1, {"b": None}]}},
 ])
 def test_frames_of_any_other_shape_get_the_generic_bytes(obj):
     data = _ENCODER.encode(obj).encode("utf-8")
@@ -887,9 +878,15 @@ def accept_read_request(srv):
     conn.settimeout(10.0)
     frames = read_frames(conn)
     assert next(frames) == {"type": "hello", "pid": "r1"}
-    request = message_from_json(next(frames)["msg"])
+    request = message_from_json(next(frames))
     assert request.kind == KIND_READ_REQUEST
     return conn, request
+
+
+def replaced(items, i, item):
+    items = list(items)
+    items[i] = item
+    return items
 
 
 def test_a_client_link_reads_on_past_a_frame_it_cannot_take():
@@ -897,11 +894,28 @@ def test_a_client_link_reads_on_past_a_frame_it_cannot_take():
     conn = None
     try:
         conn, request = accept_read_request(srv)
-        # a frame that is not an object, then a msg body that is not one
-        conn.sendall(_pack([1]) + _pack({"type": "msg", "msg": [1]})
+        with reader.lock:
+            sock = reader.links[S1].sock
+        # a readAck for the open read, with value "bad": the read would
+        # return "bad" if the reader took any frame below, and would not
+        # end if one dropped the link
+        bad = _unpack(msg_frame(read_ack(request.op.seq, "bad"))[4:])
+        untaken = [
+            bad[:8], bad + [None],
+            replaced(bad, 0, "readack"),
+            replaced(bad, 2, float(bad[2])), replaced(bad, 2, True),
+            replaced(bad, 2, str(bad[2])),
+            replaced(bad, 5, float(bad[5])),
+            replaced(bad, 6, None),  # a ts with a null wid
+            replaced(bad, 7, 7),
+            {"type": "msg", "msg": message_to_json(message_from_json(bad))},
+            [1], "readAck",
+        ]
+        conn.sendall(b"".join(map(raw_frame, untaken))
                      + msg_frame(read_ack(request.op.seq)))
         thread.join(timeout=10.0)
         assert (done["rec"].op, done["rec"].value) == (request.op, "v")
+        assert reader.links[S1].sock is sock
     finally:
         reader.close()
         if conn is not None:
@@ -1231,7 +1245,7 @@ def test_relays_to_a_later_peer_that_is_down_are_lost():
         for seq in range(6, 11):
             read_request(seq)
         frames = read_frames(conn)
-        got = [message_from_json(next(frames)["msg"]) for _ in range(5)]
+        got = [message_from_json(next(frames)) for _ in range(5)]
         assert [(m.kind, m.op.seq) for m in got] == [
             (KIND_READ_RELAY, seq) for seq in range(6, 11)]
     finally:
