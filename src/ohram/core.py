@@ -313,7 +313,6 @@ class OpRecord:
 
     op: OpId
     kind: str  # "read" | "write"
-    invoker: ProcessId
     invoked: int
     responded: Optional[int]
     tag: Optional[Tag]

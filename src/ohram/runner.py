@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import errno
 import json
-import os
 import socket
 import struct
 import threading
@@ -165,11 +164,6 @@ def _close(sock: socket.socket) -> None:
         sock.close()
     except OSError:
         pass
-
-
-def listen_host(explicit: Optional[str] = None) -> str:
-    # OHRAM_LISTEN overrides everything, for multi-homed test hosts
-    return os.environ.get("OHRAM_LISTEN") or explicit or "127.0.0.1"
 
 
 class _Conn:
@@ -460,7 +454,7 @@ class ServerDaemon(_Endpoint):
         self.machine = bundle.make_server(pid, config)
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        host = listen_host(host)
+        host = host or "127.0.0.1"
         try:
             self.listener.bind((host, port))
         except OSError as e:
@@ -617,8 +611,7 @@ class Client(_Endpoint):
                     self._broadcast(self._current)
             completion = self._completion
             t1 = time.monotonic_ns()
-            rec = OpRecord(completion.op, kind, self.pid, t0, t1,
-                           completion.tag,
+            rec = OpRecord(completion.op, kind, t0, t1, completion.tag,
                            completion.value if kind == "read" else value)
             self.history.append(rec)
             return rec
@@ -648,9 +641,19 @@ def check_membership(pid: ProcessId, config: Config,
 
 
 def membership_from_json(obj: dict) -> dict[ProcessId, tuple[str, int]]:
-    """{"s1": "127.0.0.1:7001", ...} -> {ProcessId: (host, port)}"""
+    """{"s1": "127.0.0.1:7001", ...} -> {ProcessId: (host, port)}; raises
+    ValueError on anything else, a port outside 0..65535 included."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a membership is an object of pid: \"host:port\", "
+                         f"got {obj!r}")
     out = {}
     for key, addr in obj.items():
-        host, _, port = addr.rpartition(":")
-        out[parse_pid(key)] = (host, int(port))
+        if not isinstance(addr, str):
+            raise ValueError(f"{key}: address must be \"host:port\", "
+                             f"got {addr!r}")
+        host, _, port_text = addr.rpartition(":")
+        port = int(port_text)
+        if not 0 <= port <= 65535:
+            raise ValueError(f"{key}: port outside 0..65535 in {addr!r}")
+        out[parse_pid(key)] = (host, port)
     return out

@@ -21,9 +21,13 @@ it from then on; messages it already sent stay deliverable. Crashes are
 refused beyond the configured fault bound f.
 
 Where the protocol is sound, deliver records in invariant_failures
-each server step that moves the server's tag back, sends a second
-readAck for a read, a readAck below any relay tag the server received,
-or a writeAck below its writeRequest's tag.
+each server step that moves the server's tag back, sends a readAck
+below any relay tag the server received or a writeAck below its
+writeRequest's tag, or answers a read twice or after a newer read of
+its reader. An older read may be answered only in reply to its own
+readRequest, by a server that never answered on a readRelay: an ABD
+server answering a late request. A relaying server keeps one read per
+reader, and a message of an older read sends nothing.
 
 A run that exhausts its event budget, or that still has a pending client
 operation when no event is enabled, raises StuckExecution. With crash
@@ -44,6 +48,7 @@ from .core import (
     FaultBudgetExceeded,
     KIND_READ_ACK,
     KIND_READ_RELAY,
+    KIND_READ_REQUEST,
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
@@ -170,11 +175,13 @@ class SimNet:
         self._open: dict[OpId, OpRecord] = {}
         self.metrics: dict[OpId, OpMetrics] = {}
         self.invariant_failures: list[str] = []
-        # by server: the largest relay tag received, the reads acked
+        # by server: the largest relay tag received, and by reader the
+        # newest read seq answered; the servers that answered on a relay
         self._relay_high: dict[ProcessId, Tag] = {
             pid: Tag(0, pid) for pid in self.servers}
-        self._read_acks_sent: dict[ProcessId, set[OpId]] = {
-            pid: set() for pid in self.servers}
+        self._read_acked: dict[ProcessId, dict[ProcessId, int]] = {
+            pid: {} for pid in self.servers}
+        self._relay_answerers: set[ProcessId] = set()
         # _send's map from a wire seq to its op: none when a writer ticks
         # once per write, as bundle.op_group is then the identity
         self._op_group = (bundle.op_group if bundle.make_writer.ticks > 1
@@ -215,7 +222,7 @@ class SimNet:
         value = machine.value if kind == "write" else None
         self._note_idle(pid)
         # positional: a keyword call costs about twice as much
-        rec = OpRecord(group, kind, pid, self.events, None, None, value)
+        rec = OpRecord(group, kind, self.events, None, None, value)
         self.history.append(rec)
         self._open[group] = rec
         self.metrics[group] = OpMetrics(kind)
@@ -285,12 +292,21 @@ class SimNet:
         kind = outs[0].kind
         if kind == KIND_READ_ACK:
             high = self._relay_high[pid]
-            sent = self._read_acks_sent[pid]
+            acked = self._read_acked[pid]
+            if msg.kind == KIND_READ_RELAY:
+                self._relay_answerers.add(pid)
             for out in outs:
-                if out.op in sent:
+                reader, seq = out.op
+                newest = acked.get(reader, 0)
+                if seq > newest:
+                    acked[reader] = seq
+                elif seq == newest:
                     self.invariant_failures.append(
                         f"{pid}: second readAck for {out.op}")
-                sent.add(out.op)
+                elif (msg.kind != KIND_READ_REQUEST or msg.op != out.op
+                        or pid in self._relay_answerers):
+                    self.invariant_failures.append(
+                        f"{pid}: readAck for {out.op} after {reader}#{newest}")
                 if out.tag < high:
                     self.invariant_failures.append(
                         f"{pid}: readAck tag {out.tag} below received "
@@ -632,22 +648,28 @@ def history_to_json(records: list[OpRecord]) -> list[dict]:
 def history_from_json(obj) -> list[OpRecord]:
     """Inverse of history_to_json (and of RunResult.to_json).
 
-    Accepts either a full run dump or a bare list of record objects.
+    Accepts either a full run dump or a bare list of record objects, and
+    raises ValueError naming the first record it cannot read.
     """
     if isinstance(obj, dict):
-        obj = obj["history"]
+        obj = obj.get("history")
+    if not isinstance(obj, list):
+        raise ValueError("a history is a list of records, or a run dump "
+                         "that holds one")
     records = []
-    for r in obj:
-        op = opid_from_json(r["op"])
-        value = r.get("value")
-        if value is not None and not isinstance(value, str):
-            raise ValueError(f"{op}: value must be a string or null, "
-                             f"got {value!r}")
-        records.append(OpRecord(
-            op=op, kind=r["kind"], invoker=op.invoker,
-            invoked=int(r["invoked"]),
-            responded=None if r.get("responded") is None else int(r["responded"]),
-            tag=tag_from_json(r.get("tag")),
-            value=value,
-        ))
+    for i, r in enumerate(obj):
+        try:
+            kind, value = r["kind"], r.get("value")
+            responded = r.get("responded")
+            if kind not in ("read", "write"):
+                raise ValueError(f"kind must be read or write, got {kind!r}")
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"value must be a string or null, "
+                                 f"got {value!r}")
+            records.append(OpRecord(
+                opid_from_json(r["op"]), kind, int(r["invoked"]),
+                None if responded is None else int(responded),
+                tag_from_json(r.get("tag")), value))
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"history record {i} {r!r}: {e!r}") from None
     return records

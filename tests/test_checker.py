@@ -39,7 +39,7 @@ from violations import VIOLATIONS
 def rec(pid_text, seq, kind, invoked, responded, ts=None, wid=None, value=None):
     pid = parse_pid(pid_text)
     tag = Tag(ts, parse_pid(wid)) if ts is not None else None
-    return OpRecord(OpId(pid, seq), kind, pid, invoked, responded, tag, value)
+    return OpRecord(OpId(pid, seq), kind, invoked, responded, tag, value)
 
 
 def w(pid_text, seq, invoked, responded, ts, value):

@@ -191,6 +191,25 @@ def test_check_refuses_a_value_that_is_not_a_string(tmp_path, capsys):
     assert "value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("history, error", [
+    pytest.param({"history": [{"kind": "read"}]},
+                 "history record 0 {'kind': 'read'}", id="no-op"),
+    pytest.param([1, 2], "history record 0 1:", id="not-a-record"),
+    pytest.param(
+        [{"op": {"invoker": "r1", "seq": 1}, "kind": "peek", "invoked": 1}],
+        "kind must be read or write", id="unknown-kind"),
+    pytest.param({"history": 7}, "a history is a list of records",
+                 id="not-a-list"),
+    pytest.param({"records": []}, "a history is a list of records",
+                 id="no-history"),
+])
+def test_check_refuses_a_malformed_history(tmp_path, capsys, history, error):
+    dump = tmp_path / "run.json"
+    dump.write_text(json.dumps(history))
+    assert main(["check", str(dump)]) == 4
+    assert error in capsys.readouterr().err
+
+
 def test_bench_grid_passes(capsys):
     assert main(["bench", "--servers", "3", "--protocols",
                  "ohsam,ohmam,abd-swmr,abd-mwmr,naive3x"]) == 0
@@ -255,6 +274,37 @@ def test_client_refuses_a_membership_missing_a_server(tmp_path, capsys):
     assert main(["client", "--servers", "3", "--pid", "r1",
                  "--membership", str(membership), "--ops", "r"]) == 4
     assert "no address for s3" in capsys.readouterr().err
+
+
+BAD_MEMBERSHIPS = pytest.mark.parametrize("text, error", [
+    pytest.param('["s1", "s2", "s3"]', "a membership is an object",
+                 id="list"),
+    pytest.param('{"s1": 7001, "s2": 7002, "s3": 7003}',
+                 "s1: address must be", id="bare-ports"),
+    pytest.param(
+        '{"s1": "127.0.0.1:99999", "s2": "127.0.0.1:1", "s3": "127.0.0.1:1"}',
+        "s1: port outside 0..65535", id="port-99999"),
+    pytest.param(
+        '{"s1": "127.0.0.1:-1", "s2": "127.0.0.1:1", "s3": "127.0.0.1:1"}',
+        "s1: port outside 0..65535", id="port-minus-1"),
+])
+
+
+@BAD_MEMBERSHIPS
+def test_client_refuses_a_malformed_membership(tmp_path, capsys, text, error):
+    membership = tmp_path / "members.json"
+    membership.write_text(text)
+    assert main(["client", "--pid", "r1", "--membership", str(membership),
+                 "--ops", "r"]) == 4
+    assert error in capsys.readouterr().err
+
+
+@BAD_MEMBERSHIPS
+def test_serve_refuses_a_malformed_membership(tmp_path, capsys, text, error):
+    membership = tmp_path / "members.json"
+    membership.write_text(text)
+    assert main(["serve", "--pid", "s2", "--membership", str(membership)]) == 4
+    assert error in capsys.readouterr().err
 
 
 SRC = str(pathlib.Path(ohram.__file__).resolve().parent.parent)

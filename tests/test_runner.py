@@ -44,7 +44,6 @@ from ohram.runner import (
     _Loop,
     _pack,
     _unpack,
-    listen_host,
     merge_histories,
 )
 
@@ -133,14 +132,6 @@ def test_garbage_payload_ends_the_stream():
         assert list(read_frames(b)) == []
     finally:
         b.close()
-
-
-def test_listen_host_env_override(monkeypatch):
-    monkeypatch.delenv("OHRAM_LISTEN", raising=False)
-    assert listen_host() == "127.0.0.1"
-    assert listen_host("10.0.0.7") == "10.0.0.7"
-    monkeypatch.setenv("OHRAM_LISTEN", "192.0.2.9")
-    assert listen_host("10.0.0.7") == "192.0.2.9"
 
 
 def test_unsound_protocol_is_refused():
@@ -660,8 +651,7 @@ def test_the_loop_skips_a_key_whose_connection_its_batch_dropped():
     assert handled == [("read", first), ("flush", first)]
 
 
-def test_bind_failure_names_the_address_and_closes_the_socket(monkeypatch):
-    monkeypatch.delenv("OHRAM_LISTEN", raising=False)
+def test_bind_failure_names_the_address_and_closes_the_socket():
     busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     busy.bind(("127.0.0.1", 0))
     busy.listen(1)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import ohram.simnet as simnet
+from ohram.abd import AbdServerState
 from ohram.core import (
     BOTTOM,
     KIND_DISCOVER,
@@ -420,6 +421,22 @@ def test_the_relay_monitor_keeps_one_tag_per_server_through_a_long_run():
         assert pid in net.crashed or high.ts > 0
 
 
+@pytest.mark.parametrize("protocol", SOUND)
+def test_monitor_and_server_state_stay_bounded(protocol):
+    """Through a long run the read monitor keeps at most one seq per
+    reader for each server, as the servers' own read and write tables
+    keep at most one entry per client."""
+    net = _long_net(protocol)
+    config = net.config
+    assert len(net.history) >= 1680 and not net.invariant_failures
+    for pid, server in net.servers.items():
+        assert len(net._read_acked[pid]) <= config.n_readers
+        assert len(getattr(server, "reads", {})) <= config.n_readers
+        assert len(getattr(server, "write_operations", {})) \
+            <= config.n_writers
+    assert max(map(len, net._read_acked.values())) == config.n_readers
+
+
 def _one_shot(result):
     return json.dumps(result.to_json(), sort_keys=True, separators=(",", ":"))
 
@@ -614,19 +631,43 @@ class _AnswersInitial(ServerStateS):
                         tag=Tag(0, self.pid), value=BOTTOM)]
 
 
-def _faulty_net(server_class, **fields):
-    net = SimNet("ohsam", SWMR3, seed=0)
+class _NeverRetires(ServerStateS):
+    """Keeps every read it hears of, so a late relay of an older read
+    still brings that read to a majority."""
+
+    def _origins(self, op):
+        return self.reads.setdefault(op, set())
+
+
+class _AcksWriteBack(AbdServerState):
+    """Answers a reader's write-back with a readAck."""
+
+    def on_write_request(self, msg):
+        self._adopt(msg.tag, msg.value)
+        if msg.op.invoker.role == "reader":
+            return self._reply(KIND_READ_ACK, msg)
+        return self._reply(KIND_WRITE_ACK, msg)
+
+
+def _faulty_net(server_class, protocol="ohsam", **fields):
+    net = SimNet(protocol, SWMR3, seed=0)
     net.servers[S1] = server_class(S1, SWMR3, **fields)
     net.load_program(parse_pid("w1"), [("write", "A")])
     net.load_program(parse_pid("r1"), [("read", None)])
     return net
 
 
-def _deliver(net, kind, to, sender=None):
+def _take(net, kind, to, sender=None):
+    """Take the one in-flight message of kind to `to` (from sender)."""
     (msg,) = [m for m in net.inflight if m.kind == kind
               and str(m.destination) == to
               and (sender is None or str(m.sender) == sender)]
     net.inflight.remove(msg)
+    return msg
+
+
+def _deliver(net, kind, to, sender=None):
+    msg = _take(net, kind, to, sender)
     net.deliver(msg)
     return msg
 
@@ -687,6 +728,53 @@ def test_invariant_read_ack_below_a_relay_tag_of_another_read():
     _deliver(net, "readRelay", "s3", "s2")
     assert net.invariant_failures == [
         "s3: readAck tag (0,s3) below received relay tag (1,w1) for r2#1"]
+
+
+def test_invariant_read_ack_for_a_retired_read():
+    """A relaying server answers r1#1 after r1#2: it has retired r1#1."""
+    net = _faulty_net(_NeverRetires)
+    r1 = parse_pid("r1")
+    net.load_program(r1, [("read", None)])
+    net.invoke_next(r1)
+    for to in ("s2", "s3"):
+        _deliver(net, "readRequest", to)
+    for to in ("s2", "s3"):
+        for sender in ("s2", "s3"):
+            _deliver(net, "readRelay", to, sender)
+        _deliver(net, "readAck", "r1", to)
+    _deliver(net, "readRelay", "s1", "s2")
+    # r1#1 is done; hold back its relay from s3 to s1 past r1#2
+    late = _take(net, "readRelay", "s1", "s3")
+    net.invoke_next(r1)
+    for to in ("s2", "s3"):
+        _deliver(net, "readRequest", to)
+    _deliver(net, "readRelay", "s1", "s2")
+    _deliver(net, "readRelay", "s1", "s3")
+    assert net.invariant_failures == []
+    net.deliver(late)
+    assert net.invariant_failures == ["s1: readAck for r1#1 after r1#2"]
+
+
+def test_invariant_read_ack_to_a_write_back():
+    """An ABD server may answer the late readRequest of an older read,
+    but not that read's write-back."""
+    net = _faulty_net(_AcksWriteBack, protocol="abd-swmr")
+    r1 = parse_pid("r1")
+    net.load_program(r1, [("read", None)])
+    net.invoke_next(r1)
+    late = _take(net, "readRequest", "s1")
+    for to in ("s2", "s3"):
+        _deliver(net, "readRequest", to)
+        _deliver(net, "readAck", "r1", to)
+    for to in ("s2", "s3"):
+        _deliver(net, "writeRequest", to)
+        _deliver(net, "writeAck", "r1", to)
+    net.invoke_next(r1)
+    _deliver(net, "readRequest", "s1")
+    net.deliver(late)
+    assert net.invariant_failures == []
+    _deliver(net, "writeRequest", "s1")
+    assert net.invariant_failures == ["s1: readAck for r1#1 after r1#2"]
 
 
 def test_invariant_write_ack_below_the_request_tag():
