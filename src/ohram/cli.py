@@ -6,12 +6,13 @@ Subcommands:
   replay     replay a scripted schedule file and check the history
   check      check a previously dumped history file
   bench      failure-free message/exchange grid against the closed forms
-  serve      run one live TCP server daemon
+  serve      run one live TCP server daemon; --listen takes a host:port
+             as a membership entry does
   client     run operations against live servers
 
 Exit codes are script-friendly: 0 success/atomic, 2 non-atomic or a
 failed benchmark, 3 liveness failure (stuck execution, unreachable
-quorum), 4 unusable configuration or input.
+quorum), 4 unusable configuration or input, or a port serve cannot bind.
 """
 
 from __future__ import annotations
@@ -26,30 +27,26 @@ from . import __version__
 from .checker import Verdict, check_history
 from .core import (
     Config,
-    FaultBudgetExceeded,
-    HistoryTooLarge,
-    InvalidFaultBound,
     ModeMismatch,
-    NotWellFormed,
+    OhramError,
     QuorumUnreachable,
     ScheduleUnresolvable,
     StuckExecution,
-    UntaggedHistory,
     parse_pid,
     ROLE_READER,
     ROLE_WRITER,
 )
-from .protocols import PROTOCOL_NAMES, checked_bundle, get_protocol
+from .protocols import PROTOCOL_NAMES, get_protocol
 from .runner import (
     Client,
     ServerDaemon,
     check_membership,
     membership_from_json,
+    parse_address,
 )
 from .simnet import (
     RunResult,
     SimNet,
-    _scripted,
     history_from_json,
     history_to_json,
     replay_file,
@@ -60,10 +57,6 @@ EXIT_OK = 0
 EXIT_NON_ATOMIC = 2
 EXIT_LIVENESS = 3
 EXIT_CONFIG = 4
-
-_CONFIG_ERRORS = (InvalidFaultBound, ModeMismatch, NotWellFormed,
-                  ScheduleUnresolvable, FaultBudgetExceeded,
-                  UntaggedHistory, HistoryTooLarge, ValueError, OSError)
 
 
 def _config_from_args(args, protocol: str) -> Config:
@@ -150,12 +143,10 @@ def cmd_simulate(args) -> int:
             raise ScheduleUnresolvable(
                 "--crash-plan applies to seeded runs, not --ops")
         net = SimNet(args.protocol, config, seed=args.seed, x=args.x)
-        net.run(_scripted(net, [
+        result = net.run_directives([
             d for pid, kind, label in _parse_ops(args.ops)
             for d in ({"invoke": {"client": str(pid), "kind": kind,
-                                  "label": label}}, {"drain": True})]))
-        net._finish()
-        result = net.result()
+                                  "label": label}}, {"drain": True})])
     else:
         result = simulate(args.protocol, config, args.seed,
                           max_ops=args.max_ops, max_crashes=max_crashes,
@@ -225,18 +216,14 @@ def _load_membership(path: str):
 def cmd_serve(args) -> int:
     config = _config_from_args(args, args.protocol)
     pid = parse_pid(args.pid)
-    host, port = None, 0
-    if args.listen:
-        host, _, port_text = args.listen.rpartition(":")
-        port = int(port_text)
-        host = host or None
-    checked_bundle(args.protocol, config, live=True)  # refused before the file
-    membership = _load_membership(args.membership)
-    check_membership(pid, config, membership)
+    # no --listen: an ephemeral port on ServerDaemon's default host
+    host, port = parse_address("--listen", args.listen or ":0")
+    # refuses a bad protocol, config or pid before the file is read
     daemon = ServerDaemon(pid, config, args.protocol, host=host, port=port)
-    membership[pid] = daemon.address
-    daemon.start(membership)
     try:
+        membership = _load_membership(args.membership)
+        check_membership(pid, config, membership)
+        daemon.start(membership)
         # a SIGINT sent once this line is read must land inside the try
         print(f"{pid} listening on {daemon.address[0]}:{daemon.port}",
               flush=True)
@@ -368,7 +355,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except QuorumUnreachable as e:
         print(f"NO QUORUM: {e}", file=sys.stderr)
         return EXIT_LIVENESS
-    except _CONFIG_ERRORS as e:
+    except (OhramError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -305,6 +305,12 @@ class _Endpoint:
 
     def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
         """Dial every server in servers and keep the links. Call under lock."""
+        for server, addr in servers.items():  # all, before any socket is made
+            match addr:
+                case tuple((str(), int(port))) if 0 <= port <= 65535:
+                    continue
+            raise ValueError(f"{server}: address must be (host, port) with "
+                             f"port in 0..65535, got {addr!r}")
         for server, addr in servers.items():
             link = self.links[server] = _Conn(None, addr, server)
             self._dial(link)
@@ -372,22 +378,17 @@ class _Endpoint:
                     except (TypeError, ValueError):
                         continue  # an unreadable message is skipped
                     self._handle(msg)
-                elif type(frame) is dict:
-                    conn = self._frame(conn, frame)
+                elif type(frame) is dict and frame.get("type") == "hello":
+                    conn = self._hello(conn, parse_pid(frame["pid"]))
                 if conn.sock is not sock:
                     return  # the frame's sends cut the connection off
         except Exception:
             return self._drop(conn)
         conn.buf = data[start:] if start < size else b""
 
-    def _frame(self, conn: _Conn, frame: dict) -> _Conn:
-        """Take an object frame; return the conn that owns conn's socket
-        after it (a server's hello may hand it to a link)."""
-        if frame.get("type") == "hello":
-            return self._hello(conn, parse_pid(frame["pid"]))
-        return conn
-
     def _hello(self, conn: _Conn, peer: ProcessId) -> _Conn:
+        """Take peer's hello on conn; return the conn that owns conn's
+        socket after it (a server's hello may hand it to a link)."""
         return conn  # only servers are dialed
 
     def _send(self, conn: _Conn, msg: Message) -> None:
@@ -457,7 +458,7 @@ class ServerDaemon(_Endpoint):
         host = host or "127.0.0.1"
         try:
             self.listener.bind((host, port))
-        except OSError as e:
+        except (OSError, OverflowError) as e:  # Overflow: port not in 0..65535
             self.listener.close()
             raise BindFailure(f"{pid}: cannot bind {host}:{port}: {e}")
         self.listener.listen(64)
@@ -475,12 +476,12 @@ class ServerDaemon(_Endpoint):
         when its hello comes in.
         """
         with self.lock:
-            self.loop.selector.register(self.listener, EVENT_READ, (self, None))
             for peer in membership:
                 if self.pid < peer:
                     self.links[peer] = _Conn(None, None, peer)
             self._start({peer: addr for peer, addr in membership.items()
                          if peer < self.pid})
+            self.loop.selector.register(self.listener, EVENT_READ, (self, None))
 
     def stop(self) -> None:
         super().stop()
@@ -647,13 +648,19 @@ def membership_from_json(obj: dict) -> dict[ProcessId, tuple[str, int]]:
         raise ValueError(f"a membership is an object of pid: \"host:port\", "
                          f"got {obj!r}")
     out = {}
-    for key, addr in obj.items():
-        if not isinstance(addr, str):
-            raise ValueError(f"{key}: address must be \"host:port\", "
-                             f"got {addr!r}")
-        host, _, port_text = addr.rpartition(":")
-        port = int(port_text)
-        if not 0 <= port <= 65535:
-            raise ValueError(f"{key}: port outside 0..65535 in {addr!r}")
-        out[parse_pid(key)] = (host, port)
+    for key, text in obj.items():
+        addr = parse_address(key, text)
+        out[parse_pid(key)] = addr
     return out
+
+
+def parse_address(key: str, text) -> tuple[str, int]:
+    """"127.0.0.1:7001" -> ("127.0.0.1", 7001); raises ValueError naming
+    key on anything else, a port outside 0..65535 included."""
+    if not isinstance(text, str):
+        raise ValueError(f"{key}: address must be \"host:port\", got {text!r}")
+    host, _, port_text = text.rpartition(":")
+    port = int(port_text)
+    if not 0 <= port <= 65535:
+        raise ValueError(f"{key}: port outside 0..65535 in {text!r}")
+    return host, port

@@ -6,7 +6,7 @@ operation of an idle client, and crashing a server. SimNet.run carries
 out the events an event source picks: _uniform (run_seeded) picks
 uniformly with a private RNG, so a (protocol, config, seed) triple fully
 determines the execution; _fifo (drain) delivers in send order, and
-_scripted (run_script, `ohram simulate --ops`) follows a schedule; see
+_scripted (run_directives) follows a schedule's directives; see
 parse_schedule for the format. record wraps any source and writes the
 steps it takes as schedule directives, so a run, say seeded_net's, can be
 replayed; shrink cuts a failing directive list down by delta debugging.
@@ -354,6 +354,12 @@ class SimNet:
     def drain(self) -> None:
         self.run(_fifo(self))
 
+    def run_directives(self, directives: list[dict]) -> RunResult:
+        """Run a schedule's directives (see parse_schedule), then a drain."""
+        self.run(_scripted(self, directives))
+        self._finish()
+        return self.result()
+
     def result(self) -> RunResult:
         return RunResult(
             protocol=self.bundle.name, config=self.config, seed=self.seed,
@@ -601,9 +607,7 @@ def run_script(text: str) -> RunResult:
         raise ScheduleUnresolvable(
             f"schedule config {header['config']} is unusable: {e!r}")
     net = SimNet(header["protocol"], config, x=header.get("x"))
-    net.run(_scripted(net, directives))
-    net._finish()
-    return net.result()
+    return net.run_directives(directives)
 
 
 def replay_file(path: str) -> RunResult:

@@ -14,7 +14,14 @@ import pytest
 
 import ohram
 from ohram.cli import main
-from ohram.core import Config, Tag, writer_id
+from ohram.core import (
+    Config,
+    OhramError,
+    QuorumUnreachable,
+    StuckExecution,
+    Tag,
+    writer_id,
+)
 from ohram.runner import ServerDaemon
 from ohram.simnet import history_from_json
 
@@ -210,6 +217,19 @@ def test_check_refuses_a_malformed_history(tmp_path, capsys, history, error):
     assert error in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error", sorted(OhramError.__subclasses__(), key=lambda c: c.__name__),
+    ids=lambda c: c.__name__)
+def test_each_library_error_has_its_exit_code(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("no good")
+    monkeypatch.setattr("ohram.cli.cmd_check", fail)
+    liveness = error in (StuckExecution, QuorumUnreachable)
+    assert main(["check", "run.json"]) == (3 if liveness else 4)
+    err = capsys.readouterr().err
+    assert err.endswith(": no good\n") and err.count("\n") == 1
+
+
 def test_bench_grid_passes(capsys):
     assert main(["bench", "--servers", "3", "--protocols",
                  "ohsam,ohmam,abd-swmr,abd-mwmr,naive3x"]) == 0
@@ -227,6 +247,32 @@ def test_serve_refuses_the_unsound_protocol(tmp_path, capsys):
     membership.write_text('{"s1": "127.0.0.1:1"}')
     assert main(["serve", "--protocol", "naive3x", "--writers", "2",
                  "--pid", "s1", "--membership", str(membership)]) == 4
+
+
+def test_serve_refuses_a_listen_port_outside_the_range(tmp_path, capsys):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1"}')
+    assert main(["serve", "--servers", "1", "--f", "0", "--pid", "s1",
+                 "--membership", str(membership),
+                 "--listen", "127.0.0.1:99999"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "port outside 0..65535" in err[0]
+
+
+def test_serve_on_a_port_in_use_exits_4(tmp_path, capsys):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1"}')
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen(1)
+        port = busy.getsockname()[1]
+        assert main(["serve", "--servers", "1", "--f", "0", "--pid", "s1",
+                     "--membership", str(membership),
+                     "--listen", f"127.0.0.1:{port}"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"cannot bind 127.0.0.1:{port}" in err[0]
 
 
 def test_client_dump_round_trips_through_check(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Live TCP cluster: framing, full runs, crash tolerance."""
 
+import contextlib
 import gc
 import json
 import random
@@ -651,22 +652,62 @@ def test_the_loop_skips_a_key_whose_connection_its_batch_dropped():
     assert handled == [("read", first), ("flush", first)]
 
 
+@contextlib.contextmanager
+def no_unclosed_socket():
+    """Fail if a socket made in the block is left for the garbage
+    collector to close, which `python -X dev` reports as unclosed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_bind_failure_names_the_address_and_closes_the_socket():
     busy = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     busy.bind(("127.0.0.1", 0))
     busy.listen(1)
     port = busy.getsockname()[1]
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ResourceWarning)
+        with no_unclosed_socket():
             with pytest.raises(BindFailure,
                                match=f"cannot bind 127.0.0.1:{port}:"):
                 ServerDaemon(parse_pid("s1"), SWMR, "ohsam", port=port)
-            gc.collect()
-        assert not [w for w in caught
-                    if issubclass(w.category, ResourceWarning)]
     finally:
         busy.close()
+
+
+def test_a_port_outside_the_range_is_a_bind_failure_with_no_socket_left():
+    with no_unclosed_socket():
+        with pytest.raises(BindFailure,
+                           match="s1: cannot bind 127.0.0.1:70000:"):
+            ServerDaemon(parse_pid("s1"), SWMR, "ohsam", port=70000)
+
+
+BAD_ADDRESSES = pytest.mark.parametrize("addr", [
+    ("127.0.0.1", 70000), ("127.0.0.1", -1), ["127.0.0.1", 7001],
+    ("127.0.0.1", "7001"), ("127.0.0.1",)], ids=repr)
+
+
+@BAD_ADDRESSES
+def test_a_client_refuses_a_bad_address_before_it_makes_a_socket(addr):
+    s1, s2, s3 = SWMR.servers()
+    membership = {s1: addr, s2: ("127.0.0.1", 1), s3: ("127.0.0.1", 1)}
+    with no_unclosed_socket():
+        with pytest.raises(ValueError, match="s1: address must be"):
+            Client(parse_pid("r1"), SWMR, "ohsam", membership)
+
+
+@BAD_ADDRESSES
+def test_a_server_refuses_a_bad_peer_address_before_it_dials(addr):
+    s1, s2 = SWMR.servers()[:2]
+    with no_unclosed_socket():
+        daemon = ServerDaemon(s2, SWMR, "ohsam")
+        try:
+            with pytest.raises(ValueError, match="s1: address must be"):
+                daemon.start({s1: addr, s2: daemon.address})
+        finally:
+            daemon.stop()
 
 
 def test_a_client_cut_off_at_the_backlog_completes_on_a_rebroadcast():
