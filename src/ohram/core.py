@@ -11,8 +11,10 @@ The canonical JSON encoding of each type lives next to the type (the
 ``*_to_json`` / ``*_from_json`` pairs). Schedule scripts, history files,
 and metrics reports use exactly these encodings; field names are part of
 the contract, and unknown fields are ignored on decode. A wire msg frame
-is the 9-item array that message_from_json reads; message_to_json's dict
-is what the runner's _pack lays out as that array.
+is the 8-item array that message_from_json reads; message_to_json's dict
+is what the runner's _pack lays out as that array. Neither holds the
+destination: the connection a frame arrives on implies it, so the copies
+of one broadcast share one dict and one frame.
 """
 
 from __future__ import annotations
@@ -269,8 +271,11 @@ class Message:
 
     Not frozen, because building a frozen instance costs a call per
     field; equality is field-wise. A message is not mutated once sent,
-    and nothing hashes one. Build it positionally on hot paths: a call
-    with keyword arguments costs about twice as much.
+    and nothing hashes one. The one write is on receipt: message_from_json
+    leaves destination None, since the wire does not carry it, and the
+    live runner sets it to the receiving endpoint's pid before any machine
+    sees the message. Build it positionally on hot paths: a call with
+    keyword arguments costs about twice as much.
     """
 
     kind: str
@@ -399,14 +404,15 @@ def opid_from_json(obj: dict[str, Any]) -> OpId:
 
 
 def message_to_json(m: Message) -> dict[str, Any]:
-    # every live frame passes here: the op and tag dicts are the ones
-    # opid_to_json and tag_to_json build, written out to save the calls
+    """Every field of m but destination, which a wire frame does not
+    carry; the runner encodes each broadcast here once."""
+    # the op and tag dicts are the ones opid_to_json and tag_to_json
+    # build, written out to save the calls
     op, tag, origin = m.op, m.tag, m.relay_origin
     return {
         "kind": m.kind,
         "op": {"invoker": op.invoker._text, "seq": op.seq},
         "sender": m.sender._text,
-        "destination": m.destination._text,
         "tag": None if tag is None else {"ts": tag.ts, "wid": tag.wid._text},
         "value": m.value,
         "relay_origin": None if origin is None else origin._text,
@@ -417,14 +423,15 @@ _new_tuple = tuple.__new__
 
 
 def message_from_json(obj: list) -> Message:
-    """Read a wire msg: [kind, invoker, seq, sender, destination, ts, wid,
-    value, relay_origin], with ts and wid both null for no tag.
+    """Read a wire msg: [kind, invoker, seq, sender, ts, wid, value,
+    relay_origin], with ts and wid both null for no tag. The message's
+    destination is None: the receiver sets it.
 
     Raises ValueError or TypeError on any other length, an unknown kind,
     a seq or ts that is no int (a bool is none), a value that is neither
     str nor null, or a pid that parse_pid refuses.
     """
-    kind, invoker, seq, sender, destination, ts, wid, value, origin = obj
+    kind, invoker, seq, sender, ts, wid, value, origin = obj
     if (kind not in MESSAGE_KINDS or type(seq) is not int
             or (wid is not None if ts is None else type(ts) is not int)
             or (value is not None and type(value) is not str)):
@@ -434,7 +441,7 @@ def message_from_json(obj: list) -> Message:
         kind,
         _new_tuple(OpId, (parse_pid(invoker), seq)),
         parse_pid(sender),
-        parse_pid(destination),
+        None,
         None if ts is None else _new_tuple(Tag, (ts, parse_pid(wid))),
         value,
         None if origin is None else parse_pid(origin),

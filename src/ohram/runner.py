@@ -6,17 +6,24 @@ which identifies the dialing process, and a JSON array is a msg, which
 carries one protocol message by position:
 
   {"type":"hello","pid":"r1"}
-  [kind, invoker, seq, sender, destination, ts, wid, value, relay_origin]
+  [kind, invoker, seq, sender, ts, wid, value, relay_origin]
 
 ts and wid are both null for a message with no tag; value and
-relay_origin are null when the message has none. A msg array that
-message_from_json refuses is skipped, and so is an object of any other
-type and a frame that is neither.
+relay_origin are null when the message has none. A msg carries no
+destination: the connection it arrives on implies it, so the receiving
+endpoint sets it to its own pid. A msg array that message_from_json
+refuses is skipped, and so is an object of any other type and a frame
+that is neither.
 
 _send hands _pack the frame {"type": "msg", "msg": message_to_json(msg)},
 the dict perfbench's tracer reads; _pack lays it out as the array in one
 format, and writes any other frame as json.dumps(obj, separators=(",",
-":")) does, through one shared encoder. A body is accepted exactly when
+":")) does, through one shared encoder. The copies of one broadcast
+differ only in destination, so they frame to the same bytes, and each
+broadcast is encoded once: the loop keeps the message it framed last and
+that message's frame dict, and _send reuses the dict for a message whose
+other fields are the same objects; _pack keeps the frame it built last
+and returns it for the same dict. A body is accepted exactly when
 json.loads accepts it, through one shared decoder. Each read is cut into
 frames where it is taken, whatever the reads' sizes, and a msg goes
 straight to message_from_json and the endpoint's machine.
@@ -112,19 +119,27 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder()
 _SCAN = _DECODER.scan_once
 _quote = json.encoder.encode_basestring_ascii  # _ENCODER's string writer
-_MSG_FRAME = "[%s,%s,%d,%s,%s,%s,%s,%s,%s]"
+_MSG_FRAME = "[%s,%s,%d,%s,%s,%s,%s,%s]"
+# the object _pack framed last, and its frame; holding the object keeps
+# its id from being reused, so `is` finds only that object
+_packed: tuple[Any, bytes] = (None, b"")
 
 
 def _pack(obj) -> bytes:
     """Frame obj: a msg frame, whose "msg" is message_to_json's dict, as
     the array message_from_json reads; any other object as _ENCODER
-    writes it."""
+    writes it. Handed the object it framed last again, it returns that
+    frame, so an object must not change once framed."""
+    global _packed
+    last, frame = _packed
+    if obj is last:
+        return frame
     if type(obj) is dict and "msg" in obj:
         m = obj["msg"]
         op, tag, value, origin = m["op"], m["tag"], m["value"], m["relay_origin"]
         text = _MSG_FRAME % (
             _quote(m["kind"]), _quote(op["invoker"]), op["seq"],
-            _quote(m["sender"]), _quote(m["destination"]),
+            _quote(m["sender"]),
             "null" if tag is None else tag["ts"],
             "null" if tag is None else _quote(tag["wid"]),
             "null" if value is None else _quote(value),
@@ -134,7 +149,9 @@ def _pack(obj) -> bytes:
     data = text.encode("utf-8")
     if len(data) > MAX_FRAME:
         raise ValueError(f"frame of {len(data)} bytes exceeds {MAX_FRAME}")
-    return _LEN.pack(len(data)) + data
+    frame = _LEN.pack(len(data)) + data
+    _packed = (obj, frame)
+    return frame
 
 
 def _unpack(body) -> Any:
@@ -200,6 +217,8 @@ class _Loop:
         self.waiting: dict[_Conn, _Endpoint] = {}
         # clients whose op completed in the batch being handled
         self.completed: list[Client] = []
+        # the message _send framed last, and its frame dict
+        self.framed: tuple[Optional[Message], Any] = (None, None)
         self.thread: Optional[threading.Thread] = None
 
     def wake(self) -> None:
@@ -377,6 +396,7 @@ class _Endpoint:
                         msg = message_from_json(frame)
                     except (TypeError, ValueError):
                         continue  # an unreadable message is skipped
+                    msg.destination = self.pid  # the wire leaves it out
                     self._handle(msg)
                 elif type(frame) is dict and frame.get("type") == "hello":
                     conn = self._hello(conn, parse_pid(frame["pid"]))
@@ -398,7 +418,16 @@ class _Endpoint:
         sock = conn.sock
         if sock is None or self.stopped:
             return
-        frame = _pack({"type": "msg", "msg": message_to_json(msg)})
+        # a copy of the message framed last (the same objects in every
+        # field the wire carries) shares its dict, and so its frame
+        last, obj = self.loop.framed
+        if (last is None or msg.op is not last.op
+                or msg.sender is not last.sender or msg.kind is not last.kind
+                or msg.tag is not last.tag or msg.value is not last.value
+                or msg.relay_origin is not last.relay_origin):
+            obj = {"type": "msg", "msg": message_to_json(msg)}
+            self.loop.framed = (msg, obj)
+        frame = _pack(obj)
         if not conn.outbuf:  # else it queues behind the bytes that wait
             try:
                 sent = sock.send(frame)
@@ -528,14 +557,19 @@ class ServerDaemon(_Endpoint):
     def _handle(self, msg: Message) -> None:
         if self.stopped:
             return
-        for out in self.machine.on_message(msg):
-            self._route(out)
+        outs = self.machine.on_message(msg)
+        # the copies to others go out back to back, so they share one
+        # encode; then a self-addressed relay goes straight back in
+        for out in outs:
+            if out.destination is not self.pid:
+                self._route(out)
+        for out in outs:
+            if out.destination is self.pid:
+                self._handle(out)
 
     def _route(self, msg: Message) -> None:
         dest = msg.destination
-        if dest == self.pid:  # a self-addressed relay goes straight back in
-            self._handle(msg)
-        elif dest in self.links:
+        if dest in self.links:
             self._send(self.links[dest], msg)
         elif dest in self.client_conns:
             self._send(self.client_conns[dest], msg)
@@ -660,7 +694,12 @@ def parse_address(key: str, text) -> tuple[str, int]:
     if not isinstance(text, str):
         raise ValueError(f"{key}: address must be \"host:port\", got {text!r}")
     host, _, port_text = text.rpartition(":")
-    port = int(port_text)
-    if not 0 <= port <= 65535:
+    # ASCII digits only, where int() would also take "7_001", " 7001",
+    # "+7001" and other scripts' digits; a minus sign is out of range
+    digits = port_text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{key}: port is not a decimal number in {text!r}")
+    if (digits != port_text or len(digits.lstrip("0")) > 5
+            or int(digits) > 65535):
         raise ValueError(f"{key}: port outside 0..65535 in {text!r}")
-    return host, port
+    return host, int(digits)

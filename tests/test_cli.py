@@ -353,6 +353,37 @@ def test_serve_refuses_a_malformed_membership(tmp_path, capsys, text, error):
     assert error in capsys.readouterr().err
 
 
+NOT_DECIMAL_PORTS = pytest.mark.parametrize(
+    "port", ["x", "", "7_001", " 7001", "7001 ", "+7001", "٧٠٠١"])
+
+
+@NOT_DECIMAL_PORTS
+def test_client_refuses_a_member_port_that_is_not_decimal(tmp_path, capsys,
+                                                          port):
+    membership = tmp_path / "members.json"
+    membership.write_text(json.dumps({"s1": "127.0.0.1:1",
+                                      "s2": f"127.0.0.1:{port}",
+                                      "s3": "127.0.0.1:1"}))
+    assert main(["client", "--pid", "r1", "--membership", str(membership),
+                 "--ops", "r"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: s2: port is not a decimal number")
+
+
+@NOT_DECIMAL_PORTS
+def test_serve_refuses_a_listen_port_that_is_not_decimal(tmp_path, capsys,
+                                                         port):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1"}')
+    assert main(["serve", "--servers", "1", "--f", "0", "--pid", "s1",
+                 "--membership", str(membership),
+                 "--listen", f"127.0.0.1:{port}"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: --listen: port is not a decimal number")
+
+
 SRC = str(pathlib.Path(ohram.__file__).resolve().parent.parent)
 
 

@@ -160,7 +160,9 @@ def test_message_json_round_trip():
                   destination=server_id(3), tag=Tag(4, writer_id(1)), value="A#w1.4",
                   relay_origin=server_id(1))
     frame = _pack({"type": "msg", "msg": message_to_json(msg)})
-    assert message_from_json(_unpack(frame[4:])) == msg
+    # the wire leaves the destination to the connection it arrives on
+    assert message_from_json(_unpack(frame[4:])) == dataclasses.replace(
+        msg, destination=None)
 
 
 def test_pids_built_at_once_by_many_threads_are_one_object():

@@ -1,6 +1,7 @@
 """Live TCP cluster: framing, full runs, crash tolerance."""
 
 import contextlib
+import dataclasses
 import gc
 import json
 import random
@@ -8,6 +9,7 @@ import socket
 import threading
 import time
 import warnings
+from collections import Counter
 from selectors import EVENT_READ, EVENT_WRITE
 from types import SimpleNamespace
 
@@ -32,6 +34,7 @@ from ohram.core import (
     message_to_json,
     parse_pid,
 )
+from ohram import runner
 from ohram.protocols import get_protocol
 from ohram.runner import (
     MAX_BACKLOG,
@@ -772,7 +775,7 @@ def reference_frame(msg):
     tag = msg.tag
     return raw_frame([
         msg.kind, str(msg.op.invoker), msg.op.seq, str(msg.sender),
-        str(msg.destination), None if tag is None else tag.ts,
+        None if tag is None else tag.ts,
         None if tag is None else str(tag.wid), msg.value,
         str(msg.relay_origin) if msg.relay_origin else None,
     ])
@@ -796,7 +799,8 @@ def test_msg_frames_keep_their_bytes_and_decode_back(msg, left, right):
     frame = _pack({"type": "msg", "msg": message_to_json(msg)})
     assert frame == reference_frame(msg)
     body = frame[4:]
-    assert message_from_json(_unpack(body)) == msg
+    assert message_from_json(_unpack(body)) == dataclasses.replace(
+        msg, destination=None)
     padded = left.encode() + body + right.encode()
     assert _unpack(padded) == json.loads(padded.decode())
     with pytest.raises(ValueError):
@@ -932,13 +936,13 @@ def test_a_client_link_reads_on_past_a_frame_it_cannot_take():
         # end if one dropped the link
         bad = _unpack(msg_frame(read_ack(request.op.seq, "bad"))[4:])
         untaken = [
-            bad[:8], bad + [None],
+            bad[:7], bad + [None],
             replaced(bad, 0, "readack"),
             replaced(bad, 2, float(bad[2])), replaced(bad, 2, True),
             replaced(bad, 2, str(bad[2])),
-            replaced(bad, 5, float(bad[5])),
-            replaced(bad, 6, None),  # a ts with a null wid
-            replaced(bad, 7, 7),
+            replaced(bad, 4, float(bad[4])),
+            replaced(bad, 5, None),  # a ts with a null wid
+            replaced(bad, 6, 7),
             {"type": "msg", "msg": message_to_json(message_from_json(bad))},
             [1], "readAck",
         ]
@@ -952,6 +956,131 @@ def test_a_client_link_reads_on_past_a_frame_it_cannot_take():
         if conn is not None:
             conn.close()
         srv.close()
+
+
+THREE = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
+
+
+def linked(daemons):
+    """True once every server pair's link has its connection."""
+    return all(link.sock is not None
+               for d in daemons for link in d.links.values())
+
+
+def test_an_ohsam_read_encodes_each_broadcast_once(monkeypatch):
+    """n=3: the read frames 3 readRequests, 6 readRelays (a server's own
+    relay stays in the process) and 3 readAcks, from 7 encodes: the
+    request broadcast, each server's relay broadcast, and each ack."""
+    encoded, framed = [], []
+    encode, pack = runner.message_to_json, runner._pack
+
+    def counting_encode(msg):
+        encoded.append(msg.kind)
+        return encode(msg)
+
+    def counting_pack(obj):
+        frame = pack(obj)
+        if "msg" in obj:  # a hello is no msg
+            framed.append((obj["msg"]["kind"], obj["msg"]["sender"], frame))
+        return frame
+
+    monkeypatch.setattr(runner, "message_to_json", counting_encode)
+    monkeypatch.setattr(runner, "_pack", counting_pack)
+    daemons, membership = start_cluster(THREE, "ohsam")
+    reader = Client(R1, THREE, "ohsam", membership, retry_interval=10.0)
+    try:
+        assert wait_for(lambda: linked(daemons))
+        reader.read()
+        assert wait_for(lambda: len(framed) >= 12)
+        time.sleep(0.2)  # the cluster has gone quiet
+    finally:
+        stop_all(daemons, [reader])
+    assert Counter(kind for kind, _, _ in framed) == {
+        KIND_READ_REQUEST: 3, KIND_READ_RELAY: 6, KIND_READ_ACK: 3}
+    assert Counter(encoded) == {
+        KIND_READ_REQUEST: 1, KIND_READ_RELAY: 3, KIND_READ_ACK: 3}
+    by_sender = {}
+    for kind, sender, frame in framed:
+        by_sender.setdefault((kind, sender), set()).add(frame)
+    assert all(len(frames) == 1 for frames in by_sender.values())
+
+
+def frame_bodies(conn, count):
+    """The raw bodies of the first count frames conn receives."""
+    framer, bodies = Framer(), []
+    while len(bodies) < count:
+        data = conn.recv(RECV_SIZE)
+        assert data, "the peer closed"
+        bodies += framer.feed(data)
+    return bodies
+
+
+def test_the_frames_of_one_broadcast_are_byte_identical():
+    """Each server gets the same bytes: no frame names its destination."""
+    srvs = [peer_listener() for _ in THREE.servers()]
+    for srv in srvs:
+        srv.listen(1)
+    reader = Client(R1, THREE, "ohsam",
+                    {s: srv.getsockname()
+                     for s, srv in zip(THREE.servers(), srvs)},
+                    retry_interval=10.0)
+
+    def read():
+        with contextlib.suppress(QuorumUnreachable):  # closed unanswered
+            reader.read()
+
+    thread = threading.Thread(target=read, daemon=True)
+    thread.start()
+    conns = []
+    try:
+        for srv in srvs:
+            conn, _ = srv.accept()
+            conn.settimeout(10.0)
+            conns.append(conn)
+        requests = [frame_bodies(conn, 2)[1] for conn in conns]
+        assert requests[0] == requests[1] == requests[2]
+        msg = message_from_json(_unpack(requests[0]))
+        assert (msg.kind, msg.sender, msg.destination) == (
+            KIND_READ_REQUEST, R1, None)
+    finally:
+        reader.close()
+        thread.join(timeout=10.0)
+        for sock in conns + srvs:
+            sock.close()
+
+
+def test_a_received_message_reaches_its_machine_addressed_to_the_endpoint():
+    """The wire carries no destination; the receiving endpoint's pid is it,
+    at a server and at a client alike."""
+    got = []
+
+    def record(msg):
+        got.append(msg)
+        return [] if msg.destination is S1 else ([], None)
+
+    daemon = ServerDaemon(S1, ONE, "ohsam")
+    daemon.start({S1: daemon.address})
+    daemon.machine.on_message = record
+    srv = peer_listener()
+    srv.listen(1)
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()})
+    reader.machine.on_message = record
+    sock = conn = None
+    try:
+        sock = socket.create_connection(daemon.address, timeout=5.0)
+        sock.sendall(_pack({"type": "hello", "pid": "r1"}) + msg_frame(
+            Message(KIND_READ_REQUEST, OpId(R1, 1), R1, parse_pid("s9"))))
+        conn, _ = srv.accept()
+        conn.sendall(msg_frame(read_ack(1)))
+        assert wait_for(lambda: len(got) == 2)
+    finally:
+        reader.close()
+        daemon.stop()
+        for s in (sock, conn, srv):
+            if s is not None:
+                s.close()
+    assert sorted((m.kind, m.destination) for m in got) == [
+        (KIND_READ_ACK, R1), (KIND_READ_REQUEST, S1)]
 
 
 def test_a_client_link_redials_when_its_stream_is_garbled():
