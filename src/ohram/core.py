@@ -389,10 +389,19 @@ def tag_to_json(t: Optional[Tag]) -> Optional[dict[str, Any]]:
     return {"ts": t.ts, "wid": str(t.wid)}
 
 
+def json_int(value: Any, name: str) -> int:
+    """value, the integer field name read from JSON; raises ValueError
+    naming it unless value is an int, which a bool, a float or a numeric
+    string is not."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def tag_from_json(obj: Optional[dict[str, Any]]) -> Optional[Tag]:
     if obj is None:
         return None
-    return Tag(int(obj["ts"]), parse_pid(obj["wid"]))
+    return Tag(json_int(obj["ts"], "ts"), parse_pid(obj["wid"]))
 
 
 def opid_to_json(op: OpId) -> dict[str, Any]:
@@ -400,7 +409,7 @@ def opid_to_json(op: OpId) -> dict[str, Any]:
 
 
 def opid_from_json(obj: dict[str, Any]) -> OpId:
-    return OpId(parse_pid(obj["invoker"]), int(obj["seq"]))
+    return OpId(parse_pid(obj["invoker"]), json_int(obj["seq"], "seq"))
 
 
 def message_to_json(m: Message) -> dict[str, Any]:

@@ -80,9 +80,10 @@ class QuorumClient:
     each sender to its latest reply in first-arrival order. Replies of
     another kind, another counter or another invoker, and replies
     without a tag, are dropped, and a sender counts once, however often
-    its reply comes again in answer to a rebroadcast. Subclasses
-    open phases with _broadcast and say in _on_quorum what a complete
-    phase leads to: the next phase, or the completion built by _done.
+    its reply comes again in answer to a rebroadcast. Subclasses open
+    phases with _broadcast, which keeps the phase's messages in phase
+    for rebroadcast() to send again, and say in _on_quorum what a
+    complete phase leads to: the next phase, or the completion of _done.
     ticks is how many counter values one operation uses. A step sends
     one broadcast or nothing: one op and one kind (see SimNet._send).
     quorum and server_ids are derived from config once.
@@ -98,6 +99,7 @@ class QuorumClient:
     def __post_init__(self):
         self.quorum = quorum_size(self.config.n_servers)
         self.server_ids = _server_ids(self.config.n_servers)
+        self.phase: list[Message] = []  # what _broadcast returned last
 
     @property
     def busy(self) -> bool:
@@ -114,7 +116,13 @@ class QuorumClient:
         self.replies = {}
         pid = self.pid
         op = OpId(pid, self.seq)
-        return [Message(kind, op, pid, s, tag, value) for s in self.server_ids]
+        self.phase = [Message(kind, op, pid, s, tag, value)
+                      for s in self.server_ids]
+        return self.phase
+
+    def rebroadcast(self) -> list[Message]:
+        """The open phase, the messages _broadcast returned; [] when idle."""
+        return self.phase if self.busy else []
 
     def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
         # Stale, foreign, unexpected and tagless replies are dropped silently.

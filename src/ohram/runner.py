@@ -74,10 +74,11 @@ breaks the machine closes only its own connection.
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
 merged for checking with merge_histories. A client that cannot assemble
-a quorum re-broadcasts its current phase every retry_interval seconds,
-which retries whatever the phase lost on the way, and gives up with
-QuorumUnreachable after retry_budget rebroadcasts, or at once when the
-client is closed; an op on a closed client raises it before it starts.
+a quorum re-broadcasts the phase its machine's rebroadcast() supplies
+every retry_interval seconds, retrying what the phase lost, and gives up
+with QuorumUnreachable after retry_budget rebroadcasts, or at once on
+close; an op on a closed client raises it before it starts. An op given
+up stays open in its machine, so the next op raises NotWellFormed.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -577,7 +578,10 @@ class ServerDaemon(_Endpoint):
 
 
 class Client(_Endpoint):
-    """Synchronous reader/writer endpoint over the live network."""
+    """Synchronous reader/writer endpoint over the live network. An op
+    that gives up with "no quorum" stays open in the machine, whose
+    rebroadcast() still returns its phase: the next op raises
+    NotWellFormed."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str,
                  membership: dict[ProcessId, tuple[str, int]], *,
@@ -597,7 +601,6 @@ class Client(_Endpoint):
         self.retry_budget = retry_budget
         self.done = threading.Condition(self.lock)
         self._completion = None
-        self._current: list[Message] = []
         self.history: list[OpRecord] = []
         with self.lock:
             self._start({s: membership[s] for s in config.servers()})
@@ -616,7 +619,6 @@ class Client(_Endpoint):
     def _handle(self, msg: Message) -> None:
         outs, completion = self.machine.on_message(msg)
         if outs:
-            self._current = outs
             self._broadcast(outs)
         if completion is not None:
             self._completion = completion
@@ -627,11 +629,8 @@ class Client(_Endpoint):
             if self.stopped:  # before invoke: a closed op may still be open
                 raise QuorumUnreachable(f"{self.pid}: closed")
             t0 = time.monotonic_ns()
-            msgs = invoke()
-            value = self.machine.value if kind == "write" else None
             self._completion = None
-            self._current = msgs
-            self._broadcast(msgs)
+            self._broadcast(invoke())
             retries = 0
             while self._completion is None:
                 if self.stopped:
@@ -643,11 +642,11 @@ class Client(_Endpoint):
                         raise QuorumUnreachable(
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
-                    self._broadcast(self._current)
+                    self._broadcast(self.machine.rebroadcast())
             completion = self._completion
             t1 = time.monotonic_ns()
             rec = OpRecord(completion.op, kind, t0, t1, completion.tag,
-                           completion.value if kind == "read" else value)
+                           completion.value)
             self.history.append(rec)
             return rec
 

@@ -63,6 +63,7 @@ from .core import (
     Tag,
     config_from_json,
     config_to_json,
+    json_int,
     opid_from_json,
     opid_to_json,
     parse_pid,
@@ -653,7 +654,8 @@ def history_from_json(obj) -> list[OpRecord]:
     """Inverse of history_to_json (and of RunResult.to_json).
 
     Accepts either a full run dump or a bare list of record objects, and
-    raises ValueError naming the first record it cannot read.
+    raises ValueError naming the first record it cannot read; its times,
+    seqs and ts must be ints, which a bool is not.
     """
     if isinstance(obj, dict):
         obj = obj.get("history")
@@ -670,9 +672,11 @@ def history_from_json(obj) -> list[OpRecord]:
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"value must be a string or null, "
                                  f"got {value!r}")
+            if responded is not None:
+                responded = json_int(responded, "responded")
             records.append(OpRecord(
-                opid_from_json(r["op"]), kind, int(r["invoked"]),
-                None if responded is None else int(responded),
+                opid_from_json(r["op"]), kind,
+                json_int(r["invoked"], "invoked"), responded,
                 tag_from_json(r.get("tag")), value))
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"history record {i} {r!r}: {e!r}") from None

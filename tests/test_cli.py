@@ -198,7 +198,37 @@ def test_check_refuses_a_value_that_is_not_a_string(tmp_path, capsys):
     assert "value" in capsys.readouterr().err
 
 
+# w1 writes from 1.0 to 1.4, and r1 then reads null from 1.6 to 1.9:
+# truncated to ints, both times of each op fell on one tick, and the
+# history looked atomic
+FLOAT_TIMES = [
+    {"op": {"invoker": "w1", "seq": 1}, "kind": "write", "invoked": 1.0,
+     "responded": 1.4, "tag": {"ts": 1, "wid": "w1"}, "value": "A#w1.1"},
+    {"op": {"invoker": "r1", "seq": 1}, "kind": "read", "invoked": 1.6,
+     "responded": 1.9, "tag": {"ts": 0, "wid": "w1"}, "value": None},
+]
+
+
+def _with_int_field(name, bad):
+    """w1's write of FLOAT_TIMES at integer times, with the int at name
+    (a time, or the seq or ts inside op and tag) replaced by bad."""
+    record = {**FLOAT_TIMES[0], "invoked": 10, "responded": 14}
+    if name in ("seq", "ts"):
+        inner = "op" if name == "seq" else "tag"
+        record[inner] = {**record[inner], name: bad}
+    else:
+        record[name] = bad
+    return [record]
+
+
 @pytest.mark.parametrize("history, error", [
+    pytest.param(FLOAT_TIMES, "responded must be an integer, got 1.4",
+                 id="float-times"),
+    *[pytest.param(_with_int_field(name, bad),
+                   f"{name} must be an integer, got {bad!r}",
+                   id=f"{type(bad).__name__}-{name}")
+      for name in ("invoked", "responded", "seq", "ts")
+      for bad in (2.0, True, "2")],
     pytest.param({"history": [{"kind": "read"}]},
                  "history record 0 {'kind': 'read'}", id="no-op"),
     pytest.param([1, 2], "history record 0 1:", id="not-a-record"),

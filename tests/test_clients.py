@@ -10,7 +10,9 @@ a reply to an older phase or operation, a reply for another invoker, a
 reply of the wrong kind, a second reply from a sender already counted,
 and a reply after completion. After every step both must send the same
 messages, complete the same operation the same way, and agree on busy,
-value and the other state the suite pins.
+value and the other state the suite pins; and the new machine's
+rebroadcast() must return the very messages it sent last while it is
+busy, a later phase's included, and nothing while it is idle.
 """
 
 from __future__ import annotations
@@ -421,6 +423,13 @@ def _same_state(new, old) -> None:
             assert getattr(new, name) == getattr(old, name), name
 
 
+def _same_rebroadcast(new, sent: list[Message]) -> None:
+    # busy, the machine re-sends the very messages it sent last; idle, none
+    again = new.rebroadcast()
+    assert all(a is b for a, b in zip(again, sent if new.busy else [],
+                                       strict=True))
+
+
 def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
     """One seeded stream through both machines; seen counts step shapes."""
     pid, config = new.pid, new.config
@@ -430,6 +439,8 @@ def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
     # every broadcast so far: (its op, the reply kind it waits for)
     phases: list[tuple[OpId, str]] = []
     counted: list[ProcessId] = []   # senders of the open phase's replies
+    sent: list[Message] = []   # the broadcast new returned last
+    _same_rebroadcast(new, sent)
     for _ in range(steps):
         roll = rng.random()
         if roll < 0.25 and (not old.busy or roll < 0.03):
@@ -447,8 +458,10 @@ def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
                 assert outs_new == outs_old
                 phases.append((outs_old[0].op, REPLY[outs_old[0].kind]))
                 counted = []
+                sent = outs_new
                 seen["invoke"] += 1
             _same_state(new, old)
+            _same_rebroadcast(new, sent)
             continue
         if not phases:
             continue
@@ -483,7 +496,9 @@ def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
         if outs_old:
             phases.append((outs_old[0].op, REPLY[outs_old[0].kind]))
             counted = []
+            sent = outs_new
             seen["next phase"] += 1
+        _same_rebroadcast(new, sent)
         if done_old is not None:
             seen["completion"] += 1
 

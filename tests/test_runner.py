@@ -27,6 +27,7 @@ from ohram.core import (
     Config,
     Message,
     ModeMismatch,
+    NotWellFormed,
     OpId,
     QuorumUnreachable,
     Tag,
@@ -1168,6 +1169,43 @@ def test_close_ends_a_waiting_op_at_once():
         srv.close()
 
 
+def test_a_rebroadcast_resends_the_first_broadcast_without_encoding_it(
+        monkeypatch):
+    """A reader whose server withholds its answers rebroadcasts the
+    machine's open phase: the very messages it broadcast first, so each
+    rebroadcast frames the first broadcast's bytes, and the memo in
+    _send spares every rebroadcast its encode."""
+    encoded = []
+    encode = runner.message_to_json
+
+    def counting_encode(msg):
+        encoded.append((msg.kind, msg.op))
+        return encode(msg)
+
+    monkeypatch.setattr(runner, "message_to_json", counting_encode)
+    srv = peer_listener()  # stands in for s1, and never answers
+    srv.listen(1)
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=0.01, retry_budget=3)
+    conn = None
+    try:
+        with pytest.raises(QuorumUnreachable,
+                           match="no quorum after 3 rebroadcasts"):
+            reader.read()
+        conn, _ = srv.accept()
+        conn.settimeout(10.0)
+        hello, first, *again = frame_bodies(conn, 5)
+        assert _unpack(hello) == {"type": "hello", "pid": "r1"}
+        assert message_from_json(_unpack(first)).kind == KIND_READ_REQUEST
+        assert again == [first] * 3
+        assert encoded == [(KIND_READ_REQUEST, OpId(R1, 1))]
+    finally:
+        reader.close()
+        if conn is not None:
+            conn.close()
+        srv.close()
+
+
 def test_an_op_on_a_closed_client_raises_quorum_unreachable():
     srv = peer_listener()  # stands in for s1: never listens, so refuses
     reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
@@ -1180,6 +1218,29 @@ def test_an_op_on_a_closed_client_raises_quorum_unreachable():
         # client must refuse before it invokes another
         with pytest.raises(QuorumUnreachable, match="closed"):
             reader.read()
+    finally:
+        reader.close()
+        srv.close()
+
+
+def test_an_op_after_no_quorum_raises_not_well_formed():
+    """A client that gave up on its quorum keeps the op open in its
+    machine, whose rebroadcast() still returns the phase, so the next op
+    on that client is not well formed (the CLI's exit 4)."""
+    srv = peer_listener()  # stands in for s1: never listens, so refuses
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=0.01, retry_budget=0)
+    try:
+        with pytest.raises(QuorumUnreachable, match="no quorum"):
+            reader.read()
+        phase = reader.machine.rebroadcast()
+        assert [(m.kind, m.op) for m in phase] == [
+            (KIND_READ_REQUEST, OpId(R1, 1))]
+        with pytest.raises(NotWellFormed, match="in flight"):
+            reader.read()
+        assert all(a is b for a, b in zip(reader.machine.rebroadcast(),
+                                           phase, strict=True))
+        assert reader.history == []
     finally:
         reader.close()
         srv.close()
