@@ -468,10 +468,11 @@ def config_to_json(c: Config) -> dict[str, Any]:
 
 
 def config_from_json(obj: dict[str, Any]) -> Config:
+    """Raises ValueError naming a count that is no int (see json_int)."""
     return Config(
-        n_servers=int(obj["n_servers"]),
-        n_readers=int(obj["n_readers"]),
-        n_writers=int(obj["n_writers"]),
-        f=int(obj["f"]),
+        n_servers=json_int(obj["n_servers"], "n_servers"),
+        n_readers=json_int(obj["n_readers"], "n_readers"),
+        n_writers=json_int(obj["n_writers"], "n_writers"),
+        f=json_int(obj["f"], "f"),
         mode=obj.get("mode", MODE_MWMR),
     )

@@ -6,8 +6,8 @@ the three-exchange read module wholesale. Writes generalize timestamps to
 
   discover -> discoverAck -> writeRequest -> writeAck
 
-The writer is a two-phase QuorumClient whose wire counter (seq, also
-read as write_op) ticks `ticks` = 2 times per write, once before the
+The writer is a two-phase QuorumClient whose wire counter (seq, the
+paper's write_op) ticks `ticks` = 2 times per write, once before the
 discover broadcast and once before the writeRequest broadcast, so
 discover messages carry odd counters and writeRequests even ones.
 discoverAck matching uses the first counter and writeAck matching the
@@ -64,10 +64,6 @@ class WriterStateM(QuorumClient):
         super().__post_init__()
         if self.tag is None:
             self.tag = Tag(0, self.pid)
-
-    @property
-    def write_op(self) -> int:
-        return self.seq
 
     @property
     def op_ordinal(self) -> int:

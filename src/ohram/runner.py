@@ -15,6 +15,14 @@ endpoint sets it to its own pid. A msg array that message_from_json
 refuses is skipped, and so is an object of any other type and a frame
 that is neither.
 
+An endpoint takes only the processes of its configuration: a msg whose
+invoker or sender is none of them, or whose wid or relay_origin is
+neither one of them nor null, is skipped, and a hello naming any other
+process does not count. The check reads the array's items as text, before
+message_from_json, so a frame from outside makes no ProcessId and leaves
+no state in a machine: a server keeps at most one read per reader of
+the configuration.
+
 _send hands _pack the frame {"type": "msg", "msg": message_to_json(msg)},
 the dict perfbench's tracer reads; _pack lays it out as the array in one
 format, and writes any other frame as json.dumps(obj, separators=(",",
@@ -37,7 +45,7 @@ takes the connection that peer dials, when the peer's hello arrives. A
 hello from a server this daemon dials itself, or from one outside its
 membership, leaves that connection inbound only, as a client's is; so a
 daemon that dials every peer still works with one that does not. Only a
-connection's first hello counts.
+connection's first hello from a process of the configuration counts.
 
 The process has one selector loop, made by the first endpoint and run
 while any endpoint is started. It owns every socket of every server
@@ -47,6 +55,12 @@ machines and sends. A client's operation thread invokes and
 (re)broadcasts under the same lock, and the loop wakes it once, at the
 end of the batch in which its op completed. Links set TCP_NODELAY, because
 frames are small and go out one at a time.
+
+Every step's outputs, a machine's answer and a client's invoke or
+rebroadcast alike, leave their endpoint through _emit: in order, each on
+its destination's link or else the connection its hello named, lost with
+neither. It returns those addressed to the endpoint itself, a server's
+relay to itself, which the server then handles.
 
 Sends never block. A message is framed and written at once as far as
 the kernel takes it; only a rest the kernel refuses goes to the
@@ -316,11 +330,17 @@ class _Endpoint:
     a connection is accepted (_accept) and what a hello does (_hello).
     """
 
-    def __init__(self, pid: ProcessId):
+    def __init__(self, pid: ProcessId, config: Config):
         self.pid = pid
+        # the ids a frame may name, as text; a frame naming any other is
+        # skipped before an id is made, so outside input interns none
+        self.names = frozenset(
+            map(str, config.writers() + config.readers() + config.servers()))
+        self.names_or_null = self.names | {None}  # for wid, relay_origin
         self.loop = _shared_loop()
         self.lock = self.loop.lock
         self.links: dict[ProcessId, _Conn] = {}  # by server
+        self.client_conns: dict[ProcessId, _Conn] = {}  # on servers, by hello
         self.stopped = False
 
     def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
@@ -379,6 +399,7 @@ class _Endpoint:
             return self._drop(conn)
         if conn.buf:
             data = conn.buf + data
+        names, names_or_null = self.names, self.names_or_null
         size = len(data)
         start = 0
         try:  # a frame this endpoint cannot take closes its connection
@@ -393,14 +414,19 @@ class _Endpoint:
                 frame = _unpack(data[start + 4:end])
                 start = end
                 if type(frame) is list:
-                    try:
+                    try:  # an unreadable or foreign message is skipped
+                        if (frame[1] not in names or frame[3] not in names
+                                or frame[5] not in names_or_null
+                                or frame[7] not in names_or_null):
+                            continue
                         msg = message_from_json(frame)
-                    except (TypeError, ValueError):
-                        continue  # an unreadable message is skipped
+                    except (IndexError, TypeError, ValueError):
+                        continue
                     msg.destination = self.pid  # the wire leaves it out
                     self._handle(msg)
                 elif type(frame) is dict and frame.get("type") == "hello":
-                    conn = self._hello(conn, parse_pid(frame["pid"]))
+                    if frame["pid"] in names:  # else it does not count
+                        conn = self._hello(conn, parse_pid(frame["pid"]))
                 if conn.sock is not sock:
                     return  # the frame's sends cut the connection off
         except Exception:
@@ -411,6 +437,21 @@ class _Endpoint:
         """Take peer's hello on conn; return the conn that owns conn's
         socket after it (a server's hello may hand it to a link)."""
         return conn  # only servers are dialed
+
+    def _emit(self, outs: list[Message]) -> list[Message]:
+        """Send a step's outputs in order, each over its destination's
+        link or client connection, lost if there is none; return those
+        addressed to this endpoint."""
+        own = []
+        for out in outs:
+            dest = out.destination
+            if dest is self.pid:
+                own.append(out)
+            elif dest in self.links:
+                self._send(self.links[dest], out)
+            elif dest in self.client_conns:
+                self._send(self.client_conns[dest], out)
+        return own
 
     def _send(self, conn: _Conn, msg: Message) -> None:
         """Frame msg onto conn and write what the kernel takes now; with
@@ -468,6 +509,8 @@ class _Endpoint:
         self.loop.selector.unregister(sock)
         _close(sock)
         conn.outbuf.clear()  # lost with the connection
+        if self.client_conns.get(conn.peer) is conn:
+            del self.client_conns[conn.peer]
         if conn.address is not None:
             conn.redial_at = time.monotonic() + REDIAL_DELAY
             self.loop.waiting[conn] = self
@@ -495,8 +538,7 @@ class ServerDaemon(_Endpoint):
         self.listener.setblocking(False)
         self.address = self.listener.getsockname()
         self.port = self.address[1]
-        super().__init__(pid)
-        self.client_conns: dict[ProcessId, _Conn] = {}  # by latest hello
+        super().__init__(pid, config)
 
     def start(self, membership: dict[ProcessId, tuple[str, int]]) -> None:
         """membership maps every server pid to its (host, port).
@@ -550,31 +592,13 @@ class ServerDaemon(_Endpoint):
         link.events = EVENT_READ
         return link
 
-    def _drop(self, conn: _Conn) -> None:
-        super()._drop(conn)
-        if self.client_conns.get(conn.peer) is conn:
-            del self.client_conns[conn.peer]
-
     def _handle(self, msg: Message) -> None:
         if self.stopped:
             return
-        outs = self.machine.on_message(msg)
-        # the copies to others go out back to back, so they share one
-        # encode; then a self-addressed relay goes straight back in
-        for out in outs:
-            if out.destination is not self.pid:
-                self._route(out)
-        for out in outs:
-            if out.destination is self.pid:
-                self._handle(out)
-
-    def _route(self, msg: Message) -> None:
-        dest = msg.destination
-        if dest in self.links:
-            self._send(self.links[dest], msg)
-        elif dest in self.client_conns:
-            self._send(self.client_conns[dest], msg)
-        # else lost: the client has no connection to this daemon
+        # a relay to itself goes straight back in, after the copies to
+        # others have gone out back to back
+        for own in self._emit(self.machine.on_message(msg)):
+            self._handle(own)
 
 
 class Client(_Endpoint):
@@ -596,7 +620,7 @@ class Client(_Endpoint):
             raise ModeMismatch(
                 f"{pid} is not a client of the configuration: {clients}")
         check_membership(pid, config, membership)
-        super().__init__(pid)
+        super().__init__(pid, config)
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget
         self.done = threading.Condition(self.lock)
@@ -611,15 +635,9 @@ class Client(_Endpoint):
         with self.done:
             self.done.notify_all()
 
-    def _broadcast(self, msgs: list[Message]) -> None:
-        links = self.links
-        for m in msgs:
-            self._send(links[m.destination], m)
-
     def _handle(self, msg: Message) -> None:
         outs, completion = self.machine.on_message(msg)
-        if outs:
-            self._broadcast(outs)
+        self._emit(outs)
         if completion is not None:
             self._completion = completion
             self.loop.completed.append(self)
@@ -630,7 +648,7 @@ class Client(_Endpoint):
                 raise QuorumUnreachable(f"{self.pid}: closed")
             t0 = time.monotonic_ns()
             self._completion = None
-            self._broadcast(invoke())
+            self._emit(invoke())
             retries = 0
             while self._completion is None:
                 if self.stopped:
@@ -642,7 +660,7 @@ class Client(_Endpoint):
                         raise QuorumUnreachable(
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
-                    self._broadcast(self.machine.rebroadcast())
+                    self._emit(self.machine.rebroadcast())
             completion = self._completion
             t1 = time.monotonic_ns()
             rec = OpRecord(completion.op, kind, t0, t1, completion.tag,

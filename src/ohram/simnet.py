@@ -655,7 +655,8 @@ def history_from_json(obj) -> list[OpRecord]:
 
     Accepts either a full run dump or a bare list of record objects, and
     raises ValueError naming the first record it cannot read; its times,
-    seqs and ts must be ints, which a bool is not.
+    seqs and ts must be ints, which a bool is not, and it must not
+    respond before it is invoked.
     """
     if isinstance(obj, dict):
         obj = obj.get("history")
@@ -674,10 +675,14 @@ def history_from_json(obj) -> list[OpRecord]:
                                  f"got {value!r}")
             if responded is not None:
                 responded = json_int(responded, "responded")
-            records.append(OpRecord(
+            rec = OpRecord(
                 opid_from_json(r["op"]), kind,
                 json_int(r["invoked"], "invoked"), responded,
-                tag_from_json(r.get("tag")), value))
+                tag_from_json(r.get("tag")), value)
+            if responded is not None and responded < rec.invoked:
+                raise ValueError(f"responded {responded} before invoked "
+                                 f"{rec.invoked}")
+            records.append(rec)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"history record {i} {r!r}: {e!r}") from None
     return records

@@ -118,6 +118,22 @@ def test_replay_malformed_schedule_is_a_config_error(tmp_path, capsys):
     assert main(["replay", str(bad)]) == 4
 
 
+@pytest.mark.parametrize("count", ["n_servers", "n_readers", "n_writers", "f"])
+@pytest.mark.parametrize("bad", [3.9, True, "3"],
+                         ids=["float", "bool", "string"])
+def test_replay_a_count_that_is_no_int_is_a_config_error(tmp_path, capsys,
+                                                         count, bad):
+    """xi4 with one count no int: int() would run 3.9 as 3 servers."""
+    header, *rest = (SCHEDULES / "xi4.json").read_text().splitlines(True)
+    header = json.loads(header)
+    header["config"][count] = bad
+    script = tmp_path / "xi4.json"
+    script.write_text(json.dumps(header) + "\n" + "".join(rest))
+    assert main(["replay", str(script)]) == 4
+    error = capsys.readouterr().err
+    assert f"{count} must be an integer, got {bad!r}" in error
+
+
 def test_naive3x_threshold_outside_one_to_n_is_a_config_error(tmp_path,
                                                              capsys):
     assert main(["simulate", "--protocol", "naive3x", "--writers", "2",
@@ -209,6 +225,14 @@ FLOAT_TIMES = [
 ]
 
 
+# w1 responds before it is invoked; checked anyway, the history is
+# NON-ATOMIC, since r1 reads null after w1's response
+BACKWARDS = [
+    {**FLOAT_TIMES[0], "invoked": 14, "responded": 10},
+    {**FLOAT_TIMES[1], "invoked": 12, "responded": 13},
+]
+
+
 def _with_int_field(name, bad):
     """w1's write of FLOAT_TIMES at integer times, with the int at name
     (a time, or the seq or ts inside op and tag) replaced by bad."""
@@ -229,6 +253,8 @@ def _with_int_field(name, bad):
                    id=f"{type(bad).__name__}-{name}")
       for name in ("invoked", "responded", "seq", "ts")
       for bad in (2.0, True, "2")],
+    pytest.param(BACKWARDS, "responded 10 before invoked 14",
+                 id="responded-before-invoked"),
     pytest.param({"history": [{"kind": "read"}]},
                  "history record 0 {'kind': 'read'}", id="no-op"),
     pytest.param([1, 2], "history record 0 1:", id="not-a-record"),

@@ -68,7 +68,7 @@ def test_completion_uses_op_ordinal_not_wire_counter():
     run_write(w, "A", [(S1, Tag(0, S1)), (S2, Tag(0, S2))])
     done = run_write(w, "B", [(S1, Tag(1, W1)), (S2, Tag(1, W1))])
     assert done.op == OpId(W1, 2)
-    assert w.write_op == 4
+    assert w.seq == 4
 
 
 def test_stale_discover_acks_are_dropped():

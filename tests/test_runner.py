@@ -35,7 +35,7 @@ from ohram.core import (
     message_to_json,
     parse_pid,
 )
-from ohram import runner
+from ohram import core, runner
 from ohram.protocols import get_protocol
 from ohram.runner import (
     MAX_BACKLOG,
@@ -1411,10 +1411,11 @@ def test_only_a_later_members_hello_takes_a_link():
                   s3: srv.getsockname()})
     socks = []
     try:
-        # s2 dials s1 itself, and s9 is no member: inbound only, as a
-        # client's connection, whose second hello is ignored; s3's
+        # s2 dials s1 itself: inbound only, as a client's connection,
+        # whose second hello is ignored; s9 is no member, so its hello
+        # does not count and the connection's next one does; s3's
         # connection becomes s2's link to s3
-        for hellos in (["s1"], ["s9", "s3"], ["s3"]):
+        for hellos in (["s1", "s3"], ["s9", "r1"], ["s3"]):
             socks.append(socket.create_connection(daemon.address,
                                                   timeout=10.0))
             socks[-1].sendall(b"".join(
@@ -1423,8 +1424,9 @@ def test_only_a_later_members_hello_takes_a_link():
                         and len(daemon.client_conns) == 2)
         with daemon.lock:
             assert set(daemon.links) == {s1, s3}
-            assert set(daemon.client_conns) == {s1, s9}
-            assert daemon.client_conns[s9].sock is not None
+            assert set(daemon.client_conns) == {s1, R1}
+            assert all(conn.sock is not None
+                       for conn in daemon.client_conns.values())
             assert daemon.links[s1].address == srv.getsockname()
             assert daemon.links[s3].address is None
             assert (daemon.links[s3].sock.getpeername()
@@ -1434,6 +1436,45 @@ def test_only_a_later_members_hello_takes_a_link():
             sock.close()
         daemon.stop()
         srv.close()
+
+
+def test_frames_naming_processes_outside_the_configuration_are_skipped():
+    """Neither a foreign msg nor a foreign hello makes an id or leaves
+    state behind; the connection they came on serves on."""
+    daemon = ServerDaemon(S1, ONE, "ohsam")
+    daemon.start({S1: daemon.address})
+    foreign = [  # each names one id outside ONE, kept as text
+        *(["readRequest", f"r{i}", 1, f"r{i}", None, None, None, None]
+          for i in range(10_001, 11_996)),
+        ["readRequest", "r7001", 1, "r1", None, None, None, None],
+        ["readRequest", "r1", 1, "s7001", None, None, None, None],
+        ["writeRequest", "w1", 1, "w1", 1, "w7001", "A", None],
+        ["readRelay", "r1", 1, "s1", 0, "s1", None, "s7001"],
+        ["readRelay", "r1", 1, "s1", 0, "w7001", None, "s1"],
+    ]
+    sock = None
+    try:
+        with daemon.lock:
+            pids = len(core._PIDS)
+        sock = socket.create_connection(daemon.address, timeout=10.0)
+        sock.sendall(
+            _pack({"type": "hello", "pid": "r1"})
+            + b"".join(_pack({"type": "hello", "pid": f"w{i}"})
+                       for i in range(8_001, 8_201))
+            + b"".join(map(raw_frame, foreign))
+            + msg_frame(Message(KIND_READ_REQUEST, OpId(R1, 2), R1, S1)))
+        msg = message_from_json(next(read_frames(sock)))
+        assert (msg.kind, msg.op, msg.tag) == (KIND_READ_ACK, OpId(R1, 2),
+                                               Tag(0, S1))
+        with daemon.lock:
+            assert len(foreign) == 2_000
+            assert set(daemon.machine.reads) == {R1}
+            assert set(daemon.client_conns) == {R1}
+            assert len(core._PIDS) == pids
+    finally:
+        if sock is not None:
+            sock.close()
+        daemon.stop()
 
 
 def test_relays_to_a_later_peer_that_is_down_are_lost():
