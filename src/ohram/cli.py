@@ -286,13 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p, with_clients=True):
+    def add_config_flags(p):
         p.add_argument("--protocol", default="ohsam", choices=PROTOCOL_NAMES)
         p.add_argument("--servers", type=int, default=3)
         p.add_argument("--f", type=int, default=1)
-        if with_clients:
-            p.add_argument("--readers", type=int, default=1)
-            p.add_argument("--writers", type=int, default=1)
+        p.add_argument("--readers", type=int, default=1)
+        p.add_argument("--writers", type=int, default=1)
 
     p = sub.add_parser("simulate", help="run one simulated execution")
     add_config_flags(p)

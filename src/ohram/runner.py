@@ -36,16 +36,16 @@ json.loads accepts it, through one shared decoder. Each read is cut into
 frames where it is taken, whatever the reads' sizes, and a msg goes
 straight to message_from_json and the endpoint's machine.
 
-Topology: clients dial every server and keep the connection; a server's
-replies to a client travel back over the client's own connection. Each
-pair of servers shares one connection, so relays in both directions
-travel on it and each side's frames carry the other's TCP ACKs. A server
-dials the peers that precede it; a later peer's link has no address and
-takes the connection that peer dials, when the peer's hello arrives. A
-hello from a server this daemon dials itself, or from one outside its
-membership, leaves that connection inbound only, as a client's is; so a
-daemon that dials every peer still works with one that does not. Only a
-connection's first hello from a process of the configuration counts.
+Topology: clients dial every server and keep the connection. Each pair
+of servers shares one connection, which the later server dials, so
+relays in both directions travel on it and each side's frames carry the
+other's TCP ACKs. A server keeps every connection dialed to it as an
+inbound one, a later peer's exactly as a client's, named by its hello:
+what the server sends that process travels back over it, and a newer
+connection that names the same process replaces it. Only a connection's
+first hello from a process of the configuration counts. A daemon sends
+to a server it dials itself on its own link, so a daemon that dials
+every peer still works with one that does not.
 
 The process has one selector loop, made by the first endpoint and run
 while any endpoint is started. It owns every socket of every server
@@ -71,19 +71,17 @@ reading: a dialed link redials, and a connection the peer dialed waits
 for the peer to redial.
 
 Links lose messages, and the client's rebroadcast retries every loss.
-A message sent on a link or to a client with no connection is lost, and
-so is every frame still in outbuf when its connection drops. A dialed
-link dials as it is made, its hello first in outbuf, so the first
-messages queue behind the hello. A refused connection, or a link whose
-stream ends, breaks or stops being frames, redials REDIAL_DELAY seconds
-later; the loop looks for links to redial only while some dialed link
-waits. A link with no address is never redialed: it takes the next
-connection its peer's hello brings. No reply is sent only once: every
-sound server answers every copy of a request, so a repeated
-writeRequest or discover is acknowledged again, and a repeated
-readRequest for the reader's newest read relays again and, once the
-server has answered that read, brings its readAck again. A frame that
-breaks the machine closes only its own connection.
+A message to a process with no connection is lost, and so is every
+frame still in outbuf when its connection drops. A dialed link dials as
+it is made, its hello first in outbuf, so the first messages queue
+behind the hello. A refused connection, or a link whose stream ends,
+breaks or stops being frames, redials REDIAL_DELAY seconds later; the
+loop looks for links to redial only while some dialed link waits. No
+reply is sent only once: every sound server answers every copy of a
+request, so a repeated writeRequest or discover is acknowledged again,
+and a repeated readRequest for the reader's newest read relays again
+and, once the server has answered that read, brings its readAck again.
+A frame that breaks the machine closes only its own connection.
 
 Clients stamp invocation and response times with time.monotonic_ns().
 Histories from clients of one host therefore share a scale and can be
@@ -205,9 +203,7 @@ class _Conn:
     def __init__(self, sock: Optional[socket.socket],
                  address: Optional[tuple[str, int]] = None,
                  peer: Optional[ProcessId] = None):
-        # None once dropped, while a link waits to dial, and while a link
-        # its peer dials waits for that peer's hello
-        self.sock = sock
+        self.sock = sock  # None once dropped, and while a link waits to dial
         self.buf = b""  # the start of a frame not yet whole
         self.outbuf = bytearray()
         self.peer = peer  # a link's server, or an accepted one's hello
@@ -327,7 +323,9 @@ class _Endpoint:
     """A live endpoint, whose sockets the shared loop serves.
 
     A subclass says what a message does (_handle) and, for servers, how
-    a connection is accepted (_accept) and what a hello does (_hello).
+    a connection is accepted (_accept). An endpoint's links are the
+    connections it dials; a connection dialed to it is named by its
+    first hello (_hello).
     """
 
     def __init__(self, pid: ProcessId, config: Config):
@@ -340,7 +338,8 @@ class _Endpoint:
         self.loop = _shared_loop()
         self.lock = self.loop.lock
         self.links: dict[ProcessId, _Conn] = {}  # by server
-        self.client_conns: dict[ProcessId, _Conn] = {}  # on servers, by hello
+        # on servers, each connection dialed to this one, by its hello
+        self.client_conns: dict[ProcessId, _Conn] = {}
         self.stopped = False
 
     def _start(self, servers: dict[ProcessId, tuple[str, int]]) -> None:
@@ -425,18 +424,24 @@ class _Endpoint:
                     msg.destination = self.pid  # the wire leaves it out
                     self._handle(msg)
                 elif type(frame) is dict and frame.get("type") == "hello":
-                    if frame["pid"] in names:  # else it does not count
-                        conn = self._hello(conn, parse_pid(frame["pid"]))
+                    # a connection names its process once, and only one
+                    # of the configuration counts
+                    if frame["pid"] in names and conn.peer is None:
+                        self._hello(conn, parse_pid(frame["pid"]))
                 if conn.sock is not sock:
                     return  # the frame's sends cut the connection off
         except Exception:
             return self._drop(conn)
         conn.buf = data[start:] if start < size else b""
 
-    def _hello(self, conn: _Conn, peer: ProcessId) -> _Conn:
-        """Take peer's hello on conn; return the conn that owns conn's
-        socket after it (a server's hello may hand it to a link)."""
-        return conn  # only servers are dialed
+    def _hello(self, conn: _Conn, peer: ProcessId) -> None:
+        """Name conn, a connection peer dialed, by peer: it replaces the
+        one peer dialed before, if any."""
+        old = self.client_conns.get(peer)
+        if old is not None:
+            self._drop(old)
+        conn.peer = peer
+        self.client_conns[peer] = conn
 
     def _emit(self, outs: list[Message]) -> list[Message]:
         """Send a step's outputs in order, each over its destination's
@@ -544,13 +549,10 @@ class ServerDaemon(_Endpoint):
         """membership maps every server pid to its (host, port).
 
         One connection per server pair: this daemon dials the peers that
-        precede it, and a later peer's link takes that peer's connection
-        when its hello comes in.
+        precede it, and keeps the connection a later peer dials as an
+        inbound one, named by that peer's hello, as a client's is.
         """
         with self.lock:
-            for peer in membership:
-                if self.pid < peer:
-                    self.links[peer] = _Conn(None, None, peer)
             self._start({peer: addr for peer, addr in membership.items()
                          if peer < self.pid})
             self.loop.selector.register(self.listener, EVENT_READ, (self, None))
@@ -570,27 +572,6 @@ class ServerDaemon(_Endpoint):
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._watch(_Conn(sock))
-
-    def _hello(self, conn: _Conn, peer: ProcessId) -> _Conn:
-        if conn.peer is not None:
-            return conn  # a connection names its peer once
-        link = self.links.get(peer)
-        if link is not None and link.address is None:
-            return self._adopt(conn, link)
-        # a client, a server this daemon dials, or one outside its
-        # membership: inbound only
-        conn.peer = peer
-        self.client_conns[peer] = conn
-        return conn
-
-    def _adopt(self, conn: _Conn, link: _Conn) -> _Conn:
-        """Make conn's socket link's."""
-        self._drop(link)  # the peer's older connection, if any
-        link.sock, conn.sock = conn.sock, None
-        link.buf = b""
-        self.loop.selector.modify(link.sock, EVENT_READ, (self, link))
-        link.events = EVENT_READ
-        return link
 
     def _handle(self, msg: Message) -> None:
         if self.stopped:

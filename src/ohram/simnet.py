@@ -456,15 +456,14 @@ def seeded_net(protocol: str, config: Config, seed: int, *,
                x: Optional[int] = None) -> SimNet:
     """The net simulate runs, its programs and crash plan loaded.
 
-    Crash count is drawn from 0..max_crashes, which defaults to the
-    largest count that keeps every operation live,
-    min(f, floor((n-1)/2)). Passing victims pins the crash set instead;
-    the seed still decides when each one falls over.
+    Crash count is drawn from 0..max_crashes, which defaults to f, the
+    largest count that keeps every operation live (validate_config
+    makes 2f < n). Passing victims pins the crash set instead; the seed
+    still decides when each one falls over.
     """
     validate_config(config)
-    hard_cap = (config.n_servers - 1) // 2
     if max_crashes is None:
-        max_crashes = min(config.f, hard_cap)
+        max_crashes = config.f
     if victims is not None:
         if len(victims) > config.f:
             raise FaultBudgetExceeded(
@@ -656,7 +655,11 @@ def history_from_json(obj) -> list[OpRecord]:
     Accepts either a full run dump or a bare list of record objects, and
     raises ValueError naming the first record it cannot read; its times,
     seqs and ts must be ints, which a bool is not, and it must not
-    respond before it is invoked.
+    respond before it is invoked. The history must also be well-formed,
+    or ValueError names a record that breaks it: no two records share an
+    op, and each process runs one op at a time, so none is invoked
+    before the process's previous op responded (at that time is legal),
+    nor after one that is pending.
     """
     if isinstance(obj, dict):
         obj = obj.get("history")
@@ -664,6 +667,7 @@ def history_from_json(obj) -> list[OpRecord]:
         raise ValueError("a history is a list of records, or a run dump "
                          "that holds one")
     records = []
+    first = {}  # the index of each op's record
     for i, r in enumerate(obj):
         try:
             kind, value = r["kind"], r.get("value")
@@ -682,7 +686,26 @@ def history_from_json(obj) -> list[OpRecord]:
             if responded is not None and responded < rec.invoked:
                 raise ValueError(f"responded {responded} before invoked "
                                  f"{rec.invoked}")
+            if first.setdefault(rec.op, i) != i:
+                raise ValueError(f"{rec.op} is recorded twice, first as "
+                                 f"record {first[rec.op]}")
             records.append(rec)
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ValueError(f"history record {i} {r!r}: {e!r}") from None
+    last = {}  # each process's op invoked last so far
+    # in invocation order; at one time, responded ops before pending ones
+    for i in sorted(range(len(records)), key=lambda i: (
+            records[i].invoked, records[i].responded is None,
+            records[i].responded)):
+        rec = records[i]
+        before = last.get(rec.op.invoker)
+        last[rec.op.invoker] = rec
+        if before is None or (before.responded is not None
+                              and before.responded <= rec.invoked):
+            continue
+        why = (f"after {before.op}, which is pending"
+               if before.responded is None
+               else f"before {before.op} responded at {before.responded}")
+        raise ValueError(f"history record {i} {obj[i]!r}: {rec.op} invoked "
+                         f"at {rec.invoked}, {why}")
     return records

@@ -233,6 +233,21 @@ BACKWARDS = [
 ]
 
 
+# one process's ops overlap, or follow one that never responded, or one
+# op is recorded twice: checked anyway, each of these histories was
+# judged ATOMIC
+def _w1_write(seq, invoked, responded):
+    return {**FLOAT_TIMES[0], "op": {"invoker": "w1", "seq": seq},
+            "invoked": invoked, "responded": responded,
+            "tag": {"ts": seq, "wid": "w1"}, "value": f"A#w1.{seq}"}
+
+
+OVERLAPPING = [_w1_write(1, 1, 10), _w1_write(2, 2, 3)]
+TWICE = [_w1_write(1, 1, 2),
+         {**_w1_write(1, 3, 4), "tag": {"ts": 2, "wid": "w1"}}]
+AFTER_PENDING = [_w1_write(1, 1, None), _w1_write(2, 2, 3)]
+
+
 def _with_int_field(name, bad):
     """w1's write of FLOAT_TIMES at integer times, with the int at name
     (a time, or the seq or ts inside op and tag) replaced by bad."""
@@ -255,6 +270,21 @@ def _with_int_field(name, bad):
       for bad in (2.0, True, "2")],
     pytest.param(BACKWARDS, "responded 10 before invoked 14",
                  id="responded-before-invoked"),
+    pytest.param(OVERLAPPING, "history record 1 {'op': {'invoker': 'w1', "
+                 "'seq': 2}, 'kind': 'write', 'invoked': 2, 'responded': 3, "
+                 "'tag': {'ts': 2, 'wid': 'w1'}, 'value': 'A#w1.2'}: w1#2 "
+                 "invoked at 2, before w1#1 responded at 10",
+                 id="overlapping-ops"),
+    pytest.param(TWICE, "history record 1 {'op': {'invoker': 'w1', "
+                 "'seq': 1}, 'kind': 'write', 'invoked': 3, 'responded': 4, "
+                 "'tag': {'ts': 2, 'wid': 'w1'}, 'value': 'A#w1.1'}: "
+                 "ValueError('w1#1 is recorded twice, first as record 0')",
+                 id="op-recorded-twice"),
+    pytest.param(AFTER_PENDING, "history record 1 {'op': {'invoker': 'w1', "
+                 "'seq': 2}, 'kind': 'write', 'invoked': 2, 'responded': 3, "
+                 "'tag': {'ts': 2, 'wid': 'w1'}, 'value': 'A#w1.2'}: w1#2 "
+                 "invoked at 2, after w1#1, which is pending",
+                 id="op-after-a-pending-one"),
     pytest.param({"history": [{"kind": "read"}]},
                  "history record 0 {'kind': 'read'}", id="no-op"),
     pytest.param([1, 2], "history record 0 1:", id="not-a-record"),
@@ -271,6 +301,17 @@ def test_check_refuses_a_malformed_history(tmp_path, capsys, history, error):
     dump.write_text(json.dumps(history))
     assert main(["check", str(dump)]) == 4
     assert error in capsys.readouterr().err
+
+
+def test_check_takes_ops_that_start_as_their_processs_previous_one_ends(
+        tmp_path, capsys):
+    """One at a time: each op invoked when its process's previous one
+    responded, the last still pending, in any record order."""
+    dump = tmp_path / "run.json"
+    dump.write_text(json.dumps(
+        [_w1_write(3, 3, None), _w1_write(2, 2, 3), _w1_write(1, 1, 2)]))
+    assert main(["check", str(dump)]) == 0
+    assert capsys.readouterr().out.startswith("ATOMIC")
 
 
 @pytest.mark.parametrize(

@@ -963,9 +963,13 @@ THREE = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
 
 
 def linked(daemons):
-    """True once every server pair's link has its connection."""
+    """True once every server pair's connection is up at both ends: the
+    later server's link has its socket, and the earlier server names
+    that connection by the later one's hello."""
     return all(link.sock is not None
-               for d in daemons for link in d.links.values())
+               for d in daemons for link in d.links.values()) and all(
+        later.pid in d.client_conns
+        for d in daemons for later in daemons if d.pid < later.pid)
 
 
 def test_an_ohsam_read_encodes_each_broadcast_once(monkeypatch):
@@ -1246,6 +1250,40 @@ def test_an_op_after_no_quorum_raises_not_well_formed():
         srv.close()
 
 
+def test_a_dial_that_fails_at_once_waits_to_redial(monkeypatch):
+    """An IPv6 host on the AF_INET socket makes connect_ex raise at
+    once, before any lookup or connection: each dial closes its socket
+    and leaves the link waiting to redial, the op gives up, and close
+    stops the waiting."""
+    dialed, raised = [], []
+
+    class Recording(socket.socket):
+        def connect_ex(self, address):
+            dialed.append(self)
+            try:
+                return super().connect_ex(address)
+            except OSError as e:
+                raised.append(type(e))
+                raise
+
+    monkeypatch.setattr(socket, "socket", Recording)
+    reader = Client(R1, ONE, "ohsam", {S1: ("::1", 7001)},
+                    retry_interval=0.01, retry_budget=2)
+    link = reader.links[S1]
+    try:
+        with pytest.raises(QuorumUnreachable,
+                           match="no quorum after 2 rebroadcasts"):
+            reader.read()
+        with reader.lock:
+            assert link.sock is None
+            assert reader.loop.waiting[link] is reader
+    finally:
+        reader.close()
+    assert link not in reader.loop.waiting
+    assert dialed and raised == [socket.gaierror] * len(dialed)
+    assert all(sock.fileno() == -1 for sock in dialed)
+
+
 def test_rebroadcasts_to_a_down_link_queue_nothing():
     daemons, membership = start_cluster(SWMR, "ohsam")
     writer = Client(parse_pid("w1"), SWMR, "ohsam", membership,
@@ -1384,19 +1422,21 @@ def test_each_server_pair_shares_one_connection():
     loop = daemons[0].loop
     try:
         for d in daemons:
-            assert set(d.links) == set(FIVE.servers()) - {d.pid}
+            assert set(d.links) == {s for s in FIVE.servers() if s < d.pid}
         links = [link for d in daemons for link in d.links.values()]
-        # a dialed link has its hello on the wire; a later peer's link has
-        # taken that peer's connection at its hello
-        assert wait_for(lambda: all(
-            link.sock is not None and not link.outbuf for link in links))
+        # a dialed link has its hello on the wire, and the earlier peer
+        # has named the connection by that hello
+        assert wait_for(lambda: linked(daemons)
+                        and all(not link.outbuf for link in links))
         with loop.lock:
             ends = [key.fileobj for key in loop.selector.get_map().values()
                     if key.data is not None and key.data[0] in daemons
                     and key.data[1] is not None]
             pairs = {frozenset((s.getsockname(), s.getpeername()))
                      for s in ends}
-            assert all(not d.client_conns for d in daemons)
+            for d in daemons:
+                assert set(d.client_conns) == {
+                    s for s in FIVE.servers() if s > d.pid}
         assert len(ends) == 20
         assert len(pairs) == 10
     finally:
@@ -1411,26 +1451,26 @@ def test_only_a_later_members_hello_takes_a_link():
                   s3: srv.getsockname()})
     socks = []
     try:
-        # s2 dials s1 itself: inbound only, as a client's connection,
-        # whose second hello is ignored; s9 is no member, so its hello
-        # does not count and the connection's next one does; s3's
-        # connection becomes s2's link to s3
+        # every connection is inbound, named by its first hello of the
+        # configuration: s2 dials s1 itself, yet a connection that names
+        # s1 is kept, and its second hello is ignored; s9 is no member,
+        # so its hello does not count and the connection's next one does;
+        # s3's connection is named s3, as a client's is named by its pid
         for hellos in (["s1", "s3"], ["s9", "r1"], ["s3"]):
             socks.append(socket.create_connection(daemon.address,
                                                   timeout=10.0))
             socks[-1].sendall(b"".join(
                 _pack({"type": "hello", "pid": pid}) for pid in hellos))
-        assert wait_for(lambda: daemon.links[s3].sock is not None
-                        and len(daemon.client_conns) == 2)
+        assert wait_for(lambda: len(daemon.client_conns) == 3)
         with daemon.lock:
-            assert set(daemon.links) == {s1, s3}
-            assert set(daemon.client_conns) == {s1, R1}
+            assert set(daemon.links) == {s1}
+            assert set(daemon.client_conns) == {s1, R1, s3}
             assert all(conn.sock is not None
                        for conn in daemon.client_conns.values())
             assert daemon.links[s1].address == srv.getsockname()
-            assert daemon.links[s3].address is None
-            assert (daemon.links[s3].sock.getpeername()
-                    == socks[2].getsockname())
+            assert [daemon.client_conns[p].sock.getpeername()
+                    for p in (s1, R1, s3)] == [
+                        sock.getsockname() for sock in socks]
     finally:
         for sock in socks:
             sock.close()
@@ -1483,13 +1523,12 @@ def test_relays_to_a_later_peer_that_is_down_are_lost():
     srv = peer_listener()  # s1 never dials a later peer: any address will do
     daemon.start({s1: daemon.address, s2: srv.getsockname(),
                   s3: srv.getsockname()})
-    link = daemon.links[s2]
     socks = []
 
     def hello_from_s2():
         socks.append(socket.create_connection(daemon.address, timeout=10.0))
         socks[-1].sendall(_pack({"type": "hello", "pid": "s2"}))
-        assert wait_for(lambda: link.sock is not None and not link.outbuf)
+        assert wait_for(lambda: s2 in daemon.client_conns)
         return socks[-1]
 
     def read_request(seq):  # s1 relays it to every server
@@ -1498,11 +1537,11 @@ def test_relays_to_a_later_peer_that_is_down_are_lost():
 
     try:
         hello_from_s2().close()  # s2 goes down
-        assert wait_for(lambda: link.sock is None)
+        assert wait_for(lambda: s2 not in daemon.client_conns)
         for seq in range(1, 6):
             read_request(seq)
         with daemon.lock:
-            assert (link.sock, link.outbuf) == (None, b"")
+            assert s2 not in daemon.client_conns
         conn = hello_from_s2()  # s2 is back, and says hello
         for seq in range(6, 11):
             read_request(seq)
@@ -1510,6 +1549,37 @@ def test_relays_to_a_later_peer_that_is_down_are_lost():
         got = [message_from_json(next(frames)) for _ in range(5)]
         assert [(m.kind, m.op.seq) for m in got] == [
             (KIND_READ_RELAY, seq) for seq in range(6, 11)]
+    finally:
+        for sock in socks:
+            sock.close()
+        daemon.stop()
+        srv.close()
+
+
+def test_a_newer_connection_from_a_process_replaces_its_older_one():
+    s1, s2, s3 = SWMR.servers()
+    daemon = ServerDaemon(s1, SWMR, "ohsam")
+    srv = peer_listener()  # s1 never dials a later peer: any address will do
+    daemon.start({s1: daemon.address, s2: srv.getsockname(),
+                  s3: srv.getsockname()})
+    socks = []
+
+    def named_by_s2(sock):
+        with daemon.lock:
+            conn = daemon.client_conns.get(s2)
+            return (conn is not None
+                    and conn.sock.getpeername() == sock.getsockname())
+
+    try:
+        # s2 redials before s1 sees its first connection end
+        for _ in range(2):
+            socks.append(socket.create_connection(daemon.address,
+                                                  timeout=10.0))
+            socks[-1].sendall(_pack({"type": "hello", "pid": "s2"}))
+            assert wait_for(lambda: named_by_s2(socks[-1]))
+        assert socks[0].recv(1) == b""  # s1 closed the older connection
+        with daemon.lock:
+            assert set(daemon.client_conns) == {s2}
     finally:
         for sock in socks:
             sock.close()
