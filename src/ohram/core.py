@@ -305,7 +305,7 @@ class Completion:
     value: Optional[str]
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One operation in a recorded history.
 
@@ -314,6 +314,10 @@ class OpRecord:
     scale only needs to order events of one run consistently. responded
     is None while the operation is pending. tag and value are the
     operation's result: what a read returned, or what a write wrote.
+
+    Slotted, so a record holds its six fields and no attribute dict: a
+    live history keeps one per operation. Setting any other attribute
+    raises AttributeError.
     """
 
     op: OpId

@@ -90,7 +90,11 @@ a quorum re-broadcasts the phase its machine's rebroadcast() supplies
 every retry_interval seconds, retrying what the phase lost, and gives up
 with QuorumUnreachable after retry_budget rebroadcasts, or at once on
 close; an op on a closed client raises it before it starts. An op given
-up stays open in its machine, so the next op raises NotWellFormed.
+up stays open in its machine, so the next op raises NotWellFormed. A
+client refuses a retry_interval that is not above 0 and a negative
+retry_budget with ValueError, before it makes a socket: a wait of no
+time does not block, so every op would give up at once. A retry_budget
+of 0 gives up after one retry_interval, with no rebroadcast.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -601,6 +605,12 @@ class Client(_Endpoint):
             raise ModeMismatch(
                 f"{pid} is not a client of the configuration: {clients}")
         check_membership(pid, config, membership)
+        if not retry_interval > 0:  # a NaN too
+            raise ValueError(
+                f"{pid}: retry_interval must be > 0, got {retry_interval!r}")
+        if retry_budget < 0:
+            raise ValueError(
+                f"{pid}: retry_budget must be >= 0, got {retry_budget!r}")
         super().__init__(pid, config)
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget

@@ -459,7 +459,9 @@ def seeded_net(protocol: str, config: Config, seed: int, *,
     Crash count is drawn from 0..max_crashes, which defaults to f, the
     largest count that keeps every operation live (validate_config
     makes 2f < n). Passing victims pins the crash set instead; the seed
-    still decides when each one falls over.
+    still decides when each one falls over. A configuration with no
+    writer or reader, or max_ops below 1, leaves nothing to run: it
+    raises ValueError.
     """
     validate_config(config)
     if max_crashes is None:
@@ -477,6 +479,10 @@ def seeded_net(protocol: str, config: Config, seed: int, *,
     if max_crashes > config.f:
         raise FaultBudgetExceeded(
             f"requested up to {max_crashes} crashes, fault bound is {config.f}")
+    if config.n_writers + config.n_readers == 0:
+        raise ValueError("a seeded run needs at least one writer or reader")
+    if max_ops < 1:
+        raise ValueError(f"a seeded run needs max_ops >= 1, got {max_ops}")
 
     # a string seed is hashed with a process-independent function, unlike
     # tuple seeds, so plans stay identical across interpreter runs

@@ -58,6 +58,16 @@ def test_mode_mismatch_is_a_config_error(capsys):
     assert main(["simulate", "--protocol", "ohsam", "--writers", "2"]) == 4
 
 
+@pytest.mark.parametrize("flags, cause", [
+    (["--readers", "0", "--writers", "0"], "at least one writer or reader"),
+    (["--max-ops", "0"], "max_ops >= 1, got 0"),
+], ids=["no-clients", "no-ops"])
+def test_a_seeded_run_with_nothing_to_run_is_a_config_error(
+        capsys, flags, cause):
+    assert main(["simulate", "--protocol", "ohmam", *flags]) == 4
+    assert cause in capsys.readouterr().err
+
+
 def test_crash_plan_beyond_fault_bound(capsys):
     assert main(["simulate", "--protocol", "ohmam", "--writers", "2",
                  "--crash-plan", "s1,s2"]) == 4

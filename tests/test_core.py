@@ -18,6 +18,7 @@ from ohram.core import (
     Message,
     ModeMismatch,
     OpId,
+    OpRecord,
     ProcessId,
     Tag,
     config_from_json,
@@ -281,3 +282,11 @@ def test_message_equality_is_field_wise():
     assert set(changes) == {f.name for f in dataclasses.fields(Message)}
     for name, other in changes.items():
         assert Message(**{**fields, name: other}) != msg, name
+
+
+def test_an_op_record_has_no_attribute_dict():
+    rec = OpRecord(OpId(writer_id(1), 1), "write", 1, 2, Tag(1, writer_id(1)),
+                   "A#w1.1")
+    with pytest.raises(AttributeError):
+        rec.note = "x"
+    assert not hasattr(rec, "__dict__")

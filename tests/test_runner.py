@@ -702,6 +702,22 @@ def test_a_client_refuses_a_bad_address_before_it_makes_a_socket(addr):
             Client(parse_pid("r1"), SWMR, "ohsam", membership)
 
 
+@pytest.mark.parametrize("retry, match", [
+    ({"retry_interval": 0}, "retry_interval must be > 0, got 0"),
+    ({"retry_interval": -1.0}, "retry_interval must be > 0, got -1.0"),
+    ({"retry_interval": float("nan")}, "retry_interval must be > 0, got nan"),
+    ({"retry_budget": -1}, "retry_budget must be >= 0, got -1"),
+], ids=repr)
+def test_a_client_refuses_a_bad_retry_setting_before_it_makes_a_socket(
+        retry, match):
+    """A wait of no time does not block, so a retry_interval of 0 would
+    give every op up at once."""
+    membership = {s: ("127.0.0.1", 1) for s in SWMR.servers()}
+    with no_unclosed_socket():
+        with pytest.raises(ValueError, match=f"r1: {match}"):
+            Client(parse_pid("r1"), SWMR, "ohsam", membership, **retry)
+
+
 @BAD_ADDRESSES
 def test_a_server_refuses_a_bad_peer_address_before_it_dials(addr):
     s1, s2 = SWMR.servers()[:2]
