@@ -109,10 +109,19 @@ def _verdict_exit(verdict: Verdict) -> int:
 
 # -- simulate --
 
+def _names(flag: str, spec: str) -> list[str]:
+    """The non-empty comma-separated names of spec; ValueError naming the
+    flag if there are none, as a typo then would run nothing."""
+    names = [t.strip() for t in spec.split(",") if t.strip()]
+    if not names:
+        raise ValueError(f"{flag} names nothing: {spec!r}")
+    return names
+
+
 def _parse_ops(spec: str) -> list[tuple]:
     """"w1,r1,w1=A" -> [(w1, write, auto), (r1, read), (w1, write, "A")]"""
     ops = []
-    for i, token in enumerate(s.strip() for s in spec.split(",") if s.strip()):
+    for i, token in enumerate(_names("--ops", spec)):
         pid_text, _, label = token.partition("=")
         pid = parse_pid(pid_text)
         if pid.role == ROLE_WRITER:
@@ -132,14 +141,14 @@ def _parse_crash_plan(plan: Optional[str]):
         return None, None
     if plan.isdigit():
         return int(plan), None
-    return None, [parse_pid(t.strip()) for t in plan.split(",") if t.strip()]
+    return None, [parse_pid(t) for t in _names("--crash-plan", plan)]
 
 
 def cmd_simulate(args) -> int:
     config = _config_from_args(args, args.protocol)
     max_crashes, victims = _parse_crash_plan(args.crash_plan)
-    if args.ops:
-        if args.crash_plan:
+    if args.ops is not None:
+        if args.crash_plan is not None:
             raise ScheduleUnresolvable(
                 "--crash-plan applies to seeded runs, not --ops")
         net = SimNet(args.protocol, config, seed=args.seed, x=args.x)
@@ -171,8 +180,12 @@ def cmd_check(args) -> int:
 # -- bench --
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.servers.split(",")]
-    names = [t.strip() for t in args.protocols.split(",") if t.strip()]
+    try:
+        sizes = [int(s) for s in args.servers.split(",")]
+    except ValueError as e:
+        raise ValueError(f"--servers takes a comma list of server counts, "
+                         f"got {args.servers!r}: {e}") from None
+    names = _names("--protocols", args.protocols)
     failures = 0
     for name in names:
         bundle = get_protocol(name)
@@ -238,7 +251,7 @@ def cmd_serve(args) -> int:
 def _parse_client_ops(spec: str) -> list[tuple]:
     """"w:A,r,w" -> [("write", "A"), ("read", None), ("write", auto)]"""
     ops = []
-    for i, token in enumerate(s.strip() for s in spec.split(",") if s.strip()):
+    for i, token in enumerate(_names("--ops", spec)):
         head, _, label = token.partition(":")
         if head == "w":
             ops.append(("write", label or chr(ord("A") + i % 26)))

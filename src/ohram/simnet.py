@@ -14,7 +14,10 @@ replayed; shrink cuts a failing directive list down by delta debugging.
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
 message and exchange tallies match the protocol's complexity exactly on
-failure-free runs that deliver everything.
+failure-free runs that deliver everything. An op's exchange tally is
+the set of message kinds sent on its behalf, kept as the bits of one int
+over core.MESSAGE_KINDS (OpMetrics.kinds); the set of names and its
+size are derived from those bits.
 
 Crashing a server removes its undelivered inbound messages and silences
 it from then on; messages it already sent stay deliverable. Crashes are
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -51,6 +54,7 @@ from .core import (
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
+    MESSAGE_KINDS,
     Message,
     ModeMismatch,
     NotWellFormed,
@@ -76,15 +80,31 @@ from .protocols import ProtocolBundle, checked_bundle
 STEP_BUDGET = 10 ** 6
 
 
+# each message kind's bit in OpMetrics.kinds, in core.MESSAGE_KINDS order
+_KIND_BITS = {kind: 1 << i for i, kind in enumerate(MESSAGE_KINDS)}
+
+
 @dataclass(slots=True)
 class OpMetrics:
+    """One simulated op's tally. kind is "read" or "write", messages the
+    number of messages sent on its behalf, and kinds the message kinds
+    among them, one bit each: bit i stands for core.MESSAGE_KINDS[i].
+    exchange_kinds, the set of those kinds' names, and exchanges, its
+    size, are derived from kinds. kinds is an int, not a set of names,
+    because a set per op would be over a third of the bytes a long run
+    keeps per simulated op.
+    """
     kind: str
     messages: int = 0
-    exchange_kinds: set[str] = field(default_factory=set)
+    kinds: int = 0
+
+    @property
+    def exchange_kinds(self) -> set[str]:
+        return {k for k, bit in _KIND_BITS.items() if self.kinds & bit}
 
     @property
     def exchanges(self) -> int:
-        return len(self.exchange_kinds)
+        return self.kinds.bit_count()
 
 
 @dataclass
@@ -201,7 +221,7 @@ class SimNet:
             op = self._op_group(op)
         om = self.metrics[op]
         om.messages += len(msgs)
-        om.exchange_kinds.add(first.kind)
+        om.kinds |= _KIND_BITS[first.kind]
         crashed = self.crashed
         if crashed and first.destination in self.servers:
             msgs = [m for m in msgs if m.destination not in crashed]

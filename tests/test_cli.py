@@ -68,6 +68,30 @@ def test_a_seeded_run_with_nothing_to_run_is_a_config_error(
     assert cause in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--ops", ""], "--ops"),
+    (["simulate", "--ops", ","], "--ops"),
+    (["client", "--pid", "w1", "--ops", ""], "--ops"),
+    (["client", "--pid", "r1", "--ops", " , "], "--ops"),
+    (["simulate", "--crash-plan", ""], "--crash-plan"),
+    (["simulate", "--crash-plan", " , "], "--crash-plan"),
+], ids=["simulate-ops-empty", "simulate-ops-comma", "client-ops-empty",
+        "client-ops-comma", "crash-plan-empty", "crash-plan-comma"])
+def test_a_list_that_names_nothing_is_a_config_error(
+        tmp_path, capsys, argv, flag):
+    """Not refused, each of these would run nothing, a seeded run or a
+    run with no crashes and exit 0, so a typo would read as a pass."""
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1", '
+                          '"s3": "127.0.0.1:1"}')
+    if argv[0] == "client":
+        argv = [*argv, "--membership", str(membership)]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} names nothing")
+
+
 def test_crash_plan_beyond_fault_bound(capsys):
     assert main(["simulate", "--protocol", "ohmam", "--writers", "2",
                  "--crash-plan", "s1,s2"]) == 4
@@ -347,6 +371,19 @@ def test_bench_grid_passes(capsys):
 
 def test_bench_unknown_protocol_is_a_config_error(capsys):
     assert main(["bench", "--protocols", "raft"]) == 4
+
+
+@pytest.mark.parametrize("flag, spec", [
+    ("--protocols", ""), ("--protocols", ","), ("--protocols", " "),
+    ("--servers", ""), ("--servers", "3,,5"),
+])
+def test_bench_refuses_an_empty_grid_naming_the_flag(capsys, flag, spec):
+    """Not refused, an empty protocol list would print nothing and exit
+    0, so a typo in a gate would read as a pass."""
+    assert main(["bench", flag, spec]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} ")
 
 
 def test_serve_refuses_the_unsound_protocol(tmp_path, capsys):

@@ -66,13 +66,30 @@ def test_failure_free_message_counts_at_five_servers():
 
 
 def test_exchange_kinds_are_what_traveled():
-    result = sequential_run("abd-mwmr", MWMR3, [("w1", "write", "A"),
-                                                ("r1", "read", None)])
-    by_kind = {m.kind: m for m in result.metrics.values()}
-    assert by_kind["write"].exchange_kinds == {
-        "discover", "discoverAck", "writeRequest", "writeAck"}
-    assert by_kind["read"].exchange_kinds == {
-        "readRequest", "readAck", "writeRequest", "writeAck"}
+    """Each op's tally names the kinds its messages carried. The cases
+    cover all eight MESSAGE_KINDS, and a finished run's OpMetrics keeps
+    no container, so a per-op set cannot come back unnoticed."""
+    cases = [
+        ("abd-mwmr", MWMR3, "write",
+         {"discover", "discoverAck", "writeRequest", "writeAck"}),
+        ("abd-mwmr", MWMR3, "read",
+         {"readRequest", "readAck", "writeRequest", "writeAck"}),
+        ("ohsam", SWMR3, "read", {"readRequest", "readRelay", "readAck"}),
+        ("ohmam", MWMR3, "write",
+         {"discover", "discoverAck", "writeRequest", "writeAck"}),
+        ("naive3x", MWMR3, "write",
+         {"writeRequest", "writeRelay", "writeAck"}),
+    ]
+    for protocol, config, kind, want in cases:
+        result = sequential_run(protocol, config, [("w1", "write", "A"),
+                                                   ("r1", "read", None)])
+        by_kind = {m.kind: m for m in result.metrics.values()}
+        assert by_kind[kind].exchange_kinds == want, (protocol, kind)
+        assert by_kind[kind].exchanges == len(want), (protocol, kind)
+        for m in result.metrics.values():
+            for slot in type(m).__slots__:
+                assert type(getattr(m, slot)) in (str, int), (protocol, slot)
+    assert set().union(*(want for *_, want in cases)) == set(MESSAGE_KINDS)
 
 
 def test_same_seed_same_bytes():
