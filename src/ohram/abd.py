@@ -25,24 +25,26 @@ with its current pair: no server-to-server relays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    Config,
     KIND_READ_ACK,
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
+    ProcessId,
 )
 from .ohmam import WriterStateM
 from .ohsam import QuorumClient, Replica, WriterStateS as AbdWriterSwmr  # one-round write
 
-@dataclass
 class AbdReaderState(QuorumClient):
     """Two-round reader: query a majority, write back the maximum tag."""
 
-    result: Optional[Message] = None
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        super().__init__(pid, config)
+        self.result: Optional[Message] = None
 
     def invoke_read(self) -> list[Message]:
         self._begin()

@@ -38,9 +38,8 @@ ids.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     HistoryTooLarge,
@@ -53,8 +52,9 @@ from .core import (
 BRUTE_MAX_OPS = 10
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """A checker's answer; truthy exactly when the history is atomic."""
+
     atomic: bool
     method: str  # "witness" | "bruteforce"
     reason: Optional[str] = None

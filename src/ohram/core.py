@@ -19,8 +19,8 @@ of one broadcast share one dict and one frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, NamedTuple, Optional
 
 
@@ -257,8 +257,44 @@ MESSAGE_KINDS = (
 )
 
 
-@dataclass(slots=True)
-class Message:
+class Record:
+    """Base of the package's mutable records.
+
+    A subclass names its fields in __slots__, in constructor order, and
+    writes out its own __init__; a subclass of a record adds its fields
+    after its base's. Equality is field-wise between instances of one
+    class, the repr names every field, Message(kind='readAck', ...), and
+    a record is unhashable, since it may change.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # the field names in constructor order; as __match_args__ they
+        # also let a class pattern, case Message(kind, op), take fields
+        # by position
+        cls.__match_args__ = tuple(
+            name for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ()))
+        # one C call reads every field, where a loop of getattr costs
+        # several times as much per comparison
+        cls._values = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            [f"{name}={getattr(self, name)!r}"
+             for name in self.__match_args__]) + ")"
+
+
+class Message(Record):
     """Typed protocol envelope.
 
     Every message names exactly one destination; a broadcast is expanded
@@ -269,44 +305,53 @@ class Message:
     A relay carries the target client's OpId, which lets a server answer
     a reader it never heard from directly.
 
-    Not frozen, because building a frozen instance costs a call per
-    field; equality is field-wise. A message is not mutated once sent,
-    and nothing hashes one. The one write is on receipt: message_from_json
-    leaves destination None, since the wire does not carry it, and the
-    live runner sets it to the receiving endpoint's pid before any machine
-    sees the message. Build it positionally on hot paths: a call with
-    keyword arguments costs about twice as much.
+    A mutable Record, whose straight-line __init__ is the cheapest way to
+    build one; equality is field-wise. A message is not mutated once
+    sent, and nothing hashes one. The one write is on receipt:
+    message_from_json leaves destination None, since the wire does not
+    carry it, and the live runner sets it to the receiving endpoint's pid
+    before any machine sees the message. Build it positionally on hot
+    paths: a call with keyword arguments costs about twice as much.
     """
 
-    kind: str
-    op: OpId
-    sender: ProcessId
-    destination: ProcessId
-    tag: Optional[Tag] = None
-    value: Optional[str] = None
-    relay_origin: Optional[ProcessId] = None
+    __slots__ = ("kind", "op", "sender", "destination", "tag", "value",
+                 "relay_origin")
+
+    def __init__(self, kind: str, op: OpId, sender: ProcessId,
+                 destination: Optional[ProcessId], tag: Optional[Tag] = None,
+                 value: Optional[str] = None,
+                 relay_origin: Optional[ProcessId] = None) -> None:
+        self.kind = kind
+        self.op = op
+        self.sender = sender
+        self.destination = destination
+        self.tag = tag
+        self.value = value
+        self.relay_origin = relay_origin
 
 
-@dataclass(slots=True)
-class Completion:
+class Completion(Record):
     """A finished client operation: canonical id, kind, and result.
 
     Write completions carry the tag and value that were written; read
     completions carry the tag and value that were returned. The tag makes
     recorded histories checkable by the witness checker.
 
-    Not frozen, for the reason Message is not: equality is field-wise, a
-    completion is not mutated once returned, and nothing hashes one.
+    A mutable Record, for the reason Message is: equality is field-wise,
+    a completion is not mutated once returned, and nothing hashes one.
     """
 
-    op: OpId
-    kind: str  # "read" | "write"
-    tag: Tag
-    value: Optional[str]
+    __slots__ = ("op", "kind", "tag", "value")
+
+    def __init__(self, op: OpId, kind: str, tag: Tag,
+                 value: Optional[str]) -> None:
+        self.op = op
+        self.kind = kind  # "read" | "write"
+        self.tag = tag
+        self.value = value
 
 
-@dataclass(slots=True)
-class OpRecord:
+class OpRecord(Record):
     """One operation in a recorded history.
 
     invoked and responded are indices on a single monotone scale (event
@@ -320,12 +365,17 @@ class OpRecord:
     raises AttributeError.
     """
 
-    op: OpId
-    kind: str  # "read" | "write"
-    invoked: int
-    responded: Optional[int]
-    tag: Optional[Tag]
-    value: Optional[str]
+    __slots__ = ("op", "kind", "invoked", "responded", "tag", "value")
+
+    def __init__(self, op: OpId, kind: str, invoked: int,
+                 responded: Optional[int], tag: Optional[Tag],
+                 value: Optional[str]) -> None:
+        self.op = op
+        self.kind = kind  # "read" | "write"
+        self.invoked = invoked
+        self.responded = responded
+        self.tag = tag
+        self.value = value
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +386,11 @@ MODE_SWMR = "swmr"
 MODE_MWMR = "mwmr"
 
 
-@dataclass(frozen=True, slots=True)
-class Config:
-    """System configuration: role counts, fault bound, register mode."""
+class Config(NamedTuple):
+    """System configuration: role counts, fault bound, register mode.
+
+    A tuple, like Tag and OpId: immutable and hashable.
+    """
 
     n_servers: int
     n_readers: int

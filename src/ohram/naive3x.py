@@ -41,8 +41,7 @@ write's value to the other between two back-to-back reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     BOTTOM,
@@ -63,8 +62,7 @@ from .core import (
 from .ohsam import ReaderStateS, WriterStateS, count_relay
 
 
-@dataclass(frozen=True, slots=True)
-class WriteRecord:
+class WriteRecord(NamedTuple):
     """One write as known to a server: identity, tag, and value."""
 
     op: OpId
@@ -72,13 +70,21 @@ class WriteRecord:
     value: Optional[str]
 
 
-@dataclass(slots=True)
 class Relay(Message):
     """A relay with the relaying server's observations attached: its
     record of the writes it has seen, in first-contact order. Simulated
     only, so the wire codec never meets one."""
 
-    observations: tuple[WriteRecord, ...] = ()
+    __slots__ = ("observations",)
+
+    def __init__(self, kind: str, op: OpId, sender: ProcessId,
+                 destination: ProcessId, tag: Optional[Tag] = None,
+                 value: Optional[str] = None,
+                 relay_origin: Optional[ProcessId] = None,
+                 observations: tuple[WriteRecord, ...] = ()) -> None:
+        Message.__init__(self, kind, op, sender, destination, tag, value,
+                         relay_origin)
+        self.observations = observations
 
 
 def default_x(n_servers: int) -> int:
@@ -119,7 +125,6 @@ class Naive3xReader(ReaderStateS):
         raise AssertionError("unreachable")
 
 
-@dataclass
 class Naive3xServer:
     """Relay bookkeeping plus the threshold decision rule.
 
@@ -128,22 +133,20 @@ class Naive3xServer:
     received from it; observation lists only grow, so the longest list
     subsumes every earlier snapshot. write_relays and read_relays hold
     relay origins per operation, counted by count_relay. Every copy of a
-    request relays, as on the sound servers.
+    request relays, as on the sound servers. x is the decision
+    threshold, default_x(n) when x <= 0.
     """
 
-    pid: ProcessId
-    config: Config
-    x: int = 0
-    observations: list[WriteRecord] = field(default_factory=list)
-    known: set[OpId] = field(default_factory=set)
-    origin_obs: dict[ProcessId, tuple[WriteRecord, ...]] = field(default_factory=dict)
-    write_relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-    read_relays: dict[OpId, set[ProcessId]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.x <= 0:
-            self.x = default_x(self.config.n_servers)
-        self.quorum = quorum_size(self.config.n_servers)
+    def __init__(self, pid: ProcessId, config: Config, x: int = 0) -> None:
+        self.pid = pid
+        self.config = config
+        self.x = x if x > 0 else default_x(config.n_servers)
+        self.observations: list[WriteRecord] = []
+        self.known: set[OpId] = set()
+        self.origin_obs: dict[ProcessId, tuple[WriteRecord, ...]] = {}
+        self.write_relays: dict[OpId, set[ProcessId]] = {}
+        self.read_relays: dict[OpId, set[ProcessId]] = {}
+        self.quorum = quorum_size(config.n_servers)
 
     # -- evidence bookkeeping --
 

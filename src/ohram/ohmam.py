@@ -26,10 +26,10 @@ non-adopting acks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
+    Config,
     KIND_DISCOVER,
     KIND_DISCOVER_ACK,
     KIND_WRITE_ACK,
@@ -47,7 +47,6 @@ from .ohsam import QuorumClient, ReaderStateS, ServerStateS
 ReaderStateM = ReaderStateS
 
 
-@dataclass
 class WriterStateM(QuorumClient):
     """Multi-writer: discover the maximum timestamp, then write above it.
 
@@ -56,14 +55,12 @@ class WriterStateM(QuorumClient):
     writeRequest broadcast.
     """
 
-    tag: Tag = None
-    value: Optional[str] = None
     ticks = 2
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.tag is None:
-            self.tag = Tag(0, self.pid)
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        super().__init__(pid, config)
+        self.tag = Tag(0, pid)
+        self.value: Optional[str] = None
 
     @property
     def op_ordinal(self) -> int:
@@ -85,11 +82,12 @@ class WriterStateM(QuorumClient):
                                self.tag, self.value), None
 
 
-@dataclass
 class ServerStateM(ServerStateS):
     """Server with the stale-write guard; everything else is inherited."""
 
-    write_operations: dict[ProcessId, int] = field(default_factory=dict)
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        super().__init__(pid, config)
+        self.write_operations: dict[ProcessId, int] = {}
 
     def on_write_request(self, msg: Message) -> list[Message]:
         wid = msg.op.invoker

@@ -44,7 +44,6 @@ multi-writer variant reuse the whole read path unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -69,7 +68,6 @@ from .core import (
 )
 
 
-@dataclass
 class QuorumClient:
     """One client operation as a sequence of quorum phases.
 
@@ -89,16 +87,16 @@ class QuorumClient:
     quorum and server_ids are derived from config once.
     """
 
-    pid: ProcessId
-    config: Config
-    seq: int = 0
-    awaiting: Optional[str] = None
-    replies: dict[ProcessId, Message] = field(default_factory=dict)
-    ticks = 1  # a class attribute, not a field
+    ticks = 1
 
-    def __post_init__(self):
-        self.quorum = quorum_size(self.config.n_servers)
-        self.server_ids = _server_ids(self.config.n_servers)
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        self.pid = pid
+        self.config = config
+        self.seq = 0
+        self.awaiting: Optional[str] = None
+        self.replies: dict[ProcessId, Message] = {}
+        self.quorum = quorum_size(config.n_servers)
+        self.server_ids = _server_ids(config.n_servers)
         self.phase: list[Message] = []  # what _broadcast returned last
 
     @property
@@ -143,7 +141,6 @@ class QuorumClient:
         return [], Completion(OpId(self.pid, seq), kind, tag, value)
 
 
-@dataclass
 class WriterStateS(QuorumClient):
     """Single writer: timestamp k for write k, one write at a time.
 
@@ -151,7 +148,9 @@ class WriterStateS(QuorumClient):
     it completes), under the same name as in every other writer machine.
     """
 
-    value: Optional[str] = None
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        super().__init__(pid, config)
+        self.value: Optional[str] = None
 
     def invoke_write(self, label: str) -> list[Message]:
         self._begin()
@@ -163,7 +162,6 @@ class WriterStateS(QuorumClient):
         return self._done("write", self.seq, Tag(self.seq, self.pid), self.value)
 
 
-@dataclass
 class ReaderStateS(QuorumClient):
     """Reader for the three-exchange read, shared by both register modes."""
 
@@ -199,7 +197,6 @@ def count_relay(origins: set[ProcessId], msg: Message, quorum: int) -> bool:
     return len(origins) == quorum
 
 
-@dataclass
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
     and duplicate-safe. on_message answers the writeRequest and the
@@ -210,15 +207,12 @@ class Replica:
     readAck; the simulator delivers no repeated request. quorum is
     derived from config once."""
 
-    pid: ProcessId
-    config: Config
-    tag: Tag = None
-    value: Optional[str] = BOTTOM
-
-    def __post_init__(self):
-        if self.tag is None:
-            self.tag = Tag(0, self.pid)
-        self.quorum = quorum_size(self.config.n_servers)
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        self.pid = pid
+        self.config = config
+        self.tag = Tag(0, pid)
+        self.value: Optional[str] = BOTTOM
+        self.quorum = quorum_size(config.n_servers)
 
     def _reply(self, kind: str, msg: Message) -> list[Message]:
         op = msg.op
@@ -244,7 +238,6 @@ class Replica:
         return self._reply(KIND_DISCOVER_ACK, msg)
 
 
-@dataclass
 class ServerStateS(Replica):
     """Server: register replica plus one open read per invoker.
 
@@ -264,8 +257,9 @@ class ServerStateS(Replica):
     see is unchanged.
     """
 
-    reads: dict[ProcessId, tuple[int, set[ProcessId]]] = field(
-        default_factory=dict)
+    def __init__(self, pid: ProcessId, config: Config) -> None:
+        super().__init__(pid, config)
+        self.reads: dict[ProcessId, tuple[int, set[ProcessId]]] = {}
 
     def on_message(self, msg: Message) -> list[Message]:
         # a read brings each server n readRelays to one readRequest

@@ -17,9 +17,8 @@ Names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     MODE_MWMR,
@@ -33,8 +32,7 @@ from .core import (
 from . import abd, naive3x, ohmam, ohsam
 
 
-@dataclass(frozen=True)
-class ProtocolBundle:
+class ProtocolBundle(NamedTuple):
     name: str
     mode: str
     make_writer: Callable
@@ -102,7 +100,7 @@ def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
     if name != "naive3x":
         raise ModeMismatch(
             f"protocol {name} takes no threshold x (only naive3x does)")
-    return replace(bundle, make_server=partial(naive3x.Naive3xServer, x=x))
+    return bundle._replace(make_server=partial(naive3x.Naive3xServer, x=x))
 
 
 def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,

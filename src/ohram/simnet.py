@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -62,6 +61,7 @@ from .core import (
     OpRecord,
     ProcessId,
     ROLE_WRITER,
+    Record,
     ScheduleUnresolvable,
     StuckExecution,
     Tag,
@@ -84,8 +84,7 @@ STEP_BUDGET = 10 ** 6
 _KIND_BITS = {kind: 1 << i for i, kind in enumerate(MESSAGE_KINDS)}
 
 
-@dataclass(slots=True)
-class OpMetrics:
+class OpMetrics(Record):
     """One simulated op's tally. kind is "read" or "write", messages the
     number of messages sent on its behalf, and kinds the message kinds
     among them, one bit each: bit i stands for core.MESSAGE_KINDS[i].
@@ -94,9 +93,13 @@ class OpMetrics:
     because a set per op would be over a third of the bytes a long run
     keeps per simulated op.
     """
-    kind: str
-    messages: int = 0
-    kinds: int = 0
+
+    __slots__ = ("kind", "messages", "kinds")
+
+    def __init__(self, kind: str, messages: int = 0, kinds: int = 0) -> None:
+        self.kind = kind
+        self.messages = messages
+        self.kinds = kinds
 
     @property
     def exchange_kinds(self) -> set[str]:
@@ -107,16 +110,25 @@ class OpMetrics:
         return self.kinds.bit_count()
 
 
-@dataclass
-class RunResult:
-    protocol: str
-    config: Config
-    seed: Optional[int]
-    history: list[OpRecord]
-    metrics: dict[OpId, OpMetrics]
-    events: int
-    crashed: list[ProcessId]
-    invariant_failures: list[str]
+class RunResult(Record):
+    """What a finished simulator run leaves: its history, each op's
+    tally, and the crashes and invariant failures seen."""
+
+    __slots__ = ("protocol", "config", "seed", "history", "metrics",
+                 "events", "crashed", "invariant_failures")
+
+    def __init__(self, protocol: str, config: Config, seed: Optional[int],
+                 history: list[OpRecord], metrics: dict[OpId, OpMetrics],
+                 events: int, crashed: list[ProcessId],
+                 invariant_failures: list[str]) -> None:
+        self.protocol = protocol
+        self.config = config
+        self.seed = seed
+        self.history = history
+        self.metrics = metrics
+        self.events = events
+        self.crashed = crashed
+        self.invariant_failures = invariant_failures
 
     def to_json(self) -> dict:
         return self._fields(history_to_json(self.history),

@@ -8,7 +8,7 @@ linearize, are deliberately not here; those appear in the agreement tests
 as the known asymmetry between the two procedures.
 """
 
-import dataclasses
+import copy
 import random
 
 import pytest
@@ -242,7 +242,7 @@ def sim_history(rng):
 
 def mutate(history, rng):
     """Copy the history and corrupt one to three completed records."""
-    history = [dataclasses.replace(r) for r in history]
+    history = [copy.copy(r) for r in history]
     for _ in range(rng.randint(1, 3)):
         r = rng.choice(history)
         if r.responded is None:

@@ -1,7 +1,6 @@
 """Identifier, tag, and configuration plumbing."""
 
 import copy
-import dataclasses
 import functools
 import itertools
 import pickle
@@ -11,7 +10,10 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from ohram.checker import Verdict
 from ohram.core import (
+    MODE_SWMR,
+    Completion,
     Config,
     InvalidFaultBound,
     KIND_READ_ACK,
@@ -32,8 +34,10 @@ from ohram.core import (
     validate_config,
     writer_id,
 )
-from ohram.protocols import PROTOCOL_NAMES, get_protocol
+from ohram.naive3x import Relay, WriteRecord
+from ohram.protocols import PROTOCOL_NAMES, ProtocolBundle, get_protocol
 from ohram.runner import _pack, _unpack
+from ohram.simnet import OpMetrics, RunResult
 
 
 def test_pid_text_round_trip():
@@ -108,7 +112,7 @@ def test_quorum_size_values():
 
 def test_every_machine_caches_its_quorum_size():
     """Each machine derives quorum (and a client server_ids) from config
-    once, in __post_init__; a subclass that skips super() has neither."""
+    once, in __init__; a subclass that skips super() has neither."""
     for name in PROTOCOL_NAMES:
         bundle = get_protocol(name)
         for n in range(1, 8):
@@ -162,8 +166,8 @@ def test_message_json_round_trip():
                   relay_origin=server_id(1))
     frame = _pack({"type": "msg", "msg": message_to_json(msg)})
     # the wire leaves the destination to the connection it arrives on
-    assert message_from_json(_unpack(frame[4:])) == dataclasses.replace(
-        msg, destination=None)
+    msg.destination = None
+    assert message_from_json(_unpack(frame[4:])) == msg
 
 
 def test_pids_built_at_once_by_many_threads_are_one_object():
@@ -279,7 +283,7 @@ def test_message_equality_is_field_wise():
     changes = dict(kind="writeAck", op=OpId(reader_id(1), 3), sender=server_id(2),
                    destination=reader_id(2), tag=Tag(1, writer_id(2)), value="B#w1.2",
                    relay_origin=server_id(1))
-    assert set(changes) == {f.name for f in dataclasses.fields(Message)}
+    assert set(changes) == set(Message.__slots__)
     for name, other in changes.items():
         assert Message(**{**fields, name: other}) != msg, name
 
@@ -290,3 +294,108 @@ def test_an_op_record_has_no_attribute_dict():
     with pytest.raises(AttributeError):
         rec.note = "x"
     assert not hasattr(rec, "__dict__")
+
+
+# One record of each type the package defines, with its repr as the
+# classes printed it when they were dataclasses.
+_OP = OpId(reader_id(2), 4)
+_OP_TEXT = "OpId(invoker=ProcessId(role='reader', index=2), seq=4)"
+_TAG = Tag(5, writer_id(1))
+_TAG_TEXT = "Tag(ts=5, wid=ProcessId(role='writer', index=1))"
+_CONFIG = Config(5, 1, 1, 2, MODE_SWMR)
+_CONFIG_TEXT = "Config(n_servers=5, n_readers=1, n_writers=1, f=2, mode='swmr')"
+_S1 = "ProcessId(role='server', index=1)"
+_S3 = "ProcessId(role='server', index=3)"
+
+MUTABLE_RECORDS = [
+    (Message("readRelay", _OP, server_id(3), server_id(1), _TAG, "A#w1.5",
+             server_id(3)),
+     f"Message(kind='readRelay', op={_OP_TEXT}, sender={_S3}, "
+     f"destination={_S1}, tag={_TAG_TEXT}, value='A#w1.5', "
+     f"relay_origin={_S3})"),
+    (Completion(_OP, "read", _TAG, "A#w1.5"),
+     f"Completion(op={_OP_TEXT}, kind='read', tag={_TAG_TEXT}, "
+     f"value='A#w1.5')"),
+    (OpRecord(_OP, "read", 1, None, None, None),
+     f"OpRecord(op={_OP_TEXT}, kind='read', invoked=1, responded=None, "
+     f"tag=None, value=None)"),
+    (OpMetrics("write", 10, 9),
+     "OpMetrics(kind='write', messages=10, kinds=9)"),
+    (RunResult("ohsam", _CONFIG, 7, [OpRecord(_OP, "read", 1, 2, _TAG, "A")],
+               {_OP: OpMetrics("read", 3, 1)}, 12, [server_id(3)], ["x"]),
+     f"RunResult(protocol='ohsam', config={_CONFIG_TEXT}, seed=7, "
+     f"history=[OpRecord(op={_OP_TEXT}, kind='read', invoked=1, responded=2, "
+     f"tag={_TAG_TEXT}, value='A')], metrics={{{_OP_TEXT}: "
+     f"OpMetrics(kind='read', messages=3, kinds=1)}}, events=12, "
+     f"crashed=[{_S3}], invariant_failures=['x'])"),
+    (Relay("writeRelay", _OP, server_id(3), server_id(1), _TAG, "B",
+           server_id(3), (WriteRecord(_OP, _TAG, "B"),)),
+     f"Relay(kind='writeRelay', op={_OP_TEXT}, sender={_S3}, "
+     f"destination={_S1}, tag={_TAG_TEXT}, value='B', relay_origin={_S3}, "
+     f"observations=(WriteRecord(op={_OP_TEXT}, tag={_TAG_TEXT}, "
+     f"value='B'),))"),
+]
+
+VALUE_RECORDS = [
+    (_CONFIG, _CONFIG_TEXT),
+    (Verdict(False, "witness", "why", (_OP,), "P1"),
+     f"Verdict(atomic=False, method='witness', reason='why', "
+     f"witness=({_OP_TEXT},), prop='P1')"),
+    (ProtocolBundle("p", MODE_SWMR, int, str, float, True, 2, 3, abs, len),
+     "ProtocolBundle(name='p', mode='swmr', make_writer=<class 'int'>, "
+     "make_reader=<class 'str'>, make_server=<class 'float'>, sound=True, "
+     "write_exchanges=2, read_exchanges=3, "
+     "write_messages=<built-in function abs>, "
+     "read_messages=<built-in function len>)"),
+    (WriteRecord(_OP, _TAG, None),
+     f"WriteRecord(op={_OP_TEXT}, tag={_TAG_TEXT}, value=None)"),
+]
+
+
+def _names(records):
+    return [type(record).__name__ for record, _ in records]
+
+
+@pytest.mark.parametrize("record, text", MUTABLE_RECORDS + VALUE_RECORDS,
+                         ids=_names(MUTABLE_RECORDS + VALUE_RECORDS))
+def test_records_print_copy_and_pickle_as_before(record, text):
+    assert repr(record) == text
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin is not record
+        assert type(twin) is type(record) and repr(twin) == text
+
+
+@pytest.mark.parametrize("record, _", MUTABLE_RECORDS,
+                         ids=_names(MUTABLE_RECORDS))
+def test_mutable_records_compare_field_wise_and_do_not_hash(record, _):
+    fields = type(record).__match_args__
+    with pytest.raises(TypeError):
+        hash(record)
+    for name in fields:
+        changed = copy.copy(record)
+        setattr(changed, name, object())
+        assert changed != record and not changed == record, name
+    # the same fields in an instance of another class are unequal
+    other = object.__new__(type("Other", (type(record),), {"__slots__": ()}))
+    for name in fields:
+        setattr(other, name, getattr(record, name))
+    assert other != record and record != other
+
+
+@pytest.mark.parametrize("record, _", VALUE_RECORDS, ids=_names(VALUE_RECORDS))
+def test_value_records_are_immutable_hashable_and_field_wise(record, _):
+    assert hash(copy.copy(record)) == hash(record)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    fields = {name: getattr(record, name)
+              for name in type(record).__match_args__}
+    assert type(record)(**fields) == record
+    for name in fields:
+        assert type(record)(**{**fields, name: object()}) != record, name
+
+
+def test_a_verdict_is_true_exactly_when_atomic():
+    assert not Verdict(False, "witness", "why", (_OP,), "P1")
+    assert not Verdict(False, "bruteforce")
+    assert Verdict(True, "witness")

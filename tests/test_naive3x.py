@@ -188,8 +188,8 @@ class AckedSets(Naive3xServer):
     and it is not in the set yet. Every copy of a request relays.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, pid, config):
+        super().__init__(pid, config)
         self.write_acked = set()
         self.acked_reads = set()
 

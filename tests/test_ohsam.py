@@ -296,8 +296,8 @@ class _AckedReads:
     and a majority acks again, as in the server.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, pid, config):
+        super().__init__(pid, config)
         self.relays = {}
         self.relayed = set()
         self.acked_reads = set()

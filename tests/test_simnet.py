@@ -1,6 +1,5 @@
 """Simulator: determinism, crash semantics, metrics, scripted schedules."""
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -471,9 +470,8 @@ def test_dumps_of_edge_runs_are_the_one_shot_bytes():
     script = run_script(HEADER + "\n" + json.dumps(
         {"invoke": {"client": "w1", "kind": "write", "label": "é\"\\"}}))
     assert script.seed is None
-    failed = dataclasses.replace(
-        simulate("abd-mwmr", MWMR3, 7, max_ops=6, victims=[server_id(2)]),
-        invariant_failures=["s1: tag went back", "r1: \u2192 twice"])
+    failed = simulate("abd-mwmr", MWMR3, 7, max_ops=6, victims=[server_id(2)])
+    failed.invariant_failures = ["s1: tag went back", "r1: \u2192 twice"]
     assert failed.crashed and failed.invariant_failures
     empty = SimNet("ohmam", MWMR3, seed=3).result()
     assert empty.history == [] and empty.metrics == {}
@@ -668,7 +666,9 @@ class _AcksWriteBack(AbdServerState):
 
 def _faulty_net(server_class, protocol="ohsam", **fields):
     net = SimNet(protocol, SWMR3, seed=0)
-    net.servers[S1] = server_class(S1, SWMR3, **fields)
+    server = net.servers[S1] = server_class(S1, SWMR3)
+    for name, value in fields.items():
+        setattr(server, name, value)
     net.load_program(parse_pid("w1"), [("write", "A")])
     net.load_program(parse_pid("r1"), [("read", None)])
     return net
@@ -724,7 +724,7 @@ def test_invariant_read_ack_below_a_received_relay_tag():
 def test_invariant_read_ack_below_a_relay_tag_of_another_read():
     """A readAck is held against every relay tag its server received, not
     only the relay tags of the read it answers."""
-    config = dataclasses.replace(SWMR3, n_readers=2)
+    config = SWMR3._replace(n_readers=2)
     net = SimNet("ohsam", config, seed=0)
     s3 = server_id(3)
     net.servers[s3] = _AnswersInitial(s3, config)
