@@ -82,9 +82,8 @@ class QuorumClient:
     phases with _broadcast, which keeps the phase's messages in phase
     for rebroadcast() to send again, and say in _on_quorum what a
     complete phase leads to: the next phase, or the completion of _done.
-    ticks is how many counter values one operation uses. A step sends
-    one broadcast or nothing: one op and one kind (see SimNet._send).
-    quorum and server_ids are derived from config once.
+    ticks is how many counter values one operation uses. quorum and
+    server_ids are derived from config once.
     """
 
     ticks = 1
@@ -200,11 +199,7 @@ def count_relay(origins: set[ProcessId], msg: Message, quorum: int) -> bool:
 class Replica:
     """A (tag, value) pair that only grows. The writeAck is unconditional
     and duplicate-safe. on_message answers the writeRequest and the
-    discover; subclasses dispatch their read kinds first. A step
-    sends one reply, one broadcast or nothing (see SimNet._send), except
-    on a repeated readRequest for the newest read of its invoker, once
-    the server has answered it, which brings both its relays and its
-    readAck; the simulator delivers no repeated request. quorum is
+    discover; subclasses dispatch their read kinds first. quorum is
     derived from config once."""
 
     def __init__(self, pid: ProcessId, config: Config) -> None:

@@ -45,7 +45,11 @@ what the server sends that process travels back over it, and a newer
 connection that names the same process replaces it. Only a connection's
 first hello from a process of the configuration counts. A daemon sends
 to a server it dials itself on its own link, so a daemon that dials
-every peer still works with one that does not.
+every peer still works with one that does not. A membership names the
+servers of the configuration and nothing else: check_membership, which
+Client and `ohram serve` call, refuses any other entry, and a daemon
+dials only servers, so what it sends a client goes back on the
+connection that client dialed.
 
 The process has one selector loop, made by the first endpoint and run
 while any endpoint is started. It owns every socket of every server
@@ -119,6 +123,7 @@ from .core import (
     OpRecord,
     ProcessId,
     QuorumUnreachable,
+    ROLE_SERVER,
     message_from_json,
     message_to_json,
     parse_pid,
@@ -554,11 +559,13 @@ class ServerDaemon(_Endpoint):
 
         One connection per server pair: this daemon dials the peers that
         precede it, and keeps the connection a later peer dials as an
-        inbound one, named by that peer's hello, as a client's is.
+        inbound one, named by that peer's hello, as a client's is. It
+        dials only servers: a client's replies go back on the connection
+        the client dialed, whatever else membership names.
         """
         with self.lock:
             self._start({peer: addr for peer, addr in membership.items()
-                         if peer < self.pid})
+                         if peer.role == ROLE_SERVER and peer < self.pid})
             self.loop.selector.register(self.listener, EVENT_READ, (self, None))
 
     def stop(self) -> None:
@@ -675,12 +682,18 @@ def merge_histories(*histories: list[OpRecord]) -> list[OpRecord]:
 
 def check_membership(pid: ProcessId, config: Config,
                      membership: dict[ProcessId, tuple[str, int]]) -> None:
-    """Raise ValueError unless membership names every server but pid."""
-    missing = [str(s) for s in config.servers()
-               if s != pid and s not in membership]
+    """Raise ValueError unless membership names every server of config
+    but pid, and nothing else: the error names each server left out, or
+    else each entry that names anything but a server of config."""
+    servers = config.servers()
+    missing = [str(s) for s in servers if s != pid and s not in membership]
     if missing:
         raise ValueError(f"{pid}: the membership names no address for "
                          f"{', '.join(missing)}")
+    others = [str(p) for p in membership if p not in servers]
+    if others:
+        raise ValueError(f"{pid}: the membership names what is no server of "
+                         f"the configuration: {', '.join(others)}")
 
 
 def membership_from_json(obj: dict) -> dict[ProcessId, tuple[str, int]]:

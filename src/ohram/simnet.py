@@ -223,19 +223,21 @@ class SimNet:
     # -- send side --
 
     def _send(self, msgs: list[Message]) -> None:
-        """Tally and put in flight one step's non-empty output. Its messages
-        share one op and one kind: a step sends one broadcast to the servers
-        or one reply to the op's invoker. Only a broadcast can name a crashed
-        server, since the invoker is a client and clients never crash."""
-        first = msgs[0]
-        op = first.op
+        """Tally and put in flight one step's non-empty output, all of it
+        under the op of its first message, since a step serves one op, and
+        each message under its own kind. A message to a crashed server
+        stays out of flight."""
+        op = msgs[0].op
         if self._op_group is not None:
             op = self._op_group(op)
         om = self.metrics[op]
         om.messages += len(msgs)
-        om.kinds |= _KIND_BITS[first.kind]
+        kinds = om.kinds
+        for m in msgs:
+            kinds |= _KIND_BITS[m.kind]
+        om.kinds = kinds
         crashed = self.crashed
-        if crashed and first.destination in self.servers:
+        if crashed:
             msgs = [m for m in msgs if m.destination not in crashed]
         self.inflight.extend(msgs)
 
@@ -321,14 +323,11 @@ class SimNet:
         del self._open[completion.op]
 
     def _check_replies(self, pid, msg, outs) -> None:
-        # one step's outputs share one kind (see _send)
-        kind = outs[0].kind
-        if kind == KIND_READ_ACK:
-            high = self._relay_high[pid]
-            acked = self._read_acked[pid]
-            if msg.kind == KIND_READ_RELAY:
-                self._relay_answerers.add(pid)
-            for out in outs:
+        for out in outs:
+            if out.kind == KIND_READ_ACK:
+                if msg.kind == KIND_READ_RELAY:
+                    self._relay_answerers.add(pid)
+                acked = self._read_acked[pid]
                 reader, seq = out.op
                 newest = acked.get(reader, 0)
                 if seq > newest:
@@ -340,16 +339,16 @@ class SimNet:
                         or pid in self._relay_answerers):
                     self.invariant_failures.append(
                         f"{pid}: readAck for {out.op} after {reader}#{newest}")
+                high = self._relay_high[pid]
                 if out.tag < high:
                     self.invariant_failures.append(
                         f"{pid}: readAck tag {out.tag} below received "
                         f"relay tag {high} for {out.op}")
-        elif kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST:
-            for out in outs:
-                if out.op == msg.op and out.tag < msg.tag:
-                    self.invariant_failures.append(
-                        f"{pid}: writeAck tag {out.tag} below request tag "
-                        f"{msg.tag} for {out.op}")
+            elif (out.kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST
+                    and out.op == msg.op and out.tag < msg.tag):
+                self.invariant_failures.append(
+                    f"{pid}: writeAck tag {out.tag} below request tag "
+                    f"{msg.tag} for {out.op}")
 
     # -- driving a run --
 

@@ -477,6 +477,10 @@ BAD_MEMBERSHIPS = pytest.mark.parametrize("text, error", [
     pytest.param(
         '{"s1": "127.0.0.1:-1", "s2": "127.0.0.1:1", "s3": "127.0.0.1:1"}',
         "s1: port outside 0..65535", id="port-minus-1"),
+    pytest.param(
+        '{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1", "s3": "127.0.0.1:1", '
+        '"w1": "127.0.0.1:1"}',
+        "no server of the configuration: w1", id="client-entry"),
 ])
 
 

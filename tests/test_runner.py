@@ -730,6 +730,23 @@ def test_a_server_refuses_a_bad_peer_address_before_it_dials(addr):
             daemon.stop()
 
 
+def test_a_server_dials_no_client_the_membership_names():
+    """A server answers w1 on the connection w1 dialed, though its own
+    membership also maps w1 to an address where nothing listens."""
+    with socket.socket() as dead:
+        dead.bind(("127.0.0.1", 0))  # bound, never listening: refuses dials
+        daemons = [ServerDaemon(s, SWMR, "ohsam") for s in SWMR.servers()]
+        servers = {d.pid: d.address for d in daemons}
+        for d in daemons:
+            d.start({**servers, W1: dead.getsockname()})
+        writer = Client(W1, SWMR, "ohsam", servers, retry_budget=10)
+        try:
+            assert [W1 in d.links for d in daemons] == [False] * 3
+            assert writer.write("A").value == "A#w1.1"
+        finally:
+            stop_all(daemons, [writer])
+
+
 def test_a_client_cut_off_at_the_backlog_completes_on_a_rebroadcast():
     daemons, membership = start_cluster(ONE, "ohsam")
     s1 = daemons[0]

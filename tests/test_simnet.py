@@ -545,11 +545,14 @@ def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
 
 
 def test_every_step_sends_one_op_and_one_kind(monkeypatch):
-    """SimNet._send tallies per output list: each list a machine returns
-    from invoke_* or on_message is one broadcast or one reply. Each op's
-    tally equals a recount of the messages sent under it, every message
-    grouped on its own by bundle.op_group (ohmam's writes send two wire
-    seqs)."""
+    """SimNet._send tallies an output list under its first message's op:
+    each list a machine returns from invoke_* or on_message is one
+    broadcast or one reply. Only a repeated readRequest, which no seeded
+    or scripted source delivers, brings a sound server's relays and its
+    readAck in one list, so the corpus has no list of two kinds either.
+    Each op's tally equals a recount of the messages sent under it, every
+    message grouped on its own by bundle.op_group (ohmam's writes send
+    two wire seqs)."""
     lists = 0
     sent = {}  # net -> {op: messages}
     send = SimNet._send
@@ -662,6 +665,24 @@ class _AcksWriteBack(AbdServerState):
         if msg.op.invoker.role == "reader":
             return self._reply(KIND_READ_ACK, msg)
         return self._reply(KIND_WRITE_ACK, msg)
+
+
+class _AcksEveryRequest(ServerStateS):
+    """Answers every readRequest with its relays and a readAck in one
+    step, as a sound server answers a repeated one: the readAck last, or
+    first when ack_first is set."""
+
+    ack_first = False
+
+    def on_read_request(self, msg):
+        relays = super().on_read_request(msg)
+        ack = self._reply(KIND_READ_ACK, msg)
+        return ack + relays if self.ack_first else relays + ack
+
+
+class _AcksInitialEveryRequest(_AcksEveryRequest, _AnswersInitial):
+    """Answers every readRequest with its relays and a readAck carrying
+    its initial pair."""
 
 
 def _faulty_net(server_class, protocol="ohsam", **fields):
@@ -800,6 +821,46 @@ def test_invariant_write_ack_below_the_request_tag():
     _deliver(net, "writeRequest", "s1")
     assert net.invariant_failures == [
         "s1: writeAck tag (0,s1) below request tag (1,w1) for w1#1"]
+
+
+def test_a_step_tallies_each_message_under_its_own_kind():
+    """A readRequest step that returns relays and then a readAck counts
+    the readAck's exchange for the read at once."""
+    net = _faulty_net(_AcksEveryRequest)
+    net.invoke_next(parse_pid("r1"))
+    _deliver(net, "readRequest", "s1")
+    (om,) = net.metrics.values()
+    assert om.exchange_kinds == {"readRequest", "readRelay", "readAck"}
+    assert om.messages == 3 + 3 + 1
+    assert net.invariant_failures == []
+
+
+def test_invariant_read_ack_after_relays_below_a_received_relay_tag():
+    """The monitor checks every output of a step by its own kind, not
+    only by the kind of the first."""
+    net = _faulty_net(_AcksInitialEveryRequest)
+    net.invoke_next(parse_pid("w1"))
+    _deliver(net, "writeRequest", "s2")
+    net.invoke_next(parse_pid("r1"))
+    _deliver(net, "readRequest", "s2")
+    _deliver(net, "readRelay", "s1", "s2")
+    assert net.invariant_failures == []
+    _deliver(net, "readRequest", "s1")
+    assert net.invariant_failures == [
+        "s1: readAck tag (0,s1) below received relay tag (1,w1) for r1#1"]
+
+
+def test_a_step_puts_no_message_to_a_crashed_server_in_flight():
+    """However a step orders its outputs: here its readAck to the reader
+    comes first, and its relays after it."""
+    net = _faulty_net(_AcksEveryRequest, ack_first=True)
+    s2 = server_id(2)
+    net.crash(s2)
+    net.invoke_next(parse_pid("r1"))
+    _deliver(net, "readRequest", "s1")
+    assert [m for m in net.inflight if m.destination is s2] == []
+    assert sorted(str(m.destination) for m in net.inflight
+                  if m.sender is S1) == ["r1", "s1", "s3"]
 
 
 # -- the naive3x threshold --
