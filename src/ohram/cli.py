@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from typing import Optional
 
 from . import __version__
@@ -37,13 +36,6 @@ from .core import (
     ROLE_WRITER,
 )
 from .protocols import PROTOCOL_NAMES, get_protocol
-from .runner import (
-    Client,
-    ServerDaemon,
-    check_membership,
-    membership_from_json,
-    parse_address,
-)
 from .simnet import (
     RunResult,
     SimNet,
@@ -220,13 +212,18 @@ def cmd_bench(args) -> int:
 
 
 # -- live network --
+# The runner and threading are imported where they are used, so that the
+# simulated subcommands never load sockets or threads.
 
 def _load_membership(path: str):
+    from .runner import membership_from_json
     with open(path, "r", encoding="utf-8") as fh:
         return membership_from_json(json.load(fh))
 
 
 def cmd_serve(args) -> int:
+    import threading
+    from .runner import ServerDaemon, check_membership, parse_address
     config = _config_from_args(args, args.protocol)
     pid = parse_pid(args.pid)
     # no --listen: an ephemeral port on ServerDaemon's default host
@@ -263,6 +260,7 @@ def _parse_client_ops(spec: str) -> list[tuple]:
 
 
 def cmd_client(args) -> int:
+    from .runner import Client
     config = _config_from_args(args, args.protocol)
     pid = parse_pid(args.pid)
     if pid.role not in (ROLE_READER, ROLE_WRITER):

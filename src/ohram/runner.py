@@ -98,7 +98,11 @@ up stays open in its machine, so the next op raises NotWellFormed. A
 client refuses a retry_interval that is not above 0 and a negative
 retry_budget with ValueError, before it makes a socket: a wait of no
 time does not block, so every op would give up at once. A retry_budget
-of 0 gives up after one retry_interval, with no rebroadcast.
+of 0 gives up after one retry_interval, with no rebroadcast. A write
+whose label's JSON text, as the wire escapes it, is longer than
+MAX_FRAME - LABEL_ALLOWANCE bytes raises ValueError before the machine
+invokes it: its frame could not be sent, and an op invoked but never
+sent would stay open.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -132,6 +136,9 @@ from .protocols import checked_bundle
 
 MAX_FRAME = 1 << 20
 MAX_BACKLOG = 8 * MAX_FRAME  # bytes in a connection's outbuf that drop it
+# a write label's JSON text takes at most MAX_FRAME less this, which leaves
+# room for the frame's other fields and the value's nonce
+LABEL_ALLOWANCE = 1024
 RECV_SIZE = 1 << 16  # one read: every frame a wake-up finds
 REDIAL_DELAY = 0.02  # seconds from a refused or dropped link to its redial
 _LEN = struct.Struct(">I")
@@ -667,6 +674,13 @@ class Client(_Endpoint):
             return rec
 
     def write(self, label: str) -> OpRecord:
+        """Write label; a label whose JSON text would not leave room for
+        the rest of its frame raises ValueError before the op starts."""
+        size = len(_quote(label))
+        if size > MAX_FRAME - LABEL_ALLOWANCE:
+            raise ValueError(
+                f"{self.pid}: a label's JSON text takes at most "
+                f"{MAX_FRAME - LABEL_ALLOWANCE} bytes, got {size}")
         return self._run_op("write", lambda: self.machine.invoke_write(label))
 
     def read(self) -> OpRecord:

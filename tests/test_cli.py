@@ -543,16 +543,56 @@ def serve(*args):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
 
 
+def run_fresh(code: str):
+    """Run code in a fresh interpreter that imports the package from SRC;
+    -S keeps site's own imports out of sys.modules."""
+    return subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize, and sets each class
+# up at import: about 18 ms of every ohram process's start-up. The live
+# runner brings sockets and threads, which no simulated run uses
+UNLOADED_AT_IMPORT = ({"dataclasses", "inspect"},
+                      {"socket", "selectors", "threading", "ohram.runner"})
+
+
 def test_the_package_imports_without_dataclasses():
-    """dataclasses pulls in inspect, ast, dis and tokenize, and sets each
-    class up at import: about 18 ms of every ohram process's start-up.
-    -S keeps site's own imports out of the count."""
-    code = ("import sys, ohram, ohram.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, timeout=60,
-                         env=dict(os.environ, PYTHONPATH=SRC))
-    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+    for names in UNLOADED_AT_IMPORT:
+        out = run_fresh("import sys, ohram, ohram.cli; "
+                        f"print(sorted({sorted(names)} & sys.modules.keys()))")
+        assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", ""), \
+            names
+
+
+def test_the_simulated_subcommands_never_load_the_runner(tmp_path):
+    dump = tmp_path / "run.json"
+    code = f"""if True:
+        import sys
+        from ohram.cli import main
+        codes = [main(["bench", "--servers", "3"]),
+                 main(["simulate", "--out", {str(dump)!r}]),
+                 main(["replay", {str(SCHEDULES / "xi2p.json")!r}]),
+                 main(["check", {str(dump)!r}])]
+        print(codes, "ohram.runner" in sys.modules, file=sys.stderr)
+    """
+    out = run_fresh(code)
+    assert (out.returncode, out.stderr) == (0, "[0, 0, 0, 0] False\n")
+
+
+def test_the_runner_names_resolve_on_first_use():
+    out = run_fresh("import sys, ohram; loaded = 'ohram.runner' in "
+                    "sys.modules; "
+                    "from ohram import ServerDaemon, merge_histories, "
+                    "membership_from_json; "
+                    "print(loaded, ohram.Client is ohram.runner.Client)")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False True\n", "")
+
+
+def test_a_name_the_package_lacks_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ohram.no_such_name
 
 
 def test_serve_refuses_a_membership_missing_a_peer(tmp_path):

@@ -38,6 +38,7 @@ from ohram.core import (
 from ohram import core, runner
 from ohram.protocols import get_protocol
 from ohram.runner import (
+    LABEL_ALLOWANCE,
     MAX_BACKLOG,
     MAX_FRAME,
     RECV_SIZE,
@@ -545,6 +546,33 @@ def test_a_frame_longer_than_one_read_goes_through_the_cluster():
         rrec = reader.read()
         assert len(rrec.value) > 600_000
         assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+    finally:
+        stop_all(daemons, [writer, reader])
+
+
+def test_a_label_too_long_for_its_frame_is_refused_before_the_op_starts():
+    """A frame over MAX_FRAME cannot be sent; had the machine invoked the
+    write, the op would stay open and every later op raise NotWellFormed."""
+    limit = MAX_FRAME - LABEL_ALLOWANCE
+    daemons, membership = start_cluster(SWMR, "ohsam")
+    writer = Client(parse_pid("w1"), SWMR, "ohsam", membership)
+    reader = Client(parse_pid("r1"), SWMR, "ohsam", membership)
+    try:
+        wrec = writer.write("x" * (limit - 2))  # its JSON text has quotes
+        rrec = reader.read()
+        assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+        history = list(writer.history)
+        # one byte over; and escaped as \u00e9, six bytes each, over,
+        # where its UTF-8 takes a third of that
+        for label in ("x" * (limit - 1), "\u00e9" * (limit // 6)):
+            with pytest.raises(ValueError, match=f"at most {limit} bytes"):
+                writer.write(label)
+            assert writer.history == history
+            assert not writer.machine.busy
+        wrec = writer.write("small")
+        rrec = reader.read()
+        assert (rrec.value, rrec.tag) == (wrec.value, wrec.tag)
+        assert rrec.value.startswith("small#")
     finally:
         stop_all(daemons, [writer, reader])
 
