@@ -14,9 +14,7 @@ writer's own incrementing timestamp; this is the same two-exchange write
 the three-exchange-read algorithm uses, so the writer machine is reused.
 Multi-writer mode: writes are two rounds, a discover round to learn the
 maximum timestamp and a propagate round with tag (maxTS + 1, own id).
-That is the multi-writer three-exchange-read writer with ticks = 1: both
-phases of one operation share one counter value, and the message kind
-tells them apart.
+That is the multi-writer three-exchange-read writer, reused as it is.
 
 The server is a bare Replica (adopt-if-greater, acknowledge every
 writeRequest, answer discovers) that answers readRequests directly
@@ -36,7 +34,7 @@ from .core import (
     Message,
     ProcessId,
 )
-from .ohmam import WriterStateM
+from .ohmam import WriterStateM as AbdWriterMwmr  # discover, then propagate
 from .ohsam import QuorumClient, Replica, WriterStateS as AbdWriterSwmr  # one-round write
 
 class AbdReaderState(QuorumClient):
@@ -60,12 +58,6 @@ class AbdReaderState(QuorumClient):
         self.result = best
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                best.tag, best.value), None
-
-
-class AbdWriterMwmr(WriterStateM):
-    """Two-round writer: both rounds of a write share one counter value."""
-
-    ticks = 1
 
 
 class AbdServerState(Replica):

@@ -201,12 +201,10 @@ class OpId(NamedTuple):
     """Identifies one client operation: (invoker, per-invoker counter).
 
     The seq is the invoker's operation counter and strictly increases, so
-    (invoker, seq) is globally unique. Wire messages carry the client
-    machine's wire counter (QuorumClient.seq); the four-exchange
-    multi-writer writer ticks it twice per write (WriterStateM.ticks), so
-    history events always use the per-operation id (one per invocation).
-    A tuple of an interned id and an int, so hashing and equality never
-    enter Python code.
+    (invoker, seq) is globally unique. Every message of an operation, in
+    each of its phases, carries the operation's id, the same id its
+    history record has. A tuple of an interned id and an int, so hashing
+    and equality never enter Python code.
     """
 
     invoker: ProcessId

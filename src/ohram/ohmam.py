@@ -6,13 +6,11 @@ the three-exchange read module wholesale. Writes generalize timestamps to
 
   discover -> discoverAck -> writeRequest -> writeAck
 
-The writer is a two-phase QuorumClient whose wire counter (seq, the
-paper's write_op) ticks `ticks` = 2 times per write, once before the
-discover broadcast and once before the writeRequest broadcast, so
-discover messages carry odd counters and writeRequests even ones.
-discoverAck matching uses the first counter and writeAck matching the
-second. The counter parity is observable on the wire; history events use
-the per-operation ordinal (write k by writer w is op (w, k)).
+The writer is a two-phase QuorumClient with one counter value (seq, the
+paper's write_op) per write: write k by writer w is op (w, k), and its
+discover and its writeRequest both carry that op. The message kind tells
+the two phases apart, and the server's guard reads only the order of one
+writer's counter values.
 
 Upon a majority of discoverAcks the writer takes maxTS as the maximum of
 the ts components alone (the writer ids of the collected tags are
@@ -50,34 +48,24 @@ ReaderStateM = ReaderStateS
 class WriterStateM(QuorumClient):
     """Multi-writer: discover the maximum timestamp, then write above it.
 
-    The wire counter ticks `ticks` times per write: once before the
-    discover broadcast and, with ticks == 2, once more before the
-    writeRequest broadcast.
+    Both phases of a write carry its one counter value.
     """
-
-    ticks = 2
 
     def __init__(self, pid: ProcessId, config: Config) -> None:
         super().__init__(pid, config)
         self.tag = Tag(0, pid)
         self.value: Optional[str] = None
 
-    @property
-    def op_ordinal(self) -> int:
-        # write k uses counters ticks*(k-1)+1 .. ticks*k
-        return (self.seq + self.ticks - 1) // self.ticks
-
     def invoke_write(self, label: str) -> list[Message]:
         self._begin()
-        self.value = make_value(label, OpId(self.pid, self.op_ordinal))
+        self.value = make_value(label, OpId(self.pid, self.seq))
         return self._broadcast(KIND_DISCOVER, KIND_DISCOVER_ACK)
 
     def _on_quorum(self):
         if self.awaiting == KIND_WRITE_ACK:
-            return self._done("write", self.op_ordinal, self.tag, self.value)
+            return self._done("write", self.seq, self.tag, self.value)
         max_ts = max(m.tag.ts for m in self.replies.values())
         self.tag = Tag(max_ts + 1, self.pid)
-        self.seq += self.ticks - 1
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                self.tag, self.value), None
 

@@ -20,7 +20,7 @@ lost. Servers that relay count relay origins with count_relay, the one
 majority-of-relays rule.
 
 Write protocol (two exchanges): the writer's timestamp is its write
-counter. It ticks the counter, broadcasts a writeRequest to every
+counter. It increments the counter, broadcasts a writeRequest to every
 server, and finishes on a majority of writeAcks. Servers adopt a higher
 timestamp and always acknowledge.
 
@@ -82,11 +82,10 @@ class QuorumClient:
     phases with _broadcast, which keeps the phase's messages in phase
     for rebroadcast() to send again, and say in _on_quorum what a
     complete phase leads to: the next phase, or the completion of _done.
-    ticks is how many counter values one operation uses. quorum and
-    server_ids are derived from config once.
+    Every phase of one operation carries the same counter value, so a
+    message's op is the history op it serves. quorum and server_ids are
+    derived from config once.
     """
-
-    ticks = 1
 
     def __init__(self, pid: ProcessId, config: Config) -> None:
         self.pid = pid

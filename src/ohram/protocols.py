@@ -1,10 +1,10 @@
 """Registry of the register emulations this package ships.
 
 Every protocol is exposed as a bundle of constructors plus the metadata
-the simulator and the benchmark harness need: how wire sequence numbers
-map onto client operations, whether the protocol is sound (the simulator
-checks its per-step invariants and the live runner takes it), and the
-failure-free exchange and message counts per operation.
+the simulator and the benchmark harness need: whether the protocol is
+sound (the simulator checks its per-step invariants and the live runner
+takes it), and the failure-free exchange and message counts per
+operation.
 
 Names:
 
@@ -25,8 +25,6 @@ from .core import (
     MODE_SWMR,
     Config,
     ModeMismatch,
-    OpId,
-    ROLE_WRITER,
     validate_config,
 )
 from . import abd, naive3x, ohmam, ohsam
@@ -46,14 +44,6 @@ class ProtocolBundle(NamedTuple):
     read_exchanges: int
     write_messages: Callable[[int], int]
     read_messages: Callable[[int], int]
-
-    def op_group(self, op: OpId) -> OpId:
-        """The client operation a wire sequence number belongs to: a
-        writer's counter ticks make_writer.ticks times per write."""
-        if op.invoker.role == ROLE_WRITER:
-            ticks = self.make_writer.ticks
-            return OpId(op.invoker, (op.seq + ticks - 1) // ticks)
-        return op
 
 
 def _relayed(n: int) -> int:

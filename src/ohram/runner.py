@@ -97,8 +97,10 @@ close; an op on a closed client raises it before it starts. An op given
 up stays open in its machine, so the next op raises NotWellFormed. A
 client refuses a retry_interval that is not above 0 and a negative
 retry_budget with ValueError, before it makes a socket: a wait of no
-time does not block, so every op would give up at once. A retry_budget
-of 0 gives up after one retry_interval, with no rebroadcast. A write
+time does not block, so every op would give up at once. It also
+refuses a retry_interval above threading.TIMEOUT_MAX, inf included, on
+which the op's wait would raise OverflowError. A retry_budget of 0
+gives up after one retry_interval, with no rebroadcast. A write
 whose label's JSON text, as the wire escapes it, is longer than
 MAX_FRAME - LABEL_ALLOWANCE bytes raises ValueError before the machine
 invokes it: its frame could not be sent, and an op invoked but never
@@ -362,7 +364,9 @@ class _Endpoint:
         """Dial every server in servers and keep the links. Call under lock."""
         for server, addr in servers.items():  # all, before any socket is made
             match addr:
-                case tuple((str(), int(port))) if 0 <= port <= 65535:
+                # type(port) is int, as in json_int: a bool is no port
+                case tuple((str(), port)) if (
+                        type(port) is int and 0 <= port <= 65535):
                     continue
             raise ValueError(f"{server}: address must be (host, port) with "
                              f"port in 0..65535, got {addr!r}")
@@ -622,6 +626,10 @@ class Client(_Endpoint):
         if not retry_interval > 0:  # a NaN too
             raise ValueError(
                 f"{pid}: retry_interval must be > 0, got {retry_interval!r}")
+        if retry_interval > threading.TIMEOUT_MAX:  # a lock waits no longer
+            raise ValueError(
+                f"{pid}: retry_interval must be <= threading.TIMEOUT_MAX "
+                f"({threading.TIMEOUT_MAX}), got {retry_interval!r}")
         if retry_budget < 0:
             raise ValueError(
                 f"{pid}: retry_budget must be >= 0, got {retry_budget!r}")

@@ -215,10 +215,6 @@ class SimNet:
         self._read_acked: dict[ProcessId, dict[ProcessId, int]] = {
             pid: {} for pid in self.servers}
         self._relay_answerers: set[ProcessId] = set()
-        # _send's map from a wire seq to its op: none when a writer ticks
-        # once per write, as bundle.op_group is then the identity
-        self._op_group = (bundle.op_group if bundle.make_writer.ticks > 1
-                          else None)
 
     # -- send side --
 
@@ -227,10 +223,7 @@ class SimNet:
         under the op of its first message, since a step serves one op, and
         each message under its own kind. A message to a crashed server
         stays out of flight."""
-        op = msgs[0].op
-        if self._op_group is not None:
-            op = self._op_group(op)
-        om = self.metrics[op]
+        om = self.metrics[msgs[0].op]
         om.messages += len(msgs)
         kinds = om.kinds
         for m in msgs:
@@ -251,18 +244,18 @@ class SimNet:
         else:
             msgs = machine.invoke_read()
         self.events += 1
-        group = self.bundle.op_group(msgs[0].op)
+        op = msgs[0].op
         # a write's value is fixed at invocation; recording it now keeps
         # histories with a pending write (client never finished) checkable
         value = machine.value if kind == "write" else None
         self._note_idle(pid)
         # positional: a keyword call costs about twice as much
-        rec = OpRecord(group, kind, self.events, None, None, value)
+        rec = OpRecord(op, kind, self.events, None, None, value)
         self.history.append(rec)
-        self._open[group] = rec
-        self.metrics[group] = OpMetrics(kind)
+        self._open[op] = rec
+        self.metrics[op] = OpMetrics(kind)
         self._send(msgs)
-        return group
+        return op
 
     def deliver(self, msg: Message) -> None:
         # nothing in flight names a crashed server: crash sweeps them out

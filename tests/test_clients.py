@@ -1,11 +1,12 @@
 """Client machines against verbatim copies of their hand-written forerunners.
 
 Every client machine is now a QuorumClient whose subclasses only say
-what a complete phase leads to. The classes below are the six machines
+what a complete phase leads to. The classes below are five machines
 (and the naive3x reader's decision rule) as they were written before
-that fold, kept verbatim as the reference. Seeded streams drive a new
-machine and its reference side by side with invocations and with
-replies of every shape the network can produce: the open phase's reply,
+that fold, kept verbatim as the reference. ohmam's writer uses one
+counter value per write, as abd-mwmr's does, so the abd-mwmr writer is
+its reference too. Seeded streams drive a new machine and its
+reference side by side with invocations and with replies of every shape the network can produce: the open phase's reply,
 a reply to an older phase or operation, a reply for another invoker, a
 reply of the wrong kind, a second reply from a sender already counted,
 and a reply after completion. After every step both must send the same
@@ -266,77 +267,6 @@ class AbdWriterMwmr:
         return [], None
 
 
-WRITING = "writing"
-
-
-@dataclass
-class WriterStateM:
-    """Multi-writer: discover the maximum timestamp, then write above it."""
-
-    pid: ProcessId
-    config: Config
-    tag: Tag = None
-    value: Optional[str] = None
-    write_op: int = 0
-    max_ts: int = 0
-    q: dict[ProcessId, Message] = field(default_factory=dict)
-    acks: set[ProcessId] = field(default_factory=set)
-    phase: str = IDLE
-
-    def __post_init__(self):
-        if self.tag is None:
-            self.tag = Tag(0, self.pid)
-
-    @property
-    def busy(self) -> bool:
-        return self.phase != IDLE
-
-    @property
-    def op_ordinal(self) -> int:
-        # write k uses counters 2k-1 and 2k
-        return (self.write_op + 1) // 2
-
-    def invoke_write(self, label: str) -> list[Message]:
-        if self.phase != IDLE:
-            raise NotWellFormed(f"{self.pid} already has a write in flight")
-        self.write_op += 1
-        self.phase = DISCOVERING
-        self.q = {}
-        self.value = make_value(label, OpId(self.pid, self.op_ordinal))
-        op = OpId(self.pid, self.write_op)
-        return [Message(KIND_DISCOVER, op, self.pid, s)
-                for s in self.config.servers()]
-
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
-        if msg.kind == KIND_DISCOVER_ACK and self.phase == DISCOVERING:
-            if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-                return [], None
-            self.q[msg.sender] = msg
-            if len(self.q) >= quorum_size(self.config.n_servers):
-                self.max_ts = max(m.tag.ts for m in self.q.values())
-                self.tag = Tag(self.max_ts + 1, self.pid)
-                self.write_op += 1
-                self.phase = WRITING
-                self.acks = set()
-                op = OpId(self.pid, self.write_op)
-                return [
-                    Message(KIND_WRITE_REQUEST, op, self.pid, s,
-                            tag=self.tag, value=self.value)
-                    for s in self.config.servers()
-                ], None
-            return [], None
-        if msg.kind == KIND_WRITE_ACK and self.phase == WRITING:
-            if msg.op.invoker != self.pid or msg.op.seq != self.write_op:
-                return [], None
-            self.acks.add(msg.sender)
-            if len(self.acks) >= quorum_size(self.config.n_servers):
-                done = Completion(OpId(self.pid, self.op_ordinal), "write",
-                                  self.tag, self.value)
-                self.phase = IDLE
-                return [], done
-        return [], None
-
-
 @dataclass
 class Naive3xWriter:
     """Three-exchange writer: local tag, no discovery."""
@@ -401,7 +331,7 @@ class Naive3xReader(ReaderStateS):
 
 REFERENCE = {
     "ohsam": (WriterStateS, ReaderStateS),
-    "ohmam": (WriterStateM, ReaderStateS),
+    "ohmam": (AbdWriterMwmr, ReaderStateS),
     "abd-swmr": (WriterStateS, AbdReaderState),
     "abd-mwmr": (AbdWriterMwmr, AbdReaderState),
     "naive3x": (Naive3xWriter, Naive3xReader),
@@ -414,7 +344,7 @@ REPLY = {
 }
 
 # state the suite, the simulator or the runner reads, where both have it
-PINNED = ("busy", "value", "tag", "op_ordinal", "acks")
+PINNED = ("busy", "value", "tag", "acks")
 
 
 def _same_state(new, old) -> None:

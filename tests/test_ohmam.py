@@ -39,14 +39,21 @@ def run_write(w, label, server_tags):
     return done
 
 
-def test_counter_runs_twice_per_write():
+def test_both_phases_of_write_k_carry_its_op():
     w = WriterStateM(W1, CFG)
-    outs = w.invoke_write("A")
-    assert outs[0].op.seq == 1  # discover round, odd
-    for s in (S1, S2):
-        reqs, _ = w.on_message(discover_ack(outs[0].op, s, Tag(0, s)))
-    assert reqs[0].op.seq == 2  # write round, even
-    assert w.op_ordinal == 1
+    for k, label in ((1, "A"), (2, "B")):
+        outs = w.invoke_write(label)
+        assert {m.op for m in outs} == {OpId(W1, k)}  # discover
+        for s in (S1, S2):
+            reqs, _ = w.on_message(discover_ack(outs[0].op, s, Tag(0, s)))
+        assert {m.op for m in reqs} == {OpId(W1, k)}  # writeRequest
+        done = None
+        for m in reqs[:2]:
+            _, done = w.on_message(
+                Message("writeAck", m.op, m.destination, W1,
+                        tag=m.tag, value=m.value))
+        assert done.op == OpId(W1, k)
+    assert w.seq == 2
 
 
 def test_discovered_tag_is_max_ts_plus_one_own_id():
@@ -61,14 +68,6 @@ def test_max_ts_ignores_writer_ids():
     w = WriterStateM(W1, CFG)
     done = run_write(w, "A", [(S1, Tag(3, W2)), (S2, Tag(3, W1))])
     assert done.tag == Tag(4, W1)
-
-
-def test_completion_uses_op_ordinal_not_wire_counter():
-    w = WriterStateM(W1, CFG)
-    run_write(w, "A", [(S1, Tag(0, S1)), (S2, Tag(0, S2))])
-    done = run_write(w, "B", [(S1, Tag(1, W1)), (S2, Tag(1, W1))])
-    assert done.op == OpId(W1, 2)
-    assert w.seq == 4
 
 
 def test_stale_discover_acks_are_dropped():

@@ -718,7 +718,7 @@ def test_a_port_outside_the_range_is_a_bind_failure_with_no_socket_left():
 
 BAD_ADDRESSES = pytest.mark.parametrize("addr", [
     ("127.0.0.1", 70000), ("127.0.0.1", -1), ["127.0.0.1", 7001],
-    ("127.0.0.1", "7001"), ("127.0.0.1",)], ids=repr)
+    ("127.0.0.1", "7001"), ("127.0.0.1",), ("127.0.0.1", True)], ids=repr)
 
 
 @BAD_ADDRESSES
@@ -734,12 +734,18 @@ def test_a_client_refuses_a_bad_address_before_it_makes_a_socket(addr):
     ({"retry_interval": 0}, "retry_interval must be > 0, got 0"),
     ({"retry_interval": -1.0}, "retry_interval must be > 0, got -1.0"),
     ({"retry_interval": float("nan")}, "retry_interval must be > 0, got nan"),
+    ({"retry_interval": float("inf")},
+     r"retry_interval must be <= threading\.TIMEOUT_MAX \(.+\), got inf"),
+    ({"retry_interval": threading.TIMEOUT_MAX * 2},
+     rf"retry_interval must be <= threading\.TIMEOUT_MAX \(.+\), "
+     rf"got {threading.TIMEOUT_MAX * 2!r}"),
     ({"retry_budget": -1}, "retry_budget must be >= 0, got -1"),
 ], ids=repr)
 def test_a_client_refuses_a_bad_retry_setting_before_it_makes_a_socket(
         retry, match):
     """A wait of no time does not block, so a retry_interval of 0 would
-    give every op up at once."""
+    give every op up at once; a wait above threading.TIMEOUT_MAX raises
+    OverflowError in the op."""
     membership = {s: ("127.0.0.1", 1) for s in SWMR.servers()}
     with no_unclosed_socket():
         with pytest.raises(ValueError, match=f"r1: {match}"):

@@ -551,8 +551,8 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     or scripted source delivers, brings a sound server's relays and its
     readAck in one list, so the corpus has no list of two kinds either.
     Each op's tally equals a recount of the messages sent under it, every
-    message grouped on its own by bundle.op_group (ohmam's writes send
-    two wire seqs)."""
+    message counted by its own op: in every protocol, each phase of an
+    op carries the op's history id, which net.metrics already holds."""
     lists = 0
     sent = {}  # net -> {op: messages}
     send = SimNet._send
@@ -563,8 +563,8 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
         lists += bool(msgs)
         counts = sent.setdefault(net, {})
         for m in msgs:
-            op = net.bundle.op_group(m.op)
-            counts[op] = counts.get(op, 0) + 1
+            assert m.op in net.metrics, m
+            counts[m.op] = counts.get(m.op, 0) + 1
         return send(net, msgs)
 
     monkeypatch.setattr(SimNet, "_send", checked)
@@ -573,6 +573,7 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     list(_golden_sliced())
     assert lists > 8000
     assert len(sent) == len(corpus) + 4
+    assert {net.bundle.name for net in sent} == set(PROTOCOL_NAMES)
     for net, counts in sent.items():
         assert counts == {op: m.messages for op, m in net.metrics.items()}
 
