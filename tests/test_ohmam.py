@@ -47,12 +47,18 @@ def test_both_phases_of_write_k_carry_its_op():
         for s in (S1, S2):
             reqs, _ = w.on_message(discover_ack(outs[0].op, s, Tag(0, s)))
         assert {m.op for m in reqs} == {OpId(W1, k)}  # writeRequest
-        done = None
         for m in reqs[:2]:
-            _, done = w.on_message(
+            w.on_message(
                 Message("writeAck", m.op, m.destination, W1,
                         tag=m.tag, value=m.value))
-        assert done.op == OpId(W1, k)
+    assert w.seq == 2
+
+
+def test_write_k_completes_as_op_k():
+    w = WriterStateM(W1, CFG)
+    run_write(w, "A", [(S1, Tag(0, S1)), (S2, Tag(0, S2))])
+    done = run_write(w, "B", [(S1, Tag(1, W1)), (S2, Tag(1, W1))])
+    assert done.op == OpId(W1, 2)
     assert w.seq == 2
 
 
