@@ -6,10 +6,11 @@ operation of an idle client, and crashing a server. SimNet.run carries
 out the events an event source picks: _uniform (run_seeded) picks
 uniformly with a private RNG, so a (protocol, config, seed) triple fully
 determines the execution; _fifo (drain) delivers in send order, and
-_scripted (run_directives) follows a schedule's directives; see
-parse_schedule for the format. record wraps any source and writes the
-steps it takes as schedule directives, so a run, say seeded_net's, can be
-replayed; shrink cuts a failing directive list down by delta debugging.
+_scripted (run_directives) follows a schedule's directives, refusing a
+key or value parse_schedule, which gives the format, does not document.
+record wraps any source and writes the steps it takes as schedule
+directives, so a run, say seeded_net's, can be replayed; shrink cuts a
+failing directive list down by delta debugging.
 
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
@@ -23,14 +24,9 @@ Crashing a server removes its undelivered inbound messages and silences
 it from then on; messages it already sent stay deliverable. Crashes are
 refused beyond the configured fault bound f.
 
-Where the protocol is sound, deliver records in invariant_failures
-each server step that moves the server's tag back, sends a readAck
-below any relay tag the server received or a writeAck below its
-writeRequest's tag, or answers a read twice or after a newer read of
-its reader. An older read may be answered only in reply to its own
-readRequest, by a server that never answered on a readRelay: an ABD
-server answering a late request. A relaying server keeps one read per
-reader, and a message of an older read sends nothing.
+Where the protocol is sound, deliver runs each server step through a
+Monitor, which records in invariant_failures every step that breaks
+one of the server-local rules its docstring states.
 
 A run that exhausts its event budget, or that still has a pending client
 operation when no event is enabled, raises StuckExecution. With crash
@@ -177,6 +173,71 @@ class RunResult(Record):
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+class Monitor:
+    """The per-step invariant checks of a sound protocol's servers.
+
+    step delivers a message to a server and appends to failures each
+    rule the step breaks: the server's tag moves back, it sends a readAck
+    below any relay tag it received or a writeAck below its
+    writeRequest's tag, or it answers a read twice or after a newer read
+    of its reader. An older read may be answered only in reply to its
+    own readRequest, by a server that never answered on a readRelay: an
+    ABD server answering a late request. A relaying server keeps one
+    read per reader, and a message of an older read sends nothing.
+
+    By server, relay_high is the largest relay tag received and
+    read_acked the newest read seq answered for each reader;
+    relay_answerers holds the servers that answered on a relay.
+    """
+
+    __slots__ = ("failures", "relay_high", "read_acked", "relay_answerers")
+
+    def __init__(self, servers, failures: list[str]) -> None:
+        self.failures = failures
+        self.relay_high: dict[ProcessId, Tag] = {
+            pid: Tag(0, pid) for pid in servers}
+        self.read_acked: dict[ProcessId, dict[ProcessId, int]] = {
+            pid: {} for pid in servers}
+        self.relay_answerers: set[ProcessId] = set()
+
+    def step(self, pid: ProcessId, server, msg: Message) -> list[Message]:
+        """server.on_message(msg), checked; pid is the server's id."""
+        before = server.tag
+        outs = server.on_message(msg)
+        after = server.tag
+        failures = self.failures
+        if after < before:
+            failures.append(f"{pid}: tag moved backwards {before} -> {after}")
+        if msg.kind == KIND_READ_RELAY and self.relay_high[pid] < msg.tag:
+            self.relay_high[pid] = msg.tag
+        for out in outs:
+            if out.kind == KIND_READ_ACK:
+                if msg.kind == KIND_READ_RELAY:
+                    self.relay_answerers.add(pid)
+                acked = self.read_acked[pid]
+                reader, seq = out.op
+                newest = acked.get(reader, 0)
+                if seq > newest:
+                    acked[reader] = seq
+                elif seq == newest:
+                    failures.append(f"{pid}: second readAck for {out.op}")
+                elif (msg.kind != KIND_READ_REQUEST or msg.op != out.op
+                        or pid in self.relay_answerers):
+                    failures.append(
+                        f"{pid}: readAck for {out.op} after {reader}#{newest}")
+                high = self.relay_high[pid]
+                if out.tag < high:
+                    failures.append(
+                        f"{pid}: readAck tag {out.tag} below received "
+                        f"relay tag {high} for {out.op}")
+            elif (out.kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST
+                    and out.op == msg.op and out.tag < msg.tag):
+                failures.append(
+                    f"{pid}: writeAck tag {out.tag} below request tag "
+                    f"{msg.tag} for {out.op}")
+        return outs
+
+
 class SimNet:
     def __init__(self, protocol: str, config: Config, *,
                  seed: Optional[int] = None, x: Optional[int] = None):
@@ -185,7 +246,6 @@ class SimNet:
         self.config = config
         self.seed = seed
         self.rng = random.Random(seed) if seed is not None else None
-        self.check_invariants = bundle.sound
 
         self.clients = {}
         for pid in config.writers():
@@ -208,13 +268,9 @@ class SimNet:
         self._open: dict[OpId, OpRecord] = {}
         self.metrics: dict[OpId, OpMetrics] = {}
         self.invariant_failures: list[str] = []
-        # by server: the largest relay tag received, and by reader the
-        # newest read seq answered; the servers that answered on a relay
-        self._relay_high: dict[ProcessId, Tag] = {
-            pid: Tag(0, pid) for pid in self.servers}
-        self._read_acked: dict[ProcessId, dict[ProcessId, int]] = {
-            pid: {} for pid in self.servers}
-        self._relay_answerers: set[ProcessId] = set()
+        # naive3x's servers keep no single tag to check
+        self.monitor = (Monitor(self.servers, self.invariant_failures)
+                        if bundle.sound else None)
 
     # -- send side --
 
@@ -269,19 +325,10 @@ class SimNet:
                 # only a completion makes a client idle
                 self._record_completion(completion)
                 self._note_idle(dest)
-        elif self.check_invariants:
-            before = server.tag
+        elif self.monitor is None:
             outs = server.on_message(msg)
-            after = server.tag
-            if after < before:
-                self.invariant_failures.append(
-                    f"{dest}: tag moved backwards {before} -> {after}")
-            if msg.kind == KIND_READ_RELAY and self._relay_high[dest] < msg.tag:
-                self._relay_high[dest] = msg.tag
-            if outs:
-                self._check_replies(dest, msg, outs)
         else:
-            outs = server.on_message(msg)
+            outs = self.monitor.step(dest, server, msg)
         if outs:
             self._send(outs)
 
@@ -314,34 +361,6 @@ class SimNet:
         rec.tag = completion.tag
         rec.value = completion.value
         del self._open[completion.op]
-
-    def _check_replies(self, pid, msg, outs) -> None:
-        for out in outs:
-            if out.kind == KIND_READ_ACK:
-                if msg.kind == KIND_READ_RELAY:
-                    self._relay_answerers.add(pid)
-                acked = self._read_acked[pid]
-                reader, seq = out.op
-                newest = acked.get(reader, 0)
-                if seq > newest:
-                    acked[reader] = seq
-                elif seq == newest:
-                    self.invariant_failures.append(
-                        f"{pid}: second readAck for {out.op}")
-                elif (msg.kind != KIND_READ_REQUEST or msg.op != out.op
-                        or pid in self._relay_answerers):
-                    self.invariant_failures.append(
-                        f"{pid}: readAck for {out.op} after {reader}#{newest}")
-                high = self._relay_high[pid]
-                if out.tag < high:
-                    self.invariant_failures.append(
-                        f"{pid}: readAck tag {out.tag} below received "
-                        f"relay tag {high} for {out.op}")
-            elif (out.kind == KIND_WRITE_ACK and msg.kind == KIND_WRITE_REQUEST
-                    and out.op == msg.op and out.tag < msg.tag):
-                self.invariant_failures.append(
-                    f"{pid}: writeAck tag {out.tag} below request tag "
-                    f"{msg.tag} for {out.op}")
 
     # -- driving a run --
 
@@ -548,11 +567,14 @@ def parse_schedule(text: str) -> tuple[dict, list[dict]]:
       {"crash": {"server": "s3"}}
       {"drain": true}
 
-    An invoke names a client: a writer invokes "write" with a string
-    label, a reader invokes "read" without one.
-    A deliver selector may constrain kind, to, from, origin, invoker and
-    seq; it must match exactly one in-flight message. Remaining traffic
-    is drained in send order after the last directive.
+    A directive has exactly one of these keys. An invoke names a client:
+    a writer invokes "write" with a string label, a reader invokes "read"
+    without one. A deliver selector may constrain kind, to, from, origin,
+    invoker and seq, an integer; it must match exactly one in-flight
+    message. A drain takes only true. A key not shown here is refused,
+    as is a directive that names no in-flight message, client or server
+    of the run. Remaining traffic is drained in send order after the
+    last directive.
     """
     header = None
     directives = []
@@ -597,12 +619,33 @@ def _matches(msg: Message, sel: dict) -> bool:
     return True
 
 
+# the keys parse_schedule documents inside each directive but a drain
+_DIRECTIVE_KEYS = {
+    "invoke": frozenset({"client", "kind", "label"}),
+    "crash": frozenset({"server"}),
+    "deliver": frozenset({"kind", "to", "from", "origin", "invoker", "seq"}),
+}
+
+
+def _documented(d) -> bool:
+    """d has one directive key, a dict under it holds only that
+    directive's documented keys, and a seq among them is an int."""
+    if not isinstance(d, dict) or len(d) != 1:
+        return False
+    [(name, body)] = d.items()
+    return not isinstance(body, dict) or (
+        body.keys() <= _DIRECTIVE_KEYS.get(name, frozenset())
+        and type(body.get("seq", 0)) is int)
+
+
 def _scripted(net: SimNet, directives: list[dict]):
     """The events a schedule's directives name, then a drain."""
     may_invoke = {str(p): ("write", str) if p.role == ROLE_WRITER
                   else ("read", type(None)) for p in net.clients}
     servers = {str(p): p for p in net.servers}
     for i, d in enumerate(directives, 1):
+        if not _documented(d):
+            raise ScheduleUnresolvable(f"directive {i}: cannot run {d}")
         match d:
             case {"invoke": {"client": str(client), "kind": kind} as spec} if (
                     may_invoke.get(client) == (kind, type(spec.get("label")))):
@@ -622,7 +665,7 @@ def _scripted(net: SimNet, directives: list[dict]):
                 if refusal is not None:
                     raise type(refusal)(f"directive {i}: {refusal}")
                 yield net.crash, servers[server]
-            case {"drain": _}:
+            case {"drain": True}:
                 yield from _fifo(net)
             case _:
                 raise ScheduleUnresolvable(f"directive {i}: cannot run {d}")

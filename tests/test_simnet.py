@@ -36,7 +36,13 @@ from ohram.core import (
 from ohram.naive3x import Relay
 from ohram.ohsam import ServerStateS
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
-from ohram.simnet import SimNet, history_from_json, run_script, simulate
+from ohram.simnet import (
+    Monitor,
+    SimNet,
+    history_from_json,
+    run_script,
+    simulate,
+)
 
 SWMR3 = Config(n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr")
 MWMR3 = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
@@ -270,6 +276,29 @@ def test_script_rejects_malformed_directives_by_number(directive):
         run_script("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("directive", [
+    {"invoke": {"client": "r1", "kind": "read"}, "crash": {"server": "s1"}},
+    {"deliver": {"kind": "writeRequest", "to": "s1"}, "drain": True},
+    {"deliver": {"kind": "writeRequest", "to": "s1", "dest": "s2"}},
+    {"invoke": {"client": "r1", "kind": "read", "lable": "A"}},
+    {"crash": {"server": "s1", "at": 3}},
+    {"deliver": {"kind": "writeRequest", "to": "s1", "seq": True}},
+    {"deliver": {"kind": "writeRequest", "to": "s1", "seq": 1.0}},
+    {"drain": False},
+], ids=["two directives", "deliver and drain", "deliver dest",
+        "invoke misspelt label", "crash at", "seq true", "seq float",
+        "drain false"])
+def test_script_rejects_undocumented_keys_and_values_by_number(directive):
+    """With w1's three writeRequests in flight, each directive could run
+    if its extra key or odd value were dropped or coerced."""
+    lines = [HEADER,
+             json.dumps({"invoke": {"client": "w1", "kind": "write",
+                                    "label": "A"}}),
+             json.dumps(directive)]
+    with pytest.raises(ScheduleUnresolvable, match="directive 2"):
+        run_script("\n".join(lines) + "\n")
+
+
 _NAIVE3X_CONFIG = {"n_servers": 3, "n_readers": 1, "n_writers": 2, "f": 1,
                    "mode": "mwmr"}
 
@@ -430,9 +459,9 @@ def test_the_relay_monitor_keeps_one_tag_per_server_through_a_long_run():
     net = _long_net("ohsam")
     assert len(net.history) >= 1680 and len(net.crashed) == 2
     assert not net.invariant_failures
-    assert set(net._relay_high) == set(net.servers)
+    assert set(net.monitor.relay_high) == set(net.servers)
     for pid, server in net.servers.items():
-        high = net._relay_high[pid]
+        high = net.monitor.relay_high[pid]
         assert type(high) is Tag and server.tag >= high
         assert pid in net.crashed or high.ts > 0
 
@@ -446,11 +475,11 @@ def test_monitor_and_server_state_stay_bounded(protocol):
     config = net.config
     assert len(net.history) >= 1680 and not net.invariant_failures
     for pid, server in net.servers.items():
-        assert len(net._read_acked[pid]) <= config.n_readers
+        assert len(net.monitor.read_acked[pid]) <= config.n_readers
         assert len(getattr(server, "reads", {})) <= config.n_readers
         assert len(getattr(server, "write_operations", {})) \
             <= config.n_writers
-    assert max(map(len, net._read_acked.values())) == config.n_readers
+    assert max(map(len, net.monitor.read_acked.values())) == config.n_readers
 
 
 def _one_shot(result):
@@ -709,6 +738,16 @@ def _deliver(net, kind, to, sender=None):
     msg = _take(net, kind, to, sender)
     net.deliver(msg)
     return msg
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_sound_protocol_runs_under_a_monitor_sharing_the_failure_list(
+        protocol):
+    config = SWMR3 if get_protocol(protocol).mode == "swmr" else MWMR3
+    net = SimNet(protocol, config, seed=0)
+    assert isinstance(net.monitor, Monitor) == net.bundle.sound
+    if net.monitor is not None:
+        assert net.monitor.failures is net.invariant_failures
 
 
 def test_invariant_tag_moved_backwards():
