@@ -50,7 +50,7 @@ class AbdReaderState(QuorumClient):
 
     def _on_quorum(self):
         if self.awaiting == KIND_WRITE_ACK:
-            return self._done("read", self.seq, self.result.tag, self.result.value)
+            return self._done("read", self.result.tag, self.result.value)
         best = None
         for m in self.replies.values():
             if best is None or best.tag < m.tag:

@@ -11,7 +11,7 @@ The canonical JSON encoding of each type lives next to the type (the
 ``*_to_json`` / ``*_from_json`` pairs). Schedule scripts, history files,
 and metrics reports use exactly these encodings; field names are part of
 the contract, and unknown fields are ignored on decode. A wire msg frame
-is the 8-item array that message_from_json reads; message_to_json's dict
+is the 7-item array that message_from_json reads; message_to_json's dict
 is what the runner's _pack lays out as that array. Neither holds the
 destination: the connection a frame arrives on implies it, so the copies
 of one broadcast share one dict and one frame.
@@ -299,9 +299,9 @@ class Message(Record):
     into one message per destination at send time so the metrics layer
     counts messages exactly as the complexity table does.
 
-    relay_origin is set on relays only: the server whose relay this is.
-    A relay carries the target client's OpId, which lets a server answer
-    a reader it never heard from directly.
+    A relay's origin is its sender, the server that relays it, and
+    servers count relays by sender. A relay carries the target client's
+    OpId, which lets a server answer a reader it never heard from directly.
 
     A mutable Record, whose straight-line __init__ is the cheapest way to
     build one; equality is field-wise. A message is not mutated once
@@ -312,20 +312,17 @@ class Message(Record):
     paths: a call with keyword arguments costs about twice as much.
     """
 
-    __slots__ = ("kind", "op", "sender", "destination", "tag", "value",
-                 "relay_origin")
+    __slots__ = ("kind", "op", "sender", "destination", "tag", "value")
 
     def __init__(self, kind: str, op: OpId, sender: ProcessId,
                  destination: Optional[ProcessId], tag: Optional[Tag] = None,
-                 value: Optional[str] = None,
-                 relay_origin: Optional[ProcessId] = None) -> None:
+                 value: Optional[str] = None) -> None:
         self.kind = kind
         self.op = op
         self.sender = sender
         self.destination = destination
         self.tag = tag
         self.value = value
-        self.relay_origin = relay_origin
 
 
 class Completion(Record):
@@ -471,14 +468,13 @@ def message_to_json(m: Message) -> dict[str, Any]:
     carry; the runner encodes each broadcast here once."""
     # the op and tag dicts are the ones opid_to_json and tag_to_json
     # build, written out to save the calls
-    op, tag, origin = m.op, m.tag, m.relay_origin
+    op, tag = m.op, m.tag
     return {
         "kind": m.kind,
         "op": {"invoker": op.invoker._text, "seq": op.seq},
         "sender": m.sender._text,
         "tag": None if tag is None else {"ts": tag.ts, "wid": tag.wid._text},
         "value": m.value,
-        "relay_origin": None if origin is None else origin._text,
     }
 
 
@@ -486,15 +482,15 @@ _new_tuple = tuple.__new__
 
 
 def message_from_json(obj: list) -> Message:
-    """Read a wire msg: [kind, invoker, seq, sender, ts, wid, value,
-    relay_origin], with ts and wid both null for no tag. The message's
-    destination is None: the receiver sets it.
+    """Read a wire msg: [kind, invoker, seq, sender, ts, wid, value],
+    with ts and wid both null for no tag. The message's destination is
+    None: the receiver sets it.
 
     Raises ValueError or TypeError on any other length, an unknown kind,
     a seq or ts that is no int (a bool is none), a value that is neither
     str nor null, or a pid that parse_pid refuses.
     """
-    kind, invoker, seq, sender, ts, wid, value, origin = obj
+    kind, invoker, seq, sender, ts, wid, value = obj
     if (kind not in MESSAGE_KINDS or type(seq) is not int
             or (wid is not None if ts is None else type(ts) is not int)
             or (value is not None and type(value) is not str)):
@@ -507,7 +503,6 @@ def message_from_json(obj: list) -> Message:
         None,
         None if ts is None else _new_tuple(Tag, (ts, parse_pid(wid))),
         value,
-        None if origin is None else parse_pid(origin),
     )
 
 

@@ -80,10 +80,8 @@ class Relay(Message):
     def __init__(self, kind: str, op: OpId, sender: ProcessId,
                  destination: ProcessId, tag: Optional[Tag] = None,
                  value: Optional[str] = None,
-                 relay_origin: Optional[ProcessId] = None,
                  observations: tuple[WriteRecord, ...] = ()) -> None:
-        Message.__init__(self, kind, op, sender, destination, tag, value,
-                         relay_origin)
+        Message.__init__(self, kind, op, sender, destination, tag, value)
         self.observations = observations
 
 
@@ -211,7 +209,7 @@ class Naive3xServer:
                value: Optional[str]) -> list[Message]:
         # Every relay carries a snapshot of this server's observations.
         pid, snapshot = self.pid, tuple(self.observations)
-        return [Relay(kind, op, pid, s, tag, value, pid, snapshot)
+        return [Relay(kind, op, pid, s, tag, value, snapshot)
                 for s in _server_ids(self.config.n_servers)]
 
     def on_write_request(self, msg: Message) -> list[Message]:
@@ -220,7 +218,7 @@ class Naive3xServer:
 
     def on_write_relay(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
-        self._merge_origin(msg.relay_origin, msg.observations)
+        self._merge_origin(msg.sender, msg.observations)
         origins = self.write_relays.setdefault(msg.op, set())
         if count_relay(origins, msg, self.quorum):
             return [Message(KIND_WRITE_ACK, msg.op, self.pid, msg.op.invoker,
@@ -231,7 +229,7 @@ class Naive3xServer:
         return self._relay(KIND_READ_RELAY, msg.op, *self.adopted())
 
     def on_read_relay(self, msg: Message) -> list[Message]:
-        self._merge_origin(msg.relay_origin, msg.observations)
+        self._merge_origin(msg.sender, msg.observations)
         origins = self.read_relays.setdefault(msg.op, set())
         if count_relay(origins, msg, self.quorum):
             tag, value = self.adopted()

@@ -33,7 +33,6 @@ from .core import (
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
-    OpId,
     ProcessId,
     Tag,
     make_value,
@@ -58,12 +57,12 @@ class WriterStateM(QuorumClient):
 
     def invoke_write(self, label: str) -> list[Message]:
         self._begin()
-        self.value = make_value(label, OpId(self.pid, self.seq))
+        self.value = make_value(label, self.op)
         return self._broadcast(KIND_DISCOVER, KIND_DISCOVER_ACK)
 
     def _on_quorum(self):
         if self.awaiting == KIND_WRITE_ACK:
-            return self._done("write", self.seq, self.tag, self.value)
+            return self._done("write", self.tag, self.value)
         max_ts = max(m.tag.ts for m in self.replies.values())
         self.tag = Tag(max_ts + 1, self.pid)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,

@@ -72,25 +72,26 @@ class QuorumClient:
     """One client operation as a sequence of quorum phases.
 
     A phase broadcasts one request kind to every server and waits for a
-    majority of replies of one kind. seq is the wire counter that every
-    message of the open phase carries; awaiting names the reply kind the
-    phase waits for and is None when the client is idle. replies maps
-    each sender to its latest reply in first-arrival order. Replies of
-    another kind, another counter or another invoker, and replies
-    without a tag, are dropped, and a sender counts once, however often
-    its reply comes again in answer to a rebroadcast. Subclasses open
-    phases with _broadcast, which keeps the phase's messages in phase
-    for rebroadcast() to send again, and say in _on_quorum what a
+    majority of replies of one kind. seq counts this client's operations,
+    and op, built once per operation by _begin, is the OpId (pid, seq)
+    that every message of every phase carries, the value's nonce and the
+    completion's id: a message's op is the history op it serves.
+    awaiting names the reply kind the phase waits for and is None when
+    the client is idle. replies maps each sender to its latest reply in
+    first-arrival order. Replies of another kind or another op, and
+    replies without a tag, are dropped, and a sender counts once, however
+    often its reply comes again in answer to a rebroadcast. Subclasses
+    open phases with _broadcast, which keeps the phase's messages in
+    phase for rebroadcast() to send again, and say in _on_quorum what a
     complete phase leads to: the next phase, or the completion of _done.
-    Every phase of one operation carries the same counter value, so a
-    message's op is the history op it serves. quorum and server_ids are
-    derived from config once.
+    quorum and server_ids are derived from config once.
     """
 
     def __init__(self, pid: ProcessId, config: Config) -> None:
         self.pid = pid
         self.config = config
         self.seq = 0
+        self.op: Optional[OpId] = None
         self.awaiting: Optional[str] = None
         self.replies: dict[ProcessId, Message] = {}
         self.quorum = quorum_size(config.n_servers)
@@ -105,13 +106,13 @@ class QuorumClient:
         if self.awaiting is not None:
             raise NotWellFormed(f"{self.pid} already has an operation in flight")
         self.seq += 1
+        self.op = OpId(self.pid, self.seq)
 
     def _broadcast(self, kind: str, awaiting: str, tag: Optional[Tag] = None,
                    value: Optional[str] = None) -> list[Message]:
         self.awaiting = awaiting
         self.replies = {}
-        pid = self.pid
-        op = OpId(pid, self.seq)
+        op, pid = self.op, self.pid
         self.phase = [Message(kind, op, pid, s, tag, value)
                       for s in self.server_ids]
         return self.phase
@@ -122,8 +123,8 @@ class QuorumClient:
 
     def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
         # Stale, foreign, unexpected and tagless replies are dropped silently.
-        if (msg.kind != self.awaiting or msg.op.seq != self.seq
-                or msg.op.invoker != self.pid or msg.tag is None):
+        if (msg.kind != self.awaiting or msg.op != self.op
+                or msg.tag is None):
             return [], None
         self.replies[msg.sender] = msg
         if len(self.replies) >= self.quorum:
@@ -133,10 +134,10 @@ class QuorumClient:
     def _on_quorum(self) -> tuple[list[Message], Optional[Completion]]:
         raise NotImplementedError
 
-    def _done(self, kind: str, seq: int, tag: Tag,
+    def _done(self, kind: str, tag: Tag,
               value: Optional[str]) -> tuple[list[Message], Completion]:
         self.awaiting = None
-        return [], Completion(OpId(self.pid, seq), kind, tag, value)
+        return [], Completion(self.op, kind, tag, value)
 
 
 class WriterStateS(QuorumClient):
@@ -152,12 +153,12 @@ class WriterStateS(QuorumClient):
 
     def invoke_write(self, label: str) -> list[Message]:
         self._begin()
-        self.value = make_value(label, OpId(self.pid, self.seq))
+        self.value = make_value(label, self.op)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                Tag(self.seq, self.pid), self.value)
 
     def _on_quorum(self):
-        return self._done("write", self.seq, Tag(self.seq, self.pid), self.value)
+        return self._done("write", Tag(self.seq, self.pid), self.value)
 
 
 class ReaderStateS(QuorumClient):
@@ -173,7 +174,7 @@ class ReaderStateS(QuorumClient):
         return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)
 
     def _on_quorum(self):
-        return self._done("read", self.seq, *self._decide())
+        return self._done("read", *self._decide())
 
     def _decide(self) -> tuple[Tag, Optional[str]]:
         # Minimum timestamp among the collected acks. Iteration follows
@@ -186,12 +187,12 @@ class ReaderStateS(QuorumClient):
 
 
 def count_relay(origins: set[ProcessId], msg: Message, quorum: int) -> bool:
-    """Record msg's relay origin in origins, the origins counted so far for
-    msg's operation. True exactly when a new origin brings the operation
-    to quorum origins (a majority of the servers), which happens once."""
-    if msg.relay_origin in origins:
+    """Record msg's sender, its relay's origin, in origins, the origins
+    counted so far for msg's operation. True exactly when a new origin
+    brings the operation to quorum origins (a majority), which happens once."""
+    if msg.sender in origins:
         return False
-    origins.add(msg.relay_origin)
+    origins.add(msg.sender)
     return len(origins) == quorum
 
 
@@ -273,7 +274,7 @@ class ServerStateS(Replica):
         if origins is None:
             return []
         pid, tag, value = self.pid, self.tag, self.value
-        out = [Message(KIND_READ_RELAY, op, pid, s, tag, value, pid)
+        out = [Message(KIND_READ_RELAY, op, pid, s, tag, value)
                for s in _server_ids(self.config.n_servers)]
         if pid in origins and len(origins) >= self.quorum:
             out += self._reply(KIND_READ_ACK, msg)

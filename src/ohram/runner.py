@@ -6,19 +6,19 @@ which identifies the dialing process, and a JSON array is a msg, which
 carries one protocol message by position:
 
   {"type":"hello","pid":"r1"}
-  [kind, invoker, seq, sender, ts, wid, value, relay_origin]
+  [kind, invoker, seq, sender, ts, wid, value]
 
-ts and wid are both null for a message with no tag; value and
-relay_origin are null when the message has none. A msg carries no
+ts and wid are both null for a message with no tag; value is null when
+the message has none. A relay's origin is its sender. A msg carries no
 destination: the connection it arrives on implies it, so the receiving
 endpoint sets it to its own pid. A msg array that message_from_json
 refuses is skipped, and so is an object of any other type and a frame
 that is neither.
 
 An endpoint takes only the processes of its configuration: a msg whose
-invoker or sender is none of them, or whose wid or relay_origin is
-neither one of them nor null, is skipped, and a hello naming any other
-process does not count. The check reads the array's items as text, before
+invoker or sender is none of them, or whose wid is neither one of them
+nor null, is skipped, and a hello naming any other process does not
+count. The check reads the array's items as text, before
 message_from_json, so a frame from outside makes no ProcessId and leaves
 no state in a machine: a server keeps at most one read per reader of
 the configuration.
@@ -150,7 +150,7 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 _DECODER = json.JSONDecoder()
 _SCAN = _DECODER.scan_once
 _quote = json.encoder.encode_basestring_ascii  # _ENCODER's string writer
-_MSG_FRAME = "[%s,%s,%d,%s,%s,%s,%s,%s]"
+_MSG_FRAME = "[%s,%s,%d,%s,%s,%s,%s]"
 # the object _pack framed last, and its frame; holding the object keeps
 # its id from being reused, so `is` finds only that object
 _packed: tuple[Any, bytes] = (None, b"")
@@ -167,14 +167,13 @@ def _pack(obj) -> bytes:
         return frame
     if type(obj) is dict and "msg" in obj:
         m = obj["msg"]
-        op, tag, value, origin = m["op"], m["tag"], m["value"], m["relay_origin"]
+        op, tag, value = m["op"], m["tag"], m["value"]
         text = _MSG_FRAME % (
             _quote(m["kind"]), _quote(op["invoker"]), op["seq"],
             _quote(m["sender"]),
             "null" if tag is None else tag["ts"],
             "null" if tag is None else _quote(tag["wid"]),
-            "null" if value is None else _quote(value),
-            "null" if origin is None else _quote(origin))
+            "null" if value is None else _quote(value))
     else:
         text = _ENCODER.encode(obj)
     data = text.encode("utf-8")
@@ -352,7 +351,7 @@ class _Endpoint:
         # skipped before an id is made, so outside input interns none
         self.names = frozenset(
             map(str, config.writers() + config.readers() + config.servers()))
-        self.names_or_null = self.names | {None}  # for wid, relay_origin
+        self.names_or_null = self.names | {None}  # for wid
         self.loop = _shared_loop()
         self.lock = self.loop.lock
         self.links: dict[ProcessId, _Conn] = {}  # by server
@@ -435,8 +434,7 @@ class _Endpoint:
                 if type(frame) is list:
                     try:  # an unreadable or foreign message is skipped
                         if (frame[1] not in names or frame[3] not in names
-                                or frame[5] not in names_or_null
-                                or frame[7] not in names_or_null):
+                                or frame[5] not in names_or_null):
                             continue
                         msg = message_from_json(frame)
                     except (IndexError, TypeError, ValueError):
@@ -490,8 +488,7 @@ class _Endpoint:
         last, obj = self.loop.framed
         if (last is None or msg.op is not last.op
                 or msg.sender is not last.sender or msg.kind is not last.kind
-                or msg.tag is not last.tag or msg.value is not last.value
-                or msg.relay_origin is not last.relay_origin):
+                or msg.tag is not last.tag or msg.value is not last.value):
             obj = {"type": "msg", "msg": message_to_json(msg)}
             self.loop.framed = (msg, obj)
         frame = _pack(obj)

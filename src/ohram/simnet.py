@@ -48,6 +48,7 @@ from .core import (
     KIND_READ_RELAY,
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
+    KIND_WRITE_RELAY,
     KIND_WRITE_REQUEST,
     MESSAGE_KINDS,
     Message,
@@ -467,10 +468,8 @@ def record(net: SimNet, events, out: list[dict]):
         elif step == net.crash:
             out.append({"crash": {"server": str(arg)}})
         else:
-            origin = arg.relay_origin
             sel = {"kind": arg.kind, "to": str(arg.destination),
-                   "from": str(arg.sender),
-                   "origin": None if origin is None else str(origin),
+                   "from": str(arg.sender), "origin": _origin(arg),
                    "invoker": str(arg.op.invoker), "seq": arg.op.seq}
             assert not any(_matches(m, sel) for m in net.inflight), sel
             out.append({"deliver": sel})
@@ -567,14 +566,14 @@ def parse_schedule(text: str) -> tuple[dict, list[dict]]:
       {"crash": {"server": "s3"}}
       {"drain": true}
 
-    A directive has exactly one of these keys. An invoke names a client:
-    a writer invokes "write" with a string label, a reader invokes "read"
-    without one. A deliver selector may constrain kind, to, from, origin,
-    invoker and seq, an integer; it must match exactly one in-flight
-    message. A drain takes only true. A key not shown here is refused,
-    as is a directive that names no in-flight message, client or server
-    of the run. Remaining traffic is drained in send order after the
-    last directive.
+    A directive has exactly one of these keys. An invoke names a client
+    with no operation in flight: a writer invokes "write" with a string
+    label, a reader "read" without one. A deliver selector may constrain
+    kind, to, from, origin (a relay's sender, null for any other
+    message), invoker and seq, an integer, and must match exactly one
+    in-flight message. A drain takes only true. Any other key is refused,
+    as is a directive naming no in-flight message, client or server of
+    the run. Remaining traffic is drained in send order at the end.
     """
     header = None
     directives = []
@@ -601,6 +600,12 @@ def parse_schedule(text: str) -> tuple[dict, list[dict]]:
     return header, directives
 
 
+def _origin(msg: Message) -> Optional[str]:
+    """msg's "origin" in a deliver selector: a relay's sender, else None."""
+    return (str(msg.sender)
+            if msg.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY) else None)
+
+
 def _matches(msg: Message, sel: dict) -> bool:
     if "kind" in sel and msg.kind != sel["kind"]:
         return False
@@ -608,10 +613,8 @@ def _matches(msg: Message, sel: dict) -> bool:
         return False
     if "from" in sel and str(msg.sender) != sel["from"]:
         return False
-    if "origin" in sel:
-        origin = None if msg.relay_origin is None else str(msg.relay_origin)
-        if origin != sel["origin"]:
-            return False
+    if "origin" in sel and _origin(msg) != sel["origin"]:
+        return False
     if "invoker" in sel and str(msg.op.invoker) != sel["invoker"]:
         return False
     if "seq" in sel and msg.op.seq != sel["seq"]:
@@ -650,6 +653,9 @@ def _scripted(net: SimNet, directives: list[dict]):
             case {"invoke": {"client": str(client), "kind": kind} as spec} if (
                     may_invoke.get(client) == (kind, type(spec.get("label")))):
                 pid = parse_pid(client)
+                if net.clients[pid].busy:
+                    raise NotWellFormed(f"directive {i}: {client} already "
+                                        f"has an operation in flight")
                 net.load_program(pid, [(kind, spec.get("label"))])
                 yield net.invoke_next, pid
             case {"deliver": dict(sel)}:

@@ -162,8 +162,7 @@ def test_config_json_round_trip():
 
 def test_message_json_round_trip():
     msg = Message(kind="readRelay", op=OpId(reader_id(1), 2), sender=server_id(2),
-                  destination=server_id(3), tag=Tag(4, writer_id(1)), value="A#w1.4",
-                  relay_origin=server_id(1))
+                  destination=server_id(3), tag=Tag(4, writer_id(1)), value="A#w1.4")
     frame = _pack({"type": "msg", "msg": message_to_json(msg)})
     # the wire leaves the destination to the connection it arrives on
     msg.destination = None
@@ -278,11 +277,9 @@ def test_message_equality_is_field_wise():
         "Message(kind='readAck', op=OpId(invoker=ProcessId(role='reader', index=1), "
         "seq=2), sender=ProcessId(role='server', index=1), "
         "destination=ProcessId(role='reader', index=1), "
-        "tag=Tag(ts=1, wid=ProcessId(role='writer', index=1)), value='A#w1.1', "
-        "relay_origin=None)")
+        "tag=Tag(ts=1, wid=ProcessId(role='writer', index=1)), value='A#w1.1')")
     changes = dict(kind="writeAck", op=OpId(reader_id(1), 3), sender=server_id(2),
-                   destination=reader_id(2), tag=Tag(1, writer_id(2)), value="B#w1.2",
-                   relay_origin=server_id(1))
+                   destination=reader_id(2), tag=Tag(1, writer_id(2)), value="B#w1.2")
     assert set(changes) == set(Message.__slots__)
     for name, other in changes.items():
         assert Message(**{**fields, name: other}) != msg, name
@@ -308,11 +305,9 @@ _S1 = "ProcessId(role='server', index=1)"
 _S3 = "ProcessId(role='server', index=3)"
 
 MUTABLE_RECORDS = [
-    (Message("readRelay", _OP, server_id(3), server_id(1), _TAG, "A#w1.5",
-             server_id(3)),
+    (Message("readRelay", _OP, server_id(3), server_id(1), _TAG, "A#w1.5"),
      f"Message(kind='readRelay', op={_OP_TEXT}, sender={_S3}, "
-     f"destination={_S1}, tag={_TAG_TEXT}, value='A#w1.5', "
-     f"relay_origin={_S3})"),
+     f"destination={_S1}, tag={_TAG_TEXT}, value='A#w1.5')"),
     (Completion(_OP, "read", _TAG, "A#w1.5"),
      f"Completion(op={_OP_TEXT}, kind='read', tag={_TAG_TEXT}, "
      f"value='A#w1.5')"),
@@ -329,9 +324,9 @@ MUTABLE_RECORDS = [
      f"OpMetrics(kind='read', messages=3, kinds=1)}}, events=12, "
      f"crashed=[{_S3}], invariant_failures=['x'])"),
     (Relay("writeRelay", _OP, server_id(3), server_id(1), _TAG, "B",
-           server_id(3), (WriteRecord(_OP, _TAG, "B"),)),
+           (WriteRecord(_OP, _TAG, "B"),)),
      f"Relay(kind='writeRelay', op={_OP_TEXT}, sender={_S3}, "
-     f"destination={_S1}, tag={_TAG_TEXT}, value='B', relay_origin={_S3}, "
+     f"destination={_S1}, tag={_TAG_TEXT}, value='B', "
      f"observations=(WriteRecord(op={_OP_TEXT}, tag={_TAG_TEXT}, "
      f"value='B'),))"),
 ]

@@ -122,8 +122,7 @@ def test_write_relay_round_acks_at_quorum_origins():
     assert [m.kind for m in outs] == ["writeRelay"] * 3
     assert s.on_message(req) == outs  # every copy relays
     rel = lambda origin: Relay("writeRelay", op, origin, S1, tag=Tag(1, W1),
-                               value="A#w1.1", relay_origin=origin,
-                               observations=(REC_A,))
+                               value="A#w1.1", observations=(REC_A,))
     assert s.on_message(rel(S2)) == []
     outs = s.on_message(rel(S3))
     assert [m.kind for m in outs] == ["writeAck"]
@@ -197,15 +196,14 @@ class AckedSets(Naive3xServer):
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         snapshot = tuple(self.observations)
         return [Relay("writeRelay", msg.op, self.pid, s, tag=msg.tag,
-                      value=msg.value, relay_origin=self.pid,
-                      observations=snapshot)
+                      value=msg.value, observations=snapshot)
                 for s in self.config.servers()]
 
     def on_write_relay(self, msg):
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
-        self._merge_origin(msg.relay_origin, msg.observations)
+        self._merge_origin(msg.sender, msg.observations)
         origins = self.write_relays.setdefault(msg.op, set())
-        origins.add(msg.relay_origin)
+        origins.add(msg.sender)
         if (len(origins) >= quorum_size(self.config.n_servers)
                 and msg.op not in self.write_acked):
             self.write_acked.add(msg.op)
@@ -217,14 +215,13 @@ class AckedSets(Naive3xServer):
         tag, value = self.adopted()
         snapshot = tuple(self.observations)
         return [Relay("readRelay", msg.op, self.pid, s, tag=tag,
-                      value=value, relay_origin=self.pid,
-                      observations=snapshot)
+                      value=value, observations=snapshot)
                 for s in self.config.servers()]
 
     def on_read_relay(self, msg):
-        self._merge_origin(msg.relay_origin, msg.observations)
+        self._merge_origin(msg.sender, msg.observations)
         origins = self.read_relays.setdefault(msg.op, set())
-        origins.add(msg.relay_origin)
+        origins.add(msg.sender)
         if (len(origins) >= quorum_size(self.config.n_servers)
                 and msg.op not in self.acked_reads):
             self.acked_reads.add(msg.op)
@@ -265,7 +262,7 @@ def _naive_traffic(rng, steps):
             msg = Relay(f"{kind}Relay", op, origin, S1,
                         tag=None if kind == "read" else rec.tag,
                         value=None if kind == "read" else rec.value,
-                        relay_origin=origin, observations=obs)
+                        observations=obs)
         sent.append(msg)
         yield msg
 
@@ -280,10 +277,10 @@ def test_count_relay_answers_what_the_acked_sets_answered():
         new, old = Naive3xServer(S1, CFG), AckedSets(S1, CFG)
         requested = set()
         for msg in _naive_traffic(random.Random(seed), 200):
-            if msg.relay_origin is not None:
+            if isinstance(msg, Relay):
                 relays = old.write_relays if msg.kind == "writeRelay" \
                     else old.read_relays
-                if msg.relay_origin in relays.get(msg.op, ()):
+                if msg.sender in relays.get(msg.op, ()):
                     seen["duplicate relay"] += 1
                 if msg.op not in requested:
                     seen["early relay"] += 1

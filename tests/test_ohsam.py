@@ -26,9 +26,8 @@ R1 = reader_id(1)
 S1, S2, S3 = server_id(1), server_id(2), server_id(3)
 
 
-def relay(op, sender, dest, origin, tag, value):
-    return Message("readRelay", op, sender, dest, tag=tag, value=value,
-                   relay_origin=origin)
+def relay(op, sender, dest, tag, value):
+    return Message("readRelay", op, sender, dest, tag=tag, value=value)
 
 
 def test_write_is_two_exchanges_wide():
@@ -88,7 +87,7 @@ def test_server_relays_every_copy_to_everyone_including_itself():
     outs = s.on_message(req)
     assert [m.kind for m in outs] == ["readRelay"] * 3
     assert {str(m.destination) for m in outs} == {"s1", "s2", "s3"}
-    assert all(m.relay_origin == S1 for m in outs)
+    assert all(m.sender == S1 for m in outs)
     assert s.on_message(req) == outs  # a second copy relays again
 
 
@@ -104,13 +103,13 @@ def test_server_acks_read_once_at_quorum_relay_origins():
     s = ServerStateS(S3, CFG)
     op = OpId(R1, 1)
     t = Tag(1, W1)
-    assert s.on_message(relay(op, S1, S3, S1, t, "A#w1.1")) == []
-    outs = s.on_message(relay(op, S2, S3, S2, t, "A#w1.1"))
+    assert s.on_message(relay(op, S1, S3, t, "A#w1.1")) == []
+    outs = s.on_message(relay(op, S2, S3, t, "A#w1.1"))
     assert [m.kind for m in outs] == ["readAck"]
     assert outs[0].destination == R1
     assert outs[0].tag == t
     # a third origin arrives later: already answered, stays quiet
-    assert s.on_message(relay(op, S3, S3, S3, t, "A#w1.1")) == []
+    assert s.on_message(relay(op, S3, S3, t, "A#w1.1")) == []
 
 
 def test_relays_arriving_before_the_request_still_count():
@@ -118,8 +117,8 @@ def test_relays_arriving_before_the_request_still_count():
     s = ServerStateS(S3, CFG)
     op = OpId(R1, 1)
     t = Tag(2, W1)
-    assert s.on_message(relay(op, S1, S3, S1, t, "B#w1.2")) == []
-    outs = s.on_message(relay(op, S2, S3, S2, t, "B#w1.2"))
+    assert s.on_message(relay(op, S1, S3, t, "B#w1.2")) == []
+    outs = s.on_message(relay(op, S2, S3, t, "B#w1.2"))
     assert [m.kind for m in outs] == ["readAck"]
     assert (outs[0].tag, outs[0].value) == (t, "B#w1.2")
     outs = s.on_message(Message("readRequest", op, R1, S3))
@@ -129,7 +128,7 @@ def test_relays_arriving_before_the_request_still_count():
 
 def test_server_adopts_larger_relay_tag():
     s = ServerStateS(S2, CFG)
-    s.on_message(relay(OpId(R1, 1), S1, S2, S1, Tag(4, W1), "D#w1.4"))
+    s.on_message(relay(OpId(R1, 1), S1, S2, Tag(4, W1), "D#w1.4"))
     assert s.tag == Tag(4, W1)
     assert s.value == "D#w1.4"
 
@@ -138,8 +137,8 @@ def test_gc_retires_only_answered_earlier_ops_of_same_invoker():
     s = ServerStateS(S1, CFG)
     old, new = OpId(R1, 1), OpId(R1, 2)
     t = Tag(1, W1)
-    s.on_message(relay(old, S2, S1, S2, t, "A#w1.1"))
-    s.on_message(relay(old, S3, S1, S3, t, "A#w1.1"))  # answered now
+    s.on_message(relay(old, S2, S1, t, "A#w1.1"))
+    s.on_message(relay(old, S3, S1, t, "A#w1.1"))  # answered now
     assert s.reads == {R1: (1, {S2, S3})}
     s.on_message(Message("readRequest", new, R1, S1))
     assert s.reads == {R1: (2, set())}
@@ -148,11 +147,11 @@ def test_gc_retires_only_answered_earlier_ops_of_same_invoker():
 def test_a_newer_read_retires_an_unanswered_older_one():
     s = ServerStateS(S1, CFG)
     old, new = OpId(R1, 1), OpId(R1, 2)
-    s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
+    s.on_message(relay(old, S2, S1, Tag(1, W1), "A#w1.1"))
     s.on_message(Message("readRequest", new, R1, S1))
     assert s.reads == {R1: (2, set())}  # old had one origin, never acked
     # the relay that would have brought old to a majority sends nothing
-    assert s.on_message(relay(old, S3, S1, S3, Tag(2, W1), "B#w1.2")) == []
+    assert s.on_message(relay(old, S3, S1, Tag(2, W1), "B#w1.2")) == []
     assert (s.tag, s.value) == (Tag(2, W1), "B#w1.2")  # the tag still counts
     assert s.reads == {R1: (2, set())}
 
@@ -203,7 +202,7 @@ def test_server_tag_never_decreases(updates):
             s.on_message(Message("writeRequest", OpId(writer_id(wid), i + 1),
                                  writer_id(wid), S1, tag=t, value=f"v{i}"))
         else:
-            s.on_message(relay(OpId(R1, i + 1), S2, S1, S2, t, f"v{i}"))
+            s.on_message(relay(OpId(R1, i + 1), S2, S1, t, f"v{i}"))
         assert not s.tag < seen
         seen = s.tag
 
@@ -212,10 +211,10 @@ def test_a_retired_reads_request_sends_nothing_and_keeps_no_state():
     s = ServerStateS(S1, CFG)
     old, new = OpId(R1, 1), OpId(R1, 2)
     s.on_message(Message("readRequest", old, R1, S1))
-    s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
-    s.on_message(relay(old, S3, S1, S3, Tag(1, W1), "A#w1.1"))
+    s.on_message(relay(old, S2, S1, Tag(1, W1), "A#w1.1"))
+    s.on_message(relay(old, S3, S1, Tag(1, W1), "A#w1.1"))
     s.on_message(Message("readRequest", new, R1, S1))
-    s.on_message(relay(new, S2, S1, S2, Tag(1, W1), "A#w1.1"))
+    s.on_message(relay(new, S2, S1, Tag(1, W1), "A#w1.1"))
     assert s.reads == {R1: (2, {S2})}
     assert s.on_message(Message("readRequest", old, R1, S1)) == []
     assert s.reads == {R1: (2, {S2})}
@@ -224,12 +223,12 @@ def test_a_retired_reads_request_sends_nothing_and_keeps_no_state():
 def test_a_retired_read_is_never_answered_again():
     s = ServerStateS(S1, CFG)
     old, new = OpId(R1, 1), OpId(R1, 2)
-    s.on_message(relay(old, S2, S1, S2, Tag(1, W1), "A#w1.1"))
+    s.on_message(relay(old, S2, S1, Tag(1, W1), "A#w1.1"))
     assert [m.kind for m in s.on_message(
-        relay(old, S3, S1, S3, Tag(1, W1), "A#w1.1"))] == ["readAck"]
+        relay(old, S3, S1, Tag(1, W1), "A#w1.1"))] == ["readAck"]
     s.on_message(Message("readRequest", new, R1, S1))
     for origin in (S1, S2, S3):  # every origin is new to the retired read
-        assert s.on_message(relay(old, origin, S1, origin, Tag(2, W1),
+        assert s.on_message(relay(old, origin, S1, Tag(2, W1),
                                   "B#w1.2")) == []
     assert (s.tag, s.value) == (Tag(2, W1), "B#w1.2")  # the tag still counts
     assert s.reads == {R1: (2, set())}
@@ -242,8 +241,8 @@ def test_sequential_reads_leave_one_entry_per_reader():
         op = OpId(R1, seq)
         s.on_message(Message("readRequest", op, R1, S1))
         for origin in (S1, S2, S3):
-            acks += len(s.on_message(relay(op, origin, S1, origin,
-                                           Tag(0, S1), None)))
+            acks += len(s.on_message(relay(op, origin, S1, Tag(0, S1),
+                                           None)))
         assert len(s.reads) <= 1
     assert acks == 1000
     assert s.reads == {R1: (1000, {S1, S2, S3})}
@@ -314,14 +313,14 @@ class _AckedReads:
             return ack
         self.relayed.add(msg.op)
         return [Message("readRelay", msg.op, self.pid, s, tag=self.tag,
-                        value=self.value, relay_origin=self.pid)
+                        value=self.value)
                 for s in self.config.servers()] + ack
 
     def on_read_relay(self, msg):
         self._gc(msg.op)
         self._adopt(msg.tag, msg.value)
         origins = self.relays.setdefault(msg.op, set())
-        origins.add(msg.relay_origin)
+        origins.add(msg.sender)
         if (len(origins) >= quorum_size(self.config.n_servers)
                 and msg.op not in self.acked_reads):
             self.acked_reads.add(msg.op)
@@ -367,7 +366,7 @@ def _random_traffic(rng, steps):
             yield Message("readRequest", op, r, S1)
         elif roll < 0.9:
             origin = rng.choice((S1, S2, S3))
-            yield relay(op, origin, S1, origin, Tag(rng.randint(0, 4), W1),
+            yield relay(op, origin, S1, Tag(rng.randint(0, 4), W1),
                         f"v{rng.randint(0, 4)}")
         else:
             writes += 1
@@ -381,8 +380,9 @@ def _once(traffic):
     request, only after the request."""
     seen = set()
     for msg in traffic:
-        key = (msg.kind, msg.op, msg.relay_origin)
-        if msg.relay_origin == S1 and ("readRequest", msg.op, None) not in seen:
+        key = (msg.kind, msg.op, msg.sender)
+        if (msg.sender == S1
+                and ("readRequest", msg.op, msg.op.invoker) not in seen):
             continue
         if msg.kind == "writeRequest" or key not in seen:
             seen.add(key)
@@ -434,7 +434,7 @@ def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
             kind = msg.kind
             if kind == "readRelay" and msg.op not in old.relayed:
                 seen["early relay"] += 1
-            if kind == "readRelay" and msg.relay_origin in old.relays.get(
+            if kind == "readRelay" and msg.sender in old.relays.get(
                     msg.op, ()):
                 seen["duplicate relay"] += 1
             if (kind == "readRequest" and msg.op in old.acked_reads

@@ -270,7 +270,7 @@ def test_a_reply_to_a_client_with_no_connection_is_lost_and_a_copy_acks_again():
         with daemon.lock:
             daemon._handle(request)  # s1's own relay goes straight back in
             daemon._handle(Message(KIND_READ_RELAY, read, s2, s1,
-                                   tag=Tag(0, s2), relay_origin=s2))
+                                   tag=Tag(0, s2)))
             # the majority of relays is in: the ack for r1#1, tagged (0,s1),
             # is produced now, while r1 has no connection to s1, and lost
             assert daemon.machine.reads[r1] == (1, {s1, s2})
@@ -845,7 +845,6 @@ def reference_frame(msg):
         msg.kind, str(msg.op.invoker), msg.op.seq, str(msg.sender),
         None if tag is None else tag.ts,
         None if tag is None else str(tag.wid), msg.value,
-        str(msg.relay_origin) if msg.relay_origin else None,
     ])
 
 
@@ -857,7 +856,7 @@ values = st.none() | st.text(st.sampled_from('"\\/\x00\x1f\n\t\x7f') |
                              st.characters())
 messages = st.builds(
     Message, st.sampled_from(MESSAGE_KINDS), op_ids, pids, pids,
-    tag=st.none() | tags, value=values, relay_origin=st.none() | pids)
+    tag=st.none() | tags, value=values)
 
 
 @settings(max_examples=300)
@@ -1005,7 +1004,7 @@ def test_a_client_link_reads_on_past_a_frame_it_cannot_take():
         # end if one dropped the link
         bad = _unpack(msg_frame(read_ack(request.op.seq, "bad"))[4:])
         untaken = [
-            bad[:7], bad + [None],
+            bad[:6], bad + [None],
             replaced(bad, 0, "readack"),
             replaced(bad, 2, float(bad[2])), replaced(bad, 2, True),
             replaced(bad, 2, str(bad[2])),
@@ -1552,13 +1551,13 @@ def test_frames_naming_processes_outside_the_configuration_are_skipped():
     daemon = ServerDaemon(S1, ONE, "ohsam")
     daemon.start({S1: daemon.address})
     foreign = [  # each names one id outside ONE, kept as text
-        *(["readRequest", f"r{i}", 1, f"r{i}", None, None, None, None]
+        *(["readRequest", f"r{i}", 1, f"r{i}", None, None, None]
           for i in range(10_001, 11_996)),
-        ["readRequest", "r7001", 1, "r1", None, None, None, None],
-        ["readRequest", "r1", 1, "s7001", None, None, None, None],
-        ["writeRequest", "w1", 1, "w1", 1, "w7001", "A", None],
-        ["readRelay", "r1", 1, "s1", 0, "s1", None, "s7001"],
-        ["readRelay", "r1", 1, "s1", 0, "w7001", None, "s1"],
+        ["readRequest", "r7001", 1, "r1", None, None, None],
+        ["readRequest", "r1", 1, "s7001", None, None, None],
+        ["writeRequest", "w1", 1, "w1", 1, "w7001", "A"],
+        ["readRelay", "r1", 1, "s7001", 0, "s1", None],
+        ["readRelay", "r1", 1, "s1", 0, "w7001", None],
     ]
     sock = None
     try:
@@ -1579,6 +1578,30 @@ def test_frames_naming_processes_outside_the_configuration_are_skipped():
             assert set(daemon.machine.reads) == {R1}
             assert set(daemon.client_conns) == {R1}
             assert len(core._PIDS) == pids
+    finally:
+        if sock is not None:
+            sock.close()
+        daemon.stop()
+
+
+def test_an_eight_item_msg_array_is_skipped_and_its_connection_serves_on():
+    """The msg layout with a relay origin as an eighth item is malformed:
+    neither a request nor a relay in it reaches the machine, and the
+    connection it came on answers the next well-formed frame."""
+    daemon = ServerDaemon(S1, ONE, "ohsam")
+    daemon.start({S1: daemon.address})
+    sock = None
+    try:
+        sock = socket.create_connection(daemon.address, timeout=10.0)
+        sock.sendall(
+            _pack({"type": "hello", "pid": "r1"})
+            + raw_frame(["readRequest", "r1", 1, "r1", None, None, None, None])
+            + raw_frame(["readRelay", "r1", 1, "s1", 0, "s1", None, "s1"])
+            + msg_frame(Message(KIND_READ_REQUEST, OpId(R1, 2), R1, S1)))
+        msg = message_from_json(next(read_frames(sock)))
+        assert (msg.kind, msg.op) == (KIND_READ_ACK, OpId(R1, 2))
+        with daemon.lock:
+            assert daemon.machine.reads == {R1: (2, {S1})}
     finally:
         if sock is not None:
             sock.close()

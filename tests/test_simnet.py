@@ -24,7 +24,9 @@ from ohram.core import (
     FaultBudgetExceeded,
     Message,
     ModeMismatch,
+    NotWellFormed,
     OhramError,
+    ROLE_SERVER,
     ScheduleUnresolvable,
     StuckExecution,
     Tag,
@@ -297,6 +299,19 @@ def test_script_rejects_undocumented_keys_and_values_by_number(directive):
              json.dumps(directive)]
     with pytest.raises(ScheduleUnresolvable, match="directive 2"):
         run_script("\n".join(lines) + "\n")
+
+
+def test_script_refuses_to_invoke_a_busy_client_by_number():
+    """w1's write is in flight when the second directive invokes w1
+    again: refused by number, and the second write is never queued."""
+    net = SimNet("ohsam", SWMR3)
+    write = {"invoke": {"client": "w1", "kind": "write", "label": "A"}}
+    with pytest.raises(NotWellFormed,
+                       match="directive 2: w1 already has an operation "
+                             "in flight"):
+        net.run_directives([write, write])
+    assert net.programs[writer_id(1)] == []
+    assert [r.op.seq for r in net.history] == [1]
 
 
 _NAIVE3X_CONFIG = {"n_servers": 3, "n_readers": 1, "n_writers": 2, "f": 1,
@@ -609,8 +624,7 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
 
 def test_message_shapes_over_the_golden_corpus(monkeypatch):
     """Machines build messages positionally, so pin each field's place:
-    a relay names its sender as relay_origin and nothing else names one,
-    every ack goes to the operation's invoker, tags are Tags where a kind
+    a relay goes from a server to a server, every ack goes to the operation's invoker, tags are Tags where a kind
     carries one, and only naive3x relays are Relays, with observations."""
     kinds = set()
     send = SimNet._send
@@ -619,7 +633,8 @@ def test_message_shapes_over_the_golden_corpus(monkeypatch):
         for m in msgs:
             kinds.add(m.kind)
             relay = m.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY)
-            assert m.relay_origin is (m.sender if relay else None), m
+            if relay:
+                assert m.sender.role == m.destination.role == ROLE_SERVER, m
             if m.kind in (KIND_READ_ACK, KIND_WRITE_ACK, KIND_DISCOVER_ACK):
                 assert m.destination is m.op.invoker, m
             if m.kind in (KIND_READ_REQUEST, KIND_DISCOVER):
