@@ -15,7 +15,6 @@ the module's __getattr__.
 from .core import (
     BOTTOM,
     BindFailure,
-    Completion,
     Config,
     FaultBudgetExceeded,
     HistoryTooLarge,

@@ -45,12 +45,12 @@ class AbdReaderState(QuorumClient):
         self.result: Optional[Message] = None
 
     def invoke_read(self) -> list[Message]:
-        self._begin()
+        self._begin("read")
         return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)
 
     def _on_quorum(self):
         if self.awaiting == KIND_WRITE_ACK:
-            return self._done("read", self.result.tag, self.result.value)
+            return self._done(self.result.tag, self.result.value)
         best = None
         for m in self.replies.values():
             if best is None or best.tag < m.tag:

@@ -325,35 +325,16 @@ class Message(Record):
         self.value = value
 
 
-class Completion(Record):
-    """A finished client operation: canonical id, kind, and result.
-
-    Write completions carry the tag and value that were written; read
-    completions carry the tag and value that were returned. The tag makes
-    recorded histories checkable by the witness checker.
-
-    A mutable Record, for the reason Message is: equality is field-wise,
-    a completion is not mutated once returned, and nothing hashes one.
-    """
-
-    __slots__ = ("op", "kind", "tag", "value")
-
-    def __init__(self, op: OpId, kind: str, tag: Tag,
-                 value: Optional[str]) -> None:
-        self.op = op
-        self.kind = kind  # "read" | "write"
-        self.tag = tag
-        self.value = value
-
-
 class OpRecord(Record):
     """One operation in a recorded history.
 
-    invoked and responded are indices on a single monotone scale (event
-    counter in the simulator, monotonic clock in the live runner); the
-    scale only needs to order events of one run consistently. responded
-    is None while the operation is pending. tag and value are the
-    operation's result: what a read returned, or what a write wrote.
+    The client machine fills op, kind and, for a write, value when the
+    operation is invoked, and tag and value (what a read returned, or
+    what a write wrote) when it completes. The harness fills invoked and
+    responded, indices on a single monotone scale (event counter in the
+    simulator, monotonic clock in the live runner); the scale only needs
+    to order events of one run consistently. responded is None while the
+    operation is pending.
 
     Slotted, so a record holds its six fields and no attribute dict: a
     live history keeps one per operation. Setting any other attribute
@@ -362,7 +343,7 @@ class OpRecord(Record):
 
     __slots__ = ("op", "kind", "invoked", "responded", "tag", "value")
 
-    def __init__(self, op: OpId, kind: str, invoked: int,
+    def __init__(self, op: OpId, kind: str, invoked: Optional[int],
                  responded: Optional[int], tag: Optional[Tag],
                  value: Optional[str]) -> None:
         self.op = op

@@ -24,8 +24,6 @@ non-adopting acks.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     Config,
     KIND_DISCOVER,
@@ -35,7 +33,6 @@ from .core import (
     Message,
     ProcessId,
     Tag,
-    make_value,
 )
 from .ohsam import QuorumClient, ReaderStateS, ServerStateS
 
@@ -53,20 +50,18 @@ class WriterStateM(QuorumClient):
     def __init__(self, pid: ProcessId, config: Config) -> None:
         super().__init__(pid, config)
         self.tag = Tag(0, pid)
-        self.value: Optional[str] = None
 
     def invoke_write(self, label: str) -> list[Message]:
-        self._begin()
-        self.value = make_value(label, self.op)
+        self._begin("write", label)
         return self._broadcast(KIND_DISCOVER, KIND_DISCOVER_ACK)
 
     def _on_quorum(self):
         if self.awaiting == KIND_WRITE_ACK:
-            return self._done("write", self.tag, self.value)
+            return self._done(self.tag, self.record.value)
         max_ts = max(m.tag.ts for m in self.replies.values())
         self.tag = Tag(max_ts + 1, self.pid)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
-                               self.tag, self.value), None
+                               self.tag, self.record.value), None
 
 
 class ServerStateM(ServerStateS):

@@ -2,8 +2,9 @@
 
 Three event-driven state machines: writer, reader, server. Each consumes
 one event at a time (an invocation or a delivered message) and returns the
-messages to send plus, for clients, an optional operation completion. The
-harness owns all I/O and serializes event application per instance.
+messages to send plus, for clients, the operation's record once the
+operation completes, else None. The harness owns all I/O and serializes
+event application per instance.
 
 Every client machine of the package is a QuorumClient: an operation is
 a sequence of quorum phases, each of which broadcasts one request kind
@@ -48,7 +49,6 @@ from typing import Optional
 
 from .core import (
     BOTTOM,
-    Completion,
     Config,
     KIND_DISCOVER,
     KIND_DISCOVER_ACK,
@@ -60,6 +60,7 @@ from .core import (
     Message,
     NotWellFormed,
     OpId,
+    OpRecord,
     ProcessId,
     Tag,
     _server_ids,
@@ -72,10 +73,12 @@ class QuorumClient:
     """One client operation as a sequence of quorum phases.
 
     A phase broadcasts one request kind to every server and waits for a
-    majority of replies of one kind. seq counts this client's operations,
-    and op, built once per operation by _begin, is the OpId (pid, seq)
-    that every message of every phase carries, the value's nonce and the
-    completion's id: a message's op is the history op it serves.
+    majority of replies of one kind. seq counts this client's operations.
+    record, opened by _begin, is the operation's OpRecord: its op, the
+    OpId (pid, seq), is what every message of every phase carries and a
+    write value's nonce, so a message's op is the history op it serves.
+    _done fills in its result and returns it, the one record of the
+    operation that the harness stamps with times and keeps in its history.
     awaiting names the reply kind the phase waits for and is None when
     the client is idle. replies maps each sender to its latest reply in
     first-arrival order. Replies of another kind or another op, and
@@ -83,7 +86,7 @@ class QuorumClient:
     often its reply comes again in answer to a rebroadcast. Subclasses
     open phases with _broadcast, which keeps the phase's messages in
     phase for rebroadcast() to send again, and say in _on_quorum what a
-    complete phase leads to: the next phase, or the completion of _done.
+    complete phase leads to: the next phase, or _done's record.
     quorum and server_ids are derived from config once.
     """
 
@@ -91,7 +94,7 @@ class QuorumClient:
         self.pid = pid
         self.config = config
         self.seq = 0
-        self.op: Optional[OpId] = None
+        self.record: Optional[OpRecord] = None
         self.awaiting: Optional[str] = None
         self.replies: dict[ProcessId, Message] = {}
         self.quorum = quorum_size(config.n_servers)
@@ -102,17 +105,20 @@ class QuorumClient:
     def busy(self) -> bool:
         return self.awaiting is not None
 
-    def _begin(self) -> None:
+    def _begin(self, kind: str, label: Optional[str] = None) -> None:
+        """Open the operation's record; a write's label makes its value."""
         if self.awaiting is not None:
             raise NotWellFormed(f"{self.pid} already has an operation in flight")
         self.seq += 1
-        self.op = OpId(self.pid, self.seq)
+        op = OpId(self.pid, self.seq)
+        value = make_value(label, op) if kind == "write" else None
+        self.record = OpRecord(op, kind, None, None, None, value)
 
     def _broadcast(self, kind: str, awaiting: str, tag: Optional[Tag] = None,
                    value: Optional[str] = None) -> list[Message]:
         self.awaiting = awaiting
         self.replies = {}
-        op, pid = self.op, self.pid
+        op, pid = self.record.op, self.pid
         self.phase = [Message(kind, op, pid, s, tag, value)
                       for s in self.server_ids]
         return self.phase
@@ -121,9 +127,9 @@ class QuorumClient:
         """The open phase, the messages _broadcast returned; [] when idle."""
         return self.phase if self.busy else []
 
-    def on_message(self, msg: Message) -> tuple[list[Message], Optional[Completion]]:
+    def on_message(self, msg: Message) -> tuple[list[Message], Optional[OpRecord]]:
         # Stale, foreign, unexpected and tagless replies are dropped silently.
-        if (msg.kind != self.awaiting or msg.op != self.op
+        if (msg.kind != self.awaiting or msg.op != self.record.op
                 or msg.tag is None):
             return [], None
         self.replies[msg.sender] = msg
@@ -131,34 +137,28 @@ class QuorumClient:
             return self._on_quorum()
         return [], None
 
-    def _on_quorum(self) -> tuple[list[Message], Optional[Completion]]:
+    def _on_quorum(self) -> tuple[list[Message], Optional[OpRecord]]:
         raise NotImplementedError
 
-    def _done(self, kind: str, tag: Tag,
-              value: Optional[str]) -> tuple[list[Message], Completion]:
+    def _done(self, tag: Tag,
+              value: Optional[str]) -> tuple[list[Message], OpRecord]:
         self.awaiting = None
-        return [], Completion(self.op, kind, tag, value)
+        rec = self.record
+        rec.tag = tag
+        rec.value = value
+        return [], rec
 
 
 class WriterStateS(QuorumClient):
-    """Single writer: timestamp k for write k, one write at a time.
-
-    value holds the value of the write in flight (of the last write once
-    it completes), under the same name as in every other writer machine.
-    """
-
-    def __init__(self, pid: ProcessId, config: Config) -> None:
-        super().__init__(pid, config)
-        self.value: Optional[str] = None
+    """Single writer: timestamp k for write k, one write at a time."""
 
     def invoke_write(self, label: str) -> list[Message]:
-        self._begin()
-        self.value = make_value(label, self.op)
+        self._begin("write", label)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
-                               Tag(self.seq, self.pid), self.value)
+                               Tag(self.seq, self.pid), self.record.value)
 
     def _on_quorum(self):
-        return self._done("write", Tag(self.seq, self.pid), self.value)
+        return self._done(Tag(self.seq, self.pid), self.record.value)
 
 
 class ReaderStateS(QuorumClient):
@@ -170,11 +170,11 @@ class ReaderStateS(QuorumClient):
         return {s: (m.tag, m.value) for s, m in self.replies.items()}
 
     def invoke_read(self) -> list[Message]:
-        self._begin()
+        self._begin("read")
         return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)
 
     def _on_quorum(self):
-        return self._done("read", *self._decide())
+        return self._done(*self._decide())
 
     def _decide(self) -> tuple[Tag, Optional[str]]:
         # Minimum timestamp among the collected acks. Iteration follows

@@ -634,7 +634,6 @@ class Client(_Endpoint):
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget
         self.done = threading.Condition(self.lock)
-        self._completion = None
         self.history: list[OpRecord] = []
         with self.lock:
             self._start({s: membership[s] for s in config.servers()})
@@ -646,10 +645,9 @@ class Client(_Endpoint):
             self.done.notify_all()
 
     def _handle(self, msg: Message) -> None:
-        outs, completion = self.machine.on_message(msg)
+        outs, rec = self.machine.on_message(msg)
         self._emit(outs)
-        if completion is not None:
-            self._completion = completion
+        if rec is not None:
             self.loop.completed.append(self)
 
     def _run_op(self, kind: str, invoke) -> OpRecord:
@@ -657,10 +655,9 @@ class Client(_Endpoint):
             if self.stopped:  # before invoke: a closed op may still be open
                 raise QuorumUnreachable(f"{self.pid}: closed")
             t0 = time.monotonic_ns()
-            self._completion = None
             self._emit(invoke())
             retries = 0
-            while self._completion is None:
+            while self.machine.busy:
                 if self.stopped:
                     raise QuorumUnreachable(
                         f"{self.pid}: closed with its {kind} open")
@@ -671,10 +668,8 @@ class Client(_Endpoint):
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
                     self._emit(self.machine.rebroadcast())
-            completion = self._completion
-            t1 = time.monotonic_ns()
-            rec = OpRecord(completion.op, kind, t0, t1, completion.tag,
-                           completion.value)
+            rec = self.machine.record
+            rec.invoked, rec.responded = t0, time.monotonic_ns()
             self.history.append(rec)
             return rec
 

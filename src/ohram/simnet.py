@@ -41,7 +41,6 @@ import random
 from typing import Optional
 
 from .core import (
-    Completion,
     Config,
     FaultBudgetExceeded,
     KIND_READ_ACK,
@@ -266,7 +265,6 @@ class SimNet:
         self.pending_crashes: list[ProcessId] = []
         self.events = 0
         self.history: list[OpRecord] = []
-        self._open: dict[OpId, OpRecord] = {}
         self.metrics: dict[OpId, OpMetrics] = {}
         self.invariant_failures: list[str] = []
         # naive3x's servers keep no single tag to check
@@ -301,18 +299,16 @@ class SimNet:
         else:
             msgs = machine.invoke_read()
         self.events += 1
-        op = msgs[0].op
-        # a write's value is fixed at invocation; recording it now keeps
-        # histories with a pending write (client never finished) checkable
-        value = machine.value if kind == "write" else None
+        # the machine's record holds a write's value from invocation on,
+        # which keeps histories with a pending write (client never
+        # finished) checkable
+        rec = machine.record
+        rec.invoked = self.events
         self._note_idle(pid)
-        # positional: a keyword call costs about twice as much
-        rec = OpRecord(op, kind, self.events, None, None, value)
         self.history.append(rec)
-        self._open[op] = rec
-        self.metrics[op] = OpMetrics(kind)
+        self.metrics[rec.op] = OpMetrics(kind)
         self._send(msgs)
-        return op
+        return rec.op
 
     def deliver(self, msg: Message) -> None:
         # nothing in flight names a crashed server: crash sweeps them out
@@ -321,10 +317,12 @@ class SimNet:
         dest = msg.destination
         server = self.servers.get(dest)
         if server is None:
-            outs, completion = self.clients[dest].on_message(msg)
-            if completion is not None:
+            outs, rec = self.clients[dest].on_message(msg)
+            if rec is not None:
+                if rec.responded is not None:
+                    raise NotWellFormed(f"unexpected completion for {rec.op}")
+                rec.responded = self.events
                 # only a completion makes a client idle
-                self._record_completion(completion)
                 self._note_idle(dest)
         elif self.monitor is None:
             outs = server.on_message(msg)
@@ -351,17 +349,6 @@ class SimNet:
             return FaultBudgetExceeded(
                 f"crashing {pid} would exceed the fault bound f={self.config.f}")
         return None
-
-    # -- bookkeeping --
-
-    def _record_completion(self, completion: Completion) -> None:
-        rec = self._open.get(completion.op)
-        if rec is None or rec.responded is not None:
-            raise NotWellFormed(f"unexpected completion for {completion.op}")
-        rec.responded = self.events
-        rec.tag = completion.tag
-        rec.value = completion.value
-        del self._open[completion.op]
 
     # -- driving a run --
 
@@ -392,8 +379,9 @@ class SimNet:
         self._finish()
 
     def _finish(self) -> None:
-        if self._open:
-            pending = ", ".join(str(op) for op in self._open)
+        pending = ", ".join(
+            [str(r.op) for r in self.history if r.responded is None])
+        if pending:
             raise StuckExecution(f"no event enabled, operations pending: {pending}")
 
     def drain(self) -> None:

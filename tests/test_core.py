@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from ohram.checker import Verdict
 from ohram.core import (
     MODE_SWMR,
-    Completion,
     Config,
     InvalidFaultBound,
     KIND_READ_ACK,
@@ -308,9 +307,6 @@ MUTABLE_RECORDS = [
     (Message("readRelay", _OP, server_id(3), server_id(1), _TAG, "A#w1.5"),
      f"Message(kind='readRelay', op={_OP_TEXT}, sender={_S3}, "
      f"destination={_S1}, tag={_TAG_TEXT}, value='A#w1.5')"),
-    (Completion(_OP, "read", _TAG, "A#w1.5"),
-     f"Completion(op={_OP_TEXT}, kind='read', tag={_TAG_TEXT}, "
-     f"value='A#w1.5')"),
     (OpRecord(_OP, "read", 1, None, None, None),
      f"OpRecord(op={_OP_TEXT}, kind='read', invoked=1, responded=None, "
      f"tag=None, value=None)"),

@@ -10,6 +10,7 @@ import pytest
 
 import ohram.simnet as simnet
 from ohram.abd import AbdServerState
+from ohram.checker import check_history
 from ohram.core import (
     BOTTOM,
     KIND_DISCOVER,
@@ -19,6 +20,7 @@ from ohram.core import (
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
     KIND_WRITE_RELAY,
+    KIND_WRITE_REQUEST,
     MESSAGE_KINDS,
     Config,
     FaultBudgetExceeded,
@@ -31,12 +33,14 @@ from ohram.core import (
     StuckExecution,
     Tag,
     config_to_json,
+    make_value,
     parse_pid,
+    reader_id,
     server_id,
     writer_id,
 )
 from ohram.naive3x import Relay
-from ohram.ohsam import ServerStateS
+from ohram.ohsam import ServerStateS, WriterStateS
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import (
     Monitor,
@@ -763,6 +767,80 @@ def test_a_sound_protocol_runs_under_a_monitor_sharing_the_failure_list(
     assert isinstance(net.monitor, Monitor) == net.bundle.sound
     if net.monitor is not None:
         assert net.monitor.failures is net.invariant_failures
+
+
+class _CompletesTwice(WriterStateS):
+    """A faulty writer: once its write completed, every later reply
+    hands its completed record back again."""
+
+    def on_message(self, msg):
+        if self.record is not None and not self.busy:
+            return [], self.record
+        return super().on_message(msg)
+
+
+def test_a_client_that_completes_an_op_twice_is_not_well_formed():
+    w1 = writer_id(1)
+    net = SimNet("ohsam", SWMR3, seed=0)
+    net.clients[w1] = _CompletesTwice(w1, SWMR3)
+    net.load_program(w1, [("write", "A")])
+    net.invoke_next(w1)
+    for to in ("s1", "s2", "s3"):
+        _deliver(net, KIND_WRITE_REQUEST, to)
+    _deliver(net, KIND_WRITE_ACK, "w1", "s1")
+    _deliver(net, KIND_WRITE_ACK, "w1", "s2")  # the quorum: it completes
+    (rec,) = net.history
+    responded = rec.responded
+    assert responded is not None
+    with pytest.raises(NotWellFormed, match="unexpected completion for w1#1"):
+        _deliver(net, KIND_WRITE_ACK, "w1", "s3")
+    assert rec.responded == responded
+
+
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_pending_write_is_recorded_with_its_value(protocol):
+    config = SWMR3 if get_protocol(protocol).mode == "swmr" else MWMR3
+    net = SimNet(protocol, config, seed=0)
+    w1 = writer_id(1)
+    net.load_program(w1, [("write", "A"), ("write", "B")])
+    for label in "AB":
+        op = net.invoke_next(w1)  # no reply delivered yet
+        rec = net.history[-1]
+        assert (rec.op, rec.kind, rec.responded) == (op, "write", None)
+        assert rec.value == make_value(label, op)
+        net.drain()
+
+
+def test_a_read_of_a_pending_write_is_judged_atomic():
+    # w1's write reaches s1 and s2 but none of its acks reaches w1, and
+    # r1's read, which hears relays from a majority, returns its value
+    w1, r1 = writer_id(1), reader_id(1)
+    net = SimNet("ohsam", SWMR3, seed=0)
+    net.load_program(w1, [("write", "A")])
+    net.load_program(r1, [("read", None)])
+    net.invoke_next(w1)
+    _deliver(net, KIND_WRITE_REQUEST, "s1")
+    _deliver(net, KIND_WRITE_REQUEST, "s2")
+    net.invoke_next(r1)
+    while net.clients[r1].busy:
+        msg = next(m for m in net.inflight if m.destination != w1)
+        net.inflight.remove(msg)
+        net.deliver(msg)
+    write, read = net.history
+    assert write.responded is None and read.responded is not None
+    assert read.value == write.value == make_value("A", write.op)
+    assert check_history(net.history).atomic
+
+
+def test_finish_names_the_pending_ops_in_invocation_order():
+    net = SimNet("ohsam", SWMR3, seed=0)
+    net.load_program(reader_id(1), [("read", None)])
+    net.load_program(writer_id(1), [("write", "A")])
+    net.invoke_next(reader_id(1))
+    net.invoke_next(writer_id(1))
+    with pytest.raises(StuckExecution,
+                       match="operations pending: r1#1, w1#1$"):
+        net._finish()
 
 
 def test_invariant_tag_moved_backwards():
