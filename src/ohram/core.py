@@ -5,7 +5,10 @@ quorum arithmetic. Every protocol module, the simulator, the checker, and
 the TCP runner build on these types. All of them are plain values, safe to
 share freely: process ids are interned (one object per id, so equality is
 identity), tags and operation ids are tuples whose order is the tag order,
-and a message is not mutated once it has been sent.
+and a message is not mutated once it has been sent. A broadcast is one
+message whose destination is None: it goes to every server of the
+configuration, in configuration order, and each harness fans it out
+when it sends it.
 
 The canonical JSON encoding of each type lives next to the type (the
 ``*_to_json`` / ``*_from_json`` pairs). Schedule scripts, history files,
@@ -13,8 +16,8 @@ and metrics reports use exactly these encodings; field names are part of
 the contract, and unknown fields are ignored on decode. A wire msg frame
 is the 7-item array that message_from_json reads; message_to_json's dict
 is what the runner's _pack lays out as that array. Neither holds the
-destination: the connection a frame arrives on implies it, so the copies
-of one broadcast share one dict and one frame.
+destination: the connection a frame arrives on implies it, so a
+broadcast is encoded into one dict and one frame for all its servers.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ def server_id(i: int) -> ProcessId:
 
 @lru_cache(maxsize=64)
 def _server_ids(n_servers: int) -> tuple[ProcessId, ...]:
-    # every broadcast asks for the server list; build it once per size
+    # every net and endpoint asks for the server list; build it once per
+    # size
     return tuple(server_id(i) for i in range(1, n_servers + 1))
 
 
@@ -295,9 +299,12 @@ class Record:
 class Message(Record):
     """Typed protocol envelope.
 
-    Every message names exactly one destination; a broadcast is expanded
-    into one message per destination at send time so the metrics layer
-    counts messages exactly as the complexity table does.
+    A message names one destination, or None for a broadcast to every
+    server of the configuration, in configuration order. A broadcast is
+    one object however many servers it reaches: the simulator puts one
+    in-flight entry per live server, and the runner one frame per link,
+    and the simulator tallies n messages for it, as the complexity table
+    counts them.
 
     A relay's origin is its sender, the server that relays it, and
     servers count relays by sender. A relay carries the target client's
@@ -308,7 +315,8 @@ class Message(Record):
     sent, and nothing hashes one. The one write is on receipt:
     message_from_json leaves destination None, since the wire does not
     carry it, and the live runner sets it to the receiving endpoint's pid
-    before any machine sees the message. Build it positionally on hot
+    before any machine sees the message. No machine reads the
+    destination of a message it is handed. Build it positionally on hot
     paths: a call with keyword arguments costs about twice as much.
     """
 

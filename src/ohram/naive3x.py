@@ -56,7 +56,6 @@ from .core import (
     OpId,
     ProcessId,
     Tag,
-    _server_ids,
     quorum_size,
 )
 from .ohsam import ReaderStateS, WriterStateS, count_relay
@@ -78,7 +77,7 @@ class Relay(Message):
     __slots__ = ("observations",)
 
     def __init__(self, kind: str, op: OpId, sender: ProcessId,
-                 destination: ProcessId, tag: Optional[Tag] = None,
+                 destination: Optional[ProcessId], tag: Optional[Tag] = None,
                  value: Optional[str] = None,
                  observations: tuple[WriteRecord, ...] = ()) -> None:
         Message.__init__(self, kind, op, sender, destination, tag, value)
@@ -207,10 +206,10 @@ class Naive3xServer:
 
     def _relay(self, kind: str, op: OpId, tag: Tag,
                value: Optional[str]) -> list[Message]:
-        # Every relay carries a snapshot of this server's observations.
-        pid, snapshot = self.pid, tuple(self.observations)
-        return [Relay(kind, op, pid, s, tag, value, snapshot)
-                for s in _server_ids(self.config.n_servers)]
+        # One broadcast to every server, with a snapshot of this server's
+        # observations.
+        return [Relay(kind, op, self.pid, None, tag, value,
+                      tuple(self.observations))]
 
     def on_write_request(self, msg: Message) -> list[Message]:
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))

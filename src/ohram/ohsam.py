@@ -63,7 +63,6 @@ from .core import (
     OpRecord,
     ProcessId,
     Tag,
-    _server_ids,
     make_value,
     quorum_size,
 )
@@ -84,10 +83,12 @@ class QuorumClient:
     first-arrival order. Replies of another kind or another op, and
     replies without a tag, are dropped, and a sender counts once, however
     often its reply comes again in answer to a rebroadcast. Subclasses
-    open phases with _broadcast, which keeps the phase's messages in
-    phase for rebroadcast() to send again, and say in _on_quorum what a
-    complete phase leads to: the next phase, or _done's record.
-    quorum and server_ids are derived from config once.
+    open phases with _broadcast, and say in _on_quorum what a complete
+    phase leads to: the next phase, or _done's record. phase is the list
+    _broadcast returned last, which rebroadcast() sends again: one
+    message whose destination is None, a broadcast to every server that
+    the harness fans out as it sends it. quorum is derived from config
+    once.
     """
 
     def __init__(self, pid: ProcessId, config: Config) -> None:
@@ -98,7 +99,6 @@ class QuorumClient:
         self.awaiting: Optional[str] = None
         self.replies: dict[ProcessId, Message] = {}
         self.quorum = quorum_size(config.n_servers)
-        self.server_ids = _server_ids(config.n_servers)
         self.phase: list[Message] = []  # what _broadcast returned last
 
     @property
@@ -118,9 +118,7 @@ class QuorumClient:
                    value: Optional[str] = None) -> list[Message]:
         self.awaiting = awaiting
         self.replies = {}
-        op, pid = self.record.op, self.pid
-        self.phase = [Message(kind, op, pid, s, tag, value)
-                      for s in self.server_ids]
+        self.phase = [Message(kind, self.record.op, self.pid, None, tag, value)]
         return self.phase
 
     def rebroadcast(self) -> list[Message]:
@@ -273,10 +271,9 @@ class ServerStateS(Replica):
         origins = self._origins(op)
         if origins is None:
             return []
-        pid, tag, value = self.pid, self.tag, self.value
-        out = [Message(KIND_READ_RELAY, op, pid, s, tag, value)
-               for s in _server_ids(self.config.n_servers)]
-        if pid in origins and len(origins) >= self.quorum:
+        out = [Message(KIND_READ_RELAY, op, self.pid, None, self.tag,
+                       self.value)]
+        if self.pid in origins and len(origins) >= self.quorum:
             out += self._reply(KIND_READ_ACK, msg)
         return out
 

@@ -26,15 +26,16 @@ the configuration.
 _send hands _pack the frame {"type": "msg", "msg": message_to_json(msg)},
 the dict perfbench's tracer reads; _pack lays it out as the array in one
 format, and writes any other frame as json.dumps(obj, separators=(",",
-":")) does, through one shared encoder. The copies of one broadcast
-differ only in destination, so they frame to the same bytes, and each
-broadcast is encoded once: the loop keeps the message it framed last and
-that message's frame dict, and _send reuses the dict for a message whose
-other fields are the same objects; _pack keeps the frame it built last
-and returns it for the same dict. A body is accepted exactly when
-json.loads accepts it, through one shared decoder. Each read is cut into
-frames where it is taken, whatever the reads' sizes, and a msg goes
-straight to message_from_json and the endpoint's machine.
+":")) does, through one shared encoder. A broadcast is one message,
+which _emit sends on the connection of every server, and a frame names
+no destination, so each broadcast is encoded once: the loop keeps the
+message it framed last and that message's frame dict, and _send reuses
+the dict when it is handed that same message again; _pack keeps the
+frame it built last and returns it for the same dict. A body is
+accepted exactly when json.loads accepts it, through one shared decoder.
+Each read is cut into frames where it is taken, whatever the reads'
+sizes, and a msg goes straight to message_from_json and the endpoint's
+machine.
 
 Topology: clients dial every server and keep the connection. Each pair
 of servers shares one connection, which the later server dials, so
@@ -63,8 +64,10 @@ frames are small and go out one at a time.
 Every step's outputs, a machine's answer and a client's invoke or
 rebroadcast alike, leave their endpoint through _emit: in order, each on
 its destination's link or else the connection its hello named, lost with
-neither. It returns those addressed to the endpoint itself, a server's
-relay to itself, which the server then handles.
+neither; a broadcast, a message whose destination is None, goes so to
+every server of the configuration in configuration order. It returns
+those addressed to the endpoint itself, a server's relay to itself,
+which the server then handles.
 
 Sends never block. A message is framed and written at once as far as
 the kernel takes it; only a rest the kernel refuses goes to the
@@ -352,6 +355,7 @@ class _Endpoint:
         self.names = frozenset(
             map(str, config.writers() + config.readers() + config.servers()))
         self.names_or_null = self.names | {None}  # for wid
+        self.servers = tuple(config.servers())  # where a broadcast goes
         self.loop = _shared_loop()
         self.lock = self.loop.lock
         self.links: dict[ProcessId, _Conn] = {}  # by server
@@ -463,17 +467,20 @@ class _Endpoint:
 
     def _emit(self, outs: list[Message]) -> list[Message]:
         """Send a step's outputs in order, each over its destination's
-        link or client connection, lost if there is none; return those
-        addressed to this endpoint."""
+        link or client connection, lost if there is none, and a broadcast
+        to every server in turn; return those addressed to this
+        endpoint."""
         own = []
         for out in outs:
-            dest = out.destination
-            if dest is self.pid:
-                own.append(out)
-            elif dest in self.links:
-                self._send(self.links[dest], out)
-            elif dest in self.client_conns:
-                self._send(self.client_conns[dest], out)
+            dests = self.servers if out.destination is None else (
+                out.destination,)
+            for dest in dests:
+                if dest is self.pid:
+                    own.append(out)
+                elif dest in self.links:
+                    self._send(self.links[dest], out)
+                elif dest in self.client_conns:
+                    self._send(self.client_conns[dest], out)
         return own
 
     def _send(self, conn: _Conn, msg: Message) -> None:
@@ -483,12 +490,10 @@ class _Endpoint:
         sock = conn.sock
         if sock is None or self.stopped:
             return
-        # a copy of the message framed last (the same objects in every
-        # field the wire carries) shares its dict, and so its frame
+        # the message framed last, a broadcast sent on to its next
+        # server, reuses its dict, and so its frame
         last, obj = self.loop.framed
-        if (last is None or msg.op is not last.op
-                or msg.sender is not last.sender or msg.kind is not last.kind
-                or msg.tag is not last.tag or msg.value is not last.value):
+        if msg is not last:
             obj = {"type": "msg", "msg": message_to_json(msg)}
             self.loop.framed = (msg, obj)
         frame = _pack(obj)
@@ -595,8 +600,8 @@ class ServerDaemon(_Endpoint):
     def _handle(self, msg: Message) -> None:
         if self.stopped:
             return
-        # a relay to itself goes straight back in, after the copies to
-        # others have gone out back to back
+        # a relay to itself goes straight back in, after the broadcast
+        # has gone out to the others back to back
         for own in self._emit(self.machine.on_message(msg)):
             self._handle(own)
 

@@ -1,26 +1,31 @@
 """Deterministic discrete-event simulator for the register protocols.
 
-The network is a bag of in-flight messages. One run interleaves three
-kinds of events: delivering an in-flight message, invoking the next
-operation of an idle client, and crashing a server. SimNet.run carries
-out the events an event source picks: _uniform (run_seeded) picks
-uniformly with a private RNG, so a (protocol, config, seed) triple fully
-determines the execution; _fifo (drain) delivers in send order, and
-_scripted (run_directives) follows a schedule's directives, refusing a
-key or value parse_schedule, which gives the format, does not document.
-record wraps any source and writes the steps it takes as schedule
-directives, so a run, say seeded_net's, can be replayed; shrink cuts a
-failing directive list down by delta debugging.
+The network is a bag of in-flight (destination, message) entries. One
+run interleaves three kinds of events: delivering an in-flight entry's
+message to its destination, invoking the next operation of an idle
+client, and crashing a server. SimNet.run carries out the events an
+event source picks: _uniform (run_seeded) picks uniformly with a private
+RNG, so a (protocol, config, seed) triple fully determines the
+execution; _fifo (drain) delivers in send order, and _scripted
+(run_directives) follows a schedule's directives, refusing a key or
+value parse_schedule, which gives the format, does not document. record
+wraps any source and writes the steps it takes as schedule directives,
+so a run, say seeded_net's, can be replayed; shrink cuts a failing
+directive list down by delta debugging.
 
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
 message and exchange tallies match the protocol's complexity exactly on
-failure-free runs that deliver everything. An op's exchange tally is
-the set of message kinds sent on its behalf, kept as the bits of one int
-over core.MESSAGE_KINDS (OpMetrics.kinds); the set of names and its
-size are derived from those bits.
+failure-free runs that deliver everything. A broadcast, a message whose
+destination is None, is one object: _send tallies it as n messages, one
+per server of the configuration, and puts one entry in flight for each
+live server, in configuration order, every entry holding that same
+message. An op's exchange tally is the set of message kinds sent on its
+behalf, kept as the bits of one int over core.MESSAGE_KINDS
+(OpMetrics.kinds); the set of names and its size are derived from those
+bits.
 
-Crashing a server removes its undelivered inbound messages and silences
+Crashing a server removes its undelivered inbound entries and silences
 it from then on; messages it already sent stay deliverable. Crashes are
 refused beyond the configured fault bound f.
 
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import repeat
 from typing import Optional
 
 from .core import (
@@ -260,8 +266,10 @@ class SimNet:
         # each client's rank in self.clients to list them in that order
         self.idle: set[ProcessId] = set()
         self._rank = {p: i for i, p in enumerate(self.clients)}
-        self.inflight: list[Message] = []
+        self.inflight: list[tuple[ProcessId, Message]] = []
         self.crashed: set[ProcessId] = set()
+        # the servers a broadcast reaches, in configuration order
+        self.live: tuple[ProcessId, ...] = tuple(self.servers)
         self.pending_crashes: list[ProcessId] = []
         self.events = 0
         self.history: list[OpRecord] = []
@@ -276,18 +284,23 @@ class SimNet:
     def _send(self, msgs: list[Message]) -> None:
         """Tally and put in flight one step's non-empty output, all of it
         under the op of its first message, since a step serves one op, and
-        each message under its own kind. A message to a crashed server
-        stays out of flight."""
+        each message under its own kind. A broadcast counts a message per
+        server and puts an entry in flight per live server; no entry names
+        a crashed server."""
         om = self.metrics[msgs[0].op]
-        om.messages += len(msgs)
-        kinds = om.kinds
+        sent, kinds = om.messages, om.kinds
+        inflight = self.inflight
         for m in msgs:
             kinds |= _KIND_BITS[m.kind]
-        om.kinds = kinds
-        crashed = self.crashed
-        if crashed:
-            msgs = [m for m in msgs if m.destination not in crashed]
-        self.inflight.extend(msgs)
+            dest = m.destination
+            if dest is None:
+                sent += len(self.servers)
+                inflight.extend(zip(self.live, repeat(m)))
+            else:
+                sent += 1
+                if dest not in self.crashed:
+                    inflight.append((dest, m))
+        om.messages, om.kinds = sent, kinds
 
     # -- the three event kinds --
 
@@ -310,11 +323,12 @@ class SimNet:
         self._send(msgs)
         return rec.op
 
-    def deliver(self, msg: Message) -> None:
+    def deliver(self, entry: tuple[ProcessId, Message]) -> None:
+        """Hand an in-flight entry's message to its destination."""
         # nothing in flight names a crashed server: crash sweeps them out
         # and _send keeps them out
         self.events += 1
-        dest = msg.destination
+        dest, msg = entry
         server = self.servers.get(dest)
         if server is None:
             outs, rec = self.clients[dest].on_message(msg)
@@ -337,7 +351,8 @@ class SimNet:
             raise refusal
         self.events += 1
         self.crashed.add(pid)
-        self.inflight[:] = [m for m in self.inflight if m.destination != pid]
+        self.live = tuple(s for s in self.live if s is not pid)
+        self.inflight[:] = [e for e in self.inflight if e[0] is not pid]
 
     def _crash_refusal(self, pid: ProcessId) -> Optional[Exception]:
         """The error crashing pid now would raise, or None if it may."""
@@ -354,8 +369,9 @@ class SimNet:
 
     def run(self, events) -> None:
         """Call step(arg) for each pair that an event source, a generator
-        over the net's state, yields: (deliver, message) with the message
-        taken out of inflight, (invoke_next, client) or (crash, server).
+        over the net's state, yields: (deliver, entry) with the
+        (destination, message) entry taken out of inflight, (invoke_next,
+        client) or (crash, server).
         """
         for step, arg in events:
             step(arg)
@@ -406,7 +422,7 @@ class SimNet:
 
 def _uniform(net: SimNet):
     """One draw k = randrange(M + I + C) a step, over three bands never
-    built as a list: M in-flight messages, I idle clients (a program is
+    built as a list: M in-flight entries, I idle clients (a program is
     loaded and the machine is not busy) and C pending crashes. k < M
     swap-removes inflight[k] and delivers it; the next I values name the
     idle clients in the order of net.clients; the last C values pop
@@ -443,8 +459,8 @@ def _fifo(net: SimNet):
 def record(net: SimNet, events, out: list[dict]):
     """Pass on the steps of an event source and append to out the
     directive that names each one, so the run's schedule file (its
-    header, then out) replays it. A deliver names the message by its
-    full selector, which no message left in flight matches.
+    header, then out) replays it. A deliver names the entry by its full
+    selector, which no entry left in flight matches.
     """
     for step, arg in events:
         if step == net.invoke_next:
@@ -456,10 +472,11 @@ def record(net: SimNet, events, out: list[dict]):
         elif step == net.crash:
             out.append({"crash": {"server": str(arg)}})
         else:
-            sel = {"kind": arg.kind, "to": str(arg.destination),
-                   "from": str(arg.sender), "origin": _origin(arg),
-                   "invoker": str(arg.op.invoker), "seq": arg.op.seq}
-            assert not any(_matches(m, sel) for m in net.inflight), sel
+            dest, msg = arg
+            sel = {"kind": msg.kind, "to": str(dest),
+                   "from": str(msg.sender), "origin": _origin(msg),
+                   "invoker": str(msg.op.invoker), "seq": msg.op.seq}
+            assert not any(_matches(e, sel) for e in net.inflight), sel
             out.append({"deliver": sel})
         yield step, arg
 
@@ -594,10 +611,12 @@ def _origin(msg: Message) -> Optional[str]:
             if msg.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY) else None)
 
 
-def _matches(msg: Message, sel: dict) -> bool:
+def _matches(entry: tuple[ProcessId, Message], sel: dict) -> bool:
+    """Whether the in-flight entry meets every constraint of selector sel."""
+    dest, msg = entry
     if "kind" in sel and msg.kind != sel["kind"]:
         return False
-    if "to" in sel and str(msg.destination) != sel["to"]:
+    if "to" in sel and str(dest) != sel["to"]:
         return False
     if "from" in sel and str(msg.sender) != sel["from"]:
         return False
@@ -647,8 +666,8 @@ def _scripted(net: SimNet, directives: list[dict]):
                 net.load_program(pid, [(kind, spec.get("label"))])
                 yield net.invoke_next, pid
             case {"deliver": dict(sel)}:
-                hits = [j for j, m in enumerate(net.inflight)
-                        if _matches(m, sel)]
+                hits = [j for j, e in enumerate(net.inflight)
+                        if _matches(e, sel)]
                 if len(hits) != 1:
                     raise ScheduleUnresolvable(
                         f"directive {i}: selector {sel} matches "

@@ -19,9 +19,9 @@ S1, S2, S3 = server_id(1), server_id(2), server_id(3)
 
 def test_read_is_two_rounds_with_mandatory_writeback():
     r = AbdReaderState(R1, CFG)
-    outs = r.invoke_read()
-    assert [m.kind for m in outs] == ["readRequest"] * 3
-    op = outs[0].op
+    (req,) = r.invoke_read()  # one broadcast to every server
+    assert (req.kind, req.destination) == ("readRequest", None)
+    op = req.op
     _, done = r.on_message(Message("readAck", op, S1, R1,
                                    tag=Tag(2, W1), value="B#w1.2"))
     assert done is None
@@ -29,12 +29,13 @@ def test_read_is_two_rounds_with_mandatory_writeback():
                                        tag=Tag(3, W2), value="C#w2.1"))
     assert done is None
     # write-back of the maximum pair, even though a majority already agrees
-    assert [m.kind for m in backs] == ["writeRequest"] * 3
-    assert backs[0].tag == Tag(3, W2)
-    assert backs[0].value == "C#w2.1"
-    for m in backs[:2]:
-        _, done = r.on_message(Message("writeAck", m.op, m.destination, R1,
-                                       tag=m.tag, value=m.value))
+    (back,) = backs
+    assert (back.kind, back.destination) == ("writeRequest", None)
+    assert back.tag == Tag(3, W2)
+    assert back.value == "C#w2.1"
+    for s in (S1, S2):
+        _, done = r.on_message(Message("writeAck", back.op, s, R1,
+                                       tag=back.tag, value=back.value))
     assert done is not None
     assert (done.tag, done.value) == (Tag(3, W2), "C#w2.1")
 
@@ -46,9 +47,10 @@ def test_read_of_untouched_register_returns_initial():
     for s in (S1, S2):
         outs, done = r.on_message(Message("readAck", op, s, R1,
                                           tag=Tag(0, s), value=None))
-        for m in outs[:2]:
-            _, done = r.on_message(Message("writeAck", m.op, m.destination,
-                                           R1, tag=m.tag, value=m.value))
+    (back,) = outs
+    for s in (S1, S2):
+        _, done = r.on_message(Message("writeAck", back.op, s, R1,
+                                       tag=back.tag, value=back.value))
     assert done is not None
     assert done.value is None
     assert done.tag.ts == 0
@@ -56,22 +58,23 @@ def test_read_of_untouched_register_returns_initial():
 
 def test_mwmr_write_discovers_then_propagates():
     w = AbdWriterMwmr(W1, CFG)
-    outs = w.invoke_write("A")
-    assert [m.kind for m in outs] == ["discover"] * 3
-    op = outs[0].op
+    (disc,) = w.invoke_write("A")
+    assert (disc.kind, disc.destination) == ("discover", None)
+    op = disc.op
     reqs = []
     for s, t in ((S1, Tag(5, W2)), (S2, Tag(1, W1))):
         more, done = w.on_message(Message("discoverAck", op, s, W1, tag=t))
         assert done is None
         reqs.extend(more)
-    assert [m.kind for m in reqs] == ["writeRequest"] * 3
-    assert reqs[0].tag == Tag(6, W1)
+    (req,) = reqs
+    assert (req.kind, req.destination) == ("writeRequest", None)
+    assert req.tag == Tag(6, W1)
     # both rounds of one op share the counter value
-    assert reqs[0].op == op
+    assert req.op == op
     done = None
-    for m in reqs[:2]:
-        _, done = w.on_message(Message("writeAck", m.op, m.destination, W1,
-                                       tag=m.tag, value=m.value))
+    for s in (S1, S2):
+        _, done = w.on_message(Message("writeAck", req.op, s, W1,
+                                       tag=req.tag, value=req.value))
     assert done is not None and done.op == OpId(W1, 1)
 
 

@@ -10,7 +10,9 @@ reference side by side with invocations and with replies of every shape the netw
 a reply to an older phase or operation, a reply for another invoker, a
 reply of the wrong kind, a second reply from a sender already counted,
 and a reply after completion. After every step both must send the same
-messages, complete the same operation the same way, and agree on busy,
+messages (a new machine's broadcast, one message whose destination is
+None, stands for a forerunner's copy per server, in configuration
+order), complete the same operation the same way, and agree on busy,
 value and the other state the suite pins; and the new machine's
 rebroadcast() must return the very messages it sent last while it is
 busy, a later phase's included, and nothing while it is idle.
@@ -378,6 +380,15 @@ def _same_rebroadcast(new, sent: list[Message]) -> None:
                                        strict=True))
 
 
+def _copies(outs: list[Message], config: Config) -> list[Message]:
+    """outs as a forerunner sends them: each broadcast as one copy per
+    server, in configuration order."""
+    return [Message(m.kind, m.op, m.sender, dest, m.tag, m.value)
+            for m in outs
+            for dest in (config.servers() if m.destination is None
+                         else [m.destination])]
+
+
 def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
     """One seeded stream through both machines; seen counts step shapes."""
     pid, config = new.pid, new.config
@@ -403,7 +414,7 @@ def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
             else:
                 outs_old = getattr(old, invoke)(*args)
                 outs_new = getattr(new, invoke)(*args)
-                assert outs_new == outs_old
+                assert _copies(outs_new, config) == outs_old
                 phases.append((outs_old[0].op, REPLY[outs_old[0].kind]))
                 counted = []
                 sent = outs_new
@@ -435,7 +446,7 @@ def _drive(new, old, rng: random.Random, steps: int, seen: Counter) -> None:
                       value=rng.choice([None, "x", "y", "z"]))
         outs_old, done_old = old.on_message(msg)
         outs_new, done_new = new.on_message(msg)
-        assert outs_new == outs_old
+        assert _copies(outs_new, config) == outs_old
         if done_old is None:
             assert done_new is None
         else:

@@ -110,8 +110,8 @@ def test_quorum_size_values():
 
 
 def test_every_machine_caches_its_quorum_size():
-    """Each machine derives quorum (and a client server_ids) from config
-    once, in __init__; a subclass that skips super() has neither."""
+    """Each machine derives quorum from config once, in __init__; a
+    subclass that skips super() has none."""
     for name in PROTOCOL_NAMES:
         bundle = get_protocol(name)
         for n in range(1, 8):
@@ -123,8 +123,6 @@ def test_every_machine_caches_its_quorum_size():
             server = bundle.make_server(server_id(1), config)
             for machine in clients + [server]:
                 assert machine.quorum == quorum_size(n), (name, n, machine)
-            for machine in clients:
-                assert machine.server_ids == tuple(config.servers())
 
 
 def test_config_accessors():

@@ -54,14 +54,14 @@ def test_order_conflicting_evidence_flips_at_threshold():
 
 def test_writer_picks_tag_locally():
     w = Naive3xWriter(W2, CFG)
-    outs = w.invoke_write("A")
-    assert [m.kind for m in outs] == ["writeRequest"] * 3
-    assert outs[0].tag == Tag(1, W2)
+    (req,) = w.invoke_write("A")  # one broadcast to every server
+    assert (req.kind, req.destination) == ("writeRequest", None)
+    assert req.tag == Tag(1, W2)
     w.acks = set()
     done = None
     for s in (S1, S3):
-        _, done = w.on_message(Message("writeAck", outs[0].op, s, W2,
-                                       tag=outs[0].tag, value=outs[0].value))
+        _, done = w.on_message(Message("writeAck", req.op, s, W2,
+                                       tag=req.tag, value=req.value))
     assert done is not None and done.tag == Tag(1, W2)
 
 
@@ -119,7 +119,7 @@ def test_write_relay_round_acks_at_quorum_origins():
     op = OpId(W1, 1)
     req = Message("writeRequest", op, W1, S1, tag=Tag(1, W1), value="A#w1.1")
     outs = s.on_message(req)
-    assert [m.kind for m in outs] == ["writeRelay"] * 3
+    assert [(m.kind, m.destination) for m in outs] == [("writeRelay", None)]
     assert s.on_message(req) == outs  # every copy relays
     rel = lambda origin: Relay("writeRelay", op, origin, S1, tag=Tag(1, W1),
                                value="A#w1.1", observations=(REC_A,))
@@ -135,8 +135,8 @@ def test_read_relays_carry_observation_snapshots():
     s._note_write(REC_B)
     outs = s.on_message(Message("readRequest", OpId(reader_id(1), 1),
                                 reader_id(1), S2))
-    assert [type(m) for m in outs] == [Relay] * 3
-    assert [m.kind for m in outs] == ["readRelay"] * 3
+    assert [type(m) for m in outs] == [Relay]
+    assert [(m.kind, m.destination) for m in outs] == [("readRelay", None)]
     assert outs[0].observations == (REC_B,)
     assert outs[0].tag == REC_B.tag
 
@@ -195,9 +195,8 @@ class AckedSets(Naive3xServer):
     def on_write_request(self, msg):
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
         snapshot = tuple(self.observations)
-        return [Relay("writeRelay", msg.op, self.pid, s, tag=msg.tag,
-                      value=msg.value, observations=snapshot)
-                for s in self.config.servers()]
+        return [Relay("writeRelay", msg.op, self.pid, None, tag=msg.tag,
+                      value=msg.value, observations=snapshot)]
 
     def on_write_relay(self, msg):
         self._note_write(WriteRecord(msg.op, msg.tag, msg.value))
@@ -214,9 +213,8 @@ class AckedSets(Naive3xServer):
     def on_read_request(self, msg):
         tag, value = self.adopted()
         snapshot = tuple(self.observations)
-        return [Relay("readRelay", msg.op, self.pid, s, tag=tag,
-                      value=value, observations=snapshot)
-                for s in self.config.servers()]
+        return [Relay("readRelay", msg.op, self.pid, None, tag=tag,
+                      value=value, observations=snapshot)]
 
     def on_read_relay(self, msg):
         self._merge_origin(msg.sender, msg.observations)

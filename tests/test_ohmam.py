@@ -21,20 +21,19 @@ def discover_ack(op, sender, tag, value=None):
 
 def run_write(w, label, server_tags):
     """Drive one write to completion against scripted discover answers."""
-    outs = w.invoke_write(label)
-    assert [m.kind for m in outs] == ["discover"] * 3
-    op = outs[0].op
+    (disc,) = w.invoke_write(label)  # one broadcast to every server
+    assert (disc.kind, disc.destination) == ("discover", None)
     reqs = []
     for sender, tag in server_tags:
-        more, done = w.on_message(discover_ack(op, sender, tag))
+        more, done = w.on_message(discover_ack(disc.op, sender, tag))
         assert done is None
         reqs.extend(more)
-    assert [m.kind for m in reqs] == ["writeRequest"] * 3
+    (req,) = reqs
+    assert (req.kind, req.destination) == ("writeRequest", None)
     done = None
-    for m in reqs[:2]:
+    for s in (S1, S2):
         _, done = w.on_message(
-            Message("writeAck", m.op, m.destination, w.pid,
-                    tag=m.tag, value=m.value))
+            Message("writeAck", req.op, s, w.pid, tag=req.tag, value=req.value))
     assert done is not None
     return done
 
@@ -47,10 +46,10 @@ def test_both_phases_of_write_k_carry_its_op():
         for s in (S1, S2):
             reqs, _ = w.on_message(discover_ack(outs[0].op, s, Tag(0, s)))
         assert {m.op for m in reqs} == {OpId(W1, k)}  # writeRequest
-        for m in reqs[:2]:
+        (req,) = reqs
+        for s in (S1, S2):
             w.on_message(
-                Message("writeAck", m.op, m.destination, W1,
-                        tag=m.tag, value=m.value))
+                Message("writeAck", req.op, s, W1, tag=req.tag, value=req.value))
     assert w.seq == 2
 
 

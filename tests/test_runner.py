@@ -1039,10 +1039,14 @@ def linked(daemons):
         for d in daemons for later in daemons if d.pid < later.pid)
 
 
-def test_an_ohsam_read_encodes_each_broadcast_once(monkeypatch):
-    """n=3: the read frames 3 readRequests, 6 readRelays (a server's own
-    relay stays in the process) and 3 readAcks, from 7 encodes: the
-    request broadcast, each server's relay broadcast, and each ack."""
+@pytest.mark.parametrize("n", [3, 5])
+def test_an_ohsam_read_encodes_each_broadcast_once(monkeypatch, n):
+    """The read frames n readRequests, n(n-1) readRelays (a server's own
+    relay stays in the process) and n readAcks, from 2n+1 encodes: the
+    request broadcast, each server's relay broadcast, and each ack. At
+    n=3 that is 12 frames from 7 encodes, at n=5 30 frames from 11."""
+    config = Config(n_servers=n, n_readers=1, n_writers=1, f=(n - 1) // 2,
+                    mode="swmr")
     encoded, framed = [], []
     encode, pack = runner.message_to_json, runner._pack
 
@@ -1058,19 +1062,19 @@ def test_an_ohsam_read_encodes_each_broadcast_once(monkeypatch):
 
     monkeypatch.setattr(runner, "message_to_json", counting_encode)
     monkeypatch.setattr(runner, "_pack", counting_pack)
-    daemons, membership = start_cluster(THREE, "ohsam")
-    reader = Client(R1, THREE, "ohsam", membership, retry_interval=10.0)
+    daemons, membership = start_cluster(config, "ohsam")
+    reader = Client(R1, config, "ohsam", membership, retry_interval=10.0)
     try:
         assert wait_for(lambda: linked(daemons))
         reader.read()
-        assert wait_for(lambda: len(framed) >= 12)
+        assert wait_for(lambda: len(framed) >= n * n + n)
         time.sleep(0.2)  # the cluster has gone quiet
     finally:
         stop_all(daemons, [reader])
     assert Counter(kind for kind, _, _ in framed) == {
-        KIND_READ_REQUEST: 3, KIND_READ_RELAY: 6, KIND_READ_ACK: 3}
+        KIND_READ_REQUEST: n, KIND_READ_RELAY: n * (n - 1), KIND_READ_ACK: n}
     assert Counter(encoded) == {
-        KIND_READ_REQUEST: 1, KIND_READ_RELAY: 3, KIND_READ_ACK: 3}
+        KIND_READ_REQUEST: 1, KIND_READ_RELAY: n, KIND_READ_ACK: n}
     by_sender = {}
     for kind, sender, frame in framed:
         by_sender.setdefault((kind, sender), set()).add(frame)
@@ -1434,8 +1438,9 @@ def test_a_lost_relay_is_retried_by_the_readers_rebroadcast():
     send, lost = s2._send, []
 
     def lossy_send(conn, msg):
-        # the link loses s2's first relay to s3
-        if msg.kind == KIND_READ_RELAY and msg.destination == s3.pid \
+        # the link loses s2's first relay to s3, a broadcast's copy that
+        # only the connection addresses
+        if msg.kind == KIND_READ_RELAY and conn.peer is s3.pid \
                 and not lost:
             lost.append(msg)
             return

@@ -137,9 +137,9 @@ def test_crash_discards_queued_deliveries_to_the_victim():
     net = SimNet("ohsam", SWMR3, seed=0)
     net.load_program(parse_pid("w1"), [("write", "A")])
     net.invoke_next(parse_pid("w1"))
-    assert sum(1 for m in net.inflight if m.destination == server_id(2)) == 1
+    assert sum(1 for dest, _ in net.inflight if dest is server_id(2)) == 1
     net.crash(server_id(2))
-    assert all(m.destination != server_id(2) for m in net.inflight)
+    assert all(dest is not server_id(2) for dest, _ in net.inflight)
     net.drain()
     net._finish()
 
@@ -571,8 +571,7 @@ def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
                 net.load_program(pid, [(kind, "L")])
             assert net.idle == _recount_idle(net)
             # _send filters a broadcast, crash drops what was in flight
-            assert not any(m.destination in net.crashed
-                           for m in net.inflight)
+            assert not any(dest in net.crashed for dest, _ in net.inflight)
             steps += 1
             return out
         return step
@@ -599,8 +598,9 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     or scripted source delivers, brings a sound server's relays and its
     readAck in one list, so the corpus has no list of two kinds either.
     Each op's tally equals a recount of the messages sent under it, every
-    message counted by its own op: in every protocol, each phase of an
-    op carries the op's history id, which net.metrics already holds."""
+    message counted by its own op, a broadcast as one per server: in
+    every protocol, each phase of an op carries the op's history id,
+    which net.metrics already holds."""
     lists = 0
     sent = {}  # net -> {op: messages}
     send = SimNet._send
@@ -612,7 +612,8 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
         counts = sent.setdefault(net, {})
         for m in msgs:
             assert m.op in net.metrics, m
-            counts[m.op] = counts.get(m.op, 0) + 1
+            copies = len(net.servers) if m.destination is None else 1
+            counts[m.op] = counts.get(m.op, 0) + copies
         return send(net, msgs)
 
     monkeypatch.setattr(SimNet, "_send", checked)
@@ -628,7 +629,8 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
 
 def test_message_shapes_over_the_golden_corpus(monkeypatch):
     """Machines build messages positionally, so pin each field's place:
-    a relay goes from a server to a server, every ack goes to the operation's invoker, tags are Tags where a kind
+    every request and relay is a broadcast, a relay is sent by a server,
+    every ack goes to the operation's invoker, tags are Tags where a kind
     carries one, and only naive3x relays are Relays, with observations."""
     kinds = set()
     send = SimNet._send
@@ -638,9 +640,11 @@ def test_message_shapes_over_the_golden_corpus(monkeypatch):
             kinds.add(m.kind)
             relay = m.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY)
             if relay:
-                assert m.sender.role == m.destination.role == ROLE_SERVER, m
+                assert m.sender.role == ROLE_SERVER, m
             if m.kind in (KIND_READ_ACK, KIND_WRITE_ACK, KIND_DISCOVER_ACK):
                 assert m.destination is m.op.invoker, m
+            else:
+                assert m.destination is None, m
             if m.kind in (KIND_READ_REQUEST, KIND_DISCOVER):
                 assert m.tag is None and m.value is None, m
             else:
@@ -745,18 +749,18 @@ def _faulty_net(server_class, protocol="ohsam", **fields):
 
 
 def _take(net, kind, to, sender=None):
-    """Take the one in-flight message of kind to `to` (from sender)."""
-    (msg,) = [m for m in net.inflight if m.kind == kind
-              and str(m.destination) == to
-              and (sender is None or str(m.sender) == sender)]
-    net.inflight.remove(msg)
-    return msg
+    """Take the one in-flight entry of kind to `to` (from sender)."""
+    (entry,) = [(dest, m) for dest, m in net.inflight if m.kind == kind
+                and str(dest) == to
+                and (sender is None or str(m.sender) == sender)]
+    net.inflight.remove(entry)
+    return entry
 
 
 def _deliver(net, kind, to, sender=None):
-    msg = _take(net, kind, to, sender)
-    net.deliver(msg)
-    return msg
+    entry = _take(net, kind, to, sender)
+    net.deliver(entry)
+    return entry
 
 
 @pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
@@ -823,9 +827,9 @@ def test_a_read_of_a_pending_write_is_judged_atomic():
     _deliver(net, KIND_WRITE_REQUEST, "s2")
     net.invoke_next(r1)
     while net.clients[r1].busy:
-        msg = next(m for m in net.inflight if m.destination != w1)
-        net.inflight.remove(msg)
-        net.deliver(msg)
+        entry = next(e for e in net.inflight if e[0] is not w1)
+        net.inflight.remove(entry)
+        net.deliver(entry)
     write, read = net.history
     assert write.responded is None and read.responded is not None
     assert read.value == write.value == make_value("A", write.op)
@@ -991,9 +995,32 @@ def test_a_step_puts_no_message_to_a_crashed_server_in_flight():
     net.crash(s2)
     net.invoke_next(parse_pid("r1"))
     _deliver(net, "readRequest", "s1")
-    assert [m for m in net.inflight if m.destination is s2] == []
-    assert sorted(str(m.destination) for m in net.inflight
+    assert [e for e in net.inflight if e[0] is s2] == []
+    assert sorted(str(dest) for dest, m in net.inflight
                   if m.sender is S1) == ["r1", "s1", "s3"]
+
+
+def test_a_relay_broadcast_is_one_message_in_flight_per_live_server():
+    """An Oh-SAM readRequest at n=5 with s2 crashed: the server's relays
+    go in flight as one entry per live server, in server order, each the
+    same Message, and the read's tally still counts 5 relays."""
+    config = Config(n_servers=5, n_readers=1, n_writers=1, f=2, mode="swmr")
+    s1, r1 = server_id(1), reader_id(1)
+    net = SimNet("ohsam", config, seed=0)
+    net.crash(server_id(2))
+    net.load_program(r1, [("read", None)])
+    op = net.invoke_next(r1)
+    assert net.metrics[op].messages == 5  # the request, s2's copy counted
+    (request,) = [e for e in net.inflight if e[0] is s1]
+    net.inflight.remove(request)
+    net.deliver(request)
+    relays = [(dest, m) for dest, m in net.inflight if m.kind == KIND_READ_RELAY]
+    assert [dest for dest, _ in relays] == [
+        server_id(i) for i in (1, 3, 4, 5)]
+    relay = relays[0][1]
+    assert all(m is relay for _, m in relays)
+    assert (relay.sender, relay.destination) == (s1, None)
+    assert net.metrics[op].messages == 5 + 5
 
 
 # -- the naive3x threshold --
