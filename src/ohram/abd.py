@@ -9,12 +9,13 @@ exchange counts match the comparison table exactly.
 The reader is a two-phase QuorumClient: a readRequest phase, then a
 writeRequest phase that carries the maximum pair it collected.
 
+This module defines only the reader and the server; the writers are
+reused as they are, and the registry (protocols.PROTOCOLS) pairs them.
 Single-writer mode: writes are one round (writeRequest, writeAck) with the
-writer's own incrementing timestamp; this is the same two-exchange write
-the three-exchange-read algorithm uses, so the writer machine is reused.
-Multi-writer mode: writes are two rounds, a discover round to learn the
-maximum timestamp and a propagate round with tag (maxTS + 1, own id).
-That is the multi-writer three-exchange-read writer, reused as it is.
+writer's own incrementing timestamp, the two-exchange write of
+ohsam.WriterStateS. Multi-writer mode: writes are two rounds, a discover
+round to learn the maximum timestamp and a propagate round with tag
+(maxTS + 1, own id), the write of ohmam.WriterStateM.
 
 The server is a bare Replica (adopt-if-greater, acknowledge every
 writeRequest, answer discovers) that answers readRequests directly
@@ -34,8 +35,7 @@ from .core import (
     Message,
     ProcessId,
 )
-from .ohmam import WriterStateM as AbdWriterMwmr  # discover, then propagate
-from .ohsam import QuorumClient, Replica, WriterStateS as AbdWriterSwmr  # one-round write
+from .ohsam import QuorumClient, Replica
 
 class AbdReaderState(QuorumClient):
     """Two-round reader: query a majority, write back the maximum tag."""

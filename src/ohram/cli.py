@@ -143,7 +143,7 @@ def cmd_simulate(args) -> int:
         if args.crash_plan is not None:
             raise ScheduleUnresolvable(
                 "--crash-plan applies to seeded runs, not --ops")
-        net = SimNet(args.protocol, config, seed=args.seed, x=args.x)
+        net = SimNet(args.protocol, config, x=args.x)
         result = net.run_directives([
             d for pid, kind, label in _parse_ops(args.ops)
             for d in ({"invoke": {"client": str(pid), "kind": kind,

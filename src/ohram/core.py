@@ -168,13 +168,6 @@ def server_id(i: int) -> ProcessId:
     return ProcessId(ROLE_SERVER, i)
 
 
-@lru_cache(maxsize=64)
-def _server_ids(n_servers: int) -> tuple[ProcessId, ...]:
-    # every net and endpoint asks for the server list; build it once per
-    # size
-    return tuple(server_id(i) for i in range(1, n_servers + 1))
-
-
 # ---------------------------------------------------------------------------
 # Tags
 # ---------------------------------------------------------------------------
@@ -383,7 +376,7 @@ class Config(NamedTuple):
     mode: str = MODE_MWMR
 
     def servers(self) -> list[ProcessId]:
-        return list(_server_ids(self.n_servers))
+        return [server_id(i) for i in range(1, self.n_servers + 1)]
 
     def readers(self) -> list[ProcessId]:
         return [reader_id(i) for i in range(1, self.n_readers + 1)]

@@ -16,7 +16,9 @@ Writes follow the three-phase scheme the impossibility argument analyzes:
       the server counts relays with the three-exchange-read rule.
 
 A writer picks its tag locally, (own operation counter, own id), which
-makes it the single-writer machine WriterStateS run by several writers.
+makes it the single-writer machine ohsam.WriterStateS run by several
+writers; the registry (protocols.PROTOCOLS) pairs it with this module's
+reader and server.
 There is no discover round; that is precisely the shortcut that breaks
 atomicity.
 
@@ -58,7 +60,7 @@ from .core import (
     Tag,
     quorum_size,
 )
-from .ohsam import ReaderStateS, WriterStateS, count_relay
+from .ohsam import ReaderStateS, count_relay
 
 
 class WriteRecord(NamedTuple):
@@ -104,9 +106,6 @@ def order_writes(c_first: int, c_second: int, x: int) -> bool:
     return c_first < x
 
 
-Naive3xWriter = WriterStateS
-
-
 class Naive3xReader(ReaderStateS):
     """Majority-value pick instead of the minimum-tag rule."""
 
@@ -131,13 +130,14 @@ class Naive3xServer:
     subsumes every earlier snapshot. write_relays and read_relays hold
     relay origins per operation, counted by count_relay. Every copy of a
     request relays, as on the sound servers. x is the decision
-    threshold, default_x(n) when x <= 0.
+    threshold, default_x(n) when x is None.
     """
 
-    def __init__(self, pid: ProcessId, config: Config, x: int = 0) -> None:
+    def __init__(self, pid: ProcessId, config: Config,
+                 x: Optional[int] = None) -> None:
         self.pid = pid
         self.config = config
-        self.x = x if x > 0 else default_x(config.n_servers)
+        self.x = default_x(config.n_servers) if x is None else x
         self.observations: list[WriteRecord] = []
         self.known: set[OpId] = set()
         self.origin_obs: dict[ProcessId, tuple[WriteRecord, ...]] = {}

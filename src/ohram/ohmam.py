@@ -1,7 +1,8 @@
 """Multi-writer atomic register: four-exchange writes, three-exchange reads.
 
-The read path is identical to the single-writer setting and is reused from
-the three-exchange read module wholesale. Writes generalize timestamps to
+The read path is identical to the single-writer setting: the reader is
+ohsam.ReaderStateS, which the registry (protocols.PROTOCOLS) pairs with
+this module's writer and server. Writes generalize timestamps to
 (ts, writer-id) tags and add a discover phase:
 
   discover -> discoverAck -> writeRequest -> writeAck
@@ -34,11 +35,7 @@ from .core import (
     ProcessId,
     Tag,
 )
-from .ohsam import QuorumClient, ReaderStateS, ServerStateS
-
-# The reader is literally the single-writer one: broadcast, collect a
-# majority of readAcks, return the minimum tag's value.
-ReaderStateM = ReaderStateS
+from .ohsam import QuorumClient, ServerStateS
 
 
 class WriterStateM(QuorumClient):

@@ -162,11 +162,6 @@ class WriterStateS(QuorumClient):
 class ReaderStateS(QuorumClient):
     """Reader for the three-exchange read, shared by both register modes."""
 
-    @property
-    def acks(self) -> dict[ProcessId, tuple[Tag, Optional[str]]]:
-        """sender -> (tag, value) of the current (or last) read's acks."""
-        return {s: (m.tag, m.value) for s, m in self.replies.items()}
-
     def invoke_read(self) -> list[Message]:
         self._begin("read")
         return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)

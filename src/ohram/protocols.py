@@ -56,21 +56,21 @@ PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
                    ohsam.ServerStateS,
                    sound=True, write_exchanges=2, read_exchanges=3,
                    write_messages=lambda n: 2 * n, read_messages=_relayed),
-    ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohmam.ReaderStateM,
+    ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohsam.ReaderStateS,
                    ohmam.ServerStateM,
                    sound=True, write_exchanges=4, read_exchanges=3,
                    write_messages=lambda n: 4 * n, read_messages=_relayed),
-    ProtocolBundle("abd-swmr", MODE_SWMR, abd.AbdWriterSwmr, abd.AbdReaderState,
+    ProtocolBundle("abd-swmr", MODE_SWMR, ohsam.WriterStateS, abd.AbdReaderState,
                    abd.AbdServerState,
                    sound=True, write_exchanges=2, read_exchanges=4,
                    write_messages=lambda n: 2 * n,
                    read_messages=lambda n: 4 * n),
-    ProtocolBundle("abd-mwmr", MODE_MWMR, abd.AbdWriterMwmr, abd.AbdReaderState,
+    ProtocolBundle("abd-mwmr", MODE_MWMR, ohmam.WriterStateM, abd.AbdReaderState,
                    abd.AbdServerState,
                    sound=True, write_exchanges=4, read_exchanges=4,
                    write_messages=lambda n: 4 * n,
                    read_messages=lambda n: 4 * n),
-    ProtocolBundle("naive3x", MODE_MWMR, naive3x.Naive3xWriter,
+    ProtocolBundle("naive3x", MODE_MWMR, ohsam.WriterStateS,
                    naive3x.Naive3xReader, naive3x.Naive3xServer,
                    sound=False, write_exchanges=3, read_exchanges=3,
                    write_messages=_relayed, read_messages=_relayed),
@@ -79,30 +79,32 @@ PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
 PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
-def get_protocol(name: str, *, x: Optional[int] = None) -> ProtocolBundle:
-    """The bundle named name; x is the naive3x servers' decision threshold,
-    refused for every other protocol."""
+def get_protocol(name: str) -> ProtocolBundle:
+    """The bundle named name, as the registry pairs its machines."""
     bundle = PROTOCOLS.get(name)
     if bundle is None:
         raise ModeMismatch(f"unknown protocol {name!r}")
-    if x is None:
-        return bundle
-    if name != "naive3x":
-        raise ModeMismatch(
-            f"protocol {name} takes no threshold x (only naive3x does)")
-    return bundle._replace(make_server=partial(naive3x.Naive3xServer, x=x))
+    return bundle
 
 
 def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
                    live: bool = False) -> ProtocolBundle:
     """The bundle to run config with: the config is valid, its mode is
-    the protocol's, x is None or, for naive3x only, in 1..n, and a live
-    runner's protocol is sound. Every simulator and live endpoint is
-    built here."""
+    the protocol's, and a live runner's protocol is sound. x is None or,
+    for naive3x only, a decision threshold in 1..n that the bundle's
+    servers are built with; this is the one place x is accepted. Every
+    simulator and live endpoint is built here."""
     validate_config(config)
-    bundle = get_protocol(protocol, x=x)
-    if x is not None and not 1 <= x <= config.n_servers:
-        raise ModeMismatch(f"naive3x threshold {x} not in 1..{config.n_servers}")
+    bundle = get_protocol(protocol)
+    if x is not None:
+        if protocol != "naive3x":
+            raise ModeMismatch(
+                f"protocol {protocol} takes no threshold x (only naive3x does)")
+        if not 1 <= x <= config.n_servers:
+            raise ModeMismatch(
+                f"naive3x threshold {x} not in 1..{config.n_servers}")
+        bundle = bundle._replace(
+            make_server=partial(naive3x.Naive3xServer, x=x))
     if live and not bundle.sound:
         raise ModeMismatch(
             f"protocol {protocol} is not allowed in the live runner")

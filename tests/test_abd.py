@@ -9,7 +9,8 @@ from ohram.core import (
     server_id,
     writer_id,
 )
-from ohram.abd import AbdReaderState, AbdServerState, AbdWriterMwmr
+from ohram.abd import AbdReaderState, AbdServerState
+from ohram.ohmam import WriterStateM
 
 CFG = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
 W1, W2 = writer_id(1), writer_id(2)
@@ -57,7 +58,7 @@ def test_read_of_untouched_register_returns_initial():
 
 
 def test_mwmr_write_discovers_then_propagates():
-    w = AbdWriterMwmr(W1, CFG)
+    w = WriterStateM(W1, CFG)
     (disc,) = w.invoke_write("A")
     assert (disc.kind, disc.destination) == ("discover", None)
     op = disc.op

@@ -43,6 +43,15 @@ def test_simulate_sequential_ops_table_counts(capsys):
     assert "messages=10" in out
 
 
+def test_simulate_ops_dumps_no_seed(tmp_path, capsys):
+    # a scripted run draws nothing from a generator, so --seed is unused
+    dump = tmp_path / "run.json"
+    assert main(["simulate", "--ops", "w1,r1", "--seed", "5",
+                 "--out", str(dump)]) == 0
+    assert "seed=None" in capsys.readouterr().out
+    assert json.loads(dump.read_text())["seed"] is None
+
+
 def test_simulate_ops_reject_clients_outside_the_configuration(capsys):
     assert main(["simulate", "--readers", "1", "--ops", "w1,r2"]) == 4
     assert "r2" in capsys.readouterr().err

@@ -18,12 +18,12 @@ from ohram.core import (
 )
 from ohram.naive3x import (
     Naive3xServer,
-    Naive3xWriter,
     Relay,
     WriteRecord,
     default_x,
     order_writes,
 )
+from ohram.ohsam import WriterStateS
 from ohram.protocols import get_protocol
 from ohram.simnet import simulate
 
@@ -53,7 +53,7 @@ def test_order_conflicting_evidence_flips_at_threshold():
 
 
 def test_writer_picks_tag_locally():
-    w = Naive3xWriter(W2, CFG)
+    w = WriterStateS(W2, CFG)
     (req,) = w.invoke_write("A")  # one broadcast to every server
     assert (req.kind, req.destination) == ("writeRequest", None)
     assert req.tag == Tag(1, W2)

@@ -185,7 +185,7 @@ def test_reader_ignores_acks_for_previous_reads():
     _, done = r.on_message(Message("readAck", first, S3, R1,
                                    tag=Tag(1, W1), value="A#w1.1"))
     assert done is None
-    assert r.acks == {}
+    assert r.replies == {}
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=5),

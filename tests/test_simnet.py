@@ -1039,8 +1039,6 @@ def test_naive3x_threshold_outside_one_to_n_is_refused(x):
 def test_threshold_x_is_refused_for_every_protocol_but_naive3x(protocol):
     config = SWMR3 if get_protocol(protocol).mode == "swmr" else MWMR3
     with pytest.raises(ModeMismatch, match="takes no threshold"):
-        get_protocol(protocol, x=2)
-    with pytest.raises(ModeMismatch, match="takes no threshold"):
         SimNet(protocol, config, seed=0, x=2)
     header = {"protocol": protocol, "config": config_to_json(config), "x": 2}
     with pytest.raises(ModeMismatch, match="takes no threshold"):
