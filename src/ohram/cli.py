@@ -143,13 +143,16 @@ def cmd_simulate(args) -> int:
         if args.crash_plan is not None:
             raise ScheduleUnresolvable(
                 "--crash-plan applies to seeded runs, not --ops")
+        if args.seed is not None:
+            raise ScheduleUnresolvable(
+                "--seed applies to seeded runs, not --ops")
         net = SimNet(args.protocol, config, x=args.x)
         result = net.run_directives([
             d for pid, kind, label in _parse_ops(args.ops)
             for d in ({"invoke": {"client": str(pid), "kind": kind,
                                   "label": label}}, {"drain": True})])
     else:
-        result = simulate(args.protocol, config, args.seed,
+        result = simulate(args.protocol, config, args.seed or 0,
                           max_ops=args.max_ops, max_crashes=max_crashes,
                           victims=victims, x=args.x)
     print(f"protocol={result.protocol} seed={result.seed} "
@@ -306,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one simulated execution")
     add_config_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of a seeded run (default 0); refused with --ops")
     p.add_argument("--ops", help='sequential ops, e.g. "w1,r1,w1=A"')
     p.add_argument("--max-ops", type=int, default=10)
     p.add_argument("--crash-plan", default=None,

@@ -1,26 +1,35 @@
 """Multi-writer atomic register: four-exchange writes, three-exchange reads.
 
-The read path is identical to the single-writer setting: the reader is
-ohsam.ReaderStateS, which the registry (protocols.PROTOCOLS) pairs with
-this module's writer and server. Writes generalize timestamps to
-(ts, writer-id) tags and add a discover phase:
+The read path and the server are those of the single-writer setting: the
+registry (protocols.PROTOCOLS) pairs this module's writer with
+ohsam.ReaderStateS and ohsam.ServerStateS. Writes generalize timestamps
+to (ts, writer-id) tags and add a discover phase:
 
   discover -> discoverAck -> writeRequest -> writeAck
 
 The writer is a two-phase QuorumClient with one counter value (seq, the
 paper's write_op) per write: write k by writer w is op (w, k), and its
 discover and its writeRequest both carry that op. The message kind tells
-the two phases apart, and the server's guard reads only the order of one
-writer's counter values.
+the two phases apart.
 
 Upon a majority of discoverAcks the writer takes maxTS as the maximum of
 the ts components alone (the writer ids of the collected tags are
 discarded, since a fresh wid is assigned) and writes tag (maxTS + 1, own
-id). A server adopts an incoming writeRequest only when the tag is larger
-AND the writer's recorded write_op counter is stale-free, i.e.
-(tag < tag') and (write_operations[w] < write_op); the writeAck is sent
-unconditionally either way. write_operations is not refreshed on
-non-adopting acks.
+id). A server adopts a writeRequest whose tag is larger than its own and
+always acks, as every Replica does.
+
+The paper's server also keeps a per-writer table write_operations and
+adopts only when (tag < tag') and (write_operations[w] < write_op). That
+second test never refuses a write the first accepts, so it is left out.
+Write k > j of writer w starts only after write j, with tag t_j,
+completed on acks from a majority, and each acker then held a tag of at
+least t_j (the majority rule simnet.Monitor checks at every completion).
+Write k's discover meets that majority, so its tag t_k is above t_j, and
+a server that adopted write k already holds a tag above t_j. So, by
+induction on events, self.tag < msg.tag and write_operations[w] >=
+msg.op.seq never hold together; a rebroadcast copy of write j carries
+t_j itself (Attiya, Bar-Noy & Dolev, JACM 1995, for the quorum
+intersection).
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from .core import (
     ProcessId,
     Tag,
 )
-from .ohsam import QuorumClient, ServerStateS
+from .ohsam import QuorumClient
 
 
 class WriterStateM(QuorumClient):
@@ -59,19 +68,3 @@ class WriterStateM(QuorumClient):
         self.tag = Tag(max_ts + 1, self.pid)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                self.tag, self.record.value), None
-
-
-class ServerStateM(ServerStateS):
-    """Server with the stale-write guard; everything else is inherited."""
-
-    def __init__(self, pid: ProcessId, config: Config) -> None:
-        super().__init__(pid, config)
-        self.write_operations: dict[ProcessId, int] = {}
-
-    def on_write_request(self, msg: Message) -> list[Message]:
-        wid = msg.op.invoker
-        if self.tag < msg.tag and self.write_operations.get(wid, 0) < msg.op.seq:
-            self.tag = msg.tag
-            self.value = msg.value
-            self.write_operations[wid] = msg.op.seq
-        return self._reply(KIND_WRITE_ACK, msg)

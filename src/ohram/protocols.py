@@ -57,7 +57,7 @@ PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
                    sound=True, write_exchanges=2, read_exchanges=3,
                    write_messages=lambda n: 2 * n, read_messages=_relayed),
     ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohsam.ReaderStateS,
-                   ohmam.ServerStateM,
+                   ohsam.ServerStateS,
                    sound=True, write_exchanges=4, read_exchanges=3,
                    write_messages=lambda n: 4 * n, read_messages=_relayed),
     ProtocolBundle("abd-swmr", MODE_SWMR, ohsam.WriterStateS, abd.AbdReaderState,

@@ -31,7 +31,8 @@ refused beyond the configured fault bound f.
 
 Where the protocol is sound, deliver runs each server step through a
 Monitor, which records in invariant_failures every step that breaks
-one of the server-local rules its docstring states.
+one of the server-local rules its docstring states, and every
+completion whose tag fewer than a majority of the servers hold.
 
 A run that exhausts its event budget, or that still has a pending client
 operation when no event is enabled, raises StuckExecution. With crash
@@ -73,6 +74,7 @@ from .core import (
     opid_from_json,
     opid_to_json,
     parse_pid,
+    quorum_size,
     tag_from_json,
     tag_to_json,
     validate_config,
@@ -191,15 +193,28 @@ class Monitor:
     ABD server answering a late request. A relaying server keeps one
     read per reader, and a message of an older read sends nothing.
 
-    By server, relay_high is the largest relay tag received and
-    read_acked the newest read seq answered for each reader;
-    relay_answerers holds the servers that answered on a relay.
+    completed checks the one global rule: when an op completes with tag
+    t, a majority of the servers, crashed ones included, hold a tag of at
+    least t. Each sound protocol completes an op on q = floor(n/2)+1
+    replies, each from a server whose tag was then at least t: a writeAck
+    follows adoption, an ohsam or ohmam read returns the minimum tag of
+    its acks, an ABD read completes on its write-back's acks. Tags only
+    grow, and a read of the initial value needs no special case, since
+    a server's own Tag(0, s) only grows too.
+
+    servers is the net's pid -> server map, read at each completion. By
+    server, relay_high is the largest relay tag received and read_acked
+    the newest read seq answered for each reader; relay_answerers holds
+    the servers that answered on a relay.
     """
 
-    __slots__ = ("failures", "relay_high", "read_acked", "relay_answerers")
+    __slots__ = ("failures", "servers", "quorum", "relay_high", "read_acked",
+                 "relay_answerers")
 
     def __init__(self, servers, failures: list[str]) -> None:
         self.failures = failures
+        self.servers = servers
+        self.quorum = quorum_size(len(servers))
         self.relay_high: dict[ProcessId, Tag] = {
             pid: Tag(0, pid) for pid in servers}
         self.read_acked: dict[ProcessId, dict[ProcessId, int]] = {
@@ -242,6 +257,15 @@ class Monitor:
                     f"{pid}: writeAck tag {out.tag} below request tag "
                     f"{msg.tag} for {out.op}")
         return outs
+
+    def completed(self, rec: OpRecord) -> None:
+        """Check that a majority of the servers hold rec's tag or above."""
+        tag = rec.tag
+        servers = self.servers
+        held = sum(not s.tag < tag for s in servers.values())
+        if held < self.quorum:
+            self.failures.append(f"{rec.op}: completed with tag {tag} held "
+                                 f"by {held} of {len(servers)} servers")
 
 
 class SimNet:
@@ -338,6 +362,8 @@ class SimNet:
                 rec.responded = self.events
                 # only a completion makes a client idle
                 self._note_idle(dest)
+                if self.monitor is not None:
+                    self.monitor.completed(rec)
         elif self.monitor is None:
             outs = server.on_message(msg)
         else:

@@ -44,10 +44,9 @@ def test_simulate_sequential_ops_table_counts(capsys):
 
 
 def test_simulate_ops_dumps_no_seed(tmp_path, capsys):
-    # a scripted run draws nothing from a generator, so --seed is unused
+    # a scripted run draws nothing from a generator, so its dump has no seed
     dump = tmp_path / "run.json"
-    assert main(["simulate", "--ops", "w1,r1", "--seed", "5",
-                 "--out", str(dump)]) == 0
+    assert main(["simulate", "--ops", "w1,r1", "--out", str(dump)]) == 0
     assert "seed=None" in capsys.readouterr().out
     assert json.loads(dump.read_text())["seed"] is None
 
@@ -137,6 +136,13 @@ def test_crash_plan_of_repeated_unknown_or_too_many_servers(plan, capsys):
 def test_crash_plan_is_refused_for_sequential_ops(capsys):
     assert main(MWMR5 + ["--ops", "w1,r1", "--crash-plan", "1"]) == 4
     assert "--ops" in capsys.readouterr().err
+
+
+def test_seed_is_refused_for_sequential_ops(capsys):
+    # a scripted run draws nothing, so a seed given with --ops is a mistake
+    assert main(["simulate", "--ops", "w1,r1", "--seed", "5"]) == 4
+    err = capsys.readouterr().err
+    assert "--seed" in err and "--ops" in err
 
 
 def test_replay_atomic_schedule_exits_zero(capsys):

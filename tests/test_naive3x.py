@@ -57,7 +57,6 @@ def test_writer_picks_tag_locally():
     (req,) = w.invoke_write("A")  # one broadcast to every server
     assert (req.kind, req.destination) == ("writeRequest", None)
     assert req.tag == Tag(1, W2)
-    w.acks = set()
     done = None
     for s in (S1, S3):
         _, done = w.on_message(Message("writeAck", req.op, s, W2,

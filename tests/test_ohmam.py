@@ -1,6 +1,10 @@
-"""Multi-writer write path: discover phase, tag choice, server guard."""
+"""Multi-writer write path: discover phase, tag choice, and the paper's
+stale-write guard, which discovery leaves nothing to refuse."""
+
+import random
 
 from ohram.core import (
+    KIND_WRITE_ACK,
     Config,
     Message,
     OpId,
@@ -8,7 +12,9 @@ from ohram.core import (
     server_id,
     writer_id,
 )
-from ohram.ohmam import ServerStateM, WriterStateM
+from ohram.ohmam import WriterStateM
+from ohram.ohsam import ServerStateS
+from ohram.simnet import seeded_net
 
 CFG = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
 W1, W2 = writer_id(1), writer_id(2)
@@ -86,57 +92,64 @@ def test_stale_discover_acks_are_dropped():
     assert w.tag == Tag(1, W1)
 
 
-def test_server_adopts_only_fresh_larger_writes():
-    s = ServerStateM(S1, CFG)
-    s.on_message(Message("writeRequest", OpId(W2, 2), W2, S1,
-                         tag=Tag(3, W2), value="A#w2.1"))
-    assert s.tag == Tag(3, W2)
-    # larger tag but stale counter: refused
-    outs = s.on_message(Message("writeRequest", OpId(W2, 2), W2, S1,
-                                tag=Tag(9, W2), value="ghost"))
-    assert s.tag == Tag(3, W2)
-    assert outs[0].kind == "writeAck" and outs[0].tag == Tag(3, W2)
-    # fresh counter but smaller tag: refused too
-    s.on_message(Message("writeRequest", OpId(W1, 2), W1, S1,
-                         tag=Tag(3, W1), value="B#w1.1"))
-    assert s.tag == Tag(3, W2)
-    # both conditions hold: adopted
-    s.on_message(Message("writeRequest", OpId(W1, 4), W1, S1,
-                         tag=Tag(4, W1), value="C#w1.2"))
-    assert (s.tag, s.value) == (Tag(4, W1), "C#w1.2")
-
-
-def test_non_adopting_ack_does_not_refresh_counter():
-    """A refused write must stay refusable for its own counter only."""
-    s = ServerStateM(S1, CFG)
-    s.on_message(Message("writeRequest", OpId(W1, 2), W1, S1,
-                         tag=Tag(2, W1), value="A#w1.1"))
-    # stale replay with a huge counter but a small tag: no adopt
-    s.on_message(Message("writeRequest", OpId(W1, 6), W1, S1,
-                         tag=Tag(1, W1), value="old"))
-    assert s.write_operations[W1] == 2
-    # the genuine counter-4 write still goes through
-    s.on_message(Message("writeRequest", OpId(W1, 4), W1, S1,
-                         tag=Tag(5, W1), value="B#w1.2"))
-    assert s.value == "B#w1.2"
-
-
 def test_discover_echoes_without_update():
-    s = ServerStateM(S2, CFG)
+    s = ServerStateS(S2, CFG)
     s.on_message(Message("writeRequest", OpId(W1, 2), W1, S2,
                          tag=Tag(1, W1), value="A#w1.1"))
     outs = s.on_message(Message("discover", OpId(W2, 1), W2, S2))
     assert [m.kind for m in outs] == ["discoverAck"]
     assert outs[0].tag == Tag(1, W1)
     assert outs[0].value == "A#w1.1"
-    assert s.write_operations == {W1: 2}
 
 
-def test_unknown_invoker_writes_still_guarded_per_id():
-    # the counter ledger is keyed by invoker id, whoever that is
-    s = ServerStateM(S1, CFG)
-    from ohram.core import reader_id
-    r1 = reader_id(1)
-    s.on_message(Message("writeRequest", OpId(r1, 1), r1, S1,
-                         tag=Tag(7, W2), value="G#w2.7"))
-    assert s.tag == Tag(7, W2)
+class _PaperServer(ServerStateS):
+    """The paper's Oh-MAM server: a writeRequest is adopted only when its
+    tag is larger and its writer's write_op counter is newer than the
+    one recorded. refusals lists each writeRequest whose tag was larger
+    that the counter test refused."""
+
+    def __init__(self, pid, config):
+        super().__init__(pid, config)
+        self.write_operations = {}
+        self.refusals = []
+
+    def on_write_request(self, msg):
+        larger = self.tag < msg.tag
+        outs = self._guarded_write_request(msg)
+        if larger and self.tag != msg.tag:
+            self.refusals.append(msg)
+        return outs
+
+    def _guarded_write_request(self, msg):
+        wid = msg.op.invoker
+        if self.tag < msg.tag and self.write_operations.get(wid, 0) < msg.op.seq:
+            self.tag = msg.tag
+            self.value = msg.value
+            self.write_operations[wid] = msg.op.seq
+        return self._reply(KIND_WRITE_ACK, msg)
+
+
+def test_the_paper_guard_never_refuses_a_larger_tag():
+    """Discovery leaves the write_op test nothing to refuse: over seeded
+    runs with 2-5 writers and up to f crashes, a server with the guard
+    never refuses a larger tag, so it adopts what a guard-free server
+    adopts."""
+    # a larger tag under a stale counter is what the guard refuses
+    s = _PaperServer(S1, CFG)
+    for seq, ts in ((2, 3), (1, 5)):
+        s.on_message(Message("writeRequest", OpId(W1, seq), W1, S1,
+                             tag=Tag(ts, W1), value=f"v{seq}"))
+    assert [m.op for m in s.refusals] == [OpId(W1, 1)]
+    rng = random.Random(46)
+    crashed = 0
+    for seed in range(1500):
+        n = (3, 5, 7)[seed % 3]
+        config = Config(n_servers=n, n_readers=rng.randint(1, 3),
+                        n_writers=rng.randint(2, 5), f=(n - 1) // 2)
+        net = seeded_net("ohmam", config, seed, max_ops=rng.randint(10, 30))
+        for pid in config.servers():
+            net.servers[pid] = _PaperServer(pid, config)
+        net.run_seeded()
+        assert [m for s in net.servers.values() for m in s.refusals] == []
+        crashed += bool(net.crashed)
+    assert crashed > 500

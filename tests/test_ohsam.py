@@ -16,7 +16,6 @@ from ohram.core import (
     server_id,
     writer_id,
 )
-from ohram.ohmam import ServerStateM
 from ohram.ohsam import ReaderStateS, ServerStateS, WriterStateS
 from ohram.simnet import SimNet
 
@@ -340,10 +339,6 @@ class FullScanS(_AckedReads, ServerStateS):
     pass
 
 
-class FullScanM(_AckedReads, ServerStateM):
-    pass
-
-
 def _random_traffic(rng, steps):
     """Read traffic from three readers, late and duplicate copies included.
 
@@ -400,8 +395,7 @@ def _not_older(newest, msg):
     return True
 
 
-@pytest.mark.parametrize("indexed, reference",
-                         [(ServerStateS, FullScanS), (ServerStateM, FullScanM)])
+@pytest.mark.parametrize("indexed, reference", [(ServerStateS, FullScanS)])
 def test_indexed_gc_retires_what_the_full_scan_retires(indexed, reference):
     """One read per invoker answers exactly as the old bookkeeping on
     every message of an invoker's newest read, under the simulator's

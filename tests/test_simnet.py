@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import ohram.simnet as simnet
-from ohram.abd import AbdServerState
+from ohram.abd import AbdReaderState, AbdServerState
 from ohram.checker import check_history
 from ohram.core import (
     BOTTOM,
@@ -40,7 +40,7 @@ from ohram.core import (
     writer_id,
 )
 from ohram.naive3x import Relay
-from ohram.ohsam import ServerStateS, WriterStateS
+from ohram.ohsam import ReaderStateS, ServerStateS, WriterStateS
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import (
     Monitor,
@@ -488,16 +488,14 @@ def test_the_relay_monitor_keeps_one_tag_per_server_through_a_long_run():
 @pytest.mark.parametrize("protocol", SOUND)
 def test_monitor_and_server_state_stay_bounded(protocol):
     """Through a long run the read monitor keeps at most one seq per
-    reader for each server, as the servers' own read and write tables
-    keep at most one entry per client."""
+    reader for each server, as the servers' own read tables keep at
+    most one entry per reader."""
     net = _long_net(protocol)
     config = net.config
     assert len(net.history) >= 1680 and not net.invariant_failures
     for pid, server in net.servers.items():
         assert len(net.monitor.read_acked[pid]) <= config.n_readers
         assert len(getattr(server, "reads", {})) <= config.n_readers
-        assert len(getattr(server, "write_operations", {})) \
-            <= config.n_writers
     assert max(map(len, net.monitor.read_acked.values())) == config.n_readers
 
 
@@ -958,6 +956,68 @@ def test_invariant_write_ack_below_the_request_tag():
     _deliver(net, "writeRequest", "s1")
     assert net.invariant_failures == [
         "s1: writeAck tag (0,s1) below request tag (1,w1) for w1#1"]
+
+
+class _MaxTagReader(ReaderStateS):
+    """Returns the largest tag among its readAcks, not the smallest."""
+
+    def _decide(self):
+        best = max(self.replies.values(), key=lambda m: m.tag)
+        return best.tag, best.value
+
+
+class _SkipsWriteBack(AbdReaderState):
+    """Returns the largest tag among its readAcks without writing it back."""
+
+    def _on_quorum(self):
+        best = max(self.replies.values(), key=lambda m: m.tag)
+        return self._done(best.tag, best.value)
+
+
+@pytest.mark.parametrize("protocol, reader_class", [
+    ("ohsam", _MaxTagReader), ("abd-swmr", _SkipsWriteBack)])
+def test_a_completion_below_a_majority_is_caught_within_50_seeds(
+        protocol, reader_class):
+    """A reader that returns a tag fewer than a majority hold breaks the
+    majority rule at its completion, in one of the first 50 uniform
+    runs at n=3, though a later read rarely exposes it to the checker."""
+    config = SWMR3._replace(n_readers=2)
+    for seed in range(50):
+        net = simnet.seeded_net(protocol, config, seed)
+        for pid in config.readers():
+            net.clients[pid] = reader_class(pid, config)
+        net.run_seeded()
+        if net.invariant_failures:
+            break
+    assert net.invariant_failures
+    assert all(" completed with tag " in f for f in net.invariant_failures)
+
+
+def test_invariant_read_completed_above_its_majority():
+    """w1's write reaches s1 only, and the max-tag reader completes on
+    s1's readAck, with the new tag, and s2's, with an old one. The run
+    fails at that completion, while its history, w1's write pending, is
+    still atomic."""
+    net = SimNet("ohsam", SWMR3, seed=0)
+    w1, r1 = parse_pid("w1"), parse_pid("r1")
+    net.clients[r1] = _MaxTagReader(r1, SWMR3)
+    net.load_program(w1, [("write", "A")])
+    net.load_program(r1, [("read", None)])
+    net.invoke_next(w1)
+    _deliver(net, "writeRequest", "s1")
+    net.invoke_next(r1)
+    for to in ("s1", "s2", "s3"):
+        _deliver(net, "readRequest", to)
+    for to, senders in (("s1", ("s1", "s2")), ("s2", ("s2", "s3"))):
+        for sender in senders:
+            _deliver(net, "readRelay", to, sender)
+    _deliver(net, "readAck", "r1", "s1")
+    assert net.invariant_failures == []
+    _deliver(net, "readAck", "r1", "s2")
+    assert net.history[1].value == make_value("A", net.history[0].op)
+    assert net.invariant_failures == [
+        "r1#1: completed with tag (1,w1) held by 1 of 3 servers"]
+    assert check_history(net.history)
 
 
 def test_a_step_tallies_each_message_under_its_own_kind():
