@@ -9,7 +9,7 @@ exchange counts match the comparison table exactly.
 The reader is a two-phase QuorumClient: a readRequest phase, then a
 writeRequest phase that carries the maximum pair it collected.
 
-This module defines only the reader and the server; the writers are
+This module defines only the reader; the writers and the server are
 reused as they are, and the registry (protocols.PROTOCOLS) pairs them.
 Single-writer mode: writes are one round (writeRequest, writeAck) with the
 writer's own incrementing timestamp, the two-exchange write of
@@ -17,9 +17,9 @@ ohsam.WriterStateS. Multi-writer mode: writes are two rounds, a discover
 round to learn the maximum timestamp and a propagate round with tag
 (maxTS + 1, own id), the write of ohmam.WriterStateM.
 
-The server is a bare Replica (adopt-if-greater, acknowledge every
-writeRequest, answer discovers) that answers readRequests directly
-with its current pair: no server-to-server relays.
+The server is ohsam.Replica, a bare replica that answers every
+request, readRequests included, directly with its current pair: no
+server-to-server relays.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     Message,
     ProcessId,
 )
-from .ohsam import QuorumClient, Replica
+from .ohsam import QuorumClient
 
 class AbdReaderState(QuorumClient):
     """Two-round reader: query a majority, write back the maximum tag."""
@@ -58,12 +58,3 @@ class AbdReaderState(QuorumClient):
         self.result = best
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                best.tag, best.value), None
-
-
-class AbdServerState(Replica):
-    """Replica that answers reads directly, no server gossip."""
-
-    def on_message(self, msg: Message) -> list[Message]:
-        if msg.kind == KIND_READ_REQUEST:
-            return self._reply(KIND_READ_ACK, msg)
-        return super().on_message(msg)

@@ -300,7 +300,11 @@ def _sub_solvable(ops: list[OpRecord], n_mandatory: int) -> bool:
         failures.add(key)
         return False
 
-    return go(0, None)
+    # go refers to itself; unbinding it frees the search without the cyclic gc
+    try:
+        return go(0, None)
+    finally:
+        del go
 
 
 def check_history(history: list[OpRecord]) -> Verdict:

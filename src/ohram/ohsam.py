@@ -13,12 +13,14 @@ protocols differ only in their phases and in what a complete phase
 leads to. Here a write is one phase and a read is one phase (the relays
 run among the servers, out of the reader's sight).
 
-Every sound server machine of the package is a Replica: it adopts a
-larger tag, answers the invoker with its current pair, and answers
-every copy of a request of the client's current operation, so a
-client's rebroadcast retries any message of its phase that a link
-lost. Servers that relay count relay origins with count_relay, the one
-majority-of-relays rule.
+Every sound server machine of the package is a Replica, ABD's server,
+or its relaying subclass ServerStateS. A Replica adopts a larger tag
+and answers three request kinds, writeRequest, readRequest and
+discover, with its current pair; ServerStateS dispatches its relay read
+path first. Both answer every copy of a request of the client's current
+operation, so a client's rebroadcast retries any message of its phase
+that a link lost. Servers that relay count relay origins with
+count_relay, the one majority-of-relays rule.
 
 Write protocol (two exchanges): the writer's timestamp is its write
 counter. It increments the counter, broadcasts a writeRequest to every
@@ -190,10 +192,11 @@ def count_relay(origins: set[ProcessId], msg: Message, quorum: int) -> bool:
 
 
 class Replica:
-    """A (tag, value) pair that only grows. The writeAck is unconditional
-    and duplicate-safe. on_message answers the writeRequest and the
-    discover; subclasses dispatch their read kinds first. quorum is
-    derived from config once."""
+    """A (tag, value) pair that only grows, and ABD's server. on_message
+    answers a writeRequest (adopting a larger tag), a readRequest and a
+    discover with the current pair; the writeAck is unconditional and
+    duplicate-safe. ServerStateS dispatches its relay read path first.
+    quorum is derived from config once."""
 
     def __init__(self, pid: ProcessId, config: Config) -> None:
         self.pid = pid
@@ -214,16 +217,15 @@ class Replica:
     def on_message(self, msg: Message) -> list[Message]:
         if msg.kind == KIND_WRITE_REQUEST:
             return self.on_write_request(msg)
+        if msg.kind == KIND_READ_REQUEST:
+            return self._reply(KIND_READ_ACK, msg)
         if msg.kind == KIND_DISCOVER:
-            return self.on_discover(msg)
+            return self._reply(KIND_DISCOVER_ACK, msg)
         return []
 
     def on_write_request(self, msg: Message) -> list[Message]:
         self._adopt(msg.tag, msg.value)
         return self._reply(KIND_WRITE_ACK, msg)
-
-    def on_discover(self, msg: Message) -> list[Message]:
-        return self._reply(KIND_DISCOVER_ACK, msg)
 
 
 class ServerStateS(Replica):

@@ -61,12 +61,12 @@ PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
                    sound=True, write_exchanges=4, read_exchanges=3,
                    write_messages=lambda n: 4 * n, read_messages=_relayed),
     ProtocolBundle("abd-swmr", MODE_SWMR, ohsam.WriterStateS, abd.AbdReaderState,
-                   abd.AbdServerState,
+                   ohsam.Replica,
                    sound=True, write_exchanges=2, read_exchanges=4,
                    write_messages=lambda n: 2 * n,
                    read_messages=lambda n: 4 * n),
     ProtocolBundle("abd-mwmr", MODE_MWMR, ohmam.WriterStateM, abd.AbdReaderState,
-                   abd.AbdServerState,
+                   ohsam.Replica,
                    sound=True, write_exchanges=4, read_exchanges=4,
                    write_messages=lambda n: 4 * n,
                    read_messages=lambda n: 4 * n),

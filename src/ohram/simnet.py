@@ -189,9 +189,10 @@ class Monitor:
     below any relay tag it received or a writeAck below its
     writeRequest's tag, or it answers a read twice or after a newer read
     of its reader. An older read may be answered only in reply to its
-    own readRequest, by a server that never answered on a readRelay: an
-    ABD server answering a late request. A relaying server keeps one
-    read per reader, and a message of an older read sends nothing.
+    own readRequest, by a server that never answered on a readRelay: a
+    Replica, ABD's server, answering a late request. A relaying server
+    keeps one read per reader, and a message of an older read sends
+    nothing.
 
     completed checks the one global rule: when an op completes with tag
     t, a majority of the servers, crashed ones included, hold a tag of at

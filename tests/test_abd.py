@@ -9,8 +9,10 @@ from ohram.core import (
     server_id,
     writer_id,
 )
-from ohram.abd import AbdReaderState, AbdServerState
+from ohram.abd import AbdReaderState
 from ohram.ohmam import WriterStateM
+from ohram.ohsam import Replica, ServerStateS
+from ohram.protocols import PROTOCOLS, get_protocol
 
 CFG = Config(n_servers=3, n_readers=1, n_writers=2, f=1)
 W1, W2 = writer_id(1), writer_id(2)
@@ -80,7 +82,7 @@ def test_mwmr_write_discovers_then_propagates():
 
 
 def test_server_answers_reads_directly():
-    s = AbdServerState(S1, CFG)
+    s = Replica(S1, CFG)
     s.on_message(Message("writeRequest", OpId(W1, 1), W1, S1,
                          tag=Tag(1, W1), value="A#w1.1"))
     outs = s.on_message(Message("readRequest", OpId(R1, 1), R1, S1))
@@ -90,9 +92,30 @@ def test_server_answers_reads_directly():
 
 
 def test_server_keeps_larger_tag_on_equal_timestamp():
-    s = AbdServerState(S1, CFG)
+    s = Replica(S1, CFG)
     s.on_message(Message("writeRequest", OpId(W2, 1), W2, S1,
                          tag=Tag(3, W2), value="held"))
     s.on_message(Message("writeRequest", OpId(W1, 3), W1, S1,
                          tag=Tag(3, W1), value="incoming"))
     assert (s.tag, s.value) == (Tag(3, W2), "held")
+
+
+def test_server_answers_an_older_read_after_a_newer_one():
+    """No read bookkeeping: a late readRequest of an older read gets the
+    current pair, as the Monitor's late-request rule allows."""
+    s = Replica(S1, CFG)
+    s.on_message(Message("readRequest", OpId(R1, 2), R1, S1))
+    s.on_message(Message("writeRequest", OpId(W1, 1), W1, S1,
+                         tag=Tag(1, W1), value="A#w1.1"))
+    outs = s.on_message(Message("readRequest", OpId(R1, 1), R1, S1))
+    assert [(m.kind, m.op, m.destination) for m in outs] == [
+        ("readAck", OpId(R1, 1), R1)]
+    assert (outs[0].tag, outs[0].value) == (Tag(1, W1), "A#w1.1")
+
+
+def test_every_sound_server_is_the_replica_or_its_relaying_subclass():
+    assert (get_protocol("abd-swmr").make_server
+            is get_protocol("abd-mwmr").make_server is Replica)
+    for bundle in PROTOCOLS.values():
+        if bundle.sound:
+            assert bundle.make_server in (Replica, ServerStateS), bundle.name

@@ -9,6 +9,7 @@ as the known asymmetry between the two procedures.
 """
 
 import copy
+import gc
 import random
 
 import pytest
@@ -128,6 +129,23 @@ def test_bruteforce_size_cap():
 
 def test_dispatcher_prefers_bruteforce_when_small():
     assert check_history([w("w1", 1, 0, 2, 1, "A")]).method == "bruteforce"
+
+
+def test_bruteforce_leaves_no_garbage_for_the_cyclic_collector():
+    config = Config(n_servers=3, n_readers=2, n_writers=1, f=1, mode="swmr")
+    net = SimNet("ohsam", config, seed=11)
+    net.load_program(config.writers()[0], [("write", f"v{i}") for i in range(3)])
+    for pid in config.readers():
+        net.load_program(pid, [("read", None)] * 3)
+    net.run_seeded()
+    history = net.result().history
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_bruteforce(history).atomic
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_verdict_json_shape():

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 import ohram.simnet as simnet
-from ohram.abd import AbdReaderState, AbdServerState
+from ohram.abd import AbdReaderState
 from ohram.checker import check_history
 from ohram.core import (
     BOTTOM,
@@ -40,7 +40,7 @@ from ohram.core import (
     writer_id,
 )
 from ohram.naive3x import Relay
-from ohram.ohsam import ReaderStateS, ServerStateS, WriterStateS
+from ohram.ohsam import ReaderStateS, Replica, ServerStateS, WriterStateS
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import (
     Monitor,
@@ -708,7 +708,7 @@ class _NeverRetires(ServerStateS):
         return self.reads.setdefault(op, set())
 
 
-class _AcksWriteBack(AbdServerState):
+class _AcksWriteBack(Replica):
     """Answers a reader's write-back with a readAck."""
 
     def on_write_request(self, msg):
