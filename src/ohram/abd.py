@@ -6,8 +6,9 @@ writeAck), because the reader propagates the maximum tag it collected
 before returning. The write-back is always performed, never skipped, so
 exchange counts match the comparison table exactly.
 
-The reader is a two-phase QuorumClient: a readRequest phase, then a
-writeRequest phase that carries the maximum pair it collected.
+The reader is an ohsam.ReaderStateS that writes back: on a majority of
+readAcks it opens a writeRequest phase with the maximum pair it
+collected, and QuorumClient returns that pair once the phase completes.
 
 This module defines only the reader; the writers and the server are
 reused as they are, and the registry (protocols.PROTOCOLS) pairs them.
@@ -24,37 +25,18 @@ server-to-server relays.
 
 from __future__ import annotations
 
-from typing import Optional
+from .core import KIND_WRITE_ACK, KIND_WRITE_REQUEST
+from .ohsam import ReaderStateS
 
-from .core import (
-    Config,
-    KIND_READ_ACK,
-    KIND_READ_REQUEST,
-    KIND_WRITE_ACK,
-    KIND_WRITE_REQUEST,
-    Message,
-    ProcessId,
-)
-from .ohsam import QuorumClient
 
-class AbdReaderState(QuorumClient):
+class AbdReaderState(ReaderStateS):
     """Two-round reader: query a majority, write back the maximum tag."""
 
-    def __init__(self, pid: ProcessId, config: Config) -> None:
-        super().__init__(pid, config)
-        self.result: Optional[Message] = None
-
-    def invoke_read(self) -> list[Message]:
-        self._begin("read")
-        return self._broadcast(KIND_READ_REQUEST, KIND_READ_ACK)
-
     def _on_quorum(self):
-        if self.awaiting == KIND_WRITE_ACK:
-            return self._done(self.result.tag, self.result.value)
+        # only the readAck phase gets here; the first maximum to arrive wins
         best = None
         for m in self.replies.values():
             if best is None or best.tag < m.tag:
                 best = m
-        self.result = best
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                best.tag, best.value), None

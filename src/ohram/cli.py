@@ -286,10 +286,10 @@ def cmd_client(args) -> int:
             print(f"{rec.op}  {kind}  tag={rec.tag}  value={rec.value!r}")
     finally:
         client.close()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"history": history_to_json(client.history)}, fh)
-        print(f"wrote {args.out}")
+        if args.out:  # an op given up is in the dump as pending
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump({"history": history_to_json(client.history)}, fh)
+            print(f"wrote {args.out}")
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ the two phases apart.
 Upon a majority of discoverAcks the writer takes maxTS as the maximum of
 the ts components alone (the writer ids of the collected tags are
 discarded, since a fresh wid is assigned) and writes tag (maxTS + 1, own
-id). A server adopts a writeRequest whose tag is larger than its own and
-always acks, as every Replica does.
+id), kept only in its writeRequest, whose pair QuorumClient returns. A
+server adopts a writeRequest whose tag is larger than its own and always
+acks, as every Replica does.
 
 The paper's server also keeps a per-writer table write_operations and
 adopts only when (tag < tag') and (write_operations[w] < write_op). That
@@ -35,13 +36,11 @@ intersection).
 from __future__ import annotations
 
 from .core import (
-    Config,
     KIND_DISCOVER,
     KIND_DISCOVER_ACK,
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     Message,
-    ProcessId,
     Tag,
 )
 from .ohsam import QuorumClient
@@ -53,18 +52,13 @@ class WriterStateM(QuorumClient):
     Both phases of a write carry its one counter value.
     """
 
-    def __init__(self, pid: ProcessId, config: Config) -> None:
-        super().__init__(pid, config)
-        self.tag = Tag(0, pid)
-
     def invoke_write(self, label: str) -> list[Message]:
         self._begin("write", label)
         return self._broadcast(KIND_DISCOVER, KIND_DISCOVER_ACK)
 
     def _on_quorum(self):
-        if self.awaiting == KIND_WRITE_ACK:
-            return self._done(self.tag, self.record.value)
+        # only the discover phase gets here
         max_ts = max(m.tag.ts for m in self.replies.values())
-        self.tag = Tag(max_ts + 1, self.pid)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
-                               self.tag, self.record.value), None
+                               Tag(max_ts + 1, self.pid),
+                               self.record.value), None

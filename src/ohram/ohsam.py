@@ -8,10 +8,11 @@ event application per instance.
 
 Every client machine of the package is a QuorumClient: an operation is
 a sequence of quorum phases, each of which broadcasts one request kind
-to every server and ends on a majority of replies of one kind. The
-protocols differ only in their phases and in what a complete phase
-leads to. Here a write is one phase and a read is one phase (the relays
-run among the servers, out of the reader's sight).
+to every server and ends on a majority of replies of one kind. A write
+phase ends its operation in QuorumClient with the pair it broadcast;
+the protocols differ only in their other phases and in what those lead
+to. Here a write is one phase and a read is one phase (the relays run
+among the servers, out of the reader's sight).
 
 Every sound server machine of the package is a Replica, ABD's server,
 or its relaying subclass ServerStateS. A Replica adopts a larger tag
@@ -84,9 +85,11 @@ class QuorumClient:
     the client is idle. replies maps each sender to its latest reply in
     first-arrival order. Replies of another kind or another op, and
     replies without a tag, are dropped, and a sender counts once, however
-    often its reply comes again in answer to a rebroadcast. Subclasses
-    open phases with _broadcast, and say in _on_quorum what a complete
-    phase leads to: the next phase, or _done's record. phase is the list
+    often its reply comes again in answer to a rebroadcast. A complete
+    write phase ends the operation here with the pair it broadcast.
+    Subclasses open phases with _broadcast, and say in _on_quorum what
+    any other complete phase leads to: the next phase, or _done's
+    record. phase is the list
     _broadcast returned last, which rebroadcast() sends again: one
     message whose destination is None, a broadcast to every server that
     the harness fans out as it sends it. quorum is derived from config
@@ -133,9 +136,11 @@ class QuorumClient:
                 or msg.tag is None):
             return [], None
         self.replies[msg.sender] = msg
-        if len(self.replies) >= self.quorum:
-            return self._on_quorum()
-        return [], None
+        if len(self.replies) < self.quorum:
+            return [], None
+        if self.awaiting == KIND_WRITE_ACK:  # the op returns the pair it sent
+            return self._done(self.phase[0].tag, self.phase[0].value)
+        return self._on_quorum()
 
     def _on_quorum(self) -> tuple[list[Message], Optional[OpRecord]]:
         raise NotImplementedError
@@ -156,9 +161,6 @@ class WriterStateS(QuorumClient):
         self._begin("write", label)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                Tag(self.seq, self.pid), self.record.value)
-
-    def _on_quorum(self):
-        return self._done(Tag(self.seq, self.pid), self.record.value)
 
 
 class ReaderStateS(QuorumClient):

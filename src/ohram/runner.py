@@ -90,24 +90,25 @@ and a repeated readRequest for the reader's newest read relays again
 and, once the server has answered that read, brings its readAck again.
 A frame that breaks the machine closes only its own connection.
 
-Clients stamp invocation and response times with time.monotonic_ns().
-Histories from clients of one host therefore share a scale and can be
-merged for checking with merge_histories. A client that cannot assemble
-a quorum re-broadcasts the phase its machine's rebroadcast() supplies
-every retry_interval seconds, retrying what the phase lost, and gives up
-with QuorumUnreachable after retry_budget rebroadcasts, or at once on
-close; an op on a closed client raises it before it starts. An op given
-up stays open in its machine, so the next op raises NotWellFormed. A
-client refuses a retry_interval that is not above 0 and a negative
-retry_budget with ValueError, before it makes a socket: a wait of no
-time does not block, so every op would give up at once. It also
-refuses a retry_interval above threading.TIMEOUT_MAX, inf included, on
-which the op's wait would raise OverflowError. A retry_budget of 0
-gives up after one retry_interval, with no rebroadcast. A write
-whose label's JSON text, as the wire escapes it, is longer than
-MAX_FRAME - LABEL_ALLOWANCE bytes raises ValueError before the machine
-invokes it: its frame could not be sent, and an op invoked but never
-sent would stay open.
+Clients stamp invocation and response times with time.monotonic_ns(),
+and an op enters a client's history at invocation. Histories from
+clients of one host therefore share a scale and can be merged for
+checking with merge_histories. A client that cannot assemble a quorum
+re-broadcasts the phase its machine's rebroadcast() supplies every
+retry_interval seconds, retrying what the phase lost, and gives up with
+QuorumUnreachable after retry_budget rebroadcasts, or at once on close;
+an op on a closed client raises it before it starts. An op given up
+stays in the history as pending and open in its machine, so the next op
+raises NotWellFormed. A client refuses a retry_interval that is not
+above 0 and a negative retry_budget with ValueError, before it makes a
+socket: a wait of no time does not block, so every op would give up at
+once. It also refuses a retry_interval above threading.TIMEOUT_MAX, inf
+included, on which the op's wait would raise OverflowError. A
+retry_budget of 0 gives up after one retry_interval, with no
+rebroadcast. A write whose label's JSON text, as the wire escapes it, is
+longer than MAX_FRAME - LABEL_ALLOWANCE bytes raises ValueError before
+the machine invokes it: its frame could not be sent, and an op invoked
+but never sent would stay open.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -661,6 +662,9 @@ class Client(_Endpoint):
                 raise QuorumUnreachable(f"{self.pid}: closed")
             t0 = time.monotonic_ns()
             self._emit(invoke())
+            rec = self.machine.record
+            rec.invoked = t0
+            self.history.append(rec)  # pending until it responds
             retries = 0
             while self.machine.busy:
                 if self.stopped:
@@ -673,9 +677,7 @@ class Client(_Endpoint):
                             f"{self.pid}: no quorum after {retries - 1} "
                             f"rebroadcasts")
                     self._emit(self.machine.rebroadcast())
-            rec = self.machine.record
-            rec.invoked, rec.responded = t0, time.monotonic_ns()
-            self.history.append(rec)
+            rec.responded = time.monotonic_ns()
             return rec
 
     def write(self, label: str) -> OpRecord:

@@ -462,6 +462,23 @@ def test_client_dump_round_trips_through_check(tmp_path, capsys):
     assert all(r.invoked <= r.responded for r in records)
 
 
+def test_a_client_that_gives_up_still_dumps_its_history(tmp_path, capsys):
+    """The op given up is in the dump as pending, the exit is still 3,
+    and the dump checks."""
+    members = tmp_path / "members.json"
+    members.write_text('{"s1": "127.0.0.1:1"}')  # refuses: nobody serves
+    dump = tmp_path / "w1.json"
+    assert main(["client", "--servers", "1", "--f", "0", "--pid", "w1",
+                 "--membership", str(members), "--ops", "w:A",
+                 "--retry-interval", "0.01", "--retry-budget", "0",
+                 "--out", str(dump)]) == 3
+    assert "NO QUORUM" in capsys.readouterr().err
+    (record,) = json.loads(dump.read_text())["history"]
+    assert record["responded"] is None
+    assert (record["kind"], record["value"]) == ("write", "A#w1.1")
+    assert main(["check", str(dump)]) == 0
+
+
 def test_client_refuses_an_op_its_role_cannot_run(tmp_path, capsys):
     membership = tmp_path / "members.json"
     membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1", '

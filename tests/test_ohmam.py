@@ -89,7 +89,7 @@ def test_stale_discover_acks_are_dropped():
     # now in the write phase: a late discoverAck for op1 must not count
     outs, done = w.on_message(discover_ack(op1, S3, Tag(9, W2)))
     assert outs == [] and done is None
-    assert w.tag == Tag(1, W1)
+    assert w.rebroadcast()[0].tag == Tag(1, W1)  # the open phase carries it
 
 
 def test_discover_echoes_without_update():

@@ -1315,10 +1315,42 @@ def test_an_op_after_no_quorum_raises_not_well_formed():
             reader.read()
         assert all(a is b for a, b in zip(reader.machine.rebroadcast(),
                                            phase, strict=True))
-        assert reader.history == []
+        # the read given up stays in the history, pending
+        (rec,) = reader.history
+        assert (rec.op, rec.kind, rec.responded) == (OpId(R1, 1), "read", None)
+        assert rec.invoked is not None
     finally:
         reader.close()
         srv.close()
+
+
+def test_a_write_given_up_stays_pending_so_a_read_of_its_value_is_atomic():
+    """A write that reached one server of three gives up, a second server
+    starts, and a read returns the write's value: the writer's history
+    keeps the write as pending, so the merged history is atomic."""
+    daemons, membership = start_cluster(THREE, "ohsam")
+    for d in daemons[1:]:
+        d.stop()  # s2 and s3 refuse: only s1 is up
+    writer = Client(W1, THREE, "ohsam", membership,
+                    retry_interval=0.01, retry_budget=3)
+    reader = None
+    try:
+        with pytest.raises(QuorumUnreachable, match="no quorum"):
+            writer.write("A")
+        daemons[1] = ServerDaemon(daemons[1].pid, THREE, "ohsam",
+                                  port=daemons[1].port)
+        daemons[1].start(membership)
+        reader = Client(R1, THREE, "ohsam", membership)
+        rrec = reader.read()
+        assert (rrec.tag, rrec.value) == (Tag(1, W1), "A#w1.1")
+        history = merge_histories(writer.history, reader.history)
+        assert check_history(history).atomic
+        assert check_bruteforce(history).atomic
+        (wrec,) = writer.history
+        assert (wrec.op, wrec.value, wrec.responded) == (
+            OpId(W1, 1), "A#w1.1", None)
+    finally:
+        stop_all(daemons, [c for c in (writer, reader) if c is not None])
 
 
 def test_a_dial_that_fails_at_once_waits_to_redial(monkeypatch):
