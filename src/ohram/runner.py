@@ -52,14 +52,23 @@ Client and `ohram serve` call, refuses any other entry, and a daemon
 dials only servers, so what it sends a client goes back on the
 connection that client dialed.
 
-The process has one selector loop, made by the first endpoint and run
-while any endpoint is started. It owns every socket of every server
-daemon and client, accepted and dialed, and handles each batch of events
-under the one lock all endpoints share: it accepts, reads, runs the
-machines and sends. A client's operation thread invokes and
-(re)broadcasts under the same lock, and the loop wakes it once, at the
-end of the batch in which its op completed. Links set TCP_NODELAY, because
-frames are small and go out one at a time.
+The process has one loop, made by the first endpoint and run while any
+endpoint is started. It waits on one epoll object and dispatches each
+ready fd from its own table, fd -> (endpoint, conn, sock), which holds
+every socket of every server daemon and client, accepted and dialed,
+each listener and the loop's waker. It takes a batch's entries when the
+wait returns and handles the batch under the one lock all endpoints
+share: it accepts, reads, runs the machines and sends. An entry whose
+connection an earlier event of the batch dropped is skipped, even when
+an accept has taken its fd since, and a hang-up or an error is handled
+as a read, which drops the connection. A client's operation thread
+invokes and (re)broadcasts under the same lock, and the loop wakes it
+once, at the end of the batch in which its op completed. Links set
+TCP_NODELAY, because frames are small and go out one at a time. The
+runner needs Linux: an epoll's interest list is the kernel's, so a
+socket that an op thread's send starts watching for EPOLLOUT counts in
+a wait already in progress, where a poll() wait would not see it until
+the wait ends.
 
 Every step's outputs, a machine's answer and a client's invoke or
 rebroadcast alike, leave their endpoint through _emit: in order, each on
@@ -67,7 +76,10 @@ its destination's link or else the connection its hello named, lost with
 neither; a broadcast, a message whose destination is None, goes so to
 every server of the configuration in configuration order. It returns
 those addressed to the endpoint itself, a server's relay to itself,
-which the server then handles.
+which the server then handles. A step that sends nothing, such as a
+relay that completes no majority or a reply that completes no quorum,
+reaches no send code: _handle calls _emit only when the machine
+returned messages.
 
 Sends never block. A message is framed and written at once as far as
 the kernel takes it; only a rest the kernel refuses goes to the
@@ -99,16 +111,17 @@ retry_interval seconds, retrying what the phase lost, and gives up with
 QuorumUnreachable after retry_budget rebroadcasts, or at once on close;
 an op on a closed client raises it before it starts. An op given up
 stays in the history as pending and open in its machine, so the next op
-raises NotWellFormed. A client refuses a retry_interval that is not
-above 0 and a negative retry_budget with ValueError, before it makes a
-socket: a wait of no time does not block, so every op would give up at
-once. It also refuses a retry_interval above threading.TIMEOUT_MAX, inf
-included, on which the op's wait would raise OverflowError. A
-retry_budget of 0 gives up after one retry_interval, with no
-rebroadcast. A write whose label's JSON text, as the wire escapes it, is
-longer than MAX_FRAME - LABEL_ALLOWANCE bytes raises ValueError before
-the machine invokes it: its frame could not be sent, and an op invoked
-but never sent would stay open.
+raises NotWellFormed, until a late quorum completes it: the loop then
+stamps its response as it handles that reply. A client refuses a
+retry_interval that is not above 0 and a negative retry_budget with
+ValueError, before it makes a socket: a wait of no time does not block,
+so every op would give up at once. It also refuses a retry_interval
+above threading.TIMEOUT_MAX, inf included, on which the op's wait would
+raise OverflowError. A retry_budget of 0 gives up after one
+retry_interval, with no rebroadcast. A write whose label's JSON text,
+as the wire escapes it, is longer than MAX_FRAME - LABEL_ALLOWANCE bytes
+raises ValueError before the machine invokes it: its frame could not be
+sent, and an op invoked but never sent would stay open.
 
 The deliberately unsound demonstration protocol is refused here; it
 exists for scripted simulation only.
@@ -122,7 +135,7 @@ import socket
 import struct
 import threading
 import time
-from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
+from select import EPOLLIN, EPOLLOUT, epoll
 from typing import Any, Optional
 
 from .core import (
@@ -230,20 +243,24 @@ class _Conn:
         self.peer = peer  # a link's server, or an accepted one's hello
         self.address = address  # where a dialed link (re)connects
         self.redial_at = 0.0  # monotonic time of a waiting link's next dial
-        self.events = EVENT_READ  # what the selector watches it for
+        self.events = EPOLLIN  # what the loop's epoll watches it for
 
 
 class _Loop:
-    """The process's one selector loop, over every started endpoint.
+    """The process's one epoll loop, over every started endpoint.
 
-    A key's data is (endpoint, conn), conn None for a listener, or None
-    for the waker. Batches of events run under lock, which all endpoints
-    share, and the thread runs while some endpoint is started.
+    table maps each fd the epoll object watches to (endpoint, conn,
+    sock): conn is None for a listener, and endpoint and conn are None
+    for the waker. A batch takes its entries from table when the wait
+    returns and runs under lock, which all endpoints share; the thread
+    runs while some endpoint is started.
     """
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.selector = DefaultSelector()
+        self.epoll = epoll()
+        self.table: dict[int, tuple[Optional[_Endpoint], Optional[_Conn],
+                                    socket.socket]] = {}
         self.endpoints: set[_Endpoint] = set()  # started, not stopped
         # dialed links with no socket, and their endpoints
         self.waiting: dict[_Conn, _Endpoint] = {}
@@ -261,21 +278,34 @@ class _Loop:
         """Serve endpoint. Call under lock."""
         self.endpoints.add(endpoint)
         if self.thread is None:
-            # a stop, a start and a drop off the loop thread end select()
+            # a stop, a start and a drop off the loop thread end the wait
             # through the waker; closing sockets does not
             self._wake, self._waker = socket.socketpair()
-            self.selector.register(self._wake, EVENT_READ)
+            self.watch(self._wake, EPOLLIN, None, None)
             self.thread = threading.Thread(target=self._run, daemon=True,
                                            name="ohram-loop")
             self.thread.start()
         self.wake()
 
+    def watch(self, sock: socket.socket, events: int,
+              endpoint: Optional[_Endpoint], conn: Optional[_Conn]) -> None:
+        """Have the epoll watch sock for events. Call under lock."""
+        fd = sock.fileno()
+        self.epoll.register(fd, events)
+        self.table[fd] = (endpoint, conn, sock)
+
+    def unwatch(self, sock: socket.socket) -> None:
+        """Stop watching sock, before it is closed. Call under lock."""
+        fd = sock.fileno()
+        self.epoll.unregister(fd)
+        del self.table[fd]
+
     def remove(self, endpoint: _Endpoint) -> None:
-        """Unregister and close every socket of endpoint. Call under lock."""
-        for key in list(self.selector.get_map().values()):
-            if key.data is not None and key.data[0] is endpoint:
-                self.selector.unregister(key.fileobj)
-                _close(key.fileobj)
+        """Unwatch and close every socket of endpoint. Call under lock."""
+        for owner, _, sock in list(self.table.values()):
+            if owner is endpoint:
+                self.unwatch(sock)
+                _close(sock)
         for link in endpoint.links.values():
             self.waiting.pop(link, None)
         self.endpoints.discard(endpoint)
@@ -283,24 +313,31 @@ class _Loop:
             self.wake()  # the thread exits
 
     def _run(self) -> None:
+        poll, table = self.epoll.poll, self.table
         timeout = None
         while True:
-            ready = self.selector.select(timeout)
+            # each entry as the wait returns, so a connection dropped
+            # earlier in the batch is skipped even when an accept has
+            # taken its fd since; an fd unwatched meanwhile has none
+            batch = [(table.get(fd), events) for fd, events in poll(timeout)]
             with self.lock:
-                for key, events in ready:
-                    if key.data is None:
-                        self._wake.recv(64)
+                for entry, events in batch:
+                    if entry is None:
                         continue
-                    endpoint, conn = key.data
-                    if endpoint.stopped:  # since select() returned
+                    endpoint, conn, sock = entry
+                    if endpoint is None:  # the waker
+                        sock.recv(64)
+                        continue
+                    if endpoint.stopped:  # since the wait returned
                         continue
                     if conn is None:
                         endpoint._accept()
                         continue
-                    # a connection dropped earlier in this batch is skipped
-                    if events & EVENT_READ and conn.sock is key.fileobj:
+                    # a hang-up or an error is read: the read takes what
+                    # is left, and the read that finds nothing drops it
+                    if events & ~EPOLLOUT and conn.sock is sock:
                         endpoint._read(conn)
-                    if events & EVENT_WRITE and conn.sock is key.fileobj:
+                    if events & EPOLLOUT and conn.sock is sock:
                         endpoint._flush(conn)
                 # wake each finished op once, as the batch ends: its
                 # thread could not take the lock before that anyway
@@ -309,7 +346,7 @@ class _Loop:
                 self.completed.clear()
                 if not self.endpoints:
                     self.thread = None
-                    self.selector.unregister(self._wake)
+                    self.unwatch(self._wake)
                     _close(self._wake)
                     _close(self._waker)
                     return
@@ -386,7 +423,7 @@ class _Endpoint:
                 self.loop.remove(self)
 
     def _watch(self, conn: _Conn) -> None:
-        self.loop.selector.register(conn.sock, conn.events, (self, conn))
+        self.loop.watch(conn.sock, conn.events, self, conn)
 
     def _dial(self, link: _Conn) -> None:
         """Connect link without blocking, its hello first in outbuf; a
@@ -406,7 +443,7 @@ class _Endpoint:
         link.sock = sock
         link.buf = b""
         link.outbuf = bytearray(_pack({"type": "hello", "pid": str(self.pid)}))
-        link.events = EVENT_READ | EVENT_WRITE
+        link.events = EPOLLIN | EPOLLOUT
         self._watch(link)
 
     def _read(self, conn: _Conn) -> None:
@@ -524,17 +561,17 @@ class _Endpoint:
         self._want(conn)
 
     def _want(self, conn: _Conn) -> None:
-        """Have the selector watch for EVENT_WRITE while bytes wait."""
-        events = EVENT_READ | (EVENT_WRITE if conn.outbuf else 0)
+        """Have the epoll watch for EPOLLOUT while bytes wait."""
+        events = EPOLLIN | (EPOLLOUT if conn.outbuf else 0)
         if events != conn.events:
-            self.loop.selector.modify(conn.sock, events, (self, conn))
+            self.loop.epoll.modify(conn.sock, events)
             conn.events = events
 
     def _drop(self, conn: _Conn) -> None:
         sock, conn.sock = conn.sock, None
         if sock is None:
             return  # dropped already
-        self.loop.selector.unregister(sock)
+        self.loop.unwatch(sock)
         _close(sock)
         conn.outbuf.clear()  # lost with the connection
         if self.client_conns.get(conn.peer) is conn:
@@ -542,7 +579,7 @@ class _Endpoint:
         if conn.address is not None:
             conn.redial_at = time.monotonic() + REDIAL_DELAY
             self.loop.waiting[conn] = self
-            self.loop.wake()  # the loop's select() timeout is stale
+            self.loop.wake()  # the loop's wait timeout is stale
 
 
 class ServerDaemon(_Endpoint):
@@ -580,7 +617,7 @@ class ServerDaemon(_Endpoint):
         with self.lock:
             self._start({peer: addr for peer, addr in membership.items()
                          if peer.role == ROLE_SERVER and peer < self.pid})
-            self.loop.selector.register(self.listener, EVENT_READ, (self, None))
+            self.loop.watch(self.listener, EPOLLIN, self, None)
 
     def stop(self) -> None:
         super().stop()
@@ -601,17 +638,22 @@ class ServerDaemon(_Endpoint):
     def _handle(self, msg: Message) -> None:
         if self.stopped:
             return
-        # a relay to itself goes straight back in, after the broadcast
-        # has gone out to the others back to back
-        for own in self._emit(self.machine.on_message(msg)):
-            self._handle(own)
+        outs = self.machine.on_message(msg)
+        if outs:
+            # a relay to itself goes straight back in, after the broadcast
+            # has gone out to the others back to back
+            for own in self._emit(outs):
+                self._handle(own)
 
 
 class Client(_Endpoint):
     """Synchronous reader/writer endpoint over the live network. An op
     that gives up with "no quorum" stays open in the machine, whose
     rebroadcast() still returns its phase: the next op raises
-    NotWellFormed."""
+    NotWellFormed. If its quorum arrives later, the machine completes it
+    and the loop stamps its record's responded as it handles that reply,
+    since no thread waits for it; the next op then runs. An op whose
+    thread still waits is stamped by that thread as it wakes."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str,
                  membership: dict[ProcessId, tuple[str, int]], *,
@@ -640,6 +682,7 @@ class Client(_Endpoint):
         self.retry_interval = retry_interval
         self.retry_budget = retry_budget
         self.done = threading.Condition(self.lock)
+        self.waits = False  # an op's thread waits for its completion
         self.history: list[OpRecord] = []
         with self.lock:
             self._start({s: membership[s] for s in config.servers()})
@@ -652,9 +695,14 @@ class Client(_Endpoint):
 
     def _handle(self, msg: Message) -> None:
         outs, rec = self.machine.on_message(msg)
-        self._emit(outs)
-        if rec is not None:
+        if outs:
+            self._emit(outs)
+        if rec is None:
+            return
+        if self.waits:
             self.loop.completed.append(self)
+        else:  # an op given up: no thread will stamp it
+            rec.responded = time.monotonic_ns()
 
     def _run_op(self, kind: str, invoke) -> OpRecord:
         with self.done:
@@ -666,17 +714,21 @@ class Client(_Endpoint):
             rec.invoked = t0
             self.history.append(rec)  # pending until it responds
             retries = 0
-            while self.machine.busy:
-                if self.stopped:
-                    raise QuorumUnreachable(
-                        f"{self.pid}: closed with its {kind} open")
-                if not self.done.wait(timeout=self.retry_interval):
-                    retries += 1
-                    if retries > self.retry_budget:
+            self.waits = True
+            try:
+                while self.machine.busy:
+                    if self.stopped:
                         raise QuorumUnreachable(
-                            f"{self.pid}: no quorum after {retries - 1} "
-                            f"rebroadcasts")
-                    self._emit(self.machine.rebroadcast())
+                            f"{self.pid}: closed with its {kind} open")
+                    if not self.done.wait(timeout=self.retry_interval):
+                        retries += 1
+                        if retries > self.retry_budget:
+                            raise QuorumUnreachable(
+                                f"{self.pid}: no quorum after {retries - 1} "
+                                f"rebroadcasts")
+                        self._emit(self.machine.rebroadcast())
+            finally:
+                self.waits = False
             rec.responded = time.monotonic_ns()
             return rec
 

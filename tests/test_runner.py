@@ -10,7 +10,7 @@ import threading
 import time
 import warnings
 from collections import Counter
-from selectors import EVENT_READ, EVENT_WRITE
+from select import EPOLLIN, EPOLLOUT, select
 from types import SimpleNamespace
 
 import pytest
@@ -21,6 +21,7 @@ from ohram.core import (
     KIND_READ_ACK,
     KIND_READ_RELAY,
     KIND_READ_REQUEST,
+    KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
     MESSAGE_KINDS,
     BindFailure,
@@ -37,6 +38,7 @@ from ohram.core import (
 )
 from ohram import core, runner
 from ohram.protocols import get_protocol
+from ohram.simnet import history_from_json, history_to_json
 from ohram.runner import (
     LABEL_ALLOWANCE,
     MAX_BACKLOG,
@@ -654,8 +656,9 @@ class _Untouchable:
 
 
 def test_the_loop_skips_a_key_whose_connection_its_batch_dropped():
-    """One select() batch of two keys, where handling the first drops the
-    second's connection: the second key is skipped, its socket untouched."""
+    """One batch of two table entries, where handling the first drops the
+    second's connection: the second entry is skipped, its socket
+    untouched."""
     first, second = _Conn(object()), _Conn(_Untouchable())
     handled = []
 
@@ -671,17 +674,76 @@ def test_the_loop_skips_a_key_whose_connection_its_batch_dropped():
             handled.append(("flush", conn))
 
     endpoint = Endpoint()
-    batch = [(SimpleNamespace(fileobj=conn.sock, data=(endpoint, conn)),
-              EVENT_READ | EVENT_WRITE) for conn in (first, second)]
     loop = _Loop()
-    loop.selector.close()
-    loop.selector = SimpleNamespace(select=lambda timeout: batch,
-                                    unregister=lambda fileobj: None)
-    loop._wake = loop._waker = SimpleNamespace(shutdown=lambda how: None,
-                                               close=lambda: None)
+    loop.epoll.close()
+    loop.epoll = SimpleNamespace(
+        poll=lambda timeout: [(fd, EPOLLIN | EPOLLOUT) for fd in (1, 2)],
+        unregister=lambda fd: None)
+    loop._wake = loop._waker = SimpleNamespace(
+        fileno=lambda: 0, shutdown=lambda how: None, close=lambda: None)
+    loop.table.update({0: (None, None, loop._wake),
+                       1: (endpoint, first, first.sock),
+                       2: (endpoint, second, second.sock)})
     loop.endpoints.add(endpoint)
     loop._run()
     assert handled == [("read", first), ("flush", first)]
+
+
+def test_an_fd_an_accept_takes_in_the_batch_is_not_handled_as_the_dropped_one():
+    """One batch reads connection A, accepts, then reads connection B. A's
+    hello names r1, whose connection was B, so B is dropped and its fd
+    closed; the accept takes that fd for a new connection C. The batch
+    took its entries when the wait returned: B's entry is skipped, and C,
+    on B's old fd, is not read in B's place."""
+    loop = _Loop()
+    real = loop.epoll
+    daemon = ServerDaemon(S1, SWMR, "ohsam")
+    daemon.loop, daemon.lock = loop, loop.lock  # no loop thread
+    dials = []
+    try:
+        with loop.lock:
+            loop.watch(daemon.listener, EPOLLIN, daemon, None)
+
+        def dial_and_accept(hello):
+            dials.append(socket.create_connection(daemon.address, timeout=10))
+            dials[-1].sendall(_pack({"type": "hello", "pid": hello}))
+            before = set(loop.table)
+            with loop.lock:
+                daemon._accept()
+            (fd,) = set(loop.table) - before
+            conn = loop.table[fd][1]
+            assert select([conn.sock], [], [], 10)[0]  # its hello is there
+            return fd, conn
+
+        fd_b, conn_b = dial_and_accept("r1")
+        with loop.lock:
+            daemon._read(conn_b)
+        assert daemon.client_conns[R1] is conn_b
+        fd_a, conn_a = dial_and_accept("r1")
+        dials.append(socket.create_connection(daemon.address, timeout=10))
+        reads = []
+        read = daemon._read
+        daemon._read = lambda conn: (reads.append(conn), read(conn))
+        batch = [(fd_a, EPOLLIN), (daemon.listener.fileno(), EPOLLIN),
+                 (fd_b, EPOLLIN)]
+        loop.epoll = SimpleNamespace(poll=lambda timeout: batch,
+                                     register=real.register,
+                                     unregister=real.unregister)
+        loop._wake, loop._waker = socket.socketpair()
+        with loop.lock:
+            loop.watch(loop._wake, EPOLLIN, None, None)
+        loop._run()  # one batch: no endpoint is in loop.endpoints
+        conn_c = loop.table[fd_b][1]
+        assert conn_c not in (conn_a, conn_b)  # the accept took B's fd
+        assert conn_b.sock is None and daemon.client_conns[R1] is conn_a
+        assert reads == [conn_a]
+    finally:
+        with loop.lock:
+            loop.remove(daemon)
+        daemon.listener.close()
+        for sock in dials:
+            sock.close()
+        real.close()
 
 
 @contextlib.contextmanager
@@ -812,7 +874,7 @@ def test_a_client_cut_off_at_the_backlog_completes_on_a_rebroadcast():
         wrec = writer.write("x" * 500_000)
         reader.read()
         with reader.lock:  # r1 stops reading
-            reader.loop.selector.unregister(link.sock)
+            reader.loop.unwatch(link.sock)
         old = link.sock
         # stale acks fill the kernel's buffers, so every ack of the next
         # read waits in s1's outbuf
@@ -1353,6 +1415,48 @@ def test_a_write_given_up_stays_pending_so_a_read_of_its_value_is_atomic():
         stop_all(daemons, [c for c in (writer, reader) if c is not None])
 
 
+def test_a_write_whose_quorum_comes_after_it_gave_up_responds_in_history():
+    """w1's one server holds its first writeAck for 0.3 s, so the write
+    gives up first. The late ack completes the write in the machine, and
+    the loop stamps the record's response as it handles the ack: the
+    next write runs, and the history is well formed."""
+    srv = socket.create_server(("127.0.0.1", 0))
+    srv.settimeout(10.0)
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            frames = read_frames(conn)
+            next(frames)  # the hello
+            for frame in frames:
+                req = message_from_json(frame)
+                if req.op.seq == 1:
+                    time.sleep(0.3)
+                conn.sendall(msg_frame(Message(KIND_WRITE_ACK, req.op, S1, W1,
+                                               tag=req.tag)))
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    writer = Client(W1, ONE, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=0.05, retry_budget=0)
+    try:
+        with pytest.raises(QuorumUnreachable, match="no quorum"):
+            writer.write("A")
+        (arec,) = writer.history
+        assert arec.responded is None
+        assert wait_for(lambda: not writer.machine.busy)  # the late ack
+        brec = writer.write("B")
+        history = history_from_json(history_to_json(writer.history))
+        assert [(r.op, r.value) for r in history] == [
+            (OpId(W1, 1), "A#w1.1"), (OpId(W1, 2), "B#w1.2")]
+        assert arec.invoked < arec.responded < brec.invoked
+    finally:
+        writer.close()
+        server.join(timeout=10.0)
+        srv.close()
+    assert not server.is_alive()
+
+
 def test_a_dial_that_fails_at_once_waits_to_redial(monkeypatch):
     """An IPv6 host on the AF_INET socket makes connect_ex raise at
     once, before any lookup or connection: each dial closes its socket
@@ -1533,9 +1637,8 @@ def test_each_server_pair_shares_one_connection():
         assert wait_for(lambda: linked(daemons)
                         and all(not link.outbuf for link in links))
         with loop.lock:
-            ends = [key.fileobj for key in loop.selector.get_map().values()
-                    if key.data is not None and key.data[0] in daemons
-                    and key.data[1] is not None]
+            ends = [sock for endpoint, conn, sock in loop.table.values()
+                    if endpoint in daemons and conn is not None]
             pairs = {frozenset((s.getsockname(), s.getpeername()))
                      for s in ends}
             for d in daemons:
@@ -1545,6 +1648,29 @@ def test_each_server_pair_shares_one_connection():
         assert len(pairs) == 10
     finally:
         stop_all(daemons)
+
+
+def test_a_stopped_cluster_leaves_an_empty_table_and_no_open_socket():
+    """Once every endpoint of a cluster stops, the loop's thread exits
+    with nothing left in its table, and every socket the table held,
+    listeners, links, accepted connections and the waker, is closed."""
+    daemons, membership = start_cluster(FIVE, "ohsam")
+    writer = Client(W1, FIVE, "ohsam", membership)
+    reader = Client(R1, FIVE, "ohsam", membership)
+    loop = writer.loop
+    try:
+        wrec = writer.write("A")
+        assert reader.read().value == wrec.value
+        with loop.lock:
+            socks = [sock for _, _, sock in loop.table.values()]
+        # 5 listeners, 10 server pairs and 10 client links, both ends
+        # of each in this process, and the waker
+        assert len(socks) == 5 + 2 * (10 + 10) + 1
+    finally:
+        stop_all(daemons, [writer, reader])
+    assert wait_for(lambda: loop.thread is None)
+    assert loop.table == {}
+    assert [sock for sock in socks if sock.fileno() != -1] == []
 
 
 def test_only_a_later_members_hello_takes_a_link():
