@@ -25,8 +25,16 @@ server-to-server relays.
 
 from __future__ import annotations
 
-from .core import KIND_WRITE_ACK, KIND_WRITE_REQUEST
+from .core import (
+    KIND_READ_ACK,
+    KIND_READ_REQUEST,
+    KIND_WRITE_ACK,
+    KIND_WRITE_REQUEST,
+)
 from .ohsam import ReaderStateS
+
+READ_CHAIN = (KIND_READ_REQUEST, KIND_READ_ACK, KIND_WRITE_REQUEST,
+              KIND_WRITE_ACK)
 
 
 class AbdReaderState(ReaderStateS):

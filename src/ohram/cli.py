@@ -65,9 +65,10 @@ def _print_history(result: RunResult) -> None:
 
 
 def _print_metrics(result: RunResult) -> None:
-    for op, m in sorted(result.metrics.items(), key=lambda kv: str(kv[0])):
-        print(f"  {op}  {m.kind:5s}  messages={m.messages} "
-              f"exchanges={m.exchanges} ({', '.join(sorted(m.exchange_kinds))})")
+    for op, m in result.to_json()["metrics"].items():
+        kinds = ", ".join(m["exchange_kinds"])
+        print(f"  {op}  {m['kind']:5s}  messages={m['messages']} "
+              f"exchanges={m['exchanges']} ({kinds})")
 
 
 def _report(result: RunResult, dump_path: Optional[str]) -> int:
@@ -196,9 +197,9 @@ def cmd_bench(args) -> int:
             got = {m.kind: m for m in result.metrics.values()}
             checks = [
                 ("write msgs", got["write"].messages, bundle.write_messages(n)),
-                ("write exch", got["write"].exchanges, bundle.write_exchanges),
+                ("write exch", got["write"].exchanges, len(bundle.write_chain)),
                 ("read msgs", got["read"].messages, bundle.read_messages(n)),
-                ("read exch", got["read"].exchanges, bundle.read_exchanges),
+                ("read exch", got["read"].exchanges, len(bundle.read_chain)),
             ]
             bad = [f"{label} {have} != {want}"
                    for label, have, want in checks if have != want]
@@ -225,6 +226,7 @@ def _load_membership(path: str):
 
 
 def cmd_serve(args) -> int:
+    import signal
     import threading
     from .runner import ServerDaemon, check_membership, parse_address
     config = _config_from_args(args, args.protocol)
@@ -236,8 +238,10 @@ def cmd_serve(args) -> int:
     try:
         membership = _load_membership(args.membership)
         check_membership(pid, config, membership)
+        # SIGTERM, kill's default, stops the daemon as SIGINT does
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         daemon.start(membership)
-        # a SIGINT sent once this line is read must land inside the try
+        # a signal sent once this line is read must land inside the try
         print(f"{pid} listening on {daemon.address[0]}:{daemon.port}",
               flush=True)
         threading.Event().wait()

@@ -62,6 +62,8 @@ from .core import (
 )
 from .ohsam import ReaderStateS, count_relay
 
+WRITE_CHAIN = (KIND_WRITE_REQUEST, KIND_WRITE_RELAY, KIND_WRITE_ACK)
+
 
 class WriteRecord(NamedTuple):
     """One write as known to a server: identity, tag, and value."""

@@ -45,6 +45,9 @@ from .core import (
 )
 from .ohsam import QuorumClient
 
+WRITE_CHAIN = (KIND_DISCOVER, KIND_DISCOVER_ACK, KIND_WRITE_REQUEST,
+               KIND_WRITE_ACK)
+
 
 class WriterStateM(QuorumClient):
     """Multi-writer: discover the maximum timestamp, then write above it.

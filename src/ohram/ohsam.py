@@ -70,6 +70,10 @@ from .core import (
     quorum_size,
 )
 
+# each op's message kinds, one per exchange (protocols.ProtocolBundle)
+WRITE_CHAIN = (KIND_WRITE_REQUEST, KIND_WRITE_ACK)
+READ_CHAIN = (KIND_READ_REQUEST, KIND_READ_RELAY, KIND_READ_ACK)
+
 
 class QuorumClient:
     """One client operation as a sequence of quorum phases.

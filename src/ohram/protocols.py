@@ -3,8 +3,8 @@
 Every protocol is exposed as a bundle of constructors plus the metadata
 the simulator and the benchmark harness need: whether the protocol is
 sound (the simulator checks its per-step invariants and the live runner
-takes it), and the failure-free exchange and message counts per
-operation.
+takes it), and each op's chain of message kinds, one per exchange,
+which gives its exchange count and its failure-free message count.
 
 Names:
 
@@ -21,6 +21,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
+    KIND_READ_RELAY,
+    KIND_WRITE_RELAY,
     MODE_MWMR,
     MODE_SWMR,
     Config,
@@ -40,40 +42,43 @@ class ProtocolBundle(NamedTuple):
     # monotone tags, so the simulator checks no per-step invariants, and
     # the live runner refuses it
     sound: bool
-    write_exchanges: int
-    read_exchanges: int
-    write_messages: Callable[[int], int]
-    read_messages: Callable[[int], int]
+    # an op's message kinds, one per sequential exchange: a message sent
+    # at causal depth d is of kind chain[d-1] (simnet checks each send)
+    write_chain: tuple[str, ...]
+    read_chain: tuple[str, ...]
+
+    def chain(self, kind: str) -> tuple[str, ...]:
+        """The chain of an op of kind "read" or "write"."""
+        return self.read_chain if kind == "read" else self.write_chain
+
+    def write_messages(self, n: int) -> int:
+        return _messages(self.write_chain, n)
+
+    def read_messages(self, n: int) -> int:
+        return _messages(self.read_chain, n)
 
 
-def _relayed(n: int) -> int:
-    # a request to each server, n relays from each, one answer from each
-    return n * n + 2 * n
+def _messages(chain: tuple[str, ...], n: int) -> int:
+    """A failure-free op's messages at n servers: n per exchange, to or
+    from each server, but n * n for a relay, each server's to all."""
+    return sum(n * n if k in (KIND_READ_RELAY, KIND_WRITE_RELAY) else n
+               for k in chain)
 
 
 PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
     ProtocolBundle("ohsam", MODE_SWMR, ohsam.WriterStateS, ohsam.ReaderStateS,
-                   ohsam.ServerStateS,
-                   sound=True, write_exchanges=2, read_exchanges=3,
-                   write_messages=lambda n: 2 * n, read_messages=_relayed),
+                   ohsam.ServerStateS, True, ohsam.WRITE_CHAIN,
+                   ohsam.READ_CHAIN),
     ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohsam.ReaderStateS,
-                   ohsam.ServerStateS,
-                   sound=True, write_exchanges=4, read_exchanges=3,
-                   write_messages=lambda n: 4 * n, read_messages=_relayed),
+                   ohsam.ServerStateS, True, ohmam.WRITE_CHAIN,
+                   ohsam.READ_CHAIN),
     ProtocolBundle("abd-swmr", MODE_SWMR, ohsam.WriterStateS, abd.AbdReaderState,
-                   ohsam.Replica,
-                   sound=True, write_exchanges=2, read_exchanges=4,
-                   write_messages=lambda n: 2 * n,
-                   read_messages=lambda n: 4 * n),
+                   ohsam.Replica, True, ohsam.WRITE_CHAIN, abd.READ_CHAIN),
     ProtocolBundle("abd-mwmr", MODE_MWMR, ohmam.WriterStateM, abd.AbdReaderState,
-                   ohsam.Replica,
-                   sound=True, write_exchanges=4, read_exchanges=4,
-                   write_messages=lambda n: 4 * n,
-                   read_messages=lambda n: 4 * n),
+                   ohsam.Replica, True, ohmam.WRITE_CHAIN, abd.READ_CHAIN),
     ProtocolBundle("naive3x", MODE_MWMR, ohsam.WriterStateS,
-                   naive3x.Naive3xReader, naive3x.Naive3xServer,
-                   sound=False, write_exchanges=3, read_exchanges=3,
-                   write_messages=_relayed, read_messages=_relayed),
+                   naive3x.Naive3xReader, naive3x.Naive3xServer, False,
+                   naive3x.WRITE_CHAIN, ohsam.READ_CHAIN),
 )}
 
 PROTOCOL_NAMES = tuple(PROTOCOLS)

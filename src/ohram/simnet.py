@@ -1,9 +1,9 @@
 """Deterministic discrete-event simulator for the register protocols.
 
-The network is a bag of in-flight (destination, message) entries. One
-run interleaves three kinds of events: delivering an in-flight entry's
-message to its destination, invoking the next operation of an idle
-client, and crashing a server. SimNet.run carries out the events an
+The network is a bag of in-flight (destination, message, depth) entries.
+One run interleaves three kinds of events: delivering an in-flight
+entry's message to its destination, invoking the next operation of an
+idle client, and crashing a server. SimNet.run carries out the events an
 event source picks: _uniform (run_seeded) picks uniformly with a private
 RNG, so a (protocol, config, seed) triple fully determines the
 execution; _fifo (drain) delivers in send order, and _scripted
@@ -20,10 +20,13 @@ failure-free runs that deliver everything. A broadcast, a message whose
 destination is None, is one object: _send tallies it as n messages, one
 per server of the configuration, and puts one entry in flight for each
 live server, in configuration order, every entry holding that same
-message. An op's exchange tally is the set of message kinds sent on its
-behalf, kept as the bits of one int over core.MESSAGE_KINDS
-(OpMetrics.kinds); the set of names and its size are derived from those
-bits.
+message. An entry's depth is its message's causal depth: an invocation
+sends at depth 1, and a delivery's step at the entry's depth plus one.
+An op's exchanges, its sequential message delays, are the largest depth
+it sent at. For every protocol, _send records in invariant_failures each
+message of an op at depth d that is not of kind chain[d-1] of the op's
+chain (protocols.ProtocolBundle); that check is what makes the kinds an
+op sent chain[:exchanges], the dump's exchange_kinds.
 
 Crashing a server removes its undelivered inbound entries and silences
 it from then on; messages it already sent stay deliverable. Crashes are
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import repeat
 from typing import Optional
 
 from .core import (
@@ -56,7 +58,6 @@ from .core import (
     KIND_WRITE_ACK,
     KIND_WRITE_RELAY,
     KIND_WRITE_REQUEST,
-    MESSAGE_KINDS,
     Message,
     ModeMismatch,
     NotWellFormed,
@@ -79,39 +80,27 @@ from .core import (
     tag_to_json,
     validate_config,
 )
-from .protocols import ProtocolBundle, checked_bundle
+from .protocols import ProtocolBundle, checked_bundle, get_protocol
 
 STEP_BUDGET = 10 ** 6
 
 
-# each message kind's bit in OpMetrics.kinds, in core.MESSAGE_KINDS order
-_KIND_BITS = {kind: 1 << i for i, kind in enumerate(MESSAGE_KINDS)}
-
-
 class OpMetrics(Record):
     """One simulated op's tally. kind is "read" or "write", messages the
-    number of messages sent on its behalf, and kinds the message kinds
-    among them, one bit each: bit i stands for core.MESSAGE_KINDS[i].
-    exchange_kinds, the set of those kinds' names, and exchanges, its
-    size, are derived from kinds. kinds is an int, not a set of names,
-    because a set per op would be over a third of the bytes a long run
+    number of messages sent on its behalf, and exchanges their largest
+    causal depth, the sequential message delays the op took. As _send
+    checks that a message at depth d is of kind chain[d-1] of the op's
+    chain, the kinds it sent are chain[:exchanges]. No slot holds a
+    container: a set per op would be over a third of the bytes a long run
     keeps per simulated op.
     """
 
-    __slots__ = ("kind", "messages", "kinds")
+    __slots__ = ("kind", "messages", "exchanges")
 
-    def __init__(self, kind: str, messages: int = 0, kinds: int = 0) -> None:
+    def __init__(self, kind: str, messages: int, exchanges: int) -> None:
         self.kind = kind
         self.messages = messages
-        self.kinds = kinds
-
-    @property
-    def exchange_kinds(self) -> set[str]:
-        return {k for k, bit in _KIND_BITS.items() if self.kinds & bit}
-
-    @property
-    def exchanges(self) -> int:
-        return self.kinds.bit_count()
+        self.exchanges = exchanges
 
 
 class RunResult(Record):
@@ -171,10 +160,11 @@ class RunResult(Record):
 
     def _metrics_json(self):
         """(op text, entry) pairs of the dump's metrics, in key order."""
+        chain = get_protocol(self.protocol).chain
         for op, m in sorted(self.metrics.items(), key=lambda kv: str(kv[0])):
             yield str(op), {"kind": m.kind, "messages": m.messages,
-                            "exchanges": m.exchanges,
-                            "exchange_kinds": sorted(m.exchange_kinds)}
+                            "exchanges": m.exchanges, "exchange_kinds":
+                            sorted(chain(m.kind)[:m.exchanges])}
 
 
 # one encoder, built once, for every entry RunResult.dumps writes
@@ -291,7 +281,7 @@ class SimNet:
         # each client's rank in self.clients to list them in that order
         self.idle: set[ProcessId] = set()
         self._rank = {p: i for i, p in enumerate(self.clients)}
-        self.inflight: list[tuple[ProcessId, Message]] = []
+        self.inflight: list[tuple[ProcessId, Message, int]] = []
         self.crashed: set[ProcessId] = set()
         # the servers a broadcast reaches, in configuration order
         self.live: tuple[ProcessId, ...] = tuple(self.servers)
@@ -300,32 +290,40 @@ class SimNet:
         self.history: list[OpRecord] = []
         self.metrics: dict[OpId, OpMetrics] = {}
         self.invariant_failures: list[str] = []
+        self.chains = {"read": bundle.read_chain, "write": bundle.write_chain}
         # naive3x's servers keep no single tag to check
         self.monitor = (Monitor(self.servers, self.invariant_failures)
                         if bundle.sound else None)
 
     # -- send side --
 
-    def _send(self, msgs: list[Message]) -> None:
-        """Tally and put in flight one step's non-empty output, all of it
-        under the op of its first message, since a step serves one op, and
-        each message under its own kind. A broadcast counts a message per
-        server and puts an entry in flight per live server; no entry names
-        a crashed server."""
+    def _send(self, msgs: list[Message], depth: int) -> None:
+        """Tally and put in flight at depth one step's non-empty output,
+        all of it under the op of its first message, since a step serves
+        one op, and check each message's kind against that op's chain. A
+        broadcast counts a message per server and puts an entry in flight
+        per live server; no entry names a crashed server."""
         om = self.metrics[msgs[0].op]
-        sent, kinds = om.messages, om.kinds
+        chain = self.chains[om.kind]
+        want = chain[depth - 1] if depth <= len(chain) else None
+        if depth > om.exchanges:
+            om.exchanges = depth
+        sent = om.messages
         inflight = self.inflight
         for m in msgs:
-            kinds |= _KIND_BITS[m.kind]
+            if m.kind is not want:
+                self.invariant_failures.append(
+                    f"{m.op}: {m.kind} at depth {depth} is off its "
+                    f"{om.kind} chain")
             dest = m.destination
             if dest is None:
                 sent += len(self.servers)
-                inflight.extend(zip(self.live, repeat(m)))
+                inflight.extend([(server, m, depth) for server in self.live])
             else:
                 sent += 1
                 if dest not in self.crashed:
-                    inflight.append((dest, m))
-        om.messages, om.kinds = sent, kinds
+                    inflight.append((dest, m, depth))
+        om.messages = sent
 
     # -- the three event kinds --
 
@@ -344,16 +342,17 @@ class SimNet:
         rec.invoked = self.events
         self._note_idle(pid)
         self.history.append(rec)
-        self.metrics[rec.op] = OpMetrics(kind)
-        self._send(msgs)
+        self.metrics[rec.op] = OpMetrics(kind, 0, 0)
+        self._send(msgs, 1)
         return rec.op
 
-    def deliver(self, entry: tuple[ProcessId, Message]) -> None:
-        """Hand an in-flight entry's message to its destination."""
+    def deliver(self, entry: tuple[ProcessId, Message, int]) -> None:
+        """Hand an in-flight entry's message to its destination; what the
+        step sends lies one exchange deeper than the entry."""
         # nothing in flight names a crashed server: crash sweeps them out
         # and _send keeps them out
         self.events += 1
-        dest, msg = entry
+        dest, msg, depth = entry
         server = self.servers.get(dest)
         if server is None:
             outs, rec = self.clients[dest].on_message(msg)
@@ -370,7 +369,7 @@ class SimNet:
         else:
             outs = self.monitor.step(dest, server, msg)
         if outs:
-            self._send(outs)
+            self._send(outs, depth + 1)
 
     def crash(self, pid: ProcessId) -> None:
         refusal = self._crash_refusal(pid)
@@ -396,9 +395,8 @@ class SimNet:
 
     def run(self, events) -> None:
         """Call step(arg) for each pair that an event source, a generator
-        over the net's state, yields: (deliver, entry) with the
-        (destination, message) entry taken out of inflight, (invoke_next,
-        client) or (crash, server).
+        over the net's state, yields: (deliver, entry) with the entry taken
+        out of inflight, (invoke_next, client) or (crash, server).
         """
         for step, arg in events:
             step(arg)
@@ -499,7 +497,7 @@ def record(net: SimNet, events, out: list[dict]):
         elif step == net.crash:
             out.append({"crash": {"server": str(arg)}})
         else:
-            dest, msg = arg
+            dest, msg, _ = arg
             sel = {"kind": msg.kind, "to": str(dest),
                    "from": str(msg.sender), "origin": _origin(msg),
                    "invoker": str(msg.op.invoker), "seq": msg.op.seq}
@@ -638,9 +636,9 @@ def _origin(msg: Message) -> Optional[str]:
             if msg.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY) else None)
 
 
-def _matches(entry: tuple[ProcessId, Message], sel: dict) -> bool:
+def _matches(entry: tuple[ProcessId, Message, int], sel: dict) -> bool:
     """Whether the in-flight entry meets every constraint of selector sel."""
-    dest, msg = entry
+    dest, msg, _ = entry
     if "kind" in sel and msg.kind != sel["kind"]:
         return False
     if "to" in sel and str(dest) != sel["to"]:

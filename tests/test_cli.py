@@ -587,7 +587,7 @@ def run_fresh(code: str):
 # up at import: about 18 ms of every ohram process's start-up. The live
 # runner brings sockets and threads, which no simulated run uses
 UNLOADED_AT_IMPORT = ({"dataclasses", "inspect"},
-                      {"socket", "selectors", "threading", "ohram.runner"})
+                      {"socket", "threading", "ohram.runner"})
 
 
 def test_the_package_imports_without_dataclasses():
@@ -684,6 +684,24 @@ def test_serve_answers_a_client_and_stops_on_sigint(tmp_path, capsys):
             assert "value='A#w1.1'" in capsys.readouterr().out.splitlines()[-1]
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+
+
+def test_serve_stops_on_sigterm_as_on_sigint(tmp_path):
+    """kill's default signal stops the daemon and exits 0, so a server
+    started in the background, where SIGINT is ignored, stops cleanly."""
+    members = tmp_path / "members.json"
+    members.write_text('{"s1": "127.0.0.1:0"}')
+    with serve("--servers", "1", "--f", "0", "--pid", "s1", "--listen",
+               "127.0.0.1:0", "--membership", str(members)) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 30)[0]
+            line = proc.stdout.readline()
+            assert line.startswith("s1 listening on 127.0.0.1:"), line
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert proc.stderr.read() == ""
         finally:
             proc.kill()
 

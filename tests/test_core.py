@@ -308,14 +308,14 @@ MUTABLE_RECORDS = [
     (OpRecord(_OP, "read", 1, None, None, None),
      f"OpRecord(op={_OP_TEXT}, kind='read', invoked=1, responded=None, "
      f"tag=None, value=None)"),
-    (OpMetrics("write", 10, 9),
-     "OpMetrics(kind='write', messages=10, kinds=9)"),
+    (OpMetrics("write", 10, 4),
+     "OpMetrics(kind='write', messages=10, exchanges=4)"),
     (RunResult("ohsam", _CONFIG, 7, [OpRecord(_OP, "read", 1, 2, _TAG, "A")],
                {_OP: OpMetrics("read", 3, 1)}, 12, [server_id(3)], ["x"]),
      f"RunResult(protocol='ohsam', config={_CONFIG_TEXT}, seed=7, "
      f"history=[OpRecord(op={_OP_TEXT}, kind='read', invoked=1, responded=2, "
      f"tag={_TAG_TEXT}, value='A')], metrics={{{_OP_TEXT}: "
-     f"OpMetrics(kind='read', messages=3, kinds=1)}}, events=12, "
+     f"OpMetrics(kind='read', messages=3, exchanges=1)}}, events=12, "
      f"crashed=[{_S3}], invariant_failures=['x'])"),
     (Relay("writeRelay", _OP, server_id(3), server_id(1), _TAG, "B",
            (WriteRecord(_OP, _TAG, "B"),)),
@@ -330,12 +330,10 @@ VALUE_RECORDS = [
     (Verdict(False, "witness", "why", (_OP,), "P1"),
      f"Verdict(atomic=False, method='witness', reason='why', "
      f"witness=({_OP_TEXT},), prop='P1')"),
-    (ProtocolBundle("p", MODE_SWMR, int, str, float, True, 2, 3, abs, len),
+    (ProtocolBundle("p", MODE_SWMR, int, str, float, True, ("a", "b"), ("c",)),
      "ProtocolBundle(name='p', mode='swmr', make_writer=<class 'int'>, "
      "make_reader=<class 'str'>, make_server=<class 'float'>, sound=True, "
-     "write_exchanges=2, read_exchanges=3, "
-     "write_messages=<built-in function abs>, "
-     "read_messages=<built-in function len>)"),
+     "write_chain=('a', 'b'), read_chain=('c',))"),
     (WriteRecord(_OP, _TAG, None),
      f"WriteRecord(op={_OP_TEXT}, tag={_TAG_TEXT}, value=None)"),
 ]

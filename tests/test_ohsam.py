@@ -257,7 +257,7 @@ def test_servers_hold_one_read_per_reader_after_a_long_run(
 
     def checked(net, entry):
         deliver(net, entry)
-        dest, msg = entry
+        dest, msg, _ = entry
         seen = newest.setdefault(dest, {})
         if msg.kind in ("readRequest", "readRelay"):
             r = msg.op.invoker

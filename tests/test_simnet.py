@@ -95,8 +95,10 @@ def test_exchange_kinds_are_what_traveled():
         result = sequential_run(protocol, config, [("w1", "write", "A"),
                                                    ("r1", "read", None)])
         by_kind = {m.kind: m for m in result.metrics.values()}
-        assert by_kind[kind].exchange_kinds == want, (protocol, kind)
+        dumped = {m["kind"]: m for m in result.to_json()["metrics"].values()}
+        assert set(dumped[kind]["exchange_kinds"]) == want, (protocol, kind)
         assert by_kind[kind].exchanges == len(want), (protocol, kind)
+        assert result.invariant_failures == [], protocol
         for m in result.metrics.values():
             for slot in type(m).__slots__:
                 assert type(getattr(m, slot)) in (str, int), (protocol, slot)
@@ -137,9 +139,9 @@ def test_crash_discards_queued_deliveries_to_the_victim():
     net = SimNet("ohsam", SWMR3, seed=0)
     net.load_program(parse_pid("w1"), [("write", "A")])
     net.invoke_next(parse_pid("w1"))
-    assert sum(1 for dest, _ in net.inflight if dest is server_id(2)) == 1
+    assert sum(1 for dest, *_ in net.inflight if dest is server_id(2)) == 1
     net.crash(server_id(2))
-    assert all(dest is not server_id(2) for dest, _ in net.inflight)
+    assert all(dest is not server_id(2) for dest, *_ in net.inflight)
     net.drain()
     net._finish()
 
@@ -451,6 +453,26 @@ def test_seeded_dumps_match_golden_hashes():
     assert _sha256_by_protocol(sliced) == GOLDEN_SLICED_SHA256
 
 
+def test_every_completed_golden_op_takes_exactly_its_chain():
+    """Over the golden runs, naive3x's included, no message leaves its
+    op's chain, and each completed op's exchanges, the largest causal
+    depth among its messages, equal its chain's length: the paper's
+    count of sequential message delays."""
+    dumps = [(r.protocol, r.dumps()) for r in _golden_corpus()]
+    dumps += list(_golden_sliced())
+    completed = 0
+    for name, text in dumps:
+        run = json.loads(text)
+        assert run["invariant_failures"] == [], name
+        for rec in run["history"]:
+            if rec["responded"] is not None:
+                m = run["metrics"]["{invoker}#{seq}".format(**rec["op"])]
+                chain = get_protocol(name).chain(m["kind"])
+                assert m["exchanges"] == len(chain), (name, rec)
+                completed += 1
+    assert completed > 1000
+
+
 SOUND = ("ohsam", "ohmam", "abd-swmr", "abd-mwmr")
 
 
@@ -569,7 +591,7 @@ def test_idle_set_equals_a_recount_after_every_step(monkeypatch):
                 net.load_program(pid, [(kind, "L")])
             assert net.idle == _recount_idle(net)
             # _send filters a broadcast, crash drops what was in flight
-            assert not any(dest in net.crashed for dest, _ in net.inflight)
+            assert not any(dest in net.crashed for dest, *_ in net.inflight)
             steps += 1
             return out
         return step
@@ -603,7 +625,7 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
     sent = {}  # net -> {op: messages}
     send = SimNet._send
 
-    def checked(net, msgs):
+    def checked(net, msgs, depth):
         nonlocal lists
         assert len({(m.op, m.kind) for m in msgs}) <= 1, msgs
         lists += bool(msgs)
@@ -612,7 +634,7 @@ def test_every_step_sends_one_op_and_one_kind(monkeypatch):
             assert m.op in net.metrics, m
             copies = len(net.servers) if m.destination is None else 1
             counts[m.op] = counts.get(m.op, 0) + copies
-        return send(net, msgs)
+        return send(net, msgs, depth)
 
     monkeypatch.setattr(SimNet, "_send", checked)
     corpus = list(_golden_corpus())
@@ -633,7 +655,7 @@ def test_message_shapes_over_the_golden_corpus(monkeypatch):
     kinds = set()
     send = SimNet._send
 
-    def checked(net, msgs):
+    def checked(net, msgs, depth):
         for m in msgs:
             kinds.add(m.kind)
             relay = m.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY)
@@ -650,7 +672,7 @@ def test_message_shapes_over_the_golden_corpus(monkeypatch):
             assert m.value is None or type(m.value) is str, m
             assert isinstance(m, Relay) == (
                 relay and net.bundle.name == "naive3x"), m
-        return send(net, msgs)
+        return send(net, msgs, depth)
 
     monkeypatch.setattr(SimNet, "_send", checked)
     list(_golden_corpus())
@@ -748,7 +770,7 @@ def _faulty_net(server_class, protocol="ohsam", **fields):
 
 def _take(net, kind, to, sender=None):
     """Take the one in-flight entry of kind to `to` (from sender)."""
-    (entry,) = [(dest, m) for dest, m in net.inflight if m.kind == kind
+    (entry,) = [(dest, m, d) for dest, m, d in net.inflight if m.kind == kind
                 and str(dest) == to
                 and (sender is None or str(m.sender) == sender)]
     net.inflight.remove(entry)
@@ -947,7 +969,9 @@ def test_invariant_read_ack_to_a_write_back():
     net.deliver(late)
     assert net.invariant_failures == []
     _deliver(net, "writeRequest", "s1")
-    assert net.invariant_failures == ["s1: readAck for r1#1 after r1#2"]
+    assert net.invariant_failures == [
+        "s1: readAck for r1#1 after r1#2",
+        "r1#1: readAck at depth 4 is off its read chain"]
 
 
 def test_invariant_write_ack_below_the_request_tag():
@@ -993,6 +1017,89 @@ def test_a_completion_below_a_majority_is_caught_within_50_seeds(
     assert all(" completed with tag " in f for f in net.invariant_failures)
 
 
+class _RelaysEagerly(ServerStateS):
+    """Relays on its first contact with a read, its request or any relay,
+    and never answers a request, only relays: a relay it sends on a relay
+    lies one exchange deeper than the read's chain allows."""
+
+    def on_message(self, msg):
+        if msg.kind not in (KIND_READ_REQUEST, KIND_READ_RELAY):
+            return super().on_message(msg)
+        entry = self.reads.get(msg.op.invoker)
+        first = entry is None or entry[0] < msg.op.seq
+        if msg.kind == KIND_READ_RELAY:
+            out = self.on_read_relay(msg)
+        else:
+            self._origins(msg.op)
+            out = []
+        if first:
+            out = [Message(KIND_READ_RELAY, msg.op, self.pid, None, self.tag,
+                           self.value)] + out
+        return out
+
+
+def _eager(net):
+    for pid in net.config.servers():
+        net.servers[pid] = _RelaysEagerly(pid, net.config)
+    return net
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_an_eager_relay_is_caught_within_5_seeds(n):
+    """A failure-free drained read of the eager-relay server takes 3
+    exchanges and the read's messages, as ohsam's does, so a count of
+    the kinds an op sent passes it. Under the uniform source its reads
+    go deeper, and the chain check names the first relay at depth 3."""
+    config = Config(n_servers=n, n_readers=2, n_writers=1, f=(n - 1) // 2,
+                    mode="swmr")
+    drained = _eager(SimNet("ohsam", config, seed=0))
+    drained.load_program(parse_pid("r1"), [("read", None)])
+    drained.invoke_next(parse_pid("r1"))
+    drained.drain()
+    (m,) = drained.metrics.values()
+    assert (m.exchanges, m.messages) == (3, n * n + 2 * n)
+    assert drained.history[0].responded is not None
+    assert drained.invariant_failures == []
+    for seed in range(5):
+        net = _eager(simnet.seeded_net("ohsam", config, seed))
+        net.run_seeded()
+        if net.invariant_failures:
+            break
+    assert any(f.endswith(": readRelay at depth 3 is off its read chain")
+               for f in net.invariant_failures), net.invariant_failures
+
+
+class _WritesBackTwice(AbdReaderState):
+    """Writes a read's pair back a second time once its first write-back
+    has completed, and returns it after the second."""
+
+    def invoke_read(self):
+        self.again = True
+        return super().invoke_read()
+
+    def on_message(self, msg):
+        outs, rec = super().on_message(msg)
+        if rec is not None and self.again:
+            self.again = False
+            return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
+                                   rec.tag, rec.value), None
+        return outs, rec
+
+
+def test_an_abd_reader_that_writes_back_twice_is_caught_at_depth_5():
+    """The second write-back sends no kind the first did not, so a count
+    of kinds stays 4, but it leaves the read's chain at depth 5."""
+    r1 = parse_pid("r1")
+    net = SimNet("abd-swmr", SWMR3, seed=0)
+    net.clients[r1] = _WritesBackTwice(r1, SWMR3)
+    net.load_program(r1, [("read", None)])
+    net.run_seeded()
+    assert net.history[0].responded is not None
+    assert net.invariant_failures[0] == (
+        "r1#1: writeRequest at depth 5 is off its read chain")
+    assert net.metrics[net.history[0].op].exchanges == 6
+
+
 def test_invariant_read_completed_above_its_majority():
     """w1's write reaches s1 only, and the max-tag reader completes on
     s1's readAck, with the new tag, and s2's, with an old one. The run
@@ -1021,15 +1128,15 @@ def test_invariant_read_completed_above_its_majority():
 
 
 def test_a_step_tallies_each_message_under_its_own_kind():
-    """A readRequest step that returns relays and then a readAck counts
-    the readAck's exchange for the read at once."""
+    """A readRequest step that returns relays and then a readAck checks
+    the readAck by its own kind: at depth 2 it is off the read's chain."""
     net = _faulty_net(_AcksEveryRequest)
     net.invoke_next(parse_pid("r1"))
     _deliver(net, "readRequest", "s1")
     (om,) = net.metrics.values()
-    assert om.exchange_kinds == {"readRequest", "readRelay", "readAck"}
-    assert om.messages == 3 + 3 + 1
-    assert net.invariant_failures == []
+    assert (om.messages, om.exchanges) == (3 + 3 + 1, 2)
+    assert net.invariant_failures == [
+        "r1#1: readAck at depth 2 is off its read chain"]
 
 
 def test_invariant_read_ack_after_relays_below_a_received_relay_tag():
@@ -1044,7 +1151,8 @@ def test_invariant_read_ack_after_relays_below_a_received_relay_tag():
     assert net.invariant_failures == []
     _deliver(net, "readRequest", "s1")
     assert net.invariant_failures == [
-        "s1: readAck tag (0,s1) below received relay tag (1,w1) for r1#1"]
+        "s1: readAck tag (0,s1) below received relay tag (1,w1) for r1#1",
+        "r1#1: readAck at depth 2 is off its read chain"]
 
 
 def test_a_step_puts_no_message_to_a_crashed_server_in_flight():
@@ -1056,7 +1164,7 @@ def test_a_step_puts_no_message_to_a_crashed_server_in_flight():
     net.invoke_next(parse_pid("r1"))
     _deliver(net, "readRequest", "s1")
     assert [e for e in net.inflight if e[0] is s2] == []
-    assert sorted(str(dest) for dest, m in net.inflight
+    assert sorted(str(dest) for dest, m, _ in net.inflight
                   if m.sender is S1) == ["r1", "s1", "s3"]
 
 
@@ -1074,7 +1182,8 @@ def test_a_relay_broadcast_is_one_message_in_flight_per_live_server():
     (request,) = [e for e in net.inflight if e[0] is s1]
     net.inflight.remove(request)
     net.deliver(request)
-    relays = [(dest, m) for dest, m in net.inflight if m.kind == KIND_READ_RELAY]
+    relays = [(dest, m) for dest, m, _ in net.inflight
+              if m.kind == KIND_READ_RELAY]
     assert [dest for dest, _ in relays] == [
         server_id(i) for i in (1, 3, 4, 5)]
     relay = relays[0][1]
