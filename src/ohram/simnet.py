@@ -171,6 +171,10 @@ class RunResult(Record):
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+# below every tag, so Monitor.held is no bound: a tag's ts is never negative
+_UNHELD = Tag(-1, None)
+
+
 class Monitor:
     """The per-step invariant checks of a sound protocol's servers.
 
@@ -196,11 +200,14 @@ class Monitor:
     servers is the net's pid -> server map, read at each completion. By
     server, relay_high is the largest relay tag received and read_acked
     the newest read seq answered for each reader; relay_answerers holds
-    the servers that answered on a relay.
+    the servers that answered on a relay. held is a tag a majority is
+    known to hold: since tags only grow, a completion at or below it
+    needs no recount. A tag that moves back resets it, and so must
+    anything that swaps a server's machine mid-run.
     """
 
     __slots__ = ("failures", "servers", "quorum", "relay_high", "read_acked",
-                 "relay_answerers")
+                 "relay_answerers", "held")
 
     def __init__(self, servers, failures: list[str]) -> None:
         self.failures = failures
@@ -211,6 +218,7 @@ class Monitor:
         self.read_acked: dict[ProcessId, dict[ProcessId, int]] = {
             pid: {} for pid in servers}
         self.relay_answerers: set[ProcessId] = set()
+        self.held = _UNHELD
 
     def step(self, pid: ProcessId, server, msg: Message) -> list[Message]:
         """server.on_message(msg), checked; pid is the server's id."""
@@ -220,6 +228,7 @@ class Monitor:
         failures = self.failures
         if after < before:
             failures.append(f"{pid}: tag moved backwards {before} -> {after}")
+            self.held = _UNHELD
         if msg.kind == KIND_READ_RELAY and self.relay_high[pid] < msg.tag:
             self.relay_high[pid] = msg.tag
         for out in outs:
@@ -252,11 +261,15 @@ class Monitor:
     def completed(self, rec: OpRecord) -> None:
         """Check that a majority of the servers hold rec's tag or above."""
         tag = rec.tag
+        if not self.held < tag:  # tag <= held; a ProcessId has only <
+            return
         servers = self.servers
-        held = sum(not s.tag < tag for s in servers.values())
-        if held < self.quorum:
+        holders = sum(not s.tag < tag for s in servers.values())
+        if holders < self.quorum:
             self.failures.append(f"{rec.op}: completed with tag {tag} held "
-                                 f"by {held} of {len(servers)} servers")
+                                 f"by {holders} of {len(servers)} servers")
+        else:
+            self.held = tag
 
 
 class SimNet:

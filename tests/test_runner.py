@@ -6,6 +6,7 @@ import gc
 import json
 import random
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -1275,11 +1276,10 @@ def test_a_read_completes_past_an_ack_without_a_tag():
 
 
 def test_close_ends_a_waiting_op_at_once():
+    """close() wakes the op's thread through the wake pair, and the pair
+    is closed once the op has left, by whichever close comes last."""
     srv = peer_listener()  # stands in for s1, and never answers
     srv.listen(1)
-    # a rebroadcast a second apart: only close() can end the op in time
-    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
-                    retry_interval=1.0, retry_budget=100)
     done = {}
 
     def read():
@@ -1288,22 +1288,215 @@ def test_close_ends_a_waiting_op_at_once():
         except QuorumUnreachable as e:
             done["error"] = e
 
-    thread = threading.Thread(target=read, daemon=True)
-    thread.start()
     conn = None
+    with no_unclosed_socket():
+        # a rebroadcast a second apart: only close() can end the op in time
+        reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                        retry_interval=1.0, retry_budget=100)
+        thread = threading.Thread(target=read, daemon=True)
+        thread.start()
+        try:
+            conn, _ = accept_read_request(srv)
+            t0 = time.monotonic()
+            reader.close()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - t0 < 0.5
+            assert "closed" in str(done["error"])
+            assert reader._wake.fileno() == reader._waker.fileno() == -1
+        finally:
+            reader.close()
+            if conn is not None:
+                conn.close()
+            srv.close()
+
+
+def test_close_with_no_op_waiting_closes_the_wake_pair():
+    """With no op's thread to leave the pair to, close() closes both
+    ends itself, and a second close() finds nothing more to do."""
+    daemons, membership = start_cluster(ONE, "ohsam")
+    writer = Client(W1, ONE, "ohsam", membership)
     try:
-        conn, _ = accept_read_request(srv)
+        assert writer.write("A").value == "A#w1.1"
+    finally:
+        stop_all(daemons, [writer])
+    assert writer._wake.fileno() == writer._waker.fileno() == -1
+    writer.close()
+    with pytest.raises(QuorumUnreachable, match="w1: closed"):
+        writer.write("B")
+
+
+def test_a_wake_byte_left_by_a_completion_that_raced_a_timeout_is_no_retry():
+    """r1's first wait times out only once its read has completed, as a
+    timeout that loses the race to the loop's completion: the read
+    returns, stamped, not given up. The loop's wake byte for it arrives
+    after; the next read drains it and waits its full retry_interval
+    before it gives up, with no rebroadcast."""
+    srv = peer_listener()  # stands in for s1: answers the first read only
+    srv.listen(1)
+    got = []
+
+    def serve():
+        conn, request = accept_read_request(srv)
+        with conn:
+            got.append(request)
+            conn.sendall(msg_frame(read_ack(1)))
+            got.extend(message_from_json(f) for f in read_frames(conn))
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                    retry_interval=0.2, retry_budget=0)
+    real = reader._wake
+
+    class RacingWake:
+        def recv(self, size):
+            reader._wake = real  # later waits are real
+            assert wait_for(lambda: not reader.machine.busy)
+            raise TimeoutError
+
+    reader._wake = RacingWake()
+    try:
+        first = reader.read()
+        assert (first.value, reader._wake) == ("v", real)
+        assert first.invoked < first.responded
         t0 = time.monotonic()
-        reader.close()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert time.monotonic() - t0 < 0.5
-        assert "closed" in str(done["error"])
+        with pytest.raises(QuorumUnreachable,
+                           match="no quorum after 0 rebroadcasts"):
+            reader.read()
+        assert time.monotonic() - t0 >= 0.2
     finally:
         reader.close()
-        if conn is not None:
-            conn.close()
+        server.join(timeout=10.0)
         srv.close()
+    assert not server.is_alive()
+    assert [m.op.seq for m in got] == [1, 2]  # no rebroadcast
+    assert [r.responded is None for r in reader.history] == [False, True]
+
+
+def test_the_loop_drops_a_wake_to_a_closed_client():
+    """A wake the loop sends after its client closed the pair is dropped
+    on the loop thread, which serves on: w1's write completes after it."""
+    daemons, membership = start_cluster(ONE, "ohsam")
+    writer = Client(W1, ONE, "ohsam", membership)
+    closed = Client(R1, ONE, "ohsam", membership)
+    loop = writer.loop
+    thread = loop.thread
+    try:
+        closed.close()
+        with loop.lock:
+            loop.completed.append(closed)
+            loop.wake()
+        assert wait_for(lambda: not loop.completed)
+        assert writer.write("A").value == "A#w1.1"
+        assert loop.thread is thread and thread.is_alive()
+    finally:
+        stop_all(daemons, [writer])
+
+
+def test_a_retry_interval_of_timeout_max_is_accepted():
+    """The largest interval Client takes is one a socket can wait."""
+    with no_unclosed_socket():
+        daemons, membership = start_cluster(ONE, "ohsam")
+        writer = Client(W1, ONE, "ohsam", membership,
+                        retry_interval=threading.TIMEOUT_MAX)
+        try:
+            assert writer.write("A").value == "A#w1.1"
+        finally:
+            stop_all(daemons, [writer])
+
+
+def test_closes_race_wakes_and_timeouts_under_fast_thread_switches():
+    """Four clients run ops back to back, each on a thread of its own,
+    with a 5 ms retry_interval so timeouts race completions, while the
+    main thread closes them one by one and the interpreter switches
+    threads every 10 us. Every op either completes, stamped, or raises
+    QuorumUnreachable on close; every thread exits; every wake pair is
+    closed; and no wake raises on the loop thread."""
+    config = Config(n_servers=3, n_readers=3, n_writers=1, f=1, mode="swmr")
+    daemons, membership = start_cluster(config, "ohsam")
+    clients = [Client(pid, config, "ohsam", membership, retry_interval=0.005,
+                      retry_budget=10**6)
+               for pid in config.writers() + config.readers()]
+    ends = {}
+
+    def run(client):
+        op = client.read if client.pid in config.readers() else (
+            lambda: client.write("v"))
+        try:
+            while True:
+                op()
+        except QuorumUnreachable as e:
+            ends[client.pid] = e
+
+    threads = [threading.Thread(target=run, args=(c,), daemon=True)
+               for c in clients]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for client in clients:
+            assert wait_for(lambda: len(client.history) >= 5)
+            client.close()
+        for thread in threads:
+            thread.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+        stop_all(daemons, clients)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(ends) == sorted(c.pid for c in clients)
+    assert all("closed" in str(e) for e in ends.values())
+    for client in clients:
+        done = [r for r in client.history if r.responded is not None]
+        assert len(done) >= 4
+        assert all(r.invoked < r.responded for r in done)
+        assert client._wake.fileno() == client._waker.fileno() == -1
+
+
+def test_every_wake_is_sent_after_its_batch_with_the_lock_released(
+        monkeypatch):
+    """The loop wakes an op's thread by a send made with loop.lock free,
+    so every frame of the batch that completed the op went out before
+    it, under the lock, and the woken thread need not queue for the
+    lock behind the loop. Only the loop sends a wake here: the ops run
+    one at a time on this thread, and none waits long enough to time
+    out, so the lock is held at a wake only if the loop holds it."""
+    log = []
+    send = _Endpoint._send
+
+    def logged_send(self, conn, msg):
+        log.append(("frame", self.lock.locked()))
+        return send(self, conn, msg)
+
+    class LoggedWaker:
+        def __init__(self, client):
+            self.client, self.real = client, client._waker
+
+        def send(self, data):
+            loop = self.client.loop
+            log.append(("wake", loop.lock.locked(),
+                        threading.current_thread() is loop.thread))
+            return self.real.send(data)
+
+        def __getattr__(self, name):
+            return getattr(self.real, name)
+
+    monkeypatch.setattr(_Endpoint, "_send", logged_send)
+    daemons, membership = start_cluster(THREE, "ohsam")
+    writer = Client(W1, THREE, "ohsam", membership, retry_interval=10.0)
+    reader = Client(R1, THREE, "ohsam", membership, retry_interval=10.0)
+    for client in (writer, reader):
+        client._waker = LoggedWaker(client)
+    try:
+        for i in range(5):
+            wrec = writer.write(f"v{i}")
+            assert reader.read().value == wrec.value
+    finally:
+        stop_all(daemons, [writer, reader])
+    wakes = [e for e in log if e[0] == "wake"]
+    assert wakes == [("wake", False, True)] * 10
+    assert all(locked for kind, locked, *_ in log if kind == "frame")
 
 
 def test_a_rebroadcast_resends_the_first_broadcast_without_encoding_it(

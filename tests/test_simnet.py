@@ -1017,6 +1017,68 @@ def test_a_completion_below_a_majority_is_caught_within_50_seeds(
     assert all(" completed with tag " in f for f in net.invariant_failures)
 
 
+def _recount(monitor, rec):
+    """The failures Monitor.completed reports for rec with no bound: a
+    full recount of the servers at every completion, the reference."""
+    servers, tag = monitor.servers, rec.tag
+    held = sum(not s.tag < tag for s in servers.values())
+    if held < monitor.quorum:
+        return [f"{rec.op}: completed with tag {tag} held by {held} of "
+                f"{len(servers)} servers"]
+    return []
+
+
+def _backwards_net(seed):
+    """ohsam at n=3 whose servers take every tag they are sent, so a
+    stale relay or write-back moves a server's tag back."""
+    net = simnet.seeded_net("ohsam", SWMR3._replace(n_readers=2), seed)
+    for pid in net.config.servers():
+        net.servers[pid] = _Overwrites(pid, net.config)
+    return net
+
+
+def test_the_majority_bound_reports_what_a_full_recount_does(monkeypatch):
+    """At every completion of the golden runs, the two mutant readers'
+    runs and runs whose server tags move back, Monitor.completed appends
+    exactly the failures a full recount finds. Some completions skip the
+    recount, some tags move back, and some completions fail."""
+    seen = {"completions": 0, "skipped": 0, "failed": 0, "backwards": 0}
+    completed, step = Monitor.completed, Monitor.step
+
+    def checked_completed(self, rec):
+        want = _recount(self, rec)
+        before = len(self.failures)
+        seen["skipped"] += not self.held < rec.tag
+        completed(self, rec)
+        assert self.failures[before:] == want
+        seen["completions"] += 1
+        seen["failed"] += bool(want)
+
+    def counted_step(self, pid, server, msg):
+        before = len(self.failures)
+        outs = step(self, pid, server, msg)
+        seen["backwards"] += any(" moved backwards " in f
+                                 for f in self.failures[before:])
+        return outs
+
+    monkeypatch.setattr(Monitor, "completed", checked_completed)
+    monkeypatch.setattr(Monitor, "step", counted_step)
+    list(_golden_corpus())
+    list(_golden_sliced())
+    config = SWMR3._replace(n_readers=2)
+    for protocol, reader_class in (("ohsam", _MaxTagReader),
+                                   ("abd-swmr", _SkipsWriteBack)):
+        for seed in range(50):
+            net = simnet.seeded_net(protocol, config, seed)
+            for pid in config.readers():
+                net.clients[pid] = reader_class(pid, config)
+            net.run_seeded()
+    for seed in range(50):
+        _backwards_net(seed).run_seeded()
+    assert all(seen.values()), seen
+    assert seen["skipped"] < seen["completions"]
+
+
 class _RelaysEagerly(ServerStateS):
     """Relays on its first contact with a read, its request or any relay,
     and never answers a request, only relays: a relay it sends on a relay
