@@ -31,7 +31,7 @@ from .core import (
     KIND_WRITE_ACK,
     KIND_WRITE_REQUEST,
 )
-from .ohsam import ReaderStateS
+from .ohsam import ReaderStateS, by_tag
 
 READ_CHAIN = (KIND_READ_REQUEST, KIND_READ_ACK, KIND_WRITE_REQUEST,
               KIND_WRITE_ACK)
@@ -41,10 +41,7 @@ class AbdReaderState(ReaderStateS):
     """Two-round reader: query a majority, write back the maximum tag."""
 
     def _on_quorum(self):
-        # only the readAck phase gets here; the first maximum to arrive wins
-        best = None
-        for m in self.replies.values():
-            if best is None or best.tag < m.tag:
-                best = m
+        # only the readAck phase gets here
+        best = max(self.replies.values(), key=by_tag)
         return self._broadcast(KIND_WRITE_REQUEST, KIND_WRITE_ACK,
                                best.tag, best.value), None

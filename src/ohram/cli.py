@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes are script-friendly: 0 success/atomic, 2 non-atomic or a
 failed benchmark, 3 liveness failure (stuck execution, unreachable
-quorum), 4 unusable configuration or input, or a port serve cannot bind.
+quorum), 4 unusable configuration or input, a usage error argparse
+finds, or a port serve cannot bind.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _print_history(result: RunResult) -> None:
 
 
 def _print_metrics(result: RunResult) -> None:
-    for op, m in result.to_json()["metrics"].items():
+    for op, m in result.metrics_json():
         kinds = ", ".join(m["exchange_kinds"])
         print(f"  {op}  {m['kind']:5s}  messages={m['messages']} "
               f"exchanges={m['exchanges']} ({kinds})")
@@ -297,8 +298,17 @@ def cmd_client(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose usage
+    errors exit EXIT_CONFIG: argparse's own 2 is EXIT_NON_ATOMIC."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ohram",
         description="Quorum register emulations: simulate, check, serve.")
     parser.add_argument("--version", action="version", version=__version__)

@@ -251,6 +251,9 @@ MESSAGE_KINDS = (
     KIND_WRITE_RELAY,
 )
 
+# the kinds a server sends to every server, itself included, not to a client
+RELAY_KINDS = frozenset({KIND_READ_RELAY, KIND_WRITE_RELAY})
+
 
 class Record:
     """Base of the package's mutable records.

@@ -43,6 +43,7 @@ write's value to the other between two back-to-back reads.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -60,7 +61,7 @@ from .core import (
     Tag,
     quorum_size,
 )
-from .ohsam import ReaderStateS, count_relay
+from .ohsam import ReaderStateS, by_tag, count_relay
 
 WRITE_CHAIN = (KIND_WRITE_REQUEST, KIND_WRITE_RELAY, KIND_WRITE_ACK)
 
@@ -112,15 +113,10 @@ class Naive3xReader(ReaderStateS):
     """Majority-value pick instead of the minimum-tag rule."""
 
     def _decide(self):
-        counts: dict[object, int] = {}
-        for m in self.replies.values():
-            counts[m.value] = counts.get(m.value, 0) + 1
         # the most frequent value, the first to arrive among equals
-        best = max(counts.values())
-        for m in self.replies.values():
-            if counts[m.value] == best:
-                return m.tag, m.value
-        raise AssertionError("unreachable")
+        counts = Counter(m.value for m in self.replies.values())
+        best = max(self.replies.values(), key=lambda m: counts[m.value])
+        return best.tag, best.value
 
 
 class Naive3xServer:
@@ -187,10 +183,7 @@ class Naive3xServer:
             return later.tag, later.value
         # The threshold rule is defined for the two-write counterexample
         # shape; with more writes in view fall back to the largest tag.
-        best = self.observations[0]
-        for rec in self.observations[1:]:
-            if best.tag < rec.tag:
-                best = rec
+        best = max(self.observations, key=by_tag)
         return best.tag, best.value
 
     # -- event dispatch --

@@ -48,6 +48,7 @@ multi-writer variant reuse the whole read path unchanged.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -73,6 +74,10 @@ from .core import (
 # each op's message kinds, one per exchange (protocols.ProtocolBundle)
 WRITE_CHAIN = (KIND_WRITE_REQUEST, KIND_WRITE_ACK)
 READ_CHAIN = (KIND_READ_REQUEST, KIND_READ_RELAY, KIND_READ_ACK)
+
+# the key of each quorum pick by tag; min and max keep the first extreme
+# in iteration order, so a pick among replies is the first to arrive
+by_tag = attrgetter("tag")
 
 
 class QuorumClient:
@@ -178,12 +183,7 @@ class ReaderStateS(QuorumClient):
         return self._done(*self._decide())
 
     def _decide(self) -> tuple[Tag, Optional[str]]:
-        # Minimum timestamp among the collected acks. Iteration follows
-        # arrival order, so the result is deterministic.
-        best: Optional[Message] = None
-        for m in self.replies.values():
-            if best is None or m.tag < best.tag:
-                best = m
+        best = min(self.replies.values(), key=by_tag)
         return best.tag, best.value
 
 

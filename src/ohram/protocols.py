@@ -21,10 +21,9 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
-    KIND_READ_RELAY,
-    KIND_WRITE_RELAY,
     MODE_MWMR,
     MODE_SWMR,
+    RELAY_KINDS,
     Config,
     ModeMismatch,
     validate_config,
@@ -61,8 +60,7 @@ class ProtocolBundle(NamedTuple):
 def _messages(chain: tuple[str, ...], n: int) -> int:
     """A failure-free op's messages at n servers: n per exchange, to or
     from each server, but n * n for a relay, each server's to all."""
-    return sum(n * n if k in (KIND_READ_RELAY, KIND_WRITE_RELAY) else n
-               for k in chain)
+    return sum(n * n if k in RELAY_KINDS else n for k in chain)
 
 
 PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (

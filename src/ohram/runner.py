@@ -320,6 +320,18 @@ class _Loop:
             self.wake()  # the thread exits
 
     def _run(self) -> None:
+        """Serve until no endpoint is started. An exception that ends the
+        thread ends what it served, so that no op waits on a dead loop,
+        and goes on to threading.excepthook."""
+        try:
+            self._serve()
+        except BaseException:
+            with self.lock:
+                waiting = self._abandon()
+            self._notify(waiting)
+            raise
+
+    def _serve(self) -> None:
         poll, table = self.epoll.poll, self.table
         timeout = None
         while True:
@@ -351,20 +363,51 @@ class _Loop:
                 if running:
                     timeout = self._redial() if self.waiting else None
                 else:
-                    self.thread = None
-                    self.unwatch(self._wake)
-                    _close(self._wake)
-                    _close(self._waker)
+                    self._end_thread()
             # wake each finished op once the batch has let go of the
             # lock: the send leaves the interpreter lock free, so the
             # kernel can run the op thread before this one takes it back
-            for client in completed:
-                try:
-                    client._waker.send(b"\0")
-                except OSError:  # a client closed since: no op waits
-                    pass
+            self._notify(completed)
             if not running:
                 return
+
+    @staticmethod
+    def _notify(clients: list[Client]) -> None:
+        """Send each client's waiting thread a wake byte. Call with the
+        lock free."""
+        for client in clients:
+            try:
+                client._waker.send(b"\0")
+            except OSError:  # a client closed since: no op waits
+                pass
+
+    def _abandon(self) -> list[Client]:
+        """Stop every endpoint as close() would, close the waker pair and
+        return the clients whose op waits, once an exception has ended
+        this thread. Call under lock."""
+        if self.thread is not threading.current_thread():
+            return []  # it had let go, and a new thread serves what started
+        self._end_thread()  # first, so remove() sends no wake
+        waiting = []
+        for endpoint in list(self.endpoints):
+            endpoint.stopped = True
+            self.remove(endpoint)
+            if isinstance(endpoint, Client):
+                if endpoint.waits:  # its thread closes the pair as it leaves
+                    waiting.append(endpoint)
+                else:
+                    _close(endpoint._wake)
+                    _close(endpoint._waker)
+        self.completed = []
+        return waiting
+
+    def _end_thread(self) -> None:
+        """Let the thread go, so that add() starts a new one, and close
+        the waker pair. Call under lock."""
+        self.thread = None
+        self.unwatch(self._wake)
+        _close(self._wake)
+        _close(self._waker)
 
     def _redial(self) -> Optional[float]:
         """Dial every waiting link that is due; return the seconds until
@@ -678,7 +721,8 @@ class Client(_Endpoint):
     timeout, is drained by the next wait, which then waits again and
     counts no retry. close() sends a waiting thread a byte, and that
     thread closes the pair as it raises; with no op waiting, close()
-    closes it, and a second close() does nothing more."""
+    closes it, and a second close() does nothing more. An exception that
+    ends the loop thread closes every client as close() does."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str,
                  membership: dict[ProcessId, tuple[str, int]], *,

@@ -56,7 +56,6 @@ from .core import (
     KIND_READ_RELAY,
     KIND_READ_REQUEST,
     KIND_WRITE_ACK,
-    KIND_WRITE_RELAY,
     KIND_WRITE_REQUEST,
     Message,
     ModeMismatch,
@@ -64,6 +63,7 @@ from .core import (
     OpId,
     OpRecord,
     ProcessId,
+    RELAY_KINDS,
     ROLE_WRITER,
     Record,
     ScheduleUnresolvable,
@@ -125,7 +125,7 @@ class RunResult(Record):
 
     def to_json(self) -> dict:
         return self._fields(history_to_json(self.history),
-                            dict(self._metrics_json()))
+                            dict(self.metrics_json()))
 
     def dumps(self) -> str:
         """json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")),
@@ -141,7 +141,7 @@ class RunResult(Record):
         text["history"] = "[" + ",".join(
             [enc(record_to_json(r)) for r in self.history]) + "]"
         text["metrics"] = "{" + ",".join(
-            [enc(op) + ":" + enc(m) for op, m in self._metrics_json()]) + "}"
+            [enc(op) + ":" + enc(m) for op, m in self.metrics_json()]) + "}"
         pieces = [p for k in sorted(text) for p in (",", enc(k), ":", text[k])]
         pieces[0] = "{"
         return "".join(pieces + ["}"])
@@ -158,7 +158,7 @@ class RunResult(Record):
             "invariant_failures": list(self.invariant_failures),
         }
 
-    def _metrics_json(self):
+    def metrics_json(self):
         """(op text, entry) pairs of the dump's metrics, in key order."""
         chain = get_protocol(self.protocol).chain
         for op, m in sorted(self.metrics.items(), key=lambda kv: str(kv[0])):
@@ -182,11 +182,12 @@ class Monitor:
     rule the step breaks: the server's tag moves back, it sends a readAck
     below any relay tag it received or a writeAck below its
     writeRequest's tag, or it answers a read twice or after a newer read
-    of its reader. An older read may be answered only in reply to its
-    own readRequest, by a server that never answered on a readRelay: a
-    Replica, ABD's server, answering a late request. A relaying server
-    keeps one read per reader, and a message of an older read sends
-    nothing.
+    of its reader. relays says whether the protocol's read chain has a
+    readRelay. If it has none, an older read may still be answered in
+    reply to its own readRequest: a Replica, ABD's server, answering a
+    late request. If it has one, an older read is never answered: a
+    relaying server keeps one read per reader, and a message of an older
+    read sends nothing.
 
     completed checks the one global rule: when an op completes with tag
     t, a majority of the servers, crashed ones included, hold a tag of at
@@ -199,25 +200,24 @@ class Monitor:
 
     servers is the net's pid -> server map, read at each completion. By
     server, relay_high is the largest relay tag received and read_acked
-    the newest read seq answered for each reader; relay_answerers holds
-    the servers that answered on a relay. held is a tag a majority is
-    known to hold: since tags only grow, a completion at or below it
-    needs no recount. A tag that moves back resets it, and so must
-    anything that swaps a server's machine mid-run.
+    the newest read seq answered for each reader. held is a tag a
+    majority is known to hold: since tags only grow, a completion at or
+    below it needs no recount. A tag that moves back resets it, and so
+    must anything that swaps a server's machine mid-run.
     """
 
-    __slots__ = ("failures", "servers", "quorum", "relay_high", "read_acked",
-                 "relay_answerers", "held")
+    __slots__ = ("failures", "servers", "relays", "quorum", "relay_high",
+                 "read_acked", "held")
 
-    def __init__(self, servers, failures: list[str]) -> None:
+    def __init__(self, servers, failures: list[str], relays: bool) -> None:
         self.failures = failures
         self.servers = servers
+        self.relays = relays
         self.quorum = quorum_size(len(servers))
         self.relay_high: dict[ProcessId, Tag] = {
             pid: Tag(0, pid) for pid in servers}
         self.read_acked: dict[ProcessId, dict[ProcessId, int]] = {
             pid: {} for pid in servers}
-        self.relay_answerers: set[ProcessId] = set()
         self.held = _UNHELD
 
     def step(self, pid: ProcessId, server, msg: Message) -> list[Message]:
@@ -233,8 +233,6 @@ class Monitor:
             self.relay_high[pid] = msg.tag
         for out in outs:
             if out.kind == KIND_READ_ACK:
-                if msg.kind == KIND_READ_RELAY:
-                    self.relay_answerers.add(pid)
                 acked = self.read_acked[pid]
                 reader, seq = out.op
                 newest = acked.get(reader, 0)
@@ -242,8 +240,8 @@ class Monitor:
                     acked[reader] = seq
                 elif seq == newest:
                     failures.append(f"{pid}: second readAck for {out.op}")
-                elif (msg.kind != KIND_READ_REQUEST or msg.op != out.op
-                        or pid in self.relay_answerers):
+                elif (self.relays or msg.kind != KIND_READ_REQUEST
+                        or msg.op != out.op):
                     failures.append(
                         f"{pid}: readAck for {out.op} after {reader}#{newest}")
                 high = self.relay_high[pid]
@@ -305,7 +303,8 @@ class SimNet:
         self.invariant_failures: list[str] = []
         self.chains = {"read": bundle.read_chain, "write": bundle.write_chain}
         # naive3x's servers keep no single tag to check
-        self.monitor = (Monitor(self.servers, self.invariant_failures)
+        self.monitor = (Monitor(self.servers, self.invariant_failures,
+                                KIND_READ_RELAY in bundle.read_chain)
                         if bundle.sound else None)
 
     # -- send side --
@@ -645,8 +644,7 @@ def parse_schedule(text: str) -> tuple[dict, list[dict]]:
 
 def _origin(msg: Message) -> Optional[str]:
     """msg's "origin" in a deliver selector: a relay's sender, else None."""
-    return (str(msg.sender)
-            if msg.kind in (KIND_READ_RELAY, KIND_WRITE_RELAY) else None)
+    return str(msg.sender) if msg.kind in RELAY_KINDS else None
 
 
 def _matches(entry: tuple[ProcessId, Message, int], sel: dict) -> bool:

@@ -26,7 +26,6 @@ from ohram.core import (
     Config,
     HistoryTooLarge,
     OpId,
-    OpRecord,
     StuckExecution,
     Tag,
     UntaggedHistory,
@@ -34,17 +33,7 @@ from ohram.core import (
 )
 from ohram.protocols import get_protocol
 from ohram.simnet import SimNet
-from violations import VIOLATIONS
-
-
-def rec(pid_text, seq, kind, invoked, responded, ts=None, wid=None, value=None):
-    pid = parse_pid(pid_text)
-    tag = Tag(ts, parse_pid(wid)) if ts is not None else None
-    return OpRecord(OpId(pid, seq), kind, invoked, responded, tag, value)
-
-
-def w(pid_text, seq, invoked, responded, ts, value):
-    return rec(pid_text, seq, "write", invoked, responded, ts, pid_text, value)
+from violations import VIOLATIONS, rec, w
 
 
 def both_reject(history):

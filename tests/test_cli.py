@@ -66,6 +66,33 @@ def test_mode_mismatch_is_a_config_error(capsys):
     assert main(["simulate", "--protocol", "ohsam", "--writers", "2"]) == 4
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "--servers", "x"],
+     "ohram simulate: error: argument --servers: invalid int value: 'x'"),
+    (["bench", "--bogus"], "ohram: error: unrecognized arguments: --bogus"),
+    (["simulate", "--protocol", "abd"],
+     "ohram simulate: error: argument --protocol: invalid choice: 'abd'"),
+], ids=["bad-int", "unknown-flag", "bad-choice"])
+def test_a_usage_error_is_a_config_error(capsys, argv, error):
+    """argparse exits 2 on a usage error, and 2 is the non-atomic code,
+    so a typo would read as a violation: it exits 4, usage on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ohram") and error in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["bench", "--help"]])
+def test_help_and_version_still_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags, cause", [
     (["--readers", "0", "--writers", "0"], "at least one writer or reader"),
     (["--max-ops", "0"], "max_ops >= 1, got 0"),

@@ -1406,6 +1406,60 @@ def test_a_retry_interval_of_timeout_max_is_accepted():
             stop_all(daemons, [writer])
 
 
+def test_a_dead_loop_thread_ends_every_waiting_op():
+    """An exception that ends the loop thread stops every endpoint it
+    served: a read that waits with no timeout to rebroadcast on raises
+    QuorumUnreachable at once, no socket is left open, the exception
+    still reaches threading.excepthook, and a later endpoint starts a
+    fresh loop thread."""
+    caught = []
+    hook, threading.excepthook = threading.excepthook, caught.append
+    done = {}
+
+    def injected(conn):
+        raise RuntimeError("injected")
+
+    def read():
+        try:
+            reader.read()
+        except QuorumUnreachable as e:
+            done["error"] = e
+
+    try:
+        with no_unclosed_socket():
+            daemons, membership = start_cluster(ONE, "ohsam")
+            reader = Client(R1, ONE, "ohsam", membership,
+                            retry_interval=threading.TIMEOUT_MAX)
+            dead = reader.loop.thread
+            try:
+                assert reader.read().value is None  # the link is up
+                daemons[0]._read = injected
+                thread = threading.Thread(target=read, daemon=True)
+                thread.start()
+                thread.join(timeout=5.0)
+                assert not thread.is_alive()
+                dead.join(timeout=5.0)
+                assert not dead.is_alive()
+            finally:
+                stop_all(daemons, [reader])
+            assert str(done["error"]) == "r1: closed with its read open"
+            assert reader.history[1].responded is None
+            assert reader._wake.fileno() == reader._waker.fileno() == -1
+            assert (reader.loop.table, reader.loop.thread) == ({}, None)
+        assert [(a.exc_type, a.thread) for a in caught] == [
+            (RuntimeError, dead)]
+        daemons, membership = start_cluster(ONE, "ohsam")
+        writer = Client(W1, ONE, "ohsam", membership)
+        try:
+            assert writer.write("A").value == "A#w1.1"
+            fresh = writer.loop.thread
+            assert fresh is not dead and fresh.name == "ohram-loop"
+        finally:
+            stop_all(daemons, [writer])
+    finally:
+        threading.excepthook = hook
+
+
 def test_closes_race_wakes_and_timeouts_under_fast_thread_switches():
     """Four clients run ops back to back, each on a thread of its own,
     with a 5 ms retry_interval so timeouts race completions, while the

@@ -105,6 +105,42 @@ def test_exchange_kinds_are_what_traveled():
     assert set().union(*(want for *_, want in cases)) == set(MESSAGE_KINDS)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("protocol", PROTOCOL_NAMES)
+def test_a_fifo_drain_is_the_unit_delay_schedule(protocol, n):
+    """A drain delivers in send order, and so in order of depth, as a
+    network whose every message takes one time unit would: each drained
+    op, a write and then a read, completes on a delivery at depth
+    len(chain), the exchanges its tally records, so the op took that
+    many units of delay."""
+    bundle = get_protocol(protocol)
+    config = Config(n_servers=n, n_readers=1,
+                    n_writers=1 if bundle.mode == "swmr" else 2,
+                    f=(n - 1) // 2, mode=bundle.mode)
+    net = SimNet(protocol, config, seed=0)
+    deliver = net.deliver
+    for pid, kind, label in ((writer_id(1), "write", "A"),
+                             (reader_id(1), "read", None)):
+        net.load_program(pid, [(kind, label)])
+        op = net.invoke_next(pid)
+        rec = net.history[-1]
+        depths, completing = [], []
+
+        def traced(entry):
+            depths.append(entry[2])
+            pending = rec.responded is None
+            deliver(entry)
+            if pending and rec.responded is not None:
+                completing.append(entry[2])
+
+        net.deliver = traced
+        net.drain()
+        assert depths == sorted(depths), (kind, depths)
+        assert completing == [len(bundle.chain(kind))], kind
+        assert net.metrics[op].exchanges == len(bundle.chain(kind)), kind
+    assert net.invariant_failures == []
+
+
 def test_same_seed_same_bytes():
     a = simulate("ohmam", MWMR3, 42, max_ops=8)
     b = simulate("ohmam", MWMR3, 42, max_ops=8)
