@@ -6,10 +6,10 @@ two-phase baseline), one deliberately unsound demonstration protocol, a
 deterministic discrete-event simulator with crash injection, atomicity
 checkers, and a small TCP runner.
 
-The TCP runner, with its sockets and threads, loads on first use: a
-simulated run never imports it. Client, ServerDaemon,
-membership_from_json, merge_histories and runner itself resolve through
-the module's __getattr__.
+The simulator, the checkers and the TCP runner load on first use, so a
+daemon never compiles simnet or checker and a simulated run never imports
+the runner's sockets and threads. Each of the three modules, and every
+public name _LAZY lists for it, resolves through the module's __getattr__.
 """
 
 from .core import (
@@ -38,35 +38,32 @@ from .core import (
     validate_config,
 )
 from .protocols import PROTOCOL_NAMES, get_protocol
-from .simnet import (
-    RunResult,
-    SimNet,
-    history_from_json,
-    history_to_json,
-    replay_file,
-    run_script,
-    simulate,
-)
-from .checker import (
-    BRUTE_MAX_OPS,
-    Verdict,
-    check_bruteforce,
-    check_history,
-    check_witness,
-)
 
 __version__ = "0.1.0"
 
-_RUNNER_NAMES = frozenset(
-    {"Client", "ServerDaemon", "membership_from_json", "merge_histories"})
+# each name that loads on first use -> its module, itself one of the names
+_LAZY = {name: module for module, names in (
+    ("simnet", ("RunResult", "SimNet", "history_from_json", "history_to_json",
+                "replay_file", "run_script", "simulate")),
+    ("checker", ("BRUTE_MAX_OPS", "Verdict", "check_bruteforce",
+                 "check_history", "check_witness")),
+    ("runner", ("Client", "ServerDaemon", "membership_from_json",
+                "merge_histories")),
+) for name in (module, *names)}
 
 
 def __getattr__(name: str):
-    # import_module, not `from . import runner`: the latter looks the
-    # name up here first and comes back to this function. importlib is
-    # imported here too, which a simulated run then never loads
-    if name == "runner" or name in _RUNNER_NAMES:
-        from importlib import import_module
-        runner = import_module(".runner", __name__)
-        return runner if name == "runner" else getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import simnet`, which looks the name up
+    # here and comes back. Stored, the name is not looked up here again
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    found = import_module("." + module, __name__)
+    value = found if name == module else getattr(found, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -21,10 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .checker import Verdict, check_history
 from .core import (
     Config,
     ModeMismatch,
@@ -37,14 +36,12 @@ from .core import (
     ROLE_WRITER,
 )
 from .protocols import PROTOCOL_NAMES, get_protocol
-from .simnet import (
-    RunResult,
-    SimNet,
-    history_from_json,
-    history_to_json,
-    replay_file,
-    simulate,
-)
+
+# simnet, checker and the runner are imported where they are used: serve
+# compiles neither simnet nor checker, and a simulated run loads no socket
+if TYPE_CHECKING:
+    from .checker import Verdict
+    from .simnet import RunResult
 
 EXIT_OK = 0
 EXIT_NON_ATOMIC = 2
@@ -73,6 +70,7 @@ def _print_metrics(result: RunResult) -> None:
 
 
 def _report(result: RunResult, dump_path: Optional[str]) -> int:
+    from .checker import check_history
     print("history:")
     _print_history(result)
     print("metrics:")
@@ -139,6 +137,7 @@ def _parse_crash_plan(plan: Optional[str]):
 
 
 def cmd_simulate(args) -> int:
+    from .simnet import SimNet, simulate
     config = _config_from_args(args, args.protocol)
     max_crashes, victims = _parse_crash_plan(args.crash_plan)
     if args.ops is not None:
@@ -163,12 +162,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    from .simnet import replay_file
     result = replay_file(args.schedule)
     print(f"protocol={result.protocol} events={result.events}")
     return _report(result, args.out)
 
 
 def cmd_check(args) -> int:
+    from .checker import check_history
+    from .simnet import history_from_json
     with open(args.history, "r", encoding="utf-8") as fh:
         history = history_from_json(json.load(fh))
     return _verdict_exit(check_history(history))
@@ -177,6 +179,7 @@ def cmd_check(args) -> int:
 # -- bench --
 
 def cmd_bench(args) -> int:
+    from .simnet import SimNet
     try:
         sizes = [int(s) for s in args.servers.split(",")]
     except ValueError as e:
@@ -217,8 +220,6 @@ def cmd_bench(args) -> int:
 
 
 # -- live network --
-# The runner and threading are imported where they are used, so that the
-# simulated subcommands never load sockets or threads.
 
 def _load_membership(path: str):
     from .runner import membership_from_json
@@ -292,6 +293,7 @@ def cmd_client(args) -> int:
     finally:
         client.close()
         if args.out:  # an op given up is in the dump as pending
+            from .simnet import history_to_json
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump({"history": history_to_json(client.history)}, fh)
             print(f"wrote {args.out}")

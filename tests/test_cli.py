@@ -649,6 +649,49 @@ def test_the_runner_names_resolve_on_first_use():
     assert (out.returncode, out.stdout, out.stderr) == (0, "False True\n", "")
 
 
+# every name the package resolves on first use, by the module defining it
+LAZY_NAMES = {
+    "simnet": ["RunResult", "SimNet", "history_from_json", "history_to_json",
+               "replay_file", "run_script", "simulate"],
+    "checker": ["BRUTE_MAX_OPS", "Verdict", "check_bruteforce",
+                "check_history", "check_witness"],
+    "runner": ["Client", "ServerDaemon", "membership_from_json",
+               "merge_histories"],
+}
+
+
+# the first is every ohram process's start-up, the second serve's: a live
+# daemon neither simulates nor checks
+@pytest.mark.parametrize("imports", ["ohram, ohram.cli",
+                                     "ohram.cli, ohram.runner"])
+def test_an_import_loads_neither_the_simulator_nor_the_checkers(imports):
+    out = run_fresh(f"import sys, {imports}; print(sorted("
+                    "{'ohram.simnet', 'ohram.checker'} & sys.modules.keys()))")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+def test_each_lazy_name_is_its_modules_object_and_stays_resolved():
+    code = f"""if True:
+        import importlib, ohram
+        for module, names in {LAZY_NAMES!r}.items():
+            got = {{name: getattr(ohram, name) for name in [module, *names]}}
+            found = importlib.import_module("ohram." + module)
+            for name, value in got.items():
+                want = found if name == module else getattr(found, name)
+                assert value is want and vars(ohram)[name] is value, name
+        print("ok")
+    """
+    out = run_fresh(code)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "ok\n", "")
+
+
+def test_dir_lists_every_lazy_name_before_its_first_use():
+    names = {n for module, rest in LAZY_NAMES.items() for n in (module, *rest)}
+    out = run_fresh("import ohram; print(*dir(ohram))")
+    assert out.returncode == 0, out.stderr
+    assert names <= set(out.stdout.split())
+
+
 def test_a_name_the_package_lacks_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ohram.no_such_name
