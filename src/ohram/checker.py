@@ -33,6 +33,9 @@ linearizable. Verdicts for such histories come from check_bruteforce.
 Initial-state tags (timestamp zero) are normalized into one equivalence
 class before comparison, since different servers mint them with their own
 ids.
+
+judge decides a simulated run: its first invariant failure, the Monitor's
+or the chain check's, fails it; else check_history decides its history.
 """
 
 from __future__ import annotations
@@ -56,23 +59,13 @@ class Verdict(NamedTuple):
     """A checker's answer; truthy exactly when the history is atomic."""
 
     atomic: bool
-    method: str  # "witness" | "bruteforce"
+    method: str  # "witness" | "bruteforce" | "invariant"
     reason: Optional[str] = None
     witness: Optional[tuple[OpId, ...]] = None
     prop: Optional[str] = None  # P1 | P2 | P3 | A1 | A2 | A3
 
     def __bool__(self) -> bool:
         return self.atomic
-
-    def to_json(self) -> dict:
-        obj: dict = {"atomic": self.atomic, "method": self.method}
-        if not self.atomic:
-            obj["violation"] = {
-                "property": self.prop,
-                "pair": [str(o) for o in (self.witness or ())],
-                "explanation": self.reason,
-            }
-        return obj
 
 
 def _key(tag: Tag):
@@ -315,3 +308,10 @@ def check_history(history: list[OpRecord]) -> Verdict:
     if countable <= BRUTE_MAX_OPS:
         return check_bruteforce(history)
     return check_witness(history)
+
+
+def judge(result) -> Verdict:
+    """A run's first invariant failure, else check_history's verdict."""
+    if result.invariant_failures:
+        return Verdict(False, "invariant", result.invariant_failures[0])
+    return check_history(result.history)

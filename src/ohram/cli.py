@@ -70,7 +70,7 @@ def _print_metrics(result: RunResult) -> None:
 
 
 def _report(result: RunResult, dump_path: Optional[str]) -> int:
-    from .checker import check_history
+    from .checker import judge
     print("history:")
     _print_history(result)
     print("metrics:")
@@ -81,11 +81,11 @@ def _report(result: RunResult, dump_path: Optional[str]) -> int:
         with open(dump_path, "w", encoding="utf-8") as fh:
             fh.write(result.dumps() + "\n")
         print(f"wrote {dump_path}")
-    if result.invariant_failures:
+    if (verdict := judge(result)).method == "invariant":
         for line in result.invariant_failures:
             print("INVARIANT FAILURE:", line)
         return EXIT_NON_ATOMIC
-    return _verdict_exit(check_history(result.history))
+    return _verdict_exit(verdict)
 
 
 def _verdict_exit(verdict: Verdict) -> int:

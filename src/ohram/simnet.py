@@ -11,7 +11,8 @@ execution; _fifo (drain) delivers in send order, and _scripted
 value parse_schedule, which gives the format, does not document. record
 wraps any source and writes the steps it takes as schedule directives,
 so a run, say seeded_net's, can be replayed; shrink cuts a failing
-directive list down by delta debugging.
+directive list down by delta debugging; hunt records and shrinks the
+first seed whose run fails checker.judge or gets stuck.
 
 Message sends are counted at send time and attributed to the client
 operation whose identifier the message carries, so the per-operation
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import suppress
 from typing import Optional
 
 from .core import (
@@ -60,6 +62,7 @@ from .core import (
     Message,
     ModeMismatch,
     NotWellFormed,
+    OhramError,
     OpId,
     OpRecord,
     ProcessId,
@@ -757,6 +760,33 @@ def shrink(directives: list, fails) -> list:
         else:
             break
     return directives
+
+
+def hunt(protocol: str, config: Config, seeds, **plan):
+    """(seed, reason, shrunk) for the first of seeds whose seeded run, as
+    simulate(..., **plan) runs it, fails checker.judge or gets stuck
+    ("stuck: <message>"), else None; shrunk replays to a like failure."""
+    from .checker import judge
+    for seed in seeds:
+        try:  # an atomic verdict has no reason
+            reason = judge(simulate(protocol, config, seed, **plan)).reason
+        except StuckExecution as e:
+            reason = f"stuck: {e}"
+        if reason is not None:
+            break
+    else:
+        return None
+    net, directives = seeded_net(protocol, config, seed, **plan), []
+    with suppress(StuckExecution):  # over the step budget, all recorded
+        net.run(record(net, _uniform(net), directives))
+
+    def fails(candidate: list[dict]) -> bool:
+        try:
+            net = SimNet(protocol, config, x=plan.get("x"))
+            return not judge(net.run_directives(candidate))
+        except OhramError as e:  # a cut list may name what is not in flight
+            return isinstance(e, StuckExecution) and reason.startswith("stuck")
+    return seed, reason, shrink(directives, fails)
 
 
 def record_to_json(r: OpRecord) -> dict:

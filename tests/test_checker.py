@@ -137,18 +137,6 @@ def test_bruteforce_leaves_no_garbage_for_the_cyclic_collector():
         gc.enable()
 
 
-def test_verdict_json_shape():
-    v = check_witness([
-        w("w1", 1, 0, 2, 1, "A"),
-        rec("r1", 1, "read", 3, 5, 0, "s1", None),
-    ])
-    obj = v.to_json()
-    assert obj["atomic"] is False
-    assert obj["violation"]["property"] == "A1"
-    assert obj["violation"]["pair"]
-    assert "explanation" in obj["violation"]
-
-
 # -- the twelve violation fixtures --
 
 

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import ohram
+from ohram import protocols
 from ohram.cli import main
 from ohram.core import (
     Config,
@@ -23,7 +24,8 @@ from ohram.core import (
     writer_id,
 )
 from ohram.runner import ServerDaemon
-from ohram.simnet import history_from_json
+from ohram.simnet import history_from_json, simulate
+from test_simnet import _RelaysEagerly
 
 SCHEDULES = pathlib.Path(__file__).resolve().parent.parent / "schedules"
 
@@ -32,6 +34,23 @@ def test_simulate_defaults_exit_zero(capsys):
     assert main(["simulate", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "ATOMIC" in out
+
+
+def test_simulate_prints_each_invariant_failure_and_exits_2(
+        monkeypatch, capsys):
+    """An eager-relay server breaks the read chain on an atomic history:
+    the run prints every invariant failure it recorded, and no verdict."""
+    monkeypatch.setitem(protocols.PROTOCOLS, "ohsam", protocols.PROTOCOLS[
+        "ohsam"]._replace(make_server=_RelaysEagerly))
+    config = Config(n_servers=3, n_readers=2, n_writers=1, f=1, mode="swmr")
+    failures = simulate("ohsam", config, 1).invariant_failures
+    assert len(failures) > 1
+    assert main(["simulate", "--readers", "2", "--seed", "1"]) == 2
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines()
+            if line.startswith("INVARIANT FAILURE: ")] == [
+        f"INVARIANT FAILURE: {f}" for f in failures]
+    assert "ATOMIC" not in out
 
 
 def test_simulate_sequential_ops_table_counts(capsys):
@@ -638,6 +657,16 @@ def test_the_simulated_subcommands_never_load_the_runner(tmp_path):
     """
     out = run_fresh(code)
     assert (out.returncode, out.stderr) == (0, "[0, 0, 0, 0] False\n")
+
+
+def test_bench_loads_the_simulator_but_not_the_checkers():
+    """The grid judges no history, so `ohram bench` never compiles the
+    checkers."""
+    out = run_fresh("import sys; from ohram.cli import main; "
+                    "code = main(['bench', '--servers', '3']); "
+                    "print(code, sorted({'ohram.simnet', 'ohram.checker'} "
+                    "& sys.modules.keys()), file=sys.stderr)")
+    assert (out.returncode, out.stderr) == (0, "0 ['ohram.simnet']\n")
 
 
 def test_the_runner_names_resolve_on_first_use():

@@ -157,12 +157,10 @@ def test_seed_1059_is_a_non_atomic_run():
     result = simulate("naive3x", CFG, 1059, max_ops=6, max_crashes=0, x=2)
     assert result.events == 96 and not result.crashed
     verdict = check_history(result.history)
-    assert verdict.to_json() == {"atomic": False, "method": "bruteforce",
-                                 "violation": {
-                                     "property": "P3",
-                                     "pair": ["w2#1", "r1#2"],
-                                     "explanation": "no linearization can "
-                                     "place r1#2 (returned 'C#w1.2')"}}
+    assert (verdict.atomic, verdict.method, verdict.prop, verdict.reason) == (
+        False, "bruteforce", "P3",
+        "no linearization can place r1#2 (returned 'C#w1.2')")
+    assert [str(op) for op in verdict.witness] == ["w2#1", "r1#2"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

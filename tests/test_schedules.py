@@ -33,8 +33,8 @@ histories; the tag-witness checker is only consulted where the script is
 built to produce a genuine value-level violation.
 
 xi4 was built by hand. Seeded search finds a violation of the same kind
-on its own: the first non-atomic uniform run is recorded as a script and
-shrunk by delta debugging to fewer directives than xi4 has.
+on its own: simnet.hunt records the first non-atomic uniform run as a
+script and shrinks it by delta debugging to fewer directives than xi4 has.
 """
 
 import hashlib
@@ -49,11 +49,11 @@ from ohram.core import Config, OhramError, OpId, config_to_json, parse_pid
 from ohram.protocols import PROTOCOL_NAMES, get_protocol
 from ohram.simnet import (
     _uniform,
+    hunt,
     record,
     replay_file,
     run_script,
     seeded_net,
-    shrink,
     simulate,
 )
 
@@ -226,15 +226,13 @@ def violates(directives):
 
 
 def test_search_finds_and_shrinks_a_violation_within_xi4s_size():
-    seed = next(s for s in range(10_000) if not check_bruteforce(
-        simulate("naive3x", NAIVE, s, **NAIVE_PLAN).history).atomic)
+    seed, _, shrunk = hunt("naive3x", NAIVE, range(10_000), **NAIVE_PLAN)
     assert seed == 1059
     result, directives = recorded("naive3x", NAIVE, seed, **NAIVE_PLAN)
     assert len(directives) == result.events == 96
     replayed = run_script(script("naive3x", NAIVE, directives, x=2))
     assert without_seed(replayed) == without_seed(result)
 
-    shrunk = shrink(directives, violates)
     xi4 = (SCHEDULES / "xi4.json").read_text().strip().splitlines()
     assert len(shrunk) <= len(xi4) - 1  # less its header line
     assert violates(shrunk)

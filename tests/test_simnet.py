@@ -10,7 +10,7 @@ import pytest
 
 import ohram.simnet as simnet
 from ohram.abd import AbdReaderState
-from ohram.checker import check_history
+from ohram.checker import Verdict, check_history, judge
 from ohram.core import (
     BOTTOM,
     KIND_DISCOVER,
@@ -214,6 +214,31 @@ def test_step_budget_turns_livelock_into_an_error(monkeypatch):
     monkeypatch.setattr(simnet, "STEP_BUDGET", 5)
     with pytest.raises(StuckExecution):
         simulate("ohsam", SWMR3, 0, max_ops=4)
+
+
+def test_hunt_counts_a_stuck_run_and_shrinks_it_to_a_stuck_replay(
+        monkeypatch):
+    monkeypatch.setattr(simnet, "STEP_BUDGET", 5)
+    seed, reason, shrunk = simnet.hunt("ohsam", SWMR3, range(3), max_ops=4)
+    assert seed == 0
+    assert reason.startswith("stuck: "), reason
+    # one invoke and the drain after it outrun the budget
+    assert len(shrunk) == 1 and "invoke" in shrunk[0], shrunk
+    with pytest.raises(StuckExecution):
+        SimNet("ohsam", SWMR3).run_directives(shrunk)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize(
+    "protocol", [p for p in PROTOCOL_NAMES if get_protocol(p).sound])
+def test_hunt_finds_no_failure_in_a_sound_protocol(protocol, n):
+    """200 seeds under the default crash plan: no run is stuck, breaks an
+    invariant or checks non-atomic."""
+    mode = get_protocol(protocol).mode
+    config = Config(n_servers=n, n_readers=2,
+                    n_writers=1 if mode == "swmr" else 2,
+                    f=(n - 1) // 2, mode=mode)
+    assert simnet.hunt(protocol, config, range(200)) is None
 
 
 def test_seeded_runs_have_no_unfinished_ops():
@@ -566,6 +591,7 @@ def test_dumps_of_a_long_run_are_the_one_shot_bytes(name):
     result = _long_net(name).result()
     assert len(result.history) >= 1680 and len(result.crashed) == 2
     assert result.dumps() == _one_shot(result)
+
 
 
 def test_dumps_of_edge_runs_are_the_one_shot_bytes():
@@ -1165,6 +1191,22 @@ def test_an_eager_relay_is_caught_within_5_seeds(n):
             break
     assert any(f.endswith(": readRelay at depth 3 is off its read chain")
                for f in net.invariant_failures), net.invariant_failures
+
+
+def test_judge_names_a_runs_first_invariant_failure_before_its_history():
+    """The eager-relay run's history is atomic, but judge fails it on its
+    first invariant failure; a clean run gets check_history's verdict."""
+    config = Config(n_servers=3, n_readers=2, n_writers=1, f=1, mode="swmr")
+    net = _eager(simnet.seeded_net("ohsam", config, 0))
+    net.run_seeded()
+    result = net.result()
+    assert len(result.invariant_failures) > 1
+    assert check_history(result.history).atomic
+    assert judge(result) == Verdict(False, "invariant",
+                                    result.invariant_failures[0])
+    clean = simulate("ohsam", config, 0)
+    assert clean.invariant_failures == []
+    assert judge(clean) == check_history(clean.history)
 
 
 class _WritesBackTwice(AbdReaderState):
