@@ -10,6 +10,9 @@ The simulator, the checkers and the TCP runner load on first use, so a
 daemon never compiles simnet or checker and a simulated run never imports
 the runner's sockets and threads. Each of the three modules, and every
 public name _LAZY lists for it, resolves through the module's __getattr__.
+The machine modules (ohsam, ohmam, abd, naive3x) load when get_protocol
+first builds a bundle that pairs them, so importing the package compiles
+none, and a process compiles only the machines of the protocols it runs.
 """
 
 from .core import (
@@ -33,6 +36,8 @@ from .core import (
     StuckExecution,
     Tag,
     UntaggedHistory,
+    history_from_json,
+    history_to_json,
     parse_pid,
     quorum_size,
     validate_config,
@@ -43,8 +48,8 @@ __version__ = "0.1.0"
 
 # each name that loads on first use -> its module, itself one of the names
 _LAZY = {name: module for module, names in (
-    ("simnet", ("RunResult", "SimNet", "history_from_json", "history_to_json",
-                "replay_file", "run_script", "simulate")),
+    ("simnet", ("RunResult", "SimNet", "replay_file", "run_script",
+                "simulate")),
     ("checker", ("BRUTE_MAX_OPS", "Verdict", "check_bruteforce",
                  "check_history", "check_witness")),
     ("runner", ("Client", "ServerDaemon", "membership_from_json",

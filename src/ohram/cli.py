@@ -31,6 +31,8 @@ from .core import (
     QuorumUnreachable,
     ScheduleUnresolvable,
     StuckExecution,
+    history_from_json,
+    history_to_json,
     parse_pid,
     ROLE_READER,
     ROLE_WRITER,
@@ -38,7 +40,8 @@ from .core import (
 from .protocols import PROTOCOL_NAMES, get_protocol
 
 # simnet, checker and the runner are imported where they are used: serve
-# compiles neither simnet nor checker, and a simulated run loads no socket
+# compiles neither simnet nor checker, neither check nor client compiles
+# simnet, and a simulated run loads no socket
 if TYPE_CHECKING:
     from .checker import Verdict
     from .simnet import RunResult
@@ -170,7 +173,6 @@ def cmd_replay(args) -> int:
 
 def cmd_check(args) -> int:
     from .checker import check_history
-    from .simnet import history_from_json
     with open(args.history, "r", encoding="utf-8") as fh:
         history = history_from_json(json.load(fh))
     return _verdict_exit(check_history(history))
@@ -293,7 +295,6 @@ def cmd_client(args) -> int:
     finally:
         client.close()
         if args.out:  # an op given up is in the dump as pending
-            from .simnet import history_to_json
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump({"history": history_to_json(client.history)}, fh)
             print(f"wrote {args.out}")

@@ -358,6 +358,80 @@ class OpRecord(Record):
         self.value = value
 
 
+def record_to_json(r: OpRecord) -> dict:
+    """One entry of a run or client dump's history."""
+    return {"op": opid_to_json(r.op), "kind": r.kind, "invoked": r.invoked,
+            "responded": r.responded, "tag": tag_to_json(r.tag),
+            "value": r.value}
+
+
+def history_to_json(records: list[OpRecord]) -> list[dict]:
+    """The history part of a run dump, and the body of a client dump."""
+    return [record_to_json(r) for r in records]
+
+
+def history_from_json(obj) -> list[OpRecord]:
+    """Inverse of history_to_json (and of RunResult.to_json).
+
+    Accepts either a full run dump or a bare list of record objects, and
+    raises ValueError naming the first record it cannot read; its times,
+    seqs and ts must be ints, which a bool is not, and it must not
+    respond before it is invoked. The history must also be well-formed,
+    or ValueError names a record that breaks it: no two records share an
+    op, and each process runs one op at a time, so none is invoked
+    before the process's previous op responded (at that time is legal),
+    nor after one that is pending.
+    """
+    if isinstance(obj, dict):
+        obj = obj.get("history")
+    if not isinstance(obj, list):
+        raise ValueError("a history is a list of records, or a run dump "
+                         "that holds one")
+    records = []
+    first = {}  # the index of each op's record
+    for i, r in enumerate(obj):
+        try:
+            kind, value = r["kind"], r.get("value")
+            responded = r.get("responded")
+            if kind not in ("read", "write"):
+                raise ValueError(f"kind must be read or write, got {kind!r}")
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"value must be a string or null, "
+                                 f"got {value!r}")
+            if responded is not None:
+                responded = json_int(responded, "responded")
+            rec = OpRecord(
+                opid_from_json(r["op"]), kind,
+                json_int(r["invoked"], "invoked"), responded,
+                tag_from_json(r.get("tag")), value)
+            if responded is not None and responded < rec.invoked:
+                raise ValueError(f"responded {responded} before invoked "
+                                 f"{rec.invoked}")
+            if first.setdefault(rec.op, i) != i:
+                raise ValueError(f"{rec.op} is recorded twice, first as "
+                                 f"record {first[rec.op]}")
+            records.append(rec)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"history record {i} {r!r}: {e!r}") from None
+    last = {}  # each process's op invoked last so far
+    # in invocation order; at one time, responded ops before pending ones
+    for i in sorted(range(len(records)), key=lambda i: (
+            records[i].invoked, records[i].responded is None,
+            records[i].responded)):
+        rec = records[i]
+        before = last.get(rec.op.invoker)
+        last[rec.op.invoker] = rec
+        if before is None or (before.responded is not None
+                              and before.responded <= rec.invoked):
+            continue
+        why = (f"after {before.op}, which is pending"
+               if before.responded is None
+               else f"before {before.op} responded at {before.responded}")
+        raise ValueError(f"history record {i} {obj[i]!r}: {rec.op} invoked "
+                         f"at {rec.invoked}, {why}")
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------

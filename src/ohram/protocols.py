@@ -13,6 +13,13 @@ Names:
   abd-swmr   classic quorum baseline, reads write back (four exchanges)
   abd-mwmr   classic baseline with a discovery round before each write
   naive3x    unsound three-exchange multi-writer writes; simulator only
+
+A bundle is built on its first get_protocol lookup, and only then are
+its machine modules imported: ohsam for every protocol, and ohmam, abd
+or naive3x as the bundle pairs them (abd-mwmr both ohmam and abd). So
+importing this module, or the package, compiles no machine, and a
+process compiles only the machines of the protocols it looks up.
+Reading PROTOCOLS, the name -> bundle dict, builds all five.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from .core import (
     ModeMismatch,
     validate_config,
 )
-from . import abd, naive3x, ohmam, ohsam
 
 
 class ProtocolBundle(NamedTuple):
@@ -63,31 +69,77 @@ def _messages(chain: tuple[str, ...], n: int) -> int:
     return sum(n * n if k in RELAY_KINDS else n for k in chain)
 
 
-PROTOCOLS: dict[str, ProtocolBundle] = {b.name: b for b in (
-    ProtocolBundle("ohsam", MODE_SWMR, ohsam.WriterStateS, ohsam.ReaderStateS,
-                   ohsam.ServerStateS, True, ohsam.WRITE_CHAIN,
-                   ohsam.READ_CHAIN),
-    ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM, ohsam.ReaderStateS,
-                   ohsam.ServerStateS, True, ohmam.WRITE_CHAIN,
-                   ohsam.READ_CHAIN),
-    ProtocolBundle("abd-swmr", MODE_SWMR, ohsam.WriterStateS, abd.AbdReaderState,
-                   ohsam.Replica, True, ohsam.WRITE_CHAIN, abd.READ_CHAIN),
-    ProtocolBundle("abd-mwmr", MODE_MWMR, ohmam.WriterStateM, abd.AbdReaderState,
-                   ohsam.Replica, True, ohmam.WRITE_CHAIN, abd.READ_CHAIN),
-    ProtocolBundle("naive3x", MODE_MWMR, ohsam.WriterStateS,
-                   naive3x.Naive3xReader, naive3x.Naive3xServer, False,
-                   naive3x.WRITE_CHAIN, ohsam.READ_CHAIN),
-)}
+# one builder per protocol, in registry order: each imports only the
+# machine modules its bundle pairs
+def _ohsam() -> ProtocolBundle:
+    from . import ohsam
+    return ProtocolBundle("ohsam", MODE_SWMR, ohsam.WriterStateS,
+                          ohsam.ReaderStateS, ohsam.ServerStateS, True,
+                          ohsam.WRITE_CHAIN, ohsam.READ_CHAIN)
 
-PROTOCOL_NAMES = tuple(PROTOCOLS)
+
+def _ohmam() -> ProtocolBundle:
+    from . import ohmam, ohsam
+    return ProtocolBundle("ohmam", MODE_MWMR, ohmam.WriterStateM,
+                          ohsam.ReaderStateS, ohsam.ServerStateS, True,
+                          ohmam.WRITE_CHAIN, ohsam.READ_CHAIN)
+
+
+def _abd_swmr() -> ProtocolBundle:
+    from . import abd, ohsam
+    return ProtocolBundle("abd-swmr", MODE_SWMR, ohsam.WriterStateS,
+                          abd.AbdReaderState, ohsam.Replica, True,
+                          ohsam.WRITE_CHAIN, abd.READ_CHAIN)
+
+
+def _abd_mwmr() -> ProtocolBundle:
+    from . import abd, ohmam, ohsam
+    return ProtocolBundle("abd-mwmr", MODE_MWMR, ohmam.WriterStateM,
+                          abd.AbdReaderState, ohsam.Replica, True,
+                          ohmam.WRITE_CHAIN, abd.READ_CHAIN)
+
+
+def _naive3x() -> ProtocolBundle:
+    from . import naive3x, ohsam
+    return ProtocolBundle("naive3x", MODE_MWMR, ohsam.WriterStateS,
+                          naive3x.Naive3xReader, naive3x.Naive3xServer, False,
+                          naive3x.WRITE_CHAIN, ohsam.READ_CHAIN)
+
+
+_BUILDERS: dict[str, Callable[[], ProtocolBundle]] = {
+    "ohsam": _ohsam, "ohmam": _ohmam, "abd-swmr": _abd_swmr,
+    "abd-mwmr": _abd_mwmr, "naive3x": _naive3x}
+
+PROTOCOL_NAMES = tuple(_BUILDERS)
+
+# each bundle built so far; once PROTOCOLS is first read, this same dict
+# holds every bundle in registry order
+_BUNDLES: dict[str, ProtocolBundle] = {}
+PROTOCOLS: dict[str, ProtocolBundle]  # bound on first read, by __getattr__
 
 
 def get_protocol(name: str) -> ProtocolBundle:
-    """The bundle named name, as the registry pairs its machines."""
-    bundle = PROTOCOLS.get(name)
+    """The bundle named name, as the registry pairs its machines; built,
+    and its machine modules imported, on its first lookup."""
+    bundle = _BUNDLES.get(name)
     if bundle is None:
-        raise ModeMismatch(f"unknown protocol {name!r}")
+        build = _BUILDERS.get(name)
+        if build is None:
+            raise ModeMismatch(f"unknown protocol {name!r}")
+        bundle = _BUNDLES[name] = build()
     return bundle
+
+
+def __getattr__(name: str):
+    # PROTOCOLS, every name -> its bundle, builds all five. It is the dict
+    # get_protocol reads, so a bundle patched into it reaches every caller
+    if name != "PROTOCOLS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ordered = {p: get_protocol(p) for p in PROTOCOL_NAMES}
+    _BUNDLES.clear()
+    _BUNDLES.update(ordered)
+    globals()["PROTOCOLS"] = _BUNDLES
+    return _BUNDLES
 
 
 def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
@@ -107,7 +159,7 @@ def checked_bundle(protocol: str, config: Config, *, x: Optional[int] = None,
             raise ModeMismatch(
                 f"naive3x threshold {x} not in 1..{config.n_servers}")
         bundle = bundle._replace(
-            make_server=partial(naive3x.Naive3xServer, x=x))
+            make_server=partial(bundle.make_server, x=x))
     if live and not bundle.sound:
         raise ModeMismatch(
             f"protocol {protocol} is not allowed in the live runner")

@@ -680,8 +680,7 @@ def test_the_runner_names_resolve_on_first_use():
 
 # every name the package resolves on first use, by the module defining it
 LAZY_NAMES = {
-    "simnet": ["RunResult", "SimNet", "history_from_json", "history_to_json",
-               "replay_file", "run_script", "simulate"],
+    "simnet": ["RunResult", "SimNet", "replay_file", "run_script", "simulate"],
     "checker": ["BRUTE_MAX_OPS", "Verdict", "check_bruteforce",
                 "check_history", "check_witness"],
     "runner": ["Client", "ServerDaemon", "membership_from_json",
@@ -697,6 +696,46 @@ def test_an_import_loads_neither_the_simulator_nor_the_checkers(imports):
     out = run_fresh(f"import sys, {imports}; print(sorted("
                     "{'ohram.simnet', 'ohram.checker'} & sys.modules.keys()))")
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+MACHINES = ["ohram.abd", "ohram.naive3x", "ohram.ohmam", "ohram.ohsam"]
+
+
+def loaded_machines(code: str) -> str:
+    """Run code fresh, then print the machine modules it loaded."""
+    return run_fresh(f"import sys; {code}; "
+                     f"print(sorted({MACHINES} & sys.modules.keys()))")
+
+
+def test_an_import_compiles_no_machine():
+    out = loaded_machines("import ohram, ohram.cli")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("protocol, machines", [
+    ("ohsam", ["ohsam"]),
+    ("ohmam", ["ohmam", "ohsam"]),
+    ("abd-swmr", ["abd", "ohsam"]),
+    ("abd-mwmr", ["abd", "ohmam", "ohsam"]),
+    ("naive3x", ["naive3x", "ohsam"]),
+])
+def test_a_bundle_compiles_only_its_own_machines(protocol, machines):
+    out = loaded_machines("from ohram.protocols import get_protocol; "
+                          f"get_protocol({protocol!r})")
+    want = str(["ohram." + m for m in machines]) + "\n"
+    assert (out.returncode, out.stdout, out.stderr) == (0, want, "")
+
+
+def test_check_compiles_neither_the_simulator_nor_a_machine(tmp_path):
+    dump = tmp_path / "run.json"
+    dump.write_text(simulate("ohsam", Config(
+        n_servers=3, n_readers=1, n_writers=1, f=1, mode="swmr"), 3).dumps())
+    out = run_fresh(f"import sys; from ohram.cli import main; "
+                    f"code = main(['check', {str(dump)!r}]); "
+                    f"print(code, sorted({['ohram.simnet', *MACHINES]} "
+                    "& sys.modules.keys()), file=sys.stderr)")
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, "ATOMIC (bruteforce)\n", "0 []\n")
 
 
 def test_each_lazy_name_is_its_modules_object_and_stays_resolved():
