@@ -225,16 +225,17 @@ def _unpack(body) -> Any:
     return obj
 
 
-def _close(sock: socket.socket) -> None:
+def _close(*socks: socket.socket) -> None:
     # shut down first: on Linux, close() alone does not wake a recv()
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+    for sock in socks:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            sock.close()
+        except OSError:
+            pass
 
 
 class _Conn:
@@ -327,8 +328,7 @@ class _Loop:
             self._serve()
         except BaseException:
             with self.lock:
-                waiting = self._abandon()
-            self._notify(waiting)
+                self._abandon()
             raise
 
     def _serve(self) -> None:
@@ -381,33 +381,22 @@ class _Loop:
             except OSError:  # a client closed since: no op waits
                 pass
 
-    def _abandon(self) -> list[Client]:
-        """Stop every endpoint as close() would, close the waker pair and
-        return the clients whose op waits, once an exception has ended
-        this thread. Call under lock."""
+    def _abandon(self) -> None:
+        """Once an exception has ended this thread, close the waker pair
+        and halt every endpoint, as its stop() does. Call under lock."""
         if self.thread is not threading.current_thread():
-            return []  # it had let go, and a new thread serves what started
+            return  # it had let go, and a new thread serves what started
         self._end_thread()  # first, so remove() sends no wake
-        waiting = []
         for endpoint in list(self.endpoints):
-            endpoint.stopped = True
-            self.remove(endpoint)
-            if isinstance(endpoint, Client):
-                if endpoint.waits:  # its thread closes the pair as it leaves
-                    waiting.append(endpoint)
-                else:
-                    _close(endpoint._wake)
-                    _close(endpoint._waker)
+            endpoint._halt()
         self.completed = []
-        return waiting
 
     def _end_thread(self) -> None:
         """Let the thread go, so that add() starts a new one, and close
         the waker pair. Call under lock."""
         self.thread = None
         self.unwatch(self._wake)
-        _close(self._wake)
-        _close(self._waker)
+        _close(self._wake, self._waker)
 
     def _redial(self) -> Optional[float]:
         """Dial every waiting link that is due; return the seconds until
@@ -474,10 +463,15 @@ class _Endpoint:
         self.loop.add(self)  # its wake-up sets the redial timeout
 
     def stop(self) -> None:
+        """Stop serving, once: the one way a live endpoint stops."""
         with self.lock:
             if not self.stopped:
-                self.stopped = True
-                self.loop.remove(self)
+                self._halt()
+
+    def _halt(self) -> None:
+        """Leave the loop and close every socket. Call under lock, once."""
+        self.stopped = True
+        self.loop.remove(self)
 
     def _watch(self, conn: _Conn) -> None:
         self.loop.watch(conn.sock, conn.events, self, conn)
@@ -676,12 +670,12 @@ class ServerDaemon(_Endpoint):
                          if peer.role == ROLE_SERVER and peer < self.pid})
             self.loop.watch(self.listener, EPOLLIN, self, None)
 
-    def stop(self) -> None:
-        super().stop()
+    def _halt(self) -> None:
+        super()._halt()
         self.listener.close()  # closed already, unless never started
 
-    # kill == stop; the machine state is simply abandoned
-    kill = stop
+    # the paper's crash-stop is stop(): the machine's state is abandoned
+    kill = _Endpoint.stop
 
     def _accept(self) -> None:
         try:
@@ -693,8 +687,6 @@ class ServerDaemon(_Endpoint):
         self._watch(_Conn(sock))
 
     def _handle(self, msg: Message) -> None:
-        if self.stopped:
-            return
         outs = self.machine.on_message(msg)
         if outs:
             # a relay to itself goes straight back in, after the broadcast
@@ -719,10 +711,14 @@ class Client(_Endpoint):
     free, and a byte to a pair closed since is dropped. A byte that
     arrives after its op's wait timed out, as a completion races the
     timeout, is drained by the next wait, which then waits again and
-    counts no retry. close() sends a waiting thread a byte, and that
-    thread closes the pair as it raises; with no op waiting, close()
-    closes it, and a second close() does nothing more. An exception that
-    ends the loop thread closes every client as close() does."""
+    counts no retry.
+
+    close() is stop(), and stop() is the one way a client stops, whoever
+    calls it: an exception that ends the loop thread halts every client
+    the same way. It sends a waiting op's thread a byte under the lock,
+    and that thread closes the pair as it leaves, raising
+    QuorumUnreachable if its op is still open; with no op waiting, it
+    closes the pair itself. A second stop() does nothing more."""
 
     def __init__(self, pid: ProcessId, config: Config, protocol: str,
                  membership: dict[ProcessId, tuple[str, int]], *,
@@ -758,17 +754,14 @@ class Client(_Endpoint):
             self._wake, self._waker = socket.socketpair()
             self._wake.settimeout(retry_interval)
 
-    def close(self) -> None:
-        """Stop; an op waiting for its quorum raises QuorumUnreachable.
-        The wake pair is closed here, or by the waiting op's thread as it
-        leaves."""
-        self.stop()
-        with self.lock:
-            if self.waits:
-                self._waker.send(b"\0")
-            else:
-                _close(self._wake)
-                _close(self._waker)
+    close = _Endpoint.stop
+
+    def _halt(self) -> None:
+        super()._halt()
+        if self.waits:  # its thread closes the pair as it leaves
+            self._waker.send(b"\0")
+        else:
+            _close(self._wake, self._waker)
 
     def _handle(self, msg: Message) -> None:
         outs, rec = self.machine.on_message(msg)
@@ -821,9 +814,8 @@ class Client(_Endpoint):
                         self._emit(self.machine.rebroadcast())
             finally:
                 self.waits = False
-                if self.stopped:  # close() left the pair to this thread
-                    _close(self._wake)
-                    _close(self._waker)
+                if self.stopped:  # _halt() left the pair to this thread
+                    _close(self._wake, self._waker)
             rec.responded = time.monotonic_ns()
             return rec
 

@@ -1326,6 +1326,52 @@ def test_close_with_no_op_waiting_closes_the_wake_pair():
         writer.write("B")
 
 
+def test_stop_ends_a_waiting_op_as_close_does():
+    """stop() is close(): a read waiting out a 5 s retry_interval raises
+    at once, and its thread closes the wake pair as it leaves."""
+    srv = peer_listener()  # stands in for s1, and never answers
+    srv.listen(1)
+    done = {}
+
+    def read():
+        try:
+            reader.read()
+        except QuorumUnreachable as e:
+            done["error"] = e
+
+    conn = None
+    with no_unclosed_socket():
+        reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()},
+                        retry_interval=5.0, retry_budget=100)
+        thread = threading.Thread(target=read, daemon=True)
+        thread.start()
+        try:
+            conn, _ = accept_read_request(srv)
+            t0 = time.monotonic()
+            reader.stop()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert time.monotonic() - t0 < 0.5
+            assert str(done["error"]) == "r1: closed with its read open"
+            assert reader._wake.fileno() == reader._waker.fileno() == -1
+        finally:
+            reader.stop()
+            if conn is not None:
+                conn.close()
+            srv.close()
+
+
+def test_stop_with_no_op_waiting_closes_the_wake_pair():
+    srv = peer_listener()  # stands in for s1: never listens, so refuses
+    try:
+        with no_unclosed_socket():
+            reader = Client(R1, ONE, "ohsam", {S1: srv.getsockname()})
+            reader.stop()
+        assert reader._wake.fileno() == reader._waker.fileno() == -1
+    finally:
+        srv.close()
+
+
 def test_a_wake_byte_left_by_a_completion_that_raced_a_timeout_is_no_retry():
     """r1's first wait times out only once its read has completed, as a
     timeout that loses the race to the loop's completion: the read
