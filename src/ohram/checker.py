@@ -62,7 +62,7 @@ class Verdict(NamedTuple):
     method: str  # "witness" | "bruteforce" | "invariant"
     reason: Optional[str] = None
     witness: Optional[tuple[OpId, ...]] = None
-    prop: Optional[str] = None  # P1 | P2 | P3 | A1 | A2 | A3
+    prop: Optional[str] = None  # P2 | P3 | A1 | A2 | A3
 
     def __bool__(self) -> bool:
         return self.atomic
@@ -238,27 +238,22 @@ def check_bruteforce(history: list[OpRecord]) -> Verdict:
     if _sub_solvable(ops, len(mandatory)):
         return Verdict(True, "bruteforce")
 
-    # diagnose: grow the history in completion order until it breaks
+    # diagnose: grow the history in completion order until it breaks; the
+    # whole history failed, so some prefix does
     by_completion = sorted(mandatory, key=lambda r: (r.responded, r.invoked))
-    for k in range(1, len(by_completion) + 1):
-        prefix = by_completion[:k] + optional
-        if not _sub_solvable(prefix, k):
-            culprit = by_completion[k - 1]
-            partner = None
-            for r in by_completion[:k - 1]:
-                if r.responded < culprit.invoked:
-                    if partner is None or r.responded > partner.responded:
-                        partner = r
-            pair = ((partner.op, culprit.op) if partner is not None
-                    else (culprit.op,))
-            prop = "P3" if culprit.kind == "read" else "P2"
-            return Verdict(
-                False, "bruteforce",
-                f"no linearization can place {culprit.op} "
-                f"(returned {culprit.value!r})", pair, prop)
-    # unreachable: the full history failed, so some prefix fails
-    return Verdict(False, "bruteforce", "history is not linearizable",
-                   None, "P1")
+    k = next(k for k in range(1, len(by_completion) + 1)
+             if not _sub_solvable(by_completion[:k] + optional, k))
+    culprit = by_completion[k - 1]
+    partner = max((r for r in by_completion[:k - 1]
+                   if r.responded < culprit.invoked),
+                  key=lambda r: r.responded, default=None)
+    pair = ((partner.op, culprit.op) if partner is not None
+            else (culprit.op,))
+    prop = "P3" if culprit.kind == "read" else "P2"
+    return Verdict(
+        False, "bruteforce",
+        f"no linearization can place {culprit.op} "
+        f"(returned {culprit.value!r})", pair, prop)
 
 
 def _sub_solvable(ops: list[OpRecord], n_mandatory: int) -> bool:

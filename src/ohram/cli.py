@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional
 from . import __version__
 from .core import (
     Config,
+    MODE_SWMR,
     ModeMismatch,
     OhramError,
     QuorumUnreachable,
@@ -191,7 +192,7 @@ def cmd_bench(args) -> int:
     failures = 0
     for name in names:
         bundle = get_protocol(name)
-        n_writers = 1 if bundle.mode == "swmr" else 2
+        n_writers = 1 if bundle.mode == MODE_SWMR else 2
         for n in sizes:
             config = Config(n_servers=n, n_readers=1, n_writers=n_writers,
                             f=(n - 1) // 2, mode=bundle.mode)

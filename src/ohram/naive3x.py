@@ -161,9 +161,6 @@ class Naive3xServer:
         """The value this server would serve right now, with its tag."""
         if not self.observations:
             return Tag(0, self.pid), BOTTOM
-        if len(self.observations) == 1:
-            rec = self.observations[0]
-            return rec.tag, rec.value
         if len(self.observations) == 2:
             a, b = self.observations
             if b.tag < a.tag:
@@ -182,7 +179,7 @@ class Naive3xServer:
             later = b if order_writes(c_first, c_second, self.x) else a
             return later.tag, later.value
         # The threshold rule is defined for the two-write counterexample
-        # shape; with more writes in view fall back to the largest tag.
+        # shape; with one write, or more than two, take the largest tag.
         best = max(self.observations, key=by_tag)
         return best.tag, best.value
 

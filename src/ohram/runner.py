@@ -52,30 +52,30 @@ Client and `ohram serve` call, refuses any other entry, and a daemon
 dials only servers, so what it sends a client goes back on the
 connection that client dialed.
 
-The process has one loop, made by the first endpoint and run while any
-endpoint is started. It waits on one epoll object and dispatches each
-ready fd from its own table, fd -> (endpoint, conn, sock), which holds
-every socket of every server daemon and client, accepted and dialed,
-each listener and the loop's waker. It takes a batch's entries when the
-wait returns and handles the batch under the one lock all endpoints
-share: it accepts, reads, runs the machines and sends. An entry whose
-connection an earlier event of the batch dropped is skipped, even when
-an accept has taken its fd since, and a hang-up or an error is handled
-as a read, which drops the connection. A client's operation thread
-invokes and (re)broadcasts under the same lock, lets go of it, and
-waits in recv on its client's wake pair. The loop gathers the clients
-whose ops a batch completed, and once it has let go of the lock it
-sends each of them one byte. A send runs without the interpreter lock,
-so the kernel can switch to the woken thread before the loop takes that
-lock back, and the op thread stamps its response at once. A notify or a
-lock release runs under the interpreter lock instead: the woken thread
-then queues for it behind the loop's next batches, a convoy in which
-an op thread blocks about three times per op where once would do. Links set
-TCP_NODELAY, because frames are small and go out one at a time. The
-runner needs Linux: an epoll's interest list is the kernel's, so a
-socket that an op thread's send starts watching for EPOLLOUT counts in
-a wait already in progress, where a poll() wait would not see it until
-the wait ends.
+The process has one loop, made when the runner is imported and run while
+any endpoint is started. It waits on one epoll object and dispatches
+each ready fd from its own table, fd -> (endpoint, conn, sock), which
+holds every socket of every server daemon and client, accepted and
+dialed, each listener and the loop's waker. It takes a batch's entries
+when the wait returns and handles the batch under the one lock all
+endpoints share: it accepts, reads, runs the machines and sends. An
+entry whose connection an earlier event of the batch dropped is skipped,
+even when an accept has taken its fd since, and a hang-up or an error is
+handled as a read, which drops the connection. A client's operation
+thread invokes and (re)broadcasts under the same lock, lets go of it,
+and waits in recv on its client's wake pair. The loop gathers the
+clients whose ops a batch completed, and once it has let go of the lock
+it sends each of them one byte. A send runs without the interpreter
+lock, so the kernel can switch to the woken thread before the loop takes
+that lock back, and the op thread stamps its response at once. A notify
+or a lock release runs under the interpreter lock instead: the woken
+thread then queues for it behind the loop's next batches, a convoy in
+which an op thread blocks about three times per op where once would do.
+Links set TCP_NODELAY, because frames are small and go out one at a
+time. The runner needs Linux: an epoll's interest list is the kernel's,
+so a socket that an op thread's send starts watching for EPOLLOUT counts
+in a wait already in progress, where a poll() wait would not see it
+until the wait ends.
 
 Every step's outputs, a machine's answer and a client's invoke or
 rebroadcast alike, leave their endpoint through _emit: in order, each on
@@ -412,15 +412,7 @@ class _Loop:
         return wait
 
 
-_LOOPS: list[_Loop] = []  # the process's loop, once an endpoint is made
-_LOOPS_LOCK = threading.Lock()
-
-
-def _shared_loop() -> _Loop:
-    with _LOOPS_LOCK:
-        if not _LOOPS:
-            _LOOPS.append(_Loop())
-        return _LOOPS[0]
+_LOOP = _Loop()  # the process's one loop
 
 
 class _Endpoint:
@@ -440,7 +432,7 @@ class _Endpoint:
             map(str, config.writers() + config.readers() + config.servers()))
         self.names_or_null = self.names | {None}  # for wid
         self.servers = tuple(config.servers())  # where a broadcast goes
-        self.loop = _shared_loop()
+        self.loop = _LOOP
         self.lock = self.loop.lock
         self.links: dict[ProcessId, _Conn] = {}  # by server
         # on servers, each connection dialed to this one, by its hello
@@ -744,7 +736,6 @@ class Client(_Endpoint):
             raise ValueError(
                 f"{pid}: retry_budget must be >= 0, got {retry_budget!r}")
         super().__init__(pid, config)
-        self.retry_interval = retry_interval
         self.retry_budget = retry_budget
         self.waits = False  # an op's thread waits for its completion
         self.history: list[OpRecord] = []

@@ -666,43 +666,30 @@ def _matches(entry: tuple[ProcessId, Message, int], sel: dict) -> bool:
     return True
 
 
-# the keys parse_schedule documents inside each directive but a drain
-_DIRECTIVE_KEYS = {
-    "invoke": frozenset({"client", "kind", "label"}),
-    "crash": frozenset({"server"}),
-    "deliver": frozenset({"kind", "to", "from", "origin", "invoker", "seq"}),
-}
-
-
-def _documented(d) -> bool:
-    """d has one directive key, a dict under it holds only that
-    directive's documented keys, and a seq among them is an int."""
-    if not isinstance(d, dict) or len(d) != 1:
-        return False
-    [(name, body)] = d.items()
-    return not isinstance(body, dict) or (
-        body.keys() <= _DIRECTIVE_KEYS.get(name, frozenset())
-        and type(body.get("seq", 0)) is int)
-
-
 def _scripted(net: SimNet, directives: list[dict]):
-    """The events a schedule's directives name, then a drain."""
+    """The events a schedule's directives name, then a drain. A directive
+    has one key, each case takes only the keys parse_schedule documents
+    under it, and a deliver's seq is an int."""
     may_invoke = {str(p): ("write", str) if p.role == ROLE_WRITER
                   else ("read", type(None)) for p in net.clients}
     servers = {str(p): p for p in net.servers}
     for i, d in enumerate(directives, 1):
-        if not _documented(d):
+        if not isinstance(d, dict) or len(d) != 1:
             raise ScheduleUnresolvable(f"directive {i}: cannot run {d}")
         match d:
-            case {"invoke": {"client": str(client), "kind": kind} as spec} if (
-                    may_invoke.get(client) == (kind, type(spec.get("label")))):
+            case {"invoke": {"client": str(client), "kind": kind, **more}} if (
+                    more.keys() <= {"label"} and may_invoke.get(client) == (
+                        kind, type(more.get("label")))):
                 pid = parse_pid(client)
                 if net.clients[pid].busy:
                     raise NotWellFormed(f"directive {i}: {client} already "
                                         f"has an operation in flight")
-                net.load_program(pid, [(kind, spec.get("label"))])
+                net.load_program(pid, [(kind, more.get("label"))])
                 yield net.invoke_next, pid
-            case {"deliver": dict(sel)}:
+            case {"deliver": dict(sel)} if (
+                    sel.keys() <= {"kind", "to", "from", "origin", "invoker",
+                                   "seq"}
+                    and type(sel.get("seq", 0)) is int):
                 hits = [j for j, e in enumerate(net.inflight)
                         if _matches(e, sel)]
                 if len(hits) != 1:
@@ -710,7 +697,8 @@ def _scripted(net: SimNet, directives: list[dict]):
                         f"directive {i}: selector {sel} matches "
                         f"{len(hits)} in-flight messages, need exactly 1")
                 yield net.deliver, net.inflight.pop(hits[0])
-            case {"crash": {"server": str(server)}} if server in servers:
+            case {"crash": {"server": str(server), **more}} if (
+                    not more and server in servers):
                 refusal = net._crash_refusal(servers[server])
                 if refusal is not None:
                     raise type(refusal)(f"directive {i}: {refusal}")

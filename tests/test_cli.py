@@ -146,6 +146,32 @@ def test_a_list_that_names_nothing_is_a_config_error(
     assert err.startswith(f"error: {flag} names nothing")
 
 
+@pytest.mark.parametrize("ops, cause", [
+    ("r1=A", "read op 'r1=A' cannot carry a label"),
+    ("s1", "s1 is not a client"),
+], ids=["read-label", "server-op"])
+def test_simulate_refuses_an_op_no_client_can_run(capsys, ops, cause):
+    assert main(["simulate", "--ops", ops]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cause}\n"
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--pid", "w1", "--ops", "x"], "bad op token 'x', want w[:LABEL] or r"),
+    (["--pid", "s1", "--ops", "r"], "s1 is not a client"),
+], ids=["bad-op", "server-pid"])
+def test_client_refuses_a_bad_op_or_a_server_pid(
+        tmp_path, capsys, flags, cause):
+    membership = tmp_path / "members.json"
+    membership.write_text('{"s1": "127.0.0.1:1", "s2": "127.0.0.1:1", '
+                          '"s3": "127.0.0.1:1"}')
+    assert main(["client", *flags, "--membership", str(membership)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {cause}\n"
+
+
 def test_crash_plan_beyond_fault_bound(capsys):
     assert main(["simulate", "--protocol", "ohmam", "--writers", "2",
                  "--crash-plan", "s1,s2"]) == 4
@@ -428,6 +454,20 @@ def test_bench_grid_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+def test_bench_prints_a_fail_line_and_exits_2_on_a_wrong_count(
+        monkeypatch, capsys):
+    """A bundle whose read chain names one exchange more than its reads
+    take fails the grid: the line names the count, and bench exits 2."""
+    ohsam = protocols.PROTOCOLS["ohsam"]
+    monkeypatch.setitem(protocols.PROTOCOLS, "ohsam", ohsam._replace(
+        read_chain=ohsam.read_chain + (ohsam.read_chain[-1],)))
+    assert main(["bench", "--protocols", "ohsam", "--servers", "3"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL  ohsam     n=3: ")
+    assert "read exch 3 != 4" in out
+    assert "PASS" not in out
 
 
 def test_bench_unknown_protocol_is_a_config_error(capsys):

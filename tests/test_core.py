@@ -140,6 +140,19 @@ def test_fault_bound_must_be_minority():
         validate_config(Config(n_servers=3, n_readers=1, n_writers=1, f=2))
 
 
+def test_a_configuration_needs_a_server_and_no_negative_role_count():
+    with pytest.raises(InvalidFaultBound, match="at least one server"):
+        validate_config(Config(n_servers=0, n_readers=1, n_writers=1, f=0))
+    with pytest.raises(ModeMismatch, match="must be non-negative"):
+        validate_config(Config(n_servers=3, n_readers=-1, n_writers=2,
+                               f=1, mode="mwmr"))
+
+
+def test_quorum_size_needs_a_server():
+    with pytest.raises(ValueError, match="at least one server"):
+        quorum_size(0)
+
+
 def test_swmr_mode_requires_one_writer():
     with pytest.raises(ModeMismatch):
         validate_config(Config(n_servers=3, n_readers=1, n_writers=2,

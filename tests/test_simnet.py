@@ -153,6 +153,16 @@ def test_different_seeds_diverge_somewhere():
     assert len(dumps) > 1
 
 
+def test_a_seeded_run_needs_a_seed():
+    """A net made with no seed has no generator to draw a schedule from:
+    run_seeded refuses it, and nothing runs."""
+    net = SimNet("ohsam", SWMR3)
+    net.load_program(writer_id(1), [("write", "A")])
+    with pytest.raises(ModeMismatch, match="run_seeded needs a seed"):
+        net.run_seeded()
+    assert net.history == []
+
+
 def test_crash_before_first_step_leaves_a_silent_majority_system():
     """One server dead from the start: every op still completes."""
     net = SimNet("ohsam", SWMR3, seed=0)
