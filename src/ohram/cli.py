@@ -53,10 +53,10 @@ EXIT_LIVENESS = 3
 EXIT_CONFIG = 4
 
 
-def _config_from_args(args, protocol: str) -> Config:
-    mode = get_protocol(protocol).mode
+def _config_from_args(args) -> Config:
     return Config(n_servers=args.servers, n_readers=args.readers,
-                  n_writers=args.writers, f=args.f, mode=mode)
+                  n_writers=args.writers, f=args.f,
+                  mode=get_protocol(args.protocol).mode)
 
 
 def _print_history(result: RunResult) -> None:
@@ -142,7 +142,7 @@ def _parse_crash_plan(plan: Optional[str]):
 
 def cmd_simulate(args) -> int:
     from .simnet import SimNet, simulate
-    config = _config_from_args(args, args.protocol)
+    config = _config_from_args(args)
     max_crashes, victims = _parse_crash_plan(args.crash_plan)
     if args.ops is not None:
         if args.crash_plan is not None:
@@ -234,7 +234,7 @@ def cmd_serve(args) -> int:
     import signal
     import threading
     from .runner import ServerDaemon, check_membership, parse_address
-    config = _config_from_args(args, args.protocol)
+    config = _config_from_args(args)
     pid = parse_pid(args.pid)
     # no --listen: an ephemeral port on ServerDaemon's default host
     host, port = parse_address("--listen", args.listen or ":0")
@@ -273,7 +273,7 @@ def _parse_client_ops(spec: str) -> list[tuple]:
 
 def cmd_client(args) -> int:
     from .runner import Client
-    config = _config_from_args(args, args.protocol)
+    config = _config_from_args(args)
     pid = parse_pid(args.pid)
     if pid.role not in (ROLE_READER, ROLE_WRITER):
         raise ModeMismatch(f"{pid} is not a client")

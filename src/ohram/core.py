@@ -566,21 +566,10 @@ def message_from_json(obj: list) -> Message:
 
 
 def config_to_json(c: Config) -> dict[str, Any]:
-    return {
-        "n_servers": c.n_servers,
-        "n_readers": c.n_readers,
-        "n_writers": c.n_writers,
-        "f": c.f,
-        "mode": c.mode,
-    }
+    return c._asdict()
 
 
 def config_from_json(obj: dict[str, Any]) -> Config:
     """Raises ValueError naming a count that is no int (see json_int)."""
-    return Config(
-        n_servers=json_int(obj["n_servers"], "n_servers"),
-        n_readers=json_int(obj["n_readers"], "n_readers"),
-        n_writers=json_int(obj["n_writers"], "n_writers"),
-        f=json_int(obj["f"], "f"),
-        mode=obj.get("mode", MODE_MWMR),
-    )
+    counts = (json_int(obj[name], name) for name in Config._fields[:-1])
+    return Config(*counts, mode=obj.get("mode", MODE_MWMR))

@@ -779,7 +779,7 @@ class Client(_Endpoint):
         finally:
             self.lock.acquire()
 
-    def _run_op(self, kind: str, invoke) -> OpRecord:
+    def _run_op(self, invoke) -> OpRecord:
         with self.lock:
             if self.stopped:  # before invoke: a closed op may still be open
                 raise QuorumUnreachable(f"{self.pid}: closed")
@@ -794,7 +794,7 @@ class Client(_Endpoint):
                 while self.machine.busy:
                     if self.stopped:
                         raise QuorumUnreachable(
-                            f"{self.pid}: closed with its {kind} open")
+                            f"{self.pid}: closed with its {rec.kind} open")
                     # a completion that raced the timeout is no retry
                     if not self._wait() and self.machine.busy:
                         retries += 1
@@ -818,10 +818,10 @@ class Client(_Endpoint):
             raise ValueError(
                 f"{self.pid}: a label's JSON text takes at most "
                 f"{MAX_FRAME - LABEL_ALLOWANCE} bytes, got {size}")
-        return self._run_op("write", lambda: self.machine.invoke_write(label))
+        return self._run_op(lambda: self.machine.invoke_write(label))
 
     def read(self) -> OpRecord:
-        return self._run_op("read", lambda: self.machine.invoke_read())
+        return self._run_op(self.machine.invoke_read)
 
 
 def merge_histories(*histories: list[OpRecord]) -> list[OpRecord]:

@@ -451,7 +451,7 @@ class SimNet:
         return RunResult(
             protocol=self.bundle.name, config=self.config, seed=self.seed,
             history=self.history, metrics=self.metrics, events=self.events,
-            crashed=sorted(self.crashed, key=lambda p: p.sort_key()),
+            crashed=sorted(self.crashed),
             invariant_failures=self.invariant_failures,
         )
 
@@ -589,8 +589,7 @@ def seeded_net(protocol: str, config: Config, seed: int, *,
         net.pending_crashes = list(victims)
     else:
         n_crashes = plan_rng.randint(0, max_crashes) if max_crashes > 0 else 0
-        if n_crashes:
-            net.pending_crashes = plan_rng.sample(list(net.servers), n_crashes)
+        net.pending_crashes = plan_rng.sample(list(net.servers), n_crashes)
     return net
 
 

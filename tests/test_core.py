@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from ohram.checker import Verdict
 from ohram.core import (
+    MODE_MWMR,
     MODE_SWMR,
     Config,
     InvalidFaultBound,
@@ -168,6 +169,24 @@ def test_unknown_mode_rejected():
 def test_config_json_round_trip():
     cfg = Config(n_servers=5, n_readers=3, n_writers=2, f=2)
     assert config_from_json(config_to_json(cfg)) == cfg
+
+
+@pytest.mark.parametrize("bad", [3.9, True, "3"], ids=repr)
+@pytest.mark.parametrize("name", Config._fields[:-1])
+def test_config_from_json_refuses_a_count_that_is_no_int(name, bad):
+    obj = {**config_to_json(Config(3, 1, 1, 1)), name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        config_from_json(obj)
+
+
+def test_a_config_with_no_mode_decodes_as_mwmr():
+    obj = {"n_servers": 3, "n_readers": 1, "n_writers": 2, "f": 1}
+    assert config_from_json(obj) == Config(3, 1, 2, 1, MODE_MWMR)
+
+
+def test_config_json_has_exactly_the_config_fields_as_keys():
+    cfg = Config(n_servers=3, n_readers=2, n_writers=1, f=1, mode=MODE_SWMR)
+    assert tuple(config_to_json(cfg)) == Config._fields
 
 
 def test_message_json_round_trip():

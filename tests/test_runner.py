@@ -1361,6 +1361,43 @@ def test_stop_ends_a_waiting_op_as_close_does():
             srv.close()
 
 
+def test_closing_a_writer_ends_its_waiting_write_naming_the_write():
+    """The closed op is named by its own record's kind: a write waiting
+    out a 5 s retry_interval raises at once, naming the write."""
+    srv = peer_listener()  # stands in for s1, and never answers
+    srv.listen(1)
+    done = {}
+
+    def write():
+        try:
+            writer.write("A")
+        except QuorumUnreachable as e:
+            done["error"] = e
+
+    conn = None
+    with no_unclosed_socket():
+        writer = Client(W1, ONE, "ohsam", {S1: srv.getsockname()},
+                        retry_interval=5.0, retry_budget=100)
+        thread = threading.Thread(target=write, daemon=True)
+        thread.start()
+        try:
+            conn, _ = srv.accept()
+            conn.settimeout(10.0)
+            frames = read_frames(conn)
+            assert next(frames) == {"type": "hello", "pid": "w1"}
+            assert message_from_json(next(frames)).kind == KIND_WRITE_REQUEST
+            writer.close()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert str(done["error"]) == "w1: closed with its write open"
+            assert writer.history[0].responded is None
+        finally:
+            writer.close()
+            if conn is not None:
+                conn.close()
+            srv.close()
+
+
 def test_stop_with_no_op_waiting_closes_the_wake_pair():
     srv = peer_listener()  # stands in for s1: never listens, so refuses
     try:
